@@ -11,13 +11,13 @@ keeps the subgroup H of squares as the acting group Gal(K/k).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 import mpmath as mp
 
-from .cyclo import CyclotomicNumber, crt, euler_phi, factorize, is_prime
+from .cyclo import (CyclotomicNumber, crt, divisors, euler_phi, factorize,
+                    is_prime)
 from .gring import FinAbGroup, galois_group, subgroup_as_group
 
 
@@ -63,7 +63,7 @@ def make_field(f, kernel_residues=frozenset({1})):
     kern = frozenset(a for a in range(f) if gcd(a, f) == 1
                      and g.element_of_residue(a) == g.identity)
     cond = f
-    for d in sorted(_divisors_geq1(f)):
+    for d in divisors(f):
         if d == f:
             break
         # kernel must absorb everything that is 1 mod d
@@ -71,13 +71,6 @@ def make_field(f, kernel_residues=frozenset({1})):
             cond = d
             break
     return FieldModel(f, kern, g, cond)
-
-
-def _divisors_geq1(n):
-    out = [1]
-    for p, e in factorize(n):
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return sorted(out)
 
 
 def full_cyclotomic(f):
@@ -105,9 +98,6 @@ class RelativeModel:
     @property
     def torsion_order(self):
         return 2 * self.p ** self.n
-
-    def full_field(self):
-        return make_field(self.f)
 
     def __repr__(self):
         return f"RelativeModel(p={self.p}, n={self.n})"
@@ -157,10 +147,6 @@ class PlaceSet:
         for pi, pd in enumerate(self.places):
             for ci in range(len(pd.cosets)):
                 self.flat.append((pi, ci))
-        self._flat_index = {}
-        for i, (pi, ci) in enumerate(self.flat):
-            for e in self.places[pi].cosets[ci]:
-                self._flat_index[(pi, e)] = i
         assert self.flat[0] == (0, 0) and self.places[0].archimedean
         assert group.identity in self.places[0].cosets[0]
 
@@ -173,15 +159,6 @@ class PlaceSet:
 
     def finite_primes(self):
         return [pd.q for pd in self.places if not pd.archimedean]
-
-    def perm(self, elem):
-        """The permutation of flat indices induced by elem (sigma w)."""
-        out = []
-        for pi, ci in self.flat:
-            pd = self.places[pi]
-            rep = next(iter(pd.cosets[ci]))
-            out.append(self._flat_index[(pi, self.group.mul(elem, rep))])
-        return tuple(out)
 
     def coset_rep_label(self, i):
         """Smallest residue label of a group element in the i-th place's coset."""
@@ -269,15 +246,31 @@ def relative_place_set(model: RelativeModel):
 # ---------------------------------------------------------------------------
 # S-unit words
 
+def odd_prime_power(f):
+    """(p, n) with f = p^n, p odd; ValueError naming the reason otherwise."""
+    fact = factorize(f) if f > 1 else []
+    if len(fact) != 1 or fact[0][0] == 2:
+        raise ValueError(f"conductor {f} is not an odd prime power; exact S-unit "
+                         "words need f = p^n with p odd")
+    return fact[0]
+
+
+@lru_cache(maxsize=None)
+def _symbol_positions(f, p):
+    """{c: i} for the residues 1 <= c < f/2 prime to p, in increasing order."""
+    return {c: i for i, c in enumerate(c for c in range(1, (f + 1) // 2) if c % p)}
+
+
 class SUnit:
     """Formal word (-1)^a * zeta_f^b * prod (1 - zeta_f^{a_i})^{e_i}, exact.
 
-    Words multiply/divide symbolically; `expansion()` gives the exact
-    cyclotomic value, Galois acts on symbols. Everything valuation- or
-    log-related goes through the word, never through floating factorization.
+    Words multiply/divide symbolically and Galois acts on symbols.
+    `normal_form()` decides equality of values and gives exponent vectors;
+    `log_abs()` gives archimedean logarithms symbol by symbol; `expansion()`
+    is the exact cyclotomic value, kept as an independent oracle.
     """
 
-    __slots__ = ("f", "e", "_exp")
+    __slots__ = ("f", "e", "_exp", "_nf")
 
     def __init__(self, f, exps=None):
         self.f = f
@@ -291,6 +284,7 @@ class SUnit:
                 e[k] = v
         self.e = e
         self._exp = None
+        self._nf = None
 
     # -- constructors
     @classmethod
@@ -351,6 +345,53 @@ class SUnit:
         return SUnit(self.f, e)
 
     # -- value
+    def normal_form(self):
+        """(t, v): the value is (-zeta)^t * prod_i (1 - zeta^{c_i})^{v[i]},
+        t mod 2f, c_i the residues 1 <= c < f/2 prime to p in increasing order.
+
+        For odd f = p^n these symbols are multiplicatively independent modulo
+        <-zeta>; the only relations are parity and distribution (Washington,
+        Introduction to Cyclotomic Fields, Ch. 8; Kubert 1979), so equal
+        values give equal normal forms.  The rewriting uses -1 = (-zeta)^f,
+        zeta = (-zeta)^{f+1}, 1 - zeta^{-c} = -zeta^{-c} (1 - zeta^c) and
+        1 - zeta^{b p^j} = prod_{i < p^j} (1 - zeta^{b + i p^{n-j}}).
+        """
+        if self._nf is None:
+            f = self.f
+            p, _ = odd_prime_power(f)
+            pos = _symbol_positions(f, p)
+            t = 0
+            v = [0] * len(pos)
+            for k, e in self.e.items():
+                if k == "m1":
+                    t += f * e
+                elif k == "z":
+                    t += (f + 1) * e
+                else:
+                    b, q = k[1], 1
+                    while b % p == 0:
+                        b //= p
+                        q *= p
+                    for i in range(q):            # distribution
+                        c = b + i * (f // q)
+                        if 2 * c > f:             # parity, -zeta^c = (-zeta)^(f+(f+1)c)
+                            t += e * (f + (f + 1) * c)
+                            c = f - c
+                        v[pos[c]] += e
+            self._nf = (t % (2 * f), tuple(v))
+        return self._nf
+
+    def log_abs(self, t=1):
+        """log|sigma_t(w)| at zeta = exp(2 pi i / f), at the current mpmath
+        precision: sum_a e_a log|2 sin(pi a t / f)| over the symbols
+        1 - zeta^a, since roots of unity have absolute value 1."""
+        total = mp.mpf(0)
+        for k, e in self.e.items():
+            if isinstance(k, tuple):
+                x = mp.mpf((k[1] * t) % self.f) / self.f
+                total += e * mp.log(2 * mp.sinpi(x))
+        return total
+
     def expansion(self):
         if self._exp is None:
             val = CyclotomicNumber.rational(1)
@@ -369,27 +410,14 @@ class SUnit:
         return self.expansion() == other.expansion()
 
     def fixed_by(self, residues):
-        return all(self.galois(t).same_value(self) for t in residues)
+        nf = self.normal_form()
+        return all(self.galois(t).normal_form() == nf for t in residues)
 
     # -- valuations
     def ord_pi(self):
-        """Valuation at the prime above p of Q(zeta_{p^n}) (f a prime power)."""
-        fact = factorize(self.f)
-        if len(fact) != 1:
-            raise ValueError("pi-valuation needs a prime-power modulus")
-        p, n = fact[0]
-        total = 0
-        for k, v in self.e.items():
-            if k in ("m1", "z"):
-                continue
-            a = k[1]
-            j = 0
-            while a % p == 0:
-                a //= p
-                j += 1
-            assert j < n
-            total += v * p ** j
-        return total
+        """Valuation at the prime above p of Q(zeta_{p^n}): every normal-form
+        symbol 1 - zeta^c, c prime to p, has valuation 1."""
+        return sum(self.normal_form()[1])
 
     # -- serialization
     def to_word(self):
@@ -430,35 +458,19 @@ class SUnit:
 def log_norms(word: SUnit, pset: PlaceSet, ctx):
     """[log ||u||_w for w in pset.flat] at ctx precision.
 
-    Archimedean places use |.| (real) or |.|^2 (complex); finite places use
-    Nw^{-ord_w}. The product formula (row sum 0 for S-units) holds exactly.
+    Archimedean places use |.| (real) or |.|^2 (complex) of the word under
+    the place's embedding (`SUnit.log_abs`); finite places use Nw^{-ord_w}.
+    The product formula (row sum 0 for S-units) holds exactly.
     """
     out = []
     with ctx.guard():
-        val = word.expansion()
-        if val.is_zero():
-            raise ValueError("zero word has no logarithmic embedding")
-        for i in range(pset.size):
-            pi, ci = pset.flat[i]
+        for i, (pi, _) in enumerate(pset.flat):
             pd = pset.places[pi]
             if pd.archimedean:
-                rep = pset.coset_rep_label(i)
-                x = abs(val.embed(rep))
-                if mp.almosteq(x, 0, abs_eps=mp.mpf(2) ** (-ctx.bits)):
-                    raise ValueError("word embeds to ~0; not an S-unit")
-                v = mp.log(x)
-                if pd.complex_place:
-                    v = 2 * v
-                out.append(v)
+                v = word.log_abs(pset.coset_rep_label(i))
+                out.append(2 * v if pd.complex_place else v)
             else:
-                if pd.pi_over_w == 0:
-                    ordw = 0
-                else:
-                    ordpi = word.ord_pi()
-                    q, r = divmod(ordpi, pd.pi_over_w)
-                    assert r == 0, "word is not a value of this field at the finite place"
-                    ordw = q
-                out.append(-ordw * mp.log(pd.nw))
+                out.append(-finite_ord(word, pset, i) * mp.log(pd.nw))
     return [ctx.final(v) for v in out]
 
 

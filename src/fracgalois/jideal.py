@@ -28,8 +28,8 @@ from .gring import (Character, FiniteGModule, GroupHom, GroupRingElement,
 from .lfun import (half_stickelberger, l_deriv_at_0, partial_zeta_all,
                    l_deriv_primitive, stickelberger, stickelberger_classical,
                    vanishing_order)
-from .units import (UnitLattice, quotient_module, stark_module,
-                    stark_residuals, stark_unit, sunit_group)
+from .units import (UnitLattice, conjugate_logs, quotient_module,
+                    stark_module, stark_residuals, stark_unit, sunit_group)
 
 
 @dataclass
@@ -160,28 +160,25 @@ def j_base_case(which, ctx):
 def _log_eps_element(model, pset, ctx):
     """-sum_sigma log||eps||_{sigma w0} sigma as a numeric coefficient dict;
     the Q[G]-eigenvalue element of lambda o f0^{-1} on the rank-1 lattice X."""
-    g = model.group
-    eps = stark_unit(model.f)
-    out = {}
+    logs = conjugate_logs(stark_unit(model.f), pset, ctx)
     with ctx.guard():
-        for sigma in g.elements:
-            w = eps.galois(g.label(sigma))
-            out[sigma] = -mp.log(abs(w.expansion().embed(1)))
-    return out
+        return {sigma: -lw for sigma, lw in logs.items()}
 
 
-def _char_value_numeric(chi, elem, conj, ctx):
-    k = chi.exp_at(elem)
-    e = chi.group.exponent
+def _char_value_numeric(chi, elem, ctx):
+    """chi(elem) as a complex number."""
     with ctx.guard():
-        return mp.expjpi(mp.mpf((-2 if conj else 2) * k) / e)
+        return mp.expjpi(mp.mpf(2 * chi.exp_at(elem)) / chi.group.exponent)
 
 
 def i_f_and_regulator(model, pset, twist, ctx, provider="builtin_hplus1",
                       units=None):
     """Exact I^f = det(u)^{-1} ann(U/E) for f = u o f0, plus the numeric
-    Stark regulator values A_chi; their exact fold returns J independent
-    of the twist.  Returns (I^f lattice, {chi index: A_chi}, J)."""
+    Stark regulator values A_chi = chi(u) chi(R) / L'_S(0, chi), where
+    R = -sum_sigma log||eps||_{sigma w0} sigma and chi(x) =
+    sum_sigma x_sigma chi(sigma) is the eigenvalue of x on the chi-part
+    (chi unconjugated, for R and the twist alike).  Their exact fold returns
+    J independent of the twist.  Returns (I^f lattice, {chi index: A_chi}, J)."""
     _require_rank_one(model, pset)
     g = model.group
     u_inv = gre_inverse(twist)  # raises on a non-invertible twist
@@ -198,13 +195,13 @@ def i_f_and_regulator(model, pset, twist, ctx, provider="builtin_hplus1",
         for idx, chi in enumerate(characters(g)):
             num = mp.mpc(0)
             for sigma, lv in logs.items():
-                num += _char_value_numeric(chi, sigma, True, ctx) * lv
+                num += _char_value_numeric(chi, sigma, ctx) * lv
             lstar = l_deriv_at_0(model, pset, chi, ctx, _zcache=zcache)
             tv = mp.mpc(0)
             for sigma in g.elements:
                 cf = twist.coeff(sigma)
                 if cf:
-                    tv += ctx.mpf(cf) * _char_value_numeric(chi, sigma, True, ctx)
+                    tv += ctx.mpf(cf) * _char_value_numeric(chi, sigma, ctx)
             reg[idx] = ctx.final(tv * num / lstar)
     j = i_f.scale(twist).scale(Fraction(1, e))
     return i_f, reg, j

@@ -3,30 +3,30 @@ submodules, and the finite quotient U/E as a Galois module.
 
 Providers are exact generator lists (words); completeness of the built-in
 provider is exactly the class-number-one input recorded in `assumptions`.
-Coordinates of one unit against a generator list are found numerically from
-the logarithmic embedding, rounded, and then verified exactly on words --
-a wrong rounding can never produce a silently wrong module.
+Coordinates of one unit against a generator list are exact: every word is
+put in the normal form of `SUnit.normal_form` (a power of -zeta times an
+exponent vector on independent symbols 1 - zeta^c), so coordinates solve
+one integer linear system and the rank check is an exact rank.  Floating
+point enters only through the Stark residuals, which are transcendental.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd
 
-import mpmath as mp
-
-from .cyclo import factorize
 from .fields import (PlaceSet, RelativeModel, SUnit, log_norms, make_field,
-                     place_set, relative_model, relative_place_set)
+                     odd_prime_power, place_set, relative_model,
+                     relative_place_set)
 from .gring import FiniteGModule
+from .intmat import hnf_columns
 from .lfun import half_stickelberger
 
 # prime powers with totally-real cyclotomic class number one (small range;
 # each use is recorded as an explicit assumption in reports)
 KNOWN_HPLUS_ONE = {3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41,
                    43, 47, 49, 53, 59, 61, 81, 121, 125, 169}
-
-INT_ROUND_TOL_EXP = -16  # rounding guard for numeric unit coordinates
 
 
 @dataclass
@@ -65,19 +65,11 @@ def stark_unit(f):
 def cyclotomic_unit(f, a):
     """xi_a = zeta^{(1-a)/2} (1 - zeta^a) / (1 - zeta), a unit of K^+ for
     1 < a < f/2 prime to f; satisfies sigma_a(eps)/eps = xi_a^2."""
-    from math import gcd
     if f % 2 == 0 or not 1 < a < f or gcd(a, f) != 1:
         raise ValueError("need odd f and 1 < a < f prime to f")
     inv2 = (f + 1) // 2
     return (SUnit.zeta(f, ((1 - a) * inv2) % f)
             * SUnit.one_minus_zeta(f, a) / SUnit.one_minus_zeta(f, 1))
-
-
-def _prime_power(f):
-    fact = factorize(f)
-    if len(fact) != 1:
-        raise ValueError(f"{f} is not a prime power")
-    return fact[0]
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +94,7 @@ def sunit_group(model, pset, ctx, provider="builtin_hplus1"):
         assumptions = (f"h+(Q(zeta_{f})) = 1",)
         u = UnitLattice(model, pset, 2 * f, torsion, free, provider, assumptions)
     else:
-        p, n = _prime_power(model.f)
-        if p == 2:
-            raise ValueError("odd prime powers only")
+        p, _ = odd_prime_power(model.f)
         f = model.f
         _check_pset(model, pset, p)
         _require_hplus_one(f)
@@ -122,7 +112,7 @@ def sunit_group(model, pset, ctx, provider="builtin_hplus1"):
         else:
             raise ValueError("builtin provider covers the full cyclotomic field "
                              "and its maximal real subfield only")
-    _verify_rank(u, ctx)
+    _verify_rank(u)
     return u
 
 
@@ -149,7 +139,7 @@ def stark_module(model, pset, ctx):
         torsion = SUnit.minus_one(f) * SUnit.zeta(f)
         free = tuple(eta.galois(h.label(e)) for e in h.elements)
         return UnitLattice(model, pset, 2 * f, torsion, free, "stark", ())
-    p, n = _prime_power(model.f)
+    p, _ = odd_prime_power(model.f)
     f = model.f
     _check_pset(model, pset, p)
     g = model.group
@@ -165,42 +155,25 @@ def stark_module(model, pset, ctx):
     raise ValueError("Stark module supported for full cyclotomic / maximal real / relative")
 
 
-def _log_matrix(lattice, ctx):
-    return [log_norms(w, lattice.pset, ctx) for w in lattice.free]
-
-
-def _verify_rank(lattice, ctx):
-    rows = _log_matrix(lattice, ctx)
-    need = lattice.pset.x_rank()
-    if len(rows) < need:
-        raise ValueError(f"provider gives rank {len(rows)} < {need}")
-    with ctx.guard():
-        r = _numeric_rank([row[:] for row in rows], mp.mpf(2) ** (-ctx.bits // 3))
-    if r != len(rows):
+def _free_matrix(lattice):
+    """B, whose column j is the normal-form vector of the j-th free
+    generator, and r rows on which B has full rank r; ValueError if the
+    free generators are multiplicatively dependent."""
+    cols = [w.normal_form()[1] for w in lattice.free]
+    nsym = len(lattice.torsion.normal_form()[1])   # also when there are no cols
+    b = [[col[i] for col in cols] for i in range(nsym)]
+    _, rows = hnf_columns(b)
+    if len(rows) != len(cols):
         raise ValueError("free generators are multiplicatively dependent "
-                         f"(numeric rank {r} < {len(rows)})")
+                         f"(rank {len(rows)} < {len(cols)})")
+    return b, rows
 
 
-def _numeric_rank(rows, tol):
-    rows = [list(map(mp.mpf, r)) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    used = [False] * len(rows)
-    for col in range(ncols):
-        piv, pv = None, tol
-        for i, row in enumerate(rows):
-            if not used[i] and abs(row[col]) > pv:
-                piv, pv = i, abs(row[col])
-        if piv is None:
-            continue
-        used[piv] = True
-        rank += 1
-        for i, row in enumerate(rows):
-            if i != piv and abs(row[col]) > 0:
-                fac = row[col] / rows[piv][col]
-                for j in range(ncols):
-                    row[j] -= fac * rows[piv][j]
-    return rank
+def _verify_rank(lattice):
+    need = lattice.pset.x_rank()
+    if len(lattice.free) < need:
+        raise ValueError(f"provider gives rank {len(lattice.free)} < {need}")
+    _free_matrix(lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -210,54 +183,66 @@ class CoordinateError(ValueError):
     pass
 
 
-def _torsion_value_table(lattice):
-    table = {}
-    t = SUnit.one(lattice.torsion.f)
-    for k in range(lattice.torsion_order):
-        v = t.expansion()
-        table[(v.m, v.c)] = k
-        t = t * lattice.torsion
-    return table
+def _scaled_inverse(a):
+    """(d, r) with a r = d I for a nonsingular square integer matrix a, by
+    fraction-free Gauss-Jordan elimination (Bareiss); d = +-det(a)."""
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        piv = next(i for i in range(k, n) if m[i][k])
+        m[k], m[piv] = m[piv], m[k]
+        mk = m[k]
+        for i in range(n):
+            if i != k:
+                mi, c = m[i], m[i][k]
+                m[i] = [(x * mk[k] - c * y) // prev for x, y in zip(mi, mk)]
+        prev = mk[k]
+    return prev, [row[n:] for row in m]
+
+
+def _coordinate_solver(lattice):
+    """Everything a word's solve needs, computed once per lattice: B, the
+    rows where it has full rank, the scaled inverse of B on those rows, the
+    free generators' torsion exponents and the lattice's torsion exponent."""
+    b, rows = _free_matrix(lattice)
+    d, inv = _scaled_inverse([b[i] for i in rows])
+    free_t = [w.normal_form()[0] for w in lattice.free]
+    return b, rows, d, inv, free_t, lattice.torsion.normal_form()[0]
 
 
 def unit_coordinates(lattice: UnitLattice, word: SUnit, ctx, *, _cache=None):
-    """(t, xs): word = torsion^t * prod free_i^{x_i}, verified exactly.
+    """(t, xs): word = torsion^t * prod free_i^{x_i}, exactly.
 
-    The xs come from a numeric solve against the log embedding and must be
-    within 2^-16 of integers; the torsion exponent is matched exactly on the
-    expanded cyclotomic value. CoordinateError if the word is outside.
+    xs solve B xs = v for the word's normal-form vector v, with B factored
+    once per lattice (pass the same `_cache` dict for every word); t solves
+    the remaining power of -zeta modulo 2f.  CoordinateError names why a
+    word is outside the lattice.
     """
     cache = _cache if _cache is not None else {}
-    if "logm" not in cache:
-        cache["logm"] = _log_matrix(lattice, ctx)
-        cache["tors"] = _torsion_value_table(lattice)
-    rows = cache["logm"]
-    with ctx.guard():
-        b = log_norms(word, lattice.pset, ctx)
-        a = mp.matrix([[rows[j][i] for j in range(len(rows))]
-                       for i in range(len(b))])
-        at_a = a.T * a
-        at_b = a.T * mp.matrix(b)
-        sol = mp.lu_solve(at_a, at_b)
-        xs = []
-        rtol = mp.mpf(2) ** INT_ROUND_TOL_EXP
-        for v in sol:
-            r = mp.nint(v)
-            if abs(v - r) > rtol:
-                raise CoordinateError(
-                    f"unit coordinate {mp.nstr(v, 12)} is not integral; "
-                    "the word is outside the lattice or the provider is incomplete")
-            xs.append(int(r))
-    rest = word
-    for w, x in zip(lattice.free, xs):
-        if x:
-            rest = rest / (w ** x)
-    val = rest.expansion()
-    key = (val.m, val.c)
-    if key not in cache["tors"]:
-        raise CoordinateError("residual word is not a torsion power; "
-                              "numeric coordinates failed exact verification")
-    return cache["tors"][key], xs
+    if "solver" not in cache:
+        cache["solver"] = _coordinate_solver(lattice)
+    b, rows, d, inv, free_t, tors_t = cache["solver"]
+    t, v = word.normal_form()
+    y = [sum(c * v[i] for c, i in zip(row, rows)) for row in inv]
+    if any(sum(c * x for c, x in zip(brow, y)) != d * vi
+           for brow, vi in zip(b, v)):
+        raise CoordinateError("the word is outside the rational span of the "
+                              "free generators: no power of it is in the lattice")
+    for x in y:
+        if x % d:
+            raise CoordinateError(
+                f"unit coordinate {x}/{d} is not integral: a power of the word "
+                "is in the lattice, the word itself is not")
+    xs = [x // d for x in y]
+    two_f = 2 * word.f
+    rest = (t - sum(x * s for x, s in zip(xs, free_t))) % two_f
+    g = gcd(tors_t, two_f)
+    if rest % g:
+        raise CoordinateError(f"residual root of unity (-zeta)^{rest} is not a "
+                              "power of the lattice's torsion generator")
+    order = two_f // g
+    return (rest // g) * pow(tors_t // g, -1, order) % order, xs
 
 
 def quotient_module(u: UnitLattice, e: UnitLattice, ctx):
@@ -293,8 +278,16 @@ def quotient_module(u: UnitLattice, e: UnitLattice, ctx):
 # ---------------------------------------------------------------------------
 # Stark residuals
 
+def conjugate_logs(unit, pset, ctx):
+    """{sigma: log ||sigma(unit)||_{w0}} at ctx precision, read off the
+    unit's log embedding: with a trivial decomposition group at infinity
+    (plus and relative fields) there is one archimedean place per sigma."""
+    logs = log_norms(unit, pset, ctx)
+    return {sigma: lw for (sigma,), lw in zip(pset.places[0].cosets, logs)}
+
+
 def stark_residuals(model, pset, ctx):
-    """max_sigma | log|sigma(eps)|_{w0} + e zeta'_S(0, sigma) | as mpf.
+    """max_sigma | log||sigma(eps)||_{w0} + e zeta'_S(0, sigma) | as mpf.
 
     Plus fields use the real absolute value at the distinguished place and
     e = 2; the relative case uses the square of the complex modulus and
@@ -306,20 +299,14 @@ def stark_residuals(model, pset, ctx):
         unit = stark_module(model, pset, ctx).free[0]
         # free[0] is eta at the identity conjugate
         zder = relative_partial_zeta_deriv(model, ctx)
-        square = True
     else:
         ew = 2
         unit = stark_unit(model.f)
         zder = partial_zeta_all(model, pset, 1, ctx)
-        square = False
     g = model.group
-    out = {}
+    logs = conjugate_logs(unit, pset, ctx)
     with ctx.guard():
-        for sigma in g.elements:
-            w = unit.galois(g.label(sigma))
-            x = abs(w.expansion().embed(1))
-            lw = 2 * mp.log(x) if square else mp.log(x)
-            out[sigma] = abs(lw + ew * zder[sigma])
+        out = {sigma: abs(lw + ew * zder[sigma]) for sigma, lw in logs.items()}
         worst = max(out.values())
     return {g.label(s): ctx.final(v) for s, v in out.items()}, ctx.final(worst)
 
@@ -358,17 +345,19 @@ def load_units(path, ctx):
         pset = relative_place_set(model)
         f = model.f
     else:
-        f = fd["f"]
+        f = int(fd["f"])
+        odd_prime_power(f)
         model = make_field(f, frozenset(fd["kernel"]))
         pset = place_set(model, tuple(doc["s_primes"]))
     torsion = SUnit.from_word(f, doc["torsion"]["word"])
     order = int(doc["torsion"]["order"])
-    tv = torsion.expansion()
-    if order < 1 or not (tv ** order == 1):
+    t, v = torsion.normal_form()
+    if any(v):
+        raise ValueError("torsion word is not a root of unity")
+    if order < 1 or order * t % (2 * f):
         raise ValueError("torsion word does not have the declared order")
-    for q, _ in factorize(order):
-        if tv ** (order // q) == 1:
-            raise ValueError("declared torsion order is not minimal")
+    if order != 2 * f // gcd(t, 2 * f):
+        raise ValueError("declared torsion order is not minimal")
     free = tuple(SUnit.from_word(f, w) for w in doc["free"])
     if not isinstance(model, RelativeModel):
         for w in free:
@@ -377,5 +366,5 @@ def load_units(path, ctx):
     lattice = UnitLattice(model, pset, order, torsion, free,
                           str(doc.get("provider", "ingested")),
                           tuple(doc.get("assumptions", ())))
-    _verify_rank(lattice, ctx)
+    _verify_rank(lattice)
     return lattice

@@ -167,6 +167,22 @@ def test_reports_identical_outside_meta(capsys):
     assert d1 == d2
 
 
+# numeric unit coordinates lost precision on these fields and exited 2, or
+# reported a false STARKC failure
+@pytest.mark.parametrize("level", [["-p", "31"], ["-p", "7", "-n", "2"]])
+def test_relative_jideal_on_large_fields(capsys, level):
+    doc = run_json(capsys, ["compute", "jideal", *level, "--subfield", "relative"])
+    assert doc["exact"]["route"] == "theorem_j"
+
+
+@pytest.mark.parametrize("p", ["31", "43"])
+def test_relative_starkc_on_large_fields(capsys, p):
+    code, out, _ = run(capsys, ["verify", "--suite", "STARKC", "-p", p,
+                                "--subfield", "relative"])
+    assert code == 0
+    assert "STARKC: PASS" in out
+
+
 def test_verify_report_to_file(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, ["verify", "-p", "5", "--suite", "STARK_RAT",
@@ -197,6 +213,18 @@ def test_export_ingest_export_byte_identical(capsys, tmp_path):
     code, _, _ = run(capsys, ["export", "--in", str(u1), "--out", str(u2)])
     assert code == 0
     assert u1.read_bytes() == u2.read_bytes()
+
+
+def test_ingest_rejects_conductor_that_is_not_an_odd_prime_power(capsys, tmp_path):
+    path = tmp_path / "u.json"
+    run(capsys, ["export", "-p", "7", "--subfield", "plus", "--out", str(path)])
+    doc = json.loads(path.read_text())
+    doc["field"]["f"] = 15
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["ingest", "--in", str(path)])
+    assert code == 2
+    assert err.startswith("error:") and "15 is not an odd prime power" in err
+    assert "Traceback" not in err
 
 
 def test_provider_file_matches_builtin(capsys, tmp_path):

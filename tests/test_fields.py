@@ -1,11 +1,13 @@
 """Field models, place structure, and formal S-unit words."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import mpmath as mp
 import pytest
 
-from fracgalois.cyclo import PrecisionContext
+from fracgalois.cyclo import PrecisionContext, factorize
 from fracgalois.fields import (SUnit, finite_ord, full_cyclotomic, log_norms,
                                make_field, place_set, plus_field,
                                relative_model, relative_place_set)
@@ -159,3 +161,68 @@ def test_log_norms_rejects_zero_like_words():
     with CTX.guard():
         ok = log_norms(z, ps, CTX)
         assert all(abs(v) < mp.mpf(2) ** -150 for v in ok)
+
+
+# ---------------------------------------------------------------------------
+# normal forms and the logarithm helper
+
+def _random_word(rng, f):
+    e = {"m1": rng.randrange(2), "z": rng.randrange(f)}
+    for _ in range(rng.randint(1, 3)):
+        a = rng.randrange(1, f)
+        e[("om", a)] = e.get(("om", a), 0) + rng.choice((-2, -1, 1, 2))
+    return SUnit(f, e)
+
+
+def _relation(rng, f, p):
+    """A word with value 1: a parity or a distribution relation, conjugated."""
+    if rng.randrange(2):
+        c = rng.randrange(1, f)
+        rel = SUnit.one_minus_zeta(f, -c) / (
+            SUnit.minus_one(f) * SUnit.zeta(f, -c) * SUnit.one_minus_zeta(f, c))
+    else:
+        q = p ** rng.randrange(1, 3 if f > p * p else 2)
+        b = rng.choice([b for b in range(1, f // q) if b % p])
+        rel = SUnit.one_minus_zeta(f, b * q)
+        for i in range(q):
+            rel = rel / SUnit.one_minus_zeta(f, b + i * (f // q))
+    return rel.galois(rng.choice([t for t in range(1, f) if t % p]))
+
+
+def test_normal_form_frozen_values():
+    assert SUnit.minus_one(5).normal_form() == (5, (0, 0))
+    assert SUnit.zeta(5).normal_form() == (6, (0, 0))
+    # 1 - zeta^4 = -zeta^4 (1 - zeta) and -zeta^4 = (-zeta)^9
+    assert SUnit.one_minus_zeta(5, 4).normal_form() == (9, (1, 0))
+    # 1 - zeta^3 = (1 - zeta)(1 - zeta^4)(1 - zeta^7) in Q(zeta_9), basis 1, 2, 4
+    assert SUnit.one_minus_zeta(9, 3).normal_form() == (7, (1, 1, 1))
+
+
+@pytest.mark.parametrize("f", [9, 25, 27, 49])
+def test_normal_form_decides_equal_values(f):
+    (p, _), = factorize(f)
+    rng = random.Random(f)
+    for _ in range(12):
+        w = _random_word(rng, f)
+        same = w * _relation(rng, f, p) ** rng.choice((-1, 1, 2))
+        assert same.normal_form() == w.normal_form()
+        shifted = w * SUnit.zeta(f, rng.randrange(1, f))
+        for u in (same, shifted, _random_word(rng, f)):
+            assert (u.normal_form() == w.normal_form()) == u.same_value(w)
+
+
+@pytest.mark.parametrize("f", [8, 12, 15])
+def test_normal_form_needs_odd_prime_power(f):
+    with pytest.raises(ValueError, match="odd prime power"):
+        SUnit.one_minus_zeta(f, 1).normal_form()
+
+
+def test_log_abs_matches_expansion_embedding():
+    rng = random.Random(5)
+    with mp.workprec(768):
+        for f in (5, 9, 13, 25):
+            for _ in range(4):
+                w = _random_word(rng, f)
+                t = rng.choice([t for t in range(1, f) if gcd(t, f) == 1])
+                ref = mp.log(abs(w.expansion().embed(t)))
+                assert abs(w.log_abs(t) - ref) < mp.mpf(2) ** -740

@@ -172,6 +172,11 @@ def test_passing_checks():
         ("RZERO", {"p": 7, "subfield": "relative"}),
         ("INDF", {"p": 5, "seed": 1, "count": 3}),
         ("STARK_RAT", {"p": 5}),
+        # non-real characters: chi must pair with the logs unconjugated
+        ("STARK_RAT", {"p": 7}),
+        ("STARK_RAT", {"p": 11}),
+        ("STARK_RAT", {"p": 13}),
+        ("STARK_RAT", {"p": 7, "n": 2}),
         ("QNAT", {"p": 3}),
         ("BCH", {"p": 7}),
         ("STARKC", {"p": 7, "subfield": "plus"}),

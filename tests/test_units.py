@@ -2,19 +2,22 @@
 unit-file interchange format."""
 
 import json
+import random
+import sys
 
 import mpmath as mp
 import pytest
 
-from fracgalois.cyclo import PrecisionContext
-from fracgalois.fields import (SUnit, full_cyclotomic, place_set, plus_field,
-                               relative_model, relative_place_set)
+from fracgalois.cyclo import PrecisionContext, factorize
+from fracgalois.fields import (SUnit, finite_ord, full_cyclotomic, place_set,
+                               plus_field, relative_model, relative_place_set)
 from fracgalois.gring import GroupRingElement, IdealLattice
-from fracgalois.units import (KNOWN_HPLUS_ONE, CoordinateError,
-                              cyclotomic_unit, export_units, lambda_unit,
-                              load_units, quotient_module, stark_module,
-                              stark_residuals, stark_unit, sunit_group,
-                              unit_coordinates)
+from fracgalois.intmat import det_int, mat_mul
+from fracgalois.units import (KNOWN_HPLUS_ONE, CoordinateError, UnitLattice,
+                              _scaled_inverse, cyclotomic_unit, export_units,
+                              lambda_unit, load_units, quotient_module,
+                              stark_module, stark_residuals, stark_unit,
+                              sunit_group, unit_coordinates)
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
 
@@ -103,7 +106,7 @@ def test_unit_coordinates_detect_outside_word():
     k = plus_field(5)
     ps = place_set(k, (5,))
     e = stark_module(k, ps, CTX)
-    with pytest.raises(CoordinateError):
+    with pytest.raises(CoordinateError, match="not integral"):
         unit_coordinates(e, cyclotomic_unit(5, 2), CTX)
     # ... but its square does lie in E+
     t, xs = unit_coordinates(e, cyclotomic_unit(5, 2) ** 2, CTX)
@@ -111,6 +114,113 @@ def test_unit_coordinates_detect_outside_word():
     for w, x in zip(e.free, xs):
         word = word * w ** x
     assert word.same_value(cyclotomic_unit(5, 2) ** 2)
+
+
+def test_coordinate_errors_name_the_cause():
+    k = plus_field(7)
+    ps = place_set(k, (7,))
+    u = sunit_group(k, ps, CTX)
+    part = UnitLattice(k, ps, u.torsion_order, u.torsion, u.free[:1], "test", ())
+    with pytest.raises(CoordinateError, match="rational span"):
+        unit_coordinates(part, u.free[1], CTX)
+    # zeta is a unit of Q(zeta_7), but the plus field's torsion is only +-1
+    with pytest.raises(CoordinateError, match="root of unity"):
+        unit_coordinates(u, SUnit.zeta(7), CTX)
+
+
+def test_scaled_inverse_against_determinant():
+    rng = random.Random(7)
+    done = 0
+    while done < 30:
+        n = rng.randint(1, 6)
+        a = [[rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in range(n)]
+             for _ in range(n)]
+        det = det_int(a)
+        if det == 0:
+            continue
+        d, r = _scaled_inverse(a)
+        assert abs(d) == abs(det)
+        assert mat_mul(a, r) == [[d * (i == j) for j in range(n)]
+                                 for i in range(n)]
+        done += 1
+
+
+# ---------------------------------------------------------------------------
+# the numeric least-squares solve that exact coordinates replaced, kept as an
+# independent oracle: logs from the expanded cyclotomic value, rounded
+# coordinates, and the torsion exponent matched on expanded values
+
+def _expansion_logs(word, pset, ctx):
+    val = word.expansion()
+    out = []
+    for i, (pi, _) in enumerate(pset.flat):
+        pd = pset.places[pi]
+        if pd.archimedean:
+            v = mp.log(abs(val.embed(pset.coset_rep_label(i))))
+            out.append(2 * v if pd.complex_place else v)
+        else:
+            out.append(-finite_ord(word, pset, i) * mp.log(pd.nw))
+    return out
+
+
+def _numeric_coordinates(lattice, word, ctx):
+    with ctx.guard():
+        rows = [_expansion_logs(w, lattice.pset, ctx) for w in lattice.free]
+        b = _expansion_logs(word, lattice.pset, ctx)
+        a = mp.matrix([[row[i] for row in rows] for i in range(len(b))])
+        sol = mp.lu_solve(a.T * a, a.T * mp.matrix(b))
+        xs = [int(mp.nint(v)) for v in sol]
+        assert all(abs(v - x) < mp.mpf(2) ** -16 for v, x in zip(sol, xs))
+    rest = word
+    for w, x in zip(lattice.free, xs):
+        rest = rest / w ** x
+    power = SUnit.one(word.f)
+    for t in range(lattice.torsion_order):
+        if power.same_value(rest):
+            return t, xs
+        power = power * lattice.torsion
+    raise AssertionError("residual word is not a torsion power")
+
+
+def _quotient_words(u, e):
+    """The words quotient_module solves for: E's generators and the images
+    of U's generators under the group generators."""
+    words = [e.torsion, *e.free]
+    for gen in u.group.generator_elements():
+        t = u.group.label(gen)
+        words += [w.galois(t) for w in (u.torsion, *u.free)]
+    return words
+
+
+@pytest.mark.parametrize("make, f", [
+    (make, f) for make in (plus_field, full_cyclotomic)
+    for f in (5, 7, 9, 11, 13, 25)] + [
+    (relative_model, 7), (relative_model, 11)])
+def test_exact_coordinates_match_numeric_oracle(make, f):
+    model = make(f)
+    if make is relative_model:
+        ps = relative_place_set(model)
+    else:
+        ps = place_set(model, (factorize(f)[0][0],))
+    u = sunit_group(model, ps, CTX)
+    cache = {}
+    for word in _quotient_words(u, stark_module(model, ps, CTX)):
+        assert unit_coordinates(u, word, CTX, _cache=cache) == \
+            _numeric_coordinates(u, word, CTX)
+
+
+def test_annihilator_path_makes_no_mpmath_call(monkeypatch):
+    class NoMpmath:
+        def __getattr__(self, name):
+            raise AssertionError(f"mpmath used: mp.{name}")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("fracgalois") and hasattr(mod, "mp"):
+            monkeypatch.setattr(mod, "mp", NoMpmath())
+    k = plus_field(49)
+    ps = place_set(k, (7,))
+    q = quotient_module(sunit_group(k, ps, CTX), stark_module(k, ps, CTX), CTX)
+    assert q.order() == 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +350,18 @@ def test_load_rejects_dependent_generators(tmp_path):
     doc["free"] = [doc["free"][0], doc["free"][0]]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="rank|dependent"):
+        load_units(path, CTX)
+
+
+def test_load_rejects_non_torsion_word(tmp_path):
+    k = plus_field(5)
+    u = sunit_group(k, place_set(k, (5,)), CTX)
+    path = tmp_path / "u.json"
+    export_units(u, path)
+    doc = json.loads(path.read_text())
+    doc["torsion"]["word"] = stark_unit(5).to_word()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="not a root of unity"):
         load_units(path, CTX)
 
 

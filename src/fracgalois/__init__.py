@@ -12,9 +12,8 @@ from .fields import (FieldModel, PlaceSet, RelativeModel, SUnit,
                      relative_model, relative_place_set)
 from .gring import (Character, FinAbGroup, FiniteGModule, GroupHom,
                     GroupRingElement, IdealLattice, assemble, characters,
-                    galois_group, gre_inverse, idempotent, norm_element,
-                    plus_idempotent)
-from .lfun import (half_stickelberger, l_deriv_at_0, l_leading, l_value_at_0,
+                    galois_group, gre_inverse, norm_element, plus_idempotent)
+from .lfun import (half_stickelberger, l_deriv_at_0, l_value_at_0,
                    relative_l_value_at_0, stickelberger,
                    stickelberger_classical, stickelberger_via_characters,
                    vanishing_order)
@@ -36,9 +35,8 @@ __all__ = [
     "relative_place_set",
     "Character", "FinAbGroup", "FiniteGModule", "GroupHom",
     "GroupRingElement", "IdealLattice", "assemble", "characters",
-    "galois_group", "gre_inverse", "idempotent", "norm_element",
-    "plus_idempotent",
-    "half_stickelberger", "l_deriv_at_0", "l_leading", "l_value_at_0",
+    "galois_group", "gre_inverse", "norm_element", "plus_idempotent",
+    "half_stickelberger", "l_deriv_at_0", "l_value_at_0",
     "relative_l_value_at_0", "stickelberger", "stickelberger_classical",
     "stickelberger_via_characters", "vanishing_order",
     "UnitLattice", "cyclotomic_unit", "export_units", "lambda_unit",

@@ -311,7 +311,10 @@ def cmd_ingest(cfg):
     if cfg.input_path is None:
         raise ValueError("ingest needs --in <file.json>")
     with open(cfg.input_path) as fh:
-        kind = json.load(fh).get("kind")
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("input document is not a JSON object")
+    kind = doc.get("kind")
     ctx = cfg.context()
     if kind == "sunits":
         lattice = load_units(cfg.input_path, ctx)

@@ -102,29 +102,52 @@ def crt(pairs):
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and power tables
 
-def _poly_mul_int(a, b):
+def poly_trim(c):
+    """Drop trailing zero coefficients of c in place; returns c."""
+    i = len(c)
+    while i and c[i - 1] == 0:
+        i -= 1
+    del c[i:]
+    return c
+
+
+def poly_mul(a, b):
+    """Product of coefficient lists (ascending degree; ints or Fractions)."""
+    if not a or not b:
+        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] += x * y
+                if y:
+                    out[i + j] += x * y
     return out
 
 
-def _poly_divexact_int(a, b):
-    """a / b for integer polynomials with exact division (b monic-led)."""
-    a = list(a)
+def poly_sub(a, b):
+    n = max(len(a), len(b))
+    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+           for i in range(n)]
+    return poly_trim(out)
+
+
+def poly_divexact(a, b):
+    """a // b in Z[x] when the division is known to be exact."""
+    if not a:
+        return []
+    a = a[:]
     db, lb = len(b) - 1, b[-1]
-    out = [0] * (len(a) - db)
-    for i in range(len(out) - 1, -1, -1):
-        q, r = divmod(a[i + db], lb)
-        assert r == 0
-        out[i] = q
-        if q:
-            for j, y in enumerate(b):
-                a[i + j] -= q * y
-    assert all(x == 0 for x in a)
-    return out
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        if c:
+            qc, rem = divmod(c, lb)
+            assert rem == 0, "inexact polynomial division"
+            q[i - db] = qc
+            for j in range(db + 1):
+                a[i - db + j] -= qc * b[j]
+    assert not any(a), "inexact polynomial division"
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -139,12 +162,12 @@ def cyclotomic_polynomial(m):
         if mu == 1:
             f = [0] * d + [1]
             f[0] = -1  # x^d - 1
-            num = _poly_mul_int(num, f)
+            num = poly_mul(num, f)
         elif mu == -1:
             f = [0] * d + [1]
             f[0] = -1
-            den = _poly_mul_int(den, f)
-    return tuple(_poly_divexact_int(num, den))
+            den = poly_mul(den, f)
+    return tuple(poly_divexact(num, den))
 
 
 @lru_cache(maxsize=None)
@@ -279,15 +302,10 @@ class CyclotomicNumber:
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic zero")
 
-        def trim(p):
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
         # invariant: r_k = s_k * self (mod Phi_m); Phi_m irreducible so the
         # last nonzero remainder is a constant.
-        r0 = trim([Fraction(x) for x in cyclotomic_polynomial(self.m)])
-        r1 = trim(list(self.c))
+        r0 = poly_trim([Fraction(x) for x in cyclotomic_polynomial(self.m)])
+        r1 = poly_trim(list(self.c))
         s0, s1 = [], [Fraction(1)]
         while r1:
             q = [Fraction(0)] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
@@ -298,8 +316,8 @@ class CyclotomicNumber:
                 if c:
                     for j, y in enumerate(r1):
                         rem[i + j] -= c * y
-            r0, r1 = r1, trim(rem)
-            s0, s1 = s1, trim(_poly_sub_frac(s0, _poly_mul_frac(q, s1)))
+            r0, r1 = r1, poly_trim(rem)
+            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
         assert len(r0) == 1
         inv_poly = [x / r0[0] for x in s0]
         phi = euler_phi(self.m)
@@ -389,27 +407,6 @@ class CyclotomicNumber:
             return f"Cyc({self.c[0]})"
         terms = [f"{x}*z{self.m}^{i}" for i, x in enumerate(self.c) if x]
         return "Cyc(" + " + ".join(terms) + ")"
-
-
-def _poly_mul_frac(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub_frac(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else Fraction(0)
-        y = b[i] if i < len(b) else Fraction(0)
-        out.append(x - y)
-    return out
 
 
 # ---------------------------------------------------------------------------

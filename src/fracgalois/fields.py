@@ -18,7 +18,7 @@ import mpmath as mp
 
 from .cyclo import (CyclotomicNumber, crt, divisors, euler_phi, factorize,
                     is_prime)
-from .gring import FinAbGroup, galois_group, subgroup_as_group
+from .gring import FinAbGroup, galois_group, subgroup_as_group, subgroup_closure
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +95,6 @@ class RelativeModel:
     def f(self):
         return self.p ** self.n
 
-    @property
-    def torsion_order(self):
-        return 2 * self.p ** self.n
-
     def __repr__(self):
         return f"RelativeModel(p={self.p}, n={self.n})"
 
@@ -114,6 +110,13 @@ def relative_model(p, n=1):
     h = subgroup_as_group(f, squares)
     assert h.order == euler_phi(f) // 2
     return RelativeModel(p, n, h)
+
+
+def torsion_order(model):
+    """e = number of roots of unity: 2 for a real field, else 2 * conductor."""
+    if isinstance(model, RelativeModel):
+        return 2 * model.f
+    return 2 if model.totally_real else 2 * model.f
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +174,6 @@ class PlaceSet:
                  "residue_size": pd.nw} for pd in self.places]
 
 
-def _subgroup_closure(group, elems):
-    cur = frozenset(elems) | {group.identity}
-    while True:
-        nxt = frozenset(group.mul(a, b) for a in cur for b in cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
-
-
 def _cosets_of(group, subgroup):
     seen = set()
     cosets = []
@@ -199,7 +193,7 @@ def place_set(model: FieldModel, finite_primes=()):
     f = model.f
     places = []
     c = model.conjugation()
-    d_inf = _subgroup_closure(g, [c])
+    d_inf = subgroup_closure([c], g.mul)
     places.append(PlaceData("inf", True, None, d_inf, None, _cosets_of(g, d_inf),
                             None, None, complex_place=(c != g.identity)))
     for q in sorted(set(finite_primes)):
@@ -217,7 +211,7 @@ def place_set(model: FieldModel, finite_primes=()):
         else:
             lift = crt([(q % rest, rest), (1, q ** a)]) if a else q % f
             frob = g.element_of_residue(lift)
-        dec = _subgroup_closure(g, list(inertia) + [frob])
+        dec = subgroup_closure(inertia | {frob}, g.mul)
         e_w = len(inertia)
         f_w = len(dec) // e_w
         # folding factor from the full-cyclotomic valuation (prime powers only)

@@ -14,8 +14,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import comb, gcd, lcm
 
-from .cyclo import (CyclotomicNumber, crt, euler_phi, factorize,
-                    primitive_root, _power_table)
+from .cyclo import (CyclotomicNumber, crt, euler_phi, factorize, poly_divexact,
+                    poly_mul, poly_sub, poly_trim, primitive_root, _power_table)
 from . import intmat
 
 
@@ -144,23 +144,20 @@ def _group_from_lattices(f, s_residues, t_residues, key):
             if gcd(a, f) != 1:
                 raise ValueError(f"residue {a} not a unit mod {f}")
             cols.append(list(dlog[a % f]))
-        mat = [[col[i] for col in cols] for i in range(r)]
-        h_cols, pivot_rows = intmat.hnf_columns(mat)
+        h_cols, pivot_rows = intmat.hnf_columns(intmat.mat_transpose(cols))
         assert pivot_rows == list(range(r))
-        return [[h_cols[j][i] for j in range(r)] for i in range(r)]  # row-major square
+        return h_cols
 
-    b_s = lattice_basis(s_residues)
-    b_t = lattice_basis(t_residues)
+    bs_cols = lattice_basis(s_residues)
+    piv = list(range(r))
 
     # X = B_S^{-1} B_T must be integral (L_T inside L_S)
-    x = []
-    bt_cols = [[b_t[i][j] for i in range(r)] for j in range(r)]
-    bs_cols_t, piv = intmat.hnf_columns(b_s)  # b_s already HNF; reuse structure
-    for col in bt_cols:
-        y = intmat.solve_upper_triangular(bs_cols_t, piv, col)
+    x_cols = []
+    for col in lattice_basis(t_residues):
+        y = intmat.solve_upper_triangular(bs_cols, piv, col)
         assert y is not None and all(v.denominator == 1 for v in y), "T-lattice not inside S-lattice"
-        x.append([int(v) for v in y])
-    x = [[x[j][i] for j in range(r)] for i in range(r)]  # back to row-major
+        x_cols.append(y)
+    x = intmat.mat_transpose(x_cols)
 
     u, d, _ = intmat.smith_normal_form(x)
     keep = [i for i in range(r) if abs(d[i][i]) != 1]
@@ -169,7 +166,7 @@ def _group_from_lattices(f, s_residues, t_residues, key):
                for i in range(len(inv_factors) - 1))
 
     def coords_of(a):
-        y = intmat.solve_upper_triangular(bs_cols_t, piv, list(dlog[a]))
+        y = intmat.solve_upper_triangular(bs_cols, piv, dlog[a])
         if y is None or any(v.denominator != 1 for v in y):
             return None
         uy = [sum(u[i][j] * int(y[j]) for j in range(r)) for i in range(r)]
@@ -199,7 +196,7 @@ def galois_group(f, kernel_residues=frozenset({1})):
         raise ValueError("conductor must be at least 2")
     kern = frozenset(a % f for a in kernel_residues) | {1 % f}
     all_units = frozenset(a for a in range(f) if gcd(a, f) == 1)
-    closed = _close_subgroup(f, kern)
+    closed = subgroup_closure(kern, lambda a, b: a * b % f)
     key = ("units-quotient", f, closed)
     return _group_from_lattices(f, all_units, closed, key)
 
@@ -207,15 +204,17 @@ def galois_group(f, kernel_residues=frozenset({1})):
 @lru_cache(maxsize=None)
 def subgroup_as_group(f, residues):
     """A subgroup H of (Z/f)^x as a standalone group (residue labels kept)."""
-    closed = _close_subgroup(f, frozenset(a % f for a in residues) | {1})
+    closed = subgroup_closure({a % f for a in residues} | {1}, lambda a, b: a * b % f)
     key = ("units-subgroup", f, closed)
     return _group_from_lattices(f, closed, frozenset({1}), key)
 
 
-def _close_subgroup(f, residues):
-    cur = frozenset(residues)
+def subgroup_closure(elems, mul):
+    """The subgroup of a finite group generated by the non-empty `elems`,
+    as a frozenset; `mul` is the group law."""
+    cur = frozenset(elems)
     while True:
-        nxt = frozenset((a * b) % f for a in cur for b in cur)
+        nxt = cur | {mul(a, b) for a in cur for b in cur}
         if nxt == cur:
             return cur
         cur = nxt
@@ -384,9 +383,6 @@ class GroupRingElement:
     def coeff(self, elem):
         return self.c[self.group.index(elem)]
 
-    def support(self):
-        return [e for e, x in zip(self.group.elements, self.c) if x]
-
     def is_zero(self):
         return all(x == 0 for x in self.c)
 
@@ -512,60 +508,6 @@ def plus_idempotent(group, conj_elem):
     return e
 
 
-class CycGroupRingElement:
-    """Group-ring element with cyclotomic coefficients (for idempotents)."""
-
-    __slots__ = ("group", "c")
-    __hash__ = None
-
-    def __init__(self, group, coeffs):
-        self.group = group
-        self.c = tuple(coeffs)
-        assert len(self.c) == group.order
-
-    @classmethod
-    def from_rational(cls, x):
-        return cls(x.group, tuple(CyclotomicNumber.rational(v) for v in x.c))
-
-    def __add__(self, other):
-        assert self.group == other.group
-        return CycGroupRingElement(self.group, tuple(a + b for a, b in zip(self.c, other.c)))
-
-    def __mul__(self, other):
-        g = self.group
-        perms = _perm_table(g)
-        out = [CyclotomicNumber.zero() for _ in range(g.order)]
-        for i, x in enumerate(self.c):
-            if not x.is_zero():
-                pi = perms[i]
-                for j, y in enumerate(other.c):
-                    if not y.is_zero():
-                        out[pi[j]] = out[pi[j]] + x * y
-        return CycGroupRingElement(g, out)
-
-    def __eq__(self, other):
-        return (self.group == other.group
-                and all((a - b).is_zero() for a, b in zip(self.c, other.c)))
-
-    def rational_part(self):
-        vals = []
-        for x in self.c:
-            if not x.is_rational():
-                raise ValueError(f"coefficient {x!r} is irrational")
-            vals.append(x.as_fraction())
-        return GroupRingElement(self.group, vals)
-
-
-def idempotent(chi):
-    """e_chi = |G|^{-1} sum_sigma chi(sigma) sigma^{-1}."""
-    g = chi.group
-    n = Fraction(1, g.order)
-    coeffs = []
-    for e in g.elements:
-        coeffs.append(chi.value(g.inv(e)) * n)
-    return CycGroupRingElement(g, coeffs)
-
-
 def assemble(group, values):
     """Inverse character transform: the unique x in Q[G] with chi(x) as given.
 
@@ -633,52 +575,6 @@ def det_qg(rows, group):
     return assemble(group, vals)
 
 
-def _poly_trim(c):
-    i = len(c)
-    while i and c[i - 1] == 0:
-        i -= 1
-    del c[i:]
-    return c
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-           for i in range(n)]
-    return _poly_trim(out)
-
-
-def _poly_divexact(a, b):
-    """a // b in Z[x] when the division is known to be exact."""
-    if not a:
-        return []
-    a = a[:]
-    db, lb = len(b) - 1, b[-1]
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            qc, rem = divmod(c, lb)
-            assert rem == 0, "inexact polynomial division"
-            q[i - db] = qc
-            for j in range(db + 1):
-                a[i - db + j] -= qc * b[j]
-    assert not any(a), "inexact polynomial division"
-    return q
-
-
 def _det_poly(m, k):
     """Bareiss determinant of a k x k matrix over Z[x] (coefficient lists)."""
     sign = 1
@@ -692,9 +588,9 @@ def _det_poly(m, k):
             sign = -sign
         for i in range(r + 1, k):
             for j in range(r + 1, k):
-                num = _poly_sub(_poly_mul(m[r][r], m[i][j]),
-                                _poly_mul(m[i][r], m[r][j]))
-                m[i][j] = _poly_divexact(num, prev)
+                num = poly_sub(poly_mul(m[r][r], m[i][j]),
+                               poly_mul(m[i][r], m[r][j]))
+                m[i][j] = poly_divexact(num, prev)
             m[i][r] = []
         prev = m[r][r]
     d = m[k - 1][k - 1]
@@ -709,7 +605,7 @@ def _det_cyclic(rows, group, k):
         for e in row:
             for x in e.c:
                 den = lcm(den, x.denominator)
-    m = [[_poly_trim([int(x * den) for x in e.c]) for e in row] for row in rows]
+    m = [[poly_trim([int(x * den) for x in e.c]) for e in row] for row in rows]
     d = _det_poly(m, k)
     folded = [0] * n
     for i, x in enumerate(d):
@@ -777,20 +673,11 @@ class IdealLattice:
     @classmethod
     def from_generators(cls, group, gens, *, close_under_group=True):
         n = group.order
-        vecs = []
-        for x in gens:
-            assert x.group == group
-            if close_under_group:
-                perms = _perm_table(group)
-                for i in range(n):
-                    pi = perms[i]
-                    v = [Fraction(0)] * n
-                    for j, y in enumerate(x.c):
-                        if y:
-                            v[pi[j]] = y
-                    vecs.append(v)
-            else:
-                vecs.append(list(x.c))
+        assert all(x.group == group for x in gens)
+        if close_under_group:
+            vecs = _orbit_vectors(group, gens)
+        else:
+            vecs = [list(x.c) for x in gens]
         if not vecs:
             raise ValueError("no generators")
         den = lcm(1, *(c.denominator for v in vecs for c in v))
@@ -818,24 +705,14 @@ class IdealLattice:
                                  [Fraction(x, self.den) for x in col])
                 for col in self.cols]
 
-    def contains_element(self, x):
+    def _coordinates(self, x):
+        """y with x = sum_t y_t * cols[t] / den; rational, since full rank."""
         assert x.group == self.group
-        w = []
-        for q in x.c:
-            scaled = q * self.den
-            if scaled.denominator != 1:
-                return False
-            w.append(int(scaled))
-        n = self.group.order
-        for t in range(n - 1, -1, -1):
-            piv = self.cols[t][t]
-            q, rem = divmod(w[t], piv)
-            if rem:
-                return False
-            if q:
-                for rr in range(t + 1):
-                    w[rr] -= q * self.cols[t][rr]
-        return all(x == 0 for x in w)
+        return intmat.solve_upper_triangular(
+            self.cols, range(len(self.cols)), [q * self.den for q in x.c])
+
+    def contains_element(self, x):
+        return all(v.denominator == 1 for v in self._coordinates(x))
 
     def contains_lattice(self, other):
         assert other.group == self.group
@@ -889,9 +766,6 @@ class IdealLattice:
         gens = [GroupRingElement(self.group, v) for v in vecs]
         return IdealLattice.from_generators(self.group, gens, close_under_group=False)
 
-    def intersect_integral(self):
-        return self.intersect(IdealLattice.unit_ideal(self.group))
-
     def project(self, hom):
         gens = [b.project(hom) for b in self.basis_elements()]
         return IdealLattice.from_generators(hom.target, gens, close_under_group=False)
@@ -908,14 +782,7 @@ class IdealLattice:
 
         Returns the coordinate vector or the offending (index, coordinate).
         """
-        w = [q * self.den for q in x.c]
-        n = self.group.order
-        y = [Fraction(0)] * n
-        for t in range(n - 1, -1, -1):
-            y[t] = Fraction(w[t], self.cols[t][t])
-            if y[t]:
-                for rr in range(t + 1):
-                    w[rr] -= y[t] * self.cols[t][rr]
+        y = self._coordinates(x)
         for i, v in enumerate(y):
             if v.denominator % ell == 0:
                 return None, (i, v)
@@ -946,6 +813,19 @@ class IdealLattice:
         return f"IdealLattice(den={self.den}, diag={[self.cols[t][t] for t in range(len(self.cols))]})"
 
 
+def _orbit_vectors(group, gens):
+    """Coefficient vectors of sigma * x for every x in gens and sigma in group."""
+    vecs = []
+    for x in gens:
+        for pi in _perm_table(group):
+            v = [Fraction(0)] * group.order
+            for j, y in enumerate(x.c):
+                if y:
+                    v[pi[j]] = y
+            vecs.append(v)
+    return vecs
+
+
 def span_membership(gens, x):
     """Is x in the Z-span of the group-ring elements `gens`? (No full-rank
     assumption; used for rank-deficient spans like Z[G] * theta.)"""
@@ -959,21 +839,7 @@ def span_membership(gens, x):
 
 def gmodule_span_equal(gens_a, gens_b, group):
     """Equality of Z[G]-spans (possibly rank-deficient) of two generator lists."""
-    perms = _perm_table(group)
-
-    def orbit(gens):
-        vecs = []
-        for x in gens:
-            for i in range(group.order):
-                pi = perms[i]
-                v = [Fraction(0)] * group.order
-                for j, y in enumerate(x.c):
-                    if y:
-                        v[pi[j]] = y
-                vecs.append(v)
-        return vecs
-
-    va, vb = orbit(gens_a), orbit(gens_b)
+    va, vb = _orbit_vectors(group, gens_a), _orbit_vectors(group, gens_b)
     den = lcm(1, *(c.denominator for v in va + vb for c in v))
     ca = [[int(c * den) for c in v] for v in va]
     cb = [[int(c * den) for c in v] for v in vb]

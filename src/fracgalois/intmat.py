@@ -37,13 +37,6 @@ def mat_transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def _columns(a):
-    # matrix -> list of column vectors (lists)
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def _from_columns(cols, nrows):
     if not cols:
         return [[] for _ in range(nrows)]
@@ -61,8 +54,8 @@ def column_echelon(a, *, with_transform=False):
     """
     n = len(a)
     m = len(a[0]) if a else 0
-    cols = _columns(a)
-    trans = _columns(identity_matrix(m)) if with_transform else None
+    cols = mat_transpose(a)
+    trans = identity_matrix(m) if with_transform else None
     active = list(range(m))
     parked = []  # (pivot_row, col_index)
     for i in range(n - 1, -1, -1):
@@ -139,17 +132,8 @@ def span_contains(a_cols, v):
     if not a_cols:
         return False
     n = len(v)
-    cols, pivot_rows = hnf_columns(_from_columns(a_cols, n))
-    w = list(v)
-    for t in range(len(cols) - 1, -1, -1):
-        p = pivot_rows[t]
-        if w[p]:
-            q, rem = divmod(w[p], cols[t][p])
-            if rem:
-                return False
-            for rr in range(p + 1):
-                w[rr] -= q * cols[t][rr]
-    return all(x == 0 for x in w)
+    y = solve_upper_triangular(*hnf_columns(_from_columns(a_cols, n)), v)
+    return y is not None and all(x.denominator == 1 for x in y)
 
 
 def span_equal(a_cols, b_cols, n):
@@ -264,55 +248,22 @@ def det_int(a):
 
 
 def solve_upper_triangular(cols, pivot_rows, v):
-    """Solve H y = v for square upper-echelon columns H; rational y or None."""
-    r = len(cols)
-    w = [Fraction(x) for x in v]
-    y = [Fraction(0)] * r
-    for t in range(r - 1, -1, -1):
+    """Solve H y = v for the columns H of any column echelon form (as from
+    `hnf_columns`: square or not, pivot rows may skip rows); v may be
+    rational.  Returns y, whose entries are ints where integral and
+    Fractions otherwise, or None when v is outside the rational span."""
+    w = list(v)
+    y = [0] * len(cols)
+    for t in range(len(cols) - 1, -1, -1):
         p = pivot_rows[t]
-        y[t] = w[p] / cols[t][p]
-        if y[t]:
+        q = Fraction(w[p], cols[t][p])
+        y[t] = q.numerator if q.denominator == 1 else q
+        if q:
             for rr in range(p + 1):
                 w[rr] -= y[t] * cols[t][rr]
-        w[p] = Fraction(0)
     if any(w):
         return None
     return y
-
-
-def solve_rational(a, b):
-    """One rational solution x of a x = b, or None. a: n x m over Q/Z."""
-    n = len(a)
-    m = len(a[0]) if a else 0
-    aug = [[Fraction(a[i][j]) for j in range(m)] + [Fraction(b[i])] for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(m):
-        pr = None
-        for i in range(row, n):
-            if aug[i][col]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        aug[row], aug[pr] = aug[pr], aug[row]
-        piv = aug[row][col]
-        aug[row] = [x / piv for x in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    for i in range(row, n):
-        if aug[i][m]:
-            return None
-    x = [Fraction(0)] * m
-    for r_i, col in enumerate(pivots):
-        x[col] = aug[r_i][m]
-    return x
 
 
 def content(values):

@@ -18,18 +18,18 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .cyclo import PrecisionContext, factorize
-from .fields import (FieldModel, PlaceSet, RelativeModel, make_field,
-                     place_set, plus_field, full_cyclotomic, relative_model,
-                     relative_place_set)
-from .gring import (Character, FiniteGModule, GroupHom, GroupRingElement,
-                    IdealLattice, assemble, characters, gmodule_span_equal,
-                    gre_inverse, hom_by_residues, norm_element)
+from .cyclo import factorize
+from .fields import (RelativeModel, make_field, place_set, plus_field,
+                     full_cyclotomic, relative_model, relative_place_set,
+                     torsion_order)
+from .gring import (FiniteGModule, GroupHom, GroupRingElement, IdealLattice,
+                    assemble, characters, gmodule_span_equal, gre_inverse,
+                    hom_by_residues, norm_element)
 from .lfun import (half_stickelberger, l_deriv_at_0, partial_zeta_all,
                    l_deriv_primitive, stickelberger, stickelberger_classical,
                    vanishing_order)
-from .units import (UnitLattice, conjugate_logs, quotient_module,
-                    stark_module, stark_residuals, stark_unit, sunit_group)
+from .units import (conjugate_logs, quotient_module, stark_module,
+                    stark_residuals, stark_unit, sunit_group)
 
 
 @dataclass
@@ -58,13 +58,6 @@ class CheckReport:
                 "witnesses": self.witnesses, "context": self.context}
 
 
-def torsion_order(model):
-    """e = number of roots of unity: 2 for a real field, else 2 * conductor."""
-    if isinstance(model, RelativeModel):
-        return 2 * model.f
-    return 2 if model.totally_real else 2 * model.f
-
-
 def _chi_name(chi):
     return f"character with exponents {chi.exps}"
 
@@ -88,20 +81,27 @@ def _default_pset(model):
 # ---------------------------------------------------------------------------
 # routes
 
+def _unit_quotient(model, pset, ctx, provider="builtin_hplus1", units=None):
+    """(U, U/E): the S-units (`units`, else the provider's) and their
+    quotient by the Stark module E."""
+    u = units if units is not None else sunit_group(model, pset, ctx, provider)
+    return u, quotient_module(u, stark_module(model, pset, ctx), ctx)
+
+
+def _j_result(route, model, ideal, u, m):
+    return JResult(route, model, ideal,
+                   details={"quotient_order": m.order(),
+                            "quotient_structure": list(m.structure()),
+                            "e": torsion_order(model)},
+                   assumptions=u.assumptions)
+
+
 def j_via_theorem(model, pset, ctx, provider="builtin_hplus1", units=None):
     """J = (1/e) ann_{Z[G]}(U/E) under the all-orders-one hypothesis."""
     _require_rank_one(model, pset)
-    u = units if units is not None else sunit_group(model, pset, ctx, provider)
-    e_mod = stark_module(model, pset, ctx)
-    m = quotient_module(u, e_mod, ctx)
-    ann = m.annihilator()
-    e = torsion_order(model)
-    ideal = ann.scale(Fraction(1, e))
-    return JResult("theorem_j", model, ideal,
-                   details={"quotient_order": m.order(),
-                            "quotient_structure": list(m.structure()),
-                            "e": e},
-                   assumptions=u.assumptions)
+    u, m = _unit_quotient(model, pset, ctx, provider, units)
+    ideal = m.annihilator().scale(Fraction(1, torsion_order(model)))
+    return _j_result("theorem_j", model, ideal, u, m)
 
 
 def j_full_cyclotomic(p, n, ctx, provider="builtin_hplus1", units=None):
@@ -109,9 +109,7 @@ def j_full_cyclotomic(p, n, ctx, provider="builtin_hplus1", units=None):
     { alpha e+/2 + theta : alpha in ann(U/E) }, E = Z[G](1 - zeta)."""
     model = full_cyclotomic(p ** n)
     pset = place_set(model, (p,))
-    u = units if units is not None else sunit_group(model, pset, ctx, provider)
-    e_mod = stark_module(model, pset, ctx)
-    m = quotient_module(u, e_mod, ctx)
+    u, m = _unit_quotient(model, pset, ctx, provider, units)
     ann = m.annihilator()
     g = model.group
     c = model.conjugation()
@@ -121,11 +119,7 @@ def j_full_cyclotomic(p, n, ctx, provider="builtin_hplus1", units=None):
     for a in ann.basis_elements():
         gens.append(a * eplus * Fraction(1, 2))
     ideal = IdealLattice.from_generators(g, gens)
-    return JResult("full_cyclotomic", model, ideal,
-                   details={"quotient_order": m.order(),
-                            "quotient_structure": list(m.structure()),
-                            "e": torsion_order(model)},
-                   assumptions=u.assumptions)
+    return _j_result("full_cyclotomic", model, ideal, u, m)
 
 
 def j_base_case(which, ctx):
@@ -182,10 +176,8 @@ def i_f_and_regulator(model, pset, twist, ctx, provider="builtin_hplus1",
     _require_rank_one(model, pset)
     g = model.group
     u_inv = gre_inverse(twist)  # raises on a non-invertible twist
-    uu = units if units is not None else sunit_group(model, pset, ctx, provider)
-    e_mod = stark_module(model, pset, ctx)
-    ann = quotient_module(uu, e_mod, ctx).annihilator()
-    i_f = ann.scale(u_inv)
+    _, m = _unit_quotient(model, pset, ctx, provider, units)
+    i_f = m.annihilator().scale(u_inv)
     e = torsion_order(model)
 
     logs = _log_eps_element(model, pset, ctx)
@@ -394,16 +386,13 @@ def check_jrel(params, ctx):
     p = int(params["p"])
     n = int(params.get("n", 1))
     rel = relative_model(p, n)
-    rel_pset = relative_place_set(rel)
-    rel_res = j_via_theorem(rel, rel_pset, ctx)
+    rel_res = j_via_theorem(rel, relative_place_set(rel), ctx)
     h = rel.group
 
     model_plus = plus_field(p ** n)
-    plus_pset = _default_pset(model_plus)
-    plus_u = sunit_group(model_plus, plus_pset, ctx)
-    plus_e = stark_module(model_plus, plus_pset, ctx)
-    ann_plus = quotient_module(plus_u, plus_e, ctx).annihilator()
-    plus_res = j_via_theorem(model_plus, plus_pset, ctx, units=plus_u)
+    plus_res = j_via_theorem(model_plus, _default_pset(model_plus), ctx)
+    # on the theorem route ann(U/E) = e J exactly
+    ann_plus = plus_res.ideal.scale(torsion_order(model_plus))
 
     iso = _iso_h_to_plus(h, model_plus.group)
     back = GroupHom(model_plus.group, h,
@@ -414,9 +403,7 @@ def check_jrel(params, ctx):
     j_plus_in_h = plus_res.ideal.project(back)
     eq1 = rel_res.ideal == j_plus_in_h.scale(tt * 2)
 
-    rel_u = sunit_group(rel, rel_pset, ctx)
-    rel_e = stark_module(rel, rel_pset, ctx)
-    ann_rel = quotient_module(rel_u, rel_e, ctx).annihilator()
+    ann_rel = rel_res.ideal.scale(e)
     ann_plus_in_h = ann_plus.project(back)
     eq2 = ann_rel == ann_plus_in_h.scale(tt * e)
 
@@ -538,10 +525,8 @@ def check_cg_fit(params, ctx):
         raise ValueError("CG_FIT needs an odd prime ell")
     model = plus_field(p ** n)
     pset = _default_pset(model)
-    u = sunit_group(model, pset, ctx)
-    e_mod = stark_module(model, pset, ctx)
-    m_ell = quotient_module(u, e_mod, ctx).ell_part(ell)
-    fitt_u = m_ell.fitting_ideal()
+    _, m = _unit_quotient(model, pset, ctx)
+    fitt_u = m.ell_part(ell).fitting_ideal()
     if clmod is None:
         cl_ell = FiniteGModule.trivial(model.group)
         assumption = f"Cl(K+) taken trivial for {model.f}"
@@ -589,7 +574,7 @@ def load_classgroup(path):
     """
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("kind") != "classgroup":
+    if not isinstance(doc, dict) or doc.get("kind") != "classgroup":
         raise ValueError("not a class-group file (kind != 'classgroup')")
     if int(doc.get("format", 0)) != 1:
         raise ValueError("unsupported class-group file format")
@@ -605,12 +590,13 @@ def load_classgroup(path):
                  for i in range(k)]
     gens = g.generator_elements()
     action = doc["action"]
-    if len(action) != len(gens):
-        raise ValueError(f"need {len(gens)} action matrices "
-                         f"(one per group generator), got {len(action)}")
+    if not isinstance(action, list) or len(action) != len(gens):
+        raise ValueError(f"\"action\" must list {len(gens)} action matrices "
+                         "(one per group generator)")
     mats = []
     for mat in action:
-        if len(mat) != k or any(len(row) != k for row in mat):
+        if (not isinstance(mat, list) or len(mat) != k
+                or any(not isinstance(row, list) or len(row) != k for row in mat)):
             raise ValueError("action matrix is not k x k")
         mats.append(tuple(tuple(int(x) for x in row) for row in mat))
     declared = doc.get("generators")

@@ -12,12 +12,12 @@ under a PrecisionContext.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import mpmath as mp
 
-from .cyclo import (CyclotomicNumber, _power_table, crt, euler_phi, factorize,
-                    hurwitz_zeta_at0)
+from .cyclo import (CyclotomicNumber, _power_table, crt, divisors, euler_phi,
+                    factorize, hurwitz_zeta_at0)
 from .fields import FieldModel, PlaceSet, RelativeModel, make_field, place_set
 from .gring import Character, GroupRingElement, assemble, characters
 
@@ -28,19 +28,12 @@ from .gring import Character, GroupRingElement, assemble, characters
 def character_conductor(model: FieldModel, chi: Character):
     """Smallest d | f such that chi factors through (Z/d)^x."""
     f = model.f
-    for d in sorted(_divisors(f)):
+    for d in divisors(f):
         kern = [model.group.element_of_residue(a) for a in range(1, f, d)
                 if gcd(a, f) == 1]
         if chi.is_trivial_on(kern):
             return d
     raise AssertionError("unreachable: d = f always works")
-
-
-def _divisors(n):
-    out = [1]
-    for p, e in factorize(n):
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return sorted(out)
 
 
 def primitive_table(model: FieldModel, chi: Character):
@@ -155,10 +148,6 @@ def partial_zeta_all(model: FieldModel, pset: PlaceSet, k, ctx=None):
     raise ValueError("k must be 0 or 1")
 
 
-def partial_zeta0(model, pset, sigma, k, ctx=None):
-    return partial_zeta_all(model, pset, k, ctx)[sigma]
-
-
 # ---------------------------------------------------------------------------
 # Stickelberger-type elements
 
@@ -235,16 +224,6 @@ def l_deriv_at_0(model: FieldModel, pset: PlaceSet, chi: Character, ctx, _zcache
             k = chi.exp_at(elem)
             total += mp.expjpi(mp.mpf(2 * k) / e) * zv
     return ctx.final(total)
-
-
-def l_leading(model: FieldModel, pset: PlaceSet, chi: Character, ctx):
-    """(r, leading coefficient) of L_S(s, chi) at s = 0; r <= 1 supported."""
-    r = vanishing_order(model, pset, chi)
-    if r == 0:
-        return 0, l_value_at_0(model, pset, chi)
-    if r == 1:
-        return 1, l_deriv_at_0(model, pset, chi, ctx)
-    raise NotImplementedError(f"order of vanishing r = {r} > 1: leading term not supported")
 
 
 def l_deriv_primitive(model: FieldModel, chi: Character, ctx):

@@ -18,7 +18,7 @@ from math import gcd
 
 from .fields import (PlaceSet, RelativeModel, SUnit, log_norms, make_field,
                      odd_prime_power, place_set, relative_model,
-                     relative_place_set)
+                     relative_place_set, torsion_order)
 from .gring import FiniteGModule
 from .intmat import hnf_columns
 from .lfun import half_stickelberger
@@ -84,34 +84,25 @@ def sunit_group(model, pset, ctx, provider="builtin_hplus1"):
     """The full S-unit lattice U of the model (built-in or ingested)."""
     if provider != "builtin_hplus1":
         raise ValueError(f"unknown provider {provider!r}")
+    p = model.p if isinstance(model, RelativeModel) else odd_prime_power(model.f)[0]
+    f = model.f
+    _check_pset(model, pset, p)
+    _require_hplus_one(f)
+    torsion = SUnit.minus_one(f) * SUnit.zeta(f)
+    xs = [a for a in range(2, (f + 1) // 2) if a % p]
     if isinstance(model, RelativeModel):
-        p, f = model.p, model.f
-        _check_pset(model, pset, p)
-        _require_hplus_one(f)
-        torsion = SUnit.minus_one(f) * SUnit.zeta(f)
         free = tuple(lambda_unit(f).galois(model.group.label(h))
                      for h in model.group.elements)
-        assumptions = (f"h+(Q(zeta_{f})) = 1",)
-        u = UnitLattice(model, pset, 2 * f, torsion, free, provider, assumptions)
+    elif model.totally_real and model.kernel == frozenset({1, f - 1}):
+        torsion = SUnit.minus_one(f)
+        free = tuple(cyclotomic_unit(f, a) for a in xs) + (stark_unit(f),)
+    elif model.is_full_cyclotomic:
+        free = tuple(cyclotomic_unit(f, a) for a in xs) + (lambda_unit(f),)
     else:
-        p, _ = odd_prime_power(model.f)
-        f = model.f
-        _check_pset(model, pset, p)
-        _require_hplus_one(f)
-        xs = [a for a in range(2, (f + 1) // 2) if a % p]
-        if model.totally_real and model.kernel == frozenset({1, f - 1}):
-            torsion = SUnit.minus_one(f)
-            free = tuple(cyclotomic_unit(f, a) for a in xs) + (stark_unit(f),)
-            u = UnitLattice(model, pset, 2, torsion, free, provider,
-                            (f"h+(Q(zeta_{f})) = 1",))
-        elif model.is_full_cyclotomic:
-            torsion = SUnit.minus_one(f) * SUnit.zeta(f)
-            free = tuple(cyclotomic_unit(f, a) for a in xs) + (lambda_unit(f),)
-            u = UnitLattice(model, pset, 2 * f, torsion, free, provider,
-                            (f"h+(Q(zeta_{f})) = 1",))
-        else:
-            raise ValueError("builtin provider covers the full cyclotomic field "
-                             "and its maximal real subfield only")
+        raise ValueError("builtin provider covers the full cyclotomic field "
+                         "and its maximal real subfield only")
+    u = UnitLattice(model, pset, torsion_order(model), torsion, free, provider,
+                    (f"h+(Q(zeta_{f})) = 1",))
     _verify_rank(u)
     return u
 
@@ -125,34 +116,27 @@ def _require_hplus_one(f):
 def stark_module(model, pset, ctx):
     """The Stark submodule E of U: the Galois orbit of the distinguished unit
     over the same torsion (epsilon, lambda, or eta = lambda^{e theta~})."""
-    if isinstance(model, RelativeModel):
-        p, f = model.p, model.f
-        _check_pset(model, pset, p)
-        h = model.group
-        beta = half_stickelberger(model) * (2 * f)  # e * theta~, integral
-        assert beta.is_integral()
-        eta = SUnit.one(f)
-        for elem in h.elements:
-            c = beta.coeff(elem)
-            if c:
-                eta = eta * lambda_unit(f).galois(h.label(elem)) ** int(c)
-        torsion = SUnit.minus_one(f) * SUnit.zeta(f)
-        free = tuple(eta.galois(h.label(e)) for e in h.elements)
-        return UnitLattice(model, pset, 2 * f, torsion, free, "stark", ())
-    p, _ = odd_prime_power(model.f)
+    p = model.p if isinstance(model, RelativeModel) else odd_prime_power(model.f)[0]
     f = model.f
     _check_pset(model, pset, p)
     g = model.group
-    if model.totally_real and model.kernel == frozenset({1, f - 1}):
-        eps = stark_unit(f)
-        free = tuple(eps.galois(g.label(e)) for e in g.elements)
-        return UnitLattice(model, pset, 2, SUnit.minus_one(f), free, "stark", ())
-    if model.is_full_cyclotomic:
-        lam = lambda_unit(f)
-        free = tuple(lam.galois(g.label(e)) for e in g.elements)
-        return UnitLattice(model, pset, 2 * f,
-                           SUnit.minus_one(f) * SUnit.zeta(f), free, "stark", ())
-    raise ValueError("Stark module supported for full cyclotomic / maximal real / relative")
+    torsion = SUnit.minus_one(f) * SUnit.zeta(f)
+    if isinstance(model, RelativeModel):
+        beta = half_stickelberger(model) * torsion_order(model)  # e * theta~, integral
+        assert beta.is_integral()
+        unit = SUnit.one(f)
+        for elem in g.elements:
+            c = beta.coeff(elem)
+            if c:
+                unit = unit * lambda_unit(f).galois(g.label(elem)) ** int(c)
+    elif model.totally_real and model.kernel == frozenset({1, f - 1}):
+        unit, torsion = stark_unit(f), SUnit.minus_one(f)
+    elif model.is_full_cyclotomic:
+        unit = lambda_unit(f)
+    else:
+        raise ValueError("Stark module supported for full cyclotomic / maximal real / relative")
+    free = tuple(unit.galois(g.label(e)) for e in g.elements)
+    return UnitLattice(model, pset, torsion_order(model), torsion, free, "stark", ())
 
 
 def _free_matrix(lattice):
@@ -294,13 +278,12 @@ def stark_residuals(model, pset, ctx):
     e = 2 p^n, with eta in place of eps.
     """
     from .lfun import partial_zeta_all, relative_partial_zeta_deriv
+    ew = torsion_order(model)
     if isinstance(model, RelativeModel):
-        ew = 2 * model.f
         unit = stark_module(model, pset, ctx).free[0]
         # free[0] is eta at the identity conjugate
         zder = relative_partial_zeta_deriv(model, ctx)
     else:
-        ew = 2
         unit = stark_unit(model.f)
         zder = partial_zeta_all(model, pset, 1, ctx)
     g = model.group
@@ -337,7 +320,7 @@ def export_units(lattice: UnitLattice, path):
 def load_units(path, ctx):
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("kind") != "sunits":
+    if not isinstance(doc, dict) or doc.get("kind") != "sunits":
         raise ValueError("not a unit file")
     fd = doc["field"]
     if "relative" in fd:

@@ -290,6 +290,26 @@ def test_ingest_rejects_invalid_classgroup(capsys, tmp_path):
     assert "order" in err
 
 
+@pytest.mark.parametrize("action", [5, [5]])
+def test_ingest_rejects_malformed_action(capsys, tmp_path, action):
+    path = tmp_path / "cl.json"
+    path.write_text(json.dumps({
+        "kind": "classgroup", "format": 1,
+        "field": {"f": 23, "kernel": [1]},
+        "invariant_factors": [3], "action": action}))
+    code, _, err = run(capsys, ["ingest", "--in", str(path)])
+    assert code == 2
+    assert "action matri" in err and "Traceback" not in err
+
+
+def test_ingest_rejects_top_level_list(capsys, tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps([{"kind": "sunits"}]))
+    code, _, err = run(capsys, ["ingest", "--in", str(path)])
+    assert code == 2
+    assert "not a JSON object" in err
+
+
 def test_ingest_rejects_unknown_kind(capsys, tmp_path):
     path = tmp_path / "x.json"
     path.write_text(json.dumps({"kind": "mystery"}))

@@ -5,15 +5,62 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracgalois.cyclo import CyclotomicNumber
-from fracgalois.gring import (Character, CycGroupRingElement, FinAbGroup,
-                              FiniteGModule, GroupHom, GroupRingElement,
-                              IdealLattice, abelian_group, assemble,
-                              characters, galois_group, gmodule_span_equal,
-                              gre_inverse, hom_by_residues, idempotent,
-                              norm_element, plus_idempotent,
+from fracgalois.gring import (Character, FinAbGroup, FiniteGModule, GroupHom,
+                              GroupRingElement, IdealLattice, _perm_table,
+                              abelian_group, assemble, characters,
+                              galois_group, gmodule_span_equal, gre_inverse,
+                              hom_by_residues, norm_element, plus_idempotent,
                               span_membership, transport_character)
+from fracgalois.intmat import span_contains
+
+
+class CycGroupRingElement:
+    """Group-ring element with cyclotomic coefficients (for idempotents)."""
+
+    __slots__ = ("group", "c")
+    __hash__ = None
+
+    def __init__(self, group, coeffs):
+        self.group = group
+        self.c = tuple(coeffs)
+        assert len(self.c) == group.order
+
+    @classmethod
+    def from_rational(cls, x):
+        return cls(x.group, tuple(CyclotomicNumber.rational(v) for v in x.c))
+
+    def __add__(self, other):
+        assert self.group == other.group
+        return CycGroupRingElement(self.group, tuple(a + b for a, b in zip(self.c, other.c)))
+
+    def __mul__(self, other):
+        g = self.group
+        perms = _perm_table(g)
+        out = [CyclotomicNumber.zero() for _ in range(g.order)]
+        for i, x in enumerate(self.c):
+            if not x.is_zero():
+                pi = perms[i]
+                for j, y in enumerate(other.c):
+                    if not y.is_zero():
+                        out[pi[j]] = out[pi[j]] + x * y
+        return CycGroupRingElement(g, out)
+
+    def __eq__(self, other):
+        return (self.group == other.group
+                and all((a - b).is_zero() for a, b in zip(self.c, other.c)))
+
+
+def idempotent(chi):
+    """e_chi = |G|^{-1} sum_sigma chi(sigma) sigma^{-1}."""
+    g = chi.group
+    n = Fraction(1, g.order)
+    coeffs = []
+    for e in g.elements:
+        coeffs.append(chi.value(g.inv(e)) * n)
+    return CycGroupRingElement(g, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +260,34 @@ def test_lattice_unit_ideal_and_membership():
                                        g.element_of_residue(3): Fraction(-2)})
     assert unit.contains_element(x)
     assert not unit.contains_element(x * Fraction(1, 2))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([5, 7, 8, 9, 13]), st.integers(0, 2 ** 32))
+def test_contains_element_agrees_with_span_contains(f, seed):
+    """Membership through the lattice's coordinates equals membership of
+    den * x in the integer span of its HNF columns, on members, near misses
+    and elements with denominators."""
+    rng = random.Random(seed)
+    g = galois_group(f)
+
+    def small(dens):
+        return GroupRingElement(g, [Fraction(rng.randint(-4, 4), rng.choice(dens))
+                                    for _ in range(g.order)])
+
+    gens = [small([1, 2, 3]) for _ in range(rng.randint(1, 3))]
+    try:
+        lat = IdealLattice.from_generators(g, gens)
+    except ValueError:                      # rank-deficient draw
+        return
+    member = GroupRingElement.zero(g)
+    for b in lat.basis_elements():
+        member = member + b * rng.randint(-2, 2)
+    for x in (member, member + small([1]), member * Fraction(1, 2), small([1, 2, 4, 6])):
+        w = [q * lat.den for q in x.c]
+        expected = (all(q.denominator == 1 for q in w)
+                    and span_contains([list(c) for c in lat.cols], [int(q) for q in w]))
+        assert lat.contains_element(x) == expected
 
 
 def test_lattice_equality_is_span_equality():

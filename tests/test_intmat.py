@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import assume, given, settings, strategies as st
 
 from fracgalois.intmat import (content, det_int, hnf_columns, identity_matrix,
                                kernel_basis, mat_mul, mat_transpose,
-                               smith_normal_form, solve_rational, span_contains,
-                               span_equal)
+                               smith_normal_form, solve_upper_triangular,
+                               span_contains, span_equal)
 
 
 def random_unimodular(rng, n):
@@ -115,21 +118,73 @@ def test_det_int_matches_cofactor_expansion():
         assert det_int(a) == naive_det(a)
 
 
-def test_solve_rational_exact():
-    rng = random.Random(42)
-    hits = 0
-    while hits < 15:
-        n = rng.randint(1, 4)
-        a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        if det_int(a) == 0:
-            continue
-        hits += 1
-        x_true = [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-                  for _ in range(n)]
-        b = [sum(Fraction(a[i][j]) * x_true[j] for j in range(n))
-             for i in range(n)]
-        x = solve_rational([row[:] for row in a], b)
-        assert x == x_true
+def cramer_coordinates(base, v):
+    """The rational c with sum_j c_j base[j] = v, or None if there is none,
+    for linearly independent integer columns `base`: Cramer's rule on the
+    first nonsingular square choice of rows, then checked on every row."""
+    m = len(base)
+    for rows in combinations(range(len(v)), m):
+        a = [[col[i] for col in base] for i in rows]
+        d = det_int(a)
+        if d:
+            break
+    c = [Fraction(det_int([row[:j] + [v[i]] + row[j + 1:]
+                           for row, i in zip(a, rows)]), d) for j in range(m)]
+    if any(sum(cj * col[i] for cj, col in zip(c, base)) != x
+           for i, x in enumerate(v)):
+        return None
+    return c
+
+
+@st.composite
+def rank_deficient_spans(draw):
+    """(cols, base): integer columns in Z^n spanning the same lattice as the
+    m < n independent columns `base`.  Rows that are integer combinations of
+    the others (zero rows included) are inserted anywhere, so the pivot rows
+    of the HNF skip rows; extra columns are combinations of `base`."""
+    m = draw(st.integers(1, 3))
+    square = draw(st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+                           min_size=m, max_size=m))
+    assume(det_int(square) != 0)
+    rows = [list(r) for r in square]
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows),
+                               max_size=len(rows)))
+        new = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(m)]
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    base = mat_transpose(rows)
+    cols = list(base)
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+        cols.append([sum(c * col[i] for c, col in zip(coeffs, base))
+                     for i in range(len(rows))])
+    return draw(st.permutations(cols)), base
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rank_deficient_spans(), st.data())
+def test_span_contains_matches_cramer_oracle(span, data):
+    cols, base = span
+    n, m = len(base[0]), len(base)
+    h, pivots = hnf_columns(mat_transpose(cols))
+    assert len(pivots) == m < n
+    vec = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    c = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    member = [sum(cj * col[i] for cj, col in zip(c, base)) for i in range(n)]
+    shift = data.draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    candidates = [member, [x + s for x, s in zip(member, shift)], data.draw(vec)]
+    if all(x % 2 == 0 for x in member):
+        candidates.append([x // 2 for x in member])
+    for v in candidates:
+        coords = cramer_coordinates(base, v)
+        assert span_contains(cols, v) == (
+            coords is not None and all(x.denominator == 1 for x in coords))
+        y = solve_upper_triangular(h, pivots, v)
+        assert (y is None) == (coords is None)
+    # rational right-hand sides in the rational span are solved exactly
+    third = [Fraction(x, 3) for x in member]
+    y = solve_upper_triangular(h, pivots, third)
+    assert [sum(yt * col[i] for yt, col in zip(y, h)) for i in range(n)] == third
 
 
 def test_span_predicates_and_content():

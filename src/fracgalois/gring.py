@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 from .cyclo import (CyclotomicNumber, crt, euler_phi, factorize, poly_divexact,
                     poly_mul, poly_sub, poly_trim, primitive_root, _power_table)
@@ -89,9 +89,6 @@ class FinAbGroup:
 
     def pow(self, a, n):
         return tuple((x * n) % d for x, d in zip(a, self.invariant_factors))
-
-    def element_order(self, a):
-        return lcm(1, *(d // gcd(d, x) for x, d in zip(a, self.invariant_factors)))
 
     def index(self, a):
         return self._index[a]
@@ -881,7 +878,7 @@ class FiniteGModule:
         if k == 0:
             return
         rel = self._rel_matrix()
-        cols, _, _ = intmat.column_echelon(rel)
+        cols, _ = intmat.column_echelon(rel)
         if len(cols) != k:
             raise ValueError("relation lattice is not full rank: module is infinite")
         rel_cols = [list(c) for c in self.relations]
@@ -912,13 +909,7 @@ class FiniteGModule:
                         raise ValueError("action matrices do not commute mod relations")
 
     def order(self):
-        if self.k == 0:
-            return 1
-        _, d, _ = intmat.smith_normal_form(self._rel_matrix())
-        out = 1
-        for i in range(self.k):
-            out *= abs(d[i][i])
-        return out
+        return prod(self.structure())
 
     def structure(self):
         """Invariant factors of the underlying abelian group."""
@@ -941,32 +932,33 @@ class FiniteGModule:
         return out
 
     def annihilator(self):
-        """ann_{Z[G]}(M) as a full-rank IdealLattice (den = 1 sublattice)."""
+        """ann_{Z[G]}(M) as a full-rank IdealLattice (den = 1 sublattice).
+
+        With e the exponent of M and H the HNF of the relations, B = e H^-1 is
+        integral and alpha kills M iff B (sum_x alpha_x A_x) = 0 mod e. Read as
+        vectors indexed by x, the k^2 entries of B A_x have an HNF basis W of
+        at most n = |G| vectors, and ann(M) is the alpha-part of the kernel of
+        [W | -e I].
+        """
         g = self.group
-        n = g.order
-        k = self.k
-        if k == 0 or self.order() == 1:
+        structure = self.structure()
+        if not structure:
             return IdealLattice.unit_ideal(g)
-        mats = [self.action_of(e) for e in g.elements]
-        m = len(self.relations)
-        # unknowns: a_0..a_{n-1}, then y_{t,l} per generator t
-        rows = []
-        for t in range(k):
-            for s in range(k):
-                row = [mats[j][s][t] for j in range(n)]
-                tail = [0] * (k * m)
-                for l in range(m):
-                    tail[t * m + l] = -self.relations[l][s]
-                rows.append(row + tail)
-        kernel = intmat.kernel_basis(rows)
-        gens = []
-        for col in kernel:
-            head = col[:n]
-            if any(head):
-                gens.append(GroupRingElement(g, head))
-        lat = IdealLattice.from_generators(g, gens, close_under_group=False)
-        assert lat.den == 1
-        return lat
+        e = structure[-1]
+        k = self.k
+        h_cols, pivot_rows = intmat.hnf_columns(self._rel_matrix())
+        b = intmat.mat_transpose([
+            intmat.solve_upper_triangular(
+                h_cols, pivot_rows, [e if i == j else 0 for i in range(k)])
+            for j in range(k)])
+        rows = [[x % e for row in intmat.mat_mul(b, self.action_of(elem)) for x in row]
+                for elem in g.elements]
+        w, _ = intmat.hnf_columns(rows)
+        system = [col + [-e if t == s else 0 for t in range(len(w))]
+                  for s, col in enumerate(w)]
+        gens = [GroupRingElement(g, col[:g.order])
+                for col in intmat.kernel_basis(system)]
+        return IdealLattice.from_generators(g, gens, close_under_group=False)
 
     def fitting_ideal(self, *, minor_budget=20000):
         """Fitt^0_{Z[G]}(M) from the induced Z[G]-presentation."""

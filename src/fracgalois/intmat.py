@@ -43,19 +43,17 @@ def _from_columns(cols, nrows):
     return [list(row) for row in zip(*cols)]
 
 
-def column_echelon(a, *, with_transform=False):
+def column_echelon(a):
     """Bring the columns of ``a`` (n x m, integer) to echelon form.
 
-    Returns (pivot_cols, pivot_rows, kernel_cols) where pivot_cols are the
-    nonzero echelon columns ordered by increasing pivot row, pivot_rows the
-    corresponding rows, and kernel_cols an integer basis of the right kernel
-    (empty unless with_transform). Works bottom-up: after row i is processed
-    every still-active column vanishes on rows >= i.
+    Returns (pivot_cols, pivot_rows) where pivot_cols are the nonzero echelon
+    columns ordered by increasing pivot row and pivot_rows the corresponding
+    rows. Works bottom-up: after row i is processed every still-active column
+    vanishes on rows >= i.
     """
     n = len(a)
     m = len(a[0]) if a else 0
     cols = mat_transpose(a)
-    trans = identity_matrix(m) if with_transform else None
     active = list(range(m))
     parked = []  # (pivot_row, col_index)
     for i in range(n - 1, -1, -1):
@@ -70,28 +68,15 @@ def column_echelon(a, *, with_transform=False):
                     cj, c0 = cols[j], cols[j0]
                     for r in range(i + 1):  # rows > i are already zero
                         cj[r] -= q * c0[r]
-                    if with_transform:
-                        tj, t0 = trans[j], trans[j0]
-                        for r in range(m):
-                            tj[r] -= q * t0[r]
             live = [j for j in live if cols[j][i] != 0]
         if live:
             j0 = live[0]
             if cols[j0][i] < 0:
                 cols[j0] = [-x for x in cols[j0]]
-                if with_transform:
-                    trans[j0] = [-x for x in trans[j0]]
             parked.append((i, j0))
             active.remove(j0)
     parked.sort()
-    pivot_rows = [p for p, _ in parked]
-    pivot_cols = [cols[j] for _, j in parked]
-    kernel = []
-    if with_transform:
-        for j in active:
-            assert all(x == 0 for x in cols[j])
-            kernel.append(trans[j])
-    return pivot_cols, pivot_rows, kernel
+    return [cols[j] for _, j in parked], [p for p, _ in parked]
 
 
 def hnf_columns(a):
@@ -102,7 +87,7 @@ def hnf_columns(a):
     columns reduced into [0, pivot). This is a unique representative of the
     span, so equal spans give bitwise-equal output.
     """
-    cols, pivot_rows, _ = column_echelon(a)
+    cols, pivot_rows = column_echelon(a)
     r = len(cols)
     for t in range(r - 1, -1, -1):  # descending pivot rows keep earlier work intact
         p = pivot_rows[t]
@@ -117,12 +102,15 @@ def hnf_columns(a):
 
 
 def kernel_basis(a):
-    """Integer basis of {x : a x = 0}, as a list of columns."""
-    _, _, ker = column_echelon(a, with_transform=True)
-    if not ker:
-        return []
-    cols, _ = hnf_columns(_from_columns(ker, len(ker[0])))
-    return cols
+    """Integer basis of {x : a x = 0}, as a list of columns in canonical HNF.
+
+    The columns (x, a x) of ``identity_matrix(m)`` stacked over ``a`` span a
+    lattice whose echelon columns with a pivot among the first m rows vanish
+    on ``a``'s rows: their top m entries are the kernel's HNF basis.
+    """
+    m = len(a[0]) if a else 0
+    cols, pivot_rows = hnf_columns(identity_matrix(m) + a)
+    return [col[:m] for col, p in zip(cols, pivot_rows) if p < m]
 
 
 def span_contains(a_cols, v):

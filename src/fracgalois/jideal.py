@@ -28,8 +28,8 @@ from .gring import (FiniteGModule, GroupHom, GroupRingElement, IdealLattice,
 from .lfun import (half_stickelberger, l_deriv_at_0, partial_zeta_all,
                    l_deriv_primitive, stickelberger, stickelberger_classical,
                    vanishing_order)
-from .units import (conjugate_logs, quotient_module, stark_module,
-                    stark_residuals, stark_unit, sunit_group)
+from .units import (conjugate_logs, json_object, quotient_module,
+                    stark_module, stark_residuals, stark_unit, sunit_group)
 
 
 @dataclass
@@ -578,11 +578,14 @@ def load_classgroup(path):
         raise ValueError("not a class-group file (kind != 'classgroup')")
     if int(doc.get("format", 0)) != 1:
         raise ValueError("unsupported class-group file format")
-    fd = doc["field"]
+    fd = json_object(doc, "field")
     model = make_field(int(fd["f"]),
                        frozenset(int(a) for a in fd.get("kernel", [1])))
     g = model.group
-    factors = [int(d) for d in doc["invariant_factors"]]
+    factors = doc.get("invariant_factors")
+    if not isinstance(factors, list):
+        raise ValueError("\"invariant_factors\" must be a list of positive integers")
+    factors = [int(d) for d in factors]
     if any(d < 1 for d in factors):
         raise ValueError("invariant factors must be positive integers")
     k = len(factors)

@@ -317,14 +317,23 @@ def export_units(lattice: UnitLattice, path):
         fh.write("\n")
 
 
+def json_object(doc, key):
+    """doc[key] of a loaded document, which must be a JSON object."""
+    value = doc.get(key)
+    if not isinstance(value, dict):
+        raise ValueError(f"\"{key}\" must be a JSON object")
+    return value
+
+
 def load_units(path, ctx):
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("kind") != "sunits":
         raise ValueError("not a unit file")
-    fd = doc["field"]
+    fd = json_object(doc, "field")
     if "relative" in fd:
-        model = relative_model(fd["relative"]["p"], fd["relative"]["n"])
+        rel = json_object(fd, "relative")
+        model = relative_model(rel["p"], rel["n"])
         pset = relative_place_set(model)
         f = model.f
     else:
@@ -332,8 +341,9 @@ def load_units(path, ctx):
         odd_prime_power(f)
         model = make_field(f, frozenset(fd["kernel"]))
         pset = place_set(model, tuple(doc["s_primes"]))
-    torsion = SUnit.from_word(f, doc["torsion"]["word"])
-    order = int(doc["torsion"]["order"])
+    tors = json_object(doc, "torsion")
+    torsion = SUnit.from_word(f, tors["word"])
+    order = int(tors["order"])
     t, v = torsion.normal_form()
     if any(v):
         raise ValueError("torsion word is not a root of unity")

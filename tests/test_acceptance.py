@@ -303,11 +303,6 @@ def test_a7_relative_case():
 # ---------------------------------------------------------------------------
 # A8: seeded random modules vs exhaustive annihilator search
 
-def _regular_perm_matrix(n):
-    return tuple(tuple(1 if i == (j + 1) % n else 0 for j in range(n))
-                 for i in range(n))
-
-
 def _random_ideal(rng, g, m0):
     one = GroupRingElement.one(g)
     alpha = GroupRingElement(
@@ -316,6 +311,8 @@ def _random_ideal(rng, g, m0):
 
 
 def _module_from_ideals(g, lats):
+    """Z[G]/I_1 + ... + Z[G]/I_r, each summand with the regular action: one
+    permutation matrix per invariant-factor generator of G."""
     n = g.order
     k = n * len(lats)
     relations = []
@@ -325,13 +322,14 @@ def _module_from_ideals(g, lats):
             full = [0] * k
             full[b * n:(b + 1) * n] = list(col)
             relations.append(tuple(full))
-    if not g.invariant_factors:
-        return FiniteGModule(g, k, relations, [])
-    perm = _regular_perm_matrix(n)
-    action = tuple(tuple(
-        perm[i % n][j % n] if i // n == j // n else 0
-        for j in range(k)) for i in range(k))
-    return FiniteGModule(g, k, relations, [action])
+    action = []
+    for gen in g.generator_elements():
+        mat = [[0] * k for _ in range(k)]
+        for j in range(k):
+            b, x = divmod(j, n)
+            mat[b * n + g.index(g.mul(gen, g.elements[x]))][j] = 1
+        action.append(mat)
+    return FiniteGModule(g, k, relations, action)
 
 
 def _oracle_annihilator(mod):
@@ -413,6 +411,57 @@ def test_a8_annihilator_engine_vs_exhaustive_search():
                     f"Fitt = ann on cyclic ({elapsed:.1f}s)")
     assert checked == 100
     assert elapsed < 60.0, elapsed
+
+
+def _draw_ideals(rng, g, m0, count):
+    """`count` random ideals, each of index at least 2."""
+    while True:
+        lats = [_random_ideal(rng, g, m0) for _ in range(count)]
+        if min(x.covolume() for x in lats) >= 2:
+            return lats
+
+
+def _conjugated(rng, mod):
+    """The same module in the basis v -> u v of a random unimodular u, each
+    action matrix moved by relation columns: the matrices commute and have
+    their orders only modulo the relations."""
+    k = mod.k
+    u, u_inv = intmat.identity_matrix(k), intmat.identity_matrix(k)
+    for _ in range(k):
+        i, j = rng.sample(range(k), 2)
+        q = rng.choice((-1, 1))
+        for t in range(k):
+            u[i][t] += q * u[j][t]          # u <- (1 + q e_ij) u
+            u_inv[t][j] -= q * u_inv[t][i]  # u_inv <- u_inv (1 - q e_ij)
+    rel = intmat.mat_mul(u, [list(r) for r in mod._rel_matrix()])
+    action = []
+    for mat in mod.action:
+        shift = [[rng.randint(-1, 1) for _ in range(k)] for _ in rel[0]]
+        moved = intmat.mat_mul(intmat.mat_mul(u, [list(r) for r in mat]), u_inv)
+        action.append([[x + y for x, y in zip(r, s)]
+                       for r, s in zip(moved, intmat.mat_mul(rel, shift))])
+    return FiniteGModule(mod.group, k, intmat.mat_transpose(rel), action)
+
+
+def test_annihilator_vs_exhaustive_search_beyond_cyclic_groups():
+    """A8 covers cyclic groups with one action matrix; here G = C_2 x C_2 and
+    C_2 x C_4 (one matrix per invariant-factor generator), and a presentation
+    in a scrambled basis whose matrices agree only modulo the relations."""
+    rng = random.Random(5005)
+    for factors, m0 in (((2, 2), 4), ((2, 4), 2)):
+        g = abelian_group(factors)
+        for count in (1, 2):
+            lats = _draw_ideals(rng, g, m0, count)
+            mod = _module_from_ideals(g, lats)
+            assert len(mod.action) == 2
+            expected = lats[0] if count == 1 else lats[0].intersect(lats[1])
+            assert mod.annihilator() == _oracle_annihilator(mod) == expected
+    conj = _conjugated(rng, mod)
+    a, b = ([list(r) for r in m] for m in conj.action)
+    assert intmat.mat_mul(a, b) != intmat.mat_mul(b, a)
+    assert intmat.mat_mul(a, a) != intmat.identity_matrix(conj.k)
+    assert conj.structure() == mod.structure()
+    assert conj.annihilator() == _oracle_annihilator(conj) == expected
 
 
 def test_a9_class_group_containment():

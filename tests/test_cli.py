@@ -310,6 +310,39 @@ def test_ingest_rejects_top_level_list(capsys, tmp_path):
     assert "not a JSON object" in err
 
 
+@pytest.mark.parametrize("key,value,named", [
+    ("field", 5, '"field"'),
+    ("field", {"relative": 7}, '"relative"'),
+    ("torsion", 5, '"torsion"'),
+])
+def test_ingest_rejects_mistyped_unit_document(capsys, tmp_path, key, value,
+                                               named):
+    path = tmp_path / "u.json"
+    run(capsys, ["export", "-p", "7", "--subfield", "plus", "--out", str(path)])
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["ingest", "--in", str(path)])
+    assert code == 2
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value", [("field", 5),
+                                       ("invariant_factors", 3)])
+def test_ingest_rejects_mistyped_classgroup(capsys, tmp_path, key, value):
+    doc = {"kind": "classgroup", "format": 1,
+           "field": {"f": 23, "kernel": [1]},
+           "invariant_factors": [3], "action": [[[-1]]]}
+    doc[key] = value
+    path = tmp_path / "cl.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["ingest", "--in", str(path)])
+    assert code == 2
+    assert err.startswith("error:") and f'"{key}"' in err
+    assert "Traceback" not in err
+
+
 def test_ingest_rejects_unknown_kind(capsys, tmp_path):
     path = tmp_path / "x.json"
     path.write_text(json.dumps({"kind": "mystery"}))

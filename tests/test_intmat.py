@@ -86,28 +86,43 @@ def test_smith_normal_form_certificate():
                 assert y == 0
 
 
+def _check_kernel_basis(rng, a, m):
+    n = len(a)
+    ker = kernel_basis(a)
+    for col in ker:
+        assert all(sum(a[i][j] * col[j] for j in range(m)) == 0
+                   for i in range(n))
+    # rank-nullity against SNF rank
+    _, d, _ = smith_normal_form(a)
+    rank = sum(1 for i in range(min(n, m)) if d[i][i] != 0)
+    assert len(ker) == m - rank
+    # every random kernel vector lies in the computed span
+    for _ in range(3):
+        combo = [0] * m
+        if ker:
+            for col in ker:
+                c = rng.randint(-3, 3)
+                combo = [x + c * y for x, y in zip(combo, col)]
+        assert span_contains(ker, combo) if ker else combo == [0] * m
+    # the basis is its own canonical form
+    if ker:
+        assert hnf_columns(mat_transpose(ker))[0] == ker
+    return ker
+
+
 def test_kernel_basis_spans_the_kernel():
     rng = random.Random(321)
     for _ in range(25):
         n = rng.randint(1, 4)
         m = rng.randint(1, 6)
         a = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
-        ker = kernel_basis(a)
-        for col in ker:
-            assert all(sum(a[i][j] * col[j] for j in range(m)) == 0
-                       for i in range(n))
-        # rank-nullity against SNF rank
-        _, d, _ = smith_normal_form(a)
-        rank = sum(1 for i in range(min(n, m)) if d[i][i] != 0)
-        assert len(ker) == m - rank
-        # every random kernel vector lies in the computed span
-        for _ in range(3):
-            combo = [0] * m
-            if ker:
-                for col in ker:
-                    c = rng.randint(-3, 3)
-                    combo = [x + c * y for x, y in zip(combo, col)]
-            assert span_contains(ker, combo) if ker else combo == [0] * m
+        _check_kernel_basis(rng, a, m)
+    zero = [[0] * 4 for _ in range(3)]
+    assert _check_kernel_basis(rng, zero, 4) == identity_matrix(4)
+    zero_rows = [[0, 0, 0], [1, 2, 3], [0, 0, 0], [2, 4, 6]]
+    assert len(_check_kernel_basis(rng, zero_rows, 3)) == 2
+    full_column_rank = [[1, 2], [3, 4], [5, 6]]
+    assert _check_kernel_basis(rng, full_column_rank, 2) == []
 
 
 def test_det_int_matches_cofactor_expansion():

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import ceil, comb, gcd, prod
 
 import mpmath as mp
 
@@ -460,39 +460,54 @@ def bernoulli_number(n):
     return -acc / (n + 1)
 
 
-def _log_gamma_guarded(x, ctx):
-    """log Gamma(x) at the current (guarded) precision; x rational > 0.
+@lru_cache(maxsize=None)
+def _half_log_2pi(prec):
+    with mp.workprec(prec):
+        return mp.log(2 * mp.pi) / 2
 
-    Stirling with argument shift. The series is truncated once the next term
-    drops below 2^-(prec+8); for real positive argument the remainder of the
-    asymptotic series is bounded by the first omitted term.
+
+@lru_cache(maxsize=None)
+def _stirling_coefficient(j, prec):
+    """B_2j / (2j (2j - 1)) as an mpf at prec bits."""
+    with mp.workprec(prec):
+        c = bernoulli_number(2 * j) / (2 * j * (2 * j - 1))
+        return mp.mpf(c.numerator) / c.denominator
+
+
+@lru_cache(maxsize=None)
+def _log_gamma_guarded(x, prec):
+    """log Gamma(x) for a Fraction x > 0 at prec bits (the caller's guarded
+    precision), memoized on (x, prec): callers meeting one reduced b/f0 share it.
+
+    Stirling at z = x + N; one logarithm of the exact rational prod_{k<N} (x + k)
+    = prod (a + kF) / F^N, x = a/F, undoes the shift. The series is truncated
+    once the next term drops below 2^-(prec+8); for real positive argument the
+    remainder of the asymptotic series is bounded by the first omitted term.
     """
-    prec = mp.mp.prec
-    z0 = ctx.mpf(x)
-    shift_to = max(16, int(0.35 * prec) + 8)  # keeps the min term far below target
-    n_shift = max(0, int(mp.ceil(shift_to - z0)))
-    z = z0 + n_shift
-    val = (z - mp.mpf(1) / 2) * mp.log(z) - z + mp.log(2 * mp.pi) / 2
-    target = mp.mpf(2) ** (-(prec + 8))
-    zz = z * z
-    pw = z
-    j = 1
-    prev_abs = mp.inf
-    while True:
-        b = bernoulli_number(2 * j)
-        term = ctx.mpf(b / (2 * j * (2 * j - 1))) / pw
-        t_abs = abs(term)
-        if t_abs >= prev_abs:
-            raise ArithmeticError("Stirling series failed to reach target precision")
-        if t_abs < target:
-            break  # remainder bounded by this omitted term
-        val += term
-        prev_abs = t_abs
-        pw *= zz
-        j += 1
-    for k in range(n_shift):  # Gamma(z0) = Gamma(z0 + N) / prod (z0 + k)
-        val -= mp.log(z0 + k)
-    return val
+    with mp.workprec(prec):
+        shift_to = max(16, int(0.35 * prec) + 8)  # keeps the min term far below target
+        n_shift = max(0, ceil(shift_to - x))
+        z = mp.mpf(x.numerator) / x.denominator + n_shift
+        val = (z - mp.mpf(1) / 2) * mp.log(z) - z + _half_log_2pi(prec)
+        target = mp.mpf(2) ** (-(prec + 8))
+        zz = z * z
+        pw = z
+        j = 1
+        prev_abs = mp.inf
+        while True:
+            term = _stirling_coefficient(j, prec) / pw
+            t_abs = abs(term)
+            if t_abs >= prev_abs:
+                raise ArithmeticError("Stirling series failed to reach target precision")
+            if t_abs < target:
+                break  # remainder bounded by this omitted term
+            val += term
+            prev_abs = t_abs
+            pw *= zz
+            j += 1
+        # Gamma(x) = Gamma(x + N) / prod (x + k), and prod (x + k) = shift / F^N
+        shift = prod(x.numerator + k * x.denominator for k in range(n_shift))
+        return val - mp.log(mp.mpf(shift) / x.denominator ** n_shift)
 
 
 def log_gamma(x, ctx):
@@ -501,7 +516,7 @@ def log_gamma(x, ctx):
     if x <= 0:
         raise ValueError("log_gamma needs x > 0")
     with ctx.guard():
-        val = _log_gamma_guarded(x, ctx)
+        val = _log_gamma_guarded(x, mp.mp.prec)
     return ctx.final(val)
 
 
@@ -518,6 +533,6 @@ def hurwitz_zeta_at0(x, k, ctx):
         return Fraction(1, 2) - x
     if k == 1:
         with ctx.guard():
-            val = _log_gamma_guarded(x, ctx) - mp.log(2 * mp.pi) / 2
+            val = _log_gamma_guarded(x, mp.mp.prec) - _half_log_2pi(mp.mp.prec)
         return ctx.final(val)
     raise ValueError("k must be 0 or 1")

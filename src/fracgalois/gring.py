@@ -863,7 +863,7 @@ class FiniteGModule:
         assert len(self.action) == len(group.invariant_factors)
         if validate:
             self._validate()
-        self._action_cache = {}
+        self._action_cache = {(0,) * len(self.action): intmat.identity_matrix(k)}
 
     # -- construction helpers
     @classmethod
@@ -915,21 +915,20 @@ class FiniteGModule:
         """Invariant factors of the underlying abelian group."""
         if self.k == 0:
             return ()
-        _, d, _ = intmat.smith_normal_form(self._rel_matrix())
+        # the HNF first: an SNF of the raw relations can blow its entries up
+        h_cols, _ = intmat.hnf_columns(self._rel_matrix())
+        _, d, _ = intmat.smith_normal_form(intmat.mat_transpose(h_cols))
         return tuple(abs(d[i][i]) for i in range(self.k) if abs(d[i][i]) > 1)
 
     def action_of(self, elem):
-        """The k x k matrix of `elem` (product of generator powers)."""
-        if elem in self._action_cache:
-            return self._action_cache[elem]
-        k = self.k
-        out = intmat.identity_matrix(k)
-        for x, mat in zip(elem, self.action):
-            m = [list(r) for r in mat]
-            for _ in range(x):
-                out = intmat.mat_mul(m, out)
-        self._action_cache[elem] = out
-        return out
+        """The k x k matrix of `elem` (product of generator powers): one step
+        along its last nonzero generator from the cached previous element."""
+        if elem not in self._action_cache:
+            last = max(i for i, x in enumerate(elem) if x)
+            prev = elem[:last] + (elem[last] - 1,) + elem[last + 1:]
+            self._action_cache[elem] = intmat.mat_mul(
+                self.action[last], self.action_of(prev))
+        return self._action_cache[elem]
 
     def annihilator(self):
         """ann_{Z[G]}(M) as a full-rank IdealLattice (den = 1 sublattice).

@@ -2,9 +2,12 @@
 document round trips (units and class groups)."""
 
 import json
+import time
+from pathlib import Path
 
 import pytest
 
+import fracgalois
 from fracgalois import cli
 from fracgalois.cli import RunConfig
 
@@ -168,11 +171,16 @@ def test_reports_identical_outside_meta(capsys):
 
 
 # numeric unit coordinates lost precision on these fields and exited 2, or
-# reported a false STARKC failure
-@pytest.mark.parametrize("level", [["-p", "31"], ["-p", "7", "-n", "2"]])
+# reported a false STARKC failure; at (11, 2) the SNF of the raw 56 x 57
+# relation matrix never finished
+@pytest.mark.parametrize("level", [["-p", "31"], ["-p", "7", "-n", "2"],
+                                   ["-p", "11", "-n", "2"]])
 def test_relative_jideal_on_large_fields(capsys, level):
+    start = time.monotonic()
     doc = run_json(capsys, ["compute", "jideal", *level, "--subfield", "relative"])
+    elapsed = time.monotonic() - start
     assert doc["exact"]["route"] == "theorem_j"
+    assert elapsed < 10.0, elapsed
 
 
 @pytest.mark.parametrize("p", ["31", "43"])
@@ -181,6 +189,17 @@ def test_relative_starkc_on_large_fields(capsys, p):
                                 "--subfield", "relative"])
     assert code == 0
     assert "STARKC: PASS" in out
+
+
+# log Gamma evaluated again for every character of H made this take 11 s
+def test_relative_starkc_at_level_two_of_eleven(capsys):
+    start = time.monotonic()
+    code, out, _ = run(capsys, ["verify", "--suite", "STARKC", "-p", "11",
+                                "-n", "2", "--subfield", "relative"])
+    elapsed = time.monotonic() - start
+    assert code == 0
+    assert "STARKC: PASS" in out
+    assert elapsed < 6.0, elapsed
 
 
 def test_verify_report_to_file(capsys, tmp_path):
@@ -276,6 +295,16 @@ def test_cg_fit_with_trivial_plus_class_group(capsys, tmp_path):
                                 "--in", str(path)])
     assert code == 0
     assert "CG_FIT: PASS" in out
+
+
+@pytest.mark.parametrize("subfield", [[], ["--subfield", "plus"]])
+def test_cg_fit_rejects_the_shipped_full_field_class_group(capsys, subfield):
+    # the shipped document is Cl(Q(zeta_23)); CG_FIT compares against Cl(K+)
+    path = Path(fracgalois.__file__).parent / "data" / "cl_q_zeta23.json"
+    code, out, _ = run(capsys, ["verify", "-f", "23", *subfield,
+                                "--suite", "CG_FIT", "--in", str(path)])
+    assert code == 2
+    assert "CG_FIT: ERROR -- class-group data is for a different field" in out
 
 
 def test_ingest_rejects_invalid_classgroup(capsys, tmp_path):

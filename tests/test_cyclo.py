@@ -11,6 +11,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from fracgalois import cyclo
 from fracgalois.cyclo import (CyclotomicNumber, PrecisionContext,
                               bernoulli_number, cyclotomic_polynomial,
                               divisors, euler_phi, factorize,
@@ -177,6 +178,36 @@ def test_log_gamma_matches_mpmath(bits):
             ours = log_gamma(x, ctx)
             theirs = mp.loggamma(mp.mpf(x.numerator) / x.denominator)
             assert abs(ours - theirs) < mp.mpf(2) ** -(bits - 6)
+
+
+@pytest.mark.parametrize("f", [23, 121, 125])
+def test_log_gamma_table_matches_mpmath_at_768_bits(f):
+    # every b/f the L-derivatives of conductor f (or f0 = f) evaluate
+    bits = 768
+    ctx = PrecisionContext(bits=bits, tol_exp=-700)
+    with mp.workprec(bits):
+        for b in range(1, f + 1):
+            ours = log_gamma(Fraction(b, f), ctx)
+            theirs = mp.loggamma(mp.mpf(b) / f)
+            assert abs(ours - theirs) < mp.mpf(2) ** -(bits - 6), b
+
+
+def test_log_gamma_memo_is_keyed_on_precision():
+    x = Fraction(7, 121)
+    low = log_gamma(x, PrecisionContext(bits=192, tol_exp=-100))
+    high = log_gamma(x, PrecisionContext(bits=768, tol_exp=-700))
+    with mp.workprec(768):
+        theirs = mp.loggamma(mp.mpf(7) / 121)
+        assert abs(high - theirs) < mp.mpf(2) ** -762
+        assert abs(low - theirs) > mp.mpf(2) ** -300  # a 192-bit value is not reused
+
+
+def test_log_gamma_repeated_call_returns_the_identical_mpf():
+    x = Fraction(5, 23)
+    with CTX.guard():
+        first = cyclo._log_gamma_guarded(x, mp.mp.prec)
+        assert cyclo._log_gamma_guarded(Fraction(10, 46), mp.mp.prec) is first
+    assert log_gamma(x, CTX) == log_gamma(Fraction(10, 46), CTX)
 
 
 def test_hurwitz_zeta_at0_exact_value():

@@ -1,6 +1,7 @@
 """Exact integer linear algebra: canonical forms, kernels, determinants."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,6 +11,8 @@ from fracgalois.intmat import (content, det_int, hnf_columns, identity_matrix,
                                kernel_basis, mat_mul, mat_transpose,
                                smith_normal_form, solve_upper_triangular,
                                span_contains, span_equal)
+from fracgalois.gring import (FiniteGModule, GroupRingElement, IdealLattice,
+                              abelian_group)
 
 
 def random_unimodular(rng, n):
@@ -84,6 +87,50 @@ def test_smith_normal_form_certificate():
                 assert y % x == 0
             else:
                 assert y == 0
+
+
+def _sheared_c2xc4_presentation(seed):
+    """Relations of Z[G]/I + Z[G]/I' over G = C_2 x C_4 (k = 16), before and
+    after 48 random row shears with multipliers +-1, +-2."""
+    g = abelian_group((2, 4))
+    rng = random.Random(seed)
+    one = GroupRingElement.one(g)
+    lats = []
+    while len(lats) < 2:
+        alpha = GroupRingElement(g, [Fraction(rng.randrange(2)) for _ in range(8)])
+        lat = IdealLattice.from_generators(g, [one * 2, alpha])
+        if lat.covolume() >= 2:
+            lats.append(lat)
+    rel = [[0] * 16 for _ in range(16)]
+    for b, lat in enumerate(lats):
+        for j, col in enumerate(lat.cols):
+            for i, x in enumerate(col):
+                rel[8 * b + i][8 * b + j] = x
+    sheared = [row[:] for row in rel]
+    for _ in range(48):
+        i, j = rng.sample(range(16), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        sheared[i] = [x + q * y for x, y in zip(sheared[i], sheared[j])]
+    return g, rel, sheared
+
+
+def test_smith_form_of_a_sheared_presentation_via_its_hnf():
+    """The SNF run on these raw sheared relations does not finish in 20 s (its
+    entries explode); run on their HNF columns it takes milliseconds. The
+    module's structure() takes that route."""
+    g, rel, sheared = _sheared_c2xc4_presentation(2)
+    start = time.monotonic()
+    h_cols, _ = hnf_columns(sheared)
+    _, d, _ = smith_normal_form(mat_transpose(h_cols))
+    identity = identity_matrix(16)
+    mod = FiniteGModule(g, 16, mat_transpose(sheared), [identity, identity],
+                        validate=False)
+    structure = mod.structure()
+    elapsed = time.monotonic() - start
+    _, d0, _ = smith_normal_form(rel)
+    assert [d[i][i] for i in range(16)] == [d0[i][i] for i in range(16)]
+    assert structure == (2, 2, 2, 2) and mod.order() == 16
+    assert elapsed < 1.0, elapsed
 
 
 def _check_kernel_basis(rng, a, m):

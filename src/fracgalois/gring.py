@@ -960,39 +960,68 @@ class FiniteGModule:
         return IdealLattice.from_generators(g, gens, close_under_group=False)
 
     def fitting_ideal(self, *, minor_budget=20000):
-        """Fitt^0_{Z[G]}(M) from the induced Z[G]-presentation."""
+        """Fitt^0_{Z[G]}(M) from the induced Z[G]-presentation, shrunk first.
+
+        The presentation [H | g I - A_g], H the HNF of the relations and A_g
+        reduced modulo H into (-d/2, d/2], has entries in Z[G], kept as
+        integer vectors over group.elements (the identity first). A unit
+        entry +-h lets column operations clear its row; deleting that row and
+        the pivot column scales every k x k minor by the unit, so the ideal
+        is unchanged (Fitting ideals do not depend on the presentation). The
+        minors of what is left generate the ideal only as a Z[G]-module.
+        """
         g = self.group
+        n = g.order
+        perm = _perm_table(g)
+        h_cols, _ = intmat.hnf_columns(self._rel_matrix())
+        cols = [[[x] + [0] * (n - 1) for x in col] for col in h_cols]
+        for gi, mat in zip(g.generator_elements(), self.action):
+            for t in range(self.k):
+                a = [mat[s][t] for s in range(self.k)]
+                for p in reversed(range(self.k)):
+                    q = (a[p] + h_cols[p][p] // 2) // h_cols[p][p]
+                    a = [x - q * y for x, y in zip(a, h_cols[p])]
+                cols.append([[-x] + [0] * (n - 1) for x in a])
+                cols[-1][t][g.index(gi)] += 1
         k = self.k
+        while k:
+            # the unit entry whose row and column touch the fewest others
+            row_nz = [sum(1 for c in cols if any(c[s])) for s in range(k)]
+            pivots = [((row_nz[s] - 1) * (sum(map(any, c)) - 1), s, j)
+                      for j, c in enumerate(cols) for s in range(k)
+                      if sum(map(abs, c[s])) == 1]
+            if not pivots:
+                break
+            _, s, j = min(pivots)
+            piv = cols.pop(j)
+            h = next(i for i, x in enumerate(piv[s]) if x)
+            to_inv = perm[g.index(g.inv(g.elements[h]))]
+            for c in cols:
+                # c -= c[s] (+-h)^-1 piv clears c[s]
+                q = [(to_inv[t], piv[s][h] * x) for t, x in enumerate(c[s]) if x]
+                for r in range(k):
+                    for a, x in q:
+                        for b, y in enumerate(piv[r]):
+                            if y:
+                                c[r][perm[a][b]] -= x * y
+                del c[s]
+            cols = [c for c in cols if any(map(any, c))]
+            k -= 1
         if k == 0:
             return IdealLattice.unit_ideal(g)
-        one = GroupRingElement.one(g)
-        cols = []
-        for col in self.relations:
-            cols.append([one * int(x) for x in col])
-        gen_elems = g.generator_elements()
-        for gi, mat in zip(gen_elems, self.action):
-            basis_g = GroupRingElement.basis(g, gi)
-            for t in range(k):
-                col = []
-                for s in range(k):
-                    entry = GroupRingElement.zero(g)
-                    if s == t:
-                        entry = entry + basis_g
-                    entry = entry - one * mat[s][t]
-                    col.append(entry)
-                cols.append(col)
-        ncols = len(cols)
-        if comb(ncols, k) > minor_budget:
+        # a Z-basis of the columns' span keeps the Z-span of the minors
+        flat, _ = intmat.hnf_columns([[c[s][x] for c in cols]
+                                      for s in range(k) for x in range(n)])
+        cols = [[GroupRingElement(g, col[s * n:(s + 1) * n]) for s in range(k)]
+                for col in flat]
+        if comb(len(cols), k) > minor_budget:
             raise ValueError(
-                f"Fitting ideal needs {comb(ncols, k)} minors (> {minor_budget}); "
+                f"Fitting ideal needs {comb(len(cols), k)} minors (> {minor_budget}); "
                 "module too large for the exact route")
-        gens = []
-        for sel in combinations(range(ncols), k):
-            rows = [[cols[j][s] for j in sel] for s in range(k)]
-            d = det_qg(rows, g)
-            if not d.is_zero():
-                gens.append(d)
-        return IdealLattice.from_generators(g, gens, close_under_group=False)
+        minors = [det_qg([[cols[j][s] for j in sel] for s in range(k)], g)
+                  for sel in combinations(range(len(cols)), k)]
+        return IdealLattice.from_generators(
+            g, [d for d in minors if not d.is_zero()])
 
     def ell_part(self, ell):
         """The ell-primary component, as a module on the same generators."""

@@ -73,16 +73,18 @@ def _val(n, p):
     return v
 
 
-def bernoulli_b1(model: FieldModel, chi: Character, *, allow_imprimitive=False):
-    """B_{1,chi} = sum_b chi(b) (b/f0 - 1/2), exact in Q(zeta_E).
-
-    Defined through the primitive character; by default the input must
-    already be primitive (conductor = f), otherwise this errors.
-    """
+def bernoulli_b1(model: FieldModel, chi: Character):
+    """B_{1,chi} = sum_b chi(b) (b/f0 - 1/2), exact in Q(zeta_E), for a
+    primitive chi (conductor = f); otherwise this errors."""
     f0, table, e = primitive_table(model, chi)
-    if f0 != model.f and not allow_imprimitive:
+    if f0 != model.f:
         raise ValueError(f"character has conductor {f0} < modulus {model.f}; "
-                         "pass the primitive model or allow_imprimitive=True")
+                         "pass the primitive model")
+    return _b1_sum(f0, table, e)
+
+
+def _b1_sum(f0, table, e):
+    """B_{1,chi_0} from the primitive_table (f0, table, e) of chi."""
     phi = euler_phi(e)
     tab = _power_table(e)
     out = [Fraction(0)] * phi
@@ -98,7 +100,7 @@ def bernoulli_b1(model: FieldModel, chi: Character, *, allow_imprimitive=False):
 def l_value_at_0(model: FieldModel, pset: PlaceSet, chi: Character):
     """Exact L_S(0, chi) = -B_{1,chi_0} * prod_{p in S, p coprime f0} (1 - chi_0(p))."""
     f0, table, e = primitive_table(model, chi)
-    val = -bernoulli_b1(model, chi, allow_imprimitive=True)
+    val = -_b1_sum(f0, table, e)
     for q in pset.finite_primes():
         if f0 % q == 0:
             continue  # ramified: the Euler factor is already absent
@@ -232,7 +234,7 @@ def l_deriv_primitive(model: FieldModel, chi: Character, ctx):
     if chi.is_trivial():
         raise ValueError("trivial character: use the zeta factorization instead")
     f0, table, e = primitive_table(model, chi)
-    b1 = bernoulli_b1(model, chi, allow_imprimitive=True)
+    b1 = _b1_sum(f0, table, e)
     with ctx.guard():
         total = mp.log(f0) * b1.embed(1)
         for b, k in table.items():

@@ -28,15 +28,15 @@ from fracgalois import intmat
 from fracgalois.cyclo import PrecisionContext, factorize
 from fracgalois.fields import (full_cyclotomic, place_set, plus_field,
                                relative_model, relative_place_set)
-from fracgalois.gring import (FiniteGModule, GroupRingElement, IdealLattice,
-                              abelian_group, characters, hom_by_residues,
-                              norm_element)
+from fracgalois.gring import (GroupRingElement, IdealLattice, abelian_group,
+                              characters, hom_by_residues, norm_element)
 from fracgalois.jideal import (j_base_case, j_full_cyclotomic, j_via_theorem,
                                run_check, shipped_classgroup, torsion_order)
 from fracgalois.lfun import (half_stickelberger, l_value_at_0,
                              partial_zeta_all, vanishing_order)
 from fracgalois.units import (quotient_module, stark_module, stark_residuals,
                               sunit_group)
+from gmodules import conjugated, draw_ideals, module_from_ideals, random_ideal
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)      # tol 2^-100 < 1e-30
 
@@ -303,35 +303,6 @@ def test_a7_relative_case():
 # ---------------------------------------------------------------------------
 # A8: seeded random modules vs exhaustive annihilator search
 
-def _random_ideal(rng, g, m0):
-    one = GroupRingElement.one(g)
-    alpha = GroupRingElement(
-        g, [Fraction(rng.randrange(m0)) for _ in range(g.order)])
-    return IdealLattice.from_generators(g, [one * m0, alpha])
-
-
-def _module_from_ideals(g, lats):
-    """Z[G]/I_1 + ... + Z[G]/I_r, each summand with the regular action: one
-    permutation matrix per invariant-factor generator of G."""
-    n = g.order
-    k = n * len(lats)
-    relations = []
-    for b, lat in enumerate(lats):
-        assert lat.den == 1
-        for col in lat.cols:
-            full = [0] * k
-            full[b * n:(b + 1) * n] = list(col)
-            relations.append(tuple(full))
-    action = []
-    for gen in g.generator_elements():
-        mat = [[0] * k for _ in range(k)]
-        for j in range(k):
-            b, x = divmod(j, n)
-            mat[b * n + g.index(g.mul(gen, g.elements[x]))][j] = 1
-        action.append(mat)
-    return FiniteGModule(g, k, relations, action)
-
-
 def _oracle_annihilator(mod):
     """Exhaustive annihilator: sweep every group-ring element with
     coefficients mod the exponent of M, testing that it kills each
@@ -376,7 +347,7 @@ def test_a8_annihilator_engine_vs_exhaustive_search():
             m0 = rng.choice([m for m in (2, 3, 4, 5, 7, 8, 9, 11, 13)
                              if m ** n <= 1200])
             g = abelian_group((n,)) if n > 1 else abelian_group(())
-            lats = [_random_ideal(rng, g, m0)]
+            lats = [random_ideal(rng, g, m0)]
             size = lats[0].covolume()
             if not 2 <= size <= 200:
                 continue
@@ -384,12 +355,12 @@ def test_a8_annihilator_engine_vs_exhaustive_search():
             n = rng.randint(1, 3)
             g = abelian_group((n,)) if n > 1 else abelian_group(())
             m0 = rng.choice([m for m in (2, 3, 4, 5, 7) if m ** n <= 1200])
-            lats = [_random_ideal(rng, g, m0), _random_ideal(rng, g, m0)]
+            lats = [random_ideal(rng, g, m0), random_ideal(rng, g, m0)]
             size = lats[0].covolume() * lats[1].covolume()
             if not (2 <= size <= 200
                     and min(x.covolume() for x in lats) >= 2):
                 continue
-        mod = _module_from_ideals(g, lats)
+        mod = module_from_ideals(g, lats)
         assert mod.order() == size
 
         ann = mod.annihilator()
@@ -403,44 +374,16 @@ def test_a8_annihilator_engine_vs_exhaustive_search():
             assert ann == lats[0], (checked, n, m0)
         else:
             assert ann == lats[0].intersect(lats[1]), (checked, n, m0)
+            assert fitt == lats[0].multiply(lats[1]), (checked, n, m0)
         checked += 1
     elapsed = time.monotonic() - start
     ok = checked == 100 and elapsed < 60.0
     _line("A8", ok, f"100 seeded modules over Z[C_n] (n <= 6, |M| <= 200): "
                     f"engine == exhaustive search, Fitt <= ann, "
-                    f"Fitt = ann on cyclic ({elapsed:.1f}s)")
+                    f"Fitt = ann on cyclic, Fitt = I I' on two summands "
+                    f"({elapsed:.1f}s)")
     assert checked == 100
     assert elapsed < 60.0, elapsed
-
-
-def _draw_ideals(rng, g, m0, count):
-    """`count` random ideals, each of index at least 2."""
-    while True:
-        lats = [_random_ideal(rng, g, m0) for _ in range(count)]
-        if min(x.covolume() for x in lats) >= 2:
-            return lats
-
-
-def _conjugated(rng, mod):
-    """The same module in the basis v -> u v of a random unimodular u, each
-    action matrix moved by relation columns: the matrices commute and have
-    their orders only modulo the relations."""
-    k = mod.k
-    u, u_inv = intmat.identity_matrix(k), intmat.identity_matrix(k)
-    for _ in range(k):
-        i, j = rng.sample(range(k), 2)
-        q = rng.choice((-1, 1))
-        for t in range(k):
-            u[i][t] += q * u[j][t]          # u <- (1 + q e_ij) u
-            u_inv[t][j] -= q * u_inv[t][i]  # u_inv <- u_inv (1 - q e_ij)
-    rel = intmat.mat_mul(u, [list(r) for r in mod._rel_matrix()])
-    action = []
-    for mat in mod.action:
-        shift = [[rng.randint(-1, 1) for _ in range(k)] for _ in rel[0]]
-        moved = intmat.mat_mul(intmat.mat_mul(u, [list(r) for r in mat]), u_inv)
-        action.append([[x + y for x, y in zip(r, s)]
-                       for r, s in zip(moved, intmat.mat_mul(rel, shift))])
-    return FiniteGModule(mod.group, k, intmat.mat_transpose(rel), action)
 
 
 def test_annihilator_vs_exhaustive_search_beyond_cyclic_groups():
@@ -451,17 +394,43 @@ def test_annihilator_vs_exhaustive_search_beyond_cyclic_groups():
     for factors, m0 in (((2, 2), 4), ((2, 4), 2)):
         g = abelian_group(factors)
         for count in (1, 2):
-            lats = _draw_ideals(rng, g, m0, count)
-            mod = _module_from_ideals(g, lats)
+            lats = draw_ideals(rng, g, m0, count)
+            mod = module_from_ideals(g, lats)
             assert len(mod.action) == 2
             expected = lats[0] if count == 1 else lats[0].intersect(lats[1])
             assert mod.annihilator() == _oracle_annihilator(mod) == expected
-    conj = _conjugated(rng, mod)
+    conj = conjugated(rng, mod)
     a, b = ([list(r) for r in m] for m in conj.action)
     assert intmat.mat_mul(a, b) != intmat.mat_mul(b, a)
     assert intmat.mat_mul(a, a) != intmat.identity_matrix(conj.k)
     assert conj.structure() == mod.structure()
     assert conj.annihilator() == _oracle_annihilator(conj) == expected
+
+
+def _seeded_ideal(rng, g, m0):
+    """(m0, alpha) in Z[C_n] with alpha = (x - 1) beta mod m0, as the
+    benchmark draws its seeded modules: a proper ideal, of index >= m0."""
+    n = g.order
+    beta = [rng.randrange(m0) for _ in range(n)]
+    alpha = [(beta[(i - 1) % n] - beta[i]) % m0 for i in range(n)]
+    return IdealLattice.from_generators(
+        g, [GroupRingElement.one(g) * m0, GroupRingElement(g, alpha)])
+
+
+def test_fitting_ideal_on_shapes_beyond_the_full_minor_enumeration():
+    """C_9 and C_8 on one ideal, C_5 and C_4 on two: their full induced
+    presentations have 48620, 12870, 184756 and 12870 minors. The Fitting
+    ideal is the ideal itself, or the product of the two."""
+    start = time.monotonic()
+    rng = random.Random(90210)
+    for n, r in ((9, 1), (5, 2), (8, 1), (4, 2)):
+        g = abelian_group((n,))
+        lats = [_seeded_ideal(rng, g, rng.choice((2, 3, 5, 7)))
+                for _ in range(r)]
+        want = lats[0] if r == 1 else lats[0].multiply(lats[1])
+        assert module_from_ideals(g, lats).fitting_ideal() == want, (n, r)
+    elapsed = time.monotonic() - start
+    assert elapsed < 5.0, elapsed
 
 
 def test_a9_class_group_containment():

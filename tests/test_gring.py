@@ -3,6 +3,8 @@ integral lattices of fractional ideals, and finite modules with a G-action."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 from fracgalois.cyclo import CyclotomicNumber
 from fracgalois.gring import (Character, FinAbGroup, FiniteGModule, GroupHom,
                               GroupRingElement, IdealLattice, _perm_table,
-                              abelian_group, assemble, characters,
+                              abelian_group, assemble, characters, det_qg,
                               galois_group, gmodule_span_equal, gre_inverse,
                               hom_by_residues, norm_element, plus_idempotent,
                               span_membership, transport_character)
 from fracgalois.intmat import span_contains
+from gmodules import conjugated, draw_ideals, module_from_ideals
 
 
 class CycGroupRingElement:
@@ -463,6 +466,67 @@ def test_fitting_strictly_contained_in_annihilator_noncyclic():
     assert fitt == IdealLattice.from_generators(g, [one * 4, (one - s) * 2])
     for b in ann.basis_elements():
         assert all(_kills(mod, b, j) for j in range(mod.k))
+
+
+# the oracle runs where the full presentation has at most this many minors
+ORACLE_MINORS = 1000
+
+
+def _oracle_fitting_ideal(mod):
+    """Fitt^0 from every k x k minor of the unshrunk induced presentation
+    [relations | g I - A_g]: C(ncols, k) determinants over Q[G]."""
+    g = mod.group
+    k = mod.k
+    one = GroupRingElement.one(g)
+    cols = [[one * x for x in col] for col in mod.relations]
+    for gi, mat in zip(g.generator_elements(), mod.action):
+        s = GroupRingElement.basis(g, gi)
+        for t in range(k):
+            cols.append([(s if i == t else GroupRingElement.zero(g))
+                         - one * mat[i][t] for i in range(k)])
+    minors = [det_qg([[cols[j][i] for j in sel] for i in range(k)], g)
+              for sel in combinations(range(len(cols)), k)]
+    return IdealLattice.from_generators(
+        g, [d for d in minors if not d.is_zero()], close_under_group=False)
+
+
+def test_fitting_ideal_matches_closed_form_and_full_minor_enumeration():
+    """Fitt(Z[G]/I + Z[G]/I') = I I' over cyclic and non-cyclic G, in the
+    regular basis and in a random unimodular one; where the full
+    presentation has at most ORACLE_MINORS minors, the unshrunk enumeration
+    gives the same ideal."""
+    rng = random.Random(7007)
+    oracled = 0
+    for factors, m0 in (((2,), 3), ((3,), 2), ((4,), 3), ((5,), 2), ((6,), 5),
+                        ((2, 2), 3), ((2, 4), 2)):
+        g = abelian_group(factors)
+        for count in (1, 2):
+            lats = draw_ideals(rng, g, m0, count)
+            want = lats[0] if count == 1 else lats[0].multiply(lats[1])
+            mod = module_from_ideals(g, lats)
+            assert mod.fitting_ideal() == want, (factors, count)
+            assert conjugated(rng, mod).fitting_ideal() == want, (factors, count)
+            ncols = len(mod.relations) + mod.k * len(factors)
+            if comb(ncols, mod.k) <= ORACLE_MINORS:
+                assert _oracle_fitting_ideal(mod) == want, (factors, count)
+                oracled += 1
+    assert oracled == 8
+
+
+def test_fitting_ideal_without_unit_entries_matches_full_minor_enumeration():
+    # (Z/2)^2 with the trivial action of C_2 and of C_2 x C_2: every entry
+    # of [2 I | (g - 1) I] is a non-unit, so nothing is eliminated
+    for factors in ((2,), (2, 2)):
+        g = abelian_group(factors)
+        ident = ((1, 0), (0, 1))
+        mod = FiniteGModule(g, 2, [(2, 0), (0, 2)], [ident] * len(factors))
+        assert mod.fitting_ideal() == _oracle_fitting_ideal(mod)
+    one = GroupRingElement.one(g)
+    s = GroupRingElement.basis(g, g.elements[1])
+    t = GroupRingElement.basis(g, g.elements[2])
+    # (4, 2(s - 1), 2(t - 1), (s - 1)^2, (s - 1)(t - 1), (t - 1)^2)
+    assert mod.fitting_ideal() == IdealLattice.from_generators(g, [
+        one * 4, (s - one) * 2, (t - one) * 2, (s - one) * (t - one)])
 
 
 def test_det_qg_agrees_with_per_character_determinants():

@@ -3,6 +3,7 @@ the verification checks, and class-group data interchange."""
 
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -13,7 +14,8 @@ from fracgalois.fields import (full_cyclotomic, make_field, place_set,
                                plus_field, relative_model, relative_place_set)
 from fracgalois.gring import (GroupHom, GroupRingElement, IdealLattice,
                               characters)
-from fracgalois.jideal import (CHECK_IDS, _mu_ell_annihilator, i_f_and_regulator,
+from fracgalois.jideal import (CHECK_IDS, _default_pset, _mu_ell_annihilator,
+                               _unit_quotient, i_f_and_regulator,
                                j_base_case, j_full_cyclotomic, j_via_theorem,
                                load_classgroup, run_check, shipped_classgroup,
                                torsion_order)
@@ -195,6 +197,20 @@ def test_passing_checks():
         assert rep.status == "pass", (cid, params, rep.witnesses)
         assert rep.check == cid
         assert rep.to_jsonable()["status"] == "pass"
+
+
+def test_fitting_ideal_of_the_unit_quotient_is_its_annihilator():
+    # U+/E+ is cyclic over Z[G] on these plus fields, so Fitt = ann; the
+    # full induced presentation has C(2k + 1, k) minors, 6435 at f = 13
+    elapsed = 0.0
+    for f in (13, 25, 27, 49):
+        model = plus_field(f)
+        _, m = _unit_quotient(model, _default_pset(model), CTX)
+        start = time.monotonic()
+        fitt = m.fitting_ideal()
+        elapsed += time.monotonic() - start
+        assert fitt == m.annihilator(), f
+    assert elapsed < 5.0, elapsed
 
 
 def test_qnat_projection_strictly_larger_at_5():

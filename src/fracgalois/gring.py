@@ -10,7 +10,7 @@ Groups are kept in invariant-factor coordinates: an element is a tuple
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import comb, gcd, lcm, prod
 
@@ -557,12 +557,17 @@ def _equivariance_witness(group, vals, m_all):
 def det_qg(rows, group):
     """Determinant of a square matrix over Q[G].
 
-    Cyclic groups go through fraction-free elimination in Z[x] folded mod
-    x^n - 1; products of cyclics fall back to per-character determinants.
+    1 x 1 and 2 x 2 matrices are expanded directly. Larger ones over cyclic
+    groups go through fraction-free elimination in Z[x] folded mod x^n - 1;
+    over products of cyclics, through per-character determinants.
     """
     k = len(rows)
     for r in rows:
         assert len(r) == k
+    if k == 1:
+        return rows[0][0]
+    if k == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if len(group.invariant_factors) <= 1:
         return _det_cyclic(rows, group, k)
     vals = {}
@@ -678,7 +683,8 @@ class IdealLattice:
         if not vecs:
             raise ValueError("no generators")
         den = lcm(1, *(c.denominator for v in vecs for c in v))
-        mat = [[int(v[i] * den) for v in vecs] for i in range(n)]
+        # den // x.denominator is exact: no Fraction products
+        mat = [[x.numerator * (den // x.denominator) for x in row] for row in zip(*vecs)]
         h_cols, pivot_rows = intmat.hnf_columns(mat)
         if len(h_cols) != n:
             raise ValueError(
@@ -823,6 +829,13 @@ def _orbit_vectors(group, gens):
     return vecs
 
 
+def _step_back(elem):
+    """(i, prev) with elem = prev times generator i, i the last nonzero
+    coordinate of elem: a walk of G in sorted order meets prev first."""
+    last = max(i for i, x in enumerate(elem) if x)
+    return last, elem[:last] + (elem[last] - 1,) + elem[last + 1:]
+
+
 def span_membership(gens, x):
     """Is x in the Z-span of the group-ring elements `gens`? (No full-rank
     assumption; used for rank-deficient spans like Z[G] * theta.)"""
@@ -852,7 +865,8 @@ class FiniteGModule:
     `relations`: integer columns in Z^k whose span has full rank k (finite).
     `action`: one k x k integer matrix per invariant-factor generator of G,
     acting on generator coordinates; matrices must commute and respect orders
-    modulo the relation lattice.
+    modulo the relation lattice. The relation HNF and the structure are
+    computed once, on first use; every method works modulo that HNF.
     """
 
     def __init__(self, group, k, relations, action, *, validate=True):
@@ -860,7 +874,12 @@ class FiniteGModule:
         self.k = k
         self.relations = tuple(tuple(col) for col in relations)
         self.action = tuple(tuple(tuple(row) for row in mat) for mat in action)
-        assert len(self.action) == len(group.invariant_factors)
+        if len(self.action) != len(group.invariant_factors):
+            raise ValueError(
+                f"need {len(group.invariant_factors)} action matrices (one per "
+                f"group generator), got {len(self.action)}")
+        if any(len(mat) != k or any(len(r) != k for r in mat) for mat in self.action):
+            raise ValueError(f"action matrix is not {k} x {k}")
         if validate:
             self._validate()
         self._action_cache = {(0,) * len(self.action): intmat.identity_matrix(k)}
@@ -873,59 +892,76 @@ class FiniteGModule:
     def _rel_matrix(self):
         return [[col[i] for col in self.relations] for i in range(self.k)]
 
+    @cached_property
+    def _hnf(self):
+        """(h_cols, pivot_rows): the HNF of the relations."""
+        return intmat.hnf_columns(self._rel_matrix())
+
+    def _reduce(self, v):
+        """v reduced bottom up, entry p to a centered residue of the p-th HNF
+        pivot: a unique representative of v modulo the relations."""
+        v = list(v)
+        for p, col in reversed(list(enumerate(self._hnf[0]))):
+            q = (v[p] + col[p] // 2) // col[p]
+            if q:
+                for i in range(p + 1):
+                    v[i] -= q * col[i]
+        return v
+
+    def _mod_relations(self, mat):
+        """The k x k matrix `mat` with every column reduced by `_reduce`."""
+        return intmat.mat_transpose([self._reduce(col) for col in zip(*mat)])
+
     def _validate(self):
         k = self.k
         if k == 0:
             return
-        rel = self._rel_matrix()
-        cols, _ = intmat.column_echelon(rel)
-        if len(cols) != k:
+        if len(self._hnf[0]) != k:
             raise ValueError("relation lattice is not full rank: module is infinite")
-        rel_cols = [list(c) for c in self.relations]
-        for d, mat in zip(self.group.invariant_factors, self.action):
-            assert len(mat) == k and all(len(r) == k for r in mat)
-            # action stabilizes the relation lattice
-            for col in rel_cols:
-                img = [sum(mat[i][j] * col[j] for j in range(k)) for i in range(k)]
-                if not intmat.span_contains(rel_cols, img):
-                    raise ValueError("action does not preserve relations")
-            # correct order: mat^d = identity mod relations
-            p = intmat.identity_matrix(k)
-            for _ in range(d):
-                p = intmat.mat_mul([list(r) for r in mat], p)
-            for j in range(k):
-                col = [p[i][j] - (1 if i == j else 0) for i in range(k)]
-                if not intmat.span_contains(rel_cols, col):
-                    raise ValueError("action generator order does not divide group order")
+        h = intmat.mat_transpose(self._hnf[0])
+        one = self._mod_relations(intmat.identity_matrix(k))
+        mats = self.action
+        for d, mat in zip(self.group.invariant_factors, mats):
+            # the action stabilizes the relation lattice: A H = 0 mod relations
+            if any(map(any, self._mod_relations(intmat.mat_mul(mat, h)))):
+                raise ValueError("action does not preserve relations")
+            # correct order: A^d = 1 mod relations, by square-and-multiply
+            p, sq = one, mat
+            while d:
+                if d & 1:
+                    p = self._mod_relations(intmat.mat_mul(sq, p))
+                d >>= 1
+                if d:
+                    sq = self._mod_relations(intmat.mat_mul(sq, sq))
+            if p != one:
+                raise ValueError("action generator order does not divide group order")
         # pairwise commuting mod relations
-        mats = [[list(r) for r in m] for m in self.action]
         for a in range(len(mats)):
             for b in range(a + 1, len(mats)):
-                ab = intmat.mat_mul(mats[a], mats[b])
-                ba = intmat.mat_mul(mats[b], mats[a])
-                for j in range(k):
-                    col = [ab[i][j] - ba[i][j] for i in range(k)]
-                    if not intmat.span_contains(rel_cols, col):
-                        raise ValueError("action matrices do not commute mod relations")
+                if (self._mod_relations(intmat.mat_mul(mats[a], mats[b]))
+                        != self._mod_relations(intmat.mat_mul(mats[b], mats[a]))):
+                    raise ValueError("action matrices do not commute mod relations")
 
     def order(self):
-        return prod(self.structure())
+        return prod(col[t] for t, col in enumerate(self._hnf[0]))
 
     def structure(self):
         """Invariant factors of the underlying abelian group."""
+        return self._structure
+
+    @cached_property
+    def _structure(self):
         if self.k == 0:
             return ()
-        # the HNF first: an SNF of the raw relations can blow its entries up
-        h_cols, _ = intmat.hnf_columns(self._rel_matrix())
-        _, d, _ = intmat.smith_normal_form(intmat.mat_transpose(h_cols))
+        # the SNF of the HNF: an SNF of the raw relations can blow its entries up
+        _, d, _ = intmat.smith_normal_form(intmat.mat_transpose(self._hnf[0]))
         return tuple(abs(d[i][i]) for i in range(self.k) if abs(d[i][i]) > 1)
 
     def action_of(self, elem):
         """The k x k matrix of `elem` (product of generator powers): one step
         along its last nonzero generator from the cached previous element."""
         if elem not in self._action_cache:
-            last = max(i for i, x in enumerate(elem) if x)
-            prev = elem[:last] + (elem[last] - 1,) + elem[last + 1:]
+            last, prev = _step_back(elem)
             self._action_cache[elem] = intmat.mat_mul(
                 self.action[last], self.action_of(prev))
         return self._action_cache[elem]
@@ -937,7 +973,10 @@ class FiniteGModule:
         integral and alpha kills M iff B (sum_x alpha_x A_x) = 0 mod e. Read as
         vectors indexed by x, the k^2 entries of B A_x have an HNF basis W of
         at most n = |G| vectors, and ann(M) is the alpha-part of the kernel of
-        [W | -e I].
+        [W | -e I]. B A_x mod e is walked along G: B kills the relations mod
+        e and the A's commute modulo them, so B A_x = (B A_prev) A_last.
+        Only the span of the entry vectors mod e matters, so zero and repeated
+        ones are dropped before the HNF.
         """
         g = self.group
         structure = self.structure()
@@ -945,14 +984,18 @@ class FiniteGModule:
             return IdealLattice.unit_ideal(g)
         e = structure[-1]
         k = self.k
-        h_cols, pivot_rows = intmat.hnf_columns(self._rel_matrix())
+        h_cols, pivot_rows = self._hnf
         b = intmat.mat_transpose([
             intmat.solve_upper_triangular(
                 h_cols, pivot_rows, [e if i == j else 0 for i in range(k)])
             for j in range(k)])
-        rows = [[x % e for row in intmat.mat_mul(b, self.action_of(elem)) for x in row]
-                for elem in g.elements]
-        w, _ = intmat.hnf_columns(rows)
+        walk = {g.identity: [[x % e for x in row] for row in b]}
+        for elem in g.elements[1:]:  # sorted: the step back is walked first
+            last, prev = _step_back(elem)
+            walk[elem] = [[x % e for x in row]
+                          for row in intmat.mat_mul(walk[prev], self.action[last])]
+        entries = zip(*([x for row in walk[elem] for x in row] for elem in g.elements))
+        w, _ = intmat.hnf_columns(intmat.mat_transpose([v for v in set(entries) if any(v)]))
         system = [col + [-e if t == s else 0 for t in range(len(w))]
                   for s, col in enumerate(w)]
         gens = [GroupRingElement(g, col[:g.order])
@@ -963,7 +1006,7 @@ class FiniteGModule:
         """Fitt^0_{Z[G]}(M) from the induced Z[G]-presentation, shrunk first.
 
         The presentation [H | g I - A_g], H the HNF of the relations and A_g
-        reduced modulo H into (-d/2, d/2], has entries in Z[G], kept as
+        reduced modulo H to centered residues, has entries in Z[G], kept as
         integer vectors over group.elements (the identity first). A unit
         entry +-h lets column operations clear its row; deleting that row and
         the pivot column scales every k x k minor by the unit, so the ideal
@@ -973,14 +1016,10 @@ class FiniteGModule:
         g = self.group
         n = g.order
         perm = _perm_table(g)
-        h_cols, _ = intmat.hnf_columns(self._rel_matrix())
-        cols = [[[x] + [0] * (n - 1) for x in col] for col in h_cols]
+        cols = [[[x] + [0] * (n - 1) for x in col] for col in self._hnf[0]]
         for gi, mat in zip(g.generator_elements(), self.action):
             for t in range(self.k):
-                a = [mat[s][t] for s in range(self.k)]
-                for p in reversed(range(self.k)):
-                    q = (a[p] + h_cols[p][p] // 2) // h_cols[p][p]
-                    a = [x - q * y for x, y in zip(a, h_cols[p])]
+                a = self._reduce([mat[s][t] for s in range(self.k)])
                 cols.append([[-x] + [0] * (n - 1) for x in a])
                 cols[-1][t][g.index(gi)] += 1
         k = self.k
@@ -1033,7 +1072,7 @@ class FiniteGModule:
             order //= ell
             v += 1
         extra = ell ** v
-        new_rels = [list(col) for col in self.relations]
+        new_rels = [list(col) for col in self._hnf[0]]
         for i in range(self.k):
             col = [0] * self.k
             col[i] = extra

@@ -548,6 +548,16 @@ def test_det_qg_agrees_with_per_character_determinants():
                 want = _cyc_det([[e.apply_character(chi) for e in row]
                                  for row in rows])
                 assert d.apply_character(chi) == want
+    # 1 x 1 and 2 x 2 matrices are expanded directly: over C_2 x C_4 the
+    # result must be the element the per-character determinants define
+    g = abelian_group((2, 4))
+    for k in (1, 2):
+        for _ in range(6):
+            rows = random_matrix(g, k)
+            want = assemble(g, {chi: _cyc_det([[e.apply_character(chi) for e in row]
+                                               for row in rows])
+                                for chi in characters(g)})
+            assert det_qg(rows, g) == want
     # multiplicativity and triangular product, on the cyclic path
     g = abelian_group((6,))
     a, b = random_matrix(g, 2), random_matrix(g, 2)
@@ -587,8 +597,48 @@ def test_ell_part_minimizes_presentation():
 
 
 def test_module_validation_rejects_infinite_and_inconsistent():
-    g = abelian_group((2,))
-    with pytest.raises(ValueError):
-        FiniteGModule(g, 2, [(2, 0)], [((1, 0), (0, 1))])   # rank-deficient: infinite
-    with pytest.raises(ValueError):
-        FiniteGModule(g, 1, [(5,)], [((2,),)])   # 2^2 = 4 != 1 mod 5: wrong order
+    # one case per check of the constructor, matched on its message; each is
+    # a ValueError, not an assert, so it still runs under python -O
+    c2, c2c4 = abelian_group((2,)), abelian_group((2, 4))
+    ident, swap = ((1, 0), (0, 1)), ((0, 1), (1, 0))
+    cases = (
+        ((c2, 1, [(5,)], []), "need 1 action matrices"),
+        ((c2, 2, [(2, 0), (0, 2)], [((1, 0),)]), "action matrix is not 2 x 2"),
+        ((c2, 2, [(2, 0)], [ident]), "not full rank: module is infinite"),
+        # the swap takes the relation (2, 0) of Z/2 + Z/4 to (0, 2)
+        ((c2, 2, [(2, 0), (0, 4)], [swap]), "action does not preserve relations"),
+        # 2^2 = 4 != 1 mod 5
+        ((c2, 1, [(5,)], [((2,),)]), "order does not divide group order"),
+        ((c2c4, 2, [(5, 0), (0, 5)], [swap, ((1, 0), (0, 2))]),
+         "action matrices do not commute mod relations"),
+    )
+    for args, message in cases:
+        with pytest.raises(ValueError, match=message):
+            FiniteGModule(*args)
+
+
+def test_module_puts_its_relations_in_hnf_once(monkeypatch):
+    """Validation, structure, order, annihilator and Fitting ideal all read
+    one HNF of the relations, and agree with an unvalidated module."""
+    from fracgalois import intmat
+    rng = random.Random(8118)
+    g = abelian_group((2, 2))
+    mod = conjugated(rng, module_from_ideals(g, draw_ideals(rng, g, 3, 2)))
+    relation_hnf = intmat.hnf_columns(mod._rel_matrix())
+    hnf_columns = intmat.hnf_columns
+    seen = []
+
+    def counting(a):
+        out = hnf_columns(a)
+        seen.append(out == relation_hnf)
+        return out
+
+    monkeypatch.setattr(intmat, "hnf_columns", counting)
+    built = FiniteGModule(g, mod.k, mod.relations, mod.action)
+    got = (built.structure(), built.order(), built.annihilator(),
+           built.fitting_ideal())
+    monkeypatch.undo()
+    assert sum(seen) == 1 and len(seen) > 1
+    fresh = FiniteGModule(g, mod.k, mod.relations, mod.action, validate=False)
+    assert got == (fresh.structure(), fresh.order(), fresh.annihilator(),
+                   fresh.fitting_ideal())

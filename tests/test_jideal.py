@@ -386,6 +386,14 @@ def test_load_classgroup_rejects_wrong_action_order(tmp_path):
         load_classgroup(_write(tmp_path, doc))
 
 
+def test_load_classgroup_rejects_action_that_breaks_relations(tmp_path):
+    doc = _valid_doc()
+    doc["invariant_factors"] = [2, 4]
+    doc["action"] = [[[0, 1], [1, 0]]]   # the swap takes (2, 0) to (0, 2)
+    with pytest.raises(ValueError, match="action does not preserve relations"):
+        load_classgroup(_write(tmp_path, doc))
+
+
 def test_load_classgroup_rejects_noncommuting_actions(tmp_path):
     doc = {"kind": "classgroup", "format": 1,
            "field": {"f": 16, "kernel": [1]},

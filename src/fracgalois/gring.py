@@ -404,16 +404,7 @@ class GroupRingElement:
         if isinstance(other, (int, Fraction)):
             return GroupRingElement(self.group, tuple(x * other for x in self.c))
         assert self.group == other.group
-        g = self.group
-        out = [Fraction(0)] * g.order
-        perms = _perm_table(g)
-        for i, x in enumerate(self.c):
-            if x:
-                pi = perms[i]
-                for j, y in enumerate(other.c):
-                    if y:
-                        out[pi[j]] += x * y
-        return GroupRingElement(self.group, out)
+        return GroupRingElement(self.group, _convolve(self.group, self.c, other.c))
 
     __rmul__ = __mul__
 
@@ -489,6 +480,27 @@ def _perm_table(group):
                for a in group.elements]
         _PERM_CACHE[group._key] = tab
     return tab
+
+
+def _convolve(group, a, b):
+    """Coefficients of a * b in the group ring, for coefficient sequences
+    a and b over group.elements (integers or Fractions)."""
+    out = [0] * group.order
+    perms = _perm_table(group)
+    for i, x in enumerate(a):
+        if x:
+            pi = perms[i]
+            for j, y in enumerate(b):
+                if y:
+                    out[pi[j]] += x * y
+    return out
+
+
+def _clear_denominators(elems):
+    """(d, vecs): the lcm d of the denominators of the group-ring elements
+    `elems` and the integer coefficient vectors of d * x."""
+    d = lcm(1, *(x.denominator() for x in elems))
+    return d, [[c.numerator * (d // c.denominator) for c in x.c] for x in elems]
 
 
 def norm_element(group):
@@ -602,12 +614,8 @@ def _det_poly(m, k):
 def _det_cyclic(rows, group, k):
     """det over Q[C_n]: clear denominators, eliminate in Z[x], fold mod x^n - 1."""
     n = group.order
-    den = 1
-    for row in rows:
-        for e in row:
-            for x in e.c:
-                den = lcm(den, x.denominator)
-    m = [[poly_trim([int(x * den) for x in e.c]) for e in row] for row in rows]
+    den, vecs = _clear_denominators([e for row in rows for e in row])
+    m = [[poly_trim(vecs[i * k + j]) for j in range(k)] for i in range(k)]
     d = _det_poly(m, k)
     folded = [0] * n
     for i, x in enumerate(d):
@@ -674,18 +682,19 @@ class IdealLattice:
 
     @classmethod
     def from_generators(cls, group, gens, *, close_under_group=True):
-        n = group.order
         assert all(x.group == group for x in gens)
+        den, vecs = _clear_denominators(gens)
         if close_under_group:
-            vecs = _orbit_vectors(group, gens)
-        else:
-            vecs = [list(x.c) for x in gens]
-        if not vecs:
-            raise ValueError("no generators")
-        den = lcm(1, *(c.denominator for v in vecs for c in v))
-        # den // x.denominator is exact: no Fraction products
-        mat = [[x.numerator * (den // x.denominator) for x in row] for row in zip(*vecs)]
-        h_cols, pivot_rows = intmat.hnf_columns(mat)
+            vecs = _orbit_vectors(group, vecs)
+        return cls._from_columns(group, den, vecs)
+
+    @classmethod
+    def _from_columns(cls, group, den, vecs):
+        """The lattice spanned by the integer vectors `vecs` over `den`, in
+        canonical form: the column HNF, with its content divided out of den.
+        Every lattice is built here."""
+        n = group.order
+        h_cols, _ = intmat.hnf_columns([list(row) for row in zip(*vecs)])
         if len(h_cols) != n:
             raise ValueError(
                 f"generators span rank {len(h_cols)} < {n}; not a full lattice "
@@ -699,9 +708,7 @@ class IdealLattice:
     @classmethod
     def unit_ideal(cls, group):
         """Z[G] itself."""
-        n = group.order
-        cols = tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n))
-        return cls(group, 1, cols)
+        return cls._from_columns(group, 1, intmat.identity_matrix(group.order))
 
     def basis_elements(self):
         return [GroupRingElement(self.group,
@@ -729,45 +736,49 @@ class IdealLattice:
 
     __hash__ = None
 
+    def _cols_over(self, d):
+        """The basis columns over the denominator d, a multiple of den."""
+        return [[x * (d // self.den) for x in col] for col in self.cols]
+
     def scale(self, alpha):
         """alpha * L for alpha in Q[G] invertible (or a nonzero rational)."""
+        g = self.group
         if isinstance(alpha, (int, Fraction)):
-            alpha = Fraction(alpha)
             if alpha == 0:
                 raise ZeroDivisionError("scaling by zero")
-            gens = [b * alpha for b in self.basis_elements()]
-            return IdealLattice.from_generators(self.group, gens, close_under_group=False)
+            return IdealLattice._from_columns(
+                g, self.den * alpha.denominator,
+                [[x * alpha.numerator for x in col] for col in self.cols])
         gre_inverse(alpha)  # raises with a witness if not invertible
-        gens = [alpha * b for b in self.basis_elements()]
-        return IdealLattice.from_generators(self.group, gens, close_under_group=False)
+        d, (a,) = _clear_denominators([alpha])
+        return IdealLattice._from_columns(
+            g, self.den * d, [_convolve(g, a, col) for col in self.cols])
 
     def add(self, other):
         assert other.group == self.group
-        return IdealLattice.from_generators(
-            self.group, self.basis_elements() + other.basis_elements(),
-            close_under_group=False)
+        d = lcm(self.den, other.den)
+        return IdealLattice._from_columns(
+            self.group, d, self._cols_over(d) + other._cols_over(d))
 
     def multiply(self, other):
         assert other.group == self.group
-        gens = [a * b for a in self.basis_elements() for b in other.basis_elements()]
-        return IdealLattice.from_generators(self.group, gens, close_under_group=False)
+        g = self.group
+        return IdealLattice._from_columns(
+            g, self.den * other.den,
+            [_convolve(g, a, b) for a in self.cols for b in other.cols])
 
     def intersect(self, other):
+        """L cap L': the vectors A y with A y = B z, A and B the basis
+        columns of L and L' over one denominator."""
         assert other.group == self.group
         n = self.group.order
         d = lcm(self.den, other.den)
-        a_cols = [[x * (d // self.den) for x in col] for col in self.cols]
-        b_cols = [[x * (d // other.den) for x in col] for col in other.cols]
-        stacked = [[a_cols[j][i] for j in range(n)] + [-b_cols[j][i] for j in range(n)]
-                   for i in range(n)]
-        kernel = intmat.kernel_basis(stacked)
-        vecs = []
-        for kc in kernel:
-            y = kc[:n]
-            vec = [sum(a_cols[j][i] * y[j] for j in range(n)) for i in range(n)]
-            vecs.append([Fraction(x, d) for x in vec])
-        gens = [GroupRingElement(self.group, v) for v in vecs]
-        return IdealLattice.from_generators(self.group, gens, close_under_group=False)
+        a_cols = self._cols_over(d)
+        stacked = [list(a_row) + [-x for x in b_row]
+                   for a_row, b_row in zip(zip(*a_cols), zip(*other._cols_over(d)))]
+        vecs = [[sum(a_cols[j][i] * y[j] for j in range(n)) for i in range(n)]
+                for y in intmat.kernel_basis(stacked)]
+        return IdealLattice._from_columns(self.group, d, vecs)
 
     def project(self, hom):
         gens = [b.project(hom) for b in self.basis_elements()]
@@ -816,17 +827,10 @@ class IdealLattice:
         return f"IdealLattice(den={self.den}, diag={[self.cols[t][t] for t in range(len(self.cols))]})"
 
 
-def _orbit_vectors(group, gens):
-    """Coefficient vectors of sigma * x for every x in gens and sigma in group."""
-    vecs = []
-    for x in gens:
-        for pi in _perm_table(group):
-            v = [Fraction(0)] * group.order
-            for j, y in enumerate(x.c):
-                if y:
-                    v[pi[j]] = y
-            vecs.append(v)
-    return vecs
+def _orbit_vectors(group, vecs):
+    """sigma * v for every coefficient vector v in vecs and sigma in group:
+    row i of the product table permutes v into elements[i]^-1 * v."""
+    return [[v[j] for j in pi] for v in vecs for pi in _perm_table(group)]
 
 
 def _step_back(elem):
@@ -839,25 +843,23 @@ def _step_back(elem):
 def span_membership(gens, x):
     """Is x in the Z-span of the group-ring elements `gens`? (No full-rank
     assumption; used for rank-deficient spans like Z[G] * theta.)"""
-    if not gens:
-        return x.is_zero()
-    den = lcm(x.denominator(), *(g.denominator() for g in gens))
-    cols = [[int(c * den) for c in g.c] for g in gens]
-    v = [int(c * den) for c in x.c]
-    return intmat.span_contains(cols, v)
+    _, vecs = _clear_denominators(list(gens) + [x])
+    return intmat.span_contains(vecs[:-1], vecs[-1])
 
 
 def gmodule_span_equal(gens_a, gens_b, group):
     """Equality of Z[G]-spans (possibly rank-deficient) of two generator lists."""
-    va, vb = _orbit_vectors(group, gens_a), _orbit_vectors(group, gens_b)
-    den = lcm(1, *(c.denominator for v in va + vb for c in v))
-    ca = [[int(c * den) for c in v] for v in va]
-    cb = [[int(c * den) for c in v] for v in vb]
-    return intmat.span_equal(ca, cb, group.order)
+    _, vecs = _clear_denominators(list(gens_a) + list(gens_b))
+    return intmat.span_equal(_orbit_vectors(group, vecs[:len(gens_a)]),
+                             _orbit_vectors(group, vecs[len(gens_a):]), group.order)
 
 
 # ---------------------------------------------------------------------------
 # finite G-modules
+
+# the most k x k minors `fitting_ideal` takes after shrinking its presentation
+MINOR_BUDGET = 20000
+
 
 class FiniteGModule:
     """Finite abelian group with G-action, presented by generators/relations.
@@ -998,11 +1000,10 @@ class FiniteGModule:
         w, _ = intmat.hnf_columns(intmat.mat_transpose([v for v in set(entries) if any(v)]))
         system = [col + [-e if t == s else 0 for t in range(len(w))]
                   for s, col in enumerate(w)]
-        gens = [GroupRingElement(g, col[:g.order])
-                for col in intmat.kernel_basis(system)]
-        return IdealLattice.from_generators(g, gens, close_under_group=False)
+        return IdealLattice._from_columns(
+            g, 1, [col[:g.order] for col in intmat.kernel_basis(system)])
 
-    def fitting_ideal(self, *, minor_budget=20000):
+    def fitting_ideal(self):
         """Fitt^0_{Z[G]}(M) from the induced Z[G]-presentation, shrunk first.
 
         The presentation [H | g I - A_g], H the HNF of the relations and A_g
@@ -1053,9 +1054,9 @@ class FiniteGModule:
                                       for s in range(k) for x in range(n)])
         cols = [[GroupRingElement(g, col[s * n:(s + 1) * n]) for s in range(k)]
                 for col in flat]
-        if comb(len(cols), k) > minor_budget:
+        if comb(len(cols), k) > MINOR_BUDGET:
             raise ValueError(
-                f"Fitting ideal needs {comb(len(cols), k)} minors (> {minor_budget}); "
+                f"Fitting ideal needs {comb(len(cols), k)} minors (> {MINOR_BUDGET}); "
                 "module too large for the exact route")
         minors = [det_qg([[cols[j][s] for j in sel] for s in range(k)], g)
                   for sel in combinations(range(len(cols)), k)]

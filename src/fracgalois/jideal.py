@@ -81,10 +81,10 @@ def _default_pset(model):
 # ---------------------------------------------------------------------------
 # routes
 
-def _unit_quotient(model, pset, ctx, provider="builtin_hplus1", units=None):
-    """(U, U/E): the S-units (`units`, else the provider's) and their
+def _unit_quotient(model, pset, ctx, units=None):
+    """(U, U/E): the S-units (`units`, else the builtin ones) and their
     quotient by the Stark module E."""
-    u = units if units is not None else sunit_group(model, pset, ctx, provider)
+    u = units if units is not None else sunit_group(model, pset, ctx)
     return u, quotient_module(u, stark_module(model, pset, ctx), ctx)
 
 
@@ -96,20 +96,20 @@ def _j_result(route, model, ideal, u, m):
                    assumptions=u.assumptions)
 
 
-def j_via_theorem(model, pset, ctx, provider="builtin_hplus1", units=None):
+def j_via_theorem(model, pset, ctx, units=None):
     """J = (1/e) ann_{Z[G]}(U/E) under the all-orders-one hypothesis."""
     _require_rank_one(model, pset)
-    u, m = _unit_quotient(model, pset, ctx, provider, units)
+    u, m = _unit_quotient(model, pset, ctx, units)
     ideal = m.annihilator().scale(Fraction(1, torsion_order(model)))
     return _j_result("theorem_j", model, ideal, u, m)
 
 
-def j_full_cyclotomic(p, n, ctx, provider="builtin_hplus1", units=None):
+def j_full_cyclotomic(p, n, ctx, units=None):
     """J for Q(zeta_{p^n})/Q with S = {infinity, p}: the Z[G]-span of
     { alpha e+/2 + theta : alpha in ann(U/E) }, E = Z[G](1 - zeta)."""
     model = full_cyclotomic(p ** n)
     pset = place_set(model, (p,))
-    u, m = _unit_quotient(model, pset, ctx, provider, units)
+    u, m = _unit_quotient(model, pset, ctx, units)
     ann = m.annihilator()
     g = model.group
     c = model.conjugation()
@@ -165,8 +165,7 @@ def _char_value_numeric(chi, elem, ctx):
         return mp.expjpi(mp.mpf(2 * chi.exp_at(elem)) / chi.group.exponent)
 
 
-def i_f_and_regulator(model, pset, twist, ctx, provider="builtin_hplus1",
-                      units=None):
+def i_f_and_regulator(model, pset, twist, ctx, units=None):
     """Exact I^f = det(u)^{-1} ann(U/E) for f = u o f0, plus the numeric
     Stark regulator values A_chi = chi(u) chi(R) / L'_S(0, chi), where
     R = -sum_sigma log||eps||_{sigma w0} sigma and chi(x) =
@@ -176,7 +175,7 @@ def i_f_and_regulator(model, pset, twist, ctx, provider="builtin_hplus1",
     _require_rank_one(model, pset)
     g = model.group
     u_inv = gre_inverse(twist)  # raises on a non-invertible twist
-    _, m = _unit_quotient(model, pset, ctx, provider, units)
+    _, m = _unit_quotient(model, pset, ctx, units)
     i_f = m.annihilator().scale(u_inv)
     e = torsion_order(model)
 

@@ -80,10 +80,8 @@ def _check_pset(model, pset, p):
         raise ValueError(f"builtin unit provider needs S = {{infinity, {p}}}")
 
 
-def sunit_group(model, pset, ctx, provider="builtin_hplus1"):
-    """The full S-unit lattice U of the model (built-in or ingested)."""
-    if provider != "builtin_hplus1":
-        raise ValueError(f"unknown provider {provider!r}")
+def sunit_group(model, pset, ctx):
+    """The full S-unit lattice U of the model from the built-in tables."""
     p = model.p if isinstance(model, RelativeModel) else odd_prime_power(model.f)[0]
     f = model.f
     _check_pset(model, pset, p)
@@ -101,7 +99,7 @@ def sunit_group(model, pset, ctx, provider="builtin_hplus1"):
     else:
         raise ValueError("builtin provider covers the full cyclotomic field "
                          "and its maximal real subfield only")
-    u = UnitLattice(model, pset, torsion_order(model), torsion, free, provider,
+    u = UnitLattice(model, pset, torsion_order(model), torsion, free, "builtin_hplus1",
                     (f"h+(Q(zeta_{f})) = 1",))
     _verify_rank(u)
     return u

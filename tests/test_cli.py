@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, frozen outputs, determinism, and the
 document round trips (units and class groups)."""
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -168,6 +169,15 @@ def test_reports_identical_outside_meta(capsys):
     d1.pop("meta")
     d2.pop("meta")
     assert d1 == d2
+
+
+# the largest full field the builtin provider serves: its J lattice, pinned
+# byte for byte (sha256 of the exact section as compact sorted JSON)
+def test_compute_jideal_full_field_169_golden(capsys):
+    doc = run_json(capsys, ["compute", "jideal", "-f", "169"])
+    text = json.dumps(doc["exact"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3d40038971630c90bac8370241c0894c159cef85f23a67383de8895188eaa253")
 
 
 # numeric unit coordinates lost precision on these fields and exited 2, or

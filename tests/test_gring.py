@@ -330,6 +330,51 @@ def test_lattice_algebra():
     assert b.contains_lattice(inter)
 
 
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("factors", [(4,), (6,), (2, 2), (2, 4)])
+def test_lattice_ops_equal_spans_of_basis_products(factors, closed):
+    """scale, add, multiply and intersect, which work on integer columns,
+    agree with the lattices spanned by the GroupRingElement products of the
+    basis elements; generators have mixed denominators and, without the
+    closure under G, the lattices need not be ideals."""
+    rng = random.Random(repr((factors, closed)))
+    g = abelian_group(factors)
+    one = GroupRingElement.one(g)
+
+    def small():
+        return GroupRingElement(g, [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 4]))
+                                    for _ in range(g.order)])
+
+    def lattice():
+        while True:
+            count = rng.randint(1, 2) if closed else g.order + 1
+            try:
+                return IdealLattice.from_generators(
+                    g, [small() for _ in range(count)], close_under_group=closed)
+            except ValueError:              # rank-deficient draw
+                pass
+
+    def span(gens):
+        return IdealLattice.from_generators(g, gens, close_under_group=False)
+
+    for _ in range(4):
+        a, b = lattice(), lattice()
+        ab, bb = a.basis_elements(), b.basis_elements()
+        q = Fraction(-rng.randint(1, 6), rng.randint(1, 6))
+        # |4/3| > |chi(h)/1| for every character chi: u is invertible
+        u = (one * Fraction(rng.randint(4, 7), rng.randint(1, 3))
+             + GroupRingElement.basis(g, rng.choice(g.elements),
+                                      Fraction(rng.choice([-1, 1]), rng.randint(1, 3))))
+        assert a.scale(q) == span([x * q for x in ab])
+        assert a.scale(u) == span([u * x for x in ab])
+        assert a.add(b) == span(ab + bb)
+        assert a.multiply(b) == span([x * y for x in ab for y in bb])
+        # a cap b: inside both, with [a : a cap b] = [a + b : b]
+        inter = a.intersect(b)
+        assert a.contains_lattice(inter) and b.contains_lattice(inter)
+        assert inter.covolume() * a.add(b).covolume() == a.covolume() * b.covolume()
+
+
 def test_lattice_from_generators_rejects_rank_deficiency():
     g = galois_group(5)
     theta_like = GroupRingElement.from_dict(

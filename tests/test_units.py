@@ -66,12 +66,6 @@ def test_builtin_provider_requires_certified_conductor():
     assert 67 not in KNOWN_HPLUS_ONE
 
 
-def test_builtin_provider_rejects_unknown_name():
-    k = full_cyclotomic(5)
-    with pytest.raises(ValueError, match="provider"):
-        sunit_group(k, place_set(k, (5,)), CTX, provider="magic")
-
-
 def test_builtin_provider_rejects_composite_modulus():
     k = full_cyclotomic(15)
     with pytest.raises(ValueError):

@@ -141,7 +141,7 @@ def _group_from_lattices(f, s_residues, t_residues, key):
             if gcd(a, f) != 1:
                 raise ValueError(f"residue {a} not a unit mod {f}")
             cols.append(list(dlog[a % f]))
-        h_cols, pivot_rows = intmat.hnf_columns(intmat.mat_transpose(cols))
+        h_cols, pivot_rows = intmat.hnf_columns(cols)
         assert pivot_rows == list(range(r))
         return h_cols
 
@@ -694,7 +694,7 @@ class IdealLattice:
         canonical form: the column HNF, with its content divided out of den.
         Every lattice is built here."""
         n = group.order
-        h_cols, _ = intmat.hnf_columns([list(row) for row in zip(*vecs)])
+        h_cols, _ = intmat.hnf_columns(vecs)
         if len(h_cols) != n:
             raise ValueError(
                 f"generators span rank {len(h_cols)} < {n}; not a full lattice "
@@ -774,10 +774,9 @@ class IdealLattice:
         n = self.group.order
         d = lcm(self.den, other.den)
         a_cols = self._cols_over(d)
-        stacked = [list(a_row) + [-x for x in b_row]
-                   for a_row, b_row in zip(zip(*a_cols), zip(*other._cols_over(d)))]
+        minus_b = [[-x for x in col] for col in other._cols_over(d)]
         vecs = [[sum(a_cols[j][i] * y[j] for j in range(n)) for i in range(n)]
-                for y in intmat.kernel_basis(stacked)]
+                for y in intmat.kernel_basis(a_cols + minus_b)]
         return IdealLattice._from_columns(self.group, d, vecs)
 
     def project(self, hom):
@@ -851,7 +850,7 @@ def gmodule_span_equal(gens_a, gens_b, group):
     """Equality of Z[G]-spans (possibly rank-deficient) of two generator lists."""
     _, vecs = _clear_denominators(list(gens_a) + list(gens_b))
     return intmat.span_equal(_orbit_vectors(group, vecs[:len(gens_a)]),
-                             _orbit_vectors(group, vecs[len(gens_a):]), group.order)
+                             _orbit_vectors(group, vecs[len(gens_a):]))
 
 
 # ---------------------------------------------------------------------------
@@ -891,13 +890,10 @@ class FiniteGModule:
     def trivial(cls, group):
         return cls(group, 0, [], [() for _ in group.invariant_factors])
 
-    def _rel_matrix(self):
-        return [[col[i] for col in self.relations] for i in range(self.k)]
-
     @cached_property
     def _hnf(self):
         """(h_cols, pivot_rows): the HNF of the relations."""
-        return intmat.hnf_columns(self._rel_matrix())
+        return intmat.hnf_columns(self.relations)
 
     def _reduce(self, v):
         """v reduced bottom up, entry p to a centered residue of the p-th HNF
@@ -973,10 +969,12 @@ class FiniteGModule:
 
         With e the exponent of M and H the HNF of the relations, B = e H^-1 is
         integral and alpha kills M iff B (sum_x alpha_x A_x) = 0 mod e. Read as
-        vectors indexed by x, the k^2 entries of B A_x have an HNF basis W of
-        at most n = |G| vectors, and ann(M) is the alpha-part of the kernel of
-        [W | -e I]. B A_x mod e is walked along G: B kills the relations mod
-        e and the A's commute modulo them, so B A_x = (B A_prev) A_last.
+        vectors indexed by x, the k^2 entries of B A_x have an HNF basis
+        w_1, ..., w_r (r <= n = |G|), and ann(M) is the alpha-part of the
+        kernel of (alpha, z) -> (w_s . alpha - e z_s)_s, whose columns are the
+        x-th entries of the w_s, then -e e_s. B A_x mod e is walked along G:
+        B kills the relations mod e and the A's commute modulo them, so
+        B A_x = (B A_prev) A_last.
         Only the span of the entry vectors mod e matters, so zero and repeated
         ones are dropped before the HNF.
         """
@@ -997,11 +995,10 @@ class FiniteGModule:
             walk[elem] = [[x % e for x in row]
                           for row in intmat.mat_mul(walk[prev], self.action[last])]
         entries = zip(*([x for row in walk[elem] for x in row] for elem in g.elements))
-        w, _ = intmat.hnf_columns(intmat.mat_transpose([v for v in set(entries) if any(v)]))
-        system = [col + [-e if t == s else 0 for t in range(len(w))]
-                  for s, col in enumerate(w)]
+        w, _ = intmat.hnf_columns([v for v in set(entries) if any(v)])
+        minus_e = [[-e if s == t else 0 for s in range(len(w))] for t in range(len(w))]
         return IdealLattice._from_columns(
-            g, 1, [col[:g.order] for col in intmat.kernel_basis(system)])
+            g, 1, [col[:g.order] for col in intmat.kernel_basis([*zip(*w), *minus_e])])
 
     def fitting_ideal(self):
         """Fitt^0_{Z[G]}(M) from the induced Z[G]-presentation, shrunk first.
@@ -1050,8 +1047,7 @@ class FiniteGModule:
         if k == 0:
             return IdealLattice.unit_ideal(g)
         # a Z-basis of the columns' span keeps the Z-span of the minors
-        flat, _ = intmat.hnf_columns([[c[s][x] for c in cols]
-                                      for s in range(k) for x in range(n)])
+        flat, _ = intmat.hnf_columns([[x for entry in c for x in entry] for c in cols])
         cols = [[GroupRingElement(g, col[s * n:(s + 1) * n]) for s in range(k)]
                 for col in flat]
         if comb(len(cols), k) > MINOR_BUDGET:
@@ -1073,13 +1069,9 @@ class FiniteGModule:
             order //= ell
             v += 1
         extra = ell ** v
-        new_rels = [list(col) for col in self._hnf[0]]
-        for i in range(self.k):
-            col = [0] * self.k
-            col[i] = extra
-            new_rels.append(col)
-        mat = [[new_rels[j][i] for j in range(len(new_rels))] for i in range(self.k)]
-        h_cols, pivot_rows = intmat.hnf_columns(mat)
+        h_cols, pivot_rows = intmat.hnf_columns(
+            self._hnf[0] + [[extra if i == j else 0 for i in range(self.k)]
+                            for j in range(self.k)])
         # generators killed outright (unit-vector relation columns) can be
         # dropped, keeping later Fitting-ideal minors tractable
         dead = {r for col, r in zip(h_cols, pivot_rows)

@@ -1,8 +1,11 @@
 """Exact integer / rational matrix routines.
 
-Everything here is over Z or Q (``fractions.Fraction``), no floats. Matrices
-are row-major lists of lists. The column-style Hermite normal form is the
-canonicalizer for lattices given by generator columns: upper triangular,
+Everything here is over Z or Q (``fractions.Fraction``), no floats. A
+lattice is given by a list of generator columns (lists or tuples of equal
+length): `column_echelon`, `hnf_columns`, `kernel_basis`, `span_contains` and
+`span_equal` take that list, never a matrix. Matrix algebra (`mat_mul`,
+`smith_normal_form`, `det_int`) works on row-major lists of lists. The column
+Hermite normal form is the canonicalizer for lattices: upper triangular,
 positive pivots, entries to the right of a pivot reduced into [0, pivot).
 """
 
@@ -37,24 +40,17 @@ def mat_transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def _from_columns(cols, nrows):
-    if not cols:
-        return [[] for _ in range(nrows)]
-    return [list(row) for row in zip(*cols)]
-
-
-def column_echelon(a):
-    """Bring the columns of ``a`` (n x m, integer) to echelon form.
+def column_echelon(a_cols):
+    """Bring a copy of the integer columns ``a_cols`` to echelon form.
 
     Returns (pivot_cols, pivot_rows) where pivot_cols are the nonzero echelon
     columns ordered by increasing pivot row and pivot_rows the corresponding
     rows. Works bottom-up: after row i is processed every still-active column
     vanishes on rows >= i.
     """
-    n = len(a)
-    m = len(a[0]) if a else 0
-    cols = mat_transpose(a)
-    active = list(range(m))
+    cols = [list(col) for col in a_cols]
+    n = len(cols[0]) if cols else 0
+    active = list(range(len(cols)))
     parked = []  # (pivot_row, col_index)
     for i in range(n - 1, -1, -1):
         live = [j for j in active if cols[j][i] != 0]
@@ -79,15 +75,15 @@ def column_echelon(a):
     return [cols[j] for _, j in parked], [p for p, _ in parked]
 
 
-def hnf_columns(a):
-    """Canonical column HNF of the integer column span of ``a``.
+def hnf_columns(a_cols):
+    """Canonical column HNF of the integer span of the columns ``a_cols``.
 
     Returns (cols, pivot_rows): echelon columns by increasing pivot row with
     positive pivots and, for each pivot, the entries of that row in all later
     columns reduced into [0, pivot). This is a unique representative of the
     span, so equal spans give bitwise-equal output.
     """
-    cols, pivot_rows = column_echelon(a)
+    cols, pivot_rows = column_echelon(a_cols)
     r = len(cols)
     for t in range(r - 1, -1, -1):  # descending pivot rows keep earlier work intact
         p = pivot_rows[t]
@@ -101,34 +97,29 @@ def hnf_columns(a):
     return cols, pivot_rows
 
 
-def kernel_basis(a):
-    """Integer basis of {x : a x = 0}, as a list of columns in canonical HNF.
+def kernel_basis(a_cols):
+    """Integer basis of {x : sum_j x_j a_cols[j] = 0}, as columns in
+    canonical HNF.
 
-    The columns (x, a x) of ``identity_matrix(m)`` stacked over ``a`` span a
-    lattice whose echelon columns with a pivot among the first m rows vanish
-    on ``a``'s rows: their top m entries are the kernel's HNF basis.
+    The columns (e_j, a_cols[j]) span a lattice whose echelon columns with a
+    pivot among the first m = len(a_cols) rows vanish below them: their top
+    m entries are the kernel's HNF basis.
     """
-    m = len(a[0]) if a else 0
-    cols, pivot_rows = hnf_columns(identity_matrix(m) + a)
+    m = len(a_cols)
+    cols, pivot_rows = hnf_columns([[1 if i == j else 0 for i in range(m)] + list(col)
+                                    for j, col in enumerate(a_cols)])
     return [col[:m] for col, p in zip(cols, pivot_rows) if p < m]
 
 
 def span_contains(a_cols, v):
     """Is integer vector v in the Z-span of the integer columns a_cols?"""
-    if all(x == 0 for x in v):
-        return True
-    if not a_cols:
-        return False
-    n = len(v)
-    y = solve_upper_triangular(*hnf_columns(_from_columns(a_cols, n)), v)
+    y = solve_upper_triangular(*hnf_columns(a_cols), v)
     return y is not None and all(x.denominator == 1 for x in y)
 
 
-def span_equal(a_cols, b_cols, n):
-    """Do two integer column lists span the same sublattice of Z^n?"""
-    ha = hnf_columns(_from_columns(a_cols, n)) if a_cols else ([], [])
-    hb = hnf_columns(_from_columns(b_cols, n)) if b_cols else ([], [])
-    return ha == hb
+def span_equal(a_cols, b_cols):
+    """Do two lists of integer columns span the same lattice?"""
+    return hnf_columns(a_cols) == hnf_columns(b_cols)
 
 
 def smith_normal_form(a):

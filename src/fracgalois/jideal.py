@@ -106,7 +106,9 @@ def j_via_theorem(model, pset, ctx, units=None):
 
 def j_full_cyclotomic(p, n, ctx, units=None):
     """J for Q(zeta_{p^n})/Q with S = {infinity, p}: the Z[G]-span of
-    { alpha e+/2 + theta : alpha in ann(U/E) }, E = Z[G](1 - zeta)."""
+    { alpha e+/2 + theta : alpha in ann(U/E) }, E = Z[G](1 - zeta). The
+    alpha e+/2 over a Z-basis of the ideal ann(U/E) already span a
+    Z[G]-module, so only theta is closed under G."""
     model = full_cyclotomic(p ** n)
     pset = place_set(model, (p,))
     u, m = _unit_quotient(model, pset, ctx, units)
@@ -115,10 +117,9 @@ def j_full_cyclotomic(p, n, ctx, units=None):
     c = model.conjugation()
     eplus = (GroupRingElement.one(g) + GroupRingElement.basis(g, c)) * Fraction(1, 2)
     theta = stickelberger(model, pset)
-    gens = [theta]
-    for a in ann.basis_elements():
-        gens.append(a * eplus * Fraction(1, 2))
-    ideal = IdealLattice.from_generators(g, gens)
+    gens = [theta.times_elem(s) for s in g.elements]
+    gens += [a * eplus * Fraction(1, 2) for a in ann.basis_elements()]
+    ideal = IdealLattice.from_generators(g, gens, close_under_group=False)
     return _j_result("full_cyclotomic", model, ideal, u, m)
 
 

@@ -144,7 +144,7 @@ def _free_matrix(lattice):
     cols = [w.normal_form()[1] for w in lattice.free]
     nsym = len(lattice.torsion.normal_form()[1])   # also when there are no cols
     b = [[col[i] for col in cols] for i in range(nsym)]
-    _, rows = hnf_columns(b)
+    _, rows = hnf_columns(cols)
     if len(rows) != len(cols):
         raise ValueError("free generators are multiplicatively dependent "
                          f"(rank {len(rows)} < {len(cols)})")

@@ -57,7 +57,7 @@ def conjugated(rng, mod):
         for t in range(k):
             u[i][t] += q * u[j][t]          # u <- (1 + q e_ij) u
             u_inv[t][j] -= q * u_inv[t][i]  # u_inv <- u_inv (1 - q e_ij)
-    rel = intmat.mat_mul(u, [list(r) for r in mod._rel_matrix()])
+    rel = intmat.mat_mul(u, intmat.mat_transpose(mod.relations))
     action = []
     for mat in mod.action:
         shift = [[rng.randint(-1, 1) for _ in range(k)] for _ in rel[0]]

@@ -669,7 +669,7 @@ def test_module_puts_its_relations_in_hnf_once(monkeypatch):
     rng = random.Random(8118)
     g = abelian_group((2, 2))
     mod = conjugated(rng, module_from_ideals(g, draw_ideals(rng, g, 3, 2)))
-    relation_hnf = intmat.hnf_columns(mod._rel_matrix())
+    relation_hnf = intmat.hnf_columns(mod.relations)
     hnf_columns = intmat.hnf_columns
     seen = []
 

@@ -43,12 +43,12 @@ def test_hnf_is_canonical_under_unimodular_remixes():
     for _ in range(25):
         n = rng.randint(2, 5)
         a = [[rng.randint(-6, 6) for _ in range(n + 1)] for _ in range(n)]
-        base = hnf_columns(a)
+        base = hnf_columns(mat_transpose(a))
         # remix the generating columns by a unimodular matrix: same span
         for _ in range(4):
             v = random_unimodular(rng, n + 1)
             remixed = mat_mul(a, v)
-            assert hnf_columns(remixed) == base
+            assert hnf_columns(mat_transpose(remixed)) == base
 
 
 def test_hnf_shape_pivots_positive_and_reduced():
@@ -56,7 +56,7 @@ def test_hnf_shape_pivots_positive_and_reduced():
     for _ in range(30):
         n = rng.randint(1, 5)
         a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        cols, pivots = hnf_columns(a)
+        cols, pivots = hnf_columns(mat_transpose(a))
         assert pivots == sorted(pivots)
         for t, p in enumerate(pivots):
             piv = cols[t][p]
@@ -120,7 +120,7 @@ def test_smith_form_of_a_sheared_presentation_via_its_hnf():
     module's structure() takes that route."""
     g, rel, sheared = _sheared_c2xc4_presentation(2)
     start = time.monotonic()
-    h_cols, _ = hnf_columns(sheared)
+    h_cols, _ = hnf_columns(mat_transpose(sheared))
     _, d, _ = smith_normal_form(mat_transpose(h_cols))
     identity = identity_matrix(16)
     mod = FiniteGModule(g, 16, mat_transpose(sheared), [identity, identity],
@@ -135,7 +135,7 @@ def test_smith_form_of_a_sheared_presentation_via_its_hnf():
 
 def _check_kernel_basis(rng, a, m):
     n = len(a)
-    ker = kernel_basis(a)
+    ker = kernel_basis(mat_transpose(a))
     for col in ker:
         assert all(sum(a[i][j] * col[j] for j in range(m)) == 0
                    for i in range(n))
@@ -153,7 +153,7 @@ def _check_kernel_basis(rng, a, m):
         assert span_contains(ker, combo) if ker else combo == [0] * m
     # the basis is its own canonical form
     if ker:
-        assert hnf_columns(mat_transpose(ker))[0] == ker
+        assert hnf_columns(ker)[0] == ker
     return ker
 
 
@@ -228,7 +228,7 @@ def rank_deficient_spans(draw):
 def test_span_contains_matches_cramer_oracle(span, data):
     cols, base = span
     n, m = len(base[0]), len(base)
-    h, pivots = hnf_columns(mat_transpose(cols))
+    h, pivots = hnf_columns(cols)
     assert len(pivots) == m < n
     vec = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
     c = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
@@ -249,9 +249,31 @@ def test_span_contains_matches_cramer_oracle(span, data):
     assert [sum(yt * col[i] for yt, col in zip(y, h)) for i in range(n)] == third
 
 
+def test_column_api_takes_tuples_and_leaves_its_argument_alone():
+    """The lattice routines take a list of columns, tuples included (as in
+    `FiniteGModule.relations` and `IdealLattice.cols`), work on a copy, and
+    keep the number of columns even when the columns are empty."""
+    cols = [[4, 2, 0], [6, 3, 1], [2, 1, 1]]
+    frozen = [tuple(col) for col in cols]
+    before = [col[:] for col in cols]
+    h = hnf_columns(cols)
+    assert h == ([[4, 2, 0], [2, 1, 1]], [1, 2])
+    assert hnf_columns(frozen) == h and cols == before
+    assert kernel_basis(cols) == kernel_basis(frozen) == [[1, -1, 1]]
+    assert cols == before
+    assert span_contains(cols, [6, 3, 1]) and span_contains(frozen, [10, 5, 1])
+    assert not span_contains(cols, [2, 1, 0]) and cols == before
+    assert span_equal(cols, h[0]) and span_equal(frozen, h[0]) and cols == before
+    # a map from Z^m to Z^0 kills everything
+    assert kernel_basis([[] for _ in range(3)]) == identity_matrix(3)
+    assert kernel_basis([()] * 2) == identity_matrix(2)
+    assert span_equal([], []) and span_equal([], [(0, 0)])
+    assert span_contains([], [0, 0]) and not span_contains([], [0, 1])
+
+
 def test_span_predicates_and_content():
-    assert span_equal([[2, 0], [1, 1]], [[1, 1], [0, 2]], 2)
-    assert not span_equal([[2, 0], [0, 2]], [[1, 0], [0, 1]], 2)
+    assert span_equal([[2, 0], [1, 1]], [[1, 1], [0, 2]])
+    assert not span_equal([[2, 0], [0, 2]], [[1, 0], [0, 1]])
     assert span_contains([[2, 0], [0, 3]], [4, 9])
     assert not span_contains([[2, 0], [0, 3]], [1, 0])
     assert content([6, -9]) == 3

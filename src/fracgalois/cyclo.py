@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, gcd, prod
+from math import ceil, gcd, inf, prod
 
 import mpmath as mp
 
@@ -90,8 +90,8 @@ def crt(pairs):
     """x mod prod(m) with x = r (mod m) for each (r, m); moduli coprime."""
     x, m = 0, 1
     for r, mi in pairs:
-        g = gcd(m, mi)
-        assert g == 1
+        if gcd(m, mi) != 1:
+            raise ValueError(f"crt needs coprime moduli, got {m} and {mi}")
         # x + m*t = r (mod mi)
         t = ((r - x) * pow(m, -1, mi)) % mi
         x += m * t
@@ -142,11 +142,13 @@ def poly_divexact(a, b):
         c = a[i]
         if c:
             qc, rem = divmod(c, lb)
-            assert rem == 0, "inexact polynomial division"
+            if rem:
+                raise ArithmeticError("inexact polynomial division")
             q[i - db] = qc
             for j in range(db + 1):
                 a[i - db + j] -= qc * b[j]
-    assert not any(a), "inexact polynomial division"
+    if any(a):
+        raise ArithmeticError("inexact polynomial division")
     return q
 
 
@@ -202,7 +204,8 @@ class CyclotomicNumber:
     def __init__(self, m, coeffs):
         phi = euler_phi(m)
         c = tuple(Fraction(x) for x in coeffs)
-        assert len(c) == phi
+        if len(c) != phi:
+            raise ValueError(f"Q(zeta_{m}) needs {phi} coefficients, got {len(c)}")
         self.m = m
         self.c = c
 
@@ -318,7 +321,8 @@ class CyclotomicNumber:
                         rem[i + j] -= c * y
             r0, r1 = r1, poly_trim(rem)
             s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-        assert len(r0) == 1
+        if len(r0) != 1:
+            raise ArithmeticError(f"gcd with Phi_{self.m} is not a constant")
         inv_poly = [x / r0[0] for x in s0]
         phi = euler_phi(self.m)
         out = [Fraction(0)] * phi
@@ -394,12 +398,11 @@ class CyclotomicNumber:
     # -- numerics (call under a PrecisionContext guard)
     def embed(self, a=1):
         """Complex value under zeta_m -> exp(2 pi i a / m), current mp prec."""
+        roots = _root_table(self.m, mp.mp.prec)
         total = mp.mpc(0)
         for i, x in enumerate(self.c):
             if x:
-                e = (2 * ((a * i) % self.m)) % (2 * self.m)
-                w = mp.expjpi(mp.mpf(e) / self.m)
-                total += mp.mpf(x.numerator) / x.denominator * w
+                total += mp.mpf(x.numerator) / x.denominator * roots[(a * i) % self.m]
         return total
 
     def __repr__(self):
@@ -407,6 +410,14 @@ class CyclotomicNumber:
             return f"Cyc({self.c[0]})"
         terms = [f"{x}*z{self.m}^{i}" for i, x in enumerate(self.c) if x]
         return "Cyc(" + " + ".join(terms) + ")"
+
+
+@lru_cache(maxsize=None)
+def _root_table(m, prec):
+    """(exp(2 pi i k / m) for 0 <= k < m) at prec bits, one table per
+    precision: the embedding of zeta_m^k is read, not recomputed."""
+    with mp.workprec(prec):
+        return tuple(mp.expjpi(mp.mpf(2 * k) / m) for k in range(m))
 
 
 # ---------------------------------------------------------------------------
@@ -445,33 +456,40 @@ class PrecisionContext:
         return {"bits": self.bits, "tol_exp": self.tol_exp}
 
 
+# T_1, T_2, ... and the last column of their triangle, grown in place
+_tangent = [1]
+_tangent_col = [1]
+
+
 @lru_cache(maxsize=None)
 def bernoulli_number(n):
-    """Exact Bernoulli number B_n (B_1 = -1/2)."""
+    """Exact Bernoulli number B_n (B_1 = -1/2), in integers until one final
+    Fraction: B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent
+    number T_k (Brent and Harvey 2013, column j of the triangle from
+    column j - 1: T^(k)_j = (j - k) T^(k)_(j-1) + (j - k + 2) T^(k-1)_j)."""
+    if n < 0:
+        raise ValueError("bernoulli_number needs n >= 0")
     if n == 0:
         return Fraction(1)
     if n == 1:
         return Fraction(-1, 2)
     if n % 2:
         return Fraction(0)
-    acc = Fraction(0)
-    for j in range(n):
-        acc += comb(n + 1, j) * bernoulli_number(j)
-    return -acc / (n + 1)
+    k, col = n // 2, _tangent_col
+    for j in range(len(_tangent) + 1, k + 1):
+        col[0] *= j - 1
+        for i in range(1, j - 1):
+            col[i] = (j - i - 1) * col[i] + (j - i + 1) * col[i - 1]
+        col.append(2 * col[-1])
+        _tangent.append(col[-1])
+    q = 4 ** k
+    return Fraction((-1) ** (k - 1) * n * _tangent[k - 1], q * (q - 1))
 
 
 @lru_cache(maxsize=None)
 def _half_log_2pi(prec):
     with mp.workprec(prec):
         return mp.log(2 * mp.pi) / 2
-
-
-@lru_cache(maxsize=None)
-def _stirling_coefficient(j, prec):
-    """B_2j / (2j (2j - 1)) as an mpf at prec bits."""
-    with mp.workprec(prec):
-        c = bernoulli_number(2 * j) / (2 * j * (2 * j - 1))
-        return mp.mpf(c.numerator) / c.denominator
 
 
 @lru_cache(maxsize=None)
@@ -483,28 +501,34 @@ def _log_gamma_guarded(x, prec):
     = prod (a + kF) / F^N, x = a/F, undoes the shift. The series is truncated
     once the next term drops below 2^-(prec+8); for real positive argument the
     remainder of the asymptotic series is bounded by the first omitted term.
+    It is summed in integers, in units of 2^-W with W = prec + 24, from
+    z = A/F kept exact: each term is floored once, so the sum is off by at
+    most j_max units, below 2^-(prec+16) while j_max < 256.
     """
     with mp.workprec(prec):
         shift_to = max(16, int(0.35 * prec) + 8)  # keeps the min term far below target
         n_shift = max(0, ceil(shift_to - x))
         z = mp.mpf(x.numerator) / x.denominator + n_shift
         val = (z - mp.mpf(1) / 2) * mp.log(z) - z + _half_log_2pi(prec)
-        target = mp.mpf(2) ** (-(prec + 8))
-        zz = z * z
-        pw = z
-        j = 1
-        prev_abs = mp.inf
+        F, W = x.denominator, prec + 24
+        A = x.numerator + n_shift * F
+        # num = F^(2j-1) 2^W, den = A^(2j-1): z^(1-2j) alone underflows W bits
+        num, den = F << W, A
+        target = 1 << (W - prec - 8)
+        total, j, prev_abs = 0, 1, inf
         while True:
-            term = _stirling_coefficient(j, prec) / pw
-            t_abs = abs(term)
-            if t_abs >= prev_abs:
+            b = bernoulli_number(2 * j)
+            term = (b.numerator * num) // (b.denominator * 2 * j * (2 * j - 1) * den)
+            if abs(term) >= prev_abs:
                 raise ArithmeticError("Stirling series failed to reach target precision")
-            if t_abs < target:
+            if abs(term) < target:
                 break  # remainder bounded by this omitted term
-            val += term
-            prev_abs = t_abs
-            pw *= zz
+            total += term
+            prev_abs = abs(term)
+            num *= F * F
+            den *= A * A
             j += 1
+        val += mp.ldexp(total, -W)
         # Gamma(x) = Gamma(x + N) / prod (x + k), and prod (x + k) = shift / F^N
         shift = prod(x.numerator + k * x.denominator for k in range(n_shift))
         return val - mp.log(mp.mpf(shift) / x.denominator ** n_shift)

@@ -115,10 +115,11 @@ def j_full_cyclotomic(p, n, ctx, units=None):
     ann = m.annihilator()
     g = model.group
     c = model.conjugation()
-    eplus = (GroupRingElement.one(g) + GroupRingElement.basis(g, c)) * Fraction(1, 2)
+    # e+/2 = (1 + c)/4, built once: one sparse convolution per generator
+    half_eplus = (GroupRingElement.one(g) + GroupRingElement.basis(g, c)) * Fraction(1, 4)
     theta = stickelberger(model, pset)
     gens = [theta.times_elem(s) for s in g.elements]
-    gens += [a * eplus * Fraction(1, 2) for a in ann.basis_elements()]
+    gens += [a * half_eplus for a in ann.basis_elements()]
     ideal = IdealLattice.from_generators(g, gens, close_under_group=False)
     return _j_result("full_cyclotomic", model, ideal, u, m)
 

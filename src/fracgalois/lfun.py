@@ -16,8 +16,8 @@ from math import gcd
 
 import mpmath as mp
 
-from .cyclo import (CyclotomicNumber, _power_table, crt, divisors, euler_phi,
-                    factorize, hurwitz_zeta_at0)
+from .cyclo import (CyclotomicNumber, _power_table, _root_table, crt, divisors,
+                    euler_phi, factorize, hurwitz_zeta_at0)
 from .fields import FieldModel, PlaceSet, RelativeModel, make_field, place_set
 from .gring import Character, GroupRingElement, assemble, characters
 
@@ -60,7 +60,9 @@ def primitive_table(model: FieldModel, chi: Character):
             # primes away from f0 get 1, keeping the lift coprime to f
             congruences.append((b % p ** c if c else 1, q))
         a = crt(congruences)
-        assert gcd(a, f) == 1 and a % f0 == b
+        if gcd(a, f) != 1 or a % f0 != b:
+            raise ArithmeticError(f"lift {a} of {b} mod {f0} is not a unit mod {f} "
+                                  "in the class of b")
         table[b] = chi.exp_at(model.group.element_of_residue(a % f))
     return f0, table, e
 
@@ -84,17 +86,17 @@ def bernoulli_b1(model: FieldModel, chi: Character):
 
 
 def _b1_sum(f0, table, e):
-    """B_{1,chi_0} from the primitive_table (f0, table, e) of chi."""
-    phi = euler_phi(e)
-    tab = _power_table(e)
-    out = [Fraction(0)] * phi
+    """B_{1,chi_0} = (1/2f0) sum_k w_k zeta_e^k, w_k = sum_{table[b] = k} (2b - f0),
+    from the primitive_table (f0, table, e); integer weights (f0 = 1: 1/2)."""
+    weights = {}
     for b, k in table.items():
-        w = Fraction(b, f0) - Fraction(1, 2) if f0 > 1 else Fraction(1, 2)
-        row = tab[k]
-        for j in range(phi):
-            if row[j]:
-                out[j] += w * row[j]
-    return CyclotomicNumber(e, out)
+        weights[k] = weights.get(k, 0) + 2 * b - f0
+    tab = _power_table(e)
+    out = [0] * euler_phi(e)
+    for k, w in weights.items():
+        for j, x in enumerate(tab[k]):
+            out[j] += w * x
+    return CyclotomicNumber(e, [Fraction(x, 2 * f0) for x in out])
 
 
 def l_value_at_0(model: FieldModel, pset: PlaceSet, chi: Character):
@@ -221,10 +223,10 @@ def l_deriv_at_0(model: FieldModel, pset: PlaceSet, chi: Character, ctx, _zcache
     g = model.group
     e = g.exponent
     with ctx.guard():
+        roots = _root_table(e, mp.mp.prec)
         total = mp.mpc(0)
         for elem, zv in zder.items():
-            k = chi.exp_at(elem)
-            total += mp.expjpi(mp.mpf(2 * k) / e) * zv
+            total += roots[chi.exp_at(elem)] * zv
     return ctx.final(total)
 
 
@@ -236,9 +238,10 @@ def l_deriv_primitive(model: FieldModel, chi: Character, ctx):
     f0, table, e = primitive_table(model, chi)
     b1 = _b1_sum(f0, table, e)
     with ctx.guard():
+        roots = _root_table(e, mp.mp.prec)
         total = mp.log(f0) * b1.embed(1)
         for b, k in table.items():
-            total += mp.expjpi(mp.mpf(2 * k) / e) * hurwitz_zeta_at0(Fraction(b, f0), 1, ctx)
+            total += roots[k] * hurwitz_zeta_at0(Fraction(b, f0), 1, ctx)
     return ctx.final(total)
 
 
@@ -252,7 +255,9 @@ def extend_character(model: RelativeModel, chi: Character, odd: bool):
     f = model.f
     e_h = h.exponent
     e_g = g_full.exponent
-    assert e_g % e_h == 0 and e_g % 2 == 0
+    if e_g % e_h or e_g % 2:
+        raise ValueError(f"exponent {e_h} of H does not divide the even exponent "
+                         f"{e_g} of G")
     step = e_g // e_h
 
     def value_exp(residue):
@@ -272,11 +277,13 @@ def extend_character(model: RelativeModel, chi: Character, odd: bool):
     for gen, d in zip(g_full.generator_elements(), g_full.invariant_factors):
         eexp = value_exp(g_full.label(gen))
         t, r = divmod(eexp * d, e_g)
-        assert r == 0, "extension is not a character"
+        if r:
+            raise ArithmeticError("extension is not a character")
         exps.append(t)
     out = Character(g_full, exps)
     for elem in g_full.elements:
-        assert out.exp_at(elem) == value_exp(g_full.label(elem))
+        if out.exp_at(elem) != value_exp(g_full.label(elem)):
+            raise ArithmeticError(f"extension disagrees with chi at {g_full.label(elem)}")
     return out
 
 
@@ -329,6 +336,8 @@ def relative_partial_zeta_deriv(model: RelativeModel, ctx):
                 k = chi.exp_at(sigma)
                 total += mp.expjpi(mp.mpf(-2 * k) / e) * lv
             total /= h.order
-            assert abs(mp.im(total)) < mp.mpf(2) ** (-ctx.bits // 2)
+            if abs(mp.im(total)) >= mp.mpf(2) ** (-ctx.bits // 2):
+                raise ArithmeticError("partial zeta derivative is not real: imaginary "
+                                      f"part {mp.nstr(mp.im(total), 5)}")
             out[sigma] = mp.re(total)
     return {s: ctx.final(v) for s, v in out.items()}

@@ -7,13 +7,14 @@ itself never calls.
 
 import random
 from fractions import Fraction
+from math import comb
 
 import mpmath as mp
 import pytest
 
 from fracgalois import cyclo
 from fracgalois.cyclo import (CyclotomicNumber, PrecisionContext,
-                              bernoulli_number, cyclotomic_polynomial,
+                              bernoulli_number, crt, cyclotomic_polynomial,
                               divisors, euler_phi, factorize,
                               hurwitz_zeta_at0, is_prime, log_gamma, mobius,
                               primitive_root)
@@ -123,6 +124,34 @@ def test_embed_matches_exponential():
             assert abs(z.embed(1) - expect) < mp.mpf(2) ** -150
 
 
+def _embed_per_call(x, a):
+    """The per-coefficient expjpi sum that embed's root table replaced."""
+    total = mp.mpc(0)
+    for i, q in enumerate(x.c):
+        if q:
+            e = (2 * ((a * i) % x.m)) % (2 * x.m)
+            total += mp.mpf(q.numerator) / q.denominator * mp.expjpi(mp.mpf(e) / x.m)
+    return total
+
+
+def test_embed_reads_one_root_table_per_precision():
+    x = sum((CyclotomicNumber.root_of_unity(169, k) * Fraction(k - 40, 7)
+             for k in range(0, 169, 5)), CyclotomicNumber.zero(169))
+    for order in ((768, 192), (192, 768)):
+        cyclo._root_table.cache_clear()
+        for bits in order:
+            with mp.workprec(bits):
+                assert x.embed(3) == _embed_per_call(x, 3), (order, bits)
+
+
+def test_constructor_and_crt_errors_name_the_reason():
+    with pytest.raises(ValueError, match=r"Q\(zeta_5\) needs 4 coefficients, got 3"):
+        CyclotomicNumber(5, (1, 2, 3))
+    with pytest.raises(ValueError, match="crt needs coprime moduli, got 4 and 6"):
+        crt([(1, 4), (3, 6)])
+    assert crt([(1, 4), (2, 9)]) == 29
+
+
 def test_embed_is_a_ring_map():
     z = CyclotomicNumber.root_of_unity(7)
     x = 1 + z * 2
@@ -166,9 +195,37 @@ def test_bernoulli_numbers_frozen_table():
         assert bernoulli_number(n) == v
     for n in [3, 5, 7, 9, 11]:
         assert bernoulli_number(n) == 0
+    with pytest.raises(ValueError):
+        bernoulli_number(-2)
 
 
-@pytest.mark.parametrize("bits", [64, 192, 320])
+def test_bernoulli_tangent_table_matches_the_fraction_recursion(monkeypatch):
+    # a fresh tangent table, asked out of order: it grows to 150, is read
+    # below its end, then grows in place to 250
+    monkeypatch.setattr(cyclo, "_tangent", [1])
+    monkeypatch.setattr(cyclo, "_tangent_col", [1])
+    bernoulli_number.cache_clear()
+    try:
+        first = {n: bernoulli_number(n) for n in (300, 10, 500)}
+        assert len(cyclo._tangent) == 250
+        # the O(n^2) recursion sum_{j <= n} C(n+1, j) B_j = 0 the table replaced
+        oracle = [Fraction(1)]
+        for n in range(1, 401):
+            oracle.append(-sum(comb(n + 1, j) * oracle[j] for j in range(n)) / (n + 1))
+        for n in range(401):
+            assert bernoulli_number(n) == oracle[n], n
+        assert first[300] == oracle[300] and first[10] == oracle[10]
+        # B_500: sign (-1)^(k-1) and the von Staudt-Clausen denominator
+        den = 1
+        for p in range(2, 502):
+            if is_prime(p) and 500 % (p - 1) == 0:
+                den *= p
+        assert first[500] < 0 and first[500].denominator == den
+    finally:
+        bernoulli_number.cache_clear()
+
+
+@pytest.mark.parametrize("bits", [64, 192, 320, 1600])
 def test_log_gamma_matches_mpmath(bits):
     ctx = PrecisionContext(bits=bits, tol_exp=-(bits - 20))
     pts = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(5, 7),

@@ -6,14 +6,16 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from fracgalois.cyclo import PrecisionContext, factorize
+from fracgalois.cyclo import (CyclotomicNumber, PrecisionContext, _power_table,
+                              euler_phi, factorize)
 from fracgalois.fields import (full_cyclotomic, make_field, place_set,
                                plus_field, relative_model, relative_place_set)
 from fracgalois.gring import GroupRingElement, characters, norm_element
-from fracgalois.lfun import (bernoulli_b1, character_conductor,
+from fracgalois.lfun import (_b1_sum, bernoulli_b1, character_conductor,
                              half_stickelberger, l_deriv_at_0,
                              l_deriv_primitive, l_value_at_0,
-                             partial_zeta_all, relative_l_deriv,
+                             partial_zeta_all, primitive_table,
+                             relative_l_deriv,
                              relative_l_value_at_0,
                              relative_partial_zeta_deriv, stickelberger,
                              stickelberger_classical,
@@ -92,6 +94,33 @@ def test_b1_and_l_values_quadratic_characters():
     assert bernoulli_b1(k4, chi4) == Fraction(-1, 2)
     v4 = l_value_at_0(k4, place_set(k4, (2,)), chi4)
     assert v4.is_rational() and v4.as_fraction() == Fraction(1, 2)
+
+
+def _b1_fraction_loop(f0, table, e):
+    """The Fraction-by-Fraction B_{1,chi} loop the integer weights replaced."""
+    phi = euler_phi(e)
+    tab = _power_table(e)
+    out = [Fraction(0)] * phi
+    for b, k in table.items():
+        w = Fraction(b, f0) - Fraction(1, 2) if f0 > 1 else Fraction(1, 2)
+        row = tab[k]
+        for j in range(phi):
+            if row[j]:
+                out[j] += w * row[j]
+    return CyclotomicNumber(e, out)
+
+
+@pytest.mark.parametrize("f", [5, 8, 12, 25, 121, 125, 169])
+def test_b1_sum_matches_the_fraction_loop(f):
+    model = full_cyclotomic(f)
+    conductors = set()
+    for chi in characters(model.group):
+        f0, table, e = primitive_table(model, chi)
+        conductors.add(f0)
+        ours = _b1_sum(f0, table, e)
+        oracle = _b1_fraction_loop(f0, table, e)
+        assert (ours.m, ours.c) == (oracle.m, oracle.c), (f0, table)
+    assert 1 in conductors and f in conductors
 
 
 def test_l_value_euler_factor_vanishes_at_split_prime():

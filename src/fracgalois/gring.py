@@ -208,13 +208,19 @@ def subgroup_as_group(f, residues):
 
 def subgroup_closure(elems, mul):
     """The subgroup of a finite group generated by the non-empty `elems`,
-    as a frozenset; `mul` is the group law."""
-    cur = frozenset(elems)
-    while True:
-        nxt = cur | {mul(a, b) for a in cur for b in cur}
-        if nxt == cur:
-            return cur
-        cur = nxt
+    as a frozenset; `mul` is the group law. The set is closed under the r
+    elements not yet reached when met: O(|H| r) products, not O(|H|^2)."""
+    closed, gens = set(), []
+    for s in elems:
+        if s not in closed:
+            gens.append(s)
+            todo = [s, *closed]  # the old elements still need the new generator
+            closed.add(s)
+            for a in todo:  # todo grows while it is read
+                new = {mul(a, t) for t in gens} - closed
+                closed |= new
+                todo += new
+    return frozenset(closed)
 
 
 @lru_cache(maxsize=None)
@@ -883,7 +889,6 @@ class FiniteGModule:
             raise ValueError(f"action matrix is not {k} x {k}")
         if validate:
             self._validate()
-        self._action_cache = {(0,) * len(self.action): intmat.identity_matrix(k)}
 
     # -- construction helpers
     @classmethod
@@ -895,15 +900,21 @@ class FiniteGModule:
         """(h_cols, pivot_rows): the HNF of the relations."""
         return intmat.hnf_columns(self.relations)
 
+    @cached_property
+    def _reducers(self):
+        """(p, pivot, nonzero entries) of each HNF column, bottom up."""
+        return [(p, col[p], [(i, x) for i, x in enumerate(col) if x])
+                for p, col in reversed(list(enumerate(self._hnf[0])))]
+
     def _reduce(self, v):
         """v reduced bottom up, entry p to a centered residue of the p-th HNF
         pivot: a unique representative of v modulo the relations."""
         v = list(v)
-        for p, col in reversed(list(enumerate(self._hnf[0]))):
-            q = (v[p] + col[p] // 2) // col[p]
+        for p, piv, col in self._reducers:
+            q = (v[p] + piv // 2) // piv
             if q:
-                for i in range(p + 1):
-                    v[i] -= q * col[i]
+                for i, x in col:
+                    v[i] -= q * x
         return v
 
     def _mod_relations(self, mat):
@@ -955,28 +966,51 @@ class FiniteGModule:
         _, d, _ = intmat.smith_normal_form(intmat.mat_transpose(self._hnf[0]))
         return tuple(abs(d[i][i]) for i in range(self.k) if abs(d[i][i]) > 1)
 
-    def action_of(self, elem):
-        """The k x k matrix of `elem` (product of generator powers): one step
-        along its last nonzero generator from the cached previous element."""
-        if elem not in self._action_cache:
-            last, prev = _step_back(elem)
-            self._action_cache[elem] = intmat.mat_mul(
-                self.action[last], self.action_of(prev))
-        return self._action_cache[elem]
+    @cached_property
+    def _generator_orbits(self):
+        """Orbits {x: A_x m mod L} of Z[G]-generators m of M, L the relations,
+        taken greedily among e_1, ..., e_k: e_j is skipped when it lies in
+        N = L + sum Z[G] m, whose HNF is retaken after 1, 2, 4, ... new m, until
+        N = Z^k. Orbits are walked along G by sparse steps A_last (A_prev m),
+        memoised on (last, A_prev m): a trivial action costs one step per m."""
+        g, k = self.group, self.k
+        sparse = [[[(j, x) for j, x in enumerate(r) if x] for r in mat] for mat in self.action]
+        walk = [(elem, *_step_back(elem)) for elem in g.elements[1:]]  # steps back first
+        steps, orbits, fresh = {}, [], []
+        n_cols, n_rows = self._hnf
+        for j in range(k):
+            if all(col[p] == 1 for col, p in zip(n_cols, n_rows)):
+                break
+            unit = [int(i == j) for i in range(k)]
+            if all(isinstance(x, int) for x in
+                   intmat.solve_upper_triangular(n_cols, n_rows, unit)):
+                continue
+            orbit = {g.identity: tuple(self._reduce(unit))}
+            for elem, last, prev in walk:
+                u = orbit[prev]
+                if (last, u) not in steps:
+                    steps[last, u] = tuple(self._reduce(
+                        [sum(x * u[t] for t, x in row) for row in sparse[last]]))
+                orbit[elem] = steps[last, u]
+            orbits.append(orbit)
+            fresh.extend(set(orbit.values()))
+            if len(orbits) & (len(orbits) - 1) == 0:  # 1, 2, 4, ... generators
+                n_cols, n_rows = intmat.hnf_columns(n_cols + fresh)
+                fresh = []
+        return orbits
 
     def annihilator(self):
         """ann_{Z[G]}(M) as a full-rank IdealLattice (den = 1 sublattice).
 
         With e the exponent of M and H the HNF of the relations, B = e H^-1 is
-        integral and alpha kills M iff B (sum_x alpha_x A_x) = 0 mod e. Read as
-        vectors indexed by x, the k^2 entries of B A_x have an HNF basis
-        w_1, ..., w_r (r <= n = |G|), and ann(M) is the alpha-part of the
-        kernel of (alpha, z) -> (w_s . alpha - e z_s)_s, whose columns are the
-        x-th entries of the w_s, then -e e_s. B A_x mod e is walked along G:
-        B kills the relations mod e and the A's commute modulo them, so
-        B A_x = (B A_prev) A_last.
-        Only the span of the entry vectors mod e matters, so zero and repeated
-        ones are dropped before the HNF.
+        integral and v is a relation iff B v = 0 mod e. For Z[G]-generators m
+        of M, alpha kills M iff B (sum_x alpha_x A_x m) = 0 mod e for each m.
+        Read as vectors indexed by x, the entries of the B A_x m mod e have an
+        HNF basis w_1, ..., w_r (r <= n = |G|), and ann(M) is the alpha-part of
+        the kernel of (alpha, z) -> (w_s . alpha - e z_s)_s, whose columns are
+        the x-th entries of the w_s, then -e e_s. B meets the distinct orbit
+        vectors in one product, which skips their zero entries; zero and
+        repeated entry vectors are dropped before the HNF.
         """
         g = self.group
         structure = self.structure()
@@ -989,13 +1023,12 @@ class FiniteGModule:
             intmat.solve_upper_triangular(
                 h_cols, pivot_rows, [e if i == j else 0 for i in range(k)])
             for j in range(k)])
-        walk = {g.identity: [[x % e for x in row] for row in b]}
-        for elem in g.elements[1:]:  # sorted: the step back is walked first
-            last, prev = _step_back(elem)
-            walk[elem] = [[x % e for x in row]
-                          for row in intmat.mat_mul(walk[prev], self.action[last])]
-        entries = zip(*([x for row in walk[elem] for x in row] for elem in g.elements))
-        w, _ = intmat.hnf_columns([v for v in set(entries) if any(v)])
+        orbits = self._generator_orbits
+        us = list({u for orbit in orbits for u in orbit.values()})
+        image = dict(zip(us, zip(*([x % e for x in row] for row in
+                                   intmat.mat_mul(b, intmat.mat_transpose(us))))))
+        entries = {v for orbit in orbits for v in zip(*(image[orbit[x]] for x in g.elements))}
+        w, _ = intmat.hnf_columns([v for v in entries if any(v)])
         minus_e = [[-e if s == t else 0 for s in range(len(w))] for t in range(len(w))]
         return IdealLattice._from_columns(
             g, 1, [col[:g.order] for col in intmat.kernel_basis([*zip(*w), *minus_e])])
@@ -1061,32 +1094,25 @@ class FiniteGModule:
 
     def ell_part(self, ell):
         """The ell-primary component, as a module on the same generators."""
-        if self.k == 0:
-            return self
-        order = self.order()
-        v = 0
-        while order % ell == 0:
-            order //= ell
-            v += 1
-        extra = ell ** v
+        order, extra = self.order(), 1
+        while order % (extra * ell) == 0:
+            extra *= ell
         h_cols, pivot_rows = intmat.hnf_columns(
             self._hnf[0] + [[extra if i == j else 0 for i in range(self.k)]
                             for j in range(self.k)])
-        # generators killed outright (unit-vector relation columns) can be
-        # dropped, keeping later Fitting-ideal minors tractable
+        # generators killed outright (unit-vector relation columns) are
+        # dropped, keeping later Fitting-ideal minors tractable; every other
+        # HNF column is 0 on their rows, so the rest is the part's HNF
         dead = {r for col, r in zip(h_cols, pivot_rows)
                 if col[r] == 1 and sum(map(abs, col)) == 1}
-        if dead:
-            keep = [i for i in range(self.k) if i not in dead]
-            rels = []
-            for col in h_cols:
-                sub = tuple(col[i] for i in keep)
-                if any(sub):
-                    rels.append(sub)
-            action = [tuple(tuple(m[i][j] for j in keep) for i in keep)
-                      for m in self.action]
-            return FiniteGModule(self.group, len(keep), rels, action)
-        return FiniteGModule(self.group, self.k, [tuple(c) for c in h_cols], self.action)
+        keep = [i for i in range(self.k) if i not in dead]
+        rels = [[col[i] for i in keep] for col, r in zip(h_cols, pivot_rows) if r not in dead]
+        # no checks: the action preserves L + ell^v Z^k (it preserves L and Z^k),
+        # what holds modulo L holds modulo it, and dead generators are 0 in it
+        part = FiniteGModule(self.group, len(keep), rels, [
+            [[m[i][j] for j in keep] for i in keep] for m in self.action], validate=False)
+        part._hnf = rels, list(range(len(keep)))
+        return part
 
     def __repr__(self):
         return f"FiniteGModule(k={self.k}, structure={self.structure()})"

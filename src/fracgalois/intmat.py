@@ -20,19 +20,18 @@ def identity_matrix(n):
 
 
 def mat_mul(a, b):
+    """The product a b, skipping the zero entries of both factors."""
     n, k = len(a), len(b)
-    assert k == 0 or len(a[0]) == k
+    if k and len(a[0]) != k:
+        raise ValueError(f"mat_mul: a has {len(a[0])} columns but b has {k} rows")
     m = len(b[0]) if k else 0
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            x = ai[t]
+    for ai, oi in zip(a, out):
+        for x, bt in zip(ai, b_rows):
             if x:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += x * bt[j]
+                for j, y in bt:
+                    oi[j] += x * y
     return out
 
 
@@ -234,12 +233,13 @@ def solve_upper_triangular(cols, pivot_rows, v):
     w = list(v)
     y = [0] * len(cols)
     for t in range(len(cols) - 1, -1, -1):
-        p = pivot_rows[t]
-        q = Fraction(w[p], cols[t][p])
-        y[t] = q.numerator if q.denominator == 1 else q
-        if q:
+        p, col = pivot_rows[t], cols[t]
+        if w[p]:
+            q = Fraction(w[p], col[p])
+            y[t] = q = q.numerator if q.denominator == 1 else q
             for rr in range(p + 1):
-                w[rr] -= y[t] * cols[t][rr]
+                if col[rr]:
+                    w[rr] -= q * col[rr]
     if any(w):
         return None
     return y

@@ -12,6 +12,7 @@ under a PrecisionContext.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import mpmath as mp
@@ -27,13 +28,16 @@ from .gring import Character, GroupRingElement, assemble, characters
 
 def character_conductor(model: FieldModel, chi: Character):
     """Smallest d | f such that chi factors through (Z/d)^x."""
-    f = model.f
-    for d in divisors(f):
-        kern = [model.group.element_of_residue(a) for a in range(1, f, d)
-                if gcd(a, f) == 1]
-        if chi.is_trivial_on(kern):
+    for d in divisors(model.f):
+        if chi.is_trivial_on(_units_one_mod(model.group, model.f, d)):
             return d
     raise AssertionError("unreachable: d = f always works")
+
+
+@lru_cache(maxsize=None)
+def _units_one_mod(group, f, d):
+    """The elements of `group` at the units a = 1 mod d of (Z/f)^x."""
+    return tuple(group.element_of_residue(a) for a in range(1, f, d) if gcd(a, f) == 1)
 
 
 def primitive_table(model: FieldModel, chi: Character):
@@ -42,37 +46,27 @@ def primitive_table(model: FieldModel, chi: Character):
     chi_0(b) = zeta_E ** table[b] for b coprime to the conductor f0; the
     exponent comes from chi at any lift of b that is prime to f.
     """
-    f = model.f
     f0 = character_conductor(model, chi)
-    e = model.group.exponent
-    if f0 == 1:
-        return 1, {1: 0}, e
-    table = {}
-    f_fact = factorize(f)
+    lifts = _lifts(model.group, model.f, f0) if f0 > 1 else ((1, model.group.identity),)
+    return f0, {b: chi.exp_at(x) for b, x in lifts}, model.group.exponent
+
+
+@lru_cache(maxsize=None)
+def _lifts(group, f, f0):
+    """(b, the element at a lift of b to (Z/f)^x) for b mod f0 prime to f0."""
+    lifts = []
     for b in range(1, f0):
         if gcd(b, f0) != 1:
             continue
-        congruences = []
-        for p, ee in f_fact:
-            q = p ** ee
-            c = _val(f0, p)
-            # lift b mod p^c into (Z/q)^x by reusing its small representative;
-            # primes away from f0 get 1, keeping the lift coprime to f
-            congruences.append((b % p ** c if c else 1, q))
-        a = crt(congruences)
+        # lift b mod p^c || f0 into (Z/p^ee)^x by reusing its small
+        # representative; primes away from f0 get 1, keeping it coprime to f
+        a = crt([(b % gcd(f0, p ** ee) if f0 % p == 0 else 1, p ** ee)
+                 for p, ee in factorize(f)])
         if gcd(a, f) != 1 or a % f0 != b:
             raise ArithmeticError(f"lift {a} of {b} mod {f0} is not a unit mod {f} "
                                   "in the class of b")
-        table[b] = chi.exp_at(model.group.element_of_residue(a % f))
-    return f0, table, e
-
-
-def _val(n, p):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+        lifts.append((b, group.element_of_residue(a % f)))
+    return tuple(lifts)
 
 
 def bernoulli_b1(model: FieldModel, chi: Character):

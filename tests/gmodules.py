@@ -1,8 +1,11 @@
 """Seeded finite Z[G]-modules shared by the group-ring and acceptance tests:
-direct sums of cyclic modules Z[G]/I with the regular action, and the same
-modules rewritten in a random unimodular basis."""
+direct sums of cyclic modules Z[G]/I with the regular action, the same
+modules rewritten in a random unimodular basis, the matrices of group
+elements, and an annihilator oracle by exhaustive search."""
 
+import itertools
 from fractions import Fraction
+from math import lcm
 
 from fracgalois import intmat
 from fracgalois.gring import FiniteGModule, GroupRingElement, IdealLattice
@@ -65,3 +68,46 @@ def conjugated(rng, mod):
         action.append([[x + y for x, y in zip(r, s)]
                        for r, s in zip(moved, intmat.mat_mul(rel, shift))])
     return FiniteGModule(mod.group, k, intmat.mat_transpose(rel), action)
+
+
+def action_of(mod, elem):
+    """The k x k matrix of the group element `elem` on `mod`: the product of
+    its generators' matrix powers."""
+    mat = intmat.identity_matrix(mod.k)
+    for a, x in zip(mod.action, elem):
+        for _ in range(x):
+            mat = intmat.mat_mul([list(r) for r in a], mat)
+    return mat
+
+
+def _oracle_annihilator(mod):
+    """Exhaustive annihilator: sweep every group-ring element with
+    coefficients mod the exponent of M, testing that it kills each
+    generator (hence, additively, all of M)."""
+    g = mod.group
+    n = g.order
+    k = mod.k
+    rel = [[col[i] for col in mod.relations] for i in range(k)]
+    u, d, _ = intmat.smith_normal_form(rel)
+    diag = [d[i][i] for i in range(k)]
+    exponent = 1
+    for di in diag:
+        exponent = lcm(exponent, abs(di))
+
+    def in_relations(vec):
+        for i in range(k):
+            w = sum(u[i][t] * vec[t] for t in range(k))
+            if w % diag[i]:
+                return False
+        return True
+
+    mats = [action_of(mod, e) for e in g.elements]
+    hits = [GroupRingElement.basis(g, e) * exponent for e in g.elements]
+    for coeffs in itertools.product(range(exponent), repeat=n):
+        if not any(coeffs):
+            continue
+        amat = [[sum(coeffs[t] * mats[t][i][j] for t in range(n))
+                 for j in range(k)] for i in range(k)]
+        if all(in_relations([amat[i][j] for i in range(k)]) for j in range(k)):
+            hits.append(GroupRingElement(g, [Fraction(c) for c in coeffs]))
+    return IdealLattice.from_generators(g, hits, close_under_group=False)

@@ -16,11 +16,9 @@ where the plus-field lattices are carried to H along the restriction
 isomorphism H -> G+; the two sides agree after localising at any odd prime.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction
-from math import lcm
 
 import mpmath as mp
 
@@ -36,7 +34,8 @@ from fracgalois.lfun import (half_stickelberger, l_value_at_0,
                              partial_zeta_all, vanishing_order)
 from fracgalois.units import (quotient_module, stark_module, stark_residuals,
                               sunit_group)
-from gmodules import conjugated, draw_ideals, module_from_ideals, random_ideal
+from gmodules import (_oracle_annihilator, conjugated, draw_ideals,
+                      module_from_ideals, random_ideal)
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)      # tol 2^-100 < 1e-30
 
@@ -302,39 +301,6 @@ def test_a7_relative_case():
 
 # ---------------------------------------------------------------------------
 # A8: seeded random modules vs exhaustive annihilator search
-
-def _oracle_annihilator(mod):
-    """Exhaustive annihilator: sweep every group-ring element with
-    coefficients mod the exponent of M, testing that it kills each
-    generator (hence, additively, all of M)."""
-    g = mod.group
-    n = g.order
-    k = mod.k
-    rel = [[col[i] for col in mod.relations] for i in range(k)]
-    u, d, _ = intmat.smith_normal_form(rel)
-    diag = [d[i][i] for i in range(k)]
-    exponent = 1
-    for di in diag:
-        exponent = lcm(exponent, abs(di))
-
-    def in_relations(vec):
-        for i in range(k):
-            w = sum(u[i][t] * vec[t] for t in range(k))
-            if w % diag[i]:
-                return False
-        return True
-
-    mats = [mod.action_of(e) for e in g.elements]
-    hits = [GroupRingElement.basis(g, e) * exponent for e in g.elements]
-    for coeffs in itertools.product(range(exponent), repeat=n):
-        if not any(coeffs):
-            continue
-        amat = [[sum(coeffs[t] * mats[t][i][j] for t in range(n))
-                 for j in range(k)] for i in range(k)]
-        if all(in_relations([amat[i][j] for i in range(k)]) for j in range(k)):
-            hits.append(GroupRingElement(g, [Fraction(c) for c in coeffs]))
-    return IdealLattice.from_generators(g, hits, close_under_group=False)
-
 
 def test_a8_annihilator_engine_vs_exhaustive_search():
     start = time.monotonic()

@@ -1,10 +1,12 @@
 """Group rings over finite abelian Galois groups: characters, idempotents,
 integral lattices of fractional ideals, and finite modules with a G-action."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +17,11 @@ from fracgalois.gring import (Character, FinAbGroup, FiniteGModule, GroupHom,
                               abelian_group, assemble, characters, det_qg,
                               galois_group, gmodule_span_equal, gre_inverse,
                               hom_by_residues, norm_element, plus_idempotent,
-                              span_membership, transport_character)
-from fracgalois.intmat import span_contains
-from gmodules import conjugated, draw_ideals, module_from_ideals
+                              span_membership, subgroup_closure,
+                              transport_character)
+from fracgalois.intmat import hnf_columns, span_contains
+from gmodules import (_oracle_annihilator, action_of, conjugated, draw_ideals,
+                      module_from_ideals)
 
 
 class CycGroupRingElement:
@@ -82,6 +86,18 @@ def test_galois_group_f5_is_cyclic_generated_by_2():
         x = g.mul(x, gen)
         labels.append(g.label(x))
     assert labels == [2, 4, 3, 1]
+
+
+def test_subgroup_closure_matches_closing_under_all_pairs():
+    rng = random.Random(1213)
+    for f in (8, 15, 125, 169):
+        units = [a for a in range(1, f) if gcd(a, f) == 1]
+        for size in (1, 2, 3, 7):
+            elems = rng.sample(units, min(size, len(units)))
+            cur = frozenset(elems)
+            while (nxt := cur | {a * b % f for a in cur for b in cur}) != cur:
+                cur = nxt
+            assert subgroup_closure(elems, lambda a, b: a * b % f) == cur
 
 
 def test_galois_group_f8_is_klein_four():
@@ -445,7 +461,7 @@ def _kills(mod, x, j):
         c = x.coeff(e)
         if not c:
             continue
-        mat = mod.action_of(e)
+        mat = action_of(mod, e)
         for i in range(k):
             vec[i] += int(c) * mat[i][j]
     from fracgalois.intmat import span_contains
@@ -687,3 +703,49 @@ def test_module_puts_its_relations_in_hnf_once(monkeypatch):
     fresh = FiniteGModule(g, mod.k, mod.relations, mod.action, validate=False)
     assert got == (fresh.structure(), fresh.order(), fresh.annihilator(),
                    fresh.fitting_ideal())
+
+
+def test_annihilator_of_a_trivial_action_is_augmentation_plus_two():
+    # (Z/2)^k with G acting trivially is the worst case of the generator
+    # walk: it needs r = k orbits, each a fixed point
+    for factors, k in (((55,), 56), ((2, 4), 5)):
+        g = abelian_group(factors)
+        ident = [[int(i == j) for j in range(k)] for i in range(k)]
+        mod = FiniteGModule(g, k, [[2 * x for x in col] for col in ident],
+                            [ident] * len(factors))
+        one = GroupRingElement.one(g)
+        expected = IdealLattice.from_generators(
+            g, [one * 2] + [GroupRingElement.basis(g, x) - one for x in g.elements[1:]])
+        assert mod.annihilator() == expected
+        assert len(mod._generator_orbits) == k
+
+
+def test_annihilator_from_two_generators_matches_exhaustive_search():
+    # F_2[C_2 x C_4] is local, so a sum of two cyclic modules of exponent 2
+    # needs two Z[G]-generators, also in a scrambled basis
+    rng = random.Random(4242)
+    g = abelian_group((2, 4))
+    mod = module_from_ideals(g, draw_ideals(rng, g, 2, 2))
+    for m in (mod, conjugated(rng, mod)):
+        assert len(m._generator_orbits) >= 2
+        assert m.annihilator() == _oracle_annihilator(m)
+
+
+def test_captured_unit_quotient_at_121_is_cyclic():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "ue_121.json"
+    doc = json.loads(path.read_text())
+    g = galois_group(121, frozenset({1, 120}))
+    mod = FiniteGModule(g, doc["k"], doc["relations"], doc["action"])
+    assert list(mod.structure()) == doc["structure"]
+    assert len(mod._generator_orbits) == 1
+
+
+def test_ell_part_is_built_on_its_own_hnf():
+    rng = random.Random(3131)
+    g = abelian_group((6,))
+    mod = conjugated(rng, module_from_ideals(g, draw_ideals(rng, g, 6, 2)))
+    parts = [mod.ell_part(ell) for ell in (2, 3)]
+    for part in parts:
+        assert part._hnf == hnf_columns(part.relations)
+        FiniteGModule(g, part.k, part.relations, part.action)  # passes every check
+    assert parts[0].order() * parts[1].order() == mod.order()

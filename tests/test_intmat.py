@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fracgalois.intmat import (content, det_int, hnf_columns, identity_matrix,
@@ -284,3 +285,16 @@ def test_span_predicates_and_content():
 def test_transpose_involution():
     a = [[1, 2, 3], [4, 5, 6]]
     assert mat_transpose(mat_transpose(a)) == a
+
+
+def test_mat_mul_skips_zeros_and_rejects_mismatched_shapes():
+    rng = random.Random(2024)
+    for _ in range(20):
+        n, k, m = (rng.randint(1, 5) for _ in range(3))
+        a = [[rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(k)] for _ in range(n)]
+        b = [[rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(m)] for _ in range(k)]
+        assert mat_mul(a, b) == [[sum(a[i][t] * b[t][j] for t in range(k))
+                                  for j in range(m)] for i in range(n)]
+    # a ValueError, not an assert, so it still fires under python -O
+    with pytest.raises(ValueError, match="a has 2 columns but b has 3 rows"):
+        mat_mul([[1, 2]], [[1], [2], [3]])

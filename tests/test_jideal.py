@@ -23,6 +23,7 @@ from fracgalois.lfun import (half_stickelberger, l_deriv_at_0,
                              partial_zeta_all, stickelberger)
 from fracgalois.units import (lambda_unit, quotient_module, stark_module,
                               sunit_group)
+from gmodules import action_of
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
 
@@ -70,7 +71,7 @@ def test_j_annihilator_against_exhaustive_box():
             c = x.coeff(elem)
             if not c:
                 continue
-            a = m.action_of(elem)
+            a = action_of(m, elem)
             if mat is None:
                 mat = [[int(c) * a[i][j] for j in range(m.k)] for i in range(m.k)]
             else:

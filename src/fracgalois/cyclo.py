@@ -192,6 +192,13 @@ def _power_table(m):
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _sparse_rows(m):
+    """The rows of _power_table(m) as tuples of their nonzero (j, x)."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x)
+                 for row in _power_table(m))
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 
@@ -229,16 +236,13 @@ class CyclotomicNumber:
             return self
         if big_m % self.m:
             raise ValueError("can only lift to a multiple modulus")
-        tab = _power_table(big_m)
+        rows = _sparse_rows(big_m)
         step = big_m // self.m
-        phi = euler_phi(big_m)
-        out = [Fraction(0)] * phi
+        out = [Fraction(0)] * euler_phi(big_m)
         for i, x in enumerate(self.c):
             if x:
-                row = tab[(i * step) % big_m]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += x * row[j]
+                for j, y in rows[(i * step) % big_m]:
+                    out[j] += x * y
         return CyclotomicNumber(big_m, out)
 
     def _common(self, other):
@@ -276,28 +280,23 @@ class CyclotomicNumber:
                     if y:
                         conv[i + j] += x * y
         out = list(conv[:phi])
-        tab = _power_table(a.m)
+        rows = _sparse_rows(a.m)
         for k in range(phi, 2 * phi - 1):
             if conv[k]:
-                row = tab[k]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += conv[k] * row[j]
+                for j, y in rows[k]:
+                    out[j] += conv[k] * y
         return CyclotomicNumber(a.m, out)
 
     __rmul__ = __mul__
 
     def mul_root(self, k):
         """Multiply by zeta_m^k (exponent shift through the power table)."""
-        tab = _power_table(self.m)
-        phi = len(self.c)
-        out = [Fraction(0)] * phi
+        rows = _sparse_rows(self.m)
+        out = [Fraction(0)] * len(self.c)
         for i, x in enumerate(self.c):
             if x:
-                row = tab[(i + k) % self.m]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += x * row[j]
+                for j, y in rows[(i + k) % self.m]:
+                    out[j] += x * y
         return CyclotomicNumber(self.m, out)
 
     def inverse(self):
@@ -324,15 +323,12 @@ class CyclotomicNumber:
         if len(r0) != 1:
             raise ArithmeticError(f"gcd with Phi_{self.m} is not a constant")
         inv_poly = [x / r0[0] for x in s0]
-        phi = euler_phi(self.m)
-        out = [Fraction(0)] * phi
-        tab = _power_table(self.m)
+        out = [Fraction(0)] * euler_phi(self.m)
+        rows = _sparse_rows(self.m)
         for i, x in enumerate(inv_poly):
             if x:
-                row = tab[i]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += x * row[j]
+                for j, y in rows[i]:
+                    out[j] += x * y
         return CyclotomicNumber(self.m, out)
 
     def __truediv__(self, other):
@@ -361,15 +357,12 @@ class CyclotomicNumber:
             raise ValueError(f"galois exponent {t} not invertible mod {self.m}")
         if self.m <= 2 or t == 1:
             return self
-        tab = _power_table(self.m)
-        phi = len(self.c)
-        out = [Fraction(0)] * phi
+        rows = _sparse_rows(self.m)
+        out = [Fraction(0)] * len(self.c)
         for i, x in enumerate(self.c):
             if x:
-                row = tab[(i * t) % self.m]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += x * row[j]
+                for j, y in rows[(i * t) % self.m]:
+                    out[j] += x * y
         return CyclotomicNumber(self.m, out)
 
     def conjugate(self):
@@ -508,10 +501,10 @@ def _log_gamma_guarded(x, prec):
     with mp.workprec(prec):
         shift_to = max(16, int(0.35 * prec) + 8)  # keeps the min term far below target
         n_shift = max(0, ceil(shift_to - x))
-        z = mp.mpf(x.numerator) / x.denominator + n_shift
+        a, F, W = x.numerator, x.denominator, prec + 24
+        z = mp.mpf(a) / F + n_shift
         val = (z - mp.mpf(1) / 2) * mp.log(z) - z + _half_log_2pi(prec)
-        F, W = x.denominator, prec + 24
-        A = x.numerator + n_shift * F
+        A = a + n_shift * F
         # num = F^(2j-1) 2^W, den = A^(2j-1): z^(1-2j) alone underflows W bits
         num, den = F << W, A
         target = 1 << (W - prec - 8)
@@ -530,8 +523,8 @@ def _log_gamma_guarded(x, prec):
             j += 1
         val += mp.ldexp(total, -W)
         # Gamma(x) = Gamma(x + N) / prod (x + k), and prod (x + k) = shift / F^N
-        shift = prod(x.numerator + k * x.denominator for k in range(n_shift))
-        return val - mp.log(mp.mpf(shift) / x.denominator ** n_shift)
+        shift = prod(range(a, A, F))
+        return val - mp.log(mp.mpf(shift) / F ** n_shift)
 
 
 def log_gamma(x, ctx):
@@ -556,7 +549,14 @@ def hurwitz_zeta_at0(x, k, ctx):
     if k == 0:
         return Fraction(1, 2) - x
     if k == 1:
-        with ctx.guard():
-            val = _log_gamma_guarded(x, mp.mp.prec) - _half_log_2pi(mp.mp.prec)
-        return ctx.final(val)
+        return _hurwitz_deriv_at0(x, ctx)
     raise ValueError("k must be 0 or 1")
+
+
+@lru_cache(maxsize=None)
+def _hurwitz_deriv_at0(x, ctx):
+    """log Gamma(x) - log(2 pi)/2 at ctx.bits, memoized on (x, ctx): every
+    character sum over b/f0 reads one value per argument and precision."""
+    with ctx.guard():
+        val = _log_gamma_guarded(x, mp.mp.prec) - _half_log_2pi(mp.mp.prec)
+    return ctx.final(val)

@@ -255,6 +255,13 @@ def _symbol_positions(f, p):
     return {c: i for i, c in enumerate(c for c in range(1, (f + 1) // 2) if c % p)}
 
 
+@lru_cache(maxsize=None)
+def _log_2_sin(c, f, prec):
+    """log(2 sin(pi c / f)) at prec bits, one evaluation per (c, f, prec)."""
+    with mp.workprec(prec):
+        return mp.log(2 * mp.sinpi(mp.mpf(c) / f))
+
+
 class SUnit:
     """Formal word (-1)^a * zeta_f^b * prod (1 - zeta_f^{a_i})^{e_i}, exact.
 
@@ -382,8 +389,7 @@ class SUnit:
         total = mp.mpf(0)
         for k, e in self.e.items():
             if isinstance(k, tuple):
-                x = mp.mpf((k[1] * t) % self.f) / self.f
-                total += e * mp.log(2 * mp.sinpi(x))
+                total += e * _log_2_sin(k[1] * t % self.f, self.f, mp.mp.prec)
         return total
 
     def expansion(self):

@@ -15,7 +15,7 @@ from itertools import combinations, product
 from math import comb, gcd, lcm, prod
 
 from .cyclo import (CyclotomicNumber, crt, euler_phi, factorize, poly_divexact,
-                    poly_mul, poly_sub, poly_trim, primitive_root, _power_table)
+                    poly_mul, poly_sub, poly_trim, primitive_root, _sparse_rows)
 from . import intmat
 
 
@@ -441,15 +441,12 @@ class GroupRingElement:
         for elem, x in zip(g.elements, self.c):
             if x:
                 acc[chi.exp_at(elem)] += x
-        phi = euler_phi(e)
-        tab = _power_table(e)
-        out = [Fraction(0)] * phi
+        rows = _sparse_rows(e)
+        out = [Fraction(0)] * euler_phi(e)
         for k, x in enumerate(acc):
             if x:
-                row = tab[k]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += x * row[j]
+                for j, y in rows[k]:
+                    out[j] += x * y
         return CyclotomicNumber(e, out)
 
     def project(self, hom):
@@ -755,10 +752,13 @@ class IdealLattice:
             return IdealLattice._from_columns(
                 g, self.den * alpha.denominator,
                 [[x * alpha.numerator for x in col] for col in self.cols])
-        gre_inverse(alpha)  # raises with a witness if not invertible
         d, (a,) = _clear_denominators([alpha])
-        return IdealLattice._from_columns(
-            g, self.den * d, [_convolve(g, a, col) for col in self.cols])
+        cols = [_convolve(g, a, col) for col in self.cols]
+        try:
+            return IdealLattice._from_columns(g, self.den * d, cols)
+        except ValueError:
+            gre_inverse(alpha)  # alpha L has lower rank: raises naming a killing chi
+            raise
 
     def add(self, other):
         assert other.group == self.group
@@ -962,8 +962,15 @@ class FiniteGModule:
     def _structure(self):
         if self.k == 0:
             return ()
+        cols = self._hnf[0]
+        if all(x == 0 for j, col in enumerate(cols) for i, x in enumerate(col) if i != j):
+            d = [col[j] for j, col in enumerate(cols)]
+            for i in range(self.k):  # Z/a + Z/b = Z/gcd + Z/lcm: d_i | d_j after row i
+                for j in range(i + 1, self.k):
+                    d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+            return tuple(x for x in d if x > 1)
         # the SNF of the HNF: an SNF of the raw relations can blow its entries up
-        _, d, _ = intmat.smith_normal_form(intmat.mat_transpose(self._hnf[0]))
+        _, d, _ = intmat.smith_normal_form(intmat.mat_transpose(cols))
         return tuple(abs(d[i][i]) for i in range(self.k) if abs(d[i][i]) > 1)
 
     @cached_property

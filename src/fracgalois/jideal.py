@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .cyclo import factorize
+from .cyclo import _root_table, factorize
 from .fields import (RelativeModel, make_field, place_set, plus_field,
                      full_cyclotomic, relative_model, relative_place_set,
                      torsion_order)
@@ -164,7 +164,7 @@ def _log_eps_element(model, pset, ctx):
 def _char_value_numeric(chi, elem, ctx):
     """chi(elem) as a complex number."""
     with ctx.guard():
-        return mp.expjpi(mp.mpf(2 * chi.exp_at(elem)) / chi.group.exponent)
+        return _root_table(chi.group.exponent, mp.mp.prec)[chi.exp_at(elem)]
 
 
 def i_f_and_regulator(model, pset, twist, ctx, units=None):

@@ -17,7 +17,7 @@ from math import gcd
 
 import mpmath as mp
 
-from .cyclo import (CyclotomicNumber, _power_table, _root_table, crt, divisors,
+from .cyclo import (CyclotomicNumber, _root_table, _sparse_rows, crt, divisors,
                     euler_phi, factorize, hurwitz_zeta_at0)
 from .fields import FieldModel, PlaceSet, RelativeModel, make_field, place_set
 from .gring import Character, GroupRingElement, assemble, characters
@@ -85,10 +85,10 @@ def _b1_sum(f0, table, e):
     weights = {}
     for b, k in table.items():
         weights[k] = weights.get(k, 0) + 2 * b - f0
-    tab = _power_table(e)
+    rows = _sparse_rows(e)
     out = [0] * euler_phi(e)
     for k, w in weights.items():
-        for j, x in enumerate(tab[k]):
+        for j, x in rows[k]:
             out[j] += w * x
     return CyclotomicNumber(e, [Fraction(x, 2 * f0) for x in out])
 
@@ -324,11 +324,11 @@ def relative_partial_zeta_deriv(model: RelativeModel, ctx):
     e = h.exponent
     out = {}
     with ctx.guard():
+        roots = _root_table(e, mp.mp.prec)
         for sigma in h.elements:
             total = mp.mpc(0)
             for chi, lv in lvals.items():
-                k = chi.exp_at(sigma)
-                total += mp.expjpi(mp.mpf(-2 * k) / e) * lv
+                total += roots[-chi.exp_at(sigma) % e] * lv
             total /= h.order
             if abs(mp.im(total)) >= mp.mpf(2) ** (-ctx.bits // 2):
                 raise ArithmeticError("partial zeta derivative is not real: imaginary "

@@ -267,6 +267,25 @@ def test_log_gamma_repeated_call_returns_the_identical_mpf():
     assert log_gamma(x, CTX) == log_gamma(Fraction(10, 46), CTX)
 
 
+def test_hurwitz_derivative_memo_is_keyed_on_the_context():
+    x = Fraction(7, 31)
+    for order in ((192, 768), (768, 192)):
+        cyclo._hurwitz_deriv_at0.cache_clear()
+        cyclo._log_gamma_guarded.cache_clear()
+        for bits in order:
+            ctx = PrecisionContext(bits=bits, tol_exp=-(bits - 20))
+            ours = hurwitz_zeta_at0(x, 1, ctx)
+            assert hurwitz_zeta_at0(Fraction(14, 62), 1, ctx) is ours
+            with ctx.guard():
+                # the unmemoized route, bit for bit
+                direct = (cyclo._log_gamma_guarded(x, mp.mp.prec)
+                          - cyclo._half_log_2pi(mp.mp.prec))
+            assert ours == ctx.final(direct), (order, bits)
+            with mp.workprec(bits):
+                theirs = mp.loggamma(mp.mpf(7) / 31) - mp.log(2 * mp.pi) / 2
+                assert abs(ours - theirs) < mp.mpf(2) ** -(bits - 6), (order, bits)
+
+
 def test_hurwitz_zeta_at0_exact_value():
     assert hurwitz_zeta_at0(Fraction(2, 7), 0, CTX) == Fraction(1, 2) - Fraction(2, 7)
     assert hurwitz_zeta_at0(1, 0, CTX) == Fraction(-1, 2)

@@ -7,6 +7,7 @@ from math import gcd
 import mpmath as mp
 import pytest
 
+from fracgalois import fields
 from fracgalois.cyclo import PrecisionContext, factorize
 from fracgalois.fields import (SUnit, finite_ord, full_cyclotomic, log_norms,
                                make_field, place_set, plus_field,
@@ -226,3 +227,27 @@ def test_log_abs_matches_expansion_embedding():
                 t = rng.choice([t for t in range(1, f) if gcd(t, f) == 1])
                 ref = mp.log(abs(w.expansion().embed(t)))
                 assert abs(w.log_abs(t) - ref) < mp.mpf(2) ** -740
+
+
+def _log_abs_per_call(w, t):
+    """The per-symbol log(2 sin) sum that log_abs's memo replaced."""
+    total = mp.mpf(0)
+    for k, e in w.e.items():
+        if isinstance(k, tuple):
+            total += e * mp.log(2 * mp.sinpi(mp.mpf((k[1] * t) % w.f) / w.f))
+    return total
+
+
+def test_log_abs_reads_one_log_sine_per_precision():
+    rng = random.Random(11)
+    cases = []
+    for f in (23, 121, 125):
+        for _ in range(6):
+            t = rng.choice([t for t in range(1, f) if gcd(t, f) == 1])
+            cases.append((_random_word(rng, f), t))
+    for order in ((768, 192), (192, 768)):
+        fields._log_2_sin.cache_clear()
+        for bits in order:
+            with mp.workprec(bits):
+                for w, t in cases:
+                    assert w.log_abs(t) == _log_abs_per_call(w, t), (order, bits, w, t)

@@ -19,6 +19,7 @@ from fracgalois.gring import (Character, FinAbGroup, FiniteGModule, GroupHom,
                               hom_by_residues, norm_element, plus_idempotent,
                               span_membership, subgroup_closure,
                               transport_character)
+from fracgalois import intmat
 from fracgalois.intmat import hnf_columns, span_contains
 from gmodules import (_oracle_annihilator, action_of, conjugated, draw_ideals,
                       module_from_ideals)
@@ -332,6 +333,14 @@ def test_lattice_scale_and_covolume():
     assert scaled.scale(gre_inverse(u)) == unit
 
 
+def test_lattice_scale_by_a_zero_divisor_names_the_character():
+    g = galois_group(5)
+    unit = IdealLattice.unit_ideal(g)
+    killed = norm_element(g) - GroupRingElement.one(g) * 4   # trivial chi: 4 - 4
+    with pytest.raises(ZeroDivisionError, match=r"not invertible: chi=.* kills it"):
+        unit.scale(killed)
+
+
 def test_lattice_algebra():
     g = galois_group(5, frozenset({1, 4}))
     one = GroupRingElement.one(g)
@@ -638,6 +647,19 @@ def test_ell_part_extracts_primary_component():
     two = mod.ell_part(2)
     assert two.order() == 2
     assert mod.ell_part(5).order() == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_structure_of_a_diagonal_hnf_matches_smith_normal_form(seed):
+    # entries share factors (2, 3, 5), so the gcd/lcm sweep has to split them
+    rng = random.Random(seed)
+    k = rng.randint(1, 9)
+    diag = [rng.choice([1, 2, 3, 4, 5, 6, 9, 10, 12, 15, 18, 30]) for _ in range(k)]
+    rels = [tuple(d if i == j else 0 for i in range(k)) for j, d in enumerate(diag)]
+    g = abelian_group((2,))
+    mod = FiniteGModule(g, k, rels, [intmat.identity_matrix(k)])
+    _, d, _ = intmat.smith_normal_form([list(r) for r in rels])
+    assert mod.structure() == tuple(d[i][i] for i in range(k) if d[i][i] > 1)
 
 
 def test_ell_part_minimizes_presentation():

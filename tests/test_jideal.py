@@ -14,7 +14,8 @@ from fracgalois.fields import (full_cyclotomic, make_field, place_set,
                                plus_field, relative_model, relative_place_set)
 from fracgalois.gring import (GroupHom, GroupRingElement, IdealLattice,
                               characters)
-from fracgalois.jideal import (CHECK_IDS, _default_pset, _mu_ell_annihilator,
+from fracgalois.jideal import (CHECK_IDS, _char_value_numeric, _default_pset,
+                               _mu_ell_annihilator,
                                _unit_quotient, i_f_and_regulator,
                                j_base_case, j_full_cyclotomic, j_via_theorem,
                                load_classgroup, run_check, shipped_classgroup,
@@ -30,6 +31,18 @@ CTX = PrecisionContext(bits=192, tol_exp=-100)
 
 # ---------------------------------------------------------------------------
 # constructions
+
+def test_char_value_numeric_reads_the_root_table_exactly():
+    for model in (full_cyclotomic(25), relative_model(11)):
+        g = model.group
+        for bits in (192, 768):
+            ctx = PrecisionContext(bits=bits, tol_exp=-(bits - 20))
+            for chi in characters(g):
+                for elem in g.elements:
+                    with ctx.guard():
+                        expect = mp.expjpi(mp.mpf(2 * chi.exp_at(elem)) / g.exponent)
+                    assert _char_value_numeric(chi, elem, ctx) == expect
+
 
 def test_torsion_orders():
     assert torsion_order(full_cyclotomic(5)) == 10

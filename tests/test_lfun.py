@@ -261,3 +261,21 @@ def test_relative_derivative_routes_agree():
                 assembled += chi.value(e).embed(1) * zder[e]
             factored = relative_l_deriv(m, chi, CTX)
             assert abs(assembled - factored) < mp.mpf(2) ** -140
+
+
+@pytest.mark.parametrize("bits", [192, 768])
+def test_relative_partial_zeta_deriv_reads_the_root_table(bits):
+    # the per-(sigma, chi) expjpi(-2k/e) sum that the root table replaced
+    ctx = PrecisionContext(bits=bits, tol_exp=-(bits - 20))
+    m = relative_model(23)
+    h = m.group
+    e = h.exponent
+    lvals = {chi: relative_l_deriv(m, chi, ctx) for chi in characters(h)}
+    ours = relative_partial_zeta_deriv(m, ctx)
+    with ctx.guard():
+        for sigma in h.elements:
+            total = mp.mpc(0)
+            for chi, lv in lvals.items():
+                total += mp.expjpi(mp.mpf(-2 * chi.exp_at(sigma)) / e) * lv
+            ref = mp.re(total / h.order)
+            assert abs(ours[sigma] - ref) < mp.mpf(2) ** -(bits - 8), h.label(sigma)

@@ -299,47 +299,9 @@ class CyclotomicNumber:
                     out[j] += x * y
         return CyclotomicNumber(self.m, out)
 
-    def inverse(self):
-        """Multiplicative inverse via extended Euclid against Phi_m."""
-        if self.is_zero():
-            raise ZeroDivisionError("cyclotomic zero")
-
-        # invariant: r_k = s_k * self (mod Phi_m); Phi_m irreducible so the
-        # last nonzero remainder is a constant.
-        r0 = poly_trim([Fraction(x) for x in cyclotomic_polynomial(self.m)])
-        r1 = poly_trim(list(self.c))
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q = [Fraction(0)] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
-            rem = list(r0)
-            for i in range(len(q) - 1, -1, -1):
-                c = rem[i + len(r1) - 1] / r1[-1]
-                q[i] = c
-                if c:
-                    for j, y in enumerate(r1):
-                        rem[i + j] -= c * y
-            r0, r1 = r1, poly_trim(rem)
-            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-        if len(r0) != 1:
-            raise ArithmeticError(f"gcd with Phi_{self.m} is not a constant")
-        inv_poly = [x / r0[0] for x in s0]
-        out = [Fraction(0)] * euler_phi(self.m)
-        rows = _sparse_rows(self.m)
-        for i, x in enumerate(inv_poly):
-            if x:
-                for j, y in rows[i]:
-                    out[j] += x * y
-        return CyclotomicNumber(self.m, out)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        a, b = self._common(other)
-        return a * b.inverse()
-
     def __pow__(self, n):
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("CyclotomicNumber powers need n >= 0")
         out = CyclotomicNumber.rational(1)
         base = self
         while n:

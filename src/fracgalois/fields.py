@@ -11,6 +11,7 @@ keeps the subgroup H of squares as the acting group Gal(K/k).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -400,9 +401,15 @@ class SUnit:
                     base = CyclotomicNumber.rational(-1)
                 elif k == "z":
                     base = CyclotomicNumber.root_of_unity(self.f, 1)
-                else:
+                elif v > 0:
                     base = 1 - CyclotomicNumber.root_of_unity(self.f, k[1])
-                val = val * (base ** v)
+                else:
+                    # 1 / (1 - x) = -(1/q) sum_{j<q} j x^j for x^q = 1 != x
+                    q = self.f // gcd(k[1], self.f)
+                    base = sum((CyclotomicNumber.root_of_unity(self.f, k[1] * j)
+                                * Fraction(-j, q) for j in range(1, q)),
+                               CyclotomicNumber.zero(self.f))
+                val = val * (base ** abs(v))
             self._exp = val.lift(self.f) if self.f > 2 else val
         return self._exp
 

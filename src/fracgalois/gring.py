@@ -570,26 +570,46 @@ def _equivariance_witness(group, vals, m_all):
 
 
 def det_qg(rows, group):
-    """Determinant of a square matrix over Q[G].
+    """Determinant of a square matrix over Q[G], G = C_{d_1} x ... x C_{d_r}.
 
-    1 x 1 and 2 x 2 matrices are expanded directly. Larger ones over cyclic
-    groups go through fraction-free elimination in Z[x] folded mod x^n - 1;
-    over products of cyclics, through per-character determinants.
+    The entries, cleared of denominators, are packed into Z[x] by the ring
+    map t_i -> x^{w_i} (Kronecker substitution), eliminated there by
+    `_det_poly`, and folded back mod t_i^{d_i} - 1 (see `_kronecker`).
     """
     k = len(rows)
-    for r in rows:
-        assert len(r) == k
-    if k == 1:
-        return rows[0][0]
-    if k == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if len(group.invariant_factors) <= 1:
-        return _det_cyclic(rows, group, k)
-    vals = {}
-    for chi in characters(group):
-        mat = [[entry.apply_character(chi) for entry in row] for row in rows]
-        vals[chi] = _cyc_det(mat)
-    return assemble(group, vals)
+    if any(len(r) != k for r in rows):
+        raise ValueError(f"det_qg needs a square matrix, got {k} rows of "
+                         f"lengths {[len(r) for r in rows]}")
+    packed, fold = _kronecker(group, k)
+    den, vecs = _clear_denominators([e for row in rows for e in row])
+    polys = []
+    for vec in vecs:
+        p = [0] * (packed[-1] + 1)  # the last element packs to the top degree
+        for e, x in zip(packed, vec):
+            p[e] = x
+        polys.append(poly_trim(p))
+    folded = [0] * group.order
+    for e, x in enumerate(_det_poly([polys[i * k:(i + 1) * k] for i in range(k)], k)):
+        if x:
+            folded[fold[e]] += x
+    return GroupRingElement(group, [Fraction(x, den ** k) for x in folded])
+
+
+@lru_cache(maxsize=None)
+def _kronecker(group, k):
+    """(packed, fold) for k x k determinants over group: the exponent of x
+    each element packs to, and the element index each exponent of the packed
+    determinant folds back to. With w_1 = 1 and w_{i+1} = w_i (k (d_i - 1) + 1),
+    the packing is injective on polynomials of degree <= k (d_i - 1) in each
+    t_i, a bound the determinant keeps; exponent e is read back by its digits
+    (e // w_i) % (k (d_i - 1) + 1), each reduced mod d_i."""
+    dims = group.invariant_factors
+    bases = [k * (d - 1) + 1 for d in dims]
+    weights = [prod(bases[:i]) for i in range(len(dims))]
+    packed = [sum(w * x for w, x in zip(weights, elem)) for elem in group.elements]
+    fold = [group.index(tuple(e // w % b % d for w, b, d in zip(weights, bases, dims)))
+            for e in range(prod(bases))]
+    return packed, fold
 
 
 def _det_poly(m, k):
@@ -614,56 +634,23 @@ def _det_poly(m, k):
     return [x * -1 for x in d] if sign < 0 else d
 
 
-def _det_cyclic(rows, group, k):
-    """det over Q[C_n]: clear denominators, eliminate in Z[x], fold mod x^n - 1."""
-    n = group.order
-    den, vecs = _clear_denominators([e for row in rows for e in row])
-    m = [[poly_trim(vecs[i * k + j]) for j in range(k)] for i in range(k)]
-    d = _det_poly(m, k)
-    folded = [0] * n
-    for i, x in enumerate(d):
-        if x:
-            folded[i % n] += x
-    unscale = Fraction(1, den ** k)
-    return GroupRingElement(group, [x * unscale for x in folded])
-
-
-def _cyc_det(mat):
-    n = len(mat)
-    det = CyclotomicNumber.rational(1)
-    sign = 1
-    m = [row[:] for row in mat]
-    for kcol in range(n):
-        piv = None
-        for i in range(kcol, n):
-            if not m[i][kcol].is_zero():
-                piv = i
-                break
-        if piv is None:
-            return CyclotomicNumber.rational(0)
-        if piv != kcol:
-            m[kcol], m[piv] = m[piv], m[kcol]
-            sign = -sign
-        pval = m[kcol][kcol]
-        det = det * pval
-        pinv = pval.inverse()
-        for i in range(kcol + 1, n):
-            if not m[i][kcol].is_zero():
-                factor = m[i][kcol] * pinv
-                for j in range(kcol, n):
-                    m[i][j] = m[i][j] - factor * m[kcol][j]
-    return det * sign if sign < 0 else det
-
-
 def gre_inverse(x):
-    """Inverse of x in Q[G]; error names a character vanishing on x."""
-    vals = {}
-    for chi in characters(x.group):
-        v = x.apply_character(chi)
-        if v.is_zero():
-            raise ZeroDivisionError(f"not invertible: chi={chi.exps} kills it")
-        vals[chi] = v.inverse()
-    return assemble(x.group, vals)
+    """Inverse of x in Q[G] by one integer solve: with d x integral and
+    column j of M the coefficients of (d x) g_j, M y = det e_1 gives
+    x^-1 = d y / det. A singular M is explained by a character vanishing
+    on x, which the error names."""
+    g = x.group
+    d, (a,) = _clear_denominators([x])
+    m = [[0] * g.order for _ in range(g.order)]
+    for i, pi in enumerate(_perm_table(g)):
+        for j, t in enumerate(pi):
+            m[t][j] = a[i]  # (d x) g_j has coefficient a_i at elements[i] g_j
+    # e_1 is the identity, elements[0]
+    det, y = intmat.solve_fraction_free(m, [[1] + [0] * (g.order - 1)])
+    if det == 0:
+        chi = next(chi for chi in characters(g) if x.apply_character(chi).is_zero())
+        raise ZeroDivisionError(f"not invertible: chi={chi.exps} kills it")
+    return GroupRingElement(g, [Fraction(d * c, det) for c in y[0]])
 
 
 # ---------------------------------------------------------------------------

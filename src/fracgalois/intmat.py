@@ -4,9 +4,10 @@ Everything here is over Z or Q (``fractions.Fraction``), no floats. A
 lattice is given by a list of generator columns (lists or tuples of equal
 length): `column_echelon`, `hnf_columns`, `kernel_basis`, `span_contains` and
 `span_equal` take that list, never a matrix. Matrix algebra (`mat_mul`,
-`smith_normal_form`, `det_int`) works on row-major lists of lists. The column
-Hermite normal form is the canonicalizer for lattices: upper triangular,
-positive pivots, entries to the right of a pivot reduced into [0, pivot).
+`smith_normal_form`, the matrix of `solve_fraction_free`) works on row-major
+lists of lists. The column Hermite normal form is the canonicalizer for
+lattices: upper triangular, positive pivots, entries to the right of a pivot
+reduced into [0, pivot).
 """
 
 from __future__ import annotations
@@ -201,28 +202,31 @@ def smith_normal_form(a):
     return u, d, v
 
 
-def det_int(a):
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+def solve_fraction_free(a, b_cols):
+    """(det, x_cols) with a x = det b and det the determinant of the square
+    integer matrix a, for the right-hand-side columns b_cols: fraction-free
+    Gauss-Jordan elimination (Bareiss), every entry a minor of [a | b].
+    A singular a gives (0, None)."""
     n = len(a)
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    m = [list(row) + [col[i] for col in b_cols] for i, row in enumerate(a)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        mk = m[k]
+        pk = mk[k]
+        for i in range(n):
+            if i != k:
+                mi, c = m[i], m[i][k]
+                m[i] = ([(x * pk - c * y) // prev for x, y in zip(mi, mk)] if c
+                        else [x * pk // prev for x in mi])
+        prev = pk
+    # the rows are now (prev e_i | r_i), and P a r = prev P b for the row swaps P
+    return sign * prev, [[sign * row[n + j] for row in m] for j in range(len(b_cols))]
 
 
 def solve_upper_triangular(cols, pivot_rows, v):

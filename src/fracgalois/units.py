@@ -20,7 +20,7 @@ from .fields import (PlaceSet, RelativeModel, SUnit, log_norms, make_field,
                      odd_prime_power, place_set, relative_model,
                      relative_place_set, torsion_order)
 from .gring import FiniteGModule
-from .intmat import hnf_columns
+from .intmat import hnf_columns, identity_matrix, solve_fraction_free
 from .lfun import half_stickelberger
 
 # prime powers with totally-real cyclotomic class number one (small range;
@@ -165,32 +165,17 @@ class CoordinateError(ValueError):
     pass
 
 
-def _scaled_inverse(a):
-    """(d, r) with a r = d I for a nonsingular square integer matrix a, by
-    fraction-free Gauss-Jordan elimination (Bareiss); d = +-det(a)."""
-    n = len(a)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    prev = 1
-    for k in range(n):
-        piv = next(i for i in range(k, n) if m[i][k])
-        m[k], m[piv] = m[piv], m[k]
-        mk = m[k]
-        for i in range(n):
-            if i != k:
-                mi, c = m[i], m[i][k]
-                m[i] = [(x * mk[k] - c * y) // prev for x, y in zip(mi, mk)]
-        prev = mk[k]
-    return prev, [row[n:] for row in m]
-
-
 def _coordinate_solver(lattice):
-    """Everything a word's solve needs, computed once per lattice: B, the
-    rows where it has full rank, the scaled inverse of B on those rows, the
-    free generators' torsion exponents and the lattice's torsion exponent."""
+    """Everything a word's solve needs, computed once per lattice: the rows
+    where B has full rank, the columns of a scaled inverse inv of B on those
+    rows (B[rows] inv = d I), the rows of B outside them, the free
+    generators' torsion exponents and the lattice's torsion exponent."""
     b, rows = _free_matrix(lattice)
-    d, inv = _scaled_inverse([b[i] for i in rows])
+    d, inv = solve_fraction_free([b[i] for i in rows], identity_matrix(len(rows)))
+    picked = set(rows)
+    others = [(brow, i) for i, brow in enumerate(b) if i not in picked]
     free_t = [w.normal_form()[0] for w in lattice.free]
-    return b, rows, d, inv, free_t, lattice.torsion.normal_form()[0]
+    return rows, d, inv, others, free_t, lattice.torsion.normal_form()[0]
 
 
 def unit_coordinates(lattice: UnitLattice, word: SUnit, ctx, *, _cache=None):
@@ -204,11 +189,15 @@ def unit_coordinates(lattice: UnitLattice, word: SUnit, ctx, *, _cache=None):
     cache = _cache if _cache is not None else {}
     if "solver" not in cache:
         cache["solver"] = _coordinate_solver(lattice)
-    b, rows, d, inv, free_t, tors_t = cache["solver"]
+    rows, d, inv, others, free_t, tors_t = cache["solver"]
     t, v = word.normal_form()
-    y = [sum(c * v[i] for c, i in zip(row, rows)) for row in inv]
-    if any(sum(c * x for c, x in zip(brow, y)) != d * vi
-           for brow, vi in zip(b, v)):
+    # y = inv v[rows] from the few nonzero entries of v; B y = d v holds on
+    # rows by construction, so only the other rows are checked
+    y = [0] * len(rows)
+    for col, i in zip(inv, rows):
+        if v[i]:
+            y = [a + v[i] * c for a, c in zip(y, col)]
+    if any(sum(c * x for c, x in zip(brow, y)) != d * v[i] for brow, i in others):
         raise CoordinateError("the word is outside the rational span of the "
                               "free generators: no power of it is in the lattice")
     for x in y:

@@ -3,8 +3,9 @@ integral lattices of fractional ideals, and finite modules with a G-action."""
 
 import json
 import random
+from ast import literal_eval
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, gcd
 from pathlib import Path
 
@@ -240,6 +241,38 @@ def test_gre_inverse_and_failure_names_character():
     with pytest.raises((ValueError, ZeroDivisionError)) as exc:
         gre_inverse(n - GroupRingElement.one(g) * 4)  # trivial character kills it
     assert "chi" in str(exc.value)
+
+
+def test_gre_inverse_on_products_of_cyclics_and_its_witness():
+    """x * x^-1 = 1 on cyclic groups, products of cyclics and a Galois group
+    of order 30; a singular x is refused naming a character that kills it."""
+    from fracgalois.fields import plus_field
+    rng = random.Random(14)
+    groups = [abelian_group((n,)) for n in range(1, 13)]
+    groups += [abelian_group(d) for d in ((2, 2), (2, 4), (2, 2, 2))]
+    groups.append(plus_field(61).group)
+    for g in groups:
+        one = GroupRingElement.one(g)
+        for _ in range(3):
+            x = GroupRingElement(g, [Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3]))
+                                     for _ in range(g.order)])
+            try:
+                y = gre_inverse(x)
+            except ZeroDivisionError:
+                continue
+            assert x * y == one and y * x == one
+        if g.order == 1:
+            continue
+        # (1 + s) for s of order 2 is killed by the characters with chi(s) = -1,
+        # (s - 1) by those trivial on s
+        s = next((e for e in g.elements[1:] if g.mul(e, e) == g.identity), g.elements[1])
+        sign = 1 if g.mul(s, s) == g.identity else -1
+        x = GroupRingElement(g, [rng.randint(1, 9) for _ in range(g.order)]) * (
+            GroupRingElement.basis(g, s) + one * sign)
+        with pytest.raises(ZeroDivisionError, match="not invertible") as exc:
+            gre_inverse(x)
+        exps = literal_eval(str(exc.value).split("chi=")[1].split(" kills")[0])
+        assert x.apply_character(Character(g, exps)).is_zero()
 
 
 def test_norm_and_plus_idempotent():
@@ -599,10 +632,23 @@ def test_fitting_ideal_without_unit_entries_matches_full_minor_enumeration():
         one * 4, (s - one) * 2, (t - one) * 2, (s - one) * (t - one)])
 
 
+def leibniz_det(rows, g):
+    """det over Q[G] as the signed sum over permutations of products of
+    entries: no elimination, no characters."""
+    k = len(rows)
+    total = GroupRingElement.zero(g)
+    for perm in permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(k), 2))
+        term = GroupRingElement.one(g) * (-1) ** inversions
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
 def test_det_qg_agrees_with_per_character_determinants():
-    # the cyclic fast path (elimination in Z[x]) must produce the same
-    # element the character transform defines: chi(det) = det(chi(entries))
-    from fracgalois.gring import _cyc_det, det_qg
+    # the packed elimination in Z[x] must produce the element the Leibniz
+    # expansion defines, so chi(det) = det(chi(entries)) for every chi
     rng = random.Random(411)
 
     def random_matrix(g, k):
@@ -613,22 +659,18 @@ def test_det_qg_agrees_with_per_character_determinants():
     for g in (abelian_group((6,)), abelian_group((2, 4))):
         for k in (1, 2, 3):
             rows = random_matrix(g, k)
-            d = det_qg(rows, g)
-            for chi in characters(g):
-                want = _cyc_det([[e.apply_character(chi) for e in row]
-                                 for row in rows])
-                assert d.apply_character(chi) == want
-    # 1 x 1 and 2 x 2 matrices are expanded directly: over C_2 x C_4 the
-    # result must be the element the per-character determinants define
+            assert det_qg(rows, g) == leibniz_det(rows, g)
+    # 1 x 1 and 2 x 2 matrices over C_2 x C_4, and k = 4 over a product of
+    # three factors and one of two non-trivial chains
     g = abelian_group((2, 4))
     for k in (1, 2):
         for _ in range(6):
             rows = random_matrix(g, k)
-            want = assemble(g, {chi: _cyc_det([[e.apply_character(chi) for e in row]
-                                               for row in rows])
-                                for chi in characters(g)})
-            assert det_qg(rows, g) == want
-    # multiplicativity and triangular product, on the cyclic path
+            assert det_qg(rows, g) == leibniz_det(rows, g)
+    for g in (abelian_group((2, 2, 2)), abelian_group((3, 6))):
+        rows = random_matrix(g, 4)
+        assert det_qg(rows, g) == leibniz_det(rows, g)
+    # multiplicativity and triangular product, on a cyclic group
     g = abelian_group((6,))
     a, b = random_matrix(g, 2), random_matrix(g, 2)
     ab = [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)]
@@ -637,6 +679,13 @@ def test_det_qg_agrees_with_per_character_determinants():
     t = random_matrix(g, 3)
     t[1][0] = t[2][0] = t[2][1] = GroupRingElement.zero(g)
     assert det_qg(t, g) == t[0][0] * t[1][1] * t[2][2]
+
+
+def test_det_qg_refuses_a_non_square_matrix():
+    g = abelian_group((3,))
+    one = GroupRingElement.one(g)
+    with pytest.raises(ValueError, match="square matrix, got 2 rows of lengths \\[2, 1\\]"):
+        det_qg([[one, one], [one]], g)
 
 
 def test_ell_part_extracts_primary_component():

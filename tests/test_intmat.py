@@ -8,10 +8,11 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fracgalois.intmat import (content, det_int, hnf_columns, identity_matrix,
+from fracgalois.intmat import (content, hnf_columns, identity_matrix,
                                kernel_basis, mat_mul, mat_transpose,
-                               smith_normal_form, solve_upper_triangular,
-                               span_contains, span_equal)
+                               smith_normal_form, solve_fraction_free,
+                               solve_upper_triangular, span_contains,
+                               span_equal)
 from fracgalois.gring import (FiniteGModule, GroupRingElement, IdealLattice,
                               abelian_group)
 
@@ -173,12 +174,43 @@ def test_kernel_basis_spans_the_kernel():
     assert _check_kernel_basis(rng, full_column_rank, 2) == []
 
 
-def test_det_int_matches_cofactor_expansion():
+def _check_fraction_free(a, b_cols):
+    det, x_cols = solve_fraction_free(a, b_cols)
+    assert det == naive_det(a)
+    if det == 0:
+        assert x_cols is None
+    else:
+        assert mat_mul(a, mat_transpose(x_cols)) == [[det * x for x in row]
+                                                    for row in mat_transpose(b_cols)]
+    return det
+
+
+def test_solve_fraction_free_matches_cofactor_expansion():
+    """det is the exact determinant, sign included, and a x = det b."""
     rng = random.Random(5)
     for _ in range(20):
         n = rng.randint(1, 5)
         a = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(n)]
-        assert det_int(a) == naive_det(a)
+        b = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+        _check_fraction_free(a, b)
+    # sparse matrices, singular ones included, against the identity columns
+    rng = random.Random(7)
+    singular = 0
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        a = [[rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in range(n)]
+             for _ in range(n)]
+        singular += _check_fraction_free(a, identity_matrix(n)) == 0
+    assert singular
+    # odd and even numbers of row swaps: the sign of the determinant is tracked
+    assert _check_fraction_free([[0, 1], [1, 0]], [[1, 0]]) == -1
+    assert _check_fraction_free([[0, 0, 2], [0, 3, 0], [5, 0, 0]], identity_matrix(3)) == -30
+    assert _check_fraction_free([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                                identity_matrix(4)) == 1
+    perm = [[int(j == (i + 1) % 4) for j in range(4)] for i in range(4)]  # a 4-cycle
+    assert _check_fraction_free(perm, [[1, 2, 3, 4]]) == -1
+    assert solve_fraction_free([[1, 2], [2, 4]], [[1, 0]]) == (0, None)
+    assert solve_fraction_free([], [[]]) == (1, [[]])
 
 
 def cramer_coordinates(base, v):
@@ -188,10 +220,10 @@ def cramer_coordinates(base, v):
     m = len(base)
     for rows in combinations(range(len(v)), m):
         a = [[col[i] for col in base] for i in rows]
-        d = det_int(a)
+        d = naive_det(a)
         if d:
             break
-    c = [Fraction(det_int([row[:j] + [v[i]] + row[j + 1:]
+    c = [Fraction(naive_det([row[:j] + [v[i]] + row[j + 1:]
                            for row, i in zip(a, rows)]), d) for j in range(m)]
     if any(sum(cj * col[i] for cj, col in zip(c, base)) != x
            for i, x in enumerate(v)):
@@ -208,7 +240,7 @@ def rank_deficient_spans(draw):
     m = draw(st.integers(1, 3))
     square = draw(st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m),
                            min_size=m, max_size=m))
-    assume(det_int(square) != 0)
+    assume(naive_det(square) != 0)
     rows = [list(r) for r in square]
     for _ in range(draw(st.integers(1, 3))):
         coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows),

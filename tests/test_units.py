@@ -2,7 +2,6 @@
 unit-file interchange format."""
 
 import json
-import random
 import sys
 
 import mpmath as mp
@@ -12,12 +11,11 @@ from fracgalois.cyclo import PrecisionContext, factorize
 from fracgalois.fields import (SUnit, finite_ord, full_cyclotomic, place_set,
                                plus_field, relative_model, relative_place_set)
 from fracgalois.gring import GroupRingElement, IdealLattice
-from fracgalois.intmat import det_int, mat_mul
 from fracgalois.units import (KNOWN_HPLUS_ONE, CoordinateError, UnitLattice,
-                              _scaled_inverse, cyclotomic_unit, export_units,
-                              lambda_unit, load_units, quotient_module,
-                              stark_module, stark_residuals, stark_unit,
-                              sunit_group, unit_coordinates)
+                              cyclotomic_unit, export_units, lambda_unit,
+                              load_units, quotient_module, stark_module,
+                              stark_residuals, stark_unit, sunit_group,
+                              unit_coordinates)
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
 
@@ -120,23 +118,6 @@ def test_coordinate_errors_name_the_cause():
     # zeta is a unit of Q(zeta_7), but the plus field's torsion is only +-1
     with pytest.raises(CoordinateError, match="root of unity"):
         unit_coordinates(u, SUnit.zeta(7), CTX)
-
-
-def test_scaled_inverse_against_determinant():
-    rng = random.Random(7)
-    done = 0
-    while done < 30:
-        n = rng.randint(1, 6)
-        a = [[rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in range(n)]
-             for _ in range(n)]
-        det = det_int(a)
-        if det == 0:
-            continue
-        d, r = _scaled_inverse(a)
-        assert abs(d) == abs(det)
-        assert mat_mul(a, r) == [[d * (i == j) for j in range(n)]
-                                 for i in range(n)]
-        done += 1
 
 
 # ---------------------------------------------------------------------------

@@ -185,15 +185,20 @@ def _check_fraction_free(a, b_cols):
     return det
 
 
-def test_solve_fraction_free_matches_cofactor_expansion():
-    """det is the exact determinant, sign included, and a x = det b."""
+def test_det_int_matches_cofactor_expansion():
+    """The determinant that solve_fraction_free returns is the exact one,
+    sign included, and a x = det b for random right-hand sides."""
     rng = random.Random(5)
     for _ in range(20):
         n = rng.randint(1, 5)
         a = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(n)]
         b = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(rng.randint(1, 2))]
         _check_fraction_free(a, b)
-    # sparse matrices, singular ones included, against the identity columns
+
+
+def test_solve_fraction_free_matches_cofactor_expansion():
+    """Singular systems and row swaps: (0, None) for a singular a, and the
+    sign of the determinant follows the parity of the swaps."""
     rng = random.Random(7)
     singular = 0
     for _ in range(60):
@@ -202,7 +207,6 @@ def test_solve_fraction_free_matches_cofactor_expansion():
              for _ in range(n)]
         singular += _check_fraction_free(a, identity_matrix(n)) == 0
     assert singular
-    # odd and even numbers of row swaps: the sign of the determinant is tracked
     assert _check_fraction_free([[0, 1], [1, 0]], [[1, 0]]) == -1
     assert _check_fraction_free([[0, 0, 2], [0, 3, 0], [5, 0, 0]], identity_matrix(3)) == -30
     assert _check_fraction_free([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],

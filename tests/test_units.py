@@ -2,6 +2,7 @@
 unit-file interchange format."""
 
 import json
+import random
 import sys
 
 import mpmath as mp
@@ -11,11 +12,14 @@ from fracgalois.cyclo import PrecisionContext, factorize
 from fracgalois.fields import (SUnit, finite_ord, full_cyclotomic, place_set,
                                plus_field, relative_model, relative_place_set)
 from fracgalois.gring import GroupRingElement, IdealLattice
+from fracgalois.intmat import (identity_matrix, mat_mul, mat_transpose,
+                               solve_fraction_free)
 from fracgalois.units import (KNOWN_HPLUS_ONE, CoordinateError, UnitLattice,
                               cyclotomic_unit, export_units, lambda_unit,
                               load_units, quotient_module, stark_module,
                               stark_residuals, stark_unit, sunit_group,
                               unit_coordinates)
+from test_intmat import naive_det
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
 
@@ -118,6 +122,25 @@ def test_coordinate_errors_name_the_cause():
     # zeta is a unit of Q(zeta_7), but the plus field's torsion is only +-1
     with pytest.raises(CoordinateError, match="root of unity"):
         unit_coordinates(u, SUnit.zeta(7), CTX)
+
+
+def test_scaled_inverse_against_determinant():
+    """The scaled inverse that the coordinate solve uses: a r = d I with
+    d = det(a), on sparse matrices like the rows of a free-generator matrix."""
+    rng = random.Random(7)
+    done = 0
+    while done < 30:
+        n = rng.randint(1, 6)
+        a = [[rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in range(n)]
+             for _ in range(n)]
+        det = naive_det(a)
+        if det == 0:
+            continue
+        d, r_cols = solve_fraction_free(a, identity_matrix(n))
+        assert d == det
+        assert mat_mul(a, mat_transpose(r_cols)) == [
+            [d * (i == j) for j in range(n)] for i in range(n)]
+        done += 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,10 @@ content (a timestamp) lives in the `meta` block, so identical configuration
 and inputs reproduce the report byte for byte outside `meta`.
 """
 
-from __future__ import annotations
-
-import argparse
-import datetime
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+import time
 
 import mpmath as mp
 
@@ -45,24 +41,23 @@ COMPUTE_OBJECTS = ("theta", "half_theta", "lvalues", "rvec", "jideal",
 LOG2_10 = math.log2(10)
 
 
-@dataclass
+# RunConfig fields and their defaults
+_DEFAULTS = {"command": None, "object": None, "suite": (), "conductor": None,
+             "prime": None, "level": 1, "subfield": "full", "places": None,
+             "bits": 192,
+             "tol_exp": -30,       # decimal exponent: tolerance is 10**tol_exp
+             "provider": "builtin", "input_path": None, "output_path": None,
+             "seed": 0}
+
+
 class RunConfig:
     """Everything a run depends on; a report embeds it verbatim."""
 
-    command: str
-    object: str | None = None
-    suite: tuple = ()
-    conductor: int | None = None
-    prime: int | None = None
-    level: int = 1
-    subfield: str = "full"
-    places: tuple | None = None
-    bits: int = 192
-    tol_exp: int = -30          # decimal exponent: tolerance is 10**tol_exp
-    provider: str = "builtin"
-    input_path: str | None = None
-    output_path: str | None = None
-    seed: int = 0
+    __slots__ = tuple(_DEFAULTS)
+
+    def __init__(self, command, **fields):
+        for name, value in {**_DEFAULTS, **fields, "command": command}.items():
+            setattr(self, name, value)      # __slots__ refuses an unknown field
 
     def context(self):
         """Precision context at `bits` with tolerance 10**tol_exp (converted
@@ -73,7 +68,7 @@ class RunConfig:
                                 tol_exp=math.floor(self.tol_exp * LOG2_10))
 
     def as_dict(self):
-        d = asdict(self)
+        d = {name: getattr(self, name) for name in self.__slots__}
         d["suite"] = list(self.suite)
         d["places"] = None if self.places is None else list(self.places)
         return d
@@ -360,79 +355,93 @@ def cmd_export(cfg):
 # ---------------------------------------------------------------------------
 # plumbing
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--conductor", "-f", type=int, default=None,
-                        help="conductor of the ambient cyclotomic field")
-    common.add_argument("--prime", "-p", type=int, default=None,
-                        help="prime p for prime-power conductors")
-    common.add_argument("--level", "-n", type=int, default=1,
-                        help="level n: conductor p**n (default 1)")
-    common.add_argument("--subfield", default="full",
-                        help="full | plus | relative | custom:<residues>")
-    common.add_argument("--places", default=None,
-                        help="comma-separated finite S-primes "
-                             "(default: primes dividing the conductor)")
-    common.add_argument("--bits", type=int, default=192,
-                        help="working precision in bits (default 192)")
-    common.add_argument("--tol-exp", type=int, default=-30, dest="tol_exp",
-                        help="numeric tolerance 10**TOL_EXP (default -30)")
-    common.add_argument("--provider", default="builtin",
-                        choices=("builtin", "file"),
-                        help="S-unit source (default builtin)")
-    common.add_argument("--in", dest="input_path", default=None,
-                        help="input document (units or class-group JSON)")
-    common.add_argument("--out", dest="output_path", default=None,
-                        help="where to write the report / exported document")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks (recorded in reports)")
+COMMANDS = {"compute": "compute one OBJECT and report it",
+            "verify": "run named checks; exit 0 iff all pass",
+            "ingest": "validate and accept a units/class-group document",
+            "export": "write the S-unit document for a field"}
 
-    parser = argparse.ArgumentParser(
-        prog="fracgalois",
-        description="Exact fractional-ideal computations for abelian fields "
-                    "at s = 0, with a verification suite.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    pc = sub.add_parser("compute", parents=[common],
-                        help="compute one object and report it")
-    pc.add_argument("object", choices=COMPUTE_OBJECTS)
-    pv = sub.add_parser("verify", parents=[common],
-                        help="run named checks; exit 0 iff all pass")
-    pv.add_argument("--suite", required=True,
-                    help="comma-separated check ids: " + ", ".join(CHECK_IDS))
-    sub.add_parser("ingest", parents=[common],
-                   help="validate and accept a units/class-group document")
-    sub.add_parser("export", parents=[common],
-                   help="write the S-unit document for a field")
-    return parser
+# flags, RunConfig field, converter, allowed values (None: any), help.
+# Every option takes exactly one value; a repeated option keeps the last.
+OPTIONS = (
+    (("--conductor", "-f"), "conductor", int, None, "conductor of the cyclotomic field"),
+    (("--prime", "-p"), "prime", int, None, "prime p for prime-power conductors"),
+    (("--level", "-n"), "level", int, None, "level n: conductor p**n (default 1)"),
+    (("--subfield",), "subfield", str, None,
+     "full | plus | relative | custom:<residues> (default full)"),
+    (("--places",), "places", lambda text: tuple(int(q) for q in text.split(",")), None,
+     "comma-separated finite S-primes (default: primes dividing the conductor)"),
+    (("--bits",), "bits", int, None, "working precision in bits (default 192)"),
+    (("--tol-exp",), "tol_exp", int, None, "numeric tolerance 10**TOL_EXP (default -30)"),
+    (("--provider",), "provider", str, ("builtin", "file"),
+     "S-unit source (default builtin)"),
+    (("--in",), "input_path", str, None, "input document (units or class-group JSON)"),
+    (("--out",), "output_path", str, None, "where to write the report or the export"),
+    (("--seed",), "seed", int, None, "seed for randomized checks (recorded in reports)"),
+    (("--suite",), "suite",
+     lambda text: tuple(s.strip().upper() for s in text.split(",") if s.strip()), None,
+     "comma-separated check ids; required by verify, refused elsewhere"),
+)
 
 
-def _config_from_args(args):
-    suite = ()
-    if getattr(args, "suite", None):
-        suite = tuple(s.strip().upper() for s in args.suite.split(",") if s.strip())
-    places = None
-    if args.places is not None:
-        places = tuple(int(q) for q in args.places.split(","))
-    return RunConfig(command=args.command,
-                     object=getattr(args, "object", None),
-                     suite=suite,
-                     conductor=args.conductor,
-                     prime=args.prime,
-                     level=args.level,
-                     subfield=args.subfield,
-                     places=places,
-                     bits=args.bits,
-                     tol_exp=args.tol_exp,
-                     provider=args.provider,
-                     input_path=args.input_path,
-                     output_path=args.output_path,
-                     seed=args.seed)
+def usage():
+    """The -h text, from COMMANDS, COMPUTE_OBJECTS, OPTIONS and CHECK_IDS."""
+    lines = ["usage: fracgalois COMMAND [OBJECT] [OPTION VALUE ...]", "", "commands:"]
+    lines += [f"  {name:9} {text}" for name, text in COMMANDS.items()]
+    lines += ["", "objects of compute: " + ", ".join(COMPUTE_OBJECTS), "",
+              "options, each as --name VALUE, --name=VALUE or -x VALUE:"]
+    for flags, _, _, choices, text in OPTIONS:
+        lines.append(f"  {', '.join(flags):17} {text}"
+                     + (f"; one of {', '.join(choices)}" if choices else ""))
+    lines += ["", "checks: " + ", ".join(CHECK_IDS), "",
+              "exit codes: 0 success, 1 a check failed, 2 usage or data error"]
+    return "\n".join(lines)
+
+
+def parse_args(argv):
+    """The RunConfig of a command line; a usage error raises ValueError
+    naming the offending token."""
+    if not argv or argv[0] not in COMMANDS:
+        raise ValueError(f"unknown command {argv[0] if argv else ''!r}; "
+                         f"choose from {', '.join(COMMANDS)}")
+    by_flag = {flag: row for row in OPTIONS for flag in row[0]}
+    command, positional, fields = argv[0], [], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positional.append(token)
+            continue
+        flag, eq, value = token.partition("=") if token[:2] == "--" else (token, "", "")
+        if flag not in by_flag:
+            raise ValueError(f"unknown option {flag!r}")
+        if not eq:      # the next token is the value, even if it starts with -
+            value = next(tokens, None)
+            if value is None:
+                raise ValueError(f"option {flag} needs a value")
+        _, name, convert, choices, _ = by_flag[flag]
+        if choices is not None and value not in choices:
+            raise ValueError(f"option {flag}: invalid choice {value!r}; "
+                             f"choose from {', '.join(choices)}")
+        try:
+            fields[name] = convert(value)
+        except ValueError:
+            raise ValueError(f"option {flag}: invalid value {value!r}") from None
+    if command == "compute":
+        fields["object"] = positional.pop(0) if positional else None
+        if fields["object"] not in COMPUTE_OBJECTS:
+            raise ValueError(f"compute needs one OBJECT of {', '.join(COMPUTE_OBJECTS)}; "
+                             f"got {fields['object']!r}")
+    if positional:
+        raise ValueError(f"unexpected argument {positional[0]!r}")
+    if ("suite" in fields) != (command == "verify"):
+        raise ValueError("option --suite is required by verify and refused elsewhere")
+    return RunConfig(command, **fields)
 
 
 def _emit(doc, cfg, stream):
-    doc = {"meta": {"generated_at":
-                    datetime.datetime.now(datetime.timezone.utc).isoformat(),
-                    "tool": "fracgalois"},
+    seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    stamp += f".{micros:06d}+00:00"
+    doc = {"meta": {"generated_at": stamp, "tool": "fracgalois"},
            "config": cfg.as_dict(),
            **doc}
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -445,29 +454,22 @@ def _emit(doc, cfg, stream):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(usage())
+        return 0
     try:
-        if cfg.command == "compute":
-            doc = cmd_compute(cfg)
-            _emit(doc, cfg, sys.stdout)
+        cfg = parse_args(argv)
+        if cfg.command != "verify":
+            handlers = {"compute": cmd_compute, "ingest": cmd_ingest, "export": cmd_export}
+            _emit(handlers[cfg.command](cfg), cfg, sys.stdout)
             return 0
-        if cfg.command == "verify":
-            doc, lines, code = cmd_verify(cfg)
-            for line in lines:
-                print(line)
-            if cfg.output_path is not None:
-                _emit(doc, cfg, sys.stdout)
-            return code
-        if cfg.command == "ingest":
-            doc = cmd_ingest(cfg)
+        doc, lines, code = cmd_verify(cfg)
+        for line in lines:
+            print(line)
+        if cfg.output_path is not None:
             _emit(doc, cfg, sys.stdout)
-            return 0
-        if cfg.command == "export":
-            doc = cmd_export(cfg)
-            _emit(doc, cfg, sys.stdout)
-            return 0
-        raise ValueError(f"unknown command {cfg.command!r}")
+        return code
     except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,9 +8,6 @@ the mpmath working precision and the comparison tolerance; internally we
 carry guard bits and round once at the end.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, gcd, inf, prod
@@ -210,7 +207,7 @@ class CyclotomicNumber:
 
     def __init__(self, m, coeffs):
         phi = euler_phi(m)
-        c = tuple(Fraction(x) for x in coeffs)
+        c = tuple(x if type(x) is Fraction else Fraction(x) for x in coeffs)
         if len(c) != phi:
             raise ValueError(f"Q(zeta_{m}) needs {phi} coefficients, got {len(c)}")
         self.m = m
@@ -378,18 +375,25 @@ def _root_table(m, prec):
 # ---------------------------------------------------------------------------
 # precision context and special functions
 
-@dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision (bits) and comparison tolerance 2**tol_exp."""
+    """Working precision (bits) and comparison tolerance 2**tol_exp; equal
+    and hashed on (bits, tol_exp), so it can key memos."""
 
-    bits: int = 192
-    tol_exp: int = -100
+    __slots__ = ("bits", "tol_exp")
 
-    def __post_init__(self):
-        if self.bits < 64:
+    def __init__(self, bits=192, tol_exp=-100):
+        if bits < 64:
             raise ValueError("need at least 64 bits")
-        if self.tol_exp >= 0 or -self.tol_exp > self.bits - 16:
+        if tol_exp >= 0 or -tol_exp > bits - 16:
             raise ValueError("tolerance must be negative and leave headroom below the precision")
+        self.bits, self.tol_exp = bits, tol_exp
+
+    def __eq__(self, other):
+        return (type(other) is PrecisionContext
+                and (self.bits, self.tol_exp) == (other.bits, other.tol_exp))
+
+    def __hash__(self):
+        return hash((self.bits, self.tol_exp))
 
     def guard(self):
         return mp.workprec(self.bits + GUARD_BITS)

@@ -10,7 +10,6 @@ keeps the subgroup H of squares as the acting group Gal(K/k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -19,20 +18,27 @@ import mpmath as mp
 
 from .cyclo import (CyclotomicNumber, crt, divisors, euler_phi, factorize,
                     is_prime)
-from .gring import FinAbGroup, galois_group, subgroup_as_group, subgroup_closure
+from .gring import galois_group, subgroup_as_group, subgroup_closure
 
 
 # ---------------------------------------------------------------------------
 # field models
 
-@dataclass(frozen=True)
 class FieldModel:
-    """Subfield of Q(zeta_f) cut out by a kernel subgroup of (Z/f)^x."""
+    """Subfield of Q(zeta_f) cut out by a kernel subgroup of (Z/f)^x; equal
+    and hashed on (f, kernel)."""
 
-    f: int
-    kernel: frozenset
-    group: FinAbGroup = field(compare=False)
-    conductor: int = field(compare=False)
+    __slots__ = ("f", "kernel", "group", "conductor")
+
+    def __init__(self, f, kernel, group, conductor):
+        self.f, self.kernel, self.group, self.conductor = f, kernel, group, conductor
+
+    def __eq__(self, other):
+        return (type(other) is FieldModel
+                and (self.f, self.kernel) == (other.f, other.kernel))
+
+    def __hash__(self):
+        return hash((self.f, self.kernel))
 
     @property
     def degree(self):
@@ -83,14 +89,20 @@ def plus_field(f):
     return make_field(f, frozenset({1, f - 1}))
 
 
-@dataclass(frozen=True)
 class RelativeModel:
     """K = Q(zeta_{p^n}) over k = Q(sqrt(-p)) for p = 3 mod 4; the acting
-    group is H = Gal(K/k) = squares in (Z/p^n)^x."""
+    group is H = Gal(K/k) = squares in (Z/p^n)^x.  Equal and hashed on (p, n)."""
 
-    p: int
-    n: int
-    group: FinAbGroup = field(compare=False)
+    __slots__ = ("p", "n", "group")
+
+    def __init__(self, p, n, group):
+        self.p, self.n, self.group = p, n, group
+
+    def __eq__(self, other):
+        return type(other) is RelativeModel and (self.p, self.n) == (other.p, other.n)
+
+    def __hash__(self):
+        return hash((self.p, self.n))
 
     @property
     def f(self):
@@ -123,17 +135,19 @@ def torsion_order(model):
 # ---------------------------------------------------------------------------
 # places
 
-@dataclass(frozen=True)
 class PlaceData:
-    label: str
-    archimedean: bool
-    q: int | None                      # rational prime below (finite places)
-    decomposition: frozenset           # subgroup of the acting group
-    inertia: frozenset | None
-    cosets: tuple                      # cosets = places above, ordered
-    nw: int | None                     # residue field size
-    pi_over_w: int | None              # e(pi / w): full-cyclotomic ord -> w-ord
-    complex_place: bool
+    """A place v of S: `q` the rational prime below (finite places), `cosets`
+    the places above v in order, `nw` the residue field size and `pi_over_w`
+    e(pi / w), which turns full-cyclotomic ord into w-ord."""
+
+    __slots__ = ("label", "archimedean", "q", "decomposition", "inertia",
+                 "cosets", "nw", "pi_over_w", "complex_place")
+
+    def __init__(self, label, archimedean, q, decomposition, inertia, cosets,
+                 nw, pi_over_w, complex_place):
+        self.label, self.archimedean, self.q = label, archimedean, q
+        self.decomposition, self.inertia, self.cosets = decomposition, inertia, cosets
+        self.nw, self.pi_over_w, self.complex_place = nw, pi_over_w, complex_place
 
 
 class PlaceSet:

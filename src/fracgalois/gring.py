@@ -358,8 +358,9 @@ class GroupRingElement:
 
     def __init__(self, group, coeffs):
         self.group = group
-        c = tuple(Fraction(x) for x in coeffs)
-        assert len(c) == group.order
+        c = tuple(x if type(x) is Fraction else Fraction(x) for x in coeffs)
+        if len(c) != group.order:
+            raise ValueError(f"Q[G] needs {group.order} coefficients, got {len(c)}")
         self.c = c
 
     @classmethod
@@ -502,8 +503,9 @@ def _convolve(group, a, b):
 def _clear_denominators(elems):
     """(d, vecs): the lcm d of the denominators of the group-ring elements
     `elems` and the integer coefficient vectors of d * x."""
-    d = lcm(1, *(x.denominator() for x in elems))
-    return d, [[c.numerator * (d // c.denominator) for c in x.c] for x in elems]
+    ratios = [[c.as_integer_ratio() for c in x.c] for x in elems]
+    d = lcm(1, *(q for v in ratios for _, q in v))
+    return d, [[a * (d // q) for a, q in v] for v in ratios]
 
 
 def norm_element(group):

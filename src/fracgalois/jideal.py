@@ -9,11 +9,8 @@
 run_check exposes the named structural identities with exact witnesses.
 """
 
-from __future__ import annotations
-
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
@@ -32,22 +29,23 @@ from .units import (conjugate_logs, json_object, quotient_module,
                     stark_module, stark_residuals, stark_unit, sunit_group)
 
 
-@dataclass
 class JResult:
-    route: str
-    model: object
-    ideal: IdealLattice | None
-    numeric: dict = field(default_factory=dict)
-    details: dict = field(default_factory=dict)
-    assumptions: tuple = ()
+    """The ideal J of one route (None for the base cases), with its numeric
+    values, exact details and assumptions."""
+
+    __slots__ = ("route", "model", "ideal", "numeric", "details", "assumptions")
+
+    def __init__(self, route, model, ideal, numeric, details, assumptions=()):
+        self.route, self.model, self.ideal = route, model, ideal
+        self.numeric, self.details, self.assumptions = numeric, details, assumptions
 
 
-@dataclass
 class CheckReport:
-    check: str
-    status: str              # pass / fail / error
-    witnesses: dict
-    context: dict
+    __slots__ = ("check", "status", "witnesses", "context")
+
+    def __init__(self, check, status, witnesses, context):
+        self.check, self.status = check, status      # pass / fail / error
+        self.witnesses, self.context = witnesses, context
 
     @property
     def passed(self):
@@ -89,7 +87,7 @@ def _unit_quotient(model, pset, ctx, units=None):
 
 
 def _j_result(route, model, ideal, u, m):
-    return JResult(route, model, ideal,
+    return JResult(route, model, ideal, {},
                    details={"quotient_order": m.order(),
                             "quotient_structure": list(m.structure()),
                             "e": torsion_order(model)},

@@ -13,10 +13,9 @@ point enters only through the Stark residuals, which are transcendental.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import gcd
 
-from .fields import (PlaceSet, RelativeModel, SUnit, log_norms, make_field,
+from .fields import (RelativeModel, SUnit, log_norms, make_field,
                      odd_prime_power, place_set, relative_model,
                      relative_place_set, torsion_order)
 from .gring import FiniteGModule
@@ -29,17 +28,17 @@ KNOWN_HPLUS_ONE = {3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41,
                    43, 47, 49, 53, 59, 61, 81, 121, 125, 169}
 
 
-@dataclass
 class UnitLattice:
     """Torsion generator + free generators of a finite-index S-unit group."""
 
-    model: object                # FieldModel or RelativeModel
-    pset: PlaceSet
-    torsion_order: int
-    torsion: SUnit
-    free: tuple
-    provider: str
-    assumptions: tuple
+    __slots__ = ("model", "pset", "torsion_order", "torsion", "free",
+                 "provider", "assumptions")
+
+    def __init__(self, model, pset, torsion_order, torsion, free, provider,
+                 assumptions):
+        self.model = model               # FieldModel or RelativeModel
+        self.pset, self.torsion_order, self.torsion = pset, torsion_order, torsion
+        self.free, self.provider, self.assumptions = free, provider, assumptions
 
     @property
     def group(self):

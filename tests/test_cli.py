@@ -3,14 +3,20 @@ document round trips (units and class groups)."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fracgalois
 from fracgalois import cli
 from fracgalois.cli import RunConfig
+from fracgalois.jideal import CHECK_IDS
 
 
 def run(capsys, argv):
@@ -408,3 +414,131 @@ def test_prime_level_inference():
     assert _prime_level(cfg) == (7, 2)
     with pytest.raises(ValueError, match="prime power"):
         _prime_level(RunConfig(command="compute", conductor=12))
+
+
+# ---------------------------------------------------------------------------
+# command-line parsing
+
+BAD_ARGV = [
+    (["bogus", "-p", "7"], "'bogus'"),                        # unknown command
+    ([], "unknown command"),
+    (["compute", "-p", "7"], "OBJECT"),                      # missing OBJECT
+    (["compute", "nothing", "-p", "7"], "'nothing'"),        # unknown OBJECT
+    (["compute", "jideal", "-p", "7", "--bogus", "1"], "'--bogus'"),
+    (["compute", "jideal", "--cond", "7"], "'--cond'"),      # no abbreviations
+    (["compute", "jideal", "-p"], "-p needs a value"),
+    (["compute", "jideal", "-p", "7", "--bits", "x"], "--bits: invalid value 'x'"),
+    (["compute", "rvec", "-f", "21", "--places", "3,x"], "--places"),
+    (["compute", "jideal", "-p", "7", "--provider", "web"], "'web'"),
+    (["compute", "jideal", "-p", "7", "--suite", "RZERO"], "--suite"),
+    (["verify", "-p", "7"], "--suite"),
+    (["compute", "jideal", "extra", "-p", "7"], "'extra'"),  # stray positional
+    (["ingest", "units.json"], "'units.json'"),
+]
+
+
+@pytest.mark.parametrize("argv, named", BAD_ARGV)
+def test_usage_errors_exit_two_through_the_error_path(capsys, argv, named):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+
+
+def test_option_forms_agree():
+    spaced = cli.parse_args(["compute", "lvalues", "--conductor", "25", "--bits", "768",
+                             "--tol-exp", "-150", "--places", "5"])
+    joined = cli.parse_args(["compute", "lvalues", "--conductor=25", "--bits=768",
+                             "--tol-exp=-150", "--places=5"])
+    short = cli.parse_args(["compute", "lvalues", "-f", "25", "--bits", "768",
+                            "--tol-exp", "-150", "--places", "5"])
+    assert spaced.as_dict() == joined.as_dict() == short.as_dict()
+    assert (spaced.conductor, spaced.tol_exp, spaced.places) == (25, -150, (5,))
+    # a repeated option keeps the last value
+    assert cli.parse_args(["compute", "theta", "-f", "5", "--conductor", "7"]).conductor == 7
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["compute", "jideal", "-h"]])
+def test_help_names_every_option_and_check(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    for flags, *_ in cli.OPTIONS:
+        assert all(flag in out for flag in flags)
+    assert all(check in out for check in CHECK_IDS)
+    assert all(command in out for command in cli.COMMANDS)
+
+
+CONFIG_DEFAULTS = {"command": None, "object": None, "suite": [], "conductor": None,
+                   "prime": None, "level": 1, "subfield": "full", "places": None,
+                   "bits": 192, "tol_exp": -30, "provider": "builtin",
+                   "input_path": None, "output_path": None, "seed": 0}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verify", "--suite", "STICK_IDENT,RZERO,INDF,STARK_RAT", "-p", "5"],
+     {"command": "verify", "suite": ["STICK_IDENT", "RZERO", "INDF", "STARK_RAT"],
+      "prime": 5}),
+    (["compute", "jideal", "-p", "11", "-n", "2", "--subfield", "relative"],
+     {"command": "compute", "object": "jideal", "prime": 11, "level": 2,
+      "subfield": "relative"}),
+    (["compute", "rvec", "-f", "21", "--subfield", "custom:1,4,16", "--places", "3,7",
+      "--bits", "256", "--tol-exp", "-40"],
+     {"command": "compute", "object": "rvec", "conductor": 21,
+      "subfield": "custom:1,4,16", "places": [3, 7], "bits": 256, "tol_exp": -40}),
+    (["compute", "annihilator", "-f", "25", "--subfield", "plus", "--provider", "file",
+      "--in", "units.json"],
+     {"command": "compute", "object": "annihilator", "conductor": 25,
+      "subfield": "plus", "provider": "file", "input_path": "units.json"}),
+    (["ingest", "--in", "units.json"], {"command": "ingest", "input_path": "units.json"}),
+    (["export", "--out", "units.json", "--seed", "3"],
+     {"command": "export", "output_path": "units.json", "seed": 3}),
+])
+def test_config_of_the_readme_forms(argv, expected):
+    assert cli.parse_args(argv).as_dict() == {**CONFIG_DEFAULTS, **expected}
+
+
+FLAGS = [flag for flags, *_ in cli.OPTIONS for flag in flags]
+TOKENS = st.one_of(
+    st.sampled_from(FLAGS + list(cli.COMMANDS) + list(cli.COMPUTE_OBJECTS)
+                    + ["7", "-150", "3,7", "x", "builtin", "file", "web", "STARKC",
+                       "", "-", "--", "=", "--cond"]),
+    st.builds("{}={}".format, st.sampled_from(FLAGS), st.text(max_size=4)),
+    st.text(max_size=6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(TOKENS, max_size=8))
+def test_parsing_returns_a_config_or_a_value_error(argv):
+    try:
+        cfg = cli.parse_args(argv)
+    except ValueError:
+        return
+    assert isinstance(cfg, RunConfig)
+    assert cfg.as_dict().keys() == CONFIG_DEFAULTS.keys()
+    assert cfg.command in cli.COMMANDS
+    assert (cfg.object in cli.COMPUTE_OBJECTS) == (cfg.command == "compute")
+
+
+def test_generated_at_is_an_iso_utc_timestamp(capsys):
+    stamp = run_json(capsys, ["compute", "theta", "-f", "5"])["meta"]["generated_at"]
+    assert stamp.endswith("+00:00")
+    when = datetime.fromisoformat(stamp)
+    assert abs(datetime.now(timezone.utc) - when) < timedelta(minutes=5)
+
+
+def test_startup_imports_nothing_the_mathematics_does_not_need():
+    code = """if True:
+        import contextlib, io, sys
+        import fracgalois.cli
+        banned = ("argparse", "gettext", "locale", "dataclasses", "inspect", "datetime")
+        print(sorted(m for m in banned if m in sys.modules))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert fracgalois.cli.main(["compute", "jideal", "-p", "7"]) == 0
+        print(sorted(m for m in ("gettext", "locale") if m in sys.modules))
+        """
+    src = str(Path(fracgalois.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]

@@ -2,7 +2,10 @@
 integral lattices of fractional ideals, and finite modules with a G-action."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from ast import literal_eval
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -820,3 +823,35 @@ def test_ell_part_is_built_on_its_own_hnf():
         assert part._hnf == hnf_columns(part.relations)
         FiniteGModule(g, part.k, part.relations, part.action)  # passes every check
     assert parts[0].order() * parts[1].order() == mod.order()
+
+
+def test_coefficients_become_fractions_whatever_their_type():
+    g = abelian_group((3,))
+    elems = [GroupRingElement(g, (1, 2, 3)),
+             GroupRingElement(g, (Fraction(1), Fraction(2), Fraction(3))),
+             GroupRingElement(g, (1, Fraction(4, 2), 3))]
+    nums = [CyclotomicNumber(5, (1, -2, 0, 7)),
+            CyclotomicNumber(5, tuple(map(Fraction, (1, -2, 0, 7)))),
+            CyclotomicNumber(5, (Fraction(2, 2), -2, Fraction(0), 7))]
+    for xs in (elems, nums):
+        assert xs[0] == xs[1] == xs[2]
+        assert all(type(c) is Fraction for x in xs for c in x.c)
+
+
+def test_wrong_coefficient_count_is_an_error_under_python_O():
+    # a ValueError, not an assert: python -O keeps the check
+    code = """if True:
+        from fracgalois.cyclo import CyclotomicNumber
+        from fracgalois.gring import GroupRingElement, abelian_group
+        for make in (lambda: GroupRingElement(abelian_group((3,)), (1, 2)),
+                     lambda: CyclotomicNumber(5, (1, 2, 3))):
+            try:
+                make()
+            except ValueError as exc:
+                print(exc)
+        """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.splitlines() == ["Q[G] needs 3 coefficients, got 2",
+                                        "Q(zeta_5) needs 4 coefficients, got 3"]

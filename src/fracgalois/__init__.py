@@ -15,8 +15,7 @@ from .gring import (Character, FinAbGroup, FiniteGModule, GroupHom,
                     galois_group, gre_inverse, norm_element, plus_idempotent)
 from .lfun import (half_stickelberger, l_deriv_at_0, l_value_at_0,
                    relative_l_value_at_0, stickelberger,
-                   stickelberger_classical, stickelberger_via_characters,
-                   vanishing_order)
+                   stickelberger_classical, vanishing_order)
 from .units import (UnitLattice, cyclotomic_unit, export_units, lambda_unit,
                     load_units, quotient_module, stark_module,
                     stark_residuals, stark_unit, sunit_group,
@@ -38,7 +37,7 @@ __all__ = [
     "galois_group", "gre_inverse", "norm_element", "plus_idempotent",
     "half_stickelberger", "l_deriv_at_0", "l_value_at_0",
     "relative_l_value_at_0", "stickelberger", "stickelberger_classical",
-    "stickelberger_via_characters", "vanishing_order",
+    "vanishing_order",
     "UnitLattice", "cyclotomic_unit", "export_units", "lambda_unit",
     "load_units", "quotient_module", "stark_module", "stark_residuals",
     "stark_unit", "sunit_group", "unit_coordinates",

@@ -10,7 +10,8 @@ carry guard bits and round once at the end.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, gcd, inf, prod
+from itertools import count
+from math import ceil, gcd, prod
 
 import mpmath as mp
 
@@ -452,42 +453,50 @@ def _half_log_2pi(prec):
 
 
 @lru_cache(maxsize=None)
+def _stirling_coeffs(prec):
+    """(W, z0, C): C_j = floor(B_2j 2^W / (2j (2j - 1))), W = prec + 32, for
+    j <= J, J fixed at the least shifted argument z0: term J + 1 is the first
+    below 2^-(prec+8) there, and so for every real z >= z0."""
+    W = prec + 32
+    z0 = max(16, int(0.35 * prec) + 8)  # keeps the min term far below target
+    target, zpow, coeffs = 1 << (W - prec - 8), z0, []  # zpow = z0^(2j-1)
+    for j in count(1):
+        b = bernoulli_number(2 * j)
+        c = (b.numerator << W) // (b.denominator * 2 * j * (2 * j - 1))
+        if coeffs and abs(c) >= abs(coeffs[-1]) * z0 * z0:
+            raise ArithmeticError("Stirling series failed to reach target precision")
+        if abs(c) < target * zpow:
+            return W, z0, tuple(coeffs)
+        coeffs.append(c)
+        zpow *= z0 * z0
+
+
+@lru_cache(maxsize=None)
 def _log_gamma_guarded(x, prec):
     """log Gamma(x) for a Fraction x > 0 at prec bits (the caller's guarded
     precision), memoized on (x, prec): callers meeting one reduced b/f0 share it.
 
-    Stirling at z = x + N; one logarithm of the exact rational prod_{k<N} (x + k)
-    = prod (a + kF) / F^N, x = a/F, undoes the shift. The series is truncated
-    once the next term drops below 2^-(prec+8); for real positive argument the
-    remainder of the asymptotic series is bounded by the first omitted term.
-    It is summed in integers, in units of 2^-W with W = prec + 24, from
-    z = A/F kept exact: each term is floored once, so the sum is off by at
-    most j_max units, below 2^-(prec+16) while j_max < 256.
+    Stirling at z = x + N >= z0; one logarithm of the exact rational
+    prod_{k<N} (x + k) = prod (a + kF) / F^N, x = a/F, undoes the shift. The
+    tail sum_j C_j z^(1-2j) = (1/z) sum_j C_j w^(j-1), w = 1/z^2, is summed by
+    Horner in units of 2^-W from w = floor(F^2 2^W / A^2), z = A/F kept
+    exact, and divided once by z. Each floor (J coefficients, J - 1 products,
+    and w's, which moves each product by under |acc| 2^-W < 1 unit) is off by
+    under one unit and w, 1/z < 1 only shrink what is carried, so the sum is
+    off by fewer than 3J units before the division by z >= 16 and at most
+    2J + 1 after it: below 2^-(prec+16) while J < 2^15.
     """
+    W, z0, coeffs = _stirling_coeffs(prec)
     with mp.workprec(prec):
-        shift_to = max(16, int(0.35 * prec) + 8)  # keeps the min term far below target
-        n_shift = max(0, ceil(shift_to - x))
-        a, F, W = x.numerator, x.denominator, prec + 24
+        n_shift = max(0, ceil(z0 - x))
+        a, F = x.numerator, x.denominator
+        A = a + n_shift * F
         z = mp.mpf(a) / F + n_shift
         val = (z - mp.mpf(1) / 2) * mp.log(z) - z + _half_log_2pi(prec)
-        A = a + n_shift * F
-        # num = F^(2j-1) 2^W, den = A^(2j-1): z^(1-2j) alone underflows W bits
-        num, den = F << W, A
-        target = 1 << (W - prec - 8)
-        total, j, prev_abs = 0, 1, inf
-        while True:
-            b = bernoulli_number(2 * j)
-            term = (b.numerator * num) // (b.denominator * 2 * j * (2 * j - 1) * den)
-            if abs(term) >= prev_abs:
-                raise ArithmeticError("Stirling series failed to reach target precision")
-            if abs(term) < target:
-                break  # remainder bounded by this omitted term
-            total += term
-            prev_abs = abs(term)
-            num *= F * F
-            den *= A * A
-            j += 1
-        val += mp.ldexp(total, -W)
+        w, acc = (F * F << W) // (A * A), 0
+        for c in reversed(coeffs):
+            acc = c + (acc * w >> W)
+        val += mp.ldexp(acc * F // A, -W)
         # Gamma(x) = Gamma(x + N) / prod (x + k), and prod (x + k) = shift / F^N
         shift = prod(range(a, A, F))
         return val - mp.log(mp.mpf(shift) / F ** n_shift)

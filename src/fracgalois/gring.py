@@ -327,26 +327,6 @@ def characters(group):
             for exps in product(*[range(d) for d in group.invariant_factors])]
 
 
-def transport_character(chi, iso):
-    """chi o iso^{-1} for a bijective GroupHom iso: chi.group -> target."""
-    if not (iso.injective and iso.surjective) or iso.source != chi.group:
-        raise ValueError("need an isomorphism from chi's group")
-    inverse = {iso(e): e for e in iso.source.elements}
-    tgt = iso.target
-    e_src, e_tgt = chi.group.exponent, tgt.exponent
-    assert e_src == e_tgt
-    exps = []
-    for gen, d in zip(tgt.generator_elements(), tgt.invariant_factors):
-        e = chi.exp_at(inverse[gen])
-        t, r = divmod(e * d, e_tgt)
-        assert r == 0
-        exps.append(t)
-    out = Character(tgt, exps)
-    for e in tgt.elements:  # paranoia: the transport must match pointwise
-        assert out.exp_at(e) == chi.exp_at(inverse[e])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # rational group ring
 
@@ -834,17 +814,12 @@ def _step_back(elem):
     return last, elem[:last] + (elem[last] - 1,) + elem[last + 1:]
 
 
-def span_membership(gens, x):
-    """Is x in the Z-span of the group-ring elements `gens`? (No full-rank
-    assumption; used for rank-deficient spans like Z[G] * theta.)"""
-    _, vecs = _clear_denominators(list(gens) + [x])
-    return intmat.span_contains(vecs[:-1], vecs[-1])
-
-
 def gmodule_span_equal(gens_a, gens_b, group):
-    """Equality of Z[G]-spans (possibly rank-deficient) of two generator lists."""
+    """Equality of Z[G]-spans (possibly rank-deficient) of two generator
+    lists, where the Z-span of gens_a must already be G-stable (as e J is,
+    for a lattice J and central e): only gens_b is closed under G."""
     _, vecs = _clear_denominators(list(gens_a) + list(gens_b))
-    return intmat.span_equal(_orbit_vectors(group, vecs[:len(gens_a)]),
+    return intmat.span_equal(vecs[:len(gens_a)],
                              _orbit_vectors(group, vecs[len(gens_a):]))
 
 
@@ -870,6 +845,7 @@ class FiniteGModule:
         self.k = k
         self.relations = tuple(tuple(col) for col in relations)
         self.action = tuple(tuple(tuple(row) for row in mat) for mat in action)
+        self._steps = {}
         if len(self.action) != len(group.invariant_factors):
             raise ValueError(
                 f"need {len(group.invariant_factors)} action matrices (one per "
@@ -906,39 +882,54 @@ class FiniteGModule:
                     v[i] -= q * x
         return v
 
-    def _mod_relations(self, mat):
-        """The k x k matrix `mat` with every column reduced by `_reduce`."""
-        return intmat.mat_transpose([self._reduce(col) for col in zip(*mat)])
+    def _act(self, i, u):
+        """A_i u reduced by `_reduce`, for a tuple u; memoised on (i, u), so
+        `_validate` reads the steps the orbit walk already took."""
+        if (i, u) not in self._steps:
+            v = [0] * self.k
+            for y, col in zip(u, self._sparse_action[i]):
+                if y:
+                    for j, x in col:
+                        v[j] += x * y
+            self._steps[i, u] = tuple(self._reduce(v))
+        return self._steps[i, u]
+
+    @cached_property
+    def _sparse_action(self):  # the nonzero (row, entry) of each column of A_i
+        return [[[(j, x) for j, x in enumerate(c) if x] for c in zip(*mat)]
+                for mat in self.action]
 
     def _validate(self):
+        """A_i h = 0 mod L for each A_i and HNF column h of the relations L.
+        The generator orbits, kept for `annihilator()`, span Z^k with L, so
+        A_i^{d_i} = 1 and A_a A_b = A_b A_a on M iff A_i orbit[x] =
+        orbit[x + e_i mod d_i] for all x and i, the walk's own steps aside
+        (one check per orbit is left for cyclic G). A failure is named by
+        checking each A_i alone: relations, then A_i^{d_i} e_j = e_j mod L."""
         k = self.k
         if k == 0:
             return
         if len(self._hnf[0]) != k:
             raise ValueError("relation lattice is not full rank: module is infinite")
-        h = intmat.mat_transpose(self._hnf[0])
-        one = self._mod_relations(intmat.identity_matrix(k))
-        mats = self.action
-        for d, mat in zip(self.group.invariant_factors, mats):
-            # the action stabilizes the relation lattice: A H = 0 mod relations
-            if any(map(any, self._mod_relations(intmat.mat_mul(mat, h)))):
+        g, hnf = self.group, [tuple(h) for h in self._hnf[0]]
+        gens = list(enumerate(g.invariant_factors))
+        steps = [(x, i, y) for x in g.elements for i, d in gens
+                 for y in [x[:i] + ((x[i] + 1) % d,) + x[i + 1:]]
+                 if y == g.identity or _step_back(y) != (i, x)]
+        if not any(any(self._act(i, h)) for i, _ in gens for h in hnf) and all(
+                self._act(i, orbit[x]) == orbit[y]
+                for orbit in self._generator_orbits for x, i, y in steps):
+            return
+        for i, d in gens:
+            if any(any(self._act(i, h)) for h in hnf):
                 raise ValueError("action does not preserve relations")
-            # correct order: A^d = 1 mod relations, by square-and-multiply
-            p, sq = one, mat
-            while d:
-                if d & 1:
-                    p = self._mod_relations(intmat.mat_mul(sq, p))
-                d >>= 1
-                if d:
-                    sq = self._mod_relations(intmat.mat_mul(sq, sq))
-            if p != one:
-                raise ValueError("action generator order does not divide group order")
-        # pairwise commuting mod relations
-        for a in range(len(mats)):
-            for b in range(a + 1, len(mats)):
-                if (self._mod_relations(intmat.mat_mul(mats[a], mats[b]))
-                        != self._mod_relations(intmat.mat_mul(mats[b], mats[a]))):
-                    raise ValueError("action matrices do not commute mod relations")
+            for j in range(k):
+                u = v = tuple(self._reduce([int(t == j) for t in range(k)]))
+                for _ in range(d):
+                    v = self._act(i, v)
+                if v != u:
+                    raise ValueError("action generator order does not divide group order")
+        raise ValueError("action matrices do not commute mod relations")
 
     def order(self):
         return prod(col[t] for t, col in enumerate(self._hnf[0]))
@@ -970,9 +961,8 @@ class FiniteGModule:
         N = Z^k. Orbits are walked along G by sparse steps A_last (A_prev m),
         memoised on (last, A_prev m): a trivial action costs one step per m."""
         g, k = self.group, self.k
-        sparse = [[[(j, x) for j, x in enumerate(r) if x] for r in mat] for mat in self.action]
         walk = [(elem, *_step_back(elem)) for elem in g.elements[1:]]  # steps back first
-        steps, orbits, fresh = {}, [], []
+        orbits, fresh = [], []
         n_cols, n_rows = self._hnf
         for j in range(k):
             if all(col[p] == 1 for col, p in zip(n_cols, n_rows)):
@@ -983,11 +973,7 @@ class FiniteGModule:
                 continue
             orbit = {g.identity: tuple(self._reduce(unit))}
             for elem, last, prev in walk:
-                u = orbit[prev]
-                if (last, u) not in steps:
-                    steps[last, u] = tuple(self._reduce(
-                        [sum(x * u[t] for t, x in row) for row in sparse[last]]))
-                orbit[elem] = steps[last, u]
+                orbit[elem] = self._act(last, orbit[prev])
             orbits.append(orbit)
             fresh.extend(set(orbit.values()))
             if len(orbits) & (len(orbits) - 1) == 0:  # 1, 2, 4, ... generators

@@ -20,7 +20,7 @@ from .fields import (RelativeModel, make_field, place_set, plus_field,
                      full_cyclotomic, relative_model, relative_place_set,
                      torsion_order)
 from .gring import (FiniteGModule, GroupHom, GroupRingElement, IdealLattice,
-                    assemble, characters, gmodule_span_equal, gre_inverse,
+                    characters, gmodule_span_equal, gre_inverse,
                     hom_by_residues, norm_element)
 from .lfun import (half_stickelberger, l_deriv_at_0, partial_zeta_all,
                    l_deriv_primitive, stickelberger, stickelberger_classical,
@@ -284,12 +284,25 @@ def _j_for(params, ctx):
     raise ValueError(f"unknown subfield selector {sub!r}")
 
 
+def rzero_idempotent(group, pset):
+    """e0, the sum of the e_chi with r_S(chi) = 0, without characters:
+    e_D = (1/|D|) sum_{d in D} d is the sum of the e_chi with chi trivial on
+    D, and chi != 1 has r_S(chi) = 0 iff it is nontrivial on every D_v, so
+    e0 = prod_{v in S} (1 - e_{D_v}), plus e_G when |S| = 1."""
+    e0 = one = GroupRingElement.one(group)
+    for pd in pset.places:
+        d = pd.decomposition
+        e0 = e0 * (one - GroupRingElement.from_dict(group, dict.fromkeys(d, Fraction(1, len(d)))))
+    if len(pset.places) == 1:
+        e0 = e0 + norm_element(group) * Fraction(1, group.order)
+    return e0
+
+
 def check_rzero(params, ctx):
     res, model, pset = _j_for(params, ctx)
     g = model.group
     theta = stickelberger(model, pset)
-    rmap = {chi: vanishing_order(model, pset, chi) for chi in characters(g)}
-    e0 = assemble(g, {chi: Fraction(1 if r == 0 else 0) for chi, r in rmap.items()})
+    e0 = rzero_idempotent(g, pset)
     theta_in = res.ideal.contains_element(theta)
     lhs = [e0 * b for b in res.ideal.basis_elements()]
     spans_ok = gmodule_span_equal(lhs, [theta], g)

@@ -162,14 +162,6 @@ def stickelberger(model: FieldModel, pset: PlaceSet):
     return GroupRingElement.from_dict(g, {g.inv(e): v for e, v in zet.items()})
 
 
-def stickelberger_via_characters(model: FieldModel, pset: PlaceSet):
-    """Same element assembled from exact L-values (slow cross-check route)."""
-    vals = {}
-    for chi in characters(model.group):
-        vals[chi] = l_value_at_0(model, pset, chi.conj())
-    return assemble(model.group, vals)
-
-
 def stickelberger_classical(f):
     """sum_{a mod f} (a/f) sigma_a^{-1} on the full cyclotomic group."""
     model = make_field(f)

@@ -111,3 +111,36 @@ def _oracle_annihilator(mod):
         if all(in_relations([amat[i][j] for i in range(k)]) for j in range(k)):
             hits.append(GroupRingElement(g, [Fraction(c) for c in coeffs]))
     return IdealLattice.from_generators(g, hits, close_under_group=False)
+
+
+def validation_oracle(group, k, relations, action):
+    """The message of the first check the action fails, or None, checked on
+    dense k x k products modulo the relations: for each generator in turn,
+    A_i H = 0 (H the relations' HNF) and A_i^{d_i} = 1 by square-and-multiply;
+    then A_a A_b = A_b A_a for every pair."""
+    mod = FiniteGModule(group, k, relations, action, validate=False)
+    if len(mod._hnf[0]) != k:
+        return "relation lattice is not full rank: module is infinite"
+
+    def reduced(mat):
+        return intmat.mat_transpose([mod._reduce(col) for col in zip(*mat)])
+
+    mats = [[list(r) for r in mat] for mat in mod.action]
+    h = intmat.mat_transpose(mod._hnf[0])
+    one = reduced(intmat.identity_matrix(k))
+    for d, mat in zip(group.invariant_factors, mats):
+        if any(map(any, reduced(intmat.mat_mul(mat, h)))):
+            return "action does not preserve relations"
+        p, sq = one, mat
+        while d:
+            if d & 1:
+                p = reduced(intmat.mat_mul(sq, p))
+            d >>= 1
+            if d:
+                sq = reduced(intmat.mat_mul(sq, sq))
+        if p != one:
+            return "action generator order does not divide group order"
+    for a, b in itertools.combinations(mats, 2):
+        if reduced(intmat.mat_mul(a, b)) != reduced(intmat.mat_mul(b, a)):
+            return "action matrices do not commute mod relations"
+    return None

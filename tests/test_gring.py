@@ -21,12 +21,12 @@ from fracgalois.gring import (Character, FinAbGroup, FiniteGModule, GroupHom,
                               abelian_group, assemble, characters, det_qg,
                               galois_group, gmodule_span_equal, gre_inverse,
                               hom_by_residues, norm_element, plus_idempotent,
-                              span_membership, subgroup_closure,
-                              transport_character)
+                              subgroup_closure)
 from fracgalois import intmat
 from fracgalois.intmat import hnf_columns, span_contains
 from gmodules import (_oracle_annihilator, action_of, conjugated, draw_ideals,
-                      module_from_ideals)
+                      module_from_ideals, validation_oracle)
+from oracles import span_membership, transport_character
 
 
 class CycGroupRingElement:
@@ -750,6 +750,68 @@ def test_module_validation_rejects_infinite_and_inconsistent():
     for args, message in cases:
         with pytest.raises(ValueError, match=message):
             FiniteGModule(*args)
+
+
+def _constructor_message(args):
+    try:
+        FiniteGModule(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_module_validation_on_orbits_matches_dense_matrix_checks():
+    """The constructor checks the action on the generator orbits; it must
+    accept and reject exactly as the dense square-and-multiply and pairwise
+    commutation checks do, with the same message. Each group gets a seeded
+    module, its conjugate, the free (Z/p)[G]-module (which every matrix
+    maps into its relations) and that module with generator 0 acting
+    trivially, then copies with one action entry changed by +-1 or +-2."""
+    rng = random.Random(2016)
+    seen = set()
+    for factors, trials in (((6,), 12), ((55,), 3), ((2, 4), 12), ((3, 3), 12)):
+        g = abelian_group(factors)
+        p = next(q for q in range(2, factors[0] + 1) if factors[0] % q == 0)
+        seeded = module_from_ideals(g, draw_ideals(rng, g, 3, 1))
+        free = module_from_ideals(
+            g, [IdealLattice.from_generators(g, [GroupRingElement.one(g) * p])])
+        ident = intmat.identity_matrix(free.k)
+        mods = [(m.k, m.relations, [[list(r) for r in a] for a in m.action])
+                for m in (seeded, conjugated(rng, seeded), free)]
+        mods.append((free.k, free.relations, [ident] + mods[-1][2][1:]))
+        for k, relations, action in mods:
+            assert _constructor_message((g, k, relations, action)) is None
+            for _ in range(trials):
+                i, r, c = rng.randrange(len(action)), rng.randrange(k), rng.randrange(k)
+                bad = [[row[:] for row in a] for a in action]
+                bad[i][r][c] += rng.choice((-2, -1, 1, 2))
+                message = _constructor_message((g, k, relations, bad))
+                assert message == validation_oracle(g, k, relations, bad)
+                seen.add(message)
+    assert seen == {None, "action does not preserve relations",
+                    "action generator order does not divide group order",
+                    "action matrices do not commute mod relations"}
+
+
+def test_validation_walks_the_orbits_that_annihilator_reads(monkeypatch):
+    """After validate=True, annihilator() reduces no vector: it reads the
+    generator orbits that the constructor walked."""
+    rng = random.Random(55)
+    for factors in ((6,), (2, 4)):
+        g = abelian_group(factors)
+        mod = conjugated(rng, module_from_ideals(g, draw_ideals(rng, g, 3, 2)))
+        args = (g, mod.k, mod.relations, mod.action)
+        calls = []
+        reduce = FiniteGModule._reduce
+        monkeypatch.setattr(FiniteGModule, "_reduce",
+                            lambda self, v: calls.append(1) or reduce(self, v))
+        checked = FiniteGModule(*args)
+        walked = len(calls)
+        ann = checked.annihilator()
+        assert walked > 0 and len(calls) == walked
+        unchecked = FiniteGModule(*args, validate=False)
+        assert unchecked.annihilator() == ann and len(calls) > walked
+        monkeypatch.undo()
 
 
 def test_module_puts_its_relations_in_hnf_once(monkeypatch):

@@ -13,15 +13,15 @@ from fracgalois.cyclo import PrecisionContext
 from fracgalois.fields import (full_cyclotomic, make_field, place_set,
                                plus_field, relative_model, relative_place_set)
 from fracgalois.gring import (GroupHom, GroupRingElement, IdealLattice,
-                              characters)
+                              assemble, characters)
 from fracgalois.jideal import (CHECK_IDS, _char_value_numeric, _default_pset,
                                _mu_ell_annihilator,
                                _unit_quotient, i_f_and_regulator,
                                j_base_case, j_full_cyclotomic, j_via_theorem,
-                               load_classgroup, run_check, shipped_classgroup,
-                               torsion_order)
+                               load_classgroup, run_check, rzero_idempotent,
+                               shipped_classgroup, torsion_order)
 from fracgalois.lfun import (half_stickelberger, l_deriv_at_0,
-                             partial_zeta_all, stickelberger)
+                             partial_zeta_all, stickelberger, vanishing_order)
 from fracgalois.units import (lambda_unit, quotient_module, stark_module,
                               sunit_group)
 from gmodules import action_of
@@ -181,6 +181,23 @@ def test_run_check_reports_errors_as_status():
     assert rep.status == "error"
     assert "certificate" in rep.witnesses["message"]
     assert not rep.passed
+
+
+def test_rzero_idempotent_matches_the_character_sum():
+    """prod_{v in S} (1 - e_{D_v}) (+ e_G when |S| = 1) is the sum of the
+    e_chi with r_S(chi) = 0, assembled from characters, on full, plus and
+    relative fields and on S with several primes or none."""
+    cases = [(full_cyclotomic(25), (5,)), (plus_field(61), (61,)),
+             (full_cyclotomic(12), (2, 3)), (full_cyclotomic(21), (3, 7)),
+             (full_cyclotomic(15), (2, 3, 5)), (plus_field(13), ())]
+    cases = [(m, place_set(m, primes)) for m, primes in cases]
+    cases += [(m, relative_place_set(m)) for m in (relative_model(7, 2),
+                                                   relative_model(11))]
+    for model, pset in cases:
+        g = model.group
+        e0 = assemble(g, {chi: Fraction(int(vanishing_order(model, pset, chi) == 0))
+                          for chi in characters(g)})
+        assert rzero_idempotent(g, pset) == e0
 
 
 def test_passing_checks():

@@ -18,8 +18,8 @@ from fracgalois.lfun import (_b1_sum, bernoulli_b1, character_conductor,
                              relative_l_deriv,
                              relative_l_value_at_0,
                              relative_partial_zeta_deriv, stickelberger,
-                             stickelberger_classical,
-                             stickelberger_via_characters, vanishing_order)
+                             stickelberger_classical, vanishing_order)
+from oracles import stickelberger_via_characters
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
 

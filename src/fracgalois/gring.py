@@ -664,18 +664,17 @@ class IdealLattice:
     def _from_columns(cls, group, den, vecs):
         """The lattice spanned by the integer vectors `vecs` over `den`, in
         canonical form: the column HNF, with its content divided out of den.
-        Every lattice is built here."""
+        The content c of `vecs` leaves first: the HNF of c V is c times that
+        of V, entry for entry. Every lattice is built here."""
         n = group.order
-        h_cols, _ = intmat.hnf_columns(vecs)
+        c = intmat.content(x for col in vecs for x in col)
+        h_cols, _ = intmat.hnf_columns([[x // c for x in col] for col in vecs] if c > 1 else vecs)
         if len(h_cols) != n:
             raise ValueError(
                 f"generators span rank {len(h_cols)} < {n}; not a full lattice "
                 "(use span helpers for degenerate spans)")
-        g = intmat.content([den] + [x for col in h_cols for x in col])
-        if g > 1:
-            den //= g
-            h_cols = [tuple(x // g for x in col) for col in h_cols]
-        return cls(group, den, tuple(tuple(col) for col in h_cols))
+        g = gcd(den, c)
+        return cls(group, den // g, tuple(tuple(x * (c // g) for x in col) for col in h_cols))
 
     @classmethod
     def unit_ideal(cls, group):
@@ -729,14 +728,32 @@ class IdealLattice:
             gre_inverse(alpha)  # alpha L has lower rank: raises naming a killing chi
             raise
 
+    def divide(self, u, u_inv):
+        """u^-1 L for u in Q[G] with inverse u_inv. With a = d u_inv, d_u u
+        integral and p0 e_1 the first basis column of den L, a den L contains
+        a p0 d_u u Z[G] = D Z^n: the basis columns a b mod D and D e_i span it."""
+        g = self.group
+        d, (a,) = _clear_denominators([u_inv])
+        d_u, (b,) = _clear_denominators([u])
+        if _convolve(g, a, b) != [d * d_u] + [0] * (g.order - 1):
+            raise ValueError("divide: u_inv is not the inverse of u")
+        big_d = self.cols[0][0] * d * d_u
+        return IdealLattice._from_columns(g, self.den * d, [
+            [x % big_d for x in _convolve(g, a, col)] for col in self.cols] + [
+            [big_d if i == j else 0 for i in range(g.order)] for j in range(g.order)])
+
+    def _same_group(self, other):
+        if other.group != self.group:
+            raise ValueError(f"lattices over {self.group!r} and {other.group!r}")
+
     def add(self, other):
-        assert other.group == self.group
+        self._same_group(other)
         d = lcm(self.den, other.den)
         return IdealLattice._from_columns(
             self.group, d, self._cols_over(d) + other._cols_over(d))
 
     def multiply(self, other):
-        assert other.group == self.group
+        self._same_group(other)
         g = self.group
         return IdealLattice._from_columns(
             g, self.den * other.den,
@@ -745,7 +762,7 @@ class IdealLattice:
     def intersect(self, other):
         """L cap L': the vectors A y with A y = B z, A and B the basis
         columns of L and L' over one denominator."""
-        assert other.group == self.group
+        self._same_group(other)
         n = self.group.order
         d = lcm(self.den, other.den)
         a_cols = self._cols_over(d)

@@ -45,34 +45,45 @@ def column_echelon(a_cols):
 
     Returns (pivot_cols, pivot_rows) where pivot_cols are the nonzero echelon
     columns ordered by increasing pivot row and pivot_rows the corresponding
-    rows. Works bottom-up: after row i is processed every still-active column
-    vanishes on rows >= i.
-    """
+    rows. Works bottom-up: a column waits in the bucket of its last nonzero
+    row, so row i reduces only bucket i (in index order, walking the nonzero
+    entries of the pivot) and moves a column it zeroes at row i to the bucket
+    of its next nonzero row, dropping it if there is none."""
     cols = [list(col) for col in a_cols]
     n = len(cols[0]) if cols else 0
-    active = list(range(len(cols)))
-    parked = []  # (pivot_row, col_index)
+    buckets = [[] for _ in range(n)]
+    for j, cj in enumerate(cols):  # file each column at its last nonzero row
+        for r in range(n - 1, -1, -1):
+            if cj[r]:
+                buckets[r].append(j)
+                break
+    pivot_cols, pivot_rows = [], []
     for i in range(n - 1, -1, -1):
-        live = [j for j in active if cols[j][i] != 0]
+        live = sorted(buckets[i])
         while len(live) > 1:
             live.sort(key=lambda j: abs(cols[j][i]))
-            j0 = live[0]
-            piv = cols[j0][i]
+            c0 = cols[live[0]]
+            piv = c0[i]
+            nonzero = [(r, x) for r, x in zip(range(i + 1), c0) if x]
+            kept = live[:1]
             for j in live[1:]:
-                q = cols[j][i] // piv
-                if q:
-                    cj, c0 = cols[j], cols[j0]
-                    for r in range(i + 1):  # rows > i are already zero
-                        cj[r] -= q * c0[r]
-            live = [j for j in live if cols[j][i] != 0]
+                cj = cols[j]
+                q = cj[i] // piv
+                for r, x in nonzero:
+                    cj[r] -= q * x
+                if cj[i]:
+                    kept.append(j)
+                    continue
+                for r in range(i - 1, -1, -1):  # refile at the next nonzero row
+                    if cj[r]:
+                        buckets[r].append(j)
+                        break
+            live = kept
         if live:
-            j0 = live[0]
-            if cols[j0][i] < 0:
-                cols[j0] = [-x for x in cols[j0]]
-            parked.append((i, j0))
-            active.remove(j0)
-    parked.sort()
-    return [cols[j] for _, j in parked], [p for p, _ in parked]
+            c0 = cols[live[0]]
+            pivot_cols.append([-x for x in c0] if c0[i] < 0 else c0)
+            pivot_rows.append(i)
+    return pivot_cols[::-1], pivot_rows[::-1]
 
 
 def hnf_columns(a_cols):
@@ -84,16 +95,16 @@ def hnf_columns(a_cols):
     span, so equal spans give bitwise-equal output.
     """
     cols, pivot_rows = column_echelon(a_cols)
-    r = len(cols)
-    for t in range(r - 1, -1, -1):  # descending pivot rows keep earlier work intact
-        p = pivot_rows[t]
-        piv = cols[t][p]
-        for j in range(t + 1, r):
-            q = cols[j][p] // piv
-            if q:
-                cj, ct = cols[j], cols[t]
-                for rr in range(p + 1):
-                    cj[rr] -= q * ct[rr]
+    for t in range(len(cols) - 1, -1, -1):  # descending pivot rows keep earlier work intact
+        p, ct = pivot_rows[t], cols[t]
+        piv = ct[p]
+        todo = [cj for cj in cols[t + 1:] if not 0 <= cj[p] < piv]
+        if todo:
+            nonzero = [(r, x) for r, x in zip(range(p + 1), ct) if x]
+            for cj in todo:
+                q = cj[p] // piv
+                for r, x in nonzero:
+                    cj[r] -= q * x
     return cols, pivot_rows
 
 

@@ -165,18 +165,20 @@ def _char_value_numeric(chi, elem, ctx):
         return _root_table(chi.group.exponent, mp.mp.prec)[chi.exp_at(elem)]
 
 
-def i_f_and_regulator(model, pset, twist, ctx, units=None):
+def i_f_and_regulator(model, pset, twist, ctx, units=None, twist_inv=None):
     """Exact I^f = det(u)^{-1} ann(U/E) for f = u o f0, plus the numeric
     Stark regulator values A_chi = chi(u) chi(R) / L'_S(0, chi), where
     R = -sum_sigma log||eps||_{sigma w0} sigma and chi(x) =
     sum_sigma x_sigma chi(sigma) is the eigenvalue of x on the chi-part
     (chi unconjugated, for R and the twist alike).  Their exact fold returns
-    J independent of the twist.  Returns (I^f lattice, {chi index: A_chi}, J)."""
+    J independent of the twist (inverted here unless twist_inv is given).
+    Returns (I^f lattice, {chi index: A_chi}, J)."""
     _require_rank_one(model, pset)
     g = model.group
-    u_inv = gre_inverse(twist)  # raises on a non-invertible twist
+    if twist_inv is None:
+        twist_inv = gre_inverse(twist)  # raises on a non-invertible twist
     _, m = _unit_quotient(model, pset, ctx, units)
-    i_f = m.annihilator().scale(u_inv)
+    i_f = m.annihilator().divide(twist, twist_inv)
     e = torsion_order(model)
 
     logs = _log_eps_element(model, pset, ctx)
@@ -331,12 +333,11 @@ def check_indf(params, ctx):
         coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(g.order)]
         cand = GroupRingElement(g, coeffs)
         try:
-            gre_inverse(cand)
+            twists.append((cand, gre_inverse(cand)))
         except (ValueError, ZeroDivisionError):
             continue
-        twists.append(cand)
-    for i, tw in enumerate(twists):
-        _, _, j_tw = i_f_and_regulator(model, pset, tw, ctx, units=u)
+    for i, (tw, tw_inv) in enumerate(twists):
+        _, _, j_tw = i_f_and_regulator(model, pset, tw, ctx, units=u, twist_inv=tw_inv)
         if j_tw != base.ideal:
             return CheckReport(
                 "INDF", "fail",

@@ -436,6 +436,55 @@ def test_lattice_ops_equal_spans_of_basis_products(factors, closed):
         assert inter.covolume() * a.add(b).covolume() == a.covolume() * b.covolume()
 
 
+@pytest.mark.parametrize("factors", [(5,), (6,), (7,), (2, 4), (3, 3)])
+def test_bounded_division_equals_scaling_by_the_inverse(factors, monkeypatch):
+    """L.divide(u, u^-1) reduces the columns of a (den L), a = d u^-1, mod
+    D = p0 d d_u (p0 the first pivot, d_u the denominator of u) next to the
+    columns D e_i, and gives the lattice that the plain L.scale(u^-1) gives;
+    every entry the HNF is handed lies below D.
+    The lattices are ideals spanned by random generators (not diagonal, some
+    with denominators); u is integral as INDF's twists are, or rational."""
+    rng = random.Random(repr(factors))
+    g = abelian_group(factors)
+    n = g.order
+    handed = []
+    hnf = intmat.hnf_columns
+
+    def capturing(cols):
+        handed.append([list(col) for col in cols])
+        return hnf(cols)
+
+    def element(dens):
+        return GroupRingElement(g, [Fraction(rng.randint(-2, 2), rng.choice(dens))
+                                    for _ in range(n)])
+
+    checked = diagonal = 0
+    while checked < 8:
+        try:
+            lat = IdealLattice.from_generators(
+                g, [element((1,) if checked % 2 else (1, 2, 3)) for _ in range(2)])
+            u = element((1,) if checked < 6 else (1, 2))
+            u_inv = gre_inverse(u)
+        except (ValueError, ZeroDivisionError):   # rank-deficient or singular draw
+            continue
+        checked += 1
+        diagonal += all(x == 0 for t, col in enumerate(lat.cols) for x in col[:t])
+        handed.clear()
+        monkeypatch.setattr(intmat, "hnf_columns", capturing)
+        divided = lat.divide(u, u_inv)
+        monkeypatch.setattr(intmat, "hnf_columns", hnf)
+        assert divided == lat.scale(u_inv)
+        big_d = lat.cols[0][0] * u_inv.denominator() * u.denominator()
+        (cols,) = handed
+        bound = cols[-1][-1]  # D over the content that the constructor divides out
+        assert big_d % bound == 0
+        assert cols[-n:] == [[bound if i == j else 0 for i in range(n)] for j in range(n)]
+        assert all(0 <= x < bound for col in cols[:-n] for x in col)
+    assert diagonal < checked
+    with pytest.raises(ValueError, match="u_inv is not the inverse of u"):
+        lat.divide(u, u_inv * 2)
+
+
 def test_lattice_from_generators_rejects_rank_deficiency():
     g = galois_group(5)
     theta_like = GroupRingElement.from_dict(
@@ -898,6 +947,25 @@ def test_coefficients_become_fractions_whatever_their_type():
     for xs in (elems, nums):
         assert xs[0] == xs[1] == xs[2]
         assert all(type(c) is Fraction for x in xs for c in x.c)
+
+
+def test_lattices_over_different_groups_are_an_error_under_python_O():
+    # add, multiply and intersect raise a ValueError, not an assert
+    code = """if True:
+        from fracgalois.gring import IdealLattice, abelian_group
+        a = IdealLattice.unit_ideal(abelian_group((4,)))
+        b = IdealLattice.unit_ideal(abelian_group((2, 2)))
+        for op in (a.add, a.multiply, a.intersect):
+            try:
+                op(b)
+            except ValueError as exc:
+                print(exc)
+        """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.splitlines() == [
+        "lattices over FinAbGroup('abstract', (4,)) and FinAbGroup('abstract', (2, 2))"] * 3
 
 
 def test_wrong_coefficient_count_is_an_error_under_python_O():

@@ -8,13 +8,14 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fracgalois.intmat import (content, hnf_columns, identity_matrix,
-                               kernel_basis, mat_mul, mat_transpose,
+from fracgalois.intmat import (column_echelon, content, hnf_columns,
+                               identity_matrix, kernel_basis, mat_mul, mat_transpose,
                                smith_normal_form, solve_fraction_free,
                                solve_upper_triangular, span_contains,
                                span_equal)
 from fracgalois.gring import (FiniteGModule, GroupRingElement, IdealLattice,
                               abelian_group)
+from oracles import dense_column_echelon, dense_hnf_columns, dense_kernel_basis
 
 
 def random_unimodular(rng, n):
@@ -284,6 +285,47 @@ def test_span_contains_matches_cramer_oracle(span, data):
     third = [Fraction(x, 3) for x in member]
     y = solve_upper_triangular(h, pivots, third)
     assert [sum(yt * col[i] for yt, col in zip(y, h)) for i in range(n)] == third
+
+
+def _kernel_inputs(rng):
+    """(kind, columns) of seeded shapes: dense, sparse 0/+-1, rank-deficient,
+    with duplicate columns, and wide (many more columns than rows)."""
+    for _ in range(12):
+        n, m = rng.randint(1, 7), rng.randint(1, 8)
+        yield "dense", [[rng.randint(-40, 40) for _ in range(n)] for _ in range(m)]
+        yield "sparse", [[rng.choice((0, 0, 0, 0, 1, -1)) for _ in range(n)]
+                         for _ in range(m)]
+        r = rng.randint(1, max(1, n - 1))
+        base = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(r)]
+        yield "rank-deficient", [
+            [sum(c * col[i] for c, col in zip(coeffs, base)) for i in range(n)]
+            for coeffs in ([rng.randint(-3, 3) for _ in range(r)] for _ in range(m))]
+        cols = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(m)]
+        cols += [list(rng.choice(cols)) for _ in range(rng.randint(1, m))]
+        rng.shuffle(cols)
+        yield "duplicate", cols
+        yield "wide", [[rng.choice((0, rng.randint(-20, 20))) for _ in range(n)]
+                       for _ in range(8 * n + rng.randint(0, 10))]
+
+
+def test_sparse_kernel_matches_the_dense_oracle_bit_for_bit():
+    """The lead-bucketed, sparse echelon form picks the same pivots in the
+    same order as the dense scan, so its echelon columns (not only the
+    canonical HNF) and the kernel equal the oracle's exactly; scaling the
+    input scales the HNF entry for entry."""
+    rng = random.Random(1987)
+    kinds = set()
+    for kind, cols in _kernel_inputs(rng):
+        kinds.add(kind)
+        assert column_echelon(cols) == dense_column_echelon(cols), kind
+        h, pivots = hnf_columns(cols)
+        assert (h, pivots) == dense_hnf_columns(cols), kind
+        # IdealLattice's constructor divides the content out before the HNF
+        assert hnf_columns([[6 * x for x in col] for col in cols]) == (
+            [[6 * x for x in col] for col in h], pivots)
+        assert kernel_basis(cols) == dense_kernel_basis(cols), kind
+        assert kernel_basis(mat_transpose(cols)) == dense_kernel_basis(mat_transpose(cols))
+    assert kinds == {"dense", "sparse", "rank-deficient", "duplicate", "wide"}
 
 
 def test_column_api_takes_tuples_and_leaves_its_argument_alone():

@@ -479,12 +479,12 @@ def _log_gamma_guarded(x, prec):
     Stirling at z = x + N >= z0; one logarithm of the exact rational
     prod_{k<N} (x + k) = prod (a + kF) / F^N, x = a/F, undoes the shift. The
     tail sum_j C_j z^(1-2j) = (1/z) sum_j C_j w^(j-1), w = 1/z^2, is summed by
-    Horner in units of 2^-W from w = floor(F^2 2^W / A^2), z = A/F kept
-    exact, and divided once by z. Each floor (J coefficients, J - 1 products,
-    and w's, which moves each product by under |acc| 2^-W < 1 unit) is off by
-    under one unit and w, 1/z < 1 only shrink what is carried, so the sum is
-    off by fewer than 3J units before the division by z >= 16 and at most
-    2J + 1 after it: below 2^-(prec+16) while J < 2^15.
+    Horner in units of 2^-W with z = A/F and w = F^2/A^2 exact (each step
+    multiplies by the small F^2 and floor-divides by A^2), and divided once
+    by z. A step adds under two units (its coefficient's floor and its own)
+    to the carried error, which w <= 2^-8 shrinks, so the sum is off by
+    under 2 / (1 - 2^-8) < 3 units, and by under 3/16 + 1 < 2 units after
+    the floored division by z >= 16: below 2^-(prec+31), for any J.
     """
     W, z0, coeffs = _stirling_coeffs(prec)
     with mp.workprec(prec):
@@ -493,9 +493,9 @@ def _log_gamma_guarded(x, prec):
         A = a + n_shift * F
         z = mp.mpf(a) / F + n_shift
         val = (z - mp.mpf(1) / 2) * mp.log(z) - z + _half_log_2pi(prec)
-        w, acc = (F * F << W) // (A * A), 0
+        F2, A2, acc = F * F, A * A, 0
         for c in reversed(coeffs):
-            acc = c + (acc * w >> W)
+            acc = c + acc * F2 // A2
         val += mp.ldexp(acc * F // A, -W)
         # Gamma(x) = Gamma(x + N) / prod (x + k), and prod (x + k) = shift / F^N
         shift = prod(range(a, A, F))

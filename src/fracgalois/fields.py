@@ -272,7 +272,8 @@ def _symbol_positions(f, p):
 
 @lru_cache(maxsize=None)
 def _log_2_sin(c, f, prec):
-    """log(2 sin(pi c / f)) at prec bits, one evaluation per (c, f, prec)."""
+    """log(2 sin(pi c / f)) at prec bits, one evaluation per (c, f, prec);
+    log_abs passes c <= f/2, as sin(pi (f - c) / f) = sin(pi c / f)."""
     with mp.workprec(prec):
         return mp.log(2 * mp.sinpi(mp.mpf(c) / f))
 
@@ -400,11 +401,13 @@ class SUnit:
     def log_abs(self, t=1):
         """log|sigma_t(w)| at zeta = exp(2 pi i / f), at the current mpmath
         precision: sum_a e_a log|2 sin(pi a t / f)| over the symbols
-        1 - zeta^a, since roots of unity have absolute value 1."""
+        1 - zeta^a, since roots of unity have absolute value 1; a t and
+        -a t share one memo entry."""
         total = mp.mpf(0)
         for k, e in self.e.items():
             if isinstance(k, tuple):
-                total += e * _log_2_sin(k[1] * t % self.f, self.f, mp.mp.prec)
+                c = k[1] * t % self.f
+                total += e * _log_2_sin(min(c, self.f - c), self.f, mp.mp.prec)
         return total
 
     def expansion(self):

@@ -159,12 +159,6 @@ def _log_eps_element(model, pset, ctx):
         return {sigma: -lw for sigma, lw in logs.items()}
 
 
-def _char_value_numeric(chi, elem, ctx):
-    """chi(elem) as a complex number."""
-    with ctx.guard():
-        return _root_table(chi.group.exponent, mp.mp.prec)[chi.exp_at(elem)]
-
-
 def i_f_and_regulator(model, pset, twist, ctx, units=None, twist_inv=None):
     """Exact I^f = det(u)^{-1} ann(U/E) for f = u o f0, plus the numeric
     Stark regulator values A_chi = chi(u) chi(R) / L'_S(0, chi), where
@@ -185,16 +179,17 @@ def i_f_and_regulator(model, pset, twist, ctx, units=None, twist_inv=None):
     zcache = partial_zeta_all(model, pset, 1, ctx)
     reg = {}
     with ctx.guard():
+        roots = _root_table(g.exponent, mp.mp.prec)  # chi(sigma) = roots[exp]
         for idx, chi in enumerate(characters(g)):
             num = mp.mpc(0)
             for sigma, lv in logs.items():
-                num += _char_value_numeric(chi, sigma, ctx) * lv
+                num += roots[chi.exp_at(sigma)] * lv
             lstar = l_deriv_at_0(model, pset, chi, ctx, _zcache=zcache)
             tv = mp.mpc(0)
             for sigma in g.elements:
                 cf = twist.coeff(sigma)
                 if cf:
-                    tv += ctx.mpf(cf) * _char_value_numeric(chi, sigma, ctx)
+                    tv += ctx.mpf(cf) * roots[chi.exp_at(sigma)]
             reg[idx] = ctx.final(tv * num / lstar)
     j = i_f.scale(twist).scale(Fraction(1, e))
     return i_f, reg, j

@@ -218,14 +218,16 @@ def l_deriv_at_0(model: FieldModel, pset: PlaceSet, chi: Character, ctx, _zcache
 
 def l_deriv_primitive(model: FieldModel, chi: Character, ctx):
     """Untruncated L'(0, chi) for nontrivial chi, via the conductor-f0 sum
-    L'(0, chi) = log(f0) B_{1,chi_0} + sum_b chi_0(b) zeta_H'(0, b/f0)."""
+    L'(0, chi) = log(f0) B_{1,chi_0} + sum_b chi_0(b) zeta_H'(0, b/f0).
+    B_{1,chi_0} = 0 for even chi (b and f0 - b cancel), so it is skipped."""
     if chi.is_trivial():
         raise ValueError("trivial character: use the zeta factorization instead")
     f0, table, e = primitive_table(model, chi)
-    b1 = _b1_sum(f0, table, e)
     with ctx.guard():
         roots = _root_table(e, mp.mp.prec)
-        total = mp.log(f0) * b1.embed(1)
+        total = mp.mpc(0)
+        if table[f0 - 1]:  # chi(-1) != 1
+            total = mp.log(f0) * _b1_sum(f0, table, e).embed(1)
         for b, k in table.items():
             total += roots[k] * hurwitz_zeta_at0(Fraction(b, f0), 1, ctx)
     return ctx.final(total)

@@ -1,11 +1,20 @@
 """Helpers that only tests call: a character moved through a group
 isomorphism, membership in a rank-deficient Z-span of group-ring elements,
 the Stickelberger element assembled from L-values character by character,
-and a dense column echelon form with its HNF and kernel."""
+a dense column echelon form with its HNF and kernel, a numeric character
+value read per call, log Gamma with a floored Horner multiplier, and the
+primitive L-derivative that always embeds B_{1,chi}."""
+
+from fractions import Fraction
+from math import ceil, prod
+
+import mpmath as mp
 
 from fracgalois import intmat
+from fracgalois.cyclo import (_half_log_2pi, _root_table, _stirling_coeffs,
+                              hurwitz_zeta_at0)
 from fracgalois.gring import Character, _clear_denominators, assemble, characters
-from fracgalois.lfun import l_value_at_0
+from fracgalois.lfun import _b1_sum, l_value_at_0, primitive_table
 
 
 def transport_character(chi, iso):
@@ -96,3 +105,41 @@ def dense_kernel_basis(a_cols):
     cols, pivot_rows = dense_hnf_columns(
         [[1 if i == j else 0 for i in range(m)] + list(col) for j, col in enumerate(a_cols)])
     return [col[:m] for col, p in zip(cols, pivot_rows) if p < m]
+
+
+def char_value_numeric(chi, elem, ctx):
+    """chi(elem) as a complex number, one guarded table read per call."""
+    with ctx.guard():
+        return _root_table(chi.group.exponent, mp.mp.prec)[chi.exp_at(elem)]
+
+
+def log_gamma_floored_w(x, prec):
+    """`cyclo._log_gamma_guarded` with the Stirling tail summed by Horner in
+    the W-bit multiplier w = floor(F^2 2^W / A^2), off by at most 2J + 1
+    units of 2^-W."""
+    W, z0, coeffs = _stirling_coeffs(prec)
+    with mp.workprec(prec):
+        n_shift = max(0, ceil(z0 - x))
+        a, F = x.numerator, x.denominator
+        A = a + n_shift * F
+        z = mp.mpf(a) / F + n_shift
+        val = (z - mp.mpf(1) / 2) * mp.log(z) - z + _half_log_2pi(prec)
+        w, acc = (F * F << W) // (A * A), 0
+        for c in reversed(coeffs):
+            acc = c + (acc * w >> W)
+        val += mp.ldexp(acc * F // A, -W)
+        shift = prod(range(a, A, F))
+        return val - mp.log(mp.mpf(shift) / F ** n_shift)
+
+
+def l_deriv_primitive_with_b1(model, chi, ctx):
+    """`lfun.l_deriv_primitive` that embeds log(f0) B_{1,chi_0} also for an
+    even chi, where B_{1,chi_0} = 0."""
+    f0, table, e = primitive_table(model, chi)
+    b1 = _b1_sum(f0, table, e)
+    with ctx.guard():
+        roots = _root_table(e, mp.mp.prec)
+        total = mp.log(f0) * b1.embed(1)
+        for b, k in table.items():
+            total += roots[k] * hurwitz_zeta_at0(Fraction(b, f0), 1, ctx)
+    return ctx.final(total)

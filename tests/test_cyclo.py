@@ -18,6 +18,7 @@ from fracgalois.cyclo import (CyclotomicNumber, PrecisionContext,
                               divisors, euler_phi, factorize,
                               hurwitz_zeta_at0, is_prime, log_gamma, mobius,
                               primitive_root)
+from oracles import log_gamma_floored_w
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
 
@@ -244,6 +245,19 @@ def test_log_gamma_table_matches_mpmath_at_768_bits(f):
             ours = log_gamma(Fraction(b, f), ctx)
             theirs = mp.loggamma(mp.mpf(b) / f)
             assert abs(ours - theirs) < mp.mpf(2) ** -(bits - 6), b
+
+
+@pytest.mark.parametrize("f0", [23, 31, 121, 125, 169])
+def test_log_gamma_matches_the_floored_horner_oracle(f0):
+    # the exact Horner step w = F^2/A^2 and the floored W-bit w give the same
+    # mpf after the final rounding, for every argument the L-derivatives read
+    for bits in (192, 768):
+        ctx = PrecisionContext(bits=bits, tol_exp=-(bits - 20))
+        for b in range(1, f0):
+            x = Fraction(b, f0)
+            with ctx.guard():
+                oracle = ctx.final(log_gamma_floored_w(x, mp.mp.prec))
+            assert log_gamma(x, ctx) == oracle, (bits, x)
 
 
 def test_log_gamma_memo_is_keyed_on_precision():

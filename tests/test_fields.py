@@ -229,12 +229,16 @@ def test_log_abs_matches_expansion_embedding():
                 assert abs(w.log_abs(t) - ref) < mp.mpf(2) ** -740
 
 
-def _log_abs_per_call(w, t):
-    """The per-symbol log(2 sin) sum that log_abs's memo replaced."""
+def _log_abs_per_call(w, t, reduce=True):
+    """The per-symbol log(2 sin) sum that log_abs's memo replaced, at
+    c = a t mod f, or at min(c, f - c) when `reduce` (as log_abs reads it)."""
     total = mp.mpf(0)
     for k, e in w.e.items():
         if isinstance(k, tuple):
-            total += e * mp.log(2 * mp.sinpi(mp.mpf((k[1] * t) % w.f) / w.f))
+            c = (k[1] * t) % w.f
+            if reduce:
+                c = min(c, w.f - c)
+            total += e * mp.log(2 * mp.sinpi(mp.mpf(c) / w.f))
     return total
 
 
@@ -251,3 +255,22 @@ def test_log_abs_reads_one_log_sine_per_precision():
             with mp.workprec(bits):
                 for w, t in cases:
                     assert w.log_abs(t) == _log_abs_per_call(w, t), (order, bits, w, t)
+
+
+def test_log_sine_of_the_reduced_residue_matches_the_unreduced_one():
+    # sin(pi (f - c) / f) = sin(pi c / f): log_abs reads c and f - c at
+    # c' = min(c, f - c). The reduced value is within 2^-(prec-4) of the
+    # true one; the unreduced one rounds c / f near 1, which sin's slope
+    # pi cot(pi c / f) turns into up to f / c' units, so they agree to that
+    for bits in (192, 768):
+        tol = mp.mpf(2) ** -(bits - 4)
+        for f in (23, 121, 125, 169):
+            for c in range(1, f):
+                w = SUnit.one_minus_zeta(f, c)
+                with mp.workprec(bits + 32):
+                    true = mp.log(2 * mp.sinpi(mp.mpf(min(c, f - c)) / f))
+                with mp.workprec(bits):
+                    reduced = w.log_abs(1)
+                    unreduced = _log_abs_per_call(w, 1, reduce=False)
+                    assert abs(reduced - true) < tol, (bits, f, c)
+                    assert abs(reduced - unreduced) < tol * f / min(c, f - c), (bits, f, c)

@@ -14,7 +14,7 @@ from fracgalois.fields import (full_cyclotomic, make_field, place_set,
                                plus_field, relative_model, relative_place_set)
 from fracgalois.gring import (GroupHom, GroupRingElement, IdealLattice,
                               assemble, characters)
-from fracgalois.jideal import (CHECK_IDS, _char_value_numeric, _default_pset,
+from fracgalois.jideal import (CHECK_IDS, _default_pset, _log_eps_element,
                                _mu_ell_annihilator,
                                _unit_quotient, i_f_and_regulator,
                                j_base_case, j_full_cyclotomic, j_via_theorem,
@@ -25,6 +25,7 @@ from fracgalois.lfun import (half_stickelberger, l_deriv_at_0,
 from fracgalois.units import (lambda_unit, quotient_module, stark_module,
                               sunit_group)
 from gmodules import action_of
+from oracles import char_value_numeric
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
 
@@ -41,7 +42,35 @@ def test_char_value_numeric_reads_the_root_table_exactly():
                 for elem in g.elements:
                     with ctx.guard():
                         expect = mp.expjpi(mp.mpf(2 * chi.exp_at(elem)) / g.exponent)
-                    assert _char_value_numeric(chi, elem, ctx) == expect
+                    assert char_value_numeric(chi, elem, ctx) == expect
+
+
+@pytest.mark.parametrize("bits", [192, 768])
+def test_regulator_equals_the_per_call_character_values(bits):
+    # i_f_and_regulator reads chi(sigma) from one root table per call; each
+    # A_chi is the mpf of the per-call reads, bit for bit
+    ctx = PrecisionContext(bits=bits, tol_exp=-(bits - 20))
+    model = plus_field(25)
+    pset = _default_pset(model)
+    g = model.group
+    twist = (GroupRingElement.one(g) * 3
+             + GroupRingElement.basis(g, g.element_of_residue(2)))  # 3 + chi(s) != 0
+    _, reg, _ = i_f_and_regulator(model, pset, twist, ctx)
+    logs = _log_eps_element(model, pset, ctx)
+    zcache = partial_zeta_all(model, pset, 1, ctx)
+    for idx, chi in enumerate(characters(g)):
+        with ctx.guard():
+            num = mp.mpc(0)
+            for sigma, lv in logs.items():
+                num += char_value_numeric(chi, sigma, ctx) * lv
+            lstar = l_deriv_at_0(model, pset, chi, ctx, _zcache=zcache)
+            tv = mp.mpc(0)
+            for sigma in g.elements:
+                cf = twist.coeff(sigma)
+                if cf:
+                    tv += ctx.mpf(cf) * char_value_numeric(chi, sigma, ctx)
+            expect = ctx.final(tv * num / lstar)
+        assert reg[idx] == expect, (bits, idx)
 
 
 def test_torsion_orders():

@@ -19,7 +19,7 @@ from fracgalois.lfun import (_b1_sum, bernoulli_b1, character_conductor,
                              relative_l_value_at_0,
                              relative_partial_zeta_deriv, stickelberger,
                              stickelberger_classical, vanishing_order)
-from oracles import stickelberger_via_characters
+from oracles import l_deriv_primitive_with_b1, stickelberger_via_characters
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
 
@@ -121,6 +121,26 @@ def test_b1_sum_matches_the_fraction_loop(f):
         oracle = _b1_fraction_loop(f0, table, e)
         assert (ours.m, ours.c) == (oracle.m, oracle.c), (f0, table)
     assert 1 in conductors and f in conductors
+
+
+@pytest.mark.parametrize("f", [5, 8, 12, 13, 25, 121])
+def test_even_characters_skip_a_vanishing_b1(f):
+    # B_{1,chi} = 0 for every even nontrivial chi, so l_deriv_primitive skips
+    # it; the result is the full formula's mpf bit for bit, odd chi included
+    model = full_cyclotomic(f)
+    minus_one = model.group.element_of_residue(f - 1)
+    evens = 0
+    for chi in characters(model.group):
+        if chi.is_trivial():
+            continue
+        if chi.exp_at(minus_one) == 0:
+            evens += 1
+            assert _b1_sum(*primitive_table(model, chi)).is_zero(), chi
+        for bits in (192, 768):
+            ctx = PrecisionContext(bits=bits, tol_exp=-(bits - 20))
+            assert (l_deriv_primitive(model, chi, ctx)
+                    == l_deriv_primitive_with_b1(model, chi, ctx)), (bits, chi)
+    assert evens == len(characters(model.group)) // 2 - 1
 
 
 def test_l_value_euler_factor_vanishes_at_split_prime():

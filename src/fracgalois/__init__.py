@@ -11,11 +11,10 @@ from .fields import (FieldModel, PlaceSet, RelativeModel, SUnit,
                      full_cyclotomic, make_field, place_set, plus_field,
                      relative_model, relative_place_set)
 from .gring import (Character, FinAbGroup, FiniteGModule, GroupHom,
-                    GroupRingElement, IdealLattice, assemble, characters,
+                    GroupRingElement, IdealLattice, characters,
                     galois_group, gre_inverse, norm_element, plus_idempotent)
 from .lfun import (half_stickelberger, l_deriv_at_0, l_value_at_0,
-                   relative_l_value_at_0, stickelberger,
-                   stickelberger_classical, vanishing_order)
+                   stickelberger, stickelberger_classical, vanishing_order)
 from .units import (UnitLattice, cyclotomic_unit, export_units, lambda_unit,
                     load_units, quotient_module, stark_module,
                     stark_residuals, stark_unit, sunit_group,
@@ -33,11 +32,10 @@ __all__ = [
     "make_field", "place_set", "plus_field", "relative_model",
     "relative_place_set",
     "Character", "FinAbGroup", "FiniteGModule", "GroupHom",
-    "GroupRingElement", "IdealLattice", "assemble", "characters",
+    "GroupRingElement", "IdealLattice", "characters",
     "galois_group", "gre_inverse", "norm_element", "plus_idempotent",
-    "half_stickelberger", "l_deriv_at_0", "l_value_at_0",
-    "relative_l_value_at_0", "stickelberger", "stickelberger_classical",
-    "vanishing_order",
+    "half_stickelberger", "l_deriv_at_0", "l_value_at_0", "stickelberger",
+    "stickelberger_classical", "vanishing_order",
     "UnitLattice", "cyclotomic_unit", "export_units", "lambda_unit",
     "load_units", "quotient_module", "stark_module", "stark_residuals",
     "stark_unit", "sunit_group", "unit_coordinates",

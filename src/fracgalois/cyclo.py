@@ -287,16 +287,6 @@ class CyclotomicNumber:
 
     __rmul__ = __mul__
 
-    def mul_root(self, k):
-        """Multiply by zeta_m^k (exponent shift through the power table)."""
-        rows = _sparse_rows(self.m)
-        out = [Fraction(0)] * len(self.c)
-        for i, x in enumerate(self.c):
-            if x:
-                for j, y in rows[(i + k) % self.m]:
-                    out[j] += x * y
-        return CyclotomicNumber(self.m, out)
-
     def __pow__(self, n):
         if n < 0:
             raise ValueError("CyclotomicNumber powers need n >= 0")

@@ -430,9 +430,6 @@ class SUnit:
             self._exp = val.lift(self.f) if self.f > 2 else val
         return self._exp
 
-    def same_value(self, other):
-        return self.expansion() == other.expansion()
-
     def fixed_by(self, residues):
         nf = self.normal_form()
         return all(self.galois(t).normal_form() == nf for t in residues)

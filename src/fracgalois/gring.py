@@ -395,16 +395,6 @@ class GroupRingElement:
 
     __rmul__ = __mul__
 
-    def times_elem(self, elem):
-        """Fast multiplication by a single group element (a permutation)."""
-        g = self.group
-        pi = _perm_table(g)[g.index(elem)]
-        out = [Fraction(0)] * g.order
-        for j, y in enumerate(self.c):
-            if y:
-                out[pi[j]] = y
-        return GroupRingElement(g, out)
-
     def kappa(self):
         """The involution sigma -> sigma^{-1} applied coefficientwise."""
         g = self.group
@@ -500,55 +490,6 @@ def plus_idempotent(group, conj_elem):
     e = e + GroupRingElement.basis(group, group.identity, Fraction(1, 2))
     e = e + GroupRingElement.basis(group, conj_elem, Fraction(1, 2))
     return e
-
-
-def assemble(group, values):
-    """Inverse character transform: the unique x in Q[G] with chi(x) as given.
-
-    `values` maps each character to a CyclotomicNumber (or rational). If the
-    data is not Galois-equivariant the result is irrational; the error then
-    names a witness pair (chi, s) with values[chi^s] != values[chi]^sigma_s.
-    """
-    chars = characters(group)
-    vals = {}
-    for chi in chars:
-        v = values[chi] if not callable(values) else values(chi)
-        if not isinstance(v, CyclotomicNumber):
-            v = CyclotomicNumber.rational(v)
-        vals[chi] = v
-    e = group.exponent
-    m_all = e
-    for v in vals.values():
-        m_all = lcm(m_all, v.m)
-    lifted = {chi: v.lift(m_all) for chi, v in vals.items()}
-    step = m_all // e
-    n_inv = Fraction(1, group.order)
-    coeffs = []
-    for elem in group.elements:
-        inv = group.inv(elem)
-        acc = CyclotomicNumber.zero(m_all)
-        for chi, v in lifted.items():
-            acc = acc + v.mul_root(step * chi.exp_at(inv))
-        try:
-            coeffs.append(acc.as_fraction() * n_inv)
-        except ValueError:
-            witness = _equivariance_witness(group, vals, m_all)
-            raise ValueError(
-                "character data is not Galois-equivariant; witness "
-                f"chi={witness[0].exps}, s={witness[1]}") from None
-    return GroupRingElement(group, coeffs)
-
-
-def _equivariance_witness(group, vals, m_all):
-    for chi in characters(group):
-        for s in range(2, m_all):
-            if gcd(s, m_all) != 1:
-                continue
-            lhs = vals[chi.power(s)]
-            rhs = vals[chi].galois(s)
-            if not (lhs == rhs):
-                return chi, s
-    raise AssertionError("assemble failed but data looks equivariant")
 
 
 def det_qg(rows, group):

@@ -20,11 +20,12 @@ from .fields import (RelativeModel, make_field, place_set, plus_field,
                      full_cyclotomic, relative_model, relative_place_set,
                      torsion_order)
 from .gring import (FiniteGModule, GroupHom, GroupRingElement, IdealLattice,
+                    _clear_denominators, _orbit_vectors, _perm_table,
                     characters, gmodule_span_equal, gre_inverse,
                     hom_by_residues, norm_element)
-from .lfun import (half_stickelberger, l_deriv_at_0, partial_zeta_all,
-                   l_deriv_primitive, stickelberger, stickelberger_classical,
-                   vanishing_order)
+from .lfun import (_proj_g_to_h, half_stickelberger, l_deriv_at_0,
+                   l_deriv_primitive, partial_zeta_all, stickelberger,
+                   stickelberger_classical, vanishing_order)
 from .units import (conjugate_logs, json_object, quotient_module,
                     stark_module, stark_residuals, stark_unit, sunit_group)
 
@@ -112,13 +113,13 @@ def j_full_cyclotomic(p, n, ctx, units=None):
     u, m = _unit_quotient(model, pset, ctx, units)
     ann = m.annihilator()
     g = model.group
-    c = model.conjugation()
-    # e+/2 = (1 + c)/4, built once: one sparse convolution per generator
-    half_eplus = (GroupRingElement.one(g) + GroupRingElement.basis(g, c)) * Fraction(1, 4)
-    theta = stickelberger(model, pset)
-    gens = [theta.times_elem(s) for s in g.elements]
-    gens += [a * half_eplus for a in ann.basis_elements()]
-    ideal = IdealLattice.from_generators(g, gens, close_under_group=False)
+    # integer columns over 4 d d_ann (theta = t / d, ann = cols / d_ann):
+    # theta's orbit, and e+/2 = (1 + c)/4 times each basis column of ann
+    d, (t,) = _clear_denominators([stickelberger(model, pset)])
+    cperm = _perm_table(g)[g.index(model.conjugation())]
+    vecs = _orbit_vectors(g, [[4 * ann.den * x for x in t]])
+    vecs += [[d * (x + col[j]) for x, j in zip(col, cperm)] for col in ann.cols]
+    ideal = IdealLattice._from_columns(g, 4 * d * ann.den, vecs)
     return _j_result("full_cyclotomic", model, ideal, u, m)
 
 
@@ -215,20 +216,10 @@ def _iso_h_to_plus(h_group, plus_group):
     mapping = {e: plus_group.element_of_residue(h_group.label(e))
                for e in h_group.elements}
     iso = GroupHom(h_group, plus_group, mapping)
-    assert iso.injective and iso.surjective
+    if not (iso.injective and iso.surjective):
+        raise ValueError(f"restriction of H to the plus group mod {h_group.f} "
+                         "is not bijective")
     return iso
-
-
-def _proj_g_to_h(g_group, h_group, f):
-    """The projection G -> H along G = H x <c>: sigma_a -> sigma_{+-a in H}."""
-    hres = {h_group.label(e) for e in h_group.elements}
-    mapping = {}
-    for e in g_group.elements:
-        a = g_group.label(e)
-        mapping[e] = h_group.element_of_residue(a if a in hres else (f - a) % f)
-    hom = GroupHom(g_group, h_group, mapping)
-    assert hom.surjective
-    return hom
 
 
 # ---------------------------------------------------------------------------

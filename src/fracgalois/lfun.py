@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import mpmath as mp
 
 from .cyclo import (CyclotomicNumber, _root_table, _sparse_rows, crt, divisors,
                     euler_phi, factorize, hurwitz_zeta_at0)
 from .fields import FieldModel, PlaceSet, RelativeModel, make_field, place_set
-from .gring import Character, GroupRingElement, assemble, characters
+from .gring import Character, GroupHom, GroupRingElement, _convolve
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def _lift_modulus(model: FieldModel, pset: PlaceSet):
 
 
 def partial_zeta_all(model: FieldModel, pset: PlaceSet, k, ctx=None):
-    """{sigma -> zeta_S(0, sigma)} (k = 0, exact Fractions) or its s-derivative
+    """{sigma -> zeta_S(0, sigma)} (k = 0, exact) or its s-derivative
     (k = 1, mpf at ctx). One pass over residues of the lifted modulus."""
     g = model.group
     F = _lift_modulus(model, pset)
@@ -150,15 +150,15 @@ def partial_zeta_all(model: FieldModel, pset: PlaceSet, k, ctx=None):
 # Stickelberger-type elements
 
 def stickelberger(model: FieldModel, pset: PlaceSet):
-    """theta_S = sum_sigma zeta_S(0, sigma) sigma^{-1}, exact (zeta route)."""
+    """theta_S = sum_sigma zeta_S(0, sigma) sigma^{-1}, exact (zeta route);
+    the relative partial zetas are folded out of the full field's."""
     if isinstance(model, RelativeModel):
         if pset.finite_primes() != [model.p]:
             raise ValueError("relative theta is defined for S = {infinity, p}")
-        vals = {chi: relative_l_value_at_0(model, chi.conj())
-                for chi in characters(model.group)}
-        return assemble(model.group, vals)
+        zet = _relative_fold(model, 0)
+    else:
+        zet = partial_zeta_all(model, pset, 0)
     g = model.group
-    zet = partial_zeta_all(model, pset, 0)
     return GroupRingElement.from_dict(g, {g.inv(e): v for e, v in zet.items()})
 
 
@@ -236,96 +236,57 @@ def l_deriv_primitive(model: FieldModel, chi: Character, ctx):
 # ---------------------------------------------------------------------------
 # relative setting: K = Q(zeta_{p^n}) over k = Q(sqrt(-p))
 
-def extend_character(model: RelativeModel, chi: Character, odd: bool):
-    """Extend chi on H to the full group G with chi(c) = -1 (odd) or +1."""
-    g_full = make_field(model.f).group
+def _proj_g_to_h(g_group, h_group, f):
+    """The projection G -> H along G = H x <c>: sigma_a -> sigma_{+-a in H}."""
+    hres = {h_group.label(e) for e in h_group.elements}
+    mapping = {}
+    for e in g_group.elements:
+        a = g_group.label(e)
+        mapping[e] = h_group.element_of_residue(a if a in hres else (f - a) % f)
+    hom = GroupHom(g_group, h_group, mapping)
+    if not hom.surjective:
+        raise ValueError(f"projection of (Z/{f})^x along -1 is not onto H")
+    return hom
+
+
+def _relative_fold(model: RelativeModel, k, ctx=None):
+    """{sigma in H -> zeta_{k,S}(0, sigma)} (k = 0, exact) or its
+    s-derivative (k = 1, mpf at ctx) for S = {infinity, p}, folded out of the
+    full field's Z_S(s) = sum_sigma zeta_S(s, sigma) sigma:
+
+        sum_sigma zeta_{k,S}(s, sigma) sigma = pi_H(Z_S(s) eps(Z_S(s))),
+
+    with eps(x) the coefficientwise twist by the quadratic character of k
+    (+1 on H, -1 off it) and pi_H the projection G -> H. For chi on H,
+    chi o pi_H = chi_even and (chi o pi_H) eps = chi_odd, so the character
+    values are L_{k,S}(s, chi) = L_S(s, chi_even) L(s, chi_odd). Every
+    L_S(0, chi_even) vanishes, pi_H(Z_S(0)) = 0, and the derivative is
+    pi_H(Z_S'(0)) pi_H(eps(Z_S(0)))."""
+    full = make_field(model.f)
+    pset = place_set(full, (model.p,))
     h = model.group
-    f = model.f
-    e_h = h.exponent
-    e_g = g_full.exponent
-    if e_g % e_h or e_g % 2:
-        raise ValueError(f"exponent {e_h} of H does not divide the even exponent "
-                         f"{e_g} of G")
-    step = e_g // e_h
-
-    def value_exp(residue):
-        # split sigma_a = h * c^j with h in H
-        try:
-            helem = h.element_of_residue(residue)
-            j = 0
-        except ValueError:
-            helem = h.element_of_residue((residue * (f - 1)) % f)
-            j = 1
-        exp = chi.exp_at(helem) * step
-        if odd and j:
-            exp += e_g // 2
-        return exp % e_g
-
-    exps = []
-    for gen, d in zip(g_full.generator_elements(), g_full.invariant_factors):
-        eexp = value_exp(g_full.label(gen))
-        t, r = divmod(eexp * d, e_g)
-        if r:
-            raise ArithmeticError("extension is not a character")
-        exps.append(t)
-    out = Character(g_full, exps)
-    for elem in g_full.elements:
-        if out.exp_at(elem) != value_exp(g_full.label(elem)):
-            raise ArithmeticError(f"extension disagrees with chi at {g_full.label(elem)}")
-    return out
-
-
-def relative_l_value_at_0(model: RelativeModel, chi: Character):
-    """Exact L_{k,S}(0, chi) for S = {v_inf, frak_p}, via the induced pair:
-    L_{k,S}(s, chi) = L_S(s, chi_even) L(s, chi_odd) over Q, with the single
-    Euler factor at p carried by the even factor (the odd one is ramified)."""
-    chi_even = extend_character(model, chi, odd=False)
-    chi_odd = extend_character(model, chi, odd=True)
-    k_full = make_field(model.f)
-    even = l_value_at_0(k_full, place_set(k_full, (model.p,)), chi_even)
-    odd = l_value_at_0(k_full, _no_finite_places(k_full), chi_odd)
-    return even * odd
-
-
-def relative_l_deriv(model: RelativeModel, chi: Character, ctx):
-    """L'_{k,S}(0, chi) for S = {v_inf, frak_p}, via the factorization
-    L_k(s, chi) = L(s, chi_even) L(s, chi_odd) over Q."""
-    chi_even = extend_character(model, chi, odd=False)
-    chi_odd = extend_character(model, chi, odd=True)
-    k_full = make_field(model.f)
-    # odd factor: nonvanishing exact value (conductor is p-power: no Euler factor)
-    l_odd = l_value_at_0(k_full, _no_finite_places(k_full), chi_odd)
+    pi_h = _proj_g_to_h(full.group, h, model.f)
+    even = [Fraction(0)] * h.order  # pi_H(Z_S(0))
+    odd = [Fraction(0)] * h.order   # pi_H(eps(Z_S(0)))
+    for sigma, v in partial_zeta_all(full, pset, 0).items():
+        i = h.index(pi_h(sigma))
+        even[i] += v
+        odd[i] += v if h.label(h.elements[i]) == full.group.label(sigma) else -v
+    if k == 0:
+        return dict(zip(h.elements, _convolve(h, even, odd)))
+    if any(even):
+        raise ArithmeticError("pi_H(Z_S(0)) is not 0: some L_S(0, chi_even) "
+                              "does not vanish")
+    zder = partial_zeta_all(full, pset, k, ctx)
+    d = lcm(1, *(x.denominator for x in odd))
     with ctx.guard():
-        if chi.is_trivial():
-            # even factor is zeta(s)(1 - p^{-s}): derivative at 0 is -log(p)/2
-            lead_even = -mp.log(model.p) / 2
-        else:
-            # chi_even is ramified only at p, which S removes; L(0)=0, use L'
-            lead_even = l_deriv_primitive(k_full, chi_even, ctx)
-        total = lead_even * l_odd.embed(1)
-    return ctx.final(total)
-
-
-def _no_finite_places(model: FieldModel):
-    return place_set(model, ())
+        zd = [mp.mpf(0)] * h.order
+        for sigma, v in zder.items():
+            zd[h.index(pi_h(sigma))] += v
+        out = _convolve(h, zd, [x.numerator * (d // x.denominator) for x in odd])
+        return {e: ctx.final(mp.mpf(v) / d) for e, v in zip(h.elements, out)}
 
 
 def relative_partial_zeta_deriv(model: RelativeModel, ctx):
-    """{sigma in H -> zeta'_{k,S}(0, sigma)} by inverting the character sum."""
-    h = model.group
-    chars = characters(h)
-    lvals = {chi: relative_l_deriv(model, chi, ctx) for chi in chars}
-    e = h.exponent
-    out = {}
-    with ctx.guard():
-        roots = _root_table(e, mp.mp.prec)
-        for sigma in h.elements:
-            total = mp.mpc(0)
-            for chi, lv in lvals.items():
-                total += roots[-chi.exp_at(sigma) % e] * lv
-            total /= h.order
-            if abs(mp.im(total)) >= mp.mpf(2) ** (-ctx.bits // 2):
-                raise ArithmeticError("partial zeta derivative is not real: imaginary "
-                                      f"part {mp.nstr(mp.im(total), 5)}")
-            out[sigma] = mp.re(total)
-    return {s: ctx.final(v) for s, v in out.items()}
+    """{sigma in H -> zeta'_{k,S}(0, sigma)}, S = {infinity, p}."""
+    return _relative_fold(model, 1, ctx)

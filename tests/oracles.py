@@ -1,20 +1,25 @@
 """Helpers that only tests call: a character moved through a group
 isomorphism, membership in a rank-deficient Z-span of group-ring elements,
-the Stickelberger element assembled from L-values character by character,
-a dense column echelon form with its HNF and kernel, a numeric character
-value read per call, log Gamma with a floored Horner multiplier, and the
-primitive L-derivative that always embeds B_{1,chi}."""
+the inverse character transform and the Stickelberger element assembled
+from L-values character by character, the relative L-data of
+Q(zeta_{p^n}) / Q(sqrt(-p)) one character of H at a time, equality of
+S-unit values, a dense column echelon form with its HNF and kernel, a
+numeric character value read per call, log Gamma with a floored Horner
+multiplier, and the primitive L-derivative that always embeds B_{1,chi}."""
 
 from fractions import Fraction
-from math import ceil, prod
+from math import ceil, lcm, prod
 
 import mpmath as mp
 
 from fracgalois import intmat
-from fracgalois.cyclo import (_half_log_2pi, _root_table, _stirling_coeffs,
-                              hurwitz_zeta_at0)
-from fracgalois.gring import Character, _clear_denominators, assemble, characters
-from fracgalois.lfun import _b1_sum, l_value_at_0, primitive_table
+from fracgalois.cyclo import (CyclotomicNumber, _half_log_2pi, _root_table,
+                              _sparse_rows, _stirling_coeffs, hurwitz_zeta_at0)
+from fracgalois.fields import make_field, place_set
+from fracgalois.gring import (Character, GroupRingElement, _clear_denominators,
+                              characters)
+from fracgalois.lfun import (_b1_sum, l_deriv_primitive, l_value_at_0,
+                             primitive_table)
 
 
 def transport_character(chi, iso):
@@ -44,12 +49,132 @@ def span_membership(gens, x):
     return intmat.span_contains(vecs[:-1], vecs[-1])
 
 
+def _times_root(v, k):
+    """The CyclotomicNumber v times zeta_m^k, through the power table."""
+    rows = _sparse_rows(v.m)
+    out = [Fraction(0)] * len(v.c)
+    for i, x in enumerate(v.c):
+        if x:
+            for j, y in rows[(i + k) % v.m]:
+                out[j] += x * y
+    return CyclotomicNumber(v.m, out)
+
+
+def assemble(group, values):
+    """Inverse character transform: the unique x in Q[G] with chi(x) =
+    values[chi] (CyclotomicNumbers or rationals) for every character chi;
+    ValueError if the data is not Galois-equivariant (x would be irrational)."""
+    vals = {}
+    for chi in characters(group):
+        v = values[chi]
+        vals[chi] = v if isinstance(v, CyclotomicNumber) else CyclotomicNumber.rational(v)
+    m = lcm(group.exponent, *(v.m for v in vals.values()))
+    step = m // group.exponent
+    lifted = {chi: v.lift(m) for chi, v in vals.items()}
+    coeffs = []
+    for elem in group.elements:
+        inv = group.inv(elem)
+        acc = CyclotomicNumber.zero(m)
+        for chi, v in lifted.items():
+            acc = acc + _times_root(v, step * chi.exp_at(inv))
+        try:
+            coeffs.append(acc.as_fraction() / group.order)
+        except ValueError:
+            raise ValueError("character data is not Galois-equivariant") from None
+    return GroupRingElement(group, coeffs)
+
+
 def stickelberger_via_characters(model, pset):
     """theta_S assembled from exact L-values (slow cross-check route)."""
     vals = {}
     for chi in characters(model.group):
         vals[chi] = l_value_at_0(model, pset, chi.conj())
     return assemble(model.group, vals)
+
+
+def extend_character(model, chi, odd):
+    """Extend chi on H to the full group G with chi(c) = -1 (odd) or +1."""
+    g_full = make_field(model.f).group
+    h = model.group
+    f = model.f
+    e_g = g_full.exponent
+    step = e_g // h.exponent
+
+    def value_exp(residue):
+        # split sigma_a = h * c^j with h in H
+        try:
+            helem, j = h.element_of_residue(residue), 0
+        except ValueError:
+            helem, j = h.element_of_residue((residue * (f - 1)) % f), 1
+        exp = chi.exp_at(helem) * step
+        if odd and j:
+            exp += e_g // 2
+        return exp % e_g
+
+    exps = []
+    for gen, d in zip(g_full.generator_elements(), g_full.invariant_factors):
+        t, r = divmod(value_exp(g_full.label(gen)) * d, e_g)
+        assert r == 0, "extension is not a character"
+        exps.append(t)
+    out = Character(g_full, exps)
+    for elem in g_full.elements:
+        assert out.exp_at(elem) == value_exp(g_full.label(elem))
+    return out
+
+
+def relative_l_value_at_0(model, chi):
+    """Exact L_{k,S}(0, chi) for S = {v_inf, frak_p}, via the induced pair:
+    L_{k,S}(s, chi) = L_S(s, chi_even) L(s, chi_odd) over Q, with the single
+    Euler factor at p carried by the even factor (the odd one is ramified)."""
+    k_full = make_field(model.f)
+    even = l_value_at_0(k_full, place_set(k_full, (model.p,)),
+                        extend_character(model, chi, odd=False))
+    odd = l_value_at_0(k_full, place_set(k_full, ()),
+                       extend_character(model, chi, odd=True))
+    return even * odd
+
+
+def relative_l_deriv(model, chi, ctx):
+    """L'_{k,S}(0, chi) for S = {v_inf, frak_p}, via the same factorization:
+    L_S(0, chi_even) = 0, so it is L_S'(0, chi_even) L(0, chi_odd)."""
+    k_full = make_field(model.f)
+    # odd factor: nonvanishing exact value (conductor is p-power: no Euler factor)
+    l_odd = l_value_at_0(k_full, place_set(k_full, ()),
+                         extend_character(model, chi, odd=True))
+    with ctx.guard():
+        if chi.is_trivial():
+            # even factor is zeta(s)(1 - p^{-s}): derivative at 0 is -log(p)/2
+            lead_even = -mp.log(model.p) / 2
+        else:
+            # chi_even is ramified only at p, which S removes; L(0)=0, use L'
+            lead_even = l_deriv_primitive(
+                k_full, extend_character(model, chi, odd=False), ctx)
+        total = lead_even * l_odd.embed(1)
+    return ctx.final(total)
+
+
+def relative_partial_zeta_deriv_by_characters(model, ctx):
+    """{sigma in H -> zeta'_{k,S}(0, sigma)} by inverting the character sum
+    of the `relative_l_deriv` values."""
+    h = model.group
+    lvals = {chi: relative_l_deriv(model, chi, ctx) for chi in characters(h)}
+    e = h.exponent
+    out = {}
+    with ctx.guard():
+        roots = _root_table(e, mp.mp.prec)
+        for sigma in h.elements:
+            total = mp.mpc(0)
+            for chi, lv in lvals.items():
+                total += roots[-chi.exp_at(sigma) % e] * lv
+            total /= h.order
+            assert abs(mp.im(total)) < mp.mpf(2) ** (-ctx.bits // 2)
+            out[sigma] = mp.re(total)
+    return {s: ctx.final(v) for s, v in out.items()}
+
+
+def same_value(u, w):
+    """Do the S-units u and w have the same value (equal expansions)?"""
+    return u.expansion() == w.expansion()
 
 
 def dense_column_echelon(a_cols):

@@ -13,7 +13,7 @@ from fracgalois.cyclo import PrecisionContext
 from fracgalois.fields import (full_cyclotomic, make_field, place_set,
                                plus_field, relative_model, relative_place_set)
 from fracgalois.gring import (GroupHom, GroupRingElement, IdealLattice,
-                              assemble, characters)
+                              characters)
 from fracgalois.jideal import (CHECK_IDS, _default_pset, _log_eps_element,
                                _mu_ell_annihilator,
                                _unit_quotient, i_f_and_regulator,
@@ -25,7 +25,7 @@ from fracgalois.lfun import (half_stickelberger, l_deriv_at_0,
 from fracgalois.units import (lambda_unit, quotient_module, stark_module,
                               sunit_group)
 from gmodules import action_of
-from oracles import char_value_numeric
+from oracles import assemble, char_value_numeric
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
 
@@ -257,6 +257,16 @@ def test_passing_checks():
         assert rep.status == "pass", (cid, params, rep.witnesses)
         assert rep.check == cid
         assert rep.to_jsonable()["status"] == "pass"
+
+
+@pytest.mark.parametrize("p, n", [(7, 1), (11, 1), (19, 1), (23, 1), (31, 1),
+                                  (43, 1), (47, 1), (59, 1), (3, 2), (7, 2),
+                                  (11, 2)])
+def test_relative_starkc_passes_on_every_relative_field(p, n):
+    # the Stark residuals read the derivatives that the fold of the full
+    # field's partial zetas gives
+    rep = run_check("STARKC", {"p": p, "n": n, "subfield": "relative"}, CTX)
+    assert rep.status == "pass", rep.witnesses
 
 
 def test_fitting_ideal_of_the_unit_quotient_is_its_annihilator():

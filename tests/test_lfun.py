@@ -15,11 +15,12 @@ from fracgalois.lfun import (_b1_sum, bernoulli_b1, character_conductor,
                              half_stickelberger, l_deriv_at_0,
                              l_deriv_primitive, l_value_at_0,
                              partial_zeta_all, primitive_table,
-                             relative_l_deriv,
-                             relative_l_value_at_0,
                              relative_partial_zeta_deriv, stickelberger,
                              stickelberger_classical, vanishing_order)
-from oracles import l_deriv_primitive_with_b1, stickelberger_via_characters
+from oracles import (assemble, l_deriv_primitive_with_b1, relative_l_deriv,
+                     relative_l_value_at_0,
+                     relative_partial_zeta_deriv_by_characters,
+                     stickelberger_via_characters)
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
 
@@ -284,8 +285,8 @@ def test_relative_derivative_routes_agree():
 
 
 @pytest.mark.parametrize("bits", [192, 768])
-def test_relative_partial_zeta_deriv_reads_the_root_table(bits):
-    # the per-(sigma, chi) expjpi(-2k/e) sum that the root table replaced
+def test_relative_partial_zeta_deriv_matches_the_expjpi_inversion(bits):
+    # the fold against the per-(sigma, chi) expjpi(-2k/e) character sum
     ctx = PrecisionContext(bits=bits, tol_exp=-(bits - 20))
     m = relative_model(23)
     h = m.group
@@ -299,3 +300,28 @@ def test_relative_partial_zeta_deriv_reads_the_root_table(bits):
                 total += mp.expjpi(mp.mpf(-2 * chi.exp_at(sigma)) / e) * lv
             ref = mp.re(total / h.order)
             assert abs(ours[sigma] - ref) < mp.mpf(2) ** -(bits - 8), h.label(sigma)
+
+
+# the relative fields of prime conductor p = 3 mod 4 up to 59 (the builtin
+# provider's range) and (3, 2), (7, 2), (11, 2) at level two
+RELATIVE_RANGE = [(7, 1), (11, 1), (19, 1), (23, 1), (31, 1), (43, 1), (47, 1),
+                  (59, 1), (3, 2), (7, 2), (11, 2)]
+
+
+@pytest.mark.parametrize("p, n", RELATIVE_RANGE)
+def test_relative_theta_matches_the_character_route(p, n):
+    # the fold of the full field's partial zetas against the inverse
+    # character transform of the factored L_{k,S}(0, chi)
+    m = relative_model(p, n)
+    vals = {chi: relative_l_value_at_0(m, chi.conj()) for chi in characters(m.group)}
+    assert stickelberger(m, relative_place_set(m)) == assemble(m.group, vals)
+
+
+@pytest.mark.parametrize("p, n", RELATIVE_RANGE)
+def test_relative_partial_zeta_deriv_matches_the_character_inversion(p, n):
+    m = relative_model(p, n)
+    ours = relative_partial_zeta_deriv(m, CTX)
+    ref = relative_partial_zeta_deriv_by_characters(m, CTX)
+    with CTX.guard():
+        for sigma in m.group.elements:
+            assert abs(ours[sigma] - ref[sigma]) < mp.mpf(2) ** -(CTX.bits - 8)

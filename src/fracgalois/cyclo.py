@@ -11,7 +11,7 @@ carry guard bits and round once at the end.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import ceil, gcd, prod
+from math import gcd, prod
 
 import mpmath as mp
 
@@ -461,35 +461,45 @@ def _stirling_coeffs(prec):
         zpow *= z0 * z0
 
 
+def stirling_shifted(a, F, prec):
+    """(S, P, N) with log Gamma(x) - log(2 pi)/2 = S - log P + N log F for
+    x = a/F > 0 at prec bits: S is Stirling's value at z = x + N >= z0 and
+    P = prod_{k<N} (a + kF) exact, so a sum over residues takes one
+    logarithm of the product of their P. The tail sum_j C_j z^(1-2j) =
+    (1/z) sum_j C_j w^(j-1), w = 1/z^2, is summed by Horner in units of
+    2^-W with z = A/F and w = F^2/A^2 exact (each step multiplies by the
+    small F^2 and floor-divides by A^2), and divided once by z. A step adds
+    under two units (its coefficient's floor and its own) to the carried
+    error, which w <= 2^-8 shrinks, so the sum is off by under
+    2 / (1 - 2^-8) < 3 units, and by under 3/16 + 1 < 2 units after the
+    floored division by z >= 16: below 2^-(prec+31), for any J.
+    """
+    W, z0, coeffs = _stirling_coeffs(prec)
+    n_shift = max(0, -((a - z0 * F) // F))  # ceil(z0 - x)
+    A = a + n_shift * F
+    F2, A2, acc = F * F, A * A, 0
+    for c in reversed(coeffs):
+        acc = c + acc * F2 // A2
+    with mp.workprec(prec):
+        z = mp.mpf(A) / F
+        val = (z - mp.mpf(1) / 2) * mp.log(z) - z + mp.ldexp(acc * F // A, -W)
+    return val, prod(range(a, A, F)), n_shift
+
+
+@lru_cache(maxsize=None)
+def log_int(n, prec):
+    """log n for an integer n > 0 at prec bits, once per (n, prec)."""
+    with mp.workprec(prec):
+        return mp.log(n)
+
+
 @lru_cache(maxsize=None)
 def _log_gamma_guarded(x, prec):
     """log Gamma(x) for a Fraction x > 0 at prec bits (the caller's guarded
-    precision), memoized on (x, prec): callers meeting one reduced b/f0 share it.
-
-    Stirling at z = x + N >= z0; one logarithm of the exact rational
-    prod_{k<N} (x + k) = prod (a + kF) / F^N, x = a/F, undoes the shift. The
-    tail sum_j C_j z^(1-2j) = (1/z) sum_j C_j w^(j-1), w = 1/z^2, is summed by
-    Horner in units of 2^-W with z = A/F and w = F^2/A^2 exact (each step
-    multiplies by the small F^2 and floor-divides by A^2), and divided once
-    by z. A step adds under two units (its coefficient's floor and its own)
-    to the carried error, which w <= 2^-8 shrinks, so the sum is off by
-    under 2 / (1 - 2^-8) < 3 units, and by under 3/16 + 1 < 2 units after
-    the floored division by z >= 16: below 2^-(prec+31), for any J.
-    """
-    W, z0, coeffs = _stirling_coeffs(prec)
+    precision), memoized on (x, prec): callers meeting one reduced b/f0 share it."""
+    s, shift, n = stirling_shifted(x.numerator, x.denominator, prec)
     with mp.workprec(prec):
-        n_shift = max(0, ceil(z0 - x))
-        a, F = x.numerator, x.denominator
-        A = a + n_shift * F
-        z = mp.mpf(a) / F + n_shift
-        val = (z - mp.mpf(1) / 2) * mp.log(z) - z + _half_log_2pi(prec)
-        F2, A2, acc = F * F, A * A, 0
-        for c in reversed(coeffs):
-            acc = c + acc * F2 // A2
-        val += mp.ldexp(acc * F // A, -W)
-        # Gamma(x) = Gamma(x + N) / prod (x + k), and prod (x + k) = shift / F^N
-        shift = prod(range(a, A, F))
-        return val - mp.log(mp.mpf(shift) / F ** n_shift)
+        return s - mp.log(shift) + n * log_int(x.denominator, prec) + _half_log_2pi(prec)
 
 
 def log_gamma(x, ctx):

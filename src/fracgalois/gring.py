@@ -377,11 +377,13 @@ class GroupRingElement:
         return lcm(1, *(x.denominator for x in self.c))
 
     def __add__(self, other):
-        assert self.group == other.group
+        if self.group != other.group:
+            raise ValueError(f"adding elements of {self.group!r} and {other.group!r}")
         return GroupRingElement(self.group, tuple(x + y for x, y in zip(self.c, other.c)))
 
     def __sub__(self, other):
-        assert self.group == other.group
+        if self.group != other.group:
+            raise ValueError(f"subtracting elements of {self.group!r} and {other.group!r}")
         return GroupRingElement(self.group, tuple(x - y for x, y in zip(self.c, other.c)))
 
     def __neg__(self):
@@ -390,7 +392,8 @@ class GroupRingElement:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return GroupRingElement(self.group, tuple(x * other for x in self.c))
-        assert self.group == other.group
+        if self.group != other.group:
+            raise ValueError(f"multiplying elements of {self.group!r} and {other.group!r}")
         return GroupRingElement(self.group, _convolve(self.group, self.c, other.c))
 
     __rmul__ = __mul__
@@ -422,7 +425,8 @@ class GroupRingElement:
 
     def project(self, hom):
         """Push forward along a GroupHom (sum coefficients over fibers)."""
-        assert hom.source == self.group
+        if hom.source != self.group:
+            raise ValueError(f"projecting from {self.group!r} along a map of {hom.source!r}")
         out = [Fraction(0)] * hom.target.order
         for e, x in zip(self.group.elements, self.c):
             if x:
@@ -595,7 +599,8 @@ class IdealLattice:
 
     @classmethod
     def from_generators(cls, group, gens, *, close_under_group=True):
-        assert all(x.group == group for x in gens)
+        if any(x.group != group for x in gens):
+            raise ValueError(f"lattice over {group!r} from generators of another group")
         den, vecs = _clear_denominators(gens)
         if close_under_group:
             vecs = _orbit_vectors(group, vecs)

@@ -199,18 +199,6 @@ def i_f_and_regulator(model, pset, twist, ctx, units=None, twist_inv=None):
 # ---------------------------------------------------------------------------
 # subgroup embeddings used by the relative checks
 
-def _inject_gre(x, target_group):
-    """Map an element of Q[H] into Q[G] along matching residue labels."""
-    out = GroupRingElement.zero(target_group)
-    src = x.group
-    for elem in src.elements:
-        c = x.coeff(elem)
-        if c:
-            t = target_group.element_of_residue(src.label(elem))
-            out = out + GroupRingElement.basis(target_group, t) * c
-    return out
-
-
 def _iso_h_to_plus(h_group, plus_group):
     """Restriction H -> G+ (residue mod f, folded by +-1); bijective here."""
     mapping = {e: plus_group.element_of_residue(h_group.label(e))
@@ -417,21 +405,20 @@ def check_jrel(params, ctx):
                        _ctx_stamp(ctx, p=p, n=n))
 
 
+def bch_projection(rel, full_res):
+    """pi_H(beta0 J) for the full route's J of Q(zeta_f), beta0 = theta~ (1 + c)
+    with theta~ carried into Q[G]: pi_H is a ring map that fixes H and sends c
+    to 1, so this is 2 theta~ pi_H(J), a product over H per basis column."""
+    pi_h = _proj_g_to_h(full_res.model.group, rel.group, rel.f)
+    return full_res.ideal.project(pi_h).scale(half_stickelberger(rel) * 2)
+
+
 def check_bch(params, ctx):
     p = int(params["p"])
     n = int(params.get("n", 1))
     rel = relative_model(p, n)
     rel_res = j_via_theorem(rel, relative_place_set(rel), ctx)
-    h = rel.group
-
-    full_res = j_full_cyclotomic(p, n, ctx)
-    g = full_res.model.group
-    c = full_res.model.conjugation()
-    beta0 = _inject_gre(half_stickelberger(rel), g) * (
-        GroupRingElement.one(g) + GroupRingElement.basis(g, c))
-    pi_h = _proj_g_to_h(g, h, rel.f)
-    gens = [(beta0 * b).project(pi_h) for b in full_res.ideal.basis_elements()]
-    rhs = IdealLattice.from_generators(h, gens, close_under_group=False)
+    rhs = bch_projection(rel, j_full_cyclotomic(p, n, ctx))
     ok = rhs == rel_res.ideal
     wit = {}
     if not ok:

@@ -18,7 +18,7 @@ from math import gcd, lcm
 import mpmath as mp
 
 from .cyclo import (CyclotomicNumber, _root_table, _sparse_rows, crt, divisors,
-                    euler_phi, factorize, hurwitz_zeta_at0)
+                    euler_phi, factorize, hurwitz_zeta_at0, log_int, stirling_shifted)
 from .fields import FieldModel, PlaceSet, RelativeModel, make_field, place_set
 from .gring import Character, GroupHom, GroupRingElement, _convolve
 
@@ -119,31 +119,41 @@ def _lift_modulus(model: FieldModel, pset: PlaceSet):
 
 def partial_zeta_all(model: FieldModel, pset: PlaceSet, k, ctx=None):
     """{sigma -> zeta_S(0, sigma)} (k = 0, exact) or its s-derivative
-    (k = 1, mpf at ctx). One pass over residues of the lifted modulus."""
-    g = model.group
+    (k = 1, mpf at ctx, memoized), summed over sigma's residues mod F."""
     F = _lift_modulus(model, pset)
+    classes = {e: [] for e in model.group.elements}
+    for a in range(1, F):
+        if gcd(a, F) == 1:
+            classes[model.group.element_of_residue(a % model.f)].append(a)
     if k == 0:
-        acc = {e: Fraction(0) for e in g.elements}
-        for a in range(1, F):
-            if gcd(a, F) != 1:
-                continue
-            acc[g.element_of_residue(a % model.f)] += Fraction(1, 2) - Fraction(a, F)
-        return acc
+        return {e: Fraction(len(c) * F - 2 * sum(c), 2 * F) for e, c in classes.items()}
     if k == 1:
         if ctx is None:
             raise ValueError("derivative needs a PrecisionContext")
-        with ctx.guard():
-            logf = mp.log(F)
-            acc = {e: mp.mpf(0) for e in g.elements}
-            for a in range(1, F):
-                if gcd(a, F) != 1:
-                    continue
-                elem = g.element_of_residue(a % model.f)
-                x = Fraction(a, F)
-                acc[elem] += -logf * ctx.mpf(Fraction(1, 2) - x) \
-                    + hurwitz_zeta_at0(x, 1, ctx)
-        return {e: ctx.final(v) for e, v in acc.items()}
+        sums = _class_derivs(F, tuple(map(tuple, classes.values())), ctx)
+        return {e: ctx.final(v) for e, v in zip(classes, sums)}
     raise ValueError("k must be 0 or 1")
+
+
+@lru_cache(maxsize=None)
+def _class_derivs(F, classes, ctx):
+    """(sum_{a in c} d/ds (F^-s zeta_H(s, a/F)) at s = 0 for c in classes) at
+    ctx's guarded precision, memoized. One term is
+    zeta_H'(0, a/F) - log F (1/2 - a/F) = S_a - log P_a + (N_a - 1/2 + a/F) log F
+    with (S_a, P_a, N_a) from the Stirling kernel: the exact P_a of a class
+    are multiplied, so a class takes one logarithm. No reflection formula."""
+    out = []
+    with ctx.guard():
+        prec = mp.mp.prec
+        for residues in classes:
+            total, shift, n_sum = mp.mpf(0), 1, 0
+            for a in residues:
+                s, p, n = stirling_shifted(a, F, prec)
+                total += s
+                shift *= p
+                n_sum += 2 * (n * F + a) - F
+            out.append(total - mp.log(shift) + mp.mpf(n_sum) / (2 * F) * log_int(F, prec))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +187,11 @@ def stickelberger_classical(f):
 
 def half_stickelberger(model: RelativeModel):
     """theta~ = sum_{sigma in H} zeta_{S}(0, sigma) sigma^{-1} in Q[H],
-    S = {infinity, p}; the partial zetas are those of the full field."""
+    S = {infinity, p}; the partial zetas are those of the full field, whose
+    class of sigma_b is the one residue b."""
     h = model.group
-    f = model.f
-    d = {}
-    for a in range(1, f):
-        if a % model.p == 0:
-            continue
-        try:
-            e = h.element_of_residue(a)
-        except ValueError:
-            continue  # residue outside H
-        d[h.inv(e)] = d.get(h.inv(e), Fraction(0)) + (Fraction(1, 2) - Fraction(a, f))
-    return GroupRingElement.from_dict(h, d)
+    return GroupRingElement.from_dict(
+        h, {h.inv(e): Fraction(1, 2) - Fraction(h.label(e), model.f) for e in h.elements})
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +263,13 @@ def _relative_fold(model: RelativeModel, k, ctx=None):
     chi o pi_H = chi_even and (chi o pi_H) eps = chi_odd, so the character
     values are L_{k,S}(s, chi) = L_S(s, chi_even) L(s, chi_odd). Every
     L_S(0, chi_even) vanishes, pi_H(Z_S(0)) = 0, and the derivative is
-    pi_H(Z_S'(0)) pi_H(eps(Z_S(0)))."""
-    full = make_field(model.f)
-    pset = place_set(full, (model.p,))
-    h = model.group
-    pi_h = _proj_g_to_h(full.group, h, model.f)
+    pi_H(Z_S'(0)) pi_H(eps(Z_S(0))), summed fibre {b, f - b} by fibre."""
+    f = model.f
+    full, h = make_field(f), model.group
+    pi_h = _proj_g_to_h(full.group, h, f)
     even = [Fraction(0)] * h.order  # pi_H(Z_S(0))
     odd = [Fraction(0)] * h.order   # pi_H(eps(Z_S(0)))
-    for sigma, v in partial_zeta_all(full, pset, 0).items():
+    for sigma, v in partial_zeta_all(full, place_set(full, (model.p,)), 0).items():
         i = h.index(pi_h(sigma))
         even[i] += v
         odd[i] += v if h.label(h.elements[i]) == full.group.label(sigma) else -v
@@ -277,12 +278,9 @@ def _relative_fold(model: RelativeModel, k, ctx=None):
     if any(even):
         raise ArithmeticError("pi_H(Z_S(0)) is not 0: some L_S(0, chi_even) "
                               "does not vanish")
-    zder = partial_zeta_all(full, pset, k, ctx)
     d = lcm(1, *(x.denominator for x in odd))
+    zd = _class_derivs(f, tuple((h.label(e), f - h.label(e)) for e in h.elements), ctx)
     with ctx.guard():
-        zd = [mp.mpf(0)] * h.order
-        for sigma, v in zder.items():
-            zd[h.index(pi_h(sigma))] += v
         out = _convolve(h, zd, [x.numerator * (d // x.denominator) for x in odd])
         return {e: ctx.final(mp.mpf(v) / d) for e, v in zip(h.elements, out)}
 

@@ -5,10 +5,12 @@ from L-values character by character, the relative L-data of
 Q(zeta_{p^n}) / Q(sqrt(-p)) one character of H at a time, equality of
 S-unit values, a dense column echelon form with its HNF and kernel, a
 numeric character value read per call, log Gamma with a floored Horner
-multiplier, and the primitive L-derivative that always embeds B_{1,chi}."""
+multiplier, the primitive L-derivative that always embeds B_{1,chi}, the
+partial-zeta derivatives and their relative fold one residue at a time, and
+BCH's projection of beta0 J by dense products over G."""
 
 from fractions import Fraction
-from math import ceil, lcm, prod
+from math import ceil, gcd, lcm, prod
 
 import mpmath as mp
 
@@ -16,9 +18,10 @@ from fracgalois import intmat
 from fracgalois.cyclo import (CyclotomicNumber, _half_log_2pi, _root_table,
                               _sparse_rows, _stirling_coeffs, hurwitz_zeta_at0)
 from fracgalois.fields import make_field, place_set
-from fracgalois.gring import (Character, GroupRingElement, _clear_denominators,
-                              characters)
-from fracgalois.lfun import (_b1_sum, l_deriv_primitive, l_value_at_0,
+from fracgalois.gring import (Character, GroupRingElement, IdealLattice,
+                              _clear_denominators, _convolve, characters)
+from fracgalois.lfun import (_b1_sum, _lift_modulus, _proj_g_to_h, half_stickelberger,
+                             l_deriv_primitive, l_value_at_0, partial_zeta_all,
                              primitive_table)
 
 
@@ -268,3 +271,67 @@ def l_deriv_primitive_with_b1(model, chi, ctx):
         for b, k in table.items():
             total += roots[k] * hurwitz_zeta_at0(Fraction(b, f0), 1, ctx)
     return ctx.final(total)
+
+
+def partial_zeta_derivs_per_residue(model, pset, ctx):
+    """`lfun.partial_zeta_all(k=1)` with one Hurwitz derivative (one log Gamma,
+    so one logarithm of its shift product) per residue a of the lifted
+    modulus F: d/ds (F^-s zeta_H(s, a/F)) = -log F (1/2 - a/F) + zeta_H'(0, a/F)."""
+    g = model.group
+    F = _lift_modulus(model, pset)
+    with ctx.guard():
+        logf = mp.log(F)
+        acc = {e: mp.mpf(0) for e in g.elements}
+        for a in range(1, F):
+            if gcd(a, F) != 1:
+                continue
+            x = Fraction(a, F)
+            acc[g.element_of_residue(a % model.f)] += (
+                -logf * ctx.mpf(Fraction(1, 2) - x) + hurwitz_zeta_at0(x, 1, ctx))
+    return {e: ctx.final(v) for e, v in acc.items()}
+
+
+def relative_fold_per_residue(model, ctx):
+    """`lfun.relative_partial_zeta_deriv` as pi_H of the full field's
+    per-residue derivatives (each rounded to ctx.bits) times
+    pi_H(eps(Z_S(0)))."""
+    full = make_field(model.f)
+    pset = place_set(full, (model.p,))
+    h = model.group
+    pi_h = _proj_g_to_h(full.group, h, model.f)
+    odd = [Fraction(0)] * h.order
+    for sigma, v in partial_zeta_all(full, pset, 0).items():
+        i = h.index(pi_h(sigma))
+        odd[i] += v if h.label(h.elements[i]) == full.group.label(sigma) else -v
+    zder = partial_zeta_derivs_per_residue(full, pset, ctx)
+    d = lcm(1, *(x.denominator for x in odd))
+    with ctx.guard():
+        zd = [mp.mpf(0)] * h.order
+        for sigma, v in zder.items():
+            zd[h.index(pi_h(sigma))] += v
+        out = _convolve(h, zd, [x.numerator * (d // x.denominator) for x in odd])
+        return {e: ctx.final(mp.mpf(v) / d) for e, v in zip(h.elements, out)}
+
+
+def inject_gre(x, target_group):
+    """Map an element of Q[H] into Q[G] along matching residue labels."""
+    out = GroupRingElement.zero(target_group)
+    src = x.group
+    for elem in src.elements:
+        c = x.coeff(elem)
+        if c:
+            t = target_group.element_of_residue(src.label(elem))
+            out = out + GroupRingElement.basis(target_group, t) * c
+    return out
+
+
+def bch_projection_dense(rel, full_res):
+    """`jideal.bch_projection` as pi_H(beta0 b) over the basis b of J, each
+    product a dense convolution over G, with beta0 = theta~ (1 + c)."""
+    g = full_res.model.group
+    c = full_res.model.conjugation()
+    beta0 = inject_gre(half_stickelberger(rel), g) * (
+        GroupRingElement.one(g) + GroupRingElement.basis(g, c))
+    pi_h = _proj_g_to_h(g, rel.group, rel.f)
+    gens = [(beta0 * b).project(pi_h) for b in full_res.ideal.basis_elements()]
+    return IdealLattice.from_generators(rel.group, gens, close_under_group=False)

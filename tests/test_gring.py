@@ -985,3 +985,32 @@ def test_wrong_coefficient_count_is_an_error_under_python_O():
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert proc.stdout.splitlines() == ["Q[G] needs 3 coefficients, got 2",
                                         "Q(zeta_5) needs 4 coefficients, got 3"]
+
+
+def test_group_ring_elements_over_different_groups_are_an_error_under_python_O():
+    # +, -, *, project and from_generators raise a ValueError naming both
+    # groups, not an assert: python -O keeps the check
+    code = """if True:
+        from fracgalois.gring import (GroupHom, GroupRingElement, IdealLattice,
+                                      abelian_group)
+        g, h = abelian_group((4,)), abelian_group((2, 2))
+        x, y = GroupRingElement.one(g), GroupRingElement.one(h)
+        to_g = GroupHom(g, g, {e: e for e in g.elements})
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y,
+                   lambda: y.project(to_g),
+                   lambda: IdealLattice.from_generators(g, [x, y])):
+            try:
+                op()
+            except ValueError as exc:
+                print(exc)
+        """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    g, h = "FinAbGroup('abstract', (4,))", "FinAbGroup('abstract', (2, 2))"
+    assert proc.stdout.splitlines() == [
+        f"adding elements of {g} and {h}",
+        f"subtracting elements of {g} and {h}",
+        f"multiplying elements of {g} and {h}",
+        f"projecting from {h} along a map of {g}",
+        f"lattice over {g} from generators of another group"], proc.stderr

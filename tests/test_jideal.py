@@ -15,7 +15,7 @@ from fracgalois.fields import (full_cyclotomic, make_field, place_set,
 from fracgalois.gring import (GroupHom, GroupRingElement, IdealLattice,
                               characters)
 from fracgalois.jideal import (CHECK_IDS, _default_pset, _log_eps_element,
-                               _mu_ell_annihilator,
+                               _mu_ell_annihilator, bch_projection,
                                _unit_quotient, i_f_and_regulator,
                                j_base_case, j_full_cyclotomic, j_via_theorem,
                                load_classgroup, run_check, rzero_idempotent,
@@ -25,7 +25,7 @@ from fracgalois.lfun import (half_stickelberger, l_deriv_at_0,
 from fracgalois.units import (lambda_unit, quotient_module, stark_module,
                               sunit_group)
 from gmodules import action_of
-from oracles import assemble, char_value_numeric
+from oracles import assemble, bch_projection_dense, char_value_numeric
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
 
@@ -472,3 +472,13 @@ def test_load_classgroup_rejects_noncommuting_actions(tmp_path):
            "provenance": "test"}
     with pytest.raises(ValueError, match="commute"):
         load_classgroup(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("p, n", [(7, 1), (11, 1), (3, 2), (7, 2)])
+def test_bch_projection_matches_the_dense_products_over_g(p, n):
+    # pi_H(beta0) pi_H(b) over H against pi_H(beta0 b) convolved over G
+    rel = relative_model(p, n)
+    full = j_full_cyclotomic(p, n, CTX)
+    ours = bch_projection(rel, full)
+    assert ours == bch_projection_dense(rel, full)
+    assert ours == j_via_theorem(rel, relative_place_set(rel), CTX).ideal

@@ -6,6 +6,9 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from fracgalois import lfun
+from fracgalois.cli import main
+
 from fracgalois.cyclo import (CyclotomicNumber, PrecisionContext, _power_table,
                               euler_phi, factorize)
 from fracgalois.fields import (full_cyclotomic, make_field, place_set,
@@ -17,8 +20,9 @@ from fracgalois.lfun import (_b1_sum, bernoulli_b1, character_conductor,
                              partial_zeta_all, primitive_table,
                              relative_partial_zeta_deriv, stickelberger,
                              stickelberger_classical, vanishing_order)
-from oracles import (assemble, l_deriv_primitive_with_b1, relative_l_deriv,
-                     relative_l_value_at_0,
+from oracles import (assemble, l_deriv_primitive_with_b1,
+                     partial_zeta_derivs_per_residue, relative_fold_per_residue,
+                     relative_l_deriv, relative_l_value_at_0,
                      relative_partial_zeta_deriv_by_characters,
                      stickelberger_via_characters)
 
@@ -325,3 +329,83 @@ def test_relative_partial_zeta_deriv_matches_the_character_inversion(p, n):
     with CTX.guard():
         for sigma in m.group.elements:
             assert abs(ours[sigma] - ref[sigma]) < mp.mpf(2) ** -(CTX.bits - 8)
+
+
+# (field, finite primes of S): plus fields, where each class holds a and
+# f - a; plus f = 13 with 3 in S (F = 39, four residues per class); full
+# fields, where each class is a single residue
+CLASS_CASES = [("plus", 13, (13,)), ("plus", 25, (5,)), ("plus", 61, (61,)),
+               ("plus", 121, (11,)), ("plus", 169, (13,)), ("plus", 13, (3, 13)),
+               ("full", 25, (5,)), ("full", 49, ())]
+
+
+@pytest.mark.parametrize("bits", [192, 768])
+@pytest.mark.parametrize("kind, f, primes", CLASS_CASES)
+def test_partial_zeta_derivs_match_the_per_residue_loop(kind, f, primes, bits):
+    # one logarithm of the class's shift products against one log Gamma
+    # (one logarithm) per residue
+    ctx = PrecisionContext(bits=bits, tol_exp=-(bits - 20))
+    model = plus_field(f) if kind == "plus" else full_cyclotomic(f)
+    pset = place_set(model, primes)
+    ours = partial_zeta_all(model, pset, 1, ctx)
+    ref = partial_zeta_derivs_per_residue(model, pset, ctx)
+    assert list(ours) == list(ref) == list(model.group.elements)
+    with ctx.guard():
+        for sigma, v in ours.items():
+            assert abs(v - ref[sigma]) < mp.mpf(2) ** -(bits - 8), model.group.label(sigma)
+
+
+@pytest.mark.parametrize("bits", [192, 768])
+@pytest.mark.parametrize("p, n", [(7, 1), (23, 1), (59, 1), (3, 2), (11, 2)])
+def test_relative_fold_matches_the_per_residue_loop(p, n, bits):
+    # the pi_H fibre {b, f - b} as one class against the fold of the full
+    # field's per-residue derivatives
+    ctx = PrecisionContext(bits=bits, tol_exp=-(bits - 20))
+    m = relative_model(p, n)
+    ours = relative_partial_zeta_deriv(m, ctx)
+    ref = relative_fold_per_residue(m, ctx)
+    with ctx.guard():
+        for sigma in m.group.elements:
+            assert abs(ours[sigma] - ref[sigma]) < mp.mpf(2) ** -(bits - 8), m.group.label(sigma)
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = lfun.stirling_shifted
+
+    def counted(a, F, prec):
+        calls.append((a, F))
+        return kernel(a, F, prec)
+
+    monkeypatch.setattr(lfun, "stirling_shifted", counted)
+    lfun._class_derivs.cache_clear()
+    return calls
+
+
+def test_indf_builds_the_derivative_sums_once_per_field(monkeypatch, tmp_path):
+    # five twists and the base J read one set of L-data: one kernel call per
+    # residue mod 61
+    calls = _count_kernel_calls(monkeypatch)
+    assert main(["verify", "--suite", "INDF", "-p", "61",
+                 "--out", str(tmp_path / "indf.json")]) == 0
+    assert sorted(calls) == [(a, 61) for a in range(1, 61)]
+    assert lfun._class_derivs.cache_info().misses == 1
+
+
+def test_partial_zeta_memo_does_no_new_work_and_hands_out_fresh_dicts(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    model = plus_field(25)
+    pset = place_set(model, (5,))
+    first = partial_zeta_all(model, pset, 1, CTX)
+    n_calls = len(calls)
+    assert n_calls == 20
+    first.clear()
+    second = partial_zeta_all(model, pset, 1, CTX)
+    assert len(calls) == n_calls and len(second) == model.group.order
+    second[model.group.identity] = mp.mpf(0)
+    assert partial_zeta_all(model, pset, 1, CTX)[model.group.identity] != 0
+    rel = relative_model(7)
+    one = relative_partial_zeta_deriv(rel, CTX)
+    n_calls = len(calls)
+    one.clear()
+    assert relative_partial_zeta_deriv(rel, CTX) and len(calls) == n_calls

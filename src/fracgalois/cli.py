@@ -30,7 +30,7 @@ from .fields import (RelativeModel, full_cyclotomic, make_field, place_set,
 from .gring import characters
 from .jideal import (CHECK_IDS, _gre_jsonable, j_full_cyclotomic,
                      j_via_theorem, load_classgroup, run_check)
-from .lfun import (half_stickelberger, l_value_at_0, stickelberger,
+from .lfun import (half_stickelberger, l_values_at_0, stickelberger,
                    vanishing_order)
 from .units import (export_units, load_units, quotient_module, stark_module,
                     sunit_group)
@@ -184,17 +184,12 @@ def cmd_compute(cfg):
         model, pset = resolve_field(cfg)
         if isinstance(model, RelativeModel):
             raise ValueError("lvalues lives on absolute fields")
-        vals = {}
-        nums = {}
-        for chi in characters(model.group):
-            v = l_value_at_0(model, pset, chi)
-            key = _chi_key(chi)
-            vals[key] = _cyclo_jsonable(v)
-            with ctx.guard():
-                emb = v.embed(1)
-            nums[key] = mp.nstr(ctx.final(emb), 17)
-        exact["l_values_at_0"] = vals
-        numeric["l_values_at_0"] = nums
+        chars = characters(model.group)
+        vals = dict(zip(map(_chi_key, chars), l_values_at_0(model, pset, chars)))
+        with ctx.guard():
+            embs = {key: v.embed(1) for key, v in vals.items()}
+        exact["l_values_at_0"] = {key: _cyclo_jsonable(v) for key, v in vals.items()}
+        numeric["l_values_at_0"] = {key: mp.nstr(ctx.final(z), 17) for key, z in embs.items()}
     elif cfg.object == "rvec":
         model, pset = resolve_field(cfg)
         exact["vanishing_orders"] = {

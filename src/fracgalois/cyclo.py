@@ -11,7 +11,7 @@ carry guard bits and round once at the end.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import mpmath as mp
 
@@ -340,13 +340,14 @@ class CyclotomicNumber:
 
     # -- numerics (call under a PrecisionContext guard)
     def embed(self, a=1):
-        """Complex value under zeta_m -> exp(2 pi i a / m), current mp prec."""
-        roots = _root_table(self.m, mp.mp.prec)
-        total = mp.mpc(0)
-        for i, x in enumerate(self.c):
-            if x:
-                total += mp.mpf(x.numerator) / x.denominator * roots[(a * i) % self.m]
-        return total
+        """Complex value under zeta_m -> exp(2 pi i a / m), current mp prec: the
+        numerators over one denominator d dotted with the fixed-point roots,
+        then one rounded division by d 2^prec."""
+        prec, m = mp.mp.prec, self.m
+        re_t, im_t = _fixed_root_table(m, prec)
+        d = lcm(*(x.denominator for x in self.c))
+        nk = [(x.numerator * (d // x.denominator), a * i % m) for i, x in enumerate(self.c) if x]
+        return mp.mpc(*(mp.fdiv(sum(n * t[k] for n, k in nk), d << prec) for t in (re_t, im_t)))
 
     def __repr__(self):
         if self.is_rational():
@@ -361,6 +362,16 @@ def _root_table(m, prec):
     precision: the embedding of zeta_m^k is read, not recomputed."""
     with mp.workprec(prec):
         return tuple(mp.expjpi(mp.mpf(2 * k) / m) for k in range(m))
+
+
+@lru_cache(maxsize=None)
+def _fixed_root_table(m, prec):
+    """(re, im) of _root_table(m, prec + GUARD_BITS) rounded to integers at
+    scale 2^prec: a value exact in binary (0, +-1/2, +-1) stays exact."""
+    with mp.workprec(prec + GUARD_BITS):  # wide enough to hold each rounded integer
+        roots = _root_table(m, mp.mp.prec)
+        return tuple(tuple(int(mp.nint(mp.ldexp(part(z), prec))) for z in roots)
+                     for part in (mp.re, mp.im))
 
 
 # ---------------------------------------------------------------------------

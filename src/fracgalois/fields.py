@@ -504,5 +504,7 @@ def finite_ord(word: SUnit, pset: PlaceSet, i):
     if pd.pi_over_w == 0:
         return 0
     q, r = divmod(word.ord_pi(), pd.pi_over_w)
-    assert r == 0
+    if r:
+        raise ValueError(f"ord_pi {word.ord_pi()} is not a multiple of {pd.pi_over_w}: "
+                         "the word is not in the place set's field")
     return q

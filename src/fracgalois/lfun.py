@@ -31,7 +31,7 @@ def character_conductor(model: FieldModel, chi: Character):
     for d in divisors(model.f):
         if chi.is_trivial_on(_units_one_mod(model.group, model.f, d)):
             return d
-    raise AssertionError("unreachable: d = f always works")
+    raise ArithmeticError(f"{chi} is not trivial on the units 1 mod {model.f}")
 
 
 @lru_cache(maxsize=None)
@@ -69,41 +69,56 @@ def _lifts(group, f, f0):
     return tuple(lifts)
 
 
-def bernoulli_b1(model: FieldModel, chi: Character):
-    """B_{1,chi} = sum_b chi(b) (b/f0 - 1/2), exact in Q(zeta_E), for a
-    primitive chi (conductor = f); otherwise this errors."""
-    f0, table, e = primitive_table(model, chi)
-    if f0 != model.f:
-        raise ValueError(f"character has conductor {f0} < modulus {model.f}; "
-                         "pass the primitive model")
-    return _b1_sum(f0, table, e)
-
-
 def _b1_sum(f0, table, e):
     """B_{1,chi_0} = (1/2f0) sum_k w_k zeta_e^k, w_k = sum_{table[b] = k} (2b - f0),
     from the primitive_table (f0, table, e); integer weights (f0 = 1: 1/2)."""
-    weights = {}
+    weights = [0] * e
     for b, k in table.items():
-        weights[k] = weights.get(k, 0) + 2 * b - f0
-    rows = _sparse_rows(e)
-    out = [0] * euler_phi(e)
-    for k, w in weights.items():
-        for j, x in rows[k]:
-            out[j] += w * x
-    return CyclotomicNumber(e, [Fraction(x, 2 * f0) for x in out])
+        weights[k] += 2 * b - f0
+    return _reduce(e, weights, 2 * f0)
+
+
+def _reduce(e, weights, den):
+    """sum_k weights[k] zeta_e^k / den on the power basis, integer weights."""
+    rows, out = _sparse_rows(e), [0] * euler_phi(e)
+    for w, row in zip(weights, rows):
+        if w:
+            for j, x in row:
+                out[j] += w * x
+    return CyclotomicNumber(e, [Fraction(x, den) for x in out])
 
 
 def l_value_at_0(model: FieldModel, pset: PlaceSet, chi: Character):
     """Exact L_S(0, chi) = -B_{1,chi_0} * prod_{p in S, p coprime f0} (1 - chi_0(p))."""
-    f0, table, e = primitive_table(model, chi)
-    val = -_b1_sum(f0, table, e)
-    for q in pset.finite_primes():
-        if f0 % q == 0:
-            continue  # ramified: the Euler factor is already absent
-        chi0_q = (CyclotomicNumber.root_of_unity(e, table[q % f0]) if f0 > 1
-                  else CyclotomicNumber.rational(1))
-        val = val * (1 - chi0_q)
-    return val
+    return l_values_at_0(model, pset, [chi])[0]
+
+
+def l_values_at_0(model: FieldModel, pset: PlaceSet, chars):
+    """[L_S(0, chi) for chi in chars], exact. The lifts b of a conductor f0
+    give their generator exponents and weights 2b - f0 once; per chi the
+    weights land at k_b in w over Z/e, each Euler factor 1 - chi_0(q) maps
+    w[k] to w[k] - w[k - k_q], and one reduction divides by -2 f0."""
+    g, e = model.group, model.group.exponent
+    by_conductor, out = {}, []
+    for chi in chars:
+        f0 = character_conductor(model, chi)
+        if f0 not in by_conductor:
+            lifts = _lifts(g, model.f, f0) if f0 > 1 else ((1, g.identity),)
+            by_conductor[f0] = (  # f0 = 1: chi_0(q) = 1 at the one lift
+                [2 * b - f0 for b, _ in lifts], list(zip(*(x for _, x in lifts))),
+                [next(i for i, (b, _) in enumerate(lifts) if (b - q) % f0 == 0)
+                 for q in pset.finite_primes() if f0 % q])
+        wts, cols, euler = by_conductor[f0]
+        ks = [0] * len(wts)
+        for t, d, col in zip(chi.exps, g.invariant_factors, cols):
+            ks = [k + t * e // d * x for k, x in zip(ks, col)]
+        w = [0] * e
+        for k, wt in zip(ks, wts):
+            w[k % e] += wt
+        for kq in (ks[i] % e for i in euler):
+            w = [w[k] - w[k - kq] for k in range(e)]
+        out.append(_reduce(e, w, -2 * f0))
+    return out
 
 
 # ---------------------------------------------------------------------------

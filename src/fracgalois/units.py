@@ -119,8 +119,9 @@ def stark_module(model, pset, ctx):
     g = model.group
     torsion = SUnit.minus_one(f) * SUnit.zeta(f)
     if isinstance(model, RelativeModel):
-        beta = half_stickelberger(model) * torsion_order(model)  # e * theta~, integral
-        assert beta.is_integral()
+        beta = half_stickelberger(model) * torsion_order(model)
+        if not beta.is_integral():
+            raise ArithmeticError("e * theta~ is not integral")
         unit = SUnit.one(f)
         for elem in g.elements:
             c = beta.coeff(elem)
@@ -217,7 +218,8 @@ def unit_coordinates(lattice: UnitLattice, word: SUnit, ctx, *, _cache=None):
 
 def quotient_module(u: UnitLattice, e: UnitLattice, ctx):
     """U/E as a FiniteGModule on generators (torsion, free_1, ..., free_r)."""
-    assert u.group == e.group
+    if u.group != e.group:
+        raise ValueError(f"quotient of units over {u.group} by units over {e.group}")
     g = u.group
     k = 1 + len(u.free)
     cache = {}

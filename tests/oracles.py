@@ -1,9 +1,10 @@
 """Helpers that only tests call: a character moved through a group
 isomorphism, membership in a rank-deficient Z-span of group-ring elements,
 the inverse character transform and the Stickelberger element assembled
-from L-values character by character, the relative L-data of
-Q(zeta_{p^n}) / Q(sqrt(-p)) one character of H at a time, equality of
-S-unit values, a dense column echelon form with its HNF and kernel, a
+from L-values character by character, B_{1,chi} of a primitive character
+and L_S(0, chi) from one character's own primitive table, the relative
+L-data of Q(zeta_{p^n}) / Q(sqrt(-p)) one character of H at a time,
+equality of S-unit values, a dense column echelon form with its HNF and kernel, a
 numeric character value read per call, log Gamma with a floored Horner
 multiplier, the primitive L-derivative that always embeds B_{1,chi}, the
 partial-zeta derivatives and their relative fold one residue at a time, and
@@ -93,6 +94,31 @@ def stickelberger_via_characters(model, pset):
     for chi in characters(model.group):
         vals[chi] = l_value_at_0(model, pset, chi.conj())
     return assemble(model.group, vals)
+
+
+def bernoulli_b1(model, chi):
+    """B_{1,chi} = sum_b chi(b) (b/f0 - 1/2), exact in Q(zeta_E), for a
+    primitive chi (conductor = f); otherwise this errors."""
+    f0, table, e = primitive_table(model, chi)
+    if f0 != model.f:
+        raise ValueError(f"character has conductor {f0} < modulus {model.f}; "
+                         "pass the primitive model")
+    return _b1_sum(f0, table, e)
+
+
+def l_value_at_0_per_character(model, pset, chi):
+    """`lfun.l_values_at_0` for one character from its own primitive table:
+    -B_{1,chi_0} times each Euler factor 1 - chi_0(q) through
+    CyclotomicNumber products."""
+    f0, table, e = primitive_table(model, chi)
+    val = -_b1_sum(f0, table, e)
+    for q in pset.finite_primes():
+        if f0 % q == 0:
+            continue  # ramified: the Euler factor is already absent
+        chi0_q = (CyclotomicNumber.root_of_unity(e, table[q % f0]) if f0 > 1
+                  else CyclotomicNumber.rational(1))
+        val = val * (1 - chi0_q)
+    return val
 
 
 def extend_character(model, chi, odd):

@@ -186,6 +186,18 @@ def test_compute_jideal_full_field_169_golden(capsys):
         "3d40038971630c90bac8370241c0894c159cef85f23a67383de8895188eaa253")
 
 
+# the exact L-values at s = 0 pinned byte for byte in the same way: the full
+# field 125, and 63 with an unramified 2 and its ramified 7 dropped
+@pytest.mark.parametrize("argv, digest", [
+    (["-f", "125"], "2fcf7b165d86e4d26360d7b724e32dc0780095a6668c1fa76a1810911f0f5e54"),
+    (["-f", "63", "--places", "2,3"],
+     "2968c3c366c5e261f48089068595f7b3893c2e32e30810daba30c7810facfc7e")])
+def test_compute_lvalues_golden(capsys, argv, digest):
+    doc = run_json(capsys, ["compute", "lvalues", *argv])
+    text = json.dumps(doc["exact"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # numeric unit coordinates lost precision on these fields and exited 2, or
 # reported a false STARKC failure; at (11, 2) the SNF of the raw 56 x 57
 # relation matrix never finished

@@ -123,7 +123,8 @@ def test_embed_matches_exponential():
 
 
 def _embed_per_call(x, a):
-    """The per-coefficient expjpi sum that embed's root table replaced."""
+    """The per-coefficient expjpi sum: every mpf quotient and root rounded
+    on its own, the oracle for the fixed-point embedding."""
     total = mp.mpc(0)
     for i, q in enumerate(x.c):
         if q:
@@ -132,14 +133,40 @@ def _embed_per_call(x, a):
     return total
 
 
+def _embed_fresh(x, a):
+    """x.embed(a) with both root-table memos emptied first."""
+    cyclo._root_table.cache_clear()
+    cyclo._fixed_root_table.cache_clear()
+    return x.embed(a)
+
+
 def test_embed_reads_one_root_table_per_precision():
+    # a table memoised at one precision is never read at another
     x = sum((CyclotomicNumber.root_of_unity(169, k) * Fraction(k - 40, 7)
              for k in range(0, 169, 5)), CyclotomicNumber.zero(169))
     for order in ((768, 192), (192, 768)):
         cyclo._root_table.cache_clear()
+        cyclo._fixed_root_table.cache_clear()
+        got = {}
         for bits in order:
             with mp.workprec(bits):
-                assert x.embed(3) == _embed_per_call(x, 3), (order, bits)
+                got[bits] = x.embed(3)
+        for bits in order:
+            with mp.workprec(bits):
+                assert got[bits] == _embed_fresh(x, 3), (order, bits)
+
+
+@pytest.mark.parametrize("bits", [192, 768])
+@pytest.mark.parametrize("m", [5, 12, 100, 169])
+def test_embed_is_within_8_bits_of_the_per_call_sum(m, bits):
+    rng = random.Random(m * bits)
+    x = CyclotomicNumber(m, [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 999))
+                             if rng.random() < 0.8 else 0 for _ in range(euler_phi(m))])
+    scale = max(Fraction(1), sum(abs(c) for c in x.c))
+    with mp.workprec(bits):
+        bound = mp.ldexp(mp.mpf(scale.numerator) / scale.denominator, 8 - bits)
+        for a in (1, m - 1, 7 if m % 7 else 5):
+            assert abs(x.embed(a) - _embed_per_call(x, a)) <= bound, a
 
 
 def test_constructor_and_crt_errors_name_the_reason():

@@ -1,8 +1,12 @@
 """Field models, place structure, and formal S-unit words."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -139,6 +143,27 @@ def test_finite_ord_at_ramified_prime():
     assert finite_ord(lam, ps, idx) == 1
     assert finite_ord(SUnit.zeta(5), ps, idx) == 0
     assert finite_ord(lam ** 3, ps, idx) == 3
+
+
+def test_finite_ord_of_a_word_outside_the_field_is_an_error_under_python_O():
+    # 1 - zeta_5 is not in Q(zeta_5)^+, where pi_5 = (1 - zeta_5)^2: a
+    # ValueError, not an assert, so python -O keeps the check
+    code = """if True:
+        from fracgalois.fields import SUnit, finite_ord, place_set, plus_field
+        ps = place_set(plus_field(5), (5,))
+        idx = next(i for i in range(ps.size)
+                   if not ps.places[ps.flat[i][0]].archimedean)
+        try:
+            finite_ord(SUnit.one_minus_zeta(5, 1), ps, idx)
+        except ValueError as exc:
+            print(exc)
+        """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.splitlines() == [
+        "ord_pi 1 is not a multiple of 2: the word is not in the place set's field"], \
+        proc.stderr
 
 
 def test_product_formula_for_s_units():

@@ -1,7 +1,11 @@
 """L-values at s = 0: exact Bernoulli route, partial-zeta route, derivative
 bridges, and the Stickelberger elements they assemble into."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -14,13 +18,14 @@ from fracgalois.cyclo import (CyclotomicNumber, PrecisionContext, _power_table,
 from fracgalois.fields import (full_cyclotomic, make_field, place_set,
                                plus_field, relative_model, relative_place_set)
 from fracgalois.gring import GroupRingElement, characters, norm_element
-from fracgalois.lfun import (_b1_sum, bernoulli_b1, character_conductor,
+from fracgalois.lfun import (_b1_sum, character_conductor,
                              half_stickelberger, l_deriv_at_0,
-                             l_deriv_primitive, l_value_at_0,
+                             l_deriv_primitive, l_value_at_0, l_values_at_0,
                              partial_zeta_all, primitive_table,
                              relative_partial_zeta_deriv, stickelberger,
                              stickelberger_classical, vanishing_order)
-from oracles import (assemble, l_deriv_primitive_with_b1,
+from oracles import (assemble, bernoulli_b1, l_deriv_primitive_with_b1,
+                     l_value_at_0_per_character,
                      partial_zeta_derivs_per_residue, relative_fold_per_residue,
                      relative_l_deriv, relative_l_value_at_0,
                      relative_partial_zeta_deriv_by_characters,
@@ -148,6 +153,31 @@ def test_even_characters_skip_a_vanishing_b1(f):
     assert evens == len(characters(model.group)) // 2 - 1
 
 
+# full and plus fields on their ramified primes, then place sets that drop a
+# ramified prime, add an unramified one, or hold infinity alone
+LVALUE_CASES = ([(f, sub, None) for f in (3, 25, 40, 63, 121, 125, 169)
+                 for sub in ("full", "plus")]
+                + [(15, "full", (3,)), (15, "full", (5, 7)), (63, "full", (2, 3)),
+                   (13, "full", ())])
+
+
+@pytest.mark.parametrize("f, subfield, primes", LVALUE_CASES)
+def test_l_values_batch_matches_the_per_character_oracle(f, subfield, primes):
+    model = full_cyclotomic(f) if subfield == "full" else plus_field(f)
+    pset = place_set(model, tuple(p for p, _ in factorize(f)) if primes is None
+                     else primes)
+    chars = characters(model.group)
+    batch = l_values_at_0(model, pset, chars)
+    assert len(batch) == len(chars)
+    for chi, v in zip(chars, batch):
+        oracle = l_value_at_0_per_character(model, pset, chi)
+        assert (v.m, v.c) == (oracle.m, oracle.c), chi
+    triv = next(c for c in chars if c.is_trivial())
+    one = l_value_at_0(model, pset, triv)
+    oracle = l_value_at_0_per_character(model, pset, triv)
+    assert (one.m, one.c) == (oracle.m, oracle.c)
+
+
 def test_l_value_euler_factor_vanishes_at_split_prime():
     # 7 = 1 mod 3: the extra Euler factor (1 - chi(7)) = 0 kills L_S
     k3 = full_cyclotomic(3)
@@ -168,6 +198,28 @@ def test_character_conductor_imprimitive():
             assert f0 in (3, 9)
     assert sorted(character_conductor(k9, c) for c in characters(k9.group)) \
         == [1, 3, 9, 9, 9, 9]
+
+
+def test_character_without_a_conductor_is_an_error_under_python_O():
+    # an ArithmeticError, not an assert: python -O keeps the check
+    code = """if True:
+        from fracgalois.fields import full_cyclotomic
+        from fracgalois.lfun import character_conductor
+        class NeverTrivial:
+            def is_trivial_on(self, elems):
+                return False
+            def __repr__(self):
+                return "NeverTrivial"
+        try:
+            character_conductor(full_cyclotomic(5), NeverTrivial())
+        except ArithmeticError as exc:
+            print(exc)
+        """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.splitlines() == [
+        "NeverTrivial is not trivial on the units 1 mod 5"], proc.stderr
 
 
 def test_trivial_character_value_is_riemann_with_euler_factors():

@@ -2,8 +2,11 @@
 unit-file interchange format."""
 
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -369,3 +372,33 @@ def test_load_rejects_wrong_kind(tmp_path):
     path.write_text(json.dumps({"kind": "classgroup", "format": 1}))
     with pytest.raises(ValueError, match="unit"):
         load_units(path, CTX)
+
+
+def test_unit_module_checks_are_errors_under_python_O():
+    # named errors, not asserts: python -O keeps both checks
+    code = """if True:
+        from fracgalois import units
+        from fracgalois.cyclo import PrecisionContext
+        from fracgalois.fields import (place_set, plus_field, relative_model,
+                                       relative_place_set)
+        ctx = PrecisionContext()
+        e5, e7 = (units.stark_module(plus_field(p), place_set(plus_field(p), (p,)), ctx)
+                  for p in (5, 7))
+        try:
+            units.quotient_module(e5, e7, ctx)
+        except ValueError as exc:
+            print(exc)
+        units.torsion_order = lambda model: 1  # theta~ alone is not integral
+        model = relative_model(7, 1)
+        try:
+            units.stark_module(model, relative_place_set(model), ctx)
+        except ArithmeticError as exc:
+            print(exc)
+        """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    g5, g7 = plus_field(5).group, plus_field(7).group
+    assert proc.stdout.splitlines() == [
+        f"quotient of units over {g5} by units over {g7}",
+        "e * theta~ is not integral"], proc.stderr

@@ -634,7 +634,7 @@ class IdealLattice:
 
     def _coordinates(self, x):
         """y with x = sum_t y_t * cols[t] / den; rational, since full rank."""
-        assert x.group == self.group
+        self._same_group(x)
         return intmat.solve_upper_triangular(
             self.cols, range(len(self.cols)), [q * self.den for q in x.c])
 
@@ -642,7 +642,7 @@ class IdealLattice:
         return all(v.denominator == 1 for v in self._coordinates(x))
 
     def contains_lattice(self, other):
-        assert other.group == self.group
+        self._same_group(other)
         return all(self.contains_element(b) for b in other.basis_elements())
 
     def __eq__(self, other):

@@ -16,9 +16,8 @@ from fractions import Fraction
 import mpmath as mp
 
 from .cyclo import _root_table, factorize
-from .fields import (RelativeModel, make_field, place_set, plus_field,
-                     full_cyclotomic, relative_model, relative_place_set,
-                     torsion_order)
+from .fields import (full_cyclotomic, make_field, place_set, plus_field,
+                     relative_model, relative_place_set, torsion_order)
 from .gring import (FiniteGModule, GroupHom, GroupRingElement, IdealLattice,
                     _clear_denominators, _orbit_vectors, _perm_table,
                     characters, gmodule_span_equal, gre_inverse,
@@ -70,11 +69,36 @@ def _require_rank_one(model, pset):
                 f"{_chi_name(chi)} has r = {r}")
 
 
-def _default_pset(model):
-    if isinstance(model, RelativeModel):
-        return relative_place_set(model)
-    (p, _), = factorize(model.f)
-    return place_set(model, (p,))
+def _level(params):
+    """(p, n) of a check on the fields of conductor p^n."""
+    return int(params["p"]), int(params.get("n", 1))
+
+
+def _subfield(check, params, subfields):
+    """The check's subfield selector, one of `subfields` (default "plus")."""
+    sub = params.get("subfield", "plus")
+    if sub not in subfields:
+        raise ValueError(f"{check} runs on the {', '.join(subfields[:-1])} or "
+                         f"{subfields[-1]} subfield, not {sub!r}")
+    return sub
+
+
+def _field(p, n, sub):
+    """(model, S) for conductor p^n: Q(zeta_{p^n}) ("full") or its plus field
+    with S = {inf, p}, or the relative model with its own S ("relative")."""
+    if sub == "relative":
+        model = relative_model(p, n)
+        return model, relative_place_set(model)
+    model = full_cyclotomic(p ** n) if sub == "full" else plus_field(p ** n)
+    return model, place_set(model, (p,))
+
+
+def _j(p, n, sub, ctx):
+    """J of `_field(p, n, sub)`: the full-cyclotomic route on the full field,
+    the theorem route on the plus and relative ones."""
+    if sub == "full":
+        return j_full_cyclotomic(p, n, ctx)
+    return j_via_theorem(*_field(p, n, sub), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +132,7 @@ def j_full_cyclotomic(p, n, ctx, units=None):
     { alpha e+/2 + theta : alpha in ann(U/E) }, E = Z[G](1 - zeta). The
     alpha e+/2 over a Z-basis of the ideal ann(U/E) already span a
     Z[G]-module, so only theta is closed under G."""
-    model = full_cyclotomic(p ** n)
-    pset = place_set(model, (p,))
+    model, pset = _field(p, n, "full")
     u, m = _unit_quotient(model, pset, ctx, units)
     ann = m.annihilator()
     g = model.group
@@ -160,40 +183,45 @@ def _log_eps_element(model, pset, ctx):
         return {sigma: -lw for sigma, lw in logs.items()}
 
 
-def i_f_and_regulator(model, pset, twist, ctx, units=None, twist_inv=None):
-    """Exact I^f = det(u)^{-1} ann(U/E) for f = u o f0, plus the numeric
-    Stark regulator values A_chi = chi(u) chi(R) / L'_S(0, chi), where
-    R = -sum_sigma log||eps||_{sigma w0} sigma and chi(x) =
-    sum_sigma x_sigma chi(sigma) is the eigenvalue of x on the chi-part
-    (chi unconjugated, for R and the twist alike).  Their exact fold returns
-    J independent of the twist (inverted here unless twist_inv is given).
-    Returns (I^f lattice, {chi index: A_chi}, J)."""
-    _require_rank_one(model, pset)
-    g = model.group
-    if twist_inv is None:
-        twist_inv = gre_inverse(twist)  # raises on a non-invertible twist
-    _, m = _unit_quotient(model, pset, ctx, units)
-    i_f = m.annihilator().divide(twist, twist_inv)
-    e = torsion_order(model)
-
+def _regulator_values(model, pset, ctx):
+    """[(chi, chi(R), L'_S(0, chi))] over the characters, at the working
+    precision of ctx.guard(), for R = -sum_sigma log||eps||_{sigma w0} sigma
+    and chi(x) = sum_sigma x_sigma chi(sigma) (chi unconjugated)."""
     logs = _log_eps_element(model, pset, ctx)
     zcache = partial_zeta_all(model, pset, 1, ctx)
-    reg = {}
+    out = []
     with ctx.guard():
-        roots = _root_table(g.exponent, mp.mp.prec)  # chi(sigma) = roots[exp]
-        for idx, chi in enumerate(characters(g)):
+        roots = _root_table(model.group.exponent, mp.mp.prec)  # chi(sigma) = roots[exp]
+        for chi in characters(model.group):
             num = mp.mpc(0)
             for sigma, lv in logs.items():
                 num += roots[chi.exp_at(sigma)] * lv
-            lstar = l_deriv_at_0(model, pset, chi, ctx, _zcache=zcache)
+            out.append((chi, num, l_deriv_at_0(model, pset, chi, ctx, _zcache=zcache)))
+    return out
+
+
+def i_f_and_regulator(model, pset, twist, ctx):
+    """Exact I^f = det(u)^{-1} ann(U/E) for f = u o f0, plus the numeric
+    Stark regulator values A_chi = chi(u) chi(R) / L'_S(0, chi) (see
+    `_regulator_values`; chi(u) likewise unconjugated).  Their exact fold
+    returns J = (1/e) u I^f, independent of the twist.
+    Returns (I^f lattice, {chi index: A_chi}, J)."""
+    _require_rank_one(model, pset)
+    _, m = _unit_quotient(model, pset, ctx)
+    i_f = m.annihilator().divide(twist, gre_inverse(twist))  # raises unless u is invertible
+    g = model.group
+    vals = _regulator_values(model, pset, ctx)
+    reg = {}
+    with ctx.guard():
+        roots = _root_table(g.exponent, mp.mp.prec)
+        for idx, (chi, r, lstar) in enumerate(vals):
             tv = mp.mpc(0)
             for sigma in g.elements:
                 cf = twist.coeff(sigma)
                 if cf:
                     tv += ctx.mpf(cf) * roots[chi.exp_at(sigma)]
-            reg[idx] = ctx.final(tv * num / lstar)
-    j = i_f.scale(twist).scale(Fraction(1, e))
-    return i_f, reg, j
+            reg[idx] = ctx.final(tv * r / lstar)
+    return i_f, reg, i_f.scale(twist * Fraction(1, torsion_order(model)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,25 +269,6 @@ def check_stick_ident(params, ctx):
                        _ctx_stamp(ctx, f=f))
 
 
-def _j_for(params, ctx):
-    """Dispatch a J computation from check parameters (p, n, subfield)."""
-    p = int(params["p"])
-    n = int(params.get("n", 1))
-    sub = params.get("subfield", "plus")
-    if sub == "plus":
-        model = plus_field(p ** n)
-        pset = _default_pset(model)
-        return j_via_theorem(model, pset, ctx), model, pset
-    if sub == "full":
-        res = j_full_cyclotomic(p, n, ctx)
-        return res, res.model, place_set(res.model, (p,))
-    if sub == "relative":
-        model = relative_model(p, n)
-        pset = relative_place_set(model)
-        return j_via_theorem(model, pset, ctx), model, pset
-    raise ValueError(f"unknown subfield selector {sub!r}")
-
-
 def rzero_idempotent(group, pset):
     """e0, the sum of the e_chi with r_S(chi) = 0, without characters:
     e_D = (1/|D|) sum_{d in D} d is the sum of the e_chi with chi trivial on
@@ -275,7 +284,10 @@ def rzero_idempotent(group, pset):
 
 
 def check_rzero(params, ctx):
-    res, model, pset = _j_for(params, ctx)
+    p, n = _level(params)
+    sub = _subfield("RZERO", params, ("full", "plus", "relative"))
+    model, pset = _field(p, n, sub)
+    res = _j(p, n, sub, ctx)
     g = model.group
     theta = stickelberger(model, pset)
     e0 = rzero_idempotent(g, pset)
@@ -292,16 +304,16 @@ def check_rzero(params, ctx):
 
 
 def check_indf(params, ctx):
-    p = int(params["p"])
-    n = int(params.get("n", 1))
+    """J = (1/e) u u^-1 ann(U/E) for random invertible twists u, exactly."""
+    p, n = _level(params)
     seed = int(params.get("seed", 0))
     count = int(params.get("count", 5))
-    model = plus_field(p ** n)
-    pset = _default_pset(model)
-    base = j_via_theorem(model, pset, ctx)
+    model, pset = _field(p, n, "plus")
+    base = j_via_theorem(model, pset, ctx).ideal
+    e = torsion_order(model)
+    ann = base.scale(e)  # on the theorem route ann(U/E) = e J exactly
     g = model.group
     rng = random.Random(seed)
-    u = sunit_group(model, pset, ctx)
     twists = []
     while len(twists) < count:
         coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(g.order)]
@@ -311,27 +323,26 @@ def check_indf(params, ctx):
         except (ValueError, ZeroDivisionError):
             continue
     for i, (tw, tw_inv) in enumerate(twists):
-        _, _, j_tw = i_f_and_regulator(model, pset, tw, ctx, units=u, twist_inv=tw_inv)
-        if j_tw != base.ideal:
+        j_tw = ann.divide(tw, tw_inv).scale(tw * Fraction(1, e))
+        if j_tw != base:
             return CheckReport(
                 "INDF", "fail",
                 {"twist_index": i, "twist": _gre_jsonable(tw),
-                 "expected": base.ideal.to_jsonable(),
-                 "got": j_tw.to_jsonable()},
+                 "expected": base.to_jsonable(), "got": j_tw.to_jsonable()},
                 _ctx_stamp(ctx, p=p, n=n, seed=seed))
     return CheckReport("INDF", "pass", {"twists": count},
                        _ctx_stamp(ctx, p=p, n=n, seed=seed))
 
 
 def check_stark_rat(params, ctx):
-    p = int(params["p"])
-    n = int(params.get("n", 1))
-    model = plus_field(p ** n)
-    pset = _default_pset(model)
-    one = GroupRingElement.one(model.group)
-    _, reg, _ = i_f_and_regulator(model, pset, one, ctx)
+    """chi(R) / L'_S(0, chi) = e for every character: f0 itself, u = 1."""
+    p, n = _level(params)
+    model, pset = _field(p, n, "plus")
+    _require_rank_one(model, pset)
     e = torsion_order(model)
+    vals = _regulator_values(model, pset, ctx)
     with ctx.guard():
+        reg = {idx: ctx.final(r / lstar) for idx, (_, r, lstar) in enumerate(vals)}
         worst = max(abs(v - e) for v in reg.values())
     worst = ctx.final(worst)
     ok = worst < ctx.tol
@@ -343,41 +354,30 @@ def check_stark_rat(params, ctx):
 
 
 def check_qnat(params, ctx):
-    p = int(params["p"])
-    n = int(params.get("n", 1))
-    full_res = j_full_cyclotomic(p, n, ctx)
-    model_plus = plus_field(p ** n)
-    plus_res = j_via_theorem(model_plus, _default_pset(model_plus), ctx)
-    pi = hom_by_residues(full_res.model.group, model_plus.group)
+    p, n = _level(params)
+    full_res, plus_res = _j(p, n, "full", ctx), _j(p, n, "plus", ctx)
+    pi = hom_by_residues(full_res.model.group, plus_res.model.group)
     projected = full_res.ideal.project(pi)
     ok = projected == plus_res.ideal
     wit = {"projected": projected.to_jsonable(),
            "j_plus": plus_res.ideal.to_jsonable()}
     if not ok:
-        for b in projected.basis_elements():
-            if not plus_res.ideal.contains_element(b):
-                wit["witness_element"] = _gre_jsonable(b)
-                wit["witness_side"] = "in projection, not in J_plus"
+        for lat, other, side in (
+                (projected, plus_res.ideal, "in projection, not in J_plus"),
+                (plus_res.ideal, projected, "in J_plus, not in projection")):
+            b = next((b for b in lat.basis_elements() if not other.contains_element(b)), None)
+            if b is not None:
+                wit.update(witness_element=_gre_jsonable(b), witness_side=side)
                 break
-        else:
-            for b in plus_res.ideal.basis_elements():
-                if not projected.contains_element(b):
-                    wit["witness_element"] = _gre_jsonable(b)
-                    wit["witness_side"] = "in J_plus, not in projection"
-                    break
     return CheckReport("QNAT", "pass" if ok else "fail", wit,
                        _ctx_stamp(ctx, p=p, n=n))
 
 
 def check_jrel(params, ctx):
-    p = int(params["p"])
-    n = int(params.get("n", 1))
-    rel = relative_model(p, n)
-    rel_res = j_via_theorem(rel, relative_place_set(rel), ctx)
+    p, n = _level(params)
+    rel_res, plus_res = _j(p, n, "relative", ctx), _j(p, n, "plus", ctx)
+    rel, model_plus = rel_res.model, plus_res.model
     h = rel.group
-
-    model_plus = plus_field(p ** n)
-    plus_res = j_via_theorem(model_plus, _default_pset(model_plus), ctx)
     # on the theorem route ann(U/E) = e J exactly
     ann_plus = plus_res.ideal.scale(torsion_order(model_plus))
 
@@ -414,11 +414,9 @@ def bch_projection(rel, full_res):
 
 
 def check_bch(params, ctx):
-    p = int(params["p"])
-    n = int(params.get("n", 1))
-    rel = relative_model(p, n)
-    rel_res = j_via_theorem(rel, relative_place_set(rel), ctx)
-    rhs = bch_projection(rel, j_full_cyclotomic(p, n, ctx))
+    p, n = _level(params)
+    rel_res = _j(p, n, "relative", ctx)
+    rhs = bch_projection(rel_res.model, _j(p, n, "full", ctx))
     ok = rhs == rel_res.ideal
     wit = {}
     if not ok:
@@ -429,18 +427,9 @@ def check_bch(params, ctx):
 
 
 def check_starkc(params, ctx):
-    p = int(params["p"])
-    n = int(params.get("n", 1))
-    sub = params.get("subfield", "plus")
-    if sub == "relative":
-        model = relative_model(p, n)
-        pset = relative_place_set(model)
-    elif sub == "plus":
-        model = plus_field(p ** n)
-        pset = _default_pset(model)
-    else:
-        raise ValueError("STARKC runs on the plus or relative instance")
-    residuals, worst = stark_residuals(model, pset, ctx)
+    p, n = _level(params)
+    sub = _subfield("STARKC", params, ("plus", "relative"))
+    residuals, worst = stark_residuals(*_field(p, n, sub), ctx)
     ok = worst < ctx.tol
     return CheckReport("STARKC", "pass" if ok else "fail",
                        {"max_residual": mp.nstr(worst, 12),
@@ -469,26 +458,18 @@ def _mu_ell_annihilator(model, ell):
 
 
 def check_clcont(params, ctx):
-    p = int(params["p"])
-    n = int(params.get("n", 1))
+    p, n = _level(params)
     ell = int(params["ell"])
-    sub = params.get("subfield", "plus")
     clmod = params.get("classgroup")
     if ell == 2 or ell < 2:
         raise ValueError("CLCONT needs an odd prime ell")
-    assumptions = []
-    if sub == "plus":
-        model = plus_field(p ** n)
-        res = j_via_theorem(model, _default_pset(model), ctx)
-        lhs = res.ideal
-        assumptions.extend(res.assumptions)
-    elif sub == "full":
-        res = j_full_cyclotomic(p, n, ctx)
-        model = res.model
-        lhs = _mu_ell_annihilator(model, ell).multiply(res.ideal)
-        assumptions.extend(res.assumptions)
-    else:
-        raise ValueError("CLCONT runs on plus or full subfields")
+    sub = _subfield("CLCONT", params, ("plus", "full"))
+    res = _j(p, n, sub, ctx)
+    model = res.model
+    lhs = res.ideal
+    if sub == "full":
+        lhs = _mu_ell_annihilator(model, ell).multiply(lhs)
+    assumptions = list(res.assumptions)
     if clmod is None:
         ann_cl = IdealLattice.unit_ideal(model.group)
         assumptions.append(f"Cl taken trivial for {model.f} ({sub})")
@@ -503,14 +484,12 @@ def check_clcont(params, ctx):
 
 
 def check_cg_fit(params, ctx):
-    p = int(params["p"])
-    n = int(params.get("n", 1))
+    p, n = _level(params)
     ell = int(params["ell"])
     clmod = params.get("classgroup")
     if ell == 2 or ell < 2:
         raise ValueError("CG_FIT needs an odd prime ell")
-    model = plus_field(p ** n)
-    pset = _default_pset(model)
+    model, pset = _field(p, n, "plus")
     _, m = _unit_quotient(model, pset, ctx)
     fitt_u = m.ell_part(ell).fitting_ideal()
     if clmod is None:

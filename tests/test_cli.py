@@ -186,6 +186,24 @@ def test_compute_jideal_full_field_169_golden(capsys):
         "3d40038971630c90bac8370241c0894c159cef85f23a67383de8895188eaa253")
 
 
+# the verify reports of the twist and regulator checks, pinned the same way:
+# their exact sections must not move when the checks compute less
+@pytest.mark.parametrize("argv, digest", [
+    (["--suite", "STARK_RAT", "-f", "169"],
+     "68ed315ca4e0bf6fdf8f54878a3782bcdedb99cf23d6b1c4d8d24a1edd465fe1"),
+    (["--suite", "INDF", "-p", "61"],
+     "849faf8a99c124646ba976a4cdfa9ba26accc0a62369884498103f2ecdd2ade2"),
+    (["--suite", "INDF", "-f", "121"],
+     "aac3f3dbaaac29d41052f617afab8f0d3c6a26afd424a1a2481e59d34092239d")])
+def test_verify_twist_and_regulator_checks_golden(capsys, tmp_path, argv, digest):
+    out_path = tmp_path / "report.json"
+    code, _, err = run(capsys, ["verify", *argv, "--out", str(out_path)])
+    assert code == 0, err
+    doc = json.loads(out_path.read_text())
+    text = json.dumps(doc["exact"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # the exact L-values at s = 0 pinned byte for byte in the same way: the full
 # field 125, and 63 with an unramified 2 and its ramified 7 dropped
 @pytest.mark.parametrize("argv, digest", [

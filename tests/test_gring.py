@@ -950,12 +950,14 @@ def test_coefficients_become_fractions_whatever_their_type():
 
 
 def test_lattices_over_different_groups_are_an_error_under_python_O():
-    # add, multiply and intersect raise a ValueError, not an assert
+    # add, multiply, intersect and both containment tests (of a lattice, and
+    # of an element of the other group) raise a ValueError, not an assert
     code = """if True:
-        from fracgalois.gring import IdealLattice, abelian_group
+        from fracgalois.gring import GroupRingElement, IdealLattice, abelian_group
         a = IdealLattice.unit_ideal(abelian_group((4,)))
         b = IdealLattice.unit_ideal(abelian_group((2, 2)))
-        for op in (a.add, a.multiply, a.intersect):
+        for op in (a.add, a.multiply, a.intersect, a.contains_lattice,
+                   lambda b: a.contains_element(GroupRingElement.one(b.group))):
             try:
                 op(b)
             except ValueError as exc:
@@ -965,7 +967,7 @@ def test_lattices_over_different_groups_are_an_error_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert proc.stdout.splitlines() == [
-        "lattices over FinAbGroup('abstract', (4,)) and FinAbGroup('abstract', (2, 2))"] * 3
+        "lattices over FinAbGroup('abstract', (4,)) and FinAbGroup('abstract', (2, 2))"] * 5
 
 
 def test_wrong_coefficient_count_is_an_error_under_python_O():

@@ -14,7 +14,8 @@ from fracgalois.fields import (full_cyclotomic, make_field, place_set,
                                plus_field, relative_model, relative_place_set)
 from fracgalois.gring import (GroupHom, GroupRingElement, IdealLattice,
                               characters)
-from fracgalois.jideal import (CHECK_IDS, _default_pset, _log_eps_element,
+from fracgalois import jideal
+from fracgalois.jideal import (CHECK_IDS, _field, _log_eps_element,
                                _mu_ell_annihilator, bch_projection,
                                _unit_quotient, i_f_and_regulator,
                                j_base_case, j_full_cyclotomic, j_via_theorem,
@@ -50,8 +51,7 @@ def test_regulator_equals_the_per_call_character_values(bits):
     # i_f_and_regulator reads chi(sigma) from one root table per call; each
     # A_chi is the mpf of the per-call reads, bit for bit
     ctx = PrecisionContext(bits=bits, tol_exp=-(bits - 20))
-    model = plus_field(25)
-    pset = _default_pset(model)
+    model, pset = _field(5, 2, "plus")
     g = model.group
     twist = (GroupRingElement.one(g) * 3
              + GroupRingElement.basis(g, g.element_of_residue(2)))  # 3 + chi(s) != 0
@@ -205,6 +205,53 @@ def test_unknown_check_raises():
         run_check("NOPE", {}, CTX)
 
 
+def test_unsupported_subfields_are_errors_naming_check_and_selector():
+    # the CLI coerces subfields; run_check reports what it cannot run
+    for cid, params in (("RZERO", {"p": 7, "subfield": "custom:1,6"}),
+                        ("STARKC", {"p": 7, "subfield": "full"}),
+                        ("CLCONT", {"p": 7, "ell": 3, "subfield": "relative"})):
+        rep = run_check(cid, params, CTX)
+        assert rep.status == "error"
+        assert rep.witnesses["message"].startswith(f"{cid} runs on the ")
+        assert repr(params["subfield"]) in rep.witnesses["message"]
+
+
+def test_stark_rat_builds_no_lattice(monkeypatch):
+    # chi(R) / L'_S(0, chi) = e reads numbers only: no U/E annihilator, no u^-1 L
+    def refuse(*args, **kwargs):
+        raise AssertionError("STARK_RAT built a lattice")
+
+    monkeypatch.setattr(jideal.FiniteGModule, "annihilator", refuse)
+    monkeypatch.setattr(jideal.IdealLattice, "divide", refuse)
+    for p in (7, 13):
+        rep = run_check("STARK_RAT", {"p": p}, CTX)
+        assert rep.status == "pass", (p, rep.witnesses)
+
+
+def test_indf_builds_the_unit_quotient_once(monkeypatch):
+    calls = []
+    build = jideal.quotient_module
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(jideal, "quotient_module", counted)
+    assert run_check("INDF", {"p": 61, "seed": 0}, CTX).status == "pass"
+    assert len(calls) == 1
+
+
+def test_indf_catches_a_broken_division(monkeypatch):
+    # with u^-1 L = L the check compares u J with J and must fail at once
+    monkeypatch.setattr(jideal.IdealLattice, "divide", lambda self, u, u_inv: self)
+    rep = run_check("INDF", {"p": 7, "seed": 0}, CTX)
+    assert rep.status == "fail"
+    wit = rep.witnesses
+    assert wit["twist_index"] == 0
+    assert wit["expected"] == j_via_theorem(*_field(7, 1, "plus"), CTX).ideal.to_jsonable()
+    assert wit["got"] != wit["expected"]
+
+
 def test_run_check_reports_errors_as_status():
     rep = run_check("JREL", {"p": 67}, CTX)
     assert rep.status == "error"
@@ -273,13 +320,13 @@ def test_fitting_ideal_of_the_unit_quotient_is_its_annihilator():
     # U+/E+ is cyclic over Z[G] on these plus fields, so Fitt = ann; the
     # full induced presentation has C(2k + 1, k) minors, 6435 at f = 13
     elapsed = 0.0
-    for f in (13, 25, 27, 49):
-        model = plus_field(f)
-        _, m = _unit_quotient(model, _default_pset(model), CTX)
+    for p, n in ((13, 1), (5, 2), (3, 3), (7, 2)):
+        model, pset = _field(p, n, "plus")
+        _, m = _unit_quotient(model, pset, CTX)
         start = time.monotonic()
         fitt = m.fitting_ideal()
         elapsed += time.monotonic() - start
-        assert fitt == m.annihilator(), f
+        assert fitt == m.annihilator(), model.f
     assert elapsed < 5.0, elapsed
 
 

@@ -435,11 +435,15 @@ def _count_kernel_calls(monkeypatch):
 
 
 def test_indf_builds_the_derivative_sums_once_per_field(monkeypatch, tmp_path):
-    # five twists and the base J read one set of L-data: one kernel call per
-    # residue mod 61
+    # INDF compares lattices and reads no L-data: no kernel call at all;
+    # STARK_RAT reads one set of L-data: one kernel call per residue mod 61
     calls = _count_kernel_calls(monkeypatch)
     assert main(["verify", "--suite", "INDF", "-p", "61",
                  "--out", str(tmp_path / "indf.json")]) == 0
+    assert calls == []
+    assert lfun._class_derivs.cache_info().misses == 0
+    assert main(["verify", "--suite", "STARK_RAT", "-p", "61",
+                 "--out", str(tmp_path / "stark_rat.json")]) == 0
     assert sorted(calls) == [(a, 61) for a in range(1, 61)]
     assert lfun._class_derivs.cache_info().misses == 1
 

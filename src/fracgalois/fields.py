@@ -114,8 +114,8 @@ class RelativeModel:
 
 @lru_cache(maxsize=None)
 def relative_model(p, n=1):
-    if not is_prime(p) or p % 4 != 3:
-        raise ValueError("relative construction needs a prime p = 3 mod 4")
+    if not is_prime(p) or p % 4 != 3 or n < 1:
+        raise ValueError("relative construction needs a prime p = 3 mod 4 and a level n >= 1")
     if p == 3 and n == 1:
         raise ValueError("p = 3, n = 1 is degenerate (H trivial and k = Q(zeta_3))")
     f = p ** n
@@ -325,7 +325,8 @@ class SUnit:
 
     # -- group ops
     def __mul__(self, other):
-        assert self.f == other.f
+        if self.f != other.f:
+            raise ValueError(f"product of words of conductors {self.f} and {other.f}")
         e = dict(self.e)
         for k, v in other.e.items():
             e[k] = e.get(k, 0) + v
@@ -453,20 +454,21 @@ class SUnit:
 
     @classmethod
     def from_word(cls, f, word):
+        """The word of `to_word`; ValueError if it is malformed."""
         e = {}
-        for item in word:
-            if item[0] == "m1":
-                e["m1"] = e.get("m1", 0) + int(item[1])
-            elif item[0] == "z":
-                e["z"] = e.get("z", 0) + int(item[1])
-            elif item[0] == "om":
-                a = int(item[1]) % f
-                if a == 0:
-                    raise ValueError(f"bad 1-zeta exponent {item[1]} mod {f}: vanishes")
-                k = ("om", a)
-                e[k] = e.get(k, 0) + int(item[2])
-            else:
-                raise ValueError(f"unknown word symbol {item[0]!r}")
+        try:
+            for item in word:
+                if item[0] in ("m1", "z"):
+                    k, v = item[0], int(item[1])
+                elif item[0] == "om":
+                    k, v = ("om", int(item[1]) % f), int(item[2])
+                    if k[1] == 0:
+                        raise ValueError(f"bad 1-zeta exponent {item[1]} mod {f}: vanishes")
+                else:
+                    raise ValueError(f"unknown word symbol {item[0]!r}")
+                e[k] = e.get(k, 0) + v
+        except (TypeError, IndexError, KeyError, OverflowError):
+            raise ValueError(f"malformed S-unit word {word!r}") from None
         return cls(f, e)
 
     def __repr__(self):

@@ -304,9 +304,6 @@ class Character:
     def conj(self):
         return Character(self.group, tuple(-t for t in self.exps))
 
-    def power(self, s):
-        return Character(self.group, tuple(t * s for t in self.exps))
-
     def order(self):
         return lcm(1, *(d // gcd(d, t) for t, d in zip(self.exps, self.group.invariant_factors)))
 
@@ -489,7 +486,9 @@ def norm_element(group):
 
 def plus_idempotent(group, conj_elem):
     """(1 + c)/2 for an order-<=2 element c."""
-    assert group.mul(conj_elem, conj_elem) == group.identity
+    if group.mul(conj_elem, conj_elem) != group.identity:
+        raise ValueError(f"(1 + c)/2 needs c of order <= 2, but {group.label(conj_elem)} "
+                         "does not square to the identity")
     e = GroupRingElement.zero(group)
     e = e + GroupRingElement.basis(group, group.identity, Fraction(1, 2))
     e = e + GroupRingElement.basis(group, conj_elem, Fraction(1, 2))

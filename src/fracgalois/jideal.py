@@ -15,17 +15,17 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .cyclo import _root_table, factorize
+from .cyclo import factorize
 from .fields import (full_cyclotomic, make_field, place_set, plus_field,
                      relative_model, relative_place_set, torsion_order)
 from .gring import (FiniteGModule, GroupHom, GroupRingElement, IdealLattice,
                     _clear_denominators, _orbit_vectors, _perm_table,
                     characters, gmodule_span_equal, gre_inverse,
                     hom_by_residues, norm_element)
-from .lfun import (_proj_g_to_h, half_stickelberger, l_deriv_at_0,
-                   l_deriv_primitive, partial_zeta_all, stickelberger,
-                   stickelberger_classical, vanishing_order)
-from .units import (conjugate_logs, json_object, quotient_module,
+from .lfun import (_proj_g_to_h, character_sums, half_stickelberger, l_deriv_at_0,
+                   l_derivs_at_0, stickelberger, stickelberger_classical,
+                   vanishing_order)
+from .units import (conjugate_logs, json_int, json_ints, json_object, quotient_module,
                     stark_module, stark_residuals, stark_unit, sunit_group)
 
 
@@ -156,7 +156,8 @@ def j_base_case(which, ctx):
         elif which == "Qsqrt5":
             model = plus_field(5)
             chi = next(c for c in characters(model.group) if not c.is_trivial())
-            lder = l_deriv_primitive(model, chi, ctx)
+            # S = {infinity} and conductor 5: the primitive L'(0, chi)
+            lder = l_deriv_at_0(model, place_set(model), chi, ctx)
             gen = mp.zeta(0) * lder
             reg = mp.log((1 + mp.sqrt(5)) / 2)   # fundamental unit (1+sqrt5)/2
             h, w = 1, 2
@@ -188,16 +189,10 @@ def _regulator_values(model, pset, ctx):
     precision of ctx.guard(), for R = -sum_sigma log||eps||_{sigma w0} sigma
     and chi(x) = sum_sigma x_sigma chi(sigma) (chi unconjugated)."""
     logs = _log_eps_element(model, pset, ctx)
-    zcache = partial_zeta_all(model, pset, 1, ctx)
-    out = []
+    chars = characters(model.group)
+    lders = l_derivs_at_0(model, pset, chars, ctx)
     with ctx.guard():
-        roots = _root_table(model.group.exponent, mp.mp.prec)  # chi(sigma) = roots[exp]
-        for chi in characters(model.group):
-            num = mp.mpc(0)
-            for sigma, lv in logs.items():
-                num += roots[chi.exp_at(sigma)] * lv
-            out.append((chi, num, l_deriv_at_0(model, pset, chi, ctx, _zcache=zcache)))
-    return out
+        return list(zip(chars, character_sums(model.group, chars, logs), lders))
 
 
 def i_f_and_regulator(model, pset, twist, ctx):
@@ -210,32 +205,12 @@ def i_f_and_regulator(model, pset, twist, ctx):
     _, m = _unit_quotient(model, pset, ctx)
     i_f = m.annihilator().divide(twist, gre_inverse(twist))  # raises unless u is invertible
     g = model.group
-    vals = _regulator_values(model, pset, ctx)
-    reg = {}
+    chars, rs, lstars = zip(*_regulator_values(model, pset, ctx))
     with ctx.guard():
-        roots = _root_table(g.exponent, mp.mp.prec)
-        for idx, (chi, r, lstar) in enumerate(vals):
-            tv = mp.mpc(0)
-            for sigma in g.elements:
-                cf = twist.coeff(sigma)
-                if cf:
-                    tv += ctx.mpf(cf) * roots[chi.exp_at(sigma)]
-            reg[idx] = ctx.final(tv * r / lstar)
+        tvs = character_sums(g, chars, {s: ctx.mpf(twist.coeff(s)) for s in g.elements})
+        reg = {idx: ctx.final(tv * r / lstar)
+               for idx, (tv, r, lstar) in enumerate(zip(tvs, rs, lstars))}
     return i_f, reg, i_f.scale(twist * Fraction(1, torsion_order(model)))
-
-
-# ---------------------------------------------------------------------------
-# subgroup embeddings used by the relative checks
-
-def _iso_h_to_plus(h_group, plus_group):
-    """Restriction H -> G+ (residue mod f, folded by +-1); bijective here."""
-    mapping = {e: plus_group.element_of_residue(h_group.label(e))
-               for e in h_group.elements}
-    iso = GroupHom(h_group, plus_group, mapping)
-    if not (iso.injective and iso.surjective):
-        raise ValueError(f"restriction of H to the plus group mod {h_group.f} "
-                         "is not bijective")
-    return iso
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +356,9 @@ def check_jrel(params, ctx):
     # on the theorem route ann(U/E) = e J exactly
     ann_plus = plus_res.ideal.scale(torsion_order(model_plus))
 
-    iso = _iso_h_to_plus(h, model_plus.group)
+    iso = hom_by_residues(h, model_plus.group)  # restriction H -> G+
+    if not (iso.injective and iso.surjective):
+        raise ValueError(f"restriction of H to the plus group mod {h.f} is not bijective")
     back = GroupHom(model_plus.group, h,
                     {iso(e): e for e in h.elements})
     tt = half_stickelberger(rel)
@@ -541,16 +518,13 @@ def load_classgroup(path):
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("kind") != "classgroup":
         raise ValueError("not a class-group file (kind != 'classgroup')")
-    if int(doc.get("format", 0)) != 1:
+    if json_int(doc.get("format", 0), "format") != 1:
         raise ValueError("unsupported class-group file format")
     fd = json_object(doc, "field")
-    model = make_field(int(fd["f"]),
-                       frozenset(int(a) for a in fd.get("kernel", [1])))
+    model = make_field(json_int(fd["f"], "f"),
+                       frozenset(json_ints(fd.get("kernel", [1]), "kernel")))
     g = model.group
-    factors = doc.get("invariant_factors")
-    if not isinstance(factors, list):
-        raise ValueError("\"invariant_factors\" must be a list of positive integers")
-    factors = [int(d) for d in factors]
+    factors = json_ints(doc.get("invariant_factors"), "invariant_factors")
     if any(d < 1 for d in factors):
         raise ValueError("invariant factors must be positive integers")
     k = len(factors)
@@ -566,11 +540,11 @@ def load_classgroup(path):
         if (not isinstance(mat, list) or len(mat) != k
                 or any(not isinstance(row, list) or len(row) != k for row in mat)):
             raise ValueError("action matrix is not k x k")
-        mats.append(tuple(tuple(int(x) for x in row) for row in mat))
+        mats.append(tuple(tuple(json_ints(row, "action")) for row in mat))
     declared = doc.get("generators")
     if declared is not None:
         labels = [g.label(e) for e in gens]
-        if [int(x) for x in declared] != labels:
+        if json_ints(declared, "generators") != labels:
             raise ValueError(f"declared generators {declared} do not match "
                              f"the group's generator labels {labels}")
     mod = FiniteGModule(g, k, relations, mats)

@@ -1,6 +1,6 @@
 """Abelian L-function data at s = 0: exact values via generalized Bernoulli
-numbers, derivatives via Hurwitz zeta, S-truncated partial zetas, and the
-Stickelberger-type elements built from them.
+numbers, S-truncated partial zetas and their derivatives (one Stirling
+kernel), character sums of them, and the Stickelberger-type elements.
 
 Conventions: for a character chi of Gal(K/Q) = (Z/f)^x / H and a place set S
 containing infinity, L_S(s, chi) carries Euler factors (1 - chi_0(p) p^{-s})
@@ -18,13 +18,13 @@ from math import gcd, lcm
 import mpmath as mp
 
 from .cyclo import (CyclotomicNumber, _root_table, _sparse_rows, crt, divisors,
-                    euler_phi, factorize, hurwitz_zeta_at0, log_int, stirling_shifted)
+                    euler_phi, factorize, log_int, stirling_shifted)
 from .fields import FieldModel, PlaceSet, RelativeModel, make_field, place_set
 from .gring import Character, GroupHom, GroupRingElement, _convolve
 
 
 # ---------------------------------------------------------------------------
-# characters of (Z/f)^x-quotients: conductor, primitive table, Bernoulli
+# characters of (Z/f)^x-quotients: conductor, lifts, Bernoulli
 
 def character_conductor(model: FieldModel, chi: Character):
     """Smallest d | f such that chi factors through (Z/d)^x."""
@@ -38,17 +38,6 @@ def character_conductor(model: FieldModel, chi: Character):
 def _units_one_mod(group, f, d):
     """The elements of `group` at the units a = 1 mod d of (Z/f)^x."""
     return tuple(group.element_of_residue(a) for a in range(1, f, d) if gcd(a, f) == 1)
-
-
-def primitive_table(model: FieldModel, chi: Character):
-    """(f0, {b mod f0 -> exponent}, E): values of the primitive chi_0.
-
-    chi_0(b) = zeta_E ** table[b] for b coprime to the conductor f0; the
-    exponent comes from chi at any lift of b that is prime to f.
-    """
-    f0 = character_conductor(model, chi)
-    lifts = _lifts(model.group, model.f, f0) if f0 > 1 else ((1, model.group.identity),)
-    return f0, {b: chi.exp_at(x) for b, x in lifts}, model.group.exponent
 
 
 @lru_cache(maxsize=None)
@@ -67,15 +56,6 @@ def _lifts(group, f, f0):
                                   "in the class of b")
         lifts.append((b, group.element_of_residue(a % f)))
     return tuple(lifts)
-
-
-def _b1_sum(f0, table, e):
-    """B_{1,chi_0} = (1/2f0) sum_k w_k zeta_e^k, w_k = sum_{table[b] = k} (2b - f0),
-    from the primitive_table (f0, table, e); integer weights (f0 = 1: 1/2)."""
-    weights = [0] * e
-    for b, k in table.items():
-        weights[k] += 2 * b - f0
-    return _reduce(e, weights, 2 * f0)
 
 
 def _reduce(e, weights, den):
@@ -134,7 +114,16 @@ def _lift_modulus(model: FieldModel, pset: PlaceSet):
 
 def partial_zeta_all(model: FieldModel, pset: PlaceSet, k, ctx=None):
     """{sigma -> zeta_S(0, sigma)} (k = 0, exact) or its s-derivative
-    (k = 1, mpf at ctx, memoized), summed over sigma's residues mod F."""
+    (k = 1, mpf at ctx, memoized), summed over sigma's residues mod F; a
+    relative model's, S = {infinity, p}, are folded out of the full field's."""
+    if k not in (0, 1):
+        raise ValueError("k must be 0 or 1")
+    if k and ctx is None:
+        raise ValueError("derivative needs a PrecisionContext")
+    if isinstance(model, RelativeModel):
+        if pset.finite_primes() != [model.p]:
+            raise ValueError(f"relative partial zetas need S = {{infinity, {model.p}}}")
+        return _relative_fold(model, k, ctx)
     F = _lift_modulus(model, pset)
     classes = {e: [] for e in model.group.elements}
     for a in range(1, F):
@@ -142,12 +131,8 @@ def partial_zeta_all(model: FieldModel, pset: PlaceSet, k, ctx=None):
             classes[model.group.element_of_residue(a % model.f)].append(a)
     if k == 0:
         return {e: Fraction(len(c) * F - 2 * sum(c), 2 * F) for e, c in classes.items()}
-    if k == 1:
-        if ctx is None:
-            raise ValueError("derivative needs a PrecisionContext")
-        sums = _class_derivs(F, tuple(map(tuple, classes.values())), ctx)
-        return {e: ctx.final(v) for e, v in zip(classes, sums)}
-    raise ValueError("k must be 0 or 1")
+    sums = _class_derivs(F, tuple(map(tuple, classes.values())), ctx)
+    return {e: ctx.final(v) for e, v in zip(classes, sums)}
 
 
 @lru_cache(maxsize=None)
@@ -175,16 +160,10 @@ def _class_derivs(F, classes, ctx):
 # Stickelberger-type elements
 
 def stickelberger(model: FieldModel, pset: PlaceSet):
-    """theta_S = sum_sigma zeta_S(0, sigma) sigma^{-1}, exact (zeta route);
-    the relative partial zetas are folded out of the full field's."""
-    if isinstance(model, RelativeModel):
-        if pset.finite_primes() != [model.p]:
-            raise ValueError("relative theta is defined for S = {infinity, p}")
-        zet = _relative_fold(model, 0)
-    else:
-        zet = partial_zeta_all(model, pset, 0)
+    """theta_S = sum_sigma zeta_S(0, sigma) sigma^{-1}, exact (zeta route)."""
     g = model.group
-    return GroupRingElement.from_dict(g, {g.inv(e): v for e, v in zet.items()})
+    return GroupRingElement.from_dict(
+        g, {g.inv(e): v for e, v in partial_zeta_all(model, pset, 0).items()})
 
 
 def stickelberger_classical(f):
@@ -220,34 +199,31 @@ def vanishing_order(model: FieldModel, pset: PlaceSet, chi: Character):
     return r
 
 
-def l_deriv_at_0(model: FieldModel, pset: PlaceSet, chi: Character, ctx, _zcache=None):
-    """L_S'(0, chi) = sum_sigma chi(sigma) zeta_S'(0, sigma), as mpc."""
-    zder = _zcache if _zcache is not None else partial_zeta_all(model, pset, 1, ctx)
-    g = model.group
-    e = g.exponent
-    with ctx.guard():
-        roots = _root_table(e, mp.mp.prec)
+def character_sums(group, chars, values):
+    """[sum_sigma chi(sigma) values[sigma] for chi in chars] as mpc, summed in
+    the order of `values` at the working precision: call it under ctx.guard()."""
+    roots = _root_table(group.exponent, mp.mp.prec)  # chi(sigma) = roots[exp]
+    out = []
+    for chi in chars:
         total = mp.mpc(0)
-        for elem, zv in zder.items():
-            total += roots[chi.exp_at(elem)] * zv
-    return ctx.final(total)
+        for sigma, v in values.items():
+            total += roots[chi.exp_at(sigma)] * v
+        out.append(total)
+    return out
 
 
-def l_deriv_primitive(model: FieldModel, chi: Character, ctx):
-    """Untruncated L'(0, chi) for nontrivial chi, via the conductor-f0 sum
-    L'(0, chi) = log(f0) B_{1,chi_0} + sum_b chi_0(b) zeta_H'(0, b/f0).
-    B_{1,chi_0} = 0 for even chi (b and f0 - b cancel), so it is skipped."""
-    if chi.is_trivial():
-        raise ValueError("trivial character: use the zeta factorization instead")
-    f0, table, e = primitive_table(model, chi)
+def l_derivs_at_0(model: FieldModel, pset: PlaceSet, chars, ctx):
+    """[L_S'(0, chi) = sum_sigma chi(sigma) zeta_S'(0, sigma) for chi in
+    chars] as mpc, from one read of the partial-zeta derivatives."""
+    zder = partial_zeta_all(model, pset, 1, ctx)
     with ctx.guard():
-        roots = _root_table(e, mp.mp.prec)
-        total = mp.mpc(0)
-        if table[f0 - 1]:  # chi(-1) != 1
-            total = mp.log(f0) * _b1_sum(f0, table, e).embed(1)
-        for b, k in table.items():
-            total += roots[k] * hurwitz_zeta_at0(Fraction(b, f0), 1, ctx)
-    return ctx.final(total)
+        sums = character_sums(model.group, chars, zder)
+    return [ctx.final(x) for x in sums]
+
+
+def l_deriv_at_0(model: FieldModel, pset: PlaceSet, chi: Character, ctx):
+    """L_S'(0, chi), as mpc."""
+    return l_derivs_at_0(model, pset, [chi], ctx)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +274,3 @@ def _relative_fold(model: RelativeModel, k, ctx=None):
     with ctx.guard():
         out = _convolve(h, zd, [x.numerator * (d // x.denominator) for x in odd])
         return {e: ctx.final(mp.mpf(v) / d) for e, v in zip(h.elements, out)}
-
-
-def relative_partial_zeta_deriv(model: RelativeModel, ctx):
-    """{sigma in H -> zeta'_{k,S}(0, sigma)}, S = {infinity, p}."""
-    return _relative_fold(model, 1, ctx)

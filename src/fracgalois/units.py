@@ -20,7 +20,7 @@ from .fields import (RelativeModel, SUnit, log_norms, make_field,
                      relative_place_set, torsion_order)
 from .gring import FiniteGModule
 from .intmat import hnf_columns, identity_matrix, solve_fraction_free
-from .lfun import half_stickelberger
+from .lfun import half_stickelberger, partial_zeta_all
 
 # prime powers with totally-real cyclotomic class number one (small range;
 # each use is recorded as an explicit assumption in reports)
@@ -263,19 +263,13 @@ def stark_residuals(model, pset, ctx):
 
     Plus fields use the real absolute value at the distinguished place and
     e = 2; the relative case uses the square of the complex modulus and
-    e = 2 p^n, with eta in place of eps.
+    e = 2 p^n, with eta in place of eps. Either unit is the Stark module's
+    free[0], its conjugate at the identity.
     """
-    from .lfun import partial_zeta_all, relative_partial_zeta_deriv
     ew = torsion_order(model)
-    if isinstance(model, RelativeModel):
-        unit = stark_module(model, pset, ctx).free[0]
-        # free[0] is eta at the identity conjugate
-        zder = relative_partial_zeta_deriv(model, ctx)
-    else:
-        unit = stark_unit(model.f)
-        zder = partial_zeta_all(model, pset, 1, ctx)
+    zder = partial_zeta_all(model, pset, 1, ctx)
     g = model.group
-    logs = conjugate_logs(unit, pset, ctx)
+    logs = conjugate_logs(stark_module(model, pset, ctx).free[0], pset, ctx)
     with ctx.guard():
         out = {sigma: abs(lw + ew * zder[sigma]) for sigma, lw in logs.items()}
         worst = max(out.values())
@@ -313,6 +307,26 @@ def json_object(doc, key):
     return value
 
 
+def json_int(value, name):
+    """int(value) for the document field `name`; ValueError naming it otherwise."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"\"{name}\" must be an integer, not {value!r}") from None
+
+
+def json_list(value, name):
+    """The document field `name`, which must be a JSON list."""
+    if not isinstance(value, list):
+        raise ValueError(f"\"{name}\" must be a list, not {value!r}")
+    return value
+
+
+def json_ints(value, name):
+    """The document field `name`, a list of integers."""
+    return [json_int(x, name) for x in json_list(value, name)]
+
+
 def load_units(path, ctx):
     with open(path) as fh:
         doc = json.load(fh)
@@ -321,17 +335,17 @@ def load_units(path, ctx):
     fd = json_object(doc, "field")
     if "relative" in fd:
         rel = json_object(fd, "relative")
-        model = relative_model(rel["p"], rel["n"])
+        model = relative_model(json_int(rel["p"], "p"), json_int(rel["n"], "n"))
         pset = relative_place_set(model)
         f = model.f
     else:
-        f = int(fd["f"])
+        f = json_int(fd["f"], "f")
         odd_prime_power(f)
-        model = make_field(f, frozenset(fd["kernel"]))
-        pset = place_set(model, tuple(doc["s_primes"]))
+        model = make_field(f, frozenset(json_ints(fd["kernel"], "kernel")))
+        pset = place_set(model, json_ints(doc["s_primes"], "s_primes"))
     tors = json_object(doc, "torsion")
     torsion = SUnit.from_word(f, tors["word"])
-    order = int(tors["order"])
+    order = json_int(tors["order"], "order")
     t, v = torsion.normal_form()
     if any(v):
         raise ValueError("torsion word is not a root of unity")
@@ -339,13 +353,13 @@ def load_units(path, ctx):
         raise ValueError("torsion word does not have the declared order")
     if order != 2 * f // gcd(t, 2 * f):
         raise ValueError("declared torsion order is not minimal")
-    free = tuple(SUnit.from_word(f, w) for w in doc["free"])
+    free = tuple(SUnit.from_word(f, w) for w in json_list(doc["free"], "free"))
     if not isinstance(model, RelativeModel):
         for w in free:
             if not w.fixed_by(model.kernel):
                 raise ValueError("free generator is not fixed by the field's kernel")
     lattice = UnitLattice(model, pset, order, torsion, free,
                           str(doc.get("provider", "ingested")),
-                          tuple(doc.get("assumptions", ())))
+                          tuple(json_list(doc.get("assumptions", []), "assumptions")))
     _verify_rank(lattice)
     return lattice

@@ -1,14 +1,14 @@
 """Helpers that only tests call: a character moved through a group
 isomorphism, membership in a rank-deficient Z-span of group-ring elements,
 the inverse character transform and the Stickelberger element assembled
-from L-values character by character, B_{1,chi} of a primitive character
-and L_S(0, chi) from one character's own primitive table, the relative
-L-data of Q(zeta_{p^n}) / Q(sqrt(-p)) one character of H at a time,
-equality of S-unit values, a dense column echelon form with its HNF and kernel, a
-numeric character value read per call, log Gamma with a floored Horner
-multiplier, the primitive L-derivative that always embeds B_{1,chi}, the
-partial-zeta derivatives and their relative fold one residue at a time, and
-BCH's projection of beta0 J by dense products over G."""
+from L-values character by character, a character's primitive table with
+its B_{1,chi} and L_S(0, chi), the relative L-data of Q(zeta_{p^n}) /
+Q(sqrt(-p)) one character of H at a time, equality of S-unit values, a dense
+column echelon form with its HNF and kernel, a numeric character value read
+per call, log Gamma with a floored Horner multiplier, the primitive
+L-derivative by Hurwitz zeta, the partial-zeta derivatives and their relative
+fold one residue at a time, and BCH's projection of beta0 J by dense products
+over G."""
 
 from fractions import Fraction
 from math import ceil, gcd, lcm, prod
@@ -21,9 +21,9 @@ from fracgalois.cyclo import (CyclotomicNumber, _half_log_2pi, _root_table,
 from fracgalois.fields import make_field, place_set
 from fracgalois.gring import (Character, GroupRingElement, IdealLattice,
                               _clear_denominators, _convolve, characters)
-from fracgalois.lfun import (_b1_sum, _lift_modulus, _proj_g_to_h, half_stickelberger,
-                             l_deriv_primitive, l_value_at_0, partial_zeta_all,
-                             primitive_table)
+from fracgalois.lfun import (_lift_modulus, _lifts, _proj_g_to_h, _reduce,
+                             character_conductor, half_stickelberger, l_value_at_0,
+                             partial_zeta_all)
 
 
 def transport_character(chi, iso):
@@ -94,6 +94,26 @@ def stickelberger_via_characters(model, pset):
     for chi in characters(model.group):
         vals[chi] = l_value_at_0(model, pset, chi.conj())
     return assemble(model.group, vals)
+
+
+def primitive_table(model, chi):
+    """(f0, {b mod f0 -> exponent}, E): values of the primitive chi_0.
+
+    chi_0(b) = zeta_E ** table[b] for b coprime to the conductor f0; the
+    exponent comes from chi at any lift of b that is prime to f.
+    """
+    f0 = character_conductor(model, chi)
+    lifts = _lifts(model.group, model.f, f0) if f0 > 1 else ((1, model.group.identity),)
+    return f0, {b: chi.exp_at(x) for b, x in lifts}, model.group.exponent
+
+
+def _b1_sum(f0, table, e):
+    """B_{1,chi_0} = (1/2f0) sum_k w_k zeta_e^k, w_k = sum_{table[b] = k} (2b - f0),
+    from the primitive_table (f0, table, e); integer weights (f0 = 1: 1/2)."""
+    weights = [0] * e
+    for b, k in table.items():
+        weights[k] += 2 * b - f0
+    return _reduce(e, weights, 2 * f0)
 
 
 def bernoulli_b1(model, chi):
@@ -176,7 +196,7 @@ def relative_l_deriv(model, chi, ctx):
             lead_even = -mp.log(model.p) / 2
         else:
             # chi_even is ramified only at p, which S removes; L(0)=0, use L'
-            lead_even = l_deriv_primitive(
+            lead_even = l_deriv_primitive_with_b1(
                 k_full, extend_character(model, chi, odd=False), ctx)
         total = lead_even * l_odd.embed(1)
     return ctx.final(total)
@@ -287,8 +307,9 @@ def log_gamma_floored_w(x, prec):
 
 
 def l_deriv_primitive_with_b1(model, chi, ctx):
-    """`lfun.l_deriv_primitive` that embeds log(f0) B_{1,chi_0} also for an
-    even chi, where B_{1,chi_0} = 0."""
+    """Untruncated L'(0, chi) for nontrivial chi, via the conductor-f0 sum
+    L'(0, chi) = log(f0) B_{1,chi_0} + sum_b chi_0(b) zeta_H'(0, b/f0), one
+    Hurwitz derivative per residue; B_{1,chi_0} = 0 for an even chi."""
     f0, table, e = primitive_table(model, chi)
     b1 = _b1_sum(f0, table, e)
     with ctx.guard():
@@ -318,7 +339,7 @@ def partial_zeta_derivs_per_residue(model, pset, ctx):
 
 
 def relative_fold_per_residue(model, ctx):
-    """`lfun.relative_partial_zeta_deriv` as pi_H of the full field's
+    """The relative `lfun.partial_zeta_all(k=1)` as pi_H of the full field's
     per-residue derivatives (each rounded to ctx.bits) times
     pi_H(eps(Z_S(0)))."""
     full = make_field(model.f)

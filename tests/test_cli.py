@@ -1,13 +1,18 @@
 """Command-line interface: exit codes, frozen outputs, determinism, and the
 document round trips (units and class groups)."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import operator
 import os
 import subprocess
 import sys
 import time
 from datetime import datetime, timedelta, timezone
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -416,6 +421,94 @@ def test_ingest_rejects_mistyped_classgroup(capsys, tmp_path, key, value):
     assert code == 2
     assert err.startswith("error:") and f'"{key}"' in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def shipped_documents(tmp_path_factory):
+    """The shipped class group and the unit documents that `export` writes
+    for Q(zeta_7)^+ and the relative field of conductor 7, by name."""
+    where = tmp_path_factory.mktemp("documents")
+    docs = {"classgroup": json.loads(
+        (Path(fracgalois.__file__).parent / "data" / "cl_q_zeta23.json").read_text())}
+    for sub in ("plus", "relative"):
+        path = where / f"{sub}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["export", "-p", "7", "--subfield", sub, "--out", str(path)]) == 0
+        docs[sub] = json.loads(path.read_text())
+    return where, docs
+
+
+def _ingest_mutated(where, doc, path, value):
+    """Exit code and stderr of `ingest` on doc with doc[path] = value."""
+    doc = copy.deepcopy(doc)
+    reduce(operator.getitem, path[:-1], doc)[path[-1]] = value
+    target = where / "mutated.json"
+    target.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["ingest", "--in", str(target)])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("name, path, value", [
+    ("plus", ("field", "kernel"), ["1", "6"]),
+    ("plus", ("s_primes",), ["7"]),
+    ("relative", ("field", "relative", "p"), "7"),
+    ("classgroup", ("generators",), ["5"]),
+])
+def test_ingest_reads_integer_strings(shipped_documents, name, path, value):
+    where, docs = shipped_documents
+    assert _ingest_mutated(where, docs[name], path, value) == (0, "")
+
+
+@pytest.mark.parametrize("name, path, value, named", [
+    ("plus", ("field", "kernel"), 5, '"kernel"'),
+    ("plus", ("field", "kernel"), [None], '"kernel"'),
+    ("plus", ("s_primes",), 7, '"s_primes"'),
+    ("plus", ("free",), 5, '"free"'),
+    ("plus", ("free", 0), 5, "malformed S-unit word"),
+    ("plus", ("assumptions",), 5, '"assumptions"'),
+    ("relative", ("field", "relative", "p"), [7], '"p"'),
+    ("relative", ("field", "relative", "n"), 0, "level n >= 1"),
+    ("classgroup", ("generators",), 5, '"generators"'),
+    ("classgroup", ("invariant_factors",), [[3]], '"invariant_factors"'),
+    ("classgroup", ("field", "f"), [23], '"f"'),
+    ("classgroup", ("format",), None, '"format"'),
+])
+def test_ingest_names_a_mistyped_field(shipped_documents, name, path, value, named):
+    where, docs = shipped_documents
+    code, err = _ingest_mutated(where, docs[name], path, value)
+    assert code == 2
+    assert err.startswith("error:") and named in err and "Traceback" not in err
+
+
+def _value_paths(x, prefix=()):
+    """The key paths to every value below the top of a JSON document."""
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _value_paths(v, prefix + (k,))
+
+
+# small values only: a level or conductor in the thousands makes a field
+# too large to build while the test waits
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3)
+    | st.sampled_from(["3", "x", "", "om", "m1", "z"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["f", "p", "n", "word"]), inner, max_size=2),
+    max_leaves=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ingest_of_a_mutated_document_exits_zero_or_two(shipped_documents, data):
+    # a bad document is a data error (exit 2), never an exception
+    where, docs = shipped_documents
+    doc = docs[data.draw(st.sampled_from(sorted(docs)))]
+    path = data.draw(st.sampled_from(list(_value_paths(doc))))
+    code, err = _ingest_mutated(where, doc, path, data.draw(_JSON_VALUES))
+    assert code in (0, 2) and "Traceback" not in err
 
 
 def test_ingest_rejects_unknown_kind(capsys, tmp_path):

@@ -146,24 +146,27 @@ def test_finite_ord_at_ramified_prime():
 
 
 def test_finite_ord_of_a_word_outside_the_field_is_an_error_under_python_O():
-    # 1 - zeta_5 is not in Q(zeta_5)^+, where pi_5 = (1 - zeta_5)^2: a
-    # ValueError, not an assert, so python -O keeps the check
+    # 1 - zeta_5 is not in Q(zeta_5)^+, where pi_5 = (1 - zeta_5)^2, and
+    # words of conductors 7 and 9 have no product: ValueErrors, not asserts,
+    # so python -O keeps the checks
     code = """if True:
         from fracgalois.fields import SUnit, finite_ord, place_set, plus_field
         ps = place_set(plus_field(5), (5,))
         idx = next(i for i in range(ps.size)
                    if not ps.places[ps.flat[i][0]].archimedean)
-        try:
-            finite_ord(SUnit.one_minus_zeta(5, 1), ps, idx)
-        except ValueError as exc:
-            print(exc)
+        for op in (lambda: finite_ord(SUnit.one_minus_zeta(5, 1), ps, idx),
+                   lambda: SUnit.zeta(7) * SUnit.zeta(9)):
+            try:
+                op()
+            except ValueError as exc:
+                print(exc)
         """
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert proc.stdout.splitlines() == [
-        "ord_pi 1 is not a multiple of 2: the word is not in the place set's field"], \
-        proc.stderr
+        "ord_pi 1 is not a multiple of 2: the word is not in the place set's field",
+        "product of words of conductors 7 and 9"], proc.stderr
 
 
 def test_product_formula_for_s_units():

@@ -971,12 +971,16 @@ def test_lattices_over_different_groups_are_an_error_under_python_O():
 
 
 def test_wrong_coefficient_count_is_an_error_under_python_O():
-    # a ValueError, not an assert: python -O keeps the check
+    # a ValueError, not an assert: python -O keeps the check; likewise for
+    # (1 + c)/2 at an element c of order 3
     code = """if True:
         from fracgalois.cyclo import CyclotomicNumber
-        from fracgalois.gring import GroupRingElement, abelian_group
+        from fracgalois.fields import full_cyclotomic
+        from fracgalois.gring import GroupRingElement, abelian_group, plus_idempotent
+        g7 = full_cyclotomic(7).group
         for make in (lambda: GroupRingElement(abelian_group((3,)), (1, 2)),
-                     lambda: CyclotomicNumber(5, (1, 2, 3))):
+                     lambda: CyclotomicNumber(5, (1, 2, 3)),
+                     lambda: plus_idempotent(g7, g7.element_of_residue(2))):
             try:
                 make()
             except ValueError as exc:
@@ -985,8 +989,9 @@ def test_wrong_coefficient_count_is_an_error_under_python_O():
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
-    assert proc.stdout.splitlines() == ["Q[G] needs 3 coefficients, got 2",
-                                        "Q(zeta_5) needs 4 coefficients, got 3"]
+    assert proc.stdout.splitlines() == [
+        "Q[G] needs 3 coefficients, got 2", "Q(zeta_5) needs 4 coefficients, got 3",
+        "(1 + c)/2 needs c of order <= 2, but 2 does not square to the identity"], proc.stderr
 
 
 def test_group_ring_elements_over_different_groups_are_an_error_under_python_O():

@@ -21,8 +21,8 @@ from fracgalois.jideal import (CHECK_IDS, _field, _log_eps_element,
                                j_base_case, j_full_cyclotomic, j_via_theorem,
                                load_classgroup, run_check, rzero_idempotent,
                                shipped_classgroup, torsion_order)
-from fracgalois.lfun import (half_stickelberger, l_deriv_at_0,
-                             partial_zeta_all, stickelberger, vanishing_order)
+from fracgalois.lfun import (half_stickelberger, l_deriv_at_0, stickelberger,
+                             vanishing_order)
 from fracgalois.units import (lambda_unit, quotient_module, stark_module,
                               sunit_group)
 from gmodules import action_of
@@ -57,13 +57,12 @@ def test_regulator_equals_the_per_call_character_values(bits):
              + GroupRingElement.basis(g, g.element_of_residue(2)))  # 3 + chi(s) != 0
     _, reg, _ = i_f_and_regulator(model, pset, twist, ctx)
     logs = _log_eps_element(model, pset, ctx)
-    zcache = partial_zeta_all(model, pset, 1, ctx)
     for idx, chi in enumerate(characters(g)):
         with ctx.guard():
             num = mp.mpc(0)
             for sigma, lv in logs.items():
                 num += char_value_numeric(chi, sigma, ctx) * lv
-            lstar = l_deriv_at_0(model, pset, chi, ctx, _zcache=zcache)
+            lstar = l_deriv_at_0(model, pset, chi, ctx)
             tv = mp.mpc(0)
             for sigma in g.elements:
                 cf = twist.coeff(sigma)
@@ -390,7 +389,6 @@ def test_regulator_fold_of_the_full_field_is_minus_one_half():
         pset = place_set(model, (p,))
         g = model.group
         c = model.conjugation()
-        zder = partial_zeta_all(model, pset, 1, CTX)
         lam = lambda_unit(f)
         evens = [chi for chi in characters(g) if chi.exp_at(c) == 0]
         assert len(evens) == g.order // 2
@@ -400,8 +398,7 @@ def test_regulator_fold_of_the_full_field_is_minus_one_half():
                 for s in g.elements:
                     val = mp.expjpi(mp.mpf(2 * chi.exp_at(s)) / g.exponent)
                     reg += val * 2 * lam.log_abs(g.label(s))
-                ratio = l_deriv_at_0(model, pset, chi, CTX,
-                                     _zcache=zder) / (reg / 2)
+                ratio = l_deriv_at_0(model, pset, chi, CTX) / (reg / 2)
                 assert abs(ratio + mp.mpf(1) / 2) < mp.mpf(10) ** -30, \
                     (f, chi.exps, mp.nstr(ratio, 20))
 

@@ -18,15 +18,13 @@ from fracgalois.cyclo import (CyclotomicNumber, PrecisionContext, _power_table,
 from fracgalois.fields import (full_cyclotomic, make_field, place_set,
                                plus_field, relative_model, relative_place_set)
 from fracgalois.gring import GroupRingElement, characters, norm_element
-from fracgalois.lfun import (_b1_sum, character_conductor,
-                             half_stickelberger, l_deriv_at_0,
-                             l_deriv_primitive, l_value_at_0, l_values_at_0,
-                             partial_zeta_all, primitive_table,
-                             relative_partial_zeta_deriv, stickelberger,
+from fracgalois.lfun import (character_conductor, half_stickelberger,
+                             l_deriv_at_0, l_derivs_at_0, l_value_at_0,
+                             l_values_at_0, partial_zeta_all, stickelberger,
                              stickelberger_classical, vanishing_order)
-from oracles import (assemble, bernoulli_b1, l_deriv_primitive_with_b1,
-                     l_value_at_0_per_character,
-                     partial_zeta_derivs_per_residue, relative_fold_per_residue,
+from oracles import (_b1_sum, assemble, bernoulli_b1, l_deriv_primitive_with_b1,
+                     l_value_at_0_per_character, partial_zeta_derivs_per_residue,
+                     primitive_table, relative_fold_per_residue,
                      relative_l_deriv, relative_l_value_at_0,
                      relative_partial_zeta_deriv_by_characters,
                      stickelberger_via_characters)
@@ -135,8 +133,7 @@ def test_b1_sum_matches_the_fraction_loop(f):
 
 @pytest.mark.parametrize("f", [5, 8, 12, 13, 25, 121])
 def test_even_characters_skip_a_vanishing_b1(f):
-    # B_{1,chi} = 0 for every even nontrivial chi, so l_deriv_primitive skips
-    # it; the result is the full formula's mpf bit for bit, odd chi included
+    # B_{1,chi} = 0 for every even nontrivial chi
     model = full_cyclotomic(f)
     minus_one = model.group.element_of_residue(f - 1)
     evens = 0
@@ -146,10 +143,6 @@ def test_even_characters_skip_a_vanishing_b1(f):
         if chi.exp_at(minus_one) == 0:
             evens += 1
             assert _b1_sum(*primitive_table(model, chi)).is_zero(), chi
-        for bits in (192, 768):
-            ctx = PrecisionContext(bits=bits, tol_exp=-(bits - 20))
-            assert (l_deriv_primitive(model, chi, ctx)
-                    == l_deriv_primitive_with_b1(model, chi, ctx)), (bits, chi)
     assert evens == len(characters(model.group)) // 2 - 1
 
 
@@ -287,7 +280,7 @@ def test_l_derivative_of_even_quadratic_is_log_fundamental_unit():
     k = plus_field(5)
     chi = next(c for c in characters(k.group) if not c.is_trivial())
     with CTX.guard():
-        val = l_deriv_primitive(k, chi, CTX)
+        val = l_deriv_at_0(k, place_set(k), chi, CTX)
         expect = mp.log((1 + mp.sqrt(5)) / 2)
         assert abs(val - expect) < mp.mpf(2) ** -150
 
@@ -300,9 +293,8 @@ def test_l_deriv_with_extra_split_prime_product_rule():
     ps = place_set(k, (5, q))
     ps5 = place_set(k, (5,))
     with CTX.guard():
-        zder = partial_zeta_all(k, ps, 1, CTX)
         for chi in characters(k.group):
-            lhs = l_deriv_at_0(k, ps, chi, CTX, _zcache=zder)
+            lhs = l_deriv_at_0(k, ps, chi, CTX)
             lp = l_deriv_at_0(k, ps5, chi, CTX)
             l0 = l_value_at_0(k, ps5, chi).embed(1)
             chi_q = chi.value(k.group.element_of_residue(q % 5)).embed(1)
@@ -328,9 +320,46 @@ def test_relative_theta_rejects_wrong_place_set():
         stickelberger(m, place_set(k5, (5,)))
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_relative_partial_zetas_reject_a_wrong_place_set(k):
+    m = relative_model(7)
+    for pset in (place_set(full_cyclotomic(5), (5,)), place_set(full_cyclotomic(7), (3, 7))):
+        with pytest.raises(ValueError, match="infinity"):
+            partial_zeta_all(m, pset, k, CTX)
+
+
+@pytest.mark.parametrize("bits", [192, 768])
+@pytest.mark.parametrize("f", [5, 13, 25, 121])
+def test_l_derivs_at_infinity_are_the_primitive_derivatives(f, bits):
+    # S = {infinity}: every nontrivial chi of the plus field has p | f0, so
+    # L_S'(0, chi) is the primitive L'(0, chi) of the Hurwitz route
+    ctx = PrecisionContext(bits=bits, tol_exp=-(bits - 20))
+    model = plus_field(f)
+    chars = [chi for chi in characters(model.group) if not chi.is_trivial()]
+    ours = l_derivs_at_0(model, place_set(model), chars, ctx)
+    with ctx.guard():
+        for chi, v in zip(chars, ours):
+            ref = l_deriv_primitive_with_b1(model, chi, ctx)
+            assert abs(v - ref) < mp.mpf(2) ** -(bits - 8) * max(1, abs(ref)), chi
+
+
+@pytest.mark.parametrize("kind, f, primes", [("plus", 25, (5,)), ("full", 13, (13,)),
+                                             ("plus", 13, (3, 13))])
+def test_l_derivs_at_0_are_the_per_character_calls(kind, f, primes):
+    model = plus_field(f) if kind == "plus" else full_cyclotomic(f)
+    pset = place_set(model, primes)
+    chars = characters(model.group)
+    assert l_derivs_at_0(model, pset, chars, CTX) == [
+        l_deriv_at_0(model, pset, chi, CTX) for chi in chars]
+    m = relative_model(11)
+    rel_chars = characters(m.group)
+    assert l_derivs_at_0(m, relative_place_set(m), rel_chars, CTX) == [
+        l_deriv_at_0(m, relative_place_set(m), chi, CTX) for chi in rel_chars]
+
+
 def test_relative_derivative_routes_agree():
     m = relative_model(7)
-    zder = relative_partial_zeta_deriv(m, CTX)
+    zder = partial_zeta_all(m, relative_place_set(m), 1, CTX)
     with CTX.guard():
         for chi in characters(m.group):
             assembled = mp.mpc(0)
@@ -348,7 +377,7 @@ def test_relative_partial_zeta_deriv_matches_the_expjpi_inversion(bits):
     h = m.group
     e = h.exponent
     lvals = {chi: relative_l_deriv(m, chi, ctx) for chi in characters(h)}
-    ours = relative_partial_zeta_deriv(m, ctx)
+    ours = partial_zeta_all(m, relative_place_set(m), 1, ctx)
     with ctx.guard():
         for sigma in h.elements:
             total = mp.mpc(0)
@@ -376,7 +405,7 @@ def test_relative_theta_matches_the_character_route(p, n):
 @pytest.mark.parametrize("p, n", RELATIVE_RANGE)
 def test_relative_partial_zeta_deriv_matches_the_character_inversion(p, n):
     m = relative_model(p, n)
-    ours = relative_partial_zeta_deriv(m, CTX)
+    ours = partial_zeta_all(m, relative_place_set(m), 1, CTX)
     ref = relative_partial_zeta_deriv_by_characters(m, CTX)
     with CTX.guard():
         for sigma in m.group.elements:
@@ -414,7 +443,7 @@ def test_relative_fold_matches_the_per_residue_loop(p, n, bits):
     # field's per-residue derivatives
     ctx = PrecisionContext(bits=bits, tol_exp=-(bits - 20))
     m = relative_model(p, n)
-    ours = relative_partial_zeta_deriv(m, ctx)
+    ours = partial_zeta_all(m, relative_place_set(m), 1, ctx)
     ref = relative_fold_per_residue(m, ctx)
     with ctx.guard():
         for sigma in m.group.elements:
@@ -461,7 +490,7 @@ def test_partial_zeta_memo_does_no_new_work_and_hands_out_fresh_dicts(monkeypatc
     second[model.group.identity] = mp.mpf(0)
     assert partial_zeta_all(model, pset, 1, CTX)[model.group.identity] != 0
     rel = relative_model(7)
-    one = relative_partial_zeta_deriv(rel, CTX)
+    one = partial_zeta_all(rel, relative_place_set(rel), 1, CTX)
     n_calls = len(calls)
     one.clear()
-    assert relative_partial_zeta_deriv(rel, CTX) and len(calls) == n_calls
+    assert partial_zeta_all(rel, relative_place_set(rel), 1, CTX) and len(calls) == n_calls

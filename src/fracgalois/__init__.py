@@ -9,7 +9,7 @@ claims.
 from .cyclo import CyclotomicNumber, PrecisionContext, bernoulli_number, euler_phi
 from .fields import (FieldModel, PlaceSet, RelativeModel, SUnit,
                      full_cyclotomic, make_field, place_set, plus_field,
-                     relative_model, relative_place_set)
+                     relative_model, relative_place_set, select_field)
 from .gring import (Character, FinAbGroup, FiniteGModule, GroupHom,
                     GroupRingElement, IdealLattice, characters,
                     galois_group, gre_inverse, norm_element, plus_idempotent)
@@ -20,7 +20,7 @@ from .units import (UnitLattice, cyclotomic_unit, export_units, lambda_unit,
                     stark_residuals, stark_unit, sunit_group,
                     unit_coordinates)
 from .jideal import (CHECK_IDS, CheckReport, JResult, i_f_and_regulator,
-                     j_base_case, j_full_cyclotomic, j_via_theorem,
+                     j_base_case, j_full_cyclotomic, j_ideal, j_via_theorem,
                      load_classgroup, run_check, shipped_classgroup,
                      torsion_order)
 
@@ -30,7 +30,7 @@ __all__ = [
     "CyclotomicNumber", "PrecisionContext", "bernoulli_number", "euler_phi",
     "FieldModel", "PlaceSet", "RelativeModel", "SUnit", "full_cyclotomic",
     "make_field", "place_set", "plus_field", "relative_model",
-    "relative_place_set",
+    "relative_place_set", "select_field",
     "Character", "FinAbGroup", "FiniteGModule", "GroupHom",
     "GroupRingElement", "IdealLattice", "characters",
     "galois_group", "gre_inverse", "norm_element", "plus_idempotent",
@@ -40,7 +40,7 @@ __all__ = [
     "load_units", "quotient_module", "stark_module", "stark_residuals",
     "stark_unit", "sunit_group", "unit_coordinates",
     "CHECK_IDS", "CheckReport", "JResult", "i_f_and_regulator",
-    "j_base_case", "j_full_cyclotomic", "j_via_theorem", "load_classgroup",
+    "j_base_case", "j_full_cyclotomic", "j_ideal", "j_via_theorem", "load_classgroup",
     "run_check", "shipped_classgroup", "torsion_order",
     "__version__",
 ]

@@ -24,12 +24,11 @@ import time
 
 import mpmath as mp
 
-from .cyclo import PrecisionContext, factorize
-from .fields import (RelativeModel, full_cyclotomic, make_field, place_set,
-                     plus_field, relative_model, relative_place_set)
+from .cyclo import PrecisionContext, factorize, is_prime
+from .fields import RelativeModel, bounded, odd_prime_power, select_field
 from .gring import characters
-from .jideal import (CHECK_IDS, _gre_jsonable, j_full_cyclotomic,
-                     j_via_theorem, load_classgroup, run_check)
+from .jideal import (CHECK_IDS, SUBFIELDS, _gre_jsonable, j_ideal,
+                     load_classgroup, run_check)
 from .lfun import (half_stickelberger, l_values_at_0, stickelberger,
                    vanishing_order)
 from .units import (export_units, load_units, quotient_module, stark_module,
@@ -78,56 +77,28 @@ class RunConfig:
 # field resolution
 
 def _conductor(cfg):
-    if cfg.conductor is not None and cfg.prime is not None:
-        if cfg.conductor != cfg.prime ** cfg.level:
+    if cfg.prime is not None:
+        if not is_prime(bounded(cfg.prime, "prime")):
+            raise ValueError(f"--prime {cfg.prime} is not a prime")
+        f = bounded(cfg.prime, "conductor", cfg.level)
+        if cfg.conductor is not None and cfg.conductor != f:
             raise ValueError(
                 f"--conductor {cfg.conductor} contradicts "
                 f"--prime {cfg.prime} --level {cfg.level}")
-        return cfg.conductor
+        return f
     if cfg.conductor is not None:
         return cfg.conductor
-    if cfg.prime is not None:
-        return cfg.prime ** cfg.level
     raise ValueError("specify the field: --conductor/-f or --prime/-p")
 
 
 def _prime_level(cfg):
     """(p, n) for checks that live on prime-power conductors."""
-    if cfg.prime is not None:
-        return cfg.prime, cfg.level
-    f = _conductor(cfg)
-    fac = factorize(f)
-    if len(fac) != 1:
-        raise ValueError(f"conductor {f} is not a prime power; "
-                         "pass --prime/-p and --level/-n")
-    (p, n), = fac
-    return p, n
+    return odd_prime_power(_conductor(cfg))
 
 
 def resolve_field(cfg):
     """(model, place set) from the CLI selectors."""
-    if cfg.subfield == "relative":
-        p, n = _prime_level(cfg)
-        model = relative_model(p, n)
-        if cfg.places is not None:
-            raise ValueError("the relative construction fixes its own places")
-        return model, relative_place_set(model)
-    f = _conductor(cfg)
-    if cfg.subfield == "full":
-        model = full_cyclotomic(f)
-    elif cfg.subfield == "plus":
-        model = plus_field(f)
-    elif cfg.subfield.startswith("custom:"):
-        residues = frozenset(int(a) for a in cfg.subfield[7:].split(","))
-        model = make_field(f, residues)
-    else:
-        raise ValueError(f"unknown subfield selector {cfg.subfield!r}; "
-                         "use full, plus, relative or custom:<residues>")
-    if cfg.places is not None:
-        primes = cfg.places
-    else:
-        primes = tuple(p for p, _ in factorize(f))
-    return model, place_set(model, primes)
+    return select_field(_conductor(cfg), cfg.subfield, cfg.places)
 
 
 def _units_for(cfg, model, pset, ctx):
@@ -163,8 +134,7 @@ def cmd_compute(cfg):
     exact = {}
     numeric = {}
     if cfg.object == "half_theta":
-        p, n = _prime_level(cfg)
-        model = relative_model(p, n)
+        model, _ = select_field(_conductor(cfg), "relative", cfg.places)
         tt = half_stickelberger(model)
         exact["half_theta"] = _gre_jsonable(tt)
         numeric["half_theta"] = {
@@ -196,7 +166,9 @@ def cmd_compute(cfg):
             _chi_key(chi): vanishing_order(model, pset, chi)
             for chi in characters(model.group)}
     elif cfg.object == "jideal":
-        res = _compute_j(cfg, ctx)
+        model, pset = resolve_field(cfg)
+        units = _units_for(cfg, model, pset, ctx) if cfg.provider == "file" else None
+        res = j_ideal(model, pset, ctx, units)
         exact["ideal"] = res.ideal.to_jsonable()
         exact["details"] = {k: (list(v) if isinstance(v, tuple) else v)
                             for k, v in res.details.items()}
@@ -216,60 +188,40 @@ def cmd_compute(cfg):
     return {"exact": exact, "numeric": numeric}
 
 
-def _compute_j(cfg, ctx):
-    if cfg.subfield == "full":
-        p, n = _prime_level(cfg)
-        units = None
-        if cfg.provider == "file":
-            model, pset = resolve_field(cfg)
-            units = _units_for(cfg, model, pset, ctx)
-        return j_full_cyclotomic(p, n, ctx, units=units)
-    model, pset = resolve_field(cfg)
-    units = _units_for(cfg, model, pset, ctx) if cfg.provider == "file" else None
-    return j_via_theorem(model, pset, ctx, units=units)
-
-
 # ---------------------------------------------------------------------------
 # verify
 
 def _check_params(cfg, check_id):
     """Parameter dicts (one per run) for a check id under this config."""
+    if check_id not in CHECK_IDS:
+        raise ValueError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
     if check_id == "STICK_IDENT":
         return [{"f": _conductor(cfg)}]
     if check_id == "ACNF":
         return [{"field": "Q"}, {"field": "Qsqrt5"}]
     p, n = _prime_level(cfg)
-    if check_id in ("QNAT", "JREL", "BCH", "STARK_RAT"):
-        return [{"p": p, "n": n}]
+    params = {"p": p, "n": n}
+    if check_id in SUBFIELDS:   # STARKC reads the default full as plus
+        params["subfield"] = ("plus" if check_id == "STARKC" and cfg.subfield == "full"
+                              else cfg.subfield)
     if check_id == "INDF":
-        return [{"p": p, "n": n, "seed": cfg.seed}]
-    if check_id == "RZERO":
-        sub = cfg.subfield if cfg.subfield in ("full", "plus", "relative") else "plus"
-        return [{"p": p, "n": n, "subfield": sub}]
-    if check_id == "STARKC":
-        sub = cfg.subfield if cfg.subfield in ("plus", "relative") else "plus"
-        return [{"p": p, "n": n, "subfield": sub}]
-    if check_id in ("CLCONT", "CG_FIT"):
-        if cfg.input_path is None:
-            raise ValueError(
-                f"{check_id} needs class-group data: pass --in <classgroup.json>")
-        clmod, _ = load_classgroup(cfg.input_path)
-        order = clmod.order()
-        ells = sorted({q for q, _ in factorize(order) if q % 2 == 1})
-        if not ells:
-            ells = [3]
-        sub = "full" if check_id == "CLCONT" and cfg.subfield == "full" else "plus"
-        out = []
-        for ell in ells:
-            params = {"p": p, "n": n, "ell": ell, "classgroup": clmod}
-            if check_id == "CLCONT":
-                params["subfield"] = sub
-            out.append(params)
-        return out
-    raise ValueError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
+        params["seed"] = cfg.seed
+    if check_id not in ("CLCONT", "CG_FIT"):
+        return [params]
+    if cfg.input_path is None:
+        raise ValueError(
+            f"{check_id} needs class-group data: pass --in <classgroup.json>")
+    clmod, _ = load_classgroup(cfg.input_path)
+    ells = sorted({q for q, _ in factorize(clmod.order()) if q % 2 == 1})
+    return [{**params, "ell": ell, "classgroup": clmod} for ell in ells or [3]]
 
 
 def cmd_verify(cfg):
+    if cfg.places is not None:
+        raise ValueError("verify takes no --places: every check fixes its own S")
+    if cfg.provider != "builtin":
+        raise ValueError(f"verify takes no --provider {cfg.provider}: "
+                         "every check reads the builtin units")
     ctx = cfg.context()
     reports = []
     for check_id in cfg.suite:

@@ -15,9 +15,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .cyclo import factorize
-from .fields import (full_cyclotomic, make_field, place_set, plus_field,
-                     relative_model, relative_place_set, torsion_order)
+from .fields import (FieldModel, bounded, make_field, place_set, plus_field,
+                     select_field, torsion_order)
 from .gring import (FiniteGModule, GroupHom, GroupRingElement, IdealLattice,
                     _clear_denominators, _orbit_vectors, _perm_table,
                     characters, gmodule_span_equal, gre_inverse,
@@ -26,7 +25,7 @@ from .lfun import (_proj_g_to_h, character_sums, half_stickelberger, l_deriv_at_
                    l_derivs_at_0, stickelberger, stickelberger_classical,
                    vanishing_order)
 from .units import (conjugate_logs, json_int, json_ints, json_object, quotient_module,
-                    stark_module, stark_residuals, stark_unit, sunit_group)
+                    stark_module, stark_residuals, sunit_group)
 
 
 class JResult:
@@ -74,9 +73,14 @@ def _level(params):
     return int(params["p"]), int(params.get("n", 1))
 
 
-def _subfield(check, params, subfields):
-    """The check's subfield selector, one of `subfields` (default "plus")."""
-    sub = params.get("subfield", "plus")
+# the subfields a check runs on; the CLI passes --subfield only to these
+SUBFIELDS = {"RZERO": ("full", "plus", "relative"), "STARKC": ("plus", "relative"),
+             "CLCONT": ("plus", "full")}
+
+
+def _subfield(check, params):
+    """The check's subfield selector, one of SUBFIELDS[check] (default "plus")."""
+    sub, subfields = params.get("subfield", "plus"), SUBFIELDS[check]
     if sub not in subfields:
         raise ValueError(f"{check} runs on the {', '.join(subfields[:-1])} or "
                          f"{subfields[-1]} subfield, not {sub!r}")
@@ -84,21 +88,9 @@ def _subfield(check, params, subfields):
 
 
 def _field(p, n, sub):
-    """(model, S) for conductor p^n: Q(zeta_{p^n}) ("full") or its plus field
+    """(model, S) of conductor p^n: Q(zeta_{p^n}) ("full") or its plus field
     with S = {inf, p}, or the relative model with its own S ("relative")."""
-    if sub == "relative":
-        model = relative_model(p, n)
-        return model, relative_place_set(model)
-    model = full_cyclotomic(p ** n) if sub == "full" else plus_field(p ** n)
-    return model, place_set(model, (p,))
-
-
-def _j(p, n, sub, ctx):
-    """J of `_field(p, n, sub)`: the full-cyclotomic route on the full field,
-    the theorem route on the plus and relative ones."""
-    if sub == "full":
-        return j_full_cyclotomic(p, n, ctx)
-    return j_via_theorem(*_field(p, n, sub), ctx)
+    return select_field(bounded(p, "conductor", n), sub)
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +119,11 @@ def j_via_theorem(model, pset, ctx, units=None):
     return _j_result("theorem_j", model, ideal, u, m)
 
 
-def j_full_cyclotomic(p, n, ctx, units=None):
+def j_full_cyclotomic(model, pset, ctx, units=None):
     """J for Q(zeta_{p^n})/Q with S = {infinity, p}: the Z[G]-span of
     { alpha e+/2 + theta : alpha in ann(U/E) }, E = Z[G](1 - zeta). The
     alpha e+/2 over a Z-basis of the ideal ann(U/E) already span a
     Z[G]-module, so only theta is closed under G."""
-    model, pset = _field(p, n, "full")
     u, m = _unit_quotient(model, pset, ctx, units)
     ann = m.annihilator()
     g = model.group
@@ -144,6 +135,14 @@ def j_full_cyclotomic(p, n, ctx, units=None):
     vecs += [[d * (x + col[j]) for x, j in zip(col, cperm)] for col in ann.cols]
     ideal = IdealLattice._from_columns(g, 4 * d * ann.den, vecs)
     return _j_result("full_cyclotomic", model, ideal, u, m)
+
+
+def j_ideal(model, pset, ctx, units=None):
+    """J of (model, S): the full-cyclotomic route on a full cyclotomic
+    field, the theorem route on any other. Both routes are looked up at
+    call time, so a rebinding of either module name takes effect."""
+    full = isinstance(model, FieldModel) and model.is_full_cyclotomic
+    return (j_full_cyclotomic if full else j_via_theorem)(model, pset, ctx, units)
 
 
 def j_base_case(which, ctx):
@@ -176,23 +175,16 @@ def j_base_case(which, ctx):
 # ---------------------------------------------------------------------------
 # I^f and the Stark regulator under twists of the trivialization
 
-def _log_eps_element(model, pset, ctx):
-    """-sum_sigma log||eps||_{sigma w0} sigma as a numeric coefficient dict;
-    the Q[G]-eigenvalue element of lambda o f0^{-1} on the rank-1 lattice X."""
-    logs = conjugate_logs(stark_unit(model.f), pset, ctx)
-    with ctx.guard():
-        return {sigma: -lw for sigma, lw in logs.items()}
-
-
 def _regulator_values(model, pset, ctx):
     """[(chi, chi(R), L'_S(0, chi))] over the characters, at the working
     precision of ctx.guard(), for R = -sum_sigma log||eps||_{sigma w0} sigma
     and chi(x) = sum_sigma x_sigma chi(sigma) (chi unconjugated)."""
-    logs = _log_eps_element(model, pset, ctx)
+    logs = conjugate_logs(stark_module(model, pset, ctx).free[0], pset, ctx)
     chars = characters(model.group)
     lders = l_derivs_at_0(model, pset, chars, ctx)
     with ctx.guard():
-        return list(zip(chars, character_sums(model.group, chars, logs), lders))
+        rs = character_sums(model.group, chars, {sigma: -lw for sigma, lw in logs.items()})
+        return list(zip(chars, rs, lders))
 
 
 def i_f_and_regulator(model, pset, twist, ctx):
@@ -229,9 +221,7 @@ def _gre_jsonable(x):
 
 def check_stick_ident(params, ctx):
     f = int(params["f"])
-    model = full_cyclotomic(f)
-    primes = tuple(p for p, _ in factorize(f))
-    pset = place_set(model, primes)
+    model, pset = select_field(f)
     theta = stickelberger(model, pset)
     half_n = norm_element(model.group) * Fraction(1, 2)
     classical = stickelberger_classical(f)
@@ -260,9 +250,8 @@ def rzero_idempotent(group, pset):
 
 def check_rzero(params, ctx):
     p, n = _level(params)
-    sub = _subfield("RZERO", params, ("full", "plus", "relative"))
-    model, pset = _field(p, n, sub)
-    res = _j(p, n, sub, ctx)
+    model, pset = _field(p, n, _subfield("RZERO", params))
+    res = j_ideal(model, pset, ctx)
     g = model.group
     theta = stickelberger(model, pset)
     e0 = rzero_idempotent(g, pset)
@@ -330,7 +319,7 @@ def check_stark_rat(params, ctx):
 
 def check_qnat(params, ctx):
     p, n = _level(params)
-    full_res, plus_res = _j(p, n, "full", ctx), _j(p, n, "plus", ctx)
+    full_res, plus_res = (j_ideal(*_field(p, n, sub), ctx) for sub in ("full", "plus"))
     pi = hom_by_residues(full_res.model.group, plus_res.model.group)
     projected = full_res.ideal.project(pi)
     ok = projected == plus_res.ideal
@@ -350,7 +339,7 @@ def check_qnat(params, ctx):
 
 def check_jrel(params, ctx):
     p, n = _level(params)
-    rel_res, plus_res = _j(p, n, "relative", ctx), _j(p, n, "plus", ctx)
+    rel_res, plus_res = (j_ideal(*_field(p, n, sub), ctx) for sub in ("relative", "plus"))
     rel, model_plus = rel_res.model, plus_res.model
     h = rel.group
     # on the theorem route ann(U/E) = e J exactly
@@ -392,8 +381,8 @@ def bch_projection(rel, full_res):
 
 def check_bch(params, ctx):
     p, n = _level(params)
-    rel_res = _j(p, n, "relative", ctx)
-    rhs = bch_projection(rel_res.model, _j(p, n, "full", ctx))
+    rel_res = j_ideal(*_field(p, n, "relative"), ctx)
+    rhs = bch_projection(rel_res.model, j_ideal(*_field(p, n, "full"), ctx))
     ok = rhs == rel_res.ideal
     wit = {}
     if not ok:
@@ -405,7 +394,7 @@ def check_bch(params, ctx):
 
 def check_starkc(params, ctx):
     p, n = _level(params)
-    sub = _subfield("STARKC", params, ("plus", "relative"))
+    sub = _subfield("STARKC", params)
     residuals, worst = stark_residuals(*_field(p, n, sub), ctx)
     ok = worst < ctx.tol
     return CheckReport("STARKC", "pass" if ok else "fail",
@@ -440,8 +429,8 @@ def check_clcont(params, ctx):
     clmod = params.get("classgroup")
     if ell == 2 or ell < 2:
         raise ValueError("CLCONT needs an odd prime ell")
-    sub = _subfield("CLCONT", params, ("plus", "full"))
-    res = _j(p, n, sub, ctx)
+    sub = _subfield("CLCONT", params)
+    res = j_ideal(*_field(p, n, sub), ctx)
     model = res.model
     lhs = res.ideal
     if sub == "full":

@@ -74,30 +74,45 @@ def cyclotomic_unit(f, a):
 # ---------------------------------------------------------------------------
 # built-in providers (complete under h^+ = 1)
 
-def _check_pset(model, pset, p):
+def _builtin_words(model, pset):
+    """(torsion, distinguished unit) of the built-in tables: -1 and epsilon
+    on the plus field, -zeta and lambda on the full field, -zeta and eta =
+    lambda^{e theta~} on the relative field, each with S = {infinity, p}."""
+    f = model.f
+    relative = isinstance(model, RelativeModel)
+    p = model.p if relative else odd_prime_power(f)[0]
     if pset.finite_primes() != [p]:
         raise ValueError(f"builtin unit provider needs S = {{infinity, {p}}}")
+    if relative:
+        g = model.group
+        beta = half_stickelberger(model) * torsion_order(model)
+        if not beta.is_integral():
+            raise ArithmeticError("e * theta~ is not integral")
+        unit = SUnit.one(f)
+        for elem in g.elements:
+            c = beta.coeff(elem)
+            if c:
+                unit = unit * lambda_unit(f).galois(g.label(elem)) ** int(c)
+        return SUnit.minus_one(f) * SUnit.zeta(f), unit
+    if model.kernel == frozenset({1, f - 1}):
+        return SUnit.minus_one(f), stark_unit(f)
+    if model.is_full_cyclotomic:
+        return SUnit.minus_one(f) * SUnit.zeta(f), lambda_unit(f)
+    raise ValueError("builtin units cover the full cyclotomic field, its "
+                     "maximal real subfield and the relative field only")
 
 
 def sunit_group(model, pset, ctx):
     """The full S-unit lattice U of the model from the built-in tables."""
-    p = model.p if isinstance(model, RelativeModel) else odd_prime_power(model.f)[0]
+    torsion, unit = _builtin_words(model, pset)
     f = model.f
-    _check_pset(model, pset, p)
     _require_hplus_one(f)
-    torsion = SUnit.minus_one(f) * SUnit.zeta(f)
-    xs = [a for a in range(2, (f + 1) // 2) if a % p]
     if isinstance(model, RelativeModel):
         free = tuple(lambda_unit(f).galois(model.group.label(h))
                      for h in model.group.elements)
-    elif model.totally_real and model.kernel == frozenset({1, f - 1}):
-        torsion = SUnit.minus_one(f)
-        free = tuple(cyclotomic_unit(f, a) for a in xs) + (stark_unit(f),)
-    elif model.is_full_cyclotomic:
-        free = tuple(cyclotomic_unit(f, a) for a in xs) + (lambda_unit(f),)
     else:
-        raise ValueError("builtin provider covers the full cyclotomic field "
-                         "and its maximal real subfield only")
+        free = tuple(cyclotomic_unit(f, a) for a in range(2, (f + 1) // 2)
+                     if gcd(a, f) == 1) + (unit,)
     u = UnitLattice(model, pset, torsion_order(model), torsion, free, "builtin_hplus1",
                     (f"h+(Q(zeta_{f})) = 1",))
     _verify_rank(u)
@@ -113,26 +128,8 @@ def _require_hplus_one(f):
 def stark_module(model, pset, ctx):
     """The Stark submodule E of U: the Galois orbit of the distinguished unit
     over the same torsion (epsilon, lambda, or eta = lambda^{e theta~})."""
-    p = model.p if isinstance(model, RelativeModel) else odd_prime_power(model.f)[0]
-    f = model.f
-    _check_pset(model, pset, p)
+    torsion, unit = _builtin_words(model, pset)
     g = model.group
-    torsion = SUnit.minus_one(f) * SUnit.zeta(f)
-    if isinstance(model, RelativeModel):
-        beta = half_stickelberger(model) * torsion_order(model)
-        if not beta.is_integral():
-            raise ArithmeticError("e * theta~ is not integral")
-        unit = SUnit.one(f)
-        for elem in g.elements:
-            c = beta.coeff(elem)
-            if c:
-                unit = unit * lambda_unit(f).galois(g.label(elem)) ** int(c)
-    elif model.totally_real and model.kernel == frozenset({1, f - 1}):
-        unit, torsion = stark_unit(f), SUnit.minus_one(f)
-    elif model.is_full_cyclotomic:
-        unit = lambda_unit(f)
-    else:
-        raise ValueError("Stark module supported for full cyclotomic / maximal real / relative")
     free = tuple(unit.galois(g.label(e)) for e in g.elements)
     return UnitLattice(model, pset, torsion_order(model), torsion, free, "stark", ())
 

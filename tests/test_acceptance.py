@@ -205,8 +205,9 @@ def test_a6_full_cyclotomic_structure():
         g = kp.group
         one = GroupRingElement.one(g)
         half = one * Fraction(1, 2)
-        projected = j_full_cyclotomic(p, 1, CTX).ideal.project(
-            hom_by_residues(full_cyclotomic(p).group, g))
+        full = full_cyclotomic(p)
+        projected = j_full_cyclotomic(full, place_set(full, (p,)), CTX).ideal.project(
+            hom_by_residues(full.group, g))
         j_plus = j_via_theorem(kp, place_set(kp, (p,)), CTX).ideal
         # pi(theta) = 0 and U = mu Z[G](1 - zeta) give pi(J(K)) = (1/2) Z[G+];
         # U+/E+ = I/2I gives ann(U+/E+) = 2 Z[G+] + Z N, hence

@@ -318,6 +318,121 @@ def test_provider_file_rejects_wrong_field(capsys, tmp_path):
     assert "unit file" in err
 
 
+# ---------------------------------------------------------------------------
+# one field decision: the selectors give one (model, S), and the route
+# follows the model
+
+def test_jideal_refuses_places_the_builtin_units_do_not_cover(capsys):
+    for obj in ("jideal", "annihilator"):
+        code, out, err = run(capsys, ["compute", obj, "-p", "7", "--places", "2"])
+        assert code == 2 and out == ""
+        assert err == "error: builtin unit provider needs S = {infinity, 7}\n"
+
+
+@pytest.mark.parametrize("custom, selector", [("custom:1", "full"),
+                                              ("custom:1,6", "plus")])
+def test_custom_selector_of_a_named_field_gives_its_ideal(capsys, custom, selector):
+    named = run_json(capsys, ["compute", "jideal", "-p", "7", "--subfield", selector])
+    doc = run_json(capsys, ["compute", "jideal", "-f", "7", "--subfield", custom])
+    assert doc["exact"] == named["exact"]
+
+
+@pytest.mark.parametrize("argv, route", [
+    (["-p", "7"], "j_full_cyclotomic"),
+    (["-f", "7", "--subfield", "custom:1"], "j_full_cyclotomic"),
+    (["-p", "7", "--subfield", "plus"], "j_via_theorem"),
+    (["-p", "7", "--subfield", "relative"], "j_via_theorem")])
+def test_jideal_calls_the_route_bound_on_the_module(capsys, monkeypatch, argv, route):
+    calls, real = [], getattr(fracgalois.jideal, route)
+
+    def spy(model, pset, ctx, units=None):
+        calls.append(model)
+        return real(model, pset, ctx, units)
+
+    monkeypatch.setattr(fracgalois.jideal, route, spy)
+    run_json(capsys, ["compute", "jideal", *argv])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--suite", "RZERO", "-p", "7", "--places", "2,3"], "--places"),
+    (["--suite", "INDF", "-p", "7", "--provider", "file", "--in", "nothere.json"],
+     "--provider file")])
+def test_verify_refuses_the_options_its_checks_fix(capsys, argv, named):
+    code, out, err = run(capsys, ["verify", *argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: verify takes no " + named)
+
+
+CLASSGROUP_23 = str(Path(fracgalois.__file__).parent / "data" / "cl_q_zeta23.json")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["--suite", "CLCONT", "-p", "23", "--subfield", "relative", "--in", CLASSGROUP_23],
+     "CLCONT: ERROR -- CLCONT runs on the plus or full subfield, not 'relative'"),
+    (["--suite", "RZERO", "-p", "7", "--subfield", "custom:1,6"],
+     "RZERO: ERROR -- RZERO runs on the full, plus or relative subfield, "
+     "not 'custom:1,6'"),
+    (["--suite", "STARKC", "-p", "7", "--subfield", "custom:1"],
+     "STARKC: ERROR -- STARKC runs on the plus or relative subfield, not 'custom:1'")])
+def test_verify_passes_the_subfield_to_the_checks_that_read_it(capsys, argv, line):
+    code, out, _ = run(capsys, ["verify", *argv])
+    assert code == 2
+    assert out.splitlines()[0] == line
+
+
+def test_starkc_reads_the_default_full_as_plus(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, ["verify", "--suite", "STARKC,RZERO", "-p", "7",
+                              "--out", str(out_path)])
+    assert code == 0
+    checks = json.loads(out_path.read_text())["exact"]["checks"]
+    assert [c["context"]["subfield"] for c in checks] == ["plus", "full"]
+
+
+# a child limited to 1 GiB of address space: each of these conductors or
+# S-primes would be enumerated or factored by trial division far past the
+# bound, so a refusal must come before either
+BOUNDED_CHILD = ("import resource, sys; "
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                 "from fracgalois.cli import main; sys.exit(main(sys.argv[1:]))")
+BIG_PRIME = 1000000000000000003
+
+
+@pytest.mark.parametrize("argv, doc, named", [
+    (["compute", "theta", "-f", "1000000007"], None, "conductor 1000000007 "),
+    (["compute", "jideal", "-p", "7", "-n", "1000000000000"], None,
+     "conductor 7^1000000000000 "),
+    (["compute", "rvec", "-f", "7", "--places", f"3,{BIG_PRIME}"], None,
+     f"S-prime {BIG_PRIME} "),
+    (["verify", "--suite", "RZERO", "-f", str(BIG_PRIME)], None,
+     f"conductor {BIG_PRIME} "),
+    (["ingest"], {"kind": "sunits", "format": 1, "field": {"relative": {"p": 7, "n": 25}},
+                  "s_primes": [7], "torsion": {"order": 2, "word": [["m1", 1]]},
+                  "free": []}, "conductor 7^25 "),
+    (["ingest"], {"kind": "sunits", "format": 1, "field": {"f": 7 ** 25, "kernel": [1]},
+                  "s_primes": [7], "torsion": {"order": 2, "word": [["m1", 1]]},
+                  "free": []}, f"conductor {7 ** 25} "),
+    (["ingest"], {"kind": "sunits", "format": 1, "field": {"f": 7, "kernel": [1]},
+                  "s_primes": [7, BIG_PRIME], "torsion": {"order": 2, "word": [["m1", 1]]},
+                  "free": []}, f"S-prime {BIG_PRIME} "),
+    (["ingest"], {"kind": "classgroup", "format": 1,
+                  "field": {"f": 1000000007, "kernel": [1]}, "invariant_factors": [],
+                  "action": [[]]}, "conductor 1000000007 ")])
+def test_conductors_and_primes_above_the_bound_exit_two(tmp_path, argv, doc, named):
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + ["--in", str(path)]
+    src = str(Path(fracgalois.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", BOUNDED_CHILD, *argv],
+                          capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr == (f"error: {named}exceeds {fracgalois.fields.MAX_CONDUCTOR}, "
+                           "the largest conductor or S-prime this program takes\n")
+
+
 def test_ingest_classgroup_and_clcont(capsys, tmp_path):
     path = tmp_path / "cl.json"
     path.write_text(json.dumps({
@@ -557,6 +672,7 @@ BAD_ARGV = [
     (["verify", "-p", "7"], "--suite"),
     (["compute", "jideal", "extra", "-p", "7"], "'extra'"),  # stray positional
     (["ingest", "units.json"], "'units.json'"),
+    (["compute", "theta", "-p", "9"], "--prime 9 is not a prime"),
 ]
 
 

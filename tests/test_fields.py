@@ -15,7 +15,7 @@ from fracgalois import fields
 from fracgalois.cyclo import PrecisionContext, factorize
 from fracgalois.fields import (SUnit, finite_ord, full_cyclotomic, log_norms,
                                make_field, place_set, plus_field,
-                               relative_model, relative_place_set)
+                               relative_model, relative_place_set, select_field)
 from oracles import same_value
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
@@ -58,6 +58,34 @@ def test_relative_model_constraints():
         relative_model(5)       # 5 = 1 mod 4
     with pytest.raises(ValueError):
         relative_model(3, 1)    # degenerate: K = k
+
+
+@pytest.mark.parametrize("f, subfield, places, build", [
+    (25, "full", None, lambda: (full_cyclotomic(25), (5,))),
+    (63, "full", (2, 3), lambda: (full_cyclotomic(63), (2, 3))),
+    (61, "plus", None, lambda: (plus_field(61), (61,))),
+    (21, "plus", None, lambda: (plus_field(21), (3, 7))),
+    (7, "custom:1,2,4", None, lambda: (make_field(7, frozenset({1, 2, 4})), (7,))),
+    (7, "custom:1", (7, 11), lambda: (full_cyclotomic(7), (7, 11))),
+    (49, "relative", None, lambda: (relative_model(7, 2), None)),
+    (23, "relative", None, lambda: (relative_model(23), None))])
+def test_select_field_builds_the_model_and_places_of_the_selectors(f, subfield, places,
+                                                                   build):
+    model, pset = select_field(f, subfield, places)
+    want, primes = build()
+    want_pset = relative_place_set(want) if primes is None else place_set(want, primes)
+    assert model == want and model.group.order == want.group.order
+    assert pset.finite_primes() == want_pset.finite_primes()
+    assert pset.describe() == want_pset.describe() and pset.flat == want_pset.flat
+
+
+@pytest.mark.parametrize("subfield, places, message", [
+    ("relative", (7,), "the relative construction fixes its own places"),
+    ("half", None, "unknown subfield selector 'half'"),
+    ("plus", (4,), "4 is not prime")])
+def test_select_field_names_a_bad_selector(subfield, places, message):
+    with pytest.raises(ValueError, match=message):
+        select_field(49, subfield, places)
 
 
 # ---------------------------------------------------------------------------

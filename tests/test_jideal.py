@@ -15,7 +15,7 @@ from fracgalois.fields import (full_cyclotomic, make_field, place_set,
 from fracgalois.gring import (GroupHom, GroupRingElement, IdealLattice,
                               characters)
 from fracgalois import jideal
-from fracgalois.jideal import (CHECK_IDS, _field, _log_eps_element,
+from fracgalois.jideal import (CHECK_IDS, _field,
                                _mu_ell_annihilator, bch_projection,
                                _unit_quotient, i_f_and_regulator,
                                j_base_case, j_full_cyclotomic, j_via_theorem,
@@ -23,8 +23,8 @@ from fracgalois.jideal import (CHECK_IDS, _field, _log_eps_element,
                                shipped_classgroup, torsion_order)
 from fracgalois.lfun import (half_stickelberger, l_deriv_at_0, stickelberger,
                              vanishing_order)
-from fracgalois.units import (lambda_unit, quotient_module, stark_module,
-                              sunit_group)
+from fracgalois.units import (conjugate_logs, lambda_unit, quotient_module,
+                              stark_module, sunit_group)
 from gmodules import action_of
 from oracles import assemble, bch_projection_dense, char_value_numeric
 
@@ -56,12 +56,12 @@ def test_regulator_equals_the_per_call_character_values(bits):
     twist = (GroupRingElement.one(g) * 3
              + GroupRingElement.basis(g, g.element_of_residue(2)))  # 3 + chi(s) != 0
     _, reg, _ = i_f_and_regulator(model, pset, twist, ctx)
-    logs = _log_eps_element(model, pset, ctx)
+    logs = conjugate_logs(stark_module(model, pset, ctx).free[0], pset, ctx)
     for idx, chi in enumerate(characters(g)):
         with ctx.guard():
             num = mp.mpc(0)
-            for sigma, lv in logs.items():
-                num += char_value_numeric(chi, sigma, ctx) * lv
+            for sigma, lw in logs.items():
+                num += char_value_numeric(chi, sigma, ctx) * -lw
             lstar = l_deriv_at_0(model, pset, chi, ctx)
             tv = mp.mpc(0)
             for sigma in g.elements:
@@ -134,7 +134,7 @@ def _in_relation_lattice(mod, col):
 
 
 def test_j_full5_contains_theta_and_has_frozen_denominator():
-    res = j_full_cyclotomic(5, 1, CTX)
+    res = j_full_cyclotomic(*_field(5, 1, "full"), CTX)
     model = res.model
     theta = stickelberger(model, place_set(model, (5,)))
     assert res.ideal.contains_element(theta)
@@ -522,7 +522,7 @@ def test_load_classgroup_rejects_noncommuting_actions(tmp_path):
 def test_bch_projection_matches_the_dense_products_over_g(p, n):
     # pi_H(beta0) pi_H(b) over H against pi_H(beta0 b) convolved over G
     rel = relative_model(p, n)
-    full = j_full_cyclotomic(p, n, CTX)
+    full = j_full_cyclotomic(*_field(p, n, "full"), CTX)
     ours = bch_projection(rel, full)
     assert ours == bch_projection_dense(rel, full)
     assert ours == j_via_theorem(rel, relative_place_set(rel), CTX).ideal

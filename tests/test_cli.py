@@ -209,6 +209,29 @@ def test_verify_twist_and_regulator_checks_golden(capsys, tmp_path, argv, digest
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# the 768-bit Stark and analytic class number reports, pinned the same way:
+# their residual strings are last-bit differences of the final-rounded
+# L-derivatives and conjugate logarithms, so any change in how a logarithm
+# is rounded moves these digests; plus STARKC's residuals are all exactly 0
+@pytest.mark.parametrize("argv, digest", [
+    (["--suite", "STARKC", "-f", "125", "--subfield", "plus"],
+     "e3c7d4acdfdd9e02ae61b0fb5f4ecc68f791328094f84b43b79d29e704eee15c"),
+    (["--suite", "STARKC", "-p", "23", "--subfield", "relative"],
+     "039488751c099567fd267627c9296afe37f45ae3959dc33e935df7094a49e7ed"),
+    (["--suite", "ACNF", "-p", "5"],
+     "65188fefebdcee79422e504ea5a4e81a18b851cccd84003fc4e6783ee31e0b8c")])
+def test_verify_768_bit_analytic_checks_golden(capsys, tmp_path, argv, digest):
+    out_path = tmp_path / "report.json"
+    code, _, err = run(capsys, ["verify", *argv, "--bits", "768", "--tol-exp", "-150",
+                                "--out", str(out_path)])
+    assert code == 0, err
+    doc = json.loads(out_path.read_text())
+    if argv[2:] == ["125", "--subfield", "plus"]:
+        assert doc["exact"]["checks"][0]["witnesses"]["max_residual"] == "0.0"
+    text = json.dumps(doc["exact"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # the exact L-values at s = 0 pinned byte for byte in the same way: the full
 # field 125, and 63 with an unramified 2 and its ramified 7 dropped
 @pytest.mark.parametrize("argv, digest", [

@@ -377,6 +377,9 @@ def parse_args(argv):
         if fields["object"] not in COMPUTE_OBJECTS:
             raise ValueError(f"compute needs one OBJECT of {', '.join(COMPUTE_OBJECTS)}; "
                              f"got {fields['object']!r}")
+        if fields["object"] == "half_theta" and fields.get("subfield", "relative") != "relative":
+            raise ValueError(f"half_theta lives on the relative field; "
+                             f"--subfield {fields['subfield']!r} is not relative")
     if positional:
         raise ValueError(f"unexpected argument {positional[0]!r}")
     if ("suite" in fields) != (command == "verify"):

@@ -11,7 +11,7 @@ carry guard bits and round once at the end.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import mpmath as mp
 
@@ -366,12 +366,12 @@ def _root_table(m, prec):
 
 @lru_cache(maxsize=None)
 def _fixed_root_table(m, prec):
-    """(re, im) of _root_table(m, prec + GUARD_BITS) rounded to integers at
-    scale 2^prec: a value exact in binary (0, +-1/2, +-1) stays exact."""
+    """(re, im) of zeta_m^k at scale 2^prec, from expjpi at prec + GUARD_BITS
+    for k <= m/2 and conjugated above: 0, +-1/2 and +-1 stay exact."""
     with mp.workprec(prec + GUARD_BITS):  # wide enough to hold each rounded integer
-        roots = _root_table(m, mp.mp.prec)
-        return tuple(tuple(int(mp.nint(mp.ldexp(part(z), prec))) for z in roots)
-                     for part in (mp.re, mp.im))
+        half = [mp.expjpi(mp.mpf(2 * k) / m) for k in range(m // 2 + 1)]
+        re, im = ([int(mp.nint(mp.ldexp(part(z), prec))) for z in half] for part in (mp.re, mp.im))
+    return tuple(re + re[(m - 1) // 2:0:-1]), tuple(im + [-y for y in im[(m - 1) // 2:0:-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +455,10 @@ def _half_log_2pi(prec):
 
 @lru_cache(maxsize=None)
 def _stirling_coeffs(prec):
-    """(W, z0, C): C_j = floor(B_2j 2^W / (2j (2j - 1))), W = prec + 32, for
-    j <= J, J fixed at the least shifted argument z0: term J + 1 is the first
-    below 2^-(prec+8) there, and so for every real z >= z0."""
-    W = prec + 32
+    """(W, z0, C): C_j = floor(B_2j 2^W / (2j (2j - 1))), W = prec +
+    GUARD_BITS, for j <= J, J fixed at the least shifted argument z0: term
+    J + 1 is the first below 2^-(prec+8) there, and so for every real z >= z0."""
+    W = prec + GUARD_BITS
     z0 = max(16, int(0.35 * prec) + 8)  # keeps the min term far below target
     target, zpow, coeffs = 1 << (W - prec - 8), z0, []  # zpow = z0^(2j-1)
     for j in count(1):
@@ -473,35 +473,53 @@ def _stirling_coeffs(prec):
 
 
 def stirling_shifted(a, F, prec):
-    """(S, P, N) with log Gamma(x) - log(2 pi)/2 = S - log P + N log F for
-    x = a/F > 0 at prec bits: S is Stirling's value at z = x + N >= z0 and
+    """(S, P, N) with log Gamma(x) - log(2 pi)/2 = S 2^-W - log P + N log F
+    for x = a/F > 0, W = prec + GUARD_BITS: S is the integer Stirling value
+    (2A - F) log(A/F) / (2F) - A/F + tail at z = A/F = x + N >= z0, and
     P = prod_{k<N} (a + kF) exact, so a sum over residues takes one
-    logarithm of the product of their P. The tail sum_j C_j z^(1-2j) =
-    (1/z) sum_j C_j w^(j-1), w = 1/z^2, is summed by Horner in units of
-    2^-W with z = A/F and w = F^2/A^2 exact (each step multiplies by the
-    small F^2 and floor-divides by A^2), and divided once by z. A step adds
-    under two units (its coefficient's floor and its own) to the carried
-    error, which w <= 2^-8 shrinks, so the sum is off by under
-    2 / (1 - 2^-8) < 3 units, and by under 3/16 + 1 < 2 units after the
-    floored division by z >= 16: below 2^-(prec+31), for any J.
-    """
+    logarithm of the product of their P. The tail (1/z) sum_j C_j w^(j-1),
+    w = F^2/A^2, takes exact Horner steps, each adding under two units of
+    2^-W that w <= 2^-8 shrinks: under 2 after the division by z >= 16.
+    log(A/F), off by under one unit, is amplified by z - 1/2: S is off by
+    under z + 3 units."""
     W, z0, coeffs = _stirling_coeffs(prec)
     n_shift = max(0, -((a - z0 * F) // F))  # ceil(z0 - x)
     A = a + n_shift * F
     F2, A2, acc = F * F, A * A, 0
     for c in reversed(coeffs):
         acc = c + acc * F2 // A2
-    with mp.workprec(prec):
-        z = mp.mpf(A) / F
-        val = (z - mp.mpf(1) / 2) * mp.log(z) - z + mp.ldexp(acc * F // A, -W)
-    return val, prod(range(a, A, F)), n_shift
+    s = (2 * A - F) * log_scaled(A, F, W) // (2 * F) - (A << W) // F + acc * F // A
+    return s, prod(range(a, A, F)), n_shift
 
 
-@lru_cache(maxsize=None)
-def log_int(n, prec):
-    """log n for an integer n > 0 at prec bits, once per (n, prec)."""
-    with mp.workprec(prec):
-        return mp.log(n)
+def log_scaled(n, d, W):
+    """log(n/d) 2^W for integers n, d > 0, W >= 64, off by under one unit
+    when |log2(n/d)| < 2^64, and 0 when n = d. n/d = 2^k x, 1/2 < x < 2; r
+    floored square roots at wp = W + G bits give y = x^(1/2^r), and
+    log x = 2^(r+1) atanh(t), t = (y-1)/(y+1), is summed in integers (Brent
+    and Zimmermann, Modern Computer Arithmetic, 4.4). In units of 2^-wp y is off
+    by under 3.5, t by under 3 and the J < wp/8 terms by under 2J + 1: times
+    2^(r+1), under 2^(G-3). With k log 2 (mpmath's ln2_fixed) off by under
+    2, rounding to 2^-W leaves under 1/2 + 1/8 + 2^-(G-1) units."""
+    if n == d:
+        return 0
+    r = W.bit_length() // 2
+    G = r + W.bit_length() + 4
+    wp, k = W + G, n.bit_length() - d.bit_length()
+    x = (n << (wp - k)) // d if wp >= k else n // (d << (k - wp))
+    one = 1 << wp
+    for _ in range(r):
+        x = isqrt(x << wp)
+    t = (abs(x - one) << wp) // (x + one)
+    t2 = t * t >> wp
+    t4, s0, s1, j = t2 * t2 >> wp, 0, 0, 1
+    while t:  # t^(4i+1)/(4i+1), and t^(4i+1)/(4i+3) times t^2 at the end
+        s0 += t // j
+        s1 += t // (j + 2)
+        t = t * t4 >> wp
+        j += 4
+    total = (s0 + (s1 * t2 >> wp) if x > one else -s0 - (s1 * t2 >> wp)) << (r + 1)
+    return (total + (k * mp.libmp.ln2_fixed(wp + 64) >> 64) + (1 << (G - 1))) >> G
 
 
 @lru_cache(maxsize=None)
@@ -509,8 +527,9 @@ def _log_gamma_guarded(x, prec):
     """log Gamma(x) for a Fraction x > 0 at prec bits (the caller's guarded
     precision), memoized on (x, prec): callers meeting one reduced b/f0 share it."""
     s, shift, n = stirling_shifted(x.numerator, x.denominator, prec)
+    W = prec + GUARD_BITS
     with mp.workprec(prec):
-        return s - mp.log(shift) + n * log_int(x.denominator, prec) + _half_log_2pi(prec)
+        return mp.ldexp(s - log_scaled(shift, x.denominator ** n, W), -W) + _half_log_2pi(prec)
 
 
 def log_gamma(x, ctx):

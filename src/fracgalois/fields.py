@@ -16,8 +16,8 @@ from math import gcd
 
 import mpmath as mp
 
-from .cyclo import (CyclotomicNumber, crt, divisors, euler_phi, factorize,
-                    is_prime)
+from .cyclo import (GUARD_BITS, CyclotomicNumber, crt, divisors, euler_phi,
+                    factorize, is_prime, log_scaled)
 from .gring import galois_group, subgroup_as_group, subgroup_closure
 
 
@@ -314,9 +314,14 @@ def _symbol_positions(f, p):
 @lru_cache(maxsize=None)
 def _log_2_sin(c, f, prec):
     """log(2 sin(pi c / f)) at prec bits, one evaluation per (c, f, prec);
-    log_abs passes c <= f/2, as sin(pi (f - c) / f) = sin(pi c / f)."""
+    log_abs passes c <= f/2, as sin(pi (f - c) / f) = sin(pi c / f). It is
+    log_scaled of mp.sinpi's prec-bit 2 sin = n/d, rounded once to prec from
+    GUARD_BITS beyond prec and beyond the zero bits leading a log near 0."""
     with mp.workprec(prec):
-        return mp.log(2 * mp.sinpi(mp.mpf(c) / f))
+        man, exp = (2 * mp.sinpi(mp.mpf(c) / f)).man_exp
+        n, d = man << max(exp, 0), 1 << max(-exp, 0)
+        W = prec + GUARD_BITS + max(0, d.bit_length() - abs(n - d).bit_length())
+        return mp.ldexp(log_scaled(n, d, W), -W)
 
 
 class SUnit:
@@ -534,7 +539,8 @@ def log_norms(word: SUnit, pset: PlaceSet, ctx):
                 v = word.log_abs(pset.coset_rep_label(i))
                 out.append(2 * v if pd.complex_place else v)
             else:
-                out.append(-finite_ord(word, pset, i) * mp.log(pd.nw))
+                W = mp.mp.prec + GUARD_BITS
+                out.append(mp.ldexp(-finite_ord(word, pset, i) * log_scaled(pd.nw, 1, W), -W))
     return [ctx.final(v) for v in out]
 
 

@@ -17,8 +17,8 @@ from math import gcd, lcm
 
 import mpmath as mp
 
-from .cyclo import (CyclotomicNumber, _root_table, _sparse_rows, crt, divisors,
-                    euler_phi, factorize, log_int, stirling_shifted)
+from .cyclo import (GUARD_BITS, CyclotomicNumber, _root_table, _sparse_rows, crt,
+                    divisors, euler_phi, factorize, log_scaled, stirling_shifted)
 from .fields import FieldModel, PlaceSet, RelativeModel, make_field, place_set
 from .gring import Character, GroupHom, GroupRingElement, _convolve
 
@@ -139,20 +139,22 @@ def partial_zeta_all(model: FieldModel, pset: PlaceSet, k, ctx=None):
 def _class_derivs(F, classes, ctx):
     """(sum_{a in c} d/ds (F^-s zeta_H(s, a/F)) at s = 0 for c in classes) at
     ctx's guarded precision, memoized. One term is
-    zeta_H'(0, a/F) - log F (1/2 - a/F) = S_a - log P_a + (N_a - 1/2 + a/F) log F
-    with (S_a, P_a, N_a) from the Stirling kernel: the exact P_a of a class
-    are multiplied, so a class takes one logarithm. No reflection formula."""
+    zeta_H'(0, a/F) - log F (1/2 - a/F) = S_a 2^-W - log P_a + (N_a - 1/2 + a/F) log F
+    with (S_a, P_a, N_a) from the Stirling kernel, summed in integers with
+    one log_scaled of the class's product of P_a: off by under 2 (z0 + 4) #c
+    + 2 units of 2^-W, however much terms of size z0 log z0 cancel."""
     out = []
     with ctx.guard():
-        prec = mp.mp.prec
+        prec, W = mp.mp.prec, mp.mp.prec + GUARD_BITS
+        log_f = log_scaled(F, 1, W)
         for residues in classes:
-            total, shift, n_sum = mp.mpf(0), 1, 0
+            total, shift, n_sum = 0, 1, 0
             for a in residues:
                 s, p, n = stirling_shifted(a, F, prec)
                 total += s
                 shift *= p
                 n_sum += 2 * (n * F + a) - F
-            out.append(total - mp.log(shift) + mp.mpf(n_sum) / (2 * F) * log_int(F, prec))
+            out.append(mp.ldexp(total + n_sum * log_f // (2 * F) - log_scaled(shift, 1, W), -W))
     return tuple(out)
 
 

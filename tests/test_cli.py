@@ -99,6 +99,18 @@ def test_theta_on_relative_subfield_exits_two(capsys):
     assert "half_theta" in err
 
 
+@pytest.mark.parametrize("subfield", ["plus", "full", "custom:1,6"])
+def test_half_theta_refuses_a_subfield_other_than_relative(capsys, subfield):
+    # half_theta is always the relative field's: an explicit other subfield
+    # was silently ignored
+    code, out, err = run(capsys, ["compute", "half_theta", "-p", "7", "--subfield", subfield])
+    assert code == 2 and out == ""
+    assert err.startswith("error: half_theta lives on the relative field")
+    assert repr(subfield) in err and "Traceback" not in err
+    explicit = run_json(capsys, ["compute", "half_theta", "-p", "7", "--subfield", "relative"])
+    assert explicit["exact"] == run_json(capsys, ["compute", "half_theta", "-p", "7"])["exact"]
+
+
 def test_missing_input_file_exits_two(capsys):
     code, _, err = run(capsys, ["ingest", "--in", "/nonexistent/x.json"])
     assert code == 2

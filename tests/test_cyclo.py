@@ -169,6 +169,43 @@ def test_embed_is_within_8_bits_of_the_per_call_sum(m, bits):
             assert abs(x.embed(a) - _embed_per_call(x, a)) <= bound, a
 
 
+@pytest.mark.parametrize("prec", [192, 768])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 12, 100, 121, 125])
+def test_fixed_root_table_matches_the_per_root_rounding(m, prec):
+    # evaluating k <= m/2 and conjugating gives the table of one expjpi per
+    # root, rounded at scale 2^prec; the binary-exact parts stay exact
+    cyclo._fixed_root_table.cache_clear()
+    re_t, im_t = cyclo._fixed_root_table(m, prec)
+    with mp.workprec(prec + cyclo.GUARD_BITS):
+        roots = [mp.expjpi(mp.mpf(2 * k) / m) for k in range(m)]
+        assert re_t == tuple(int(mp.nint(mp.ldexp(z.real, prec))) for z in roots)
+        assert im_t == tuple(int(mp.nint(mp.ldexp(z.imag, prec))) for z in roots)
+    one, half = 1 << prec, 1 << (prec - 1)
+    exact = {1: [(0, one, 0)], 2: [(1, -one, 0)], 3: [(1, -half, None), (2, -half, None)],
+             4: [(1, 0, one), (2, -one, 0), (3, 0, -one)],
+             12: [(2, half, None), (3, 0, one), (8, -half, None), (9, 0, -one)]}
+    for k, re, im in exact.get(m, []):
+        assert re_t[k] == re and im in (None, im_t[k]), k
+
+
+# log_scaled's docstring bound: under one unit of 2^-W
+@pytest.mark.parametrize("W", [96, 224, 800, 1632])
+def test_log_scaled_is_within_one_unit(W):
+    rng = random.Random(W)
+    big = rng.getrandbits(10_000) | 1 << 9_999
+    cases = [(3, 7), (7, 3), (1, 2), (2, 1), (1 << 333, 1), (1, 1 << 1000), (3 << 50, 3),
+             (big, 1), (big, 12345), (17, big), (1, rng.getrandbits(3000) | 1 << 2999),
+             ((1 << 200) + 1, 1 << 200), ((1 << 200) - 1, 1 << 200)]
+    cases += [(rng.randrange(1, 1 << 64), rng.randrange(1, 1 << 64)) for _ in range(30)]
+    cases += [(rng.getrandbits(8_000) | 1, rng.randrange(1, 1 << 20)) for _ in range(5)]
+    with mp.workprec(W + 64):
+        for n, d in cases:
+            exact = mp.ldexp(mp.log(n) - mp.log(d), W)
+            assert abs(cyclo.log_scaled(n, d, W) - exact) < 1, (n.bit_length(), d.bit_length())
+    for n in (1, 5, big):
+        assert cyclo.log_scaled(n, n, W) == 0
+
+
 def test_constructor_and_crt_errors_name_the_reason():
     with pytest.raises(ValueError, match=r"Q\(zeta_5\) needs 4 coefficients, got 3"):
         CyclotomicNumber(5, (1, 2, 3))

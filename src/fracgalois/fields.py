@@ -24,9 +24,10 @@ from .gring import galois_group, subgroup_as_group, subgroup_closure
 # ---------------------------------------------------------------------------
 # field models
 
-# the largest conductor or S-prime a run takes: make_field enumerates
-# (Z/f)^x and is_prime factors by trial division, so both are refused above
-# it first (make_field(50021) takes 0.6 s with CPython 3.11 on a 2-CPU VM)
+# the largest conductor, S-prime or class-group invariant factor a run
+# takes: make_field enumerates (Z/f)^x and is_prime and factorize divide by
+# trial, so each is refused above it first (make_field(50021) takes 0.6 s
+# with CPython 3.11 on a 2-CPU VM)
 MAX_CONDUCTOR = 10 ** 5
 
 
@@ -37,7 +38,7 @@ def bounded(value, name, level=1):
             or value ** level > MAX_CONDUCTOR):
         shown = value if level == 1 else f"{value}^{level}"
         raise ValueError(f"{name} {shown} exceeds {MAX_CONDUCTOR}, the largest "
-                         "conductor or S-prime this program takes")
+                         f"{name} this program takes")
     return value ** level
 
 
@@ -138,7 +139,8 @@ def relative_model(p, n=1):
     f = bounded(p, "conductor", n)
     squares = frozenset((a * a) % f for a in range(1, f) if a % p)
     h = subgroup_as_group(f, squares)
-    assert h.order == euler_phi(f) // 2
+    if h.order != euler_phi(f) // 2:
+        raise ValueError(f"the squares mod {f} have order {h.order}, not phi({f})/2")
     return RelativeModel(p, n, h)
 
 
@@ -182,8 +184,10 @@ class PlaceSet:
         for pi, pd in enumerate(self.places):
             for ci in range(len(pd.cosets)):
                 self.flat.append((pi, ci))
-        assert self.flat[0] == (0, 0) and self.places[0].archimedean
-        assert group.identity in self.places[0].cosets[0]
+        if not (self.flat[:1] == [(0, 0)] and self.places[0].archimedean
+                and group.identity in self.places[0].cosets[0]):
+            raise ValueError("a place set starts with an archimedean place whose "
+                             "first coset holds the identity")
 
     @property
     def size(self):
@@ -314,7 +318,8 @@ def _symbol_positions(f, p):
 @lru_cache(maxsize=None)
 def _log_2_sin(c, f, prec):
     """log(2 sin(pi c / f)) at prec bits, one evaluation per (c, f, prec);
-    log_abs passes c <= f/2, as sin(pi (f - c) / f) = sin(pi c / f). It is
+    log_abs and lfun._class_derivs pass c <= f/2, as sin(pi (f - c) / f) =
+    sin(pi c / f), so a Stark check reads each value once. It is
     log_scaled of mp.sinpi's prec-bit 2 sin = n/d, rounded once to prec from
     GUARD_BITS beyond prec and beyond the zero bits leading a log near 0."""
     with mp.workprec(prec):

@@ -516,6 +516,8 @@ def load_classgroup(path):
     factors = json_ints(doc.get("invariant_factors"), "invariant_factors")
     if any(d < 1 for d in factors):
         raise ValueError("invariant factors must be positive integers")
+    for d in factors:
+        bounded(d, "invariant factor")
     k = len(factors)
     relations = [tuple(factors[i] if j == i else 0 for j in range(k))
                  for i in range(k)]

@@ -1,6 +1,6 @@
 """Abelian L-function data at s = 0: exact values via generalized Bernoulli
-numbers, S-truncated partial zetas and their derivatives (one Stirling
-kernel), character sums of them, and the Stickelberger-type elements.
+numbers, S-truncated partial zetas and their derivatives (log-sine pairs, a
+Stirling kernel), character sums of them, and the Stickelberger-type elements.
 
 Conventions: for a character chi of Gal(K/Q) = (Z/f)^x / H and a place set S
 containing infinity, L_S(s, chi) carries Euler factors (1 - chi_0(p) p^{-s})
@@ -19,7 +19,8 @@ import mpmath as mp
 
 from .cyclo import (GUARD_BITS, CyclotomicNumber, _root_table, _sparse_rows, crt,
                     divisors, euler_phi, factorize, log_scaled, stirling_shifted)
-from .fields import FieldModel, PlaceSet, RelativeModel, make_field, place_set
+from .fields import (FieldModel, PlaceSet, RelativeModel, _log_2_sin, make_field,
+                     place_set)
 from .gring import Character, GroupHom, GroupRingElement, _convolve
 
 
@@ -138,9 +139,12 @@ def partial_zeta_all(model: FieldModel, pset: PlaceSet, k, ctx=None):
 @lru_cache(maxsize=None)
 def _class_derivs(F, classes, ctx):
     """(sum_{a in c} d/ds (F^-s zeta_H(s, a/F)) at s = 0 for c in classes) at
-    ctx's guarded precision, memoized. One term is
+    ctx's guarded precision, memoized. By Lerch's and the reflection formula
+    a pair a < F - a in one class sums to -log(2 sin(pi a / F)), read from
+    the memo SUnit.log_abs reads. Residues without their partner (those of
+    imaginary fields) take the Stirling kernel: one term is
     zeta_H'(0, a/F) - log F (1/2 - a/F) = S_a 2^-W - log P_a + (N_a - 1/2 + a/F) log F
-    with (S_a, P_a, N_a) from the Stirling kernel, summed in integers with
+    with (S_a, P_a, N_a) from stirling_shifted, summed in integers with
     one log_scaled of the class's product of P_a: off by under 2 (z0 + 4) #c
     + 2 units of 2^-W, however much terms of size z0 log z0 cancel."""
     out = []
@@ -148,13 +152,16 @@ def _class_derivs(F, classes, ctx):
         prec, W = mp.mp.prec, mp.mp.prec + GUARD_BITS
         log_f = log_scaled(F, 1, W)
         for residues in classes:
+            members = set(residues)
+            pairs = [a for a in residues if 2 * a < F and F - a in members]
             total, shift, n_sum = 0, 1, 0
-            for a in residues:
+            for a in members.difference(pairs, (F - a for a in pairs)):
                 s, p, n = stirling_shifted(a, F, prec)
                 total += s
                 shift *= p
                 n_sum += 2 * (n * F + a) - F
-            out.append(mp.ldexp(total + n_sum * log_f // (2 * F) - log_scaled(shift, 1, W), -W))
+            out.append(mp.ldexp(total + n_sum * log_f // (2 * F) - log_scaled(shift, 1, W), -W)
+                       - mp.fsum(_log_2_sin(a, F, prec) for a in pairs))
     return tuple(out)
 
 

@@ -6,7 +6,8 @@ its B_{1,chi} and L_S(0, chi), the relative L-data of Q(zeta_{p^n}) /
 Q(sqrt(-p)) one character of H at a time, equality of S-unit values, a dense
 column echelon form with its HNF and kernel, a numeric character value read
 per call, log Gamma with a floored Horner multiplier, the primitive
-L-derivative by Hurwitz zeta, the partial-zeta derivatives and their relative
+L-derivative by Hurwitz zeta, the partial-zeta derivatives of whole classes
+by the Stirling kernel alone, the partial-zeta derivatives and their relative
 fold one residue at a time, and BCH's projection of beta0 J by dense products
 over G."""
 
@@ -16,8 +17,9 @@ from math import ceil, gcd, lcm, prod
 import mpmath as mp
 
 from fracgalois import intmat
-from fracgalois.cyclo import (CyclotomicNumber, _half_log_2pi, _root_table,
-                              _sparse_rows, _stirling_coeffs, hurwitz_zeta_at0)
+from fracgalois.cyclo import (GUARD_BITS, CyclotomicNumber, _half_log_2pi, _root_table,
+                              _sparse_rows, _stirling_coeffs, hurwitz_zeta_at0,
+                              log_scaled, stirling_shifted)
 from fracgalois.fields import make_field, place_set
 from fracgalois.gring import (Character, GroupRingElement, IdealLattice,
                               _clear_denominators, _convolve, characters)
@@ -336,6 +338,26 @@ def partial_zeta_derivs_per_residue(model, pset, ctx):
             acc[g.element_of_residue(a % model.f)] += (
                 -logf * ctx.mpf(Fraction(1, 2) - x) + hurwitz_zeta_at0(x, 1, ctx))
     return {e: ctx.final(v) for e, v in acc.items()}
+
+
+def class_derivs_stirling(F, classes, ctx):
+    """`lfun._class_derivs` with every residue through the Stirling kernel,
+    a and F - a alike: per class the integer Stirling values, the exact
+    product of the shift products and one logarithm of it, at ctx's guarded
+    precision. It shares no formula with the log-sine route of the pairs."""
+    out = []
+    with ctx.guard():
+        prec, W = mp.mp.prec, mp.mp.prec + GUARD_BITS
+        log_f = log_scaled(F, 1, W)
+        for residues in classes:
+            total, shift, n_sum = 0, 1, 0
+            for a in residues:
+                s, p, n = stirling_shifted(a, F, prec)
+                total += s
+                shift *= p
+                n_sum += 2 * (n * F + a) - F
+            out.append(mp.ldexp(total + n_sum * log_f // (2 * F) - log_scaled(shift, 1, W), -W))
+    return tuple(out)
 
 
 def relative_fold_per_residue(model, ctx):

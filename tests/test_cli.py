@@ -425,9 +425,9 @@ def test_starkc_reads_the_default_full_as_plus(capsys, tmp_path):
     assert [c["context"]["subfield"] for c in checks] == ["plus", "full"]
 
 
-# a child limited to 1 GiB of address space: each of these conductors or
-# S-primes would be enumerated or factored by trial division far past the
-# bound, so a refusal must come before either
+# a child limited to 1 GiB of address space: each of these conductors,
+# S-primes or class-group invariant factors would be enumerated or factored
+# by trial division far past the bound, so a refusal must come before either
 BOUNDED_CHILD = ("import resource, sys; "
                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
                  "from fracgalois.cli import main; sys.exit(main(sys.argv[1:]))")
@@ -453,7 +453,11 @@ BIG_PRIME = 1000000000000000003
                   "free": []}, f"S-prime {BIG_PRIME} "),
     (["ingest"], {"kind": "classgroup", "format": 1,
                   "field": {"f": 1000000007, "kernel": [1]}, "invariant_factors": [],
-                  "action": [[]]}, "conductor 1000000007 ")])
+                  "action": [[]]}, "conductor 1000000007 "),
+    (["verify", "--suite", "CG_FIT", "-p", "7"],
+     {"kind": "classgroup", "format": 1, "field": {"f": 7, "kernel": [1, 6]},
+      "invariant_factors": [10 ** 16 + 61], "action": [[[1]]]},
+     f"invariant factor {10 ** 16 + 61} ")])
 def test_conductors_and_primes_above_the_bound_exit_two(tmp_path, argv, doc, named):
     if doc is not None:
         path = tmp_path / "doc.json"
@@ -464,8 +468,9 @@ def test_conductors_and_primes_above_the_bound_exit_two(tmp_path, argv, doc, nam
                           capture_output=True, text=True, timeout=30,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    kind = named.rsplit(" ", 2)[0]
     assert proc.stderr == (f"error: {named}exceeds {fracgalois.fields.MAX_CONDUCTOR}, "
-                           "the largest conductor or S-prime this program takes\n")
+                           f"the largest {kind} this program takes\n")
 
 
 def test_ingest_classgroup_and_clcont(capsys, tmp_path):

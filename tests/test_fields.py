@@ -197,6 +197,30 @@ def test_finite_ord_of_a_word_outside_the_field_is_an_error_under_python_O():
         "product of words of conductors 7 and 9"], proc.stderr
 
 
+def test_place_set_layout_and_relative_order_are_errors_under_python_O():
+    # a place set whose first place is finite, and squares mod 7 that do
+    # not make up half of (Z/7)^x: ValueErrors, not asserts, so python -O
+    # keeps the checks
+    code = """if True:
+        from fracgalois import fields
+        ps = fields.place_set(fields.plus_field(7), (7,))
+        fields.relative_model.cache_clear()
+        fields.subgroup_as_group = lambda f, residues: fields.galois_group(f, frozenset({1}))
+        for op in (lambda: fields.PlaceSet(ps.group, ps.places[::-1], ps.f),
+                   lambda: fields.relative_model(7)):
+            try:
+                op()
+            except ValueError as exc:
+                print(exc)
+        """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.splitlines() == [
+        "a place set starts with an archimedean place whose first coset holds the identity",
+        "the squares mod 7 have order 6, not phi(7)/2"], proc.stderr
+
+
 def test_product_formula_for_s_units():
     cases = [
         (full_cyclotomic(5), (5,), SUnit.one_minus_zeta(5, 2)),

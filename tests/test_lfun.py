@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import mpmath as mp
 import pytest
 
-from fracgalois import lfun
+from fracgalois import fields, lfun
 from fracgalois.cli import main
 
 from fracgalois.cyclo import (CyclotomicNumber, PrecisionContext, _power_table,
@@ -22,7 +23,9 @@ from fracgalois.lfun import (character_conductor, half_stickelberger,
                              l_deriv_at_0, l_derivs_at_0, l_value_at_0,
                              l_values_at_0, partial_zeta_all, stickelberger,
                              stickelberger_classical, vanishing_order)
-from oracles import (_b1_sum, assemble, bernoulli_b1, l_deriv_primitive_with_b1,
+from fracgalois.units import KNOWN_HPLUS_ONE
+from oracles import (_b1_sum, assemble, bernoulli_b1, class_derivs_stirling,
+                     l_deriv_primitive_with_b1,
                      l_value_at_0_per_character, partial_zeta_derivs_per_residue,
                      primitive_table, relative_fold_per_residue,
                      relative_l_deriv, relative_l_value_at_0,
@@ -460,37 +463,112 @@ def _count_kernel_calls(monkeypatch):
 
     monkeypatch.setattr(lfun, "stirling_shifted", counted)
     lfun._class_derivs.cache_clear()
+    fields._log_2_sin.cache_clear()
     return calls
 
 
 def test_indf_builds_the_derivative_sums_once_per_field(monkeypatch, tmp_path):
-    # INDF compares lattices and reads no L-data: no kernel call at all;
-    # STARK_RAT reads one set of L-data: one kernel call per residue mod 61
+    # INDF compares lattices and reads no L-data: no kernel call, no
+    # log-sine; STARK_RAT reads one set of L-data, one class sum per field
+    # and one log-sine per pair {a, 61 - a}, which the regulator's
+    # logarithms then read from the memo; no residue needs the kernel
     calls = _count_kernel_calls(monkeypatch)
     assert main(["verify", "--suite", "INDF", "-p", "61",
                  "--out", str(tmp_path / "indf.json")]) == 0
     assert calls == []
     assert lfun._class_derivs.cache_info().misses == 0
+    assert fields._log_2_sin.cache_info().misses == 0
     assert main(["verify", "--suite", "STARK_RAT", "-p", "61",
                  "--out", str(tmp_path / "stark_rat.json")]) == 0
-    assert sorted(calls) == [(a, 61) for a in range(1, 61)]
+    assert calls == []
     assert lfun._class_derivs.cache_info().misses == 1
+    assert fields._log_2_sin.cache_info().misses == 30
+
+
+def _misses():
+    return lfun._class_derivs.cache_info().misses, fields._log_2_sin.cache_info().misses
 
 
 def test_partial_zeta_memo_does_no_new_work_and_hands_out_fresh_dicts(monkeypatch):
+    # plus and relative fields: one class-sum miss per field, one log-sine
+    # miss per pair and no kernel call; a second read does no new work; a
+    # full field still takes the kernel once per residue
     calls = _count_kernel_calls(monkeypatch)
     model = plus_field(25)
     pset = place_set(model, (5,))
     first = partial_zeta_all(model, pset, 1, CTX)
-    n_calls = len(calls)
-    assert n_calls == 20
+    assert calls == [] and _misses() == (1, 10)
     first.clear()
     second = partial_zeta_all(model, pset, 1, CTX)
-    assert len(calls) == n_calls and len(second) == model.group.order
+    assert _misses() == (1, 10) and len(second) == model.group.order
     second[model.group.identity] = mp.mpf(0)
     assert partial_zeta_all(model, pset, 1, CTX)[model.group.identity] != 0
     rel = relative_model(7)
     one = partial_zeta_all(rel, relative_place_set(rel), 1, CTX)
-    n_calls = len(calls)
+    assert calls == [] and _misses() == (2, 13)
     one.clear()
-    assert partial_zeta_all(rel, relative_place_set(rel), 1, CTX) and len(calls) == n_calls
+    assert partial_zeta_all(rel, relative_place_set(rel), 1, CTX) and _misses() == (2, 13)
+    full = full_cyclotomic(25)
+    partial_zeta_all(full, pset, 1, CTX)
+    assert sorted(calls) == [(a, 25) for a in range(1, 25) if a % 5]
+    assert _misses() == (3, 13)
+    partial_zeta_all(full, pset, 1, CTX)
+    assert len(calls) == 20 and _misses() == (3, 13)
+
+
+@pytest.mark.parametrize("argv", [
+    ["STARKC", "-f", "25", "--subfield", "plus"],
+    ["STARKC", "-f", "121", "--subfield", "plus", "--bits", "768", "--tol-exp", "-150"],
+    ["STARKC", "-p", "23", "--subfield", "relative", "--bits", "768", "--tol-exp", "-150"],
+    ["STARK_RAT", "-f", "49"],
+    ["ACNF", "-p", "5", "--bits", "768", "--tol-exp", "-150"]])
+def test_stark_and_acnf_checks_take_no_stirling_kernel_call(monkeypatch, tmp_path, argv):
+    # every class of a plus, relative or Q(sqrt 5) field is closed under
+    # a -> F - a, so each of its derivatives is a sum of log-sines
+    calls = _count_kernel_calls(monkeypatch)
+    assert main(["verify", "--suite", *argv, "--out", str(tmp_path / "out.json")]) == 0
+    assert calls == [] and lfun._class_derivs.cache_info().misses == 1
+
+
+def _classes_by(F, f, key):
+    """The residues a mod F prime to F, grouped by key(a mod f)."""
+    classes = {}
+    for a in range(1, F):
+        if gcd(a, F) == 1:
+            classes.setdefault(key(a % f), []).append(a)
+    return tuple(map(tuple, classes.values()))
+
+
+def _plus_and_relative_classes():
+    """(f, key) for every plus conductor and relative level the builtin
+    provider supports: key maps a residue to its sigma of the plus field, or
+    to its pi_H fibre {b, f - b} of the relative field."""
+    out = []
+    for f in sorted(KNOWN_HPLUS_ONE):
+        out.append((f, plus_field(f).group.element_of_residue))
+    for p, n in RELATIVE_RANGE:
+        m = relative_model(p, n)
+        labels = {m.group.label(e) for e in m.group.elements}
+        out.append((m.f, lambda r, f=m.f, labels=labels: r if r in labels else f - r))
+    return out
+
+
+@pytest.mark.parametrize("bits", [192, 768])
+def test_class_derivs_match_the_stirling_oracle_bit_for_bit(bits):
+    # the log-sine pairs against the Stirling kernel on every residue, with
+    # S = {infinity, p} (F = f) and with the extra prime 2 (F = 2f, four
+    # residues per class); a completely split q = +-1 mod f would make every
+    # class sum exactly 0. Only at f = 3 is 2 = -1 split: there the class
+    # sum log(2 sin(pi/6)) = 0 is exact on the log-sine route and rounding
+    # noise on the Stirling route
+    ctx = PrecisionContext(bits=bits, tol_exp=-(bits - 20))
+    for f, key in _plus_and_relative_classes():
+        for F in (f, 2 * f):
+            classes = _classes_by(F, f, key)
+            ours = lfun._class_derivs(F, classes, ctx)
+            ref = class_derivs_stirling(F, classes, ctx)
+            for a, x, y in zip(classes, ours, ref):
+                if F == 6:
+                    assert x == 0 and abs(y) < mp.mpf(2) ** -(bits + 16)
+                else:
+                    assert ctx.final(x) == ctx.final(y), (F, a[0])

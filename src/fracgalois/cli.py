@@ -125,8 +125,10 @@ def _chi_key(chi):
     return "chi[" + ",".join(str(e) for e in chi.exps) + "]"
 
 
-def _cyclo_jsonable(val):
-    return {"zeta_order": val.m, "coeffs": [str(c) for c in val.c]}
+def _cyclo_jsonable(val):  # each n/d as str(Fraction(n, d)) does, in integers
+    d, gs = val.d, [math.gcd(x, val.d) for x in val.n]
+    coeffs = [str(x // g) if g == d else f"{x // g}/{d // g}" for x, g in zip(val.n, gs)]
+    return {"zeta_order": val.m, "coeffs": coeffs}
 
 
 def cmd_compute(cfg):
@@ -420,7 +422,7 @@ def main(argv=None):
         if cfg.output_path is not None:
             _emit(doc, cfg, sys.stdout)
         return code
-    except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:
+    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,12 @@
 """Exact arithmetic in cyclotomic fields and controlled-precision evaluation.
 
 Numbers in Q(zeta_m) live on the power basis 1, zeta, ..., zeta^(phi(m)-1)
-mod the m-th cyclotomic polynomial, with Fraction coefficients: equality is
-decidable and Galois twists are exact. Transcendental values (log Gamma,
-Hurwitz zeta derivative, embeddings) go through a PrecisionContext that fixes
-the mpmath working precision and the comparison tolerance; internally we
-carry guard bits and round once at the end.
+mod the m-th cyclotomic polynomial, as integer numerators over one
+denominator: equality is decidable and Galois twists are exact. Numerics are
+integer fixed point under a PrecisionContext (working precision, tolerance,
+guard bits, one rounding at the end): one root-of-unity kernel per modulus
+and precision gives embeddings and log-sines, log_scaled every logarithm of
+a rational, and the Stirling kernel log Gamma at a rational.
 """
 
 from fractions import Fraction
@@ -201,18 +202,37 @@ def _sparse_rows(m):
 # cyclotomic numbers
 
 class CyclotomicNumber:
-    """Element of Q(zeta_m) on the power basis mod Phi_m (exact)."""
+    """Element of Q(zeta_m) on the power basis mod Phi_m (exact): numerators
+    n over d > 0 with gcd(d, *n) = 1, unique per number; c is n/d as Fractions."""
 
-    __slots__ = ("m", "c")
+    __slots__ = ("m", "n", "d")
     __hash__ = None  # equality lifts across moduli; hashing would not
 
     def __init__(self, m, coeffs):
         phi = euler_phi(m)
-        c = tuple(x if type(x) is Fraction else Fraction(x) for x in coeffs)
+        c = [x if type(x) is Fraction else Fraction(x) for x in coeffs]
         if len(c) != phi:
             raise ValueError(f"Q(zeta_{m}) needs {phi} coefficients, got {len(c)}")
-        self.m = m
-        self.c = c
+        d = lcm(*(x.denominator for x in c))
+        self.m, self.n, self.d = m, tuple(x.numerator * (d // x.denominator) for x in c), d
+
+    @classmethod
+    def from_powers(cls, m, weights, d=1):
+        """sum_k weights[k] zeta_m^k / d for integers weights and d != 0,
+        k < max(m, 2 phi(m) - 1), reduced once over the integers."""
+        rows, out = _sparse_rows(m), [0] * euler_phi(m)
+        for w, row in zip(weights, rows):
+            if w:
+                for j, x in row:
+                    out[j] += w * x
+        g = gcd(d, *out) if d > 0 else -gcd(d, *out)
+        self = object.__new__(cls)
+        self.m, self.n, self.d = m, tuple(x // g for x in out), d // g
+        return self
+
+    @property
+    def c(self):
+        return tuple(Fraction(x, self.d) for x in self.n)
 
     # -- constructors
     @classmethod
@@ -221,12 +241,11 @@ class CyclotomicNumber:
 
     @classmethod
     def zero(cls, m=1):
-        return cls(m, (0,) * euler_phi(m))
+        return cls.from_powers(m, ())
 
     @classmethod
     def root_of_unity(cls, m, k=1):
-        tab = _power_table(m)
-        return cls(m, tab[k % m])
+        return cls.from_powers(m, [0] * (k % m) + [1])
 
     # -- modulus lifting
     def lift(self, big_m):
@@ -234,14 +253,14 @@ class CyclotomicNumber:
             return self
         if big_m % self.m:
             raise ValueError("can only lift to a multiple modulus")
-        rows = _sparse_rows(big_m)
-        step = big_m // self.m
-        out = [Fraction(0)] * euler_phi(big_m)
-        for i, x in enumerate(self.c):
-            if x:
-                for j, y in rows[(i * step) % big_m]:
-                    out[j] += x * y
-        return CyclotomicNumber(big_m, out)
+        return self._mapped(big_m, big_m // self.m)
+
+    def _mapped(self, big_m, t):
+        """zeta_m -> zeta_big_m^t, into Q(zeta_big_m)."""
+        weights = [0] * big_m
+        for i, x in enumerate(self.n):
+            weights[(i * t) % big_m] += x
+        return CyclotomicNumber.from_powers(big_m, weights, self.d)
 
     def _common(self, other):
         if not isinstance(other, CyclotomicNumber):
@@ -252,12 +271,14 @@ class CyclotomicNumber:
     # -- ring ops
     def __add__(self, other):
         a, b = self._common(other)
-        return CyclotomicNumber(a.m, tuple(x + y for x, y in zip(a.c, b.c)))
+        sa, sb = b.d // gcd(a.d, b.d), a.d // gcd(a.d, b.d)
+        return CyclotomicNumber.from_powers(a.m, [x * sa + y * sb for x, y in zip(a.n, b.n)],
+                                            a.d * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.m, tuple(-x for x in self.c))
+        return CyclotomicNumber.from_powers(self.m, [-x for x in self.n], self.d)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, CyclotomicNumber)
@@ -268,22 +289,17 @@ class CyclotomicNumber:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber(self.m, tuple(x * other for x in self.c))
+            q = Fraction(other)
+            return CyclotomicNumber.from_powers(self.m, [x * q.numerator for x in self.n],
+                                                self.d * q.denominator)
         a, b = self._common(other)
-        phi = len(a.c)
-        conv = [Fraction(0)] * (2 * phi - 1)
-        for i, x in enumerate(a.c):
+        conv = [0] * (2 * len(a.n) - 1)
+        for i, x in enumerate(a.n):
             if x:
-                for j, y in enumerate(b.c):
+                for j, y in enumerate(b.n):
                     if y:
                         conv[i + j] += x * y
-        out = list(conv[:phi])
-        rows = _sparse_rows(a.m)
-        for k in range(phi, 2 * phi - 1):
-            if conv[k]:
-                for j, y in rows[k]:
-                    out[j] += conv[k] * y
-        return CyclotomicNumber(a.m, out)
+        return CyclotomicNumber.from_powers(a.m, conv, a.d * b.d)
 
     __rmul__ = __mul__
 
@@ -307,28 +323,22 @@ class CyclotomicNumber:
             raise ValueError(f"galois exponent {t} not invertible mod {self.m}")
         if self.m <= 2 or t == 1:
             return self
-        rows = _sparse_rows(self.m)
-        out = [Fraction(0)] * len(self.c)
-        for i, x in enumerate(self.c):
-            if x:
-                for j, y in rows[(i * t) % self.m]:
-                    out[j] += x * y
-        return CyclotomicNumber(self.m, out)
+        return self._mapped(self.m, t)
 
     def conjugate(self):
         return self.galois(-1 % self.m) if self.m > 2 else self
 
     # -- predicates / coercions
     def is_zero(self):
-        return all(x == 0 for x in self.c)
+        return not any(self.n)
 
     def is_rational(self):
-        return all(x == 0 for x in self.c[1:])
+        return not any(self.n[1:])
 
     def as_fraction(self):
         if not self.is_rational():
             raise ValueError(f"not rational: {self!r}")
-        return self.c[0]
+        return Fraction(self.n[0], self.d)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -336,22 +346,21 @@ class CyclotomicNumber:
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._common(other)
-        return a.c == b.c
+        return a.n == b.n and a.d == b.d
 
     # -- numerics (call under a PrecisionContext guard)
     def embed(self, a=1):
         """Complex value under zeta_m -> exp(2 pi i a / m), current mp prec: the
-        numerators over one denominator d dotted with the fixed-point roots,
-        then one rounded division by d 2^prec."""
-        prec, m = mp.mp.prec, self.m
+        numerators dotted with the fixed-point roots, then one rounded
+        division by d 2^prec."""
+        prec, m, d = mp.mp.prec, self.m, self.d
         re_t, im_t = _fixed_root_table(m, prec)
-        d = lcm(*(x.denominator for x in self.c))
-        nk = [(x.numerator * (d // x.denominator), a * i % m) for i, x in enumerate(self.c) if x]
+        nk = [(x, a * i % m) for i, x in enumerate(self.n) if x]
         return mp.mpc(*(mp.fdiv(sum(n * t[k] for n, k in nk), d << prec) for t in (re_t, im_t)))
 
     def __repr__(self):
         if self.is_rational():
-            return f"Cyc({self.c[0]})"
+            return f"Cyc({self.as_fraction()})"
         terms = [f"{x}*z{self.m}^{i}" for i, x in enumerate(self.c) if x]
         return "Cyc(" + " + ".join(terms) + ")"
 
@@ -365,12 +374,32 @@ def _root_table(m, prec):
 
 
 @lru_cache(maxsize=None)
+def _root_kernel(m, prec):
+    """(W, re, im), zeta_m^k ~ (re[k] + i im[k]) 2^-W for k <= m/2, W = prec +
+    GUARD_BITS + bitlen(m): one expjpi gives zeta_m, each part within 0.53
+    units of 2^-W, and each power is the last one times it, rounded, adding
+    under 2 units to the complex error: under 2k <= m units, so under
+    2^-(prec + GUARD_BITS) (Brent and Zimmermann, Modern Computer Arithmetic, 4.4)."""
+    W = prec + GUARD_BITS + m.bit_length()
+    with mp.workprec(W + 8):
+        z = mp.expjpi(mp.mpf(2) / m)
+        c, s = (int(mp.nint(mp.ldexp(part, W))) for part in (z.real, z.imag))
+    re, im, half = [1 << W], [0], 1 << (W - 1)
+    for _ in range(m // 2):
+        x, y = re[-1], im[-1]
+        re.append((x * c - y * s + half) >> W)
+        im.append((x * s + y * c + half) >> W)
+    return W, tuple(re), tuple(im)
+
+
+@lru_cache(maxsize=None)
 def _fixed_root_table(m, prec):
-    """(re, im) of zeta_m^k at scale 2^prec, from expjpi at prec + GUARD_BITS
-    for k <= m/2 and conjugated above: 0, +-1/2 and +-1 stay exact."""
-    with mp.workprec(prec + GUARD_BITS):  # wide enough to hold each rounded integer
-        half = [mp.expjpi(mp.mpf(2 * k) / m) for k in range(m // 2 + 1)]
-        re, im = ([int(mp.nint(mp.ldexp(part(z), prec))) for z in half] for part in (mp.re, mp.im))
+    """(re, im) of zeta_m^k at scale 2^prec: the kernel rounded to nearest for
+    k <= m/2, conjugated above. Within 2^-32 units, it is round(2^prec zeta_m^k)
+    unless that is within 2^-32 of a tie: 0, +-1/2 and +-1 stay exact."""
+    W, re, im = _root_kernel(m, prec)
+    shift = W - prec
+    re, im = ([(x + (1 << (shift - 1))) >> shift for x in part] for part in (re, im))
     return tuple(re + re[(m - 1) // 2:0:-1]), tuple(im + [-y for y in im[(m - 1) // 2:0:-1]])
 
 

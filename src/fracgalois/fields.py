@@ -16,8 +16,8 @@ from math import gcd
 
 import mpmath as mp
 
-from .cyclo import (GUARD_BITS, CyclotomicNumber, crt, divisors, euler_phi,
-                    factorize, is_prime, log_scaled)
+from .cyclo import (GUARD_BITS, CyclotomicNumber, _root_kernel, crt, divisors,
+                    euler_phi, factorize, is_prime, log_scaled)
 from .gring import galois_group, subgroup_as_group, subgroup_closure
 
 
@@ -317,16 +317,16 @@ def _symbol_positions(f, p):
 
 @lru_cache(maxsize=None)
 def _log_2_sin(c, f, prec):
-    """log(2 sin(pi c / f)) at prec bits, one evaluation per (c, f, prec);
-    log_abs and lfun._class_derivs pass c <= f/2, as sin(pi (f - c) / f) =
-    sin(pi c / f), so a Stark check reads each value once. It is
-    log_scaled of mp.sinpi's prec-bit 2 sin = n/d, rounded once to prec from
-    GUARD_BITS beyond prec and beyond the zero bits leading a log near 0."""
-    with mp.workprec(prec):
-        man, exp = (2 * mp.sinpi(mp.mpf(c) / f)).man_exp
-        n, d = man << max(exp, 0), 1 << max(-exp, 0)
-        W = prec + GUARD_BITS + max(0, d.bit_length() - abs(n - d).bit_length())
-        return mp.ldexp(log_scaled(n, d, W), -W)
+    """log(2 sin(pi c / f)) for precision prec, 0 < c < f, one evaluation per
+    (c, f, prec); log_abs and lfun._class_derivs pass c <= f/2, so a Stark check
+    reads each value once. 2 sin = 2 Im zeta_2f^c = n/d from the root kernel
+    (not 2 - 2 cos, which cancels for small c) is off by under f 2^-(prec+33)
+    relatively; its log_scaled, GUARD_BITS beyond prec and beyond the zero
+    bits leading a log near 0, is returned exactly, for the sum to round."""
+    W0, _, im = _root_kernel(2 * f, prec)
+    n, d = im[c], 1 << (W0 - 1)
+    W = prec + GUARD_BITS + max(0, d.bit_length() - abs(n - d).bit_length())
+    return mp.ldexp(log_scaled(n, d, W), -W)
 
 
 class SUnit:

@@ -58,7 +58,8 @@ def _dlog_table(f):
         for (g, _), e in zip(gens, exps):
             r = (r * pow(g, e, f)) % f
         table.setdefault(r, exps)
-    assert len(table) == euler_phi(f)
+    if len(table) != euler_phi(f):
+        raise ArithmeticError(f"generators of (Z/{f})^x reach {len(table)} of {euler_phi(f)} units")
     return orders, table
 
 
@@ -142,7 +143,8 @@ def _group_from_lattices(f, s_residues, t_residues, key):
                 raise ValueError(f"residue {a} not a unit mod {f}")
             cols.append(list(dlog[a % f]))
         h_cols, pivot_rows = intmat.hnf_columns(cols)
-        assert pivot_rows == list(range(r))
+        if pivot_rows != list(range(r)):
+            raise ArithmeticError(f"dlog lattice mod {f} has pivot rows {pivot_rows}")
         return h_cols
 
     bs_cols = lattice_basis(s_residues)
@@ -152,15 +154,16 @@ def _group_from_lattices(f, s_residues, t_residues, key):
     x_cols = []
     for col in lattice_basis(t_residues):
         y = intmat.solve_upper_triangular(bs_cols, piv, col)
-        assert y is not None and all(v.denominator == 1 for v in y), "T-lattice not inside S-lattice"
+        if y is None or any(v.denominator != 1 for v in y):
+            raise ArithmeticError(f"the T-lattice mod {f} is not inside the S-lattice")
         x_cols.append(y)
     x = intmat.mat_transpose(x_cols)
 
     u, d, _ = intmat.smith_normal_form(x)
     keep = [i for i in range(r) if abs(d[i][i]) != 1]
     inv_factors = tuple(abs(d[i][i]) for i in keep)
-    assert all(inv_factors[i] and inv_factors[i + 1] % inv_factors[i] == 0
-               for i in range(len(inv_factors) - 1))
+    if not all(lo and hi % lo == 0 for lo, hi in zip(inv_factors, inv_factors[1:])):
+        raise ArithmeticError(f"invariant factors {inv_factors} do not divide in turn")
 
     def coords_of(a):
         y = intmat.solve_upper_triangular(bs_cols, piv, dlog[a])
@@ -179,10 +182,9 @@ def _group_from_lattices(f, s_residues, t_residues, key):
         if c not in labels:
             labels[c] = a
     elements = sorted(labels.keys())
-    expected = 1
-    for dd in inv_factors:
-        expected *= dd
-    assert len(elements) == expected, (len(elements), inv_factors)
+    expected = prod(inv_factors)
+    if len(elements) != expected:
+        raise ArithmeticError(f"quotient mod {f} has {len(elements)} elements, not {expected}")
     return FinAbGroup(key, inv_factors, elements, labels, coords_map, f)
 
 

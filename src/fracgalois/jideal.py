@@ -572,7 +572,7 @@ def run_check(check_id, params, ctx):
         raise ValueError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
     try:
         return _CHECKS[check_id](params, ctx)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         return CheckReport(check_id, "error", {"message": str(exc)},
                            _ctx_stamp(ctx, **{k: v for k, v in params.items()
                                               if isinstance(v, (int, str))}))

@@ -17,8 +17,8 @@ from math import gcd, lcm
 
 import mpmath as mp
 
-from .cyclo import (GUARD_BITS, CyclotomicNumber, _root_table, _sparse_rows, crt,
-                    divisors, euler_phi, factorize, log_scaled, stirling_shifted)
+from .cyclo import (GUARD_BITS, CyclotomicNumber, _root_table, crt, divisors,
+                    factorize, log_scaled, stirling_shifted)
 from .fields import (FieldModel, PlaceSet, RelativeModel, _log_2_sin, make_field,
                      place_set)
 from .gring import Character, GroupHom, GroupRingElement, _convolve
@@ -59,16 +59,6 @@ def _lifts(group, f, f0):
     return tuple(lifts)
 
 
-def _reduce(e, weights, den):
-    """sum_k weights[k] zeta_e^k / den on the power basis, integer weights."""
-    rows, out = _sparse_rows(e), [0] * euler_phi(e)
-    for w, row in zip(weights, rows):
-        if w:
-            for j, x in row:
-                out[j] += w * x
-    return CyclotomicNumber(e, [Fraction(x, den) for x in out])
-
-
 def l_value_at_0(model: FieldModel, pset: PlaceSet, chi: Character):
     """Exact L_S(0, chi) = -B_{1,chi_0} * prod_{p in S, p coprime f0} (1 - chi_0(p))."""
     return l_values_at_0(model, pset, [chi])[0]
@@ -98,7 +88,7 @@ def l_values_at_0(model: FieldModel, pset: PlaceSet, chars):
             w[k % e] += wt
         for kq in (ks[i] % e for i in euler):
             w = [w[k] - w[k - kq] for k in range(e)]
-        out.append(_reduce(e, w, -2 * f0))
+        out.append(CyclotomicNumber.from_powers(e, w, -2 * f0))
     return out
 
 
@@ -147,10 +137,9 @@ def _class_derivs(F, classes, ctx):
     with (S_a, P_a, N_a) from stirling_shifted, summed in integers with
     one log_scaled of the class's product of P_a: off by under 2 (z0 + 4) #c
     + 2 units of 2^-W, however much terms of size z0 log z0 cancel."""
-    out = []
+    out, log_f = [], 0
     with ctx.guard():
         prec, W = mp.mp.prec, mp.mp.prec + GUARD_BITS
-        log_f = log_scaled(F, 1, W)
         for residues in classes:
             members = set(residues)
             pairs = [a for a in residues if 2 * a < F and F - a in members]
@@ -160,6 +149,7 @@ def _class_derivs(F, classes, ctx):
                 total += s
                 shift *= p
                 n_sum += 2 * (n * F + a) - F
+                log_f = log_f or log_scaled(F, 1, W)
             out.append(mp.ldexp(total + n_sum * log_f // (2 * F) - log_scaled(shift, 1, W), -W)
                        - mp.fsum(_log_2_sin(a, F, prec) for a in pairs))
     return tuple(out)

@@ -1,4 +1,5 @@
-"""Helpers that only tests call: a character moved through a group
+"""Helpers that only tests call: Q(zeta_m) on Fraction coefficients and its
+embedding over the lcm of their denominators, a character moved through a group
 isomorphism, membership in a rank-deficient Z-span of group-ring elements,
 the inverse character transform and the Stickelberger element assembled
 from L-values character by character, a character's primitive table with
@@ -17,15 +18,85 @@ from math import ceil, gcd, lcm, prod
 import mpmath as mp
 
 from fracgalois import intmat
-from fracgalois.cyclo import (GUARD_BITS, CyclotomicNumber, _half_log_2pi, _root_table,
-                              _sparse_rows, _stirling_coeffs, hurwitz_zeta_at0,
+from fracgalois.cyclo import (GUARD_BITS, CyclotomicNumber, _fixed_root_table,
+                              _half_log_2pi, _power_table, _root_table, _sparse_rows,
+                              _stirling_coeffs, euler_phi, hurwitz_zeta_at0,
                               log_scaled, stirling_shifted)
 from fracgalois.fields import make_field, place_set
 from fracgalois.gring import (Character, GroupRingElement, IdealLattice,
                               _clear_denominators, _convolve, characters)
-from fracgalois.lfun import (_lift_modulus, _lifts, _proj_g_to_h, _reduce,
-                             character_conductor, half_stickelberger, l_value_at_0,
-                             partial_zeta_all)
+from fracgalois.lfun import (_lift_modulus, _lifts, _proj_g_to_h, character_conductor,
+                             half_stickelberger, l_value_at_0, partial_zeta_all)
+
+
+class FractionCyclotomic:
+    """Q(zeta_m) on the power basis with one Fraction per coefficient: the
+    representation CyclotomicNumber kept before its integer numerators."""
+
+    def __init__(self, m, coeffs):
+        self.m, self.c = m, tuple(Fraction(x) for x in coeffs)
+        assert len(self.c) == euler_phi(m)
+
+    @classmethod
+    def root_of_unity(cls, m, k=1):
+        return cls(m, _power_table(m)[k % m])
+
+    def _mapped(self, big_m, t):
+        rows, out = _sparse_rows(big_m), [Fraction(0)] * euler_phi(big_m)
+        for i, x in enumerate(self.c):
+            for j, y in rows[(i * t) % big_m]:
+                out[j] += x * y
+        return FractionCyclotomic(big_m, out)
+
+    def lift(self, big_m):
+        assert big_m % self.m == 0
+        return self._mapped(big_m, big_m // self.m)
+
+    def galois(self, t):
+        assert gcd(t, self.m) == 1
+        return self._mapped(self.m, t % self.m)
+
+    def _common(self, other):
+        if not isinstance(other, FractionCyclotomic):
+            other = FractionCyclotomic(1, (other,))
+        m = lcm(self.m, other.m)
+        return self.lift(m), other.lift(m)
+
+    def __add__(self, other):
+        a, b = self._common(other)
+        return FractionCyclotomic(a.m, (x + y for x, y in zip(a.c, b.c)))
+
+    def __neg__(self):
+        return FractionCyclotomic(self.m, (-x for x in self.c))
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        a, b = self._common(other)
+        phi, rows = len(a.c), _sparse_rows(a.m)
+        out = [Fraction(0)] * phi
+        for i, x in enumerate(a.c):
+            for j, y in enumerate(b.c):
+                if x and y:
+                    for k, z in rows[i + j]:
+                        out[k] += x * y * z
+        return FractionCyclotomic(a.m, out)
+
+    def __eq__(self, other):
+        a, b = self._common(other)
+        return a.c == b.c
+
+
+def embed_lcm_route(x, a=1):
+    """x.embed(a) from Fraction coefficients: numerators scaled to the lcm d
+    of their denominators, dotted with _fixed_root_table, one division by
+    d 2^prec."""
+    prec, m = mp.mp.prec, x.m
+    re_t, im_t = _fixed_root_table(m, prec)
+    d = lcm(*(q.denominator for q in x.c))
+    nk = [(q.numerator * (d // q.denominator), a * i % m) for i, q in enumerate(x.c) if q]
+    return mp.mpc(*(mp.fdiv(sum(n * t[k] for n, k in nk), d << prec) for t in (re_t, im_t)))
 
 
 def transport_character(chi, iso):
@@ -115,7 +186,18 @@ def _b1_sum(f0, table, e):
     weights = [0] * e
     for b, k in table.items():
         weights[k] += 2 * b - f0
-    return _reduce(e, weights, 2 * f0)
+    return CyclotomicNumber.from_powers(e, weights, 2 * f0)
+
+
+def b1_fraction_loop(f0, table, e):
+    """B_{1,chi_0} as a FractionCyclotomic, one Fraction b/f0 - 1/2 (1/2 at
+    f0 = 1) per residue b times the power-table row of zeta_e^table[b]."""
+    rows, out = _sparse_rows(e), [Fraction(0)] * euler_phi(e)
+    for b, k in table.items():
+        w = Fraction(b, f0) - Fraction(1, 2) if f0 > 1 else Fraction(1, 2)
+        for j, x in rows[k]:
+            out[j] += w * x
+    return FractionCyclotomic(e, out)
 
 
 def bernoulli_b1(model, chi):
@@ -131,15 +213,13 @@ def bernoulli_b1(model, chi):
 def l_value_at_0_per_character(model, pset, chi):
     """`lfun.l_values_at_0` for one character from its own primitive table:
     -B_{1,chi_0} times each Euler factor 1 - chi_0(q) through
-    CyclotomicNumber products."""
+    FractionCyclotomic products."""
     f0, table, e = primitive_table(model, chi)
-    val = -_b1_sum(f0, table, e)
+    val = -b1_fraction_loop(f0, table, e)
     for q in pset.finite_primes():
         if f0 % q == 0:
             continue  # ramified: the Euler factor is already absent
-        chi0_q = (CyclotomicNumber.root_of_unity(e, table[q % f0]) if f0 > 1
-                  else CyclotomicNumber.rational(1))
-        val = val * (1 - chi0_q)
+        val = val * (1 - FractionCyclotomic.root_of_unity(e, table[q % f0] if f0 > 1 else 0))
     return val
 
 

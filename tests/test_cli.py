@@ -473,6 +473,32 @@ def test_conductors_and_primes_above_the_bound_exit_two(tmp_path, argv, doc, nam
                            f"the largest {kind} this program takes\n")
 
 
+INVARIANT_CHILD = """if True:
+    import sys
+    from fracgalois import cli, gring
+    gring.euler_phi = lambda n: 0  # the dlog table's unit count now disagrees
+    sys.exit(cli.main(sys.argv[1:]))
+    """
+
+
+@pytest.mark.parametrize("argv", [["compute", "lvalues", "-f", "7"],
+                                  ["verify", "--suite", "STARKC", "-f", "7"]])
+def test_a_broken_invariant_exits_two_under_python_O(argv):
+    # an invariant is an ArithmeticError, not an assert: python -O keeps it,
+    # and main and run_check report it like a data error, with no traceback
+    src = str(Path(fracgalois.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", INVARIANT_CHILD, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    message = "generators of (Z/7)^x reach 6 of 0 units"
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+    if argv[0] == "compute":
+        assert (proc.stdout, proc.stderr) == ("", f"error: {message}\n")
+    else:
+        assert proc.stdout.splitlines() == [f"STARKC: ERROR -- {message}",
+                                            "0/1 checks passed"], proc.stdout
+
+
 def test_ingest_classgroup_and_clcont(capsys, tmp_path):
     path = tmp_path / "cl.json"
     path.write_text(json.dumps({

@@ -7,10 +7,11 @@ itself never calls.
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracgalois import cyclo
 from fracgalois.cyclo import (CyclotomicNumber, PrecisionContext,
@@ -18,7 +19,8 @@ from fracgalois.cyclo import (CyclotomicNumber, PrecisionContext,
                               divisors, euler_phi, factorize,
                               hurwitz_zeta_at0, is_prime, log_gamma, mobius,
                               primitive_root)
-from oracles import log_gamma_floored_w
+from fracgalois.units import KNOWN_HPLUS_ONE
+from oracles import FractionCyclotomic, embed_lcm_route, log_gamma_floored_w
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
 
@@ -104,6 +106,59 @@ def test_norm_of_one_minus_zeta_is_p():
         assert prod.is_rational() and prod.as_fraction() == p
 
 
+_MODULI = (1, 2, 3, 4, 5, 6, 8, 9, 12, 15)
+
+
+@st.composite
+def _cyclotomic_pairs(draw):
+    """(m, coefficients) with small Fractions, a third of them zero."""
+    m = draw(st.sampled_from(_MODULI))
+    q = st.fractions(min_value=-40, max_value=40, max_denominator=24)
+    return m, draw(st.lists(st.one_of(q, st.just(Fraction(0))),
+                            min_size=euler_phi(m), max_size=euler_phi(m)))
+
+
+def _agree(ours, oracle):
+    assert ours.d > 0 and gcd(ours.d, *ours.n) == 1, (ours.n, ours.d)
+    assert (ours.m, ours.c) == (oracle.m, oracle.c)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_cyclotomic_pairs(), _cyclotomic_pairs(), st.integers(1, 60),
+       st.fractions(min_value=-9, max_value=9, max_denominator=9))
+def test_integer_numerators_agree_with_the_fraction_oracle(xp, yp, t, q):
+    # reduced numerators over one denominator against one Fraction per
+    # coefficient: sums, products, Galois twists, lifts and equality
+    x, y = CyclotomicNumber(*xp), CyclotomicNumber(*yp)
+    fx, fy = FractionCyclotomic(*xp), FractionCyclotomic(*yp)
+    _agree(x, fx)
+    _agree(x + y, fx + fy)
+    _agree(x * y, fx * fy)
+    _agree(x * q, fx * q)
+    _agree(x - x, FractionCyclotomic(x.m, [0] * euler_phi(x.m)))
+    if gcd(t, x.m) == 1:
+        _agree(x.galois(t), fx.galois(t))
+    big = x.m * (1 + t % 4)
+    _agree(x.lift(big), fx.lift(big))
+    assert (x == y) == (fx == fy)
+    assert x == x.lift(big) == CyclotomicNumber(big, fx.lift(big).c)
+    assert (x + y == y) == x.is_zero()
+
+
+@pytest.mark.parametrize("bits", [192, 768])
+def test_embed_equals_the_lcm_route_bit_for_bit(bits):
+    rng = random.Random(bits)
+    with mp.workprec(bits):
+        for m in (1, 5, 12, 100, 169):
+            for _ in range(5):
+                x = CyclotomicNumber(m, [Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                                  rng.choice((1, 2, 6, 35, 999, 2 ** 70)))
+                                         if rng.random() < 0.7 else 0
+                                         for _ in range(euler_phi(m))])
+                for a in (1, m - 1, 7):
+                    assert x.embed(a) == embed_lcm_route(x, a), (m, a)
+
+
 def test_galois_action_composes_and_inverse():
     rng = random.Random(11)
     x = sum((CyclotomicNumber.root_of_unity(12, k) * Fraction(rng.randint(-3, 3))
@@ -134,8 +189,9 @@ def _embed_per_call(x, a):
 
 
 def _embed_fresh(x, a):
-    """x.embed(a) with both root-table memos emptied first."""
+    """x.embed(a) with the root-table memos emptied first."""
     cyclo._root_table.cache_clear()
+    cyclo._root_kernel.cache_clear()
     cyclo._fixed_root_table.cache_clear()
     return x.embed(a)
 
@@ -169,17 +225,30 @@ def test_embed_is_within_8_bits_of_the_per_call_sum(m, bits):
             assert abs(x.embed(a) - _embed_per_call(x, a)) <= bound, a
 
 
+# the moduli the builtin provider's fields reach the root kernel with: 2f
+# (the log-sines) and the group exponents of its fields (the embeddings),
+# phi(f) for the cyclic (Z/f)^x of an odd prime power f and phi(f)/2 for a
+# plus or relative field
+PROVIDER_MODULI = {m for f in KNOWN_HPLUS_ONE for m in (2 * f, euler_phi(f), euler_phi(f) // 2)}
+
+
 @pytest.mark.parametrize("prec", [192, 768])
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 12, 100, 121, 125])
+@pytest.mark.parametrize("m", sorted({1, 2, 3, 4, 6, 12, 100, 121, 125} | PROVIDER_MODULI))
 def test_fixed_root_table_matches_the_per_root_rounding(m, prec):
-    # evaluating k <= m/2 and conjugating gives the table of one expjpi per
-    # root, rounded at scale 2^prec; the binary-exact parts stay exact
+    # the kernel within its docstring's 2k units of 2^-W, and its k <= m/2,
+    # rounded and conjugated, equal to round(2^prec zeta_m^k) from mpmath at
+    # 3 prec; the binary-exact parts stay exact
+    cyclo._root_kernel.cache_clear()
     cyclo._fixed_root_table.cache_clear()
+    W, re_k, im_k = cyclo._root_kernel(m, prec)
     re_t, im_t = cyclo._fixed_root_table(m, prec)
-    with mp.workprec(prec + cyclo.GUARD_BITS):
-        roots = [mp.expjpi(mp.mpf(2 * k) / m) for k in range(m)]
-        assert re_t == tuple(int(mp.nint(mp.ldexp(z.real, prec))) for z in roots)
-        assert im_t == tuple(int(mp.nint(mp.ldexp(z.imag, prec))) for z in roots)
+    with mp.workprec(3 * prec):
+        for k in range(m):
+            z = mp.expjpi(mp.mpf(2 * k) / m)
+            assert re_t[k] == int(mp.nint(mp.ldexp(z.real, prec))), k
+            assert im_t[k] == int(mp.nint(mp.ldexp(z.imag, prec))), k
+            if 2 * k <= m:
+                assert abs(mp.mpc(re_k[k], im_k[k]) - z * mp.mpf(2) ** W) <= max(2 * k, 1), k
     one, half = 1 << prec, 1 << (prec - 1)
     exact = {1: [(0, one, 0)], 2: [(1, -one, 0)], 3: [(1, -half, None), (2, -half, None)],
              4: [(1, 0, one), (2, -one, 0), (3, 0, -one)],

@@ -16,6 +16,7 @@ from fracgalois.cyclo import PrecisionContext, factorize
 from fracgalois.fields import (SUnit, finite_ord, full_cyclotomic, log_norms,
                                make_field, place_set, plus_field,
                                relative_model, relative_place_set, select_field)
+from fracgalois.units import KNOWN_HPLUS_ONE
 from oracles import same_value
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
@@ -311,19 +312,21 @@ def test_log_abs_matches_expansion_embedding():
 
 
 def _log_abs_per_call(w, t, reduce=True):
-    """The per-symbol log(2 sin) sum that log_abs's memo replaced, at
-    c = a t mod f, or at min(c, f - c) when `reduce` (as log_abs reads it)."""
+    """The per-symbol log(2 sin) sum that log_abs's memo replaced, from the
+    memo-free log-sine at c = a t mod f, or at min(c, f - c) when `reduce`
+    (as log_abs reads it)."""
     total = mp.mpf(0)
     for k, e in w.e.items():
         if isinstance(k, tuple):
             c = (k[1] * t) % w.f
             if reduce:
                 c = min(c, w.f - c)
-            total += e * mp.log(2 * mp.sinpi(mp.mpf(c) / w.f))
+            total += e * fields._log_2_sin.__wrapped__(c, w.f, mp.mp.prec)
     return total
 
 
 def test_log_abs_reads_one_log_sine_per_precision():
+    # a log-sine memoised at one precision is never read at another
     rng = random.Random(11)
     cases = []
     for f in (23, 121, 125):
@@ -340,9 +343,8 @@ def test_log_abs_reads_one_log_sine_per_precision():
 
 def test_log_sine_of_the_reduced_residue_matches_the_unreduced_one():
     # sin(pi (f - c) / f) = sin(pi c / f): log_abs reads c and f - c at
-    # c' = min(c, f - c). The reduced value is within 2^-(prec-4) of the
-    # true one; the unreduced one rounds c / f near 1, which sin's slope
-    # pi cot(pi c / f) turns into up to f / c' units, so they agree to that
+    # c' = min(c, f - c). The reduced and the unreduced residue each read the
+    # root kernel of zeta_2f, and each sum is within 2^-(prec-4) of the truth
     for bits in (192, 768):
         tol = mp.mpf(2) ** -(bits - 4)
         for f in (23, 121, 125, 169):
@@ -354,4 +356,18 @@ def test_log_sine_of_the_reduced_residue_matches_the_unreduced_one():
                     reduced = w.log_abs(1)
                     unreduced = _log_abs_per_call(w, 1, reduce=False)
                     assert abs(reduced - true) < tol, (bits, f, c)
-                    assert abs(reduced - unreduced) < tol * f / min(c, f - c), (bits, f, c)
+                    assert abs(unreduced - true) < tol, (bits, f, c)
+
+
+@pytest.mark.parametrize("prec", [192, 768])
+def test_log_sine_is_within_2_to_the_minus_prec_16(prec):
+    # the log-sine as the memo holds it, at W > prec bits, before a sum
+    # rounds it to prec: the docstring's f 2^-(prec+33) and log_scaled's
+    # rounding, over the plus conductors and the moduli 2p of one extra prime
+    moduli = KNOWN_HPLUS_ONE | {2 * p for p in range(3, 60) if factorize(p) == [(p, 1)]}
+    for f in sorted(moduli):
+        with mp.workprec(3 * prec):
+            tol = mp.ldexp(1, -(prec + 16))
+            for c in range(1, f // 2 + 1):
+                true = mp.log(2 * mp.sin(mp.pi * c / f))
+                assert abs(fields._log_2_sin(c, f, prec) - true) < tol, (f, c)

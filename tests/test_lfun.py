@@ -14,8 +14,7 @@ import pytest
 from fracgalois import fields, lfun
 from fracgalois.cli import main
 
-from fracgalois.cyclo import (CyclotomicNumber, PrecisionContext, _power_table,
-                              euler_phi, factorize)
+from fracgalois.cyclo import PrecisionContext, factorize
 from fracgalois.fields import (full_cyclotomic, make_field, place_set,
                                plus_field, relative_model, relative_place_set)
 from fracgalois.gring import GroupRingElement, characters, norm_element
@@ -24,7 +23,8 @@ from fracgalois.lfun import (character_conductor, half_stickelberger,
                              l_values_at_0, partial_zeta_all, stickelberger,
                              stickelberger_classical, vanishing_order)
 from fracgalois.units import KNOWN_HPLUS_ONE
-from oracles import (_b1_sum, assemble, bernoulli_b1, class_derivs_stirling,
+from oracles import (_b1_sum, assemble, b1_fraction_loop, bernoulli_b1,
+                     class_derivs_stirling,
                      l_deriv_primitive_with_b1,
                      l_value_at_0_per_character, partial_zeta_derivs_per_residue,
                      primitive_table, relative_fold_per_residue,
@@ -107,20 +107,6 @@ def test_b1_and_l_values_quadratic_characters():
     assert v4.is_rational() and v4.as_fraction() == Fraction(1, 2)
 
 
-def _b1_fraction_loop(f0, table, e):
-    """The Fraction-by-Fraction B_{1,chi} loop the integer weights replaced."""
-    phi = euler_phi(e)
-    tab = _power_table(e)
-    out = [Fraction(0)] * phi
-    for b, k in table.items():
-        w = Fraction(b, f0) - Fraction(1, 2) if f0 > 1 else Fraction(1, 2)
-        row = tab[k]
-        for j in range(phi):
-            if row[j]:
-                out[j] += w * row[j]
-    return CyclotomicNumber(e, out)
-
-
 @pytest.mark.parametrize("f", [5, 8, 12, 25, 121, 125, 169])
 def test_b1_sum_matches_the_fraction_loop(f):
     model = full_cyclotomic(f)
@@ -129,7 +115,7 @@ def test_b1_sum_matches_the_fraction_loop(f):
         f0, table, e = primitive_table(model, chi)
         conductors.add(f0)
         ours = _b1_sum(f0, table, e)
-        oracle = _b1_fraction_loop(f0, table, e)
+        oracle = b1_fraction_loop(f0, table, e)
         assert (ours.m, ours.c) == (oracle.m, oracle.c), (f0, table)
     assert 1 in conductors and f in conductors
 
@@ -150,11 +136,14 @@ def test_even_characters_skip_a_vanishing_b1(f):
 
 
 # full and plus fields on their ramified primes, then place sets that drop a
-# ramified prime, add an unramified one, or hold infinity alone
+# ramified prime, add an unramified one, or hold infinity alone, then every
+# conductor of the builtin provider with the unramified 2 added
 LVALUE_CASES = ([(f, sub, None) for f in (3, 25, 40, 63, 121, 125, 169)
                  for sub in ("full", "plus")]
                 + [(15, "full", (3,)), (15, "full", (5, 7)), (63, "full", (2, 3)),
-                   (13, "full", ())])
+                   (13, "full", ())]
+                + [(f, sub, (factorize(f)[0][0], 2)) for f in sorted(KNOWN_HPLUS_ONE)
+                   for sub in ("full", "plus")])
 
 
 @pytest.mark.parametrize("f, subfield, primes", LVALUE_CASES)

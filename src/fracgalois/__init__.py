@@ -1,9 +1,10 @@
 """Exact arithmetic of the fractional ideal J attached to abelian fields at
 s = 0: Stickelberger elements, cyclotomic S-units, annihilator and Fitting
 ideals of unit quotients, L-values and derivatives, and a check suite tying
-them together.  Everything exact is `fractions.Fraction`-based; numerics run
-under an explicit precision context (mpmath) and never feed back into exact
-claims.
+them together.  Everything exact is rational: `fractions.Fraction`, or
+integer numerators over one common denominator where a kernel needs speed
+(lattices, cyclotomic numbers, L-values at s = 0).  Numerics run under an
+explicit precision context (mpmath) and never feed back into exact claims.
 """
 
 from .cyclo import CyclotomicNumber, PrecisionContext, bernoulli_number, euler_phi
@@ -12,7 +13,7 @@ from .fields import (FieldModel, PlaceSet, RelativeModel, SUnit,
                      relative_model, relative_place_set, select_field)
 from .gring import (Character, FinAbGroup, FiniteGModule, GroupHom,
                     GroupRingElement, IdealLattice, characters,
-                    galois_group, gre_inverse, norm_element, plus_idempotent)
+                    galois_group, gre_inverse, norm_element)
 from .lfun import (half_stickelberger, l_deriv_at_0, l_value_at_0,
                    stickelberger, stickelberger_classical, vanishing_order)
 from .units import (UnitLattice, cyclotomic_unit, export_units, lambda_unit,
@@ -33,7 +34,7 @@ __all__ = [
     "relative_place_set", "select_field",
     "Character", "FinAbGroup", "FiniteGModule", "GroupHom",
     "GroupRingElement", "IdealLattice", "characters",
-    "galois_group", "gre_inverse", "norm_element", "plus_idempotent",
+    "galois_group", "gre_inverse", "norm_element",
     "half_stickelberger", "l_deriv_at_0", "l_value_at_0", "stickelberger",
     "stickelberger_classical", "vanishing_order",
     "UnitLattice", "cyclotomic_unit", "export_units", "lambda_unit",

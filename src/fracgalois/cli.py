@@ -27,26 +27,23 @@ import mpmath as mp
 from .cyclo import PrecisionContext, factorize, is_prime
 from .fields import RelativeModel, bounded, odd_prime_power, select_field
 from .gring import characters
-from .jideal import (CHECK_IDS, SUBFIELDS, _gre_jsonable, j_ideal,
+from .jideal import (CHECK_IDS, CHECK_OPTIONS, _gre_jsonable, j_ideal,
                      load_classgroup, run_check)
 from .lfun import (half_stickelberger, l_values_at_0, stickelberger,
                    vanishing_order)
 from .units import (export_units, load_units, quotient_module, stark_module,
                     sunit_group)
 
-COMPUTE_OBJECTS = ("theta", "half_theta", "lvalues", "rvec", "jideal",
-                   "annihilator")
+COMPUTE_OBJECTS = ("theta", "half_theta", "lvalues", "rvec", "jideal", "annihilator")
 
 LOG2_10 = math.log2(10)
 
 
 # RunConfig fields and their defaults
 _DEFAULTS = {"command": None, "object": None, "suite": (), "conductor": None,
-             "prime": None, "level": 1, "subfield": "full", "places": None,
-             "bits": 192,
+             "prime": None, "level": 1, "subfield": "full", "places": None, "bits": 192,
              "tol_exp": -30,       # decimal exponent: tolerance is 10**tol_exp
-             "provider": "builtin", "input_path": None, "output_path": None,
-             "seed": 0}
+             "input_path": None, "output_path": None, "seed": 0}
 
 
 class RunConfig:
@@ -63,8 +60,7 @@ class RunConfig:
         to the binary exponent; raises ValueError when unreachable)."""
         if self.tol_exp >= 0:
             raise ValueError("tolerance exponent must be negative")
-        return PrecisionContext(bits=self.bits,
-                                tol_exp=math.floor(self.tol_exp * LOG2_10))
+        return PrecisionContext(bits=self.bits, tol_exp=math.floor(self.tol_exp * LOG2_10))
 
     def as_dict(self):
         d = {name: getattr(self, name) for name in self.__slots__}
@@ -102,20 +98,15 @@ def resolve_field(cfg):
 
 
 def _units_for(cfg, model, pset, ctx):
-    """S-unit lattice per --provider (builtin tables or an ingested file)."""
-    if cfg.provider == "builtin":
+    """S-unit lattice: the unit document of --in, else the builtin tables."""
+    if cfg.input_path is None:
         return sunit_group(model, pset, ctx)
-    if cfg.provider == "file":
-        if cfg.input_path is None:
-            raise ValueError("--provider file needs --in <units.json>")
-        lattice = load_units(cfg.input_path, ctx)
-        if lattice.model != model:
-            raise ValueError(f"unit file is for {lattice.model!r}, "
-                             f"not {model!r}")
-        if lattice.pset.finite_primes() != pset.finite_primes():
-            raise ValueError("unit file was built for different S-primes")
-        return lattice
-    raise ValueError(f"unknown provider {cfg.provider!r}")
+    lattice = load_units(cfg.input_path, ctx)
+    if lattice.model != model:
+        raise ValueError(f"unit file is for {lattice.model!r}, not {model!r}")
+    if lattice.pset.finite_primes() != pset.finite_primes():
+        raise ValueError("unit file was built for different S-primes")
+    return lattice
 
 
 # ---------------------------------------------------------------------------
@@ -135,21 +126,18 @@ def cmd_compute(cfg):
     ctx = cfg.context()
     exact = {}
     numeric = {}
-    if cfg.object == "half_theta":
-        model, _ = select_field(_conductor(cfg), "relative", cfg.places)
-        tt = half_stickelberger(model)
-        exact["half_theta"] = _gre_jsonable(tt)
-        numeric["half_theta"] = {
-            str(model.group.label(e)): mp.nstr(ctx.mpf(tt.coeff(e)), 17)
-            for e in model.group.elements}
-    elif cfg.object == "theta":
-        model, pset = resolve_field(cfg)
-        if isinstance(model, RelativeModel):
-            raise ValueError("theta lives on absolute fields; "
-                             "use half_theta for the relative case")
-        theta = stickelberger(model, pset)
-        exact["theta"] = _gre_jsonable(theta)
-        numeric["theta"] = {
+    if cfg.object in ("theta", "half_theta"):
+        if cfg.object == "half_theta":
+            model, _ = select_field(_conductor(cfg), "relative", cfg.places)
+            theta = half_stickelberger(model)
+        else:
+            model, pset = resolve_field(cfg)
+            if isinstance(model, RelativeModel):
+                raise ValueError("theta lives on absolute fields; "
+                                 "use half_theta for the relative case")
+            theta = stickelberger(model, pset)
+        exact[cfg.object] = _gre_jsonable(theta)
+        numeric[cfg.object] = {
             str(model.group.label(e)): mp.nstr(ctx.mpf(theta.coeff(e)), 17)
             for e in model.group.elements}
     elif cfg.object == "lvalues":
@@ -169,7 +157,7 @@ def cmd_compute(cfg):
             for chi in characters(model.group)}
     elif cfg.object == "jideal":
         model, pset = resolve_field(cfg)
-        units = _units_for(cfg, model, pset, ctx) if cfg.provider == "file" else None
+        units = None if cfg.input_path is None else _units_for(cfg, model, pset, ctx)
         res = j_ideal(model, pset, ctx, units)
         exact["ideal"] = res.ideal.to_jsonable()
         exact["details"] = {k: (list(v) if isinstance(v, tuple) else v)
@@ -195,54 +183,39 @@ def cmd_compute(cfg):
 
 def _check_params(cfg, check_id):
     """Parameter dicts (one per run) for a check id under this config."""
-    if check_id not in CHECK_IDS:
-        raise ValueError(f"unknown check {check_id!r}; known: {', '.join(CHECK_IDS)}")
     if check_id == "STICK_IDENT":
         return [{"f": _conductor(cfg)}]
     if check_id == "ACNF":
         return [{"field": "Q"}, {"field": "Qsqrt5"}]
     p, n = _prime_level(cfg)
     params = {"p": p, "n": n}
-    if check_id in SUBFIELDS:   # STARKC reads the default full as plus
+    if check_id in CHECK_OPTIONS["subfield"]:   # STARKC reads the default full as plus
         params["subfield"] = ("plus" if check_id == "STARKC" and cfg.subfield == "full"
                               else cfg.subfield)
-    if check_id == "INDF":
+    if check_id in CHECK_OPTIONS["seed"]:
         params["seed"] = cfg.seed
-    if check_id not in ("CLCONT", "CG_FIT"):
+    if check_id not in CHECK_OPTIONS["input_path"]:
         return [params]
     if cfg.input_path is None:
-        raise ValueError(
-            f"{check_id} needs class-group data: pass --in <classgroup.json>")
+        raise ValueError(f"{check_id} needs class-group data: pass --in <classgroup.json>")
     clmod, _ = load_classgroup(cfg.input_path)
     ells = sorted({q for q, _ in factorize(clmod.order()) if q % 2 == 1})
     return [{**params, "ell": ell, "classgroup": clmod} for ell in ells or [3]]
 
 
 def cmd_verify(cfg):
-    if cfg.places is not None:
-        raise ValueError("verify takes no --places: every check fixes its own S")
-    if cfg.provider != "builtin":
-        raise ValueError(f"verify takes no --provider {cfg.provider}: "
-                         "every check reads the builtin units")
     ctx = cfg.context()
     reports = []
     for check_id in cfg.suite:
         for params in _check_params(cfg, check_id):
             reports.append(run_check(check_id, params, ctx))
-    lines = []
-    for r in reports:
-        note = ""
-        if r.status == "error":
-            note = " -- " + str(r.witnesses.get("message", ""))
-        lines.append(f"{r.check}: {r.status.upper()}{note}")
+    lines = [f"{r.check}: {r.status.upper()}"
+             + (f" -- {r.witnesses.get('message', '')}" if r.status == "error" else "")
+             for r in reports]
     n_pass = sum(1 for r in reports if r.status == "pass")
     lines.append(f"{n_pass}/{len(reports)} checks passed")
-    if any(r.status == "error" for r in reports):
-        code = 2
-    elif any(r.status == "fail" for r in reports):
-        code = 1
-    else:
-        code = 0
+    statuses = {r.status for r in reports}
+    code = 2 if "error" in statuses else 1 if "fail" in statuses else 0
     doc = {"exact": {"checks": [r.to_jsonable() for r in reports]},
            "numeric": {"context": ctx.as_dict()}}
     return doc, lines, code
@@ -309,26 +282,34 @@ COMMANDS = {"compute": "compute one OBJECT and report it",
             "ingest": "validate and accept a units/class-group document",
             "export": "write the S-unit document for a field"}
 
-# flags, RunConfig field, converter, allowed values (None: any), help.
-# Every option takes exactly one value; a repeated option keeps the last.
+# the readers of an option: the compute OBJECTs and the other commands;
+# "export --in" is export from a unit document, which fixes the field
+_FIELD = (*COMPUTE_OBJECTS, "verify", "export")
+READERS = (*_FIELD, "ingest", "export --in")
+
+# flags, RunConfig field, converter, readers, help.  Every option takes
+# exactly one value; a repeated option keeps the last.  A run exits 2 on an
+# option its reader does not read, and verify on one that no check of its
+# suite reads (jideal.CHECK_OPTIONS).
 OPTIONS = (
-    (("--conductor", "-f"), "conductor", int, None, "conductor of the cyclotomic field"),
-    (("--prime", "-p"), "prime", int, None, "prime p for prime-power conductors"),
-    (("--level", "-n"), "level", int, None, "level n: conductor p**n (default 1)"),
-    (("--subfield",), "subfield", str, None,
+    (("--conductor", "-f"), "conductor", int, _FIELD, "conductor of the cyclotomic field"),
+    (("--prime", "-p"), "prime", int, _FIELD, "prime p for prime-power conductors"),
+    (("--level", "-n"), "level", int, _FIELD, "level n: conductor p**n (default 1); needs -p"),
+    (("--subfield",), "subfield", str, _FIELD,
      "full | plus | relative | custom:<residues> (default full)"),
-    (("--places",), "places", lambda text: tuple(int(q) for q in text.split(",")), None,
+    (("--places",), "places", lambda text: tuple(int(q) for q in text.split(",")),
+     (*COMPUTE_OBJECTS, "export"),
      "comma-separated finite S-primes (default: primes dividing the conductor)"),
-    (("--bits",), "bits", int, None, "working precision in bits (default 192)"),
-    (("--tol-exp",), "tol_exp", int, None, "numeric tolerance 10**TOL_EXP (default -30)"),
-    (("--provider",), "provider", str, ("builtin", "file"),
-     "S-unit source (default builtin)"),
-    (("--in",), "input_path", str, None, "input document (units or class-group JSON)"),
-    (("--out",), "output_path", str, None, "where to write the report or the export"),
-    (("--seed",), "seed", int, None, "seed for randomized checks (recorded in reports)"),
+    (("--bits",), "bits", int, READERS, "working precision in bits (default 192)"),
+    (("--tol-exp",), "tol_exp", int, READERS, "numeric tolerance 10**TOL_EXP (default -30)"),
+    (("--in",), "input_path", str,
+     ("jideal", "annihilator", "verify", "export", "ingest", "export --in"),
+     "input document (units or class-group JSON)"),
+    (("--out",), "output_path", str, READERS, "where to write the report or the export"),
+    (("--seed",), "seed", int, ("verify",), "seed for randomized checks (recorded in reports)"),
     (("--suite",), "suite",
-     lambda text: tuple(s.strip().upper() for s in text.split(",") if s.strip()), None,
-     "comma-separated check ids; required by verify, refused elsewhere"),
+     lambda text: tuple(s.strip().upper() for s in text.split(",") if s.strip()),
+     ("verify",), "comma-separated check ids; required by verify"),
 )
 
 
@@ -338,9 +319,16 @@ def usage():
     lines += [f"  {name:9} {text}" for name, text in COMMANDS.items()]
     lines += ["", "objects of compute: " + ", ".join(COMPUTE_OBJECTS), "",
               "options, each as --name VALUE, --name=VALUE or -x VALUE:"]
-    for flags, _, _, choices, text in OPTIONS:
-        lines.append(f"  {', '.join(flags):17} {text}"
-                     + (f"; one of {', '.join(choices)}" if choices else ""))
+    lines += [f"  {', '.join(flags):17} {text}" for flags, _, _, _, text in OPTIONS]
+    groups = {}
+    for reader in READERS:
+        groups.setdefault(" ".join(row[0][-1] for row in OPTIONS if reader in row[3]),
+                          []).append(reader)
+    lines += ["", "options each compute OBJECT or command reads (any other exits 2):"]
+    lines += [f"  {'|'.join(readers)}: {flags}" for flags, readers in groups.items()]
+    flag = {row[1]: row[0][-1] for row in OPTIONS}
+    lines += [f"  verify: {flag[name]} only with {', '.join(checks)}"
+              for name, checks in CHECK_OPTIONS.items()]
     lines += ["", "checks: " + ", ".join(CHECK_IDS), "",
               "exit codes: 0 success, 1 a check failed, 2 usage or data error"]
     return "\n".join(lines)
@@ -353,7 +341,7 @@ def parse_args(argv):
         raise ValueError(f"unknown command {argv[0] if argv else ''!r}; "
                          f"choose from {', '.join(COMMANDS)}")
     by_flag = {flag: row for row in OPTIONS for flag in row[0]}
-    command, positional, fields = argv[0], [], {}
+    command, positional, fields, given = argv[0], [], {}, {}
     tokens = iter(argv[1:])
     for token in tokens:
         if not token.startswith("-"):
@@ -366,26 +354,38 @@ def parse_args(argv):
             value = next(tokens, None)
             if value is None:
                 raise ValueError(f"option {flag} needs a value")
-        _, name, convert, choices, _ = by_flag[flag]
-        if choices is not None and value not in choices:
-            raise ValueError(f"option {flag}: invalid choice {value!r}; "
-                             f"choose from {', '.join(choices)}")
+        _, name, convert, _, _ = by_flag[flag]
         try:
             fields[name] = convert(value)
         except ValueError:
             raise ValueError(f"option {flag}: invalid value {value!r}") from None
+        given[name] = flag
+    reader = "export --in" if command == "export" and "input_path" in fields else command
     if command == "compute":
-        fields["object"] = positional.pop(0) if positional else None
-        if fields["object"] not in COMPUTE_OBJECTS:
+        reader = fields["object"] = positional.pop(0) if positional else None
+        if reader not in COMPUTE_OBJECTS:
             raise ValueError(f"compute needs one OBJECT of {', '.join(COMPUTE_OBJECTS)}; "
-                             f"got {fields['object']!r}")
-        if fields["object"] == "half_theta" and fields.get("subfield", "relative") != "relative":
-            raise ValueError(f"half_theta lives on the relative field; "
-                             f"--subfield {fields['subfield']!r} is not relative")
+                             f"got {reader!r}")
     if positional:
         raise ValueError(f"unexpected argument {positional[0]!r}")
-    if ("suite" in fields) != (command == "verify"):
-        raise ValueError("option --suite is required by verify and refused elsewhere")
+    suite = fields.get("suite", ())
+    if command == "verify" and not suite:
+        raise ValueError("verify needs --suite CHECK[,CHECK...]")
+    unknown = [check for check in suite if check not in CHECK_IDS]
+    if unknown:
+        raise ValueError(f"unknown check {unknown[0]!r}; known: {', '.join(CHECK_IDS)}")
+    readers = {row[1]: row[3] for row in OPTIONS}
+    for name, flag in given.items():    # each option the user gave, in order
+        if reader not in readers[name]:
+            raise ValueError(f"{'compute ' if command == 'compute' else ''}{reader} takes no {flag}")
+        if (command == "verify" and name in CHECK_OPTIONS
+                and not set(suite) & set(CHECK_OPTIONS[name])):
+            raise ValueError(f"verify --suite {','.join(suite)} takes no {flag}")
+    if "level" in given and "prime" not in given:
+        raise ValueError(f"{given['level']} needs --prime/-p: the conductor is p**n")
+    if reader == "half_theta" and fields.get("subfield", "relative") != "relative":
+        raise ValueError(f"half_theta lives on the relative field; "
+                         f"--subfield {fields['subfield']!r} is not relative")
     return RunConfig(command, **fields)
 
 
@@ -393,9 +393,7 @@ def _emit(doc, cfg, stream):
     seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
     stamp += f".{micros:06d}+00:00"
-    doc = {"meta": {"generated_at": stamp, "tool": "fracgalois"},
-           "config": cfg.as_dict(),
-           **doc}
+    doc = {"meta": {"generated_at": stamp, "tool": "fracgalois"}, "config": cfg.as_dict(), **doc}
     text = json.dumps(doc, indent=2, sort_keys=True)
     if cfg.output_path is not None and cfg.command != "export":
         with open(cfg.output_path, "w") as fh:
@@ -417,8 +415,7 @@ def main(argv=None):
             _emit(handlers[cfg.command](cfg), cfg, sys.stdout)
             return 0
         doc, lines, code = cmd_verify(cfg)
-        for line in lines:
-            print(line)
+        print("\n".join(lines))
         if cfg.output_path is not None:
             _emit(doc, cfg, sys.stdout)
         return code

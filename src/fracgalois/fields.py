@@ -16,7 +16,7 @@ from math import gcd
 
 import mpmath as mp
 
-from .cyclo import (GUARD_BITS, CyclotomicNumber, _root_kernel, crt, divisors,
+from .cyclo import (GUARD_BITS, CyclotomicNumber, _root_kernel, crt,
                     euler_phi, factorize, is_prime, log_scaled)
 from .gring import galois_group, subgroup_as_group, subgroup_closure
 
@@ -46,10 +46,10 @@ class FieldModel:
     """Subfield of Q(zeta_f) cut out by a kernel subgroup of (Z/f)^x; equal
     and hashed on (f, kernel)."""
 
-    __slots__ = ("f", "kernel", "group", "conductor")
+    __slots__ = ("f", "kernel", "group")
 
-    def __init__(self, f, kernel, group, conductor):
-        self.f, self.kernel, self.group, self.conductor = f, kernel, group, conductor
+    def __init__(self, f, kernel, group):
+        self.f, self.kernel, self.group = f, kernel, group
 
     def __eq__(self, other):
         return (type(other) is FieldModel
@@ -87,15 +87,7 @@ def make_field(f, kernel_residues=frozenset({1})):
     g = galois_group(f, frozenset(kernel_residues))
     kern = frozenset(a for a in range(f) if gcd(a, f) == 1
                      and g.element_of_residue(a) == g.identity)
-    cond = f
-    for d in divisors(f):
-        if d == f:
-            break
-        # kernel must absorb everything that is 1 mod d
-        if all((a % f) in kern for a in range(1, f, d) if gcd(a, f) == 1):
-            cond = d
-            break
-    return FieldModel(f, kern, g, cond)
+    return FieldModel(f, kern, g)
 
 
 def full_cyclotomic(f):

@@ -88,9 +88,6 @@ class FinAbGroup:
     def inv(self, a):
         return tuple((-x) % d for x, d in zip(a, self.invariant_factors))
 
-    def pow(self, a, n):
-        return tuple((x * n) % d for x, d in zip(a, self.invariant_factors))
-
     def index(self, a):
         return self._index[a]
 
@@ -119,9 +116,6 @@ class FinAbGroup:
 
     def __repr__(self):
         return f"FinAbGroup{self._key}"
-
-    def __iter__(self):
-        return iter(self.elements)
 
 
 def _group_from_lattices(f, s_residues, t_residues, key):
@@ -247,10 +241,14 @@ class GroupHom:
         self.source = source
         self.target = target
         self._map = dict(mapping)
+        # phi(a g) = phi(a) phi(g) for every a and generator g gives every
+        # product by induction, and phi(1) = 1 by cancellation; a trivial
+        # group checks g = 1 instead
+        gens = source.generator_elements() or [source.identity]
         for a in source.elements:
-            for b in source.elements:
-                if self._map[source.mul(a, b)] != target.mul(self._map[a], self._map[b]):
-                    raise ValueError(f"not a homomorphism at {a}, {b}")
+            for g in gens:
+                if self._map[source.mul(a, g)] != target.mul(self._map[a], self._map[g]):
+                    raise ValueError(f"not a homomorphism at {a}, {g}")
         self.surjective = set(self._map.values()) == set(target.elements)
         self.injective = len(set(self._map.values())) == source.order
 
@@ -397,15 +395,6 @@ class GroupRingElement:
 
     __rmul__ = __mul__
 
-    def kappa(self):
-        """The involution sigma -> sigma^{-1} applied coefficientwise."""
-        g = self.group
-        out = [Fraction(0)] * g.order
-        for e, x in zip(g.elements, self.c):
-            if x:
-                out[g.index(g.inv(e))] = x
-        return GroupRingElement(g, out)
-
     def apply_character(self, chi):
         """chi extended Q-linearly; lands in Q(zeta_E)."""
         g = self.group
@@ -484,17 +473,6 @@ def _clear_denominators(elems):
 def norm_element(group):
     """Sum of all group elements."""
     return GroupRingElement(group, (1,) * group.order)
-
-
-def plus_idempotent(group, conj_elem):
-    """(1 + c)/2 for an order-<=2 element c."""
-    if group.mul(conj_elem, conj_elem) != group.identity:
-        raise ValueError(f"(1 + c)/2 needs c of order <= 2, but {group.label(conj_elem)} "
-                         "does not square to the identity")
-    e = GroupRingElement.zero(group)
-    e = e + GroupRingElement.basis(group, group.identity, Fraction(1, 2))
-    e = e + GroupRingElement.basis(group, conj_elem, Fraction(1, 2))
-    return e
 
 
 def det_qg(rows, group):

@@ -77,6 +77,11 @@ def _level(params):
 SUBFIELDS = {"RZERO": ("full", "plus", "relative"), "STARKC": ("plus", "relative"),
              "CLCONT": ("plus", "full")}
 
+# the verify options (RunConfig fields) that only some checks read; the CLI
+# passes each only to these, and refuses one that no check of the suite reads
+CHECK_OPTIONS = {"subfield": tuple(SUBFIELDS), "seed": ("INDF",),
+                 "input_path": ("CLCONT", "CG_FIT")}
+
 
 def _subfield(check, params):
     """The check's subfield selector, one of SUBFIELDS[check] (default "plus")."""
@@ -148,8 +153,9 @@ def j_ideal(model, pset, ctx, units=None):
 def j_base_case(which, ctx):
     """J_{K/K, S_inf} = Z * zeta*_K(0)/R_K, compared with -h/#mu(K)."""
     with ctx.guard():
+        zeta0 = ctx.mpf(Fraction(-1, 2))     # zeta(0), exactly
         if which == "Q":
-            gen = mp.zeta(0)
+            gen = zeta0
             reg = mp.mpf(1)
             h, w = 1, 2
         elif which == "Qsqrt5":
@@ -157,7 +163,7 @@ def j_base_case(which, ctx):
             chi = next(c for c in characters(model.group) if not c.is_trivial())
             # S = {infinity} and conductor 5: the primitive L'(0, chi)
             lder = l_deriv_at_0(model, place_set(model), chi, ctx)
-            gen = mp.zeta(0) * lder
+            gen = zeta0 * lder
             reg = mp.log((1 + mp.sqrt(5)) / 2)   # fundamental unit (1+sqrt5)/2
             h, w = 1, 2
         else:

@@ -332,25 +332,28 @@ def test_ingest_rejects_conductor_that_is_not_an_odd_prime_power(capsys, tmp_pat
     assert "Traceback" not in err
 
 
+# --in on jideal and annihilator is the unit document: the exported
+# builtin units give the builtin run's exact section byte for byte
 def test_provider_file_matches_builtin(capsys, tmp_path):
-    path = tmp_path / "u.json"
-    run(capsys, ["export", "-p", "7", "--subfield", "plus", "--out", str(path)])
-    via_file = run_json(capsys, ["compute", "annihilator", "-p", "7",
-                                 "--subfield", "plus", "--provider", "file",
-                                 "--in", str(path)])
-    builtin = run_json(capsys, ["compute", "annihilator", "-p", "7",
-                                "--subfield", "plus"])
-    assert via_file["exact"] == builtin["exact"]
+    for selector in (["-p", "7", "--subfield", "plus"], ["-p", "7", "--subfield", "relative"],
+                     ["-p", "7"]):
+        path = tmp_path / "u.json"
+        run(capsys, ["export", *selector, "--out", str(path)])
+        for obj in ("annihilator", "jideal"):
+            via_file = run_json(capsys, ["compute", obj, *selector, "--in", str(path)])
+            builtin = run_json(capsys, ["compute", obj, *selector])
+            assert json.dumps(via_file["exact"]) == json.dumps(builtin["exact"])
+            assert via_file["config"]["input_path"] == str(path)
 
 
 def test_provider_file_rejects_wrong_field(capsys, tmp_path):
     path = tmp_path / "u.json"
     run(capsys, ["export", "-p", "7", "--subfield", "plus", "--out", str(path)])
-    code, _, err = run(capsys, ["compute", "annihilator", "-p", "5",
-                                "--subfield", "plus", "--provider", "file",
-                                "--in", str(path)])
-    assert code == 2
-    assert "unit file" in err
+    for obj in ("annihilator", "jideal"):
+        code, out, err = run(capsys, ["compute", obj, "-p", "5",
+                                      "--subfield", "plus", "--in", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: unit file is for FieldModel(f=7")
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +394,11 @@ def test_jideal_calls_the_route_bound_on_the_module(capsys, monkeypatch, argv, r
 
 @pytest.mark.parametrize("argv, named", [
     (["--suite", "RZERO", "-p", "7", "--places", "2,3"], "--places"),
-    (["--suite", "INDF", "-p", "7", "--provider", "file", "--in", "nothere.json"],
-     "--provider file")])
+    (["--suite", "INDF", "-p", "7", "--in", "nothere.json"], "--in")])
 def test_verify_refuses_the_options_its_checks_fix(capsys, argv, named):
     code, out, err = run(capsys, ["verify", *argv])
     assert code == 2 and out == ""
-    assert err.startswith("error: verify takes no " + named)
+    assert err.startswith("error: verify") and err.endswith(" takes no " + named + "\n")
 
 
 CLASSGROUP_23 = str(Path(fracgalois.__file__).parent / "data" / "cl_q_zeta23.json")
@@ -529,11 +531,10 @@ def test_cg_fit_with_trivial_plus_class_group(capsys, tmp_path):
     assert "CG_FIT: PASS" in out
 
 
-@pytest.mark.parametrize("subfield", [[], ["--subfield", "plus"]])
-def test_cg_fit_rejects_the_shipped_full_field_class_group(capsys, subfield):
+def test_cg_fit_rejects_the_shipped_full_field_class_group(capsys):
     # the shipped document is Cl(Q(zeta_23)); CG_FIT compares against Cl(K+)
     path = Path(fracgalois.__file__).parent / "data" / "cl_q_zeta23.json"
-    code, out, _ = run(capsys, ["verify", "-f", "23", *subfield,
+    code, out, _ = run(capsys, ["verify", "-f", "23",
                                 "--suite", "CG_FIT", "--in", str(path)])
     assert code == 2
     assert "CG_FIT: ERROR -- class-group data is for a different field" in out
@@ -733,12 +734,15 @@ BAD_ARGV = [
     (["compute", "jideal", "-p"], "-p needs a value"),
     (["compute", "jideal", "-p", "7", "--bits", "x"], "--bits: invalid value 'x'"),
     (["compute", "rvec", "-f", "21", "--places", "3,x"], "--places"),
-    (["compute", "jideal", "-p", "7", "--provider", "web"], "'web'"),
+    (["compute", "jideal", "-p", "7", "--subfield", "web"], "'web'"),
     (["compute", "jideal", "-p", "7", "--suite", "RZERO"], "--suite"),
     (["verify", "-p", "7"], "--suite"),
     (["compute", "jideal", "extra", "-p", "7"], "'extra'"),  # stray positional
     (["ingest", "units.json"], "'units.json'"),
     (["compute", "theta", "-p", "9"], "--prime 9 is not a prime"),
+    (["compute", "jideal", "-p", "7", "--provider", "file"], "unknown option '--provider'"),
+    (["verify", "--suite", ",", "-p", "7"], "verify needs --suite"),
+    (["verify", "--suite", "RZERO,BOGUS", "-p", "7", "--seed", "1"], "unknown check 'BOGUS'"),
 ]
 
 
@@ -774,9 +778,113 @@ def test_help_names_every_option_and_check(capsys, argv):
     assert all(command in out for command in cli.COMMANDS)
 
 
+# the options each compute OBJECT or command reads, written out by hand in
+# the order of cli.READERS: -h and the README table must say the same, and
+# every other option exits 2. "export --in" is export from a unit document
+READS = {
+    **dict.fromkeys(["theta", "half_theta", "lvalues", "rvec"],
+                    "-f -p -n --subfield --places --bits --tol-exp --out"),
+    **dict.fromkeys(["jideal", "annihilator"],
+                    "-f -p -n --subfield --places --bits --tol-exp --in --out"),
+    "verify": "-f -p -n --subfield --bits --tol-exp --in --out --seed --suite",
+    "export": "-f -p -n --subfield --places --bits --tol-exp --in --out",
+    "ingest": "--bits --tol-exp --in --out",
+    "export --in": "--bits --tol-exp --in --out",
+}
+# a base command line per reader; the verify suite reads --subfield, --seed
+# and --in
+BASE = {**{obj: ["compute", obj] for obj in cli.COMPUTE_OBJECTS},
+        "verify": ["verify", "--suite", "RZERO,INDF,CLCONT"],
+        "export": ["export", "--out", "units.json"], "ingest": ["ingest"],
+        "export --in": ["export", "--out", "units.json", "--in", "u.json"]}
+# each option as given; --level comes first so that it is the flag refused
+GIVEN = {"-f": ["-f", "7"], "-p": ["-p", "7"], "-n": ["-n", "1", "-p", "7"],
+         "--subfield": ["--subfield", "relative"], "--places": ["--places", "7"],
+         "--bits": ["--bits", "256"], "--tol-exp": ["--tol-exp", "-40"],
+         "--in": ["--in", "doc.json"], "--out": ["--out", "report.json"],
+         "--seed": ["--seed", "3"], "--suite": ["--suite", "RZERO"]}
+
+
+def test_the_readers_are_those_of_the_option_table():
+    assert tuple(READS) == cli.READERS
+    assert sorted(GIVEN) == sorted(flags[-1] for flags, *_ in cli.OPTIONS)
+
+
+@pytest.mark.parametrize("reader, flag", [(reader, flags[-1]) for reader in READS
+                                          for flags, *_ in cli.OPTIONS])
+def test_each_run_refuses_the_options_it_does_not_read(capsys, reader, flag):
+    argv = BASE[reader] + GIVEN[flag]
+    if flag in READS[reader].split():
+        assert isinstance(cli.parse_args(argv), RunConfig)
+        return
+    code, out, err = run(capsys, argv)
+    named = f"compute {reader}" if reader in cli.COMPUTE_OBJECTS else reader
+    assert (code, out, err) == (2, "", f"error: {named} takes no {flag}\n")
+
+
+def test_help_and_readme_list_what_each_command_reads(capsys):
+    _, help_text, _ = run(capsys, ["-h"])
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    groups = {}
+    for reader, flags in READS.items():
+        groups.setdefault(flags, []).append(reader)
+    for flags, readers in groups.items():
+        assert f"  {'|'.join(readers)}: {flags}\n" in help_text
+        cell = "\\|".join(readers)       # a table cell escapes its pipes
+        assert f"| `{cell}` | `{flags}` |" in readme
+    assert "--provider" not in readme
+
+
+@pytest.mark.parametrize("argv, error", [
+    # --seed, --in and --subfield only where a check of the suite reads them
+    (["--suite", "RZERO", "-p", "7", "--seed", "1"], "verify --suite RZERO takes no --seed"),
+    (["--suite", "RZERO,STARKC", "-p", "7", "--in", "x.json"],
+     "verify --suite RZERO,STARKC takes no --in"),
+    (["--suite", "STARK_RAT", "-p", "7", "--subfield", "relative"],
+     "verify --suite STARK_RAT takes no --subfield"),
+    (["--suite", "CG_FIT", "-f", "23", "--subfield", "plus"],
+     "verify --suite CG_FIT takes no --subfield"),
+    (["--suite", "INDF", "-p", "7", "--seed", "1"], None),
+    (["--suite", "CG_FIT", "-p", "7", "--in", "x.json"], None),
+    (["--suite", "STARK_RAT,STARKC", "-p", "7", "--subfield", "relative"], None),
+    # a field selector is accepted by every suite, ACNF's included
+    *[(["--suite", check, "-f", "7", "-p", "7", "-n", "1"], None) for check in CHECK_IDS]])
+def test_verify_reads_an_option_only_for_a_check_that_does(capsys, argv, error):
+    if error is None:
+        assert cli.parse_args(["verify", *argv]).suite
+        return
+    code, out, err = run(capsys, ["verify", *argv])
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["compute", "jideal", "-f", "25", "-n", "3"], "-n needs --prime/-p"),
+    (["compute", "lvalues", "--level=2", "--conductor", "49"], "--level needs --prime/-p"),
+    (["export", "-p", "7", "--in", "u.json", "--out", "v.json"], "export --in takes no -p"),
+    (["export", "--in", "u.json", "--out", "v.json", "--subfield", "plus"],
+     "export --in takes no --subfield")])
+def test_level_without_prime_and_export_from_a_document_with_a_field_exit_two(capsys, argv, error):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and err.startswith(f"error: {error}")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--suite", "RZERO", "-p", "7", "--seed", "1"], "--seed"),
+    (["compute", "lvalues", "-f", "25", "--in", "x.json"], "--in"),
+    (["compute", "jideal", "-p", "7", "--provider", "file"], "'--provider'")])
+def test_an_unread_option_exits_two_under_python_O(argv, flag):
+    src = str(Path(fracgalois.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-m", "fracgalois.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:") and flag in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 CONFIG_DEFAULTS = {"command": None, "object": None, "suite": [], "conductor": None,
                    "prime": None, "level": 1, "subfield": "full", "places": None,
-                   "bits": 192, "tol_exp": -30, "provider": "builtin",
+                   "bits": 192, "tol_exp": -30,
                    "input_path": None, "output_path": None, "seed": 0}
 
 
@@ -791,13 +899,12 @@ CONFIG_DEFAULTS = {"command": None, "object": None, "suite": [], "conductor": No
       "--bits", "256", "--tol-exp", "-40"],
      {"command": "compute", "object": "rvec", "conductor": 21,
       "subfield": "custom:1,4,16", "places": [3, 7], "bits": 256, "tol_exp": -40}),
-    (["compute", "annihilator", "-f", "25", "--subfield", "plus", "--provider", "file",
-      "--in", "units.json"],
+    (["compute", "annihilator", "-f", "25", "--subfield", "plus", "--in", "units.json"],
      {"command": "compute", "object": "annihilator", "conductor": 25,
-      "subfield": "plus", "provider": "file", "input_path": "units.json"}),
+      "subfield": "plus", "input_path": "units.json"}),
     (["ingest", "--in", "units.json"], {"command": "ingest", "input_path": "units.json"}),
-    (["export", "--out", "units.json", "--seed", "3"],
-     {"command": "export", "output_path": "units.json", "seed": 3}),
+    (["export", "--out", "units.json", "-p", "7", "--subfield", "plus"],
+     {"command": "export", "output_path": "units.json", "prime": 7, "subfield": "plus"}),
 ])
 def test_config_of_the_readme_forms(argv, expected):
     assert cli.parse_args(argv).as_dict() == {**CONFIG_DEFAULTS, **expected}

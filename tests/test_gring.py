@@ -20,7 +20,7 @@ from fracgalois.gring import (Character, FinAbGroup, FiniteGModule, GroupHom,
                               GroupRingElement, IdealLattice, _perm_table,
                               abelian_group, characters, det_qg,
                               galois_group, gmodule_span_equal, gre_inverse,
-                              hom_by_residues, norm_element, plus_idempotent,
+                              hom_by_residues, norm_element,
                               subgroup_closure)
 from fracgalois import intmat
 from fracgalois.intmat import hnf_columns, span_contains
@@ -179,7 +179,7 @@ def test_transport_character_through_isomorphism():
 # ---------------------------------------------------------------------------
 # group-ring elements
 
-def test_group_ring_arithmetic_and_kappa():
+def test_group_ring_arithmetic_and_norm():
     g = galois_group(5)
     x = GroupRingElement.from_dict(g, {g.element_of_residue(2): Fraction(3, 2),
                                        g.identity: Fraction(-1)})
@@ -188,15 +188,12 @@ def test_group_ring_arithmetic_and_kappa():
     # (3/2 s2 - 1) s3 = 3/2 s6 - s3 = 3/2 s1 - s3
     assert prod.coeff(g.identity) == Fraction(3, 2)
     assert prod.coeff(g.element_of_residue(3)) == -1
-    # kappa sends sigma to sigma^{-1}: 2^{-1} = 3 mod 5
-    kx = x.kappa()
-    assert kx.coeff(g.element_of_residue(3)) == Fraction(3, 2)
-    assert kx.coeff(g.identity) == -1
-    assert kx.kappa() == x
-    assert (x * y).kappa() == x.kappa() * y.kappa()
     assert not x.is_integral()
     assert x.denominator() == 2
     assert (x * Fraction(2)).is_integral()
+    n = norm_element(g)
+    assert n * n == n * 4
+    assert n * x == n * Fraction(1, 2)      # the augmentation of x is 3/2 - 1
 
 
 def test_apply_character_is_a_ring_map():
@@ -278,16 +275,6 @@ def test_gre_inverse_on_products_of_cyclics_and_its_witness():
         assert x.apply_character(Character(g, exps)).is_zero()
 
 
-def test_norm_and_plus_idempotent():
-    g = galois_group(5)
-    n = norm_element(g)
-    assert n * n == n * 4
-    c = g.element_of_residue(4)              # conjugation for f = 5
-    e = plus_idempotent(g, c)
-    assert e * e == e
-    assert e * GroupRingElement.basis(g, c) == e
-
-
 def test_project_along_hom():
     g25 = galois_group(25)
     g5 = galois_group(5)
@@ -302,8 +289,13 @@ def test_group_hom_rejects_non_homomorphism():
     h = abelian_group((2,))
     mapping = {e: (h.elements[1] if g.label(e) in (2, 4) else h.elements[0])
                for e in g.elements}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"not a homomorphism at \(\d+,\), \(1,\)"):
         GroupHom(g, h, mapping)   # 2*2=4 would need 1+1=... inconsistent
+    # a trivial source has no generator: its identity must still map to 1
+    trivial = abelian_group(())
+    with pytest.raises(ValueError, match=r"not a homomorphism at \(\), \(\)"):
+        GroupHom(trivial, h, {trivial.identity: h.elements[1]})
+    assert GroupHom(trivial, h, {trivial.identity: h.identity}).injective
 
 
 # ---------------------------------------------------------------------------
@@ -972,15 +964,14 @@ def test_lattices_over_different_groups_are_an_error_under_python_O():
 
 def test_wrong_coefficient_count_is_an_error_under_python_O():
     # a ValueError, not an assert: python -O keeps the check; likewise for
-    # (1 + c)/2 at an element c of order 3
+    # a map of groups that is not a homomorphism
     code = """if True:
         from fracgalois.cyclo import CyclotomicNumber
-        from fracgalois.fields import full_cyclotomic
-        from fracgalois.gring import GroupRingElement, abelian_group, plus_idempotent
-        g7 = full_cyclotomic(7).group
+        from fracgalois.gring import GroupHom, GroupRingElement, abelian_group
+        c2 = abelian_group((2,))
         for make in (lambda: GroupRingElement(abelian_group((3,)), (1, 2)),
                      lambda: CyclotomicNumber(5, (1, 2, 3)),
-                     lambda: plus_idempotent(g7, g7.element_of_residue(2))):
+                     lambda: GroupHom(c2, c2, {(0,): (1,), (1,): (1,)})):
             try:
                 make()
             except ValueError as exc:
@@ -991,7 +982,7 @@ def test_wrong_coefficient_count_is_an_error_under_python_O():
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert proc.stdout.splitlines() == [
         "Q[G] needs 3 coefficients, got 2", "Q(zeta_5) needs 4 coefficients, got 3",
-        "(1 + c)/2 needs c of order <= 2, but 2 does not square to the identity"], proc.stderr
+        "not a homomorphism at (0,), (1,)"], proc.stderr
 
 
 def test_group_ring_elements_over_different_groups_are_an_error_under_python_O():

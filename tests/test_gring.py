@@ -179,7 +179,13 @@ def test_transport_character_through_isomorphism():
 # ---------------------------------------------------------------------------
 # group-ring elements
 
-def test_group_ring_arithmetic_and_norm():
+def _kappa(x):
+    """The involution sigma -> sigma^{-1} applied coefficientwise."""
+    g = x.group
+    return GroupRingElement.from_dict(g, {g.inv(e): x.coeff(e) for e in g.elements})
+
+
+def test_group_ring_arithmetic_and_kappa():
     g = galois_group(5)
     x = GroupRingElement.from_dict(g, {g.element_of_residue(2): Fraction(3, 2),
                                        g.identity: Fraction(-1)})
@@ -188,12 +194,31 @@ def test_group_ring_arithmetic_and_norm():
     # (3/2 s2 - 1) s3 = 3/2 s6 - s3 = 3/2 s1 - s3
     assert prod.coeff(g.identity) == Fraction(3, 2)
     assert prod.coeff(g.element_of_residue(3)) == -1
+    # kappa sends sigma to sigma^{-1}: 2^{-1} = 3 mod 5, and the product of
+    # an abelian group ring commutes with it
+    kx = _kappa(x)
+    assert kx.coeff(g.element_of_residue(3)) == Fraction(3, 2)
+    assert kx.coeff(g.identity) == -1
+    assert _kappa(kx) == x
+    assert _kappa(x * y) == _kappa(x) * _kappa(y)
     assert not x.is_integral()
     assert x.denominator() == 2
     assert (x * Fraction(2)).is_integral()
+
+
+def test_norm_and_plus_idempotent():
+    g = galois_group(5)
+    x = GroupRingElement.from_dict(g, {g.element_of_residue(2): Fraction(3, 2),
+                                       g.identity: Fraction(-1)})
     n = norm_element(g)
     assert n * n == n * 4
     assert n * x == n * Fraction(1, 2)      # the augmentation of x is 3/2 - 1
+    c = g.element_of_residue(4)              # conjugation for f = 5
+    e = (GroupRingElement.basis(g, g.identity, Fraction(1, 2))
+         + GroupRingElement.basis(g, c, Fraction(1, 2)))
+    assert e * e == e
+    assert e * GroupRingElement.basis(g, c) == e
+    assert e * n == n
 
 
 def test_apply_character_is_a_ring_map():

@@ -256,6 +256,36 @@ def test_compute_lvalues_golden(capsys, argv, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# the reports that read place data (decomposition groups, cosets, S-primes
+# and the rank |S_K| - 1 that ingest expects), pinned the same way
+@pytest.mark.parametrize("argv, export, digest", [
+    (["compute", "rvec", "-f", "63", "--places", "2,3,5,7"], None,
+     "3c3557f7068329b620b5df299f4fdc81bd99136918907f61c20cd27625a89a2e"),
+    (["compute", "rvec", "-f", "21", "--subfield", "custom:1,4,16", "--places", "3,7"],
+     None, "54e44fa36e78d5877169b7d5630d9e74fa152f48500a864cb29703b7ecae0ab8"),
+    (["verify", "--suite", "RZERO", "-p", "13", "--subfield", "full"], None,
+     "51ea7d7dfa6b0769d11f35001b07648fbc6d2cdda16ecc6ec9caa7a933651901"),
+    (["verify", "--suite", "STARKC", "-p", "7", "-n", "2", "--subfield", "relative"], None,
+     "c7ab3a92dbdadc6c6dc76265c87e1b83a670d091adfb02997ef2cb3f4ba731fb"),
+    (["ingest"], ["-f", "25", "--subfield", "plus"],
+     "5d0d8401458da2bdfe041621a14832edc78c4a890c5e6f3fbd2ae9cdbf39ab48"),
+    (["ingest"], ["-p", "7", "-n", "2", "--subfield", "relative"],
+     "792a488e0e23b4f6fb30a3b62b9c01ad1c5c4b2534c480eee734126cea0a43f0")])
+def test_place_reading_reports_golden(capsys, tmp_path, argv, export, digest):
+    out_path = tmp_path / "out.json"
+    if export is not None:
+        assert run(capsys, ["export", *export, "--out", str(out_path)])[0] == 0
+        doc = run_json(capsys, [*argv, "--in", str(out_path)])
+    elif argv[0] == "verify":
+        code, _, err = run(capsys, [*argv, "--out", str(out_path)])
+        assert code == 0, err
+        doc = json.loads(out_path.read_text())
+    else:
+        doc = run_json(capsys, argv)
+    text = json.dumps(doc["exact"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # numeric unit coordinates lost precision on these fields and exited 2, or
 # reported a false STARKC failure; at (11, 2) the SNF of the raw 56 x 57
 # relation matrix never finished

@@ -1,6 +1,7 @@
 """The fractional ideal J at s = 0: construction routes, twist independence,
 the verification checks, and class-group data interchange."""
 
+import hashlib
 import itertools
 import json
 import time
@@ -187,6 +188,19 @@ def test_mu_ell_annihilator_by_exhaustion():
 def test_mu_ell_annihilator_trivial_when_no_ell_torsion():
     k = plus_field(7)
     assert _mu_ell_annihilator(k, 3) == IdealLattice.unit_ideal(k.group)
+
+
+# CLCONT on the full field multiplies J by ann(mu_ell): its reports pinned
+# byte for byte (sha256 of the report as compact sorted JSON)
+@pytest.mark.parametrize("p, n, digest", [
+    (3, 2, "668b07997e7effa84aa799ee6c582a009b13d533875950887656a11e4c2efd99"),
+    (5, 2, "df7ffb783516729eac1152c543551c1a262abdf74f51087cfdfde1037b05b5ee"),
+    (7, 1, "83ac2cc500c31c63f3ad6ab4ea8672bb78041e7a56062b5b0d512c6628ffa5be"),
+    (7, 2, "44d90d58add5ccf06309963e56d166c29e540b15978a344291cb466fd41fde6d")])
+def test_clcont_on_the_full_field_golden(p, n, digest):
+    report = run_check("CLCONT", {"p": p, "n": n, "ell": p, "subfield": "full"}, CTX)
+    text = json.dumps(report.to_jsonable(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

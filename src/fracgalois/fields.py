@@ -1,6 +1,8 @@
 """Abelian number fields inside cyclotomic fields: Galois groups with residue
-labels, sets of places with decomposition data, and S-units represented as
-exact words in roots of unity and (1 - zeta^a) symbols.
+labels, sets of places with their decomposition groups and cosets, S-units
+represented as exact words in roots of unity and (1 - zeta^a) symbols, and
+`log_norms`, the one map from a word to its logarithms at the archimedean
+places.
 
 A field is the fixed field of a subgroup H of (Z/f)^x acting on Q(zeta_f);
 everything downstream (places, unit logs, L-functions) is driven by (f, H).
@@ -80,7 +82,7 @@ class FieldModel:
 
 @lru_cache(maxsize=None)
 def make_field(f, kernel_residues=frozenset({1})):
-    # f = 2 mod 4 is allowed and describes the same field as f/2 (the group
+    # f = 2 mod 4 is allowed and gives the same field as f/2 (the group
     # is isomorphic); the Stickelberger checks use such moduli directly.
     if bounded(f, "conductor") < 3:
         raise ValueError("conductor modulus must be >= 3")
@@ -147,59 +149,37 @@ def torsion_order(model):
 # places
 
 class PlaceData:
-    """A place v of S: `q` the rational prime below (finite places), `cosets`
-    the places above v in order, `nw` the residue field size and `pi_over_w`
-    e(pi / w), which turns full-cyclotomic ord into w-ord."""
+    """A place v of S: `q` the rational prime below (finite places),
+    `decomposition` its decomposition group and `cosets` the places above v
+    in order, as cosets of that group."""
 
-    __slots__ = ("label", "archimedean", "q", "decomposition", "inertia",
-                 "cosets", "nw", "pi_over_w", "complex_place")
+    __slots__ = ("archimedean", "q", "decomposition", "cosets", "complex_place")
 
-    def __init__(self, label, archimedean, q, decomposition, inertia, cosets,
-                 nw, pi_over_w, complex_place):
-        self.label, self.archimedean, self.q = label, archimedean, q
-        self.decomposition, self.inertia, self.cosets = decomposition, inertia, cosets
-        self.nw, self.pi_over_w, self.complex_place = nw, pi_over_w, complex_place
+    def __init__(self, archimedean, q, decomposition, cosets, complex_place):
+        self.archimedean, self.q, self.decomposition = archimedean, q, decomposition
+        self.cosets, self.complex_place = cosets, complex_place
 
 
 class PlaceSet:
-    """A finite G-set of places of K above a base set S, with norms.
-
-    flat[i] = (place_index, coset_index); the distinguished archimedean
-    place (the coset of the identity) is flat index 0.
+    """The places of K above a base set S, as a G-set: one PlaceData per
+    place of S. The first is archimedean and its first coset, which holds
+    the identity, is the distinguished place w0.
     """
 
-    def __init__(self, group, places, f):
+    def __init__(self, group, places):
         self.group = group
         self.places = tuple(places)
-        self.f = f
-        self.flat = []
-        for pi, pd in enumerate(self.places):
-            for ci in range(len(pd.cosets)):
-                self.flat.append((pi, ci))
-        if not (self.flat[:1] == [(0, 0)] and self.places[0].archimedean
+        if not (self.places and self.places[0].archimedean
                 and group.identity in self.places[0].cosets[0]):
             raise ValueError("a place set starts with an archimedean place whose "
                              "first coset holds the identity")
 
-    @property
-    def size(self):
-        return len(self.flat)
-
     def x_rank(self):
-        return len(self.flat) - 1
+        """|S_K| - 1, the rank of the S-units."""
+        return sum(len(pd.cosets) for pd in self.places) - 1
 
     def finite_primes(self):
         return [pd.q for pd in self.places if not pd.archimedean]
-
-    def coset_rep_label(self, i):
-        """Smallest residue label of a group element in the i-th place's coset."""
-        pi, ci = self.flat[i]
-        return min(self.group.label(e) for e in self.places[pi].cosets[ci])
-
-    def describe(self):
-        return [{"label": pd.label, "places_above": len(pd.cosets),
-                 "ramification": (len(pd.inertia) if pd.inertia else None),
-                 "residue_size": pd.nw} for pd in self.places]
 
 
 def _cosets_of(group, subgroup):
@@ -222,8 +202,8 @@ def place_set(model: FieldModel, finite_primes=()):
     places = []
     c = model.conjugation()
     d_inf = subgroup_closure([c], g.mul)
-    places.append(PlaceData("inf", True, None, d_inf, None, _cosets_of(g, d_inf),
-                            None, None, complex_place=(c != g.identity)))
+    places.append(PlaceData(True, None, d_inf, _cosets_of(g, d_inf),
+                            complex_place=(c != g.identity)))
     for q in sorted(set(finite_primes)):
         if not is_prime(bounded(q, "S-prime")):
             raise ValueError(f"{q} is not prime")
@@ -240,29 +220,18 @@ def place_set(model: FieldModel, finite_primes=()):
             lift = crt([(q % rest, rest), (1, q ** a)]) if a else q % f
             frob = g.element_of_residue(lift)
         dec = subgroup_closure(inertia | {frob}, g.mul)
-        e_w = len(inertia)
-        f_w = len(dec) // e_w
-        # folding factor from the full-cyclotomic valuation (prime powers only)
-        pi_over_w = None
-        if a > 0 and rest == 1:
-            pi_over_w = euler_phi(f) // e_w
-        elif a == 0:
-            pi_over_w = 0  # unramified in the cyclotomic tower: ord is 0 on our words
-        places.append(PlaceData(f"q={q}", False, q, dec, inertia, _cosets_of(g, dec),
-                                q ** f_w, pi_over_w, complex_place=False))
-    return PlaceSet(g, places, f)
+        places.append(PlaceData(False, q, dec, _cosets_of(g, dec), complex_place=False))
+    return PlaceSet(g, places)
 
 
 def relative_place_set(model: RelativeModel):
     """S = {v_inf, frak_p} of k = Q(sqrt(-p)), as places of K with H-action."""
     h = model.group
     trivial = frozenset({h.identity})
-    arch = PlaceData("inf", True, None, trivial, None, _cosets_of(h, trivial),
-                     None, None, complex_place=True)
+    arch = PlaceData(True, None, trivial, _cosets_of(h, trivial), complex_place=True)
     full = frozenset(h.elements)
-    fin = PlaceData("frak_p", False, model.p, full, full, _cosets_of(h, full),
-                    model.p, 1, complex_place=False)
-    return PlaceSet(h, [arch, fin], model.f)
+    fin = PlaceData(False, model.p, full, _cosets_of(h, full), complex_place=False)
+    return PlaceSet(h, [arch, fin])
 
 
 def select_field(f, subfield="full", places=None):
@@ -478,12 +447,6 @@ class SUnit:
         nf = self.normal_form()
         return all(self.galois(t).normal_form() == nf for t in residues)
 
-    # -- valuations
-    def ord_pi(self):
-        """Valuation at the prime above p of Q(zeta_{p^n}): every normal-form
-        symbol 1 - zeta^c, c prime to p, has valuation 1."""
-        return sum(self.normal_form()[1])
-
     # -- serialization
     def to_word(self):
         out = []
@@ -522,35 +485,16 @@ class SUnit:
 # logarithmic embedding
 
 def log_norms(word: SUnit, pset: PlaceSet, ctx):
-    """[log ||u||_w for w in pset.flat] at ctx precision.
-
-    Archimedean places use |.| (real) or |.|^2 (complex) of the word under
-    the place's embedding (`SUnit.log_abs`); finite places use Nw^{-ord_w}.
-    The product formula (row sum 0 for S-units) holds exactly.
+    """{sigma: log ||sigma(word)||_{w0}} at ctx precision, in the order of
+    the archimedean cosets: log|.| at a real w0, log|.|^2 at a complex one,
+    from `SUnit.log_abs` at sigma's label. Where the decomposition group at
+    infinity is {1, c}, sigma and c sigma share one coset and one value.
     """
-    out = []
+    arch, label = pset.places[0], pset.group.label
     with ctx.guard():
-        for i, (pi, _) in enumerate(pset.flat):
-            pd = pset.places[pi]
-            if pd.archimedean:
-                v = word.log_abs(pset.coset_rep_label(i))
-                out.append(2 * v if pd.complex_place else v)
-            else:
-                W = mp.mp.prec + GUARD_BITS
-                out.append(mp.ldexp(-finite_ord(word, pset, i) * log_scaled(pd.nw, 1, W), -W))
-    return [ctx.final(v) for v in out]
-
-
-def finite_ord(word: SUnit, pset: PlaceSet, i):
-    """Exact ord_w at the i-th flat place (must be finite)."""
-    pi, _ = pset.flat[i]
-    pd = pset.places[pi]
-    if pd.archimedean:
-        raise ValueError("archimedean place has no finite ord")
-    if pd.pi_over_w == 0:
-        return 0
-    q, r = divmod(word.ord_pi(), pd.pi_over_w)
-    if r:
-        raise ValueError(f"ord_pi {word.ord_pi()} is not a multiple of {pd.pi_over_w}: "
-                         "the word is not in the place set's field")
-    return q
+        out = {}
+        for coset in arch.cosets:
+            for sigma in sorted(coset, key=label):
+                v = word.log_abs(label(sigma))
+                out[sigma] = 2 * v if arch.complex_place else v
+    return {sigma: ctx.final(v) for sigma, v in out.items()}

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .fields import (FieldModel, bounded, make_field, place_set, plus_field,
-                     select_field, torsion_order)
+from .fields import (FieldModel, bounded, log_norms, make_field, place_set,
+                     plus_field, select_field, torsion_order)
 from .gring import (FiniteGModule, GroupHom, GroupRingElement, IdealLattice,
                     _clear_denominators, _orbit_vectors, _perm_table,
                     characters, gmodule_span_equal, gre_inverse,
@@ -24,7 +24,7 @@ from .gring import (FiniteGModule, GroupHom, GroupRingElement, IdealLattice,
 from .lfun import (_proj_g_to_h, character_sums, half_stickelberger, l_deriv_at_0,
                    l_derivs_at_0, stickelberger, stickelberger_classical,
                    vanishing_order)
-from .units import (conjugate_logs, json_int, json_ints, json_object, quotient_module,
+from .units import (json_int, json_ints, json_object, quotient_module,
                     stark_module, stark_residuals, sunit_group)
 
 
@@ -185,7 +185,7 @@ def _regulator_values(model, pset, ctx):
     """[(chi, chi(R), L'_S(0, chi))] over the characters, at the working
     precision of ctx.guard(), for R = -sum_sigma log||eps||_{sigma w0} sigma
     and chi(x) = sum_sigma x_sigma chi(sigma) (chi unconjugated)."""
-    logs = conjugate_logs(stark_module(model, pset, ctx).free[0], pset, ctx)
+    logs = log_norms(stark_module(model, pset, ctx).free[0], pset, ctx)
     chars = characters(model.group)
     lders = l_derivs_at_0(model, pset, chars, ctx)
     with ctx.guard():
@@ -411,22 +411,20 @@ def check_starkc(params, ctx):
 
 
 def _mu_ell_annihilator(model, ell):
-    """ann_{Z[G]}(ell-part of mu_K) as an IdealLattice (unit ideal if trivial)."""
+    """ann_{Z[G]}(ell-part of mu_K) as an IdealLattice (unit ideal if trivial).
+
+    sigma acts on the ell-part mu_{ell^v} as its label a, so the annihilator
+    is the kernel of Z[G] -> Z/ell^v, sigma -> a: the ideal generated by
+    ell^v and sigma - a over the group's generators."""
     g = model.group
-    e = torsion_order(model)
-    v = 0
+    e, lv = torsion_order(model), 1
     while e % ell == 0:
         e //= ell
-        v += 1
-    if v == 0:
-        return IdealLattice.unit_ideal(g)
-    lv = ell ** v
-    mats = []
-    for gen in g.generator_elements():
-        a = g.label(gen)
-        mats.append(((a % lv,),))
-    mod = FiniteGModule(g, 1, [(lv,)], mats)
-    return mod.annihilator()
+        lv *= ell
+    one = GroupRingElement.one(g)
+    return IdealLattice.from_generators(
+        g, [one * lv] + [GroupRingElement.basis(g, gen) - one * (g.label(gen) % lv)
+                         for gen in g.generator_elements()])
 
 
 def check_clcont(params, ctx):

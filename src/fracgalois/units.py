@@ -29,16 +29,18 @@ KNOWN_HPLUS_ONE = {3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41,
 
 
 class UnitLattice:
-    """Torsion generator + free generators of a finite-index S-unit group."""
+    """Torsion generator + free generators of a finite-index S-unit group;
+    `unit_coordinates` keeps its coordinate solver in `solver` once built."""
 
     __slots__ = ("model", "pset", "torsion_order", "torsion", "free",
-                 "provider", "assumptions")
+                 "provider", "assumptions", "solver")
 
     def __init__(self, model, pset, torsion_order, torsion, free, provider,
                  assumptions):
         self.model = model               # FieldModel or RelativeModel
         self.pset, self.torsion_order, self.torsion = pset, torsion_order, torsion
         self.free, self.provider, self.assumptions = free, provider, assumptions
+        self.solver = None
 
     @property
     def group(self):
@@ -175,18 +177,17 @@ def _coordinate_solver(lattice):
     return rows, d, inv, others, free_t, lattice.torsion.normal_form()[0]
 
 
-def unit_coordinates(lattice: UnitLattice, word: SUnit, ctx, *, _cache=None):
+def unit_coordinates(lattice: UnitLattice, word: SUnit, ctx):
     """(t, xs): word = torsion^t * prod free_i^{x_i}, exactly.
 
     xs solve B xs = v for the word's normal-form vector v, with B factored
-    once per lattice (pass the same `_cache` dict for every word); t solves
+    on the lattice's first solve and kept in `lattice.solver`; t solves
     the remaining power of -zeta modulo 2f.  CoordinateError names why a
     word is outside the lattice.
     """
-    cache = _cache if _cache is not None else {}
-    if "solver" not in cache:
-        cache["solver"] = _coordinate_solver(lattice)
-    rows, d, inv, others, free_t, tors_t = cache["solver"]
+    if lattice.solver is None:
+        lattice.solver = _coordinate_solver(lattice)
+    rows, d, inv, others, free_t, tors_t = lattice.solver
     t, v = word.normal_form()
     # y = inv v[rows] from the few nonzero entries of v; B y = d v holds on
     # rows by construction, so only the other rows are checked
@@ -219,14 +220,13 @@ def quotient_module(u: UnitLattice, e: UnitLattice, ctx):
         raise ValueError(f"quotient of units over {u.group} by units over {e.group}")
     g = u.group
     k = 1 + len(u.free)
-    cache = {}
     relations = []
     col = [0] * k
     col[0] = u.torsion_order
     relations.append(tuple(col))
 
     def coord_col(word):
-        t, xs = unit_coordinates(u, word, ctx, _cache=cache)
+        t, xs = unit_coordinates(u, word, ctx)
         return tuple([t] + xs)
 
     relations.append(coord_col(e.torsion))
@@ -247,14 +247,6 @@ def quotient_module(u: UnitLattice, e: UnitLattice, ctx):
 # ---------------------------------------------------------------------------
 # Stark residuals
 
-def conjugate_logs(unit, pset, ctx):
-    """{sigma: log ||sigma(unit)||_{w0}} at ctx precision, read off the
-    unit's log embedding: with a trivial decomposition group at infinity
-    (plus and relative fields) there is one archimedean place per sigma."""
-    logs = log_norms(unit, pset, ctx)
-    return {sigma: lw for (sigma,), lw in zip(pset.places[0].cosets, logs)}
-
-
 def stark_residuals(model, pset, ctx):
     """max_sigma | log||sigma(eps)||_{w0} + e zeta'_S(0, sigma) | as mpf.
 
@@ -266,7 +258,7 @@ def stark_residuals(model, pset, ctx):
     ew = torsion_order(model)
     zder = partial_zeta_all(model, pset, 1, ctx)
     g = model.group
-    logs = conjugate_logs(stark_module(model, pset, ctx).free[0], pset, ctx)
+    logs = log_norms(stark_module(model, pset, ctx).free[0], pset, ctx)
     with ctx.guard():
         out = {sigma: abs(lw + ew * zder[sigma]) for sigma, lw in logs.items()}
         worst = max(out.values())

@@ -4,7 +4,9 @@ isomorphism, membership in a rank-deficient Z-span of group-ring elements,
 the inverse character transform and the Stickelberger element assembled
 from L-values character by character, a character's primitive table with
 its B_{1,chi} and L_S(0, chi), the relative L-data of Q(zeta_{p^n}) /
-Q(sqrt(-p)) one character of H at a time, equality of S-unit values, a dense
+Q(sqrt(-p)) one character of H at a time, equality of S-unit values, the
+log of an S-unit at the place above a totally ramified p, the annihilator of
+the roots of unity by a cyclic G-module, a dense
 column echelon form with its HNF and kernel, a numeric character value read
 per call, log Gamma with a floored Horner multiplier, the primitive
 L-derivative by Hurwitz zeta, the partial-zeta derivatives of whole classes
@@ -22,8 +24,8 @@ from fracgalois.cyclo import (GUARD_BITS, CyclotomicNumber, _fixed_root_table,
                               _half_log_2pi, _power_table, _root_table, _sparse_rows,
                               _stirling_coeffs, euler_phi, hurwitz_zeta_at0,
                               log_scaled, stirling_shifted)
-from fracgalois.fields import make_field, place_set
-from fracgalois.gring import (Character, GroupRingElement, IdealLattice,
+from fracgalois.fields import FieldModel, make_field, place_set, torsion_order
+from fracgalois.gring import (Character, FiniteGModule, GroupRingElement, IdealLattice,
                               _clear_denominators, _convolve, characters)
 from fracgalois.lfun import (_lift_modulus, _lifts, _proj_g_to_h, character_conductor,
                              half_stickelberger, l_value_at_0, partial_zeta_all)
@@ -306,6 +308,36 @@ def relative_partial_zeta_deriv_by_characters(model, ctx):
 def same_value(u, w):
     """Do the S-units u and w have the same value (equal expansions)?"""
     return u.expansion() == w.expansion()
+
+
+def finite_logs(word, model, pset):
+    """[log ||word||_w] over the finite places w of S = {infinity, p}, f = p^n,
+    at the current mpmath precision: p is totally ramified in K, so w is one
+    place with Nw = p and log ||word||_w = -ord_w(word) log p. A root of unity
+    has ord_w 0, and 1 - zeta^a, zeta^a of order m > 1, has ord_w [K : Q] /
+    phi(m); K is Q(zeta_f) itself for the relative model."""
+    f = model.f
+    (p,) = pset.finite_primes()
+    assert f % p == 0 and len(pset.places[1].cosets) == 1
+    degree = model.degree if isinstance(model, FieldModel) else euler_phi(f)
+    ord_w = sum(Fraction(e * degree, euler_phi(f // gcd(k[1], f)))
+                for k, e in word.e.items() if isinstance(k, tuple))
+    assert ord_w.denominator == 1, "the word is not in K"
+    return [-int(ord_w) * mp.log(p)]
+
+
+def mu_ell_annihilator_module(model, ell):
+    """ann_{Z[G]} of the ell-part of mu_K, as the annihilator of the cyclic
+    G-module Z/ell^v on which each group generator acts by its label."""
+    g = model.group
+    e, lv = torsion_order(model), 1
+    while e % ell == 0:
+        e //= ell
+        lv *= ell
+    if lv == 1:
+        return IdealLattice.unit_ideal(g)
+    mats = [((g.label(gen) % lv,),) for gen in g.generator_elements()]
+    return FiniteGModule(g, 1, [(lv,)], mats).annihilator()
 
 
 def dense_column_echelon(a_cols):

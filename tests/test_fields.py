@@ -13,10 +13,10 @@ import pytest
 
 from fracgalois import fields
 from fracgalois.cyclo import PrecisionContext, factorize
-from fracgalois.fields import (SUnit, finite_ord, full_cyclotomic, log_norms,
-                               make_field, place_set, plus_field,
-                               relative_model, relative_place_set, select_field)
-from fracgalois.units import KNOWN_HPLUS_ONE
+from fracgalois.fields import (SUnit, full_cyclotomic, log_norms, make_field,
+                               place_set, plus_field, relative_model,
+                               relative_place_set, select_field)
+from fracgalois.units import KNOWN_HPLUS_ONE, stark_module
 from oracles import same_value
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
@@ -77,7 +77,7 @@ def test_select_field_builds_the_model_and_places_of_the_selectors(f, subfield, 
     want_pset = relative_place_set(want) if primes is None else place_set(want, primes)
     assert model == want and model.group.order == want.group.order
     assert pset.finite_primes() == want_pset.finite_primes()
-    assert pset.describe() == want_pset.describe() and pset.flat == want_pset.flat
+    assert _places(pset) == _places(want_pset)
 
 
 @pytest.mark.parametrize("subfield, places, message", [
@@ -92,43 +92,41 @@ def test_select_field_names_a_bad_selector(subfield, places, message):
 # ---------------------------------------------------------------------------
 # places
 
+def _places(pset):
+    """(q, number of places above, decomposition group labels, complex?) per
+    place of S, in order."""
+    label = pset.group.label
+    return [(pd.q, len(pd.cosets), sorted(map(label, pd.decomposition)), pd.complex_place)
+            for pd in pset.places]
+
+
 def test_place_set_full_field():
-    k = full_cyclotomic(5)
-    ps = place_set(k, (5,))
-    desc = ps.describe()
-    arch = [d for d in desc if d["residue_size"] is None]
-    fin = [d for d in desc if d["residue_size"] is not None]
-    assert len(arch) == 1 and arch[0]["places_above"] == 2   # two complex places
-    assert len(fin) == 1 and fin[0]["places_above"] == 1     # totally ramified
+    ps = place_set(full_cyclotomic(5), (5,))
+    # two complex places (decomposition {1, c}), 5 totally ramified
+    assert _places(ps) == [(None, 2, [1, 4], True), (5, 1, [1, 2, 3, 4], False)]
+    assert ps.places[0].archimedean and not ps.places[1].archimedean
     assert ps.x_rank() == 2
 
 
 def test_place_set_plus_field():
-    k = plus_field(7)
-    ps = place_set(k, (7,))
-    desc = ps.describe()
-    arch = [d for d in desc if d["residue_size"] is None]
-    assert arch[0]["places_above"] == 3      # three real places
+    ps = place_set(plus_field(7), (7,))
+    # three real places, permuted simply by G
+    assert _places(ps) == [(None, 3, [1], False), (7, 1, [1, 2, 3], False)]
     assert ps.x_rank() == 3
 
 
 def test_place_set_split_prime():
-    # 11 = 1 mod 5 splits completely in Q(zeta_5)
-    k = full_cyclotomic(5)
-    ps = place_set(k, (5, 11))
-    fin = [d for d in ps.describe() if d["residue_size"] is not None]
-    above_11 = [d for d in fin if d["residue_size"] == 11]
-    assert above_11 and above_11[0]["places_above"] == 4
+    # 11 = 1 mod 5 splits completely in Q(zeta_5): 4 places, trivial
+    # decomposition group
+    ps = place_set(full_cyclotomic(5), (5, 11))
+    assert _places(ps)[2] == (11, 4, [1], False)
+    assert ps.x_rank() == 2 + 1 + 4 - 1
 
 
 def test_relative_place_set():
-    m = relative_model(7)
-    ps = relative_place_set(m)
-    desc = ps.describe()
-    arch = [d for d in desc if d["residue_size"] is None]
-    fin = [d for d in desc if d["residue_size"] is not None]
-    assert arch[0]["places_above"] == 3      # H permutes them simply
-    assert fin[0]["places_above"] == 1       # totally ramified above p
+    ps = relative_place_set(relative_model(7))
+    # H permutes the three complex places simply; p is totally ramified
+    assert _places(ps) == [(None, 3, [1], True), (7, 1, [1, 2, 4], False)]
     assert ps.x_rank() == 3
 
 
@@ -164,38 +162,20 @@ def test_sunit_fixed_by_kernel():
     assert not lam.fixed_by(frozenset({1, f - 1}))
 
 
-def test_finite_ord_at_ramified_prime():
-    k = full_cyclotomic(5)
-    ps = place_set(k, (5,))
-    lam = SUnit.one_minus_zeta(5, 1)
-    idx = next(i for i in range(ps.size) if not ps.places[ps.flat[i][0]].archimedean)
-    assert finite_ord(lam, ps, idx) == 1
-    assert finite_ord(SUnit.zeta(5), ps, idx) == 0
-    assert finite_ord(lam ** 3, ps, idx) == 3
-
-
-def test_finite_ord_of_a_word_outside_the_field_is_an_error_under_python_O():
-    # 1 - zeta_5 is not in Q(zeta_5)^+, where pi_5 = (1 - zeta_5)^2, and
-    # words of conductors 7 and 9 have no product: ValueErrors, not asserts,
-    # so python -O keeps the checks
+def test_product_of_words_of_two_conductors_is_an_error_under_python_O():
+    # words of conductors 7 and 9 have no product: a ValueError, not an
+    # assert, so python -O keeps the check
     code = """if True:
-        from fracgalois.fields import SUnit, finite_ord, place_set, plus_field
-        ps = place_set(plus_field(5), (5,))
-        idx = next(i for i in range(ps.size)
-                   if not ps.places[ps.flat[i][0]].archimedean)
-        for op in (lambda: finite_ord(SUnit.one_minus_zeta(5, 1), ps, idx),
-                   lambda: SUnit.zeta(7) * SUnit.zeta(9)):
-            try:
-                op()
-            except ValueError as exc:
-                print(exc)
+        from fracgalois.fields import SUnit
+        try:
+            SUnit.zeta(7) * SUnit.zeta(9)
+        except ValueError as exc:
+            print(exc)
         """
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
-    assert proc.stdout.splitlines() == [
-        "ord_pi 1 is not a multiple of 2: the word is not in the place set's field",
-        "product of words of conductors 7 and 9"], proc.stderr
+    assert proc.stdout.splitlines() == ["product of words of conductors 7 and 9"], proc.stderr
 
 
 def test_place_set_layout_and_relative_order_are_errors_under_python_O():
@@ -207,7 +187,7 @@ def test_place_set_layout_and_relative_order_are_errors_under_python_O():
         ps = fields.place_set(fields.plus_field(7), (7,))
         fields.relative_model.cache_clear()
         fields.subgroup_as_group = lambda f, residues: fields.galois_group(f, frozenset({1}))
-        for op in (lambda: fields.PlaceSet(ps.group, ps.places[::-1], ps.f),
+        for op in (lambda: fields.PlaceSet(ps.group, ps.places[::-1]),
                    lambda: fields.relative_model(7)):
             try:
                 op()
@@ -222,19 +202,6 @@ def test_place_set_layout_and_relative_order_are_errors_under_python_O():
         "the squares mod 7 have order 6, not phi(7)/2"], proc.stderr
 
 
-def test_product_formula_for_s_units():
-    cases = [
-        (full_cyclotomic(5), (5,), SUnit.one_minus_zeta(5, 2)),
-        (plus_field(7), (7,),
-         SUnit.one_minus_zeta(7, 1) * SUnit.one_minus_zeta(7, 6)),
-    ]
-    for model, primes, word in cases:
-        ps = place_set(model, primes)
-        with CTX.guard():
-            row = log_norms(word, ps, CTX)
-            assert abs(mp.fsum(row)) < mp.mpf(2) ** -150
-
-
 def test_log_norms_rejects_zero_like_words():
     k = full_cyclotomic(5)
     ps = place_set(k, (5,))
@@ -243,7 +210,29 @@ def test_log_norms_rejects_zero_like_words():
     z = SUnit.zeta(5)
     with CTX.guard():
         ok = log_norms(z, ps, CTX)
-        assert all(abs(v) < mp.mpf(2) ** -150 for v in ok)
+        assert all(abs(v) < mp.mpf(2) ** -150 for v in ok.values())
+
+
+@pytest.mark.parametrize("model, pset", [
+    (plus_field(7), place_set(plus_field(7), (7,))),
+    (plus_field(25), place_set(plus_field(25), (5,))),
+    (relative_model(7), relative_place_set(relative_model(7))),
+    (relative_model(11, 2), relative_place_set(relative_model(11, 2))),
+    (full_cyclotomic(7), place_set(full_cyclotomic(7), (7,)))])
+def test_log_norms_is_log_abs_per_sigma_in_coset_order(model, pset):
+    # the Stark unit's log ||sigma(eps)||_{w0}, each sigma at its own label,
+    # doubled at complex places; on the full field sigma and c sigma share a
+    # coset and each has its value
+    word = stark_module(model, pset, CTX).free[0]
+    logs = log_norms(word, pset, CTX)
+    arch, label = pset.places[0], pset.group.label
+    assert list(logs) == [s for coset in arch.cosets for s in sorted(coset, key=label)]
+    assert len(logs) == model.group.order
+    for sigma, lw in logs.items():
+        with CTX.guard():
+            v = word.log_abs(label(sigma))
+            v = 2 * v if arch.complex_place else v
+        assert lw == CTX.final(v), label(sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from fracgalois.cyclo import PrecisionContext
-from fracgalois.fields import (full_cyclotomic, make_field, place_set,
-                               plus_field, relative_model, relative_place_set)
+from fracgalois.cyclo import PrecisionContext, factorize
+from fracgalois.fields import (full_cyclotomic, log_norms, make_field, place_set,
+                               plus_field, relative_model, relative_place_set,
+                               select_field)
 from fracgalois.gring import (GroupHom, GroupRingElement, IdealLattice,
                               characters)
 from fracgalois import jideal
@@ -24,10 +25,11 @@ from fracgalois.jideal import (CHECK_IDS, _field,
                                shipped_classgroup, torsion_order)
 from fracgalois.lfun import (half_stickelberger, l_deriv_at_0, stickelberger,
                              vanishing_order)
-from fracgalois.units import (conjugate_logs, lambda_unit, quotient_module,
-                              stark_module, sunit_group)
+from fracgalois.units import (lambda_unit, quotient_module, stark_module,
+                              sunit_group)
 from gmodules import action_of
-from oracles import assemble, bch_projection_dense, char_value_numeric
+from oracles import (assemble, bch_projection_dense, char_value_numeric,
+                     mu_ell_annihilator_module)
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
 
@@ -57,7 +59,7 @@ def test_regulator_equals_the_per_call_character_values(bits):
     twist = (GroupRingElement.one(g) * 3
              + GroupRingElement.basis(g, g.element_of_residue(2)))  # 3 + chi(s) != 0
     _, reg, _ = i_f_and_regulator(model, pset, twist, ctx)
-    logs = conjugate_logs(stark_module(model, pset, ctx).free[0], pset, ctx)
+    logs = log_norms(stark_module(model, pset, ctx).free[0], pset, ctx)
     for idx, chi in enumerate(characters(g)):
         with ctx.guard():
             num = mp.mpc(0)
@@ -188,6 +190,15 @@ def test_mu_ell_annihilator_by_exhaustion():
 def test_mu_ell_annihilator_trivial_when_no_ell_torsion():
     k = plus_field(7)
     assert _mu_ell_annihilator(k, 3) == IdealLattice.unit_ideal(k.group)
+
+
+@pytest.mark.parametrize("f", [7, 9, 11, 13, 21, 23, 25, 27, 49, 63, 121, 125, 169])
+def test_mu_ell_annihilator_equals_the_cyclic_module_route(f):
+    # the closed form (ell^v, sigma - a) against the annihilator of the
+    # G-module Z/ell^v, for every odd prime ell | 2f
+    model, _ = select_field(f, "full")
+    for ell, _ in factorize(f):
+        assert _mu_ell_annihilator(model, ell) == mu_ell_annihilator_module(model, ell), ell
 
 
 # CLCONT on the full field multiplies J by ann(mu_ell): its reports pinned

@@ -12,8 +12,8 @@ import mpmath as mp
 import pytest
 
 from fracgalois.cyclo import PrecisionContext, factorize
-from fracgalois.fields import (SUnit, finite_ord, full_cyclotomic, place_set,
-                               plus_field, relative_model, relative_place_set)
+from fracgalois.fields import (SUnit, full_cyclotomic, place_set, plus_field,
+                               relative_model, relative_place_set)
 from fracgalois.gring import GroupRingElement, IdealLattice
 from fracgalois.intmat import (identity_matrix, mat_mul, mat_transpose,
                                solve_fraction_free)
@@ -22,7 +22,7 @@ from fracgalois.units import (KNOWN_HPLUS_ONE, CoordinateError, UnitLattice,
                               load_units, quotient_module, stark_module,
                               stark_residuals, stark_unit, sunit_group,
                               unit_coordinates)
-from oracles import same_value
+from oracles import finite_logs, same_value
 from test_intmat import naive_det
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
@@ -152,23 +152,22 @@ def test_scaled_inverse_against_determinant():
 # independent oracle: logs from the expanded cyclotomic value, rounded
 # coordinates, and the torsion exponent matched on expanded values
 
-def _expansion_logs(word, pset, ctx):
-    val = word.expansion()
+def _expansion_logs(word, lattice):
+    """The log embedding of word at every place of the lattice's S: the
+    archimedean places from the embedded expansion, one per coset."""
+    val, pset = word.expansion(), lattice.pset
+    arch = pset.places[0]
     out = []
-    for i, (pi, _) in enumerate(pset.flat):
-        pd = pset.places[pi]
-        if pd.archimedean:
-            v = mp.log(abs(val.embed(pset.coset_rep_label(i))))
-            out.append(2 * v if pd.complex_place else v)
-        else:
-            out.append(-finite_ord(word, pset, i) * mp.log(pd.nw))
-    return out
+    for coset in arch.cosets:
+        v = mp.log(abs(val.embed(min(pset.group.label(e) for e in coset))))
+        out.append(2 * v if arch.complex_place else v)
+    return out + finite_logs(word, lattice.model, pset)
 
 
 def _numeric_coordinates(lattice, word, ctx):
     with ctx.guard():
-        rows = [_expansion_logs(w, lattice.pset, ctx) for w in lattice.free]
-        b = _expansion_logs(word, lattice.pset, ctx)
+        rows = [_expansion_logs(w, lattice) for w in lattice.free]
+        b = _expansion_logs(word, lattice)
         a = mp.matrix([[row[i] for row in rows] for i in range(len(b))])
         sol = mp.lu_solve(a.T * a, a.T * mp.matrix(b))
         xs = [int(mp.nint(v)) for v in sol]
@@ -205,10 +204,8 @@ def test_exact_coordinates_match_numeric_oracle(make, f):
     else:
         ps = place_set(model, (factorize(f)[0][0],))
     u = sunit_group(model, ps, CTX)
-    cache = {}
     for word in _quotient_words(u, stark_module(model, ps, CTX)):
-        assert unit_coordinates(u, word, CTX, _cache=cache) == \
-            _numeric_coordinates(u, word, CTX)
+        assert unit_coordinates(u, word, CTX) == _numeric_coordinates(u, word, CTX)
 
 
 def test_annihilator_path_makes_no_mpmath_call(monkeypatch):

@@ -5,21 +5,24 @@ Providers are exact generator lists (words); completeness of the built-in
 provider is exactly the class-number-one input recorded in `assumptions`.
 Coordinates of one unit against a generator list are exact: every word is
 put in the normal form of `SUnit.normal_form` (a power of -zeta times an
-exponent vector on independent symbols 1 - zeta^c), so coordinates solve
-one integer linear system and the rank check is an exact rank.  Floating
-point enters only through the Stark residuals, which are transcendental.
+exponent vector on independent symbols 1 - zeta^c).  One column echelon
+form of the generators' vectors with its unimodular transform is both the
+exact rank check and the coordinate solver, by integer back-substitution.
+Floating point enters only through the Stark residuals, which are
+transcendental.
 """
 
 from __future__ import annotations
 
 import json
-from math import gcd
+from fractions import Fraction
+from math import gcd, prod
 
 from .fields import (RelativeModel, SUnit, log_norms, make_field,
                      odd_prime_power, place_set, relative_model,
                      relative_place_set, torsion_order)
 from .gring import FiniteGModule
-from .intmat import hnf_columns, identity_matrix, solve_fraction_free
+from .intmat import column_echelon, solve_fraction_free
 from .lfun import half_stickelberger, partial_zeta_all
 
 # prime powers with totally-real cyclotomic class number one (small range;
@@ -79,34 +82,35 @@ def cyclotomic_unit(f, a):
 def _builtin_words(model, pset):
     """(torsion, distinguished unit) of the built-in tables: -1 and epsilon
     on the plus field, -zeta and lambda on the full field, -zeta and eta =
-    lambda^{e theta~} on the relative field, each with S = {infinity, p}."""
+    lambda^{e theta~} on the relative field, each with S = {infinity, p};
+    the unit as a function, so `sunit_group`, which reads no eta, builds none."""
     f = model.f
     relative = isinstance(model, RelativeModel)
     p = model.p if relative else odd_prime_power(f)[0]
     if pset.finite_primes() != [p]:
         raise ValueError(f"builtin unit provider needs S = {{infinity, {p}}}")
     if relative:
-        g = model.group
-        beta = half_stickelberger(model) * torsion_order(model)
-        if not beta.is_integral():
-            raise ArithmeticError("e * theta~ is not integral")
-        unit = SUnit.one(f)
-        for elem in g.elements:
-            c = beta.coeff(elem)
-            if c:
-                unit = unit * lambda_unit(f).galois(g.label(elem)) ** int(c)
-        return SUnit.minus_one(f) * SUnit.zeta(f), unit
+        return SUnit.minus_one(f) * SUnit.zeta(f), lambda: _relative_stark_unit(model)
     if model.kernel == frozenset({1, f - 1}):
-        return SUnit.minus_one(f), stark_unit(f)
+        return SUnit.minus_one(f), lambda: stark_unit(f)
     if model.is_full_cyclotomic:
-        return SUnit.minus_one(f) * SUnit.zeta(f), lambda_unit(f)
+        return SUnit.minus_one(f) * SUnit.zeta(f), lambda: lambda_unit(f)
     raise ValueError("builtin units cover the full cyclotomic field, its "
                      "maximal real subfield and the relative field only")
 
 
+def _relative_stark_unit(model):
+    """eta = prod_sigma sigma(lambda)^{c_sigma} for e theta~ = sum c_sigma sigma."""
+    g, beta = model.group, half_stickelberger(model) * torsion_order(model)
+    if not beta.is_integral():
+        raise ArithmeticError("e * theta~ is not integral")
+    return prod((lambda_unit(model.f).galois(g.label(e)) ** int(beta.coeff(e))
+                 for e in g.elements if beta.coeff(e)), start=SUnit.one(model.f))
+
+
 def sunit_group(model, pset, ctx):
     """The full S-unit lattice U of the model from the built-in tables."""
-    torsion, unit = _builtin_words(model, pset)
+    torsion, make_unit = _builtin_words(model, pset)
     f = model.f
     _require_hplus_one(f)
     if isinstance(model, RelativeModel):
@@ -114,7 +118,7 @@ def sunit_group(model, pset, ctx):
                      for h in model.group.elements)
     else:
         free = tuple(cyclotomic_unit(f, a) for a in range(2, (f + 1) // 2)
-                     if gcd(a, f) == 1) + (unit,)
+                     if gcd(a, f) == 1) + (make_unit(),)
     u = UnitLattice(model, pset, torsion_order(model), torsion, free, "builtin_hplus1",
                     (f"h+(Q(zeta_{f})) = 1",))
     _verify_rank(u)
@@ -130,31 +134,17 @@ def _require_hplus_one(f):
 def stark_module(model, pset, ctx):
     """The Stark submodule E of U: the Galois orbit of the distinguished unit
     over the same torsion (epsilon, lambda, or eta = lambda^{e theta~})."""
-    torsion, unit = _builtin_words(model, pset)
-    g = model.group
+    torsion, make_unit = _builtin_words(model, pset)
+    unit, g = make_unit(), model.group
     free = tuple(unit.galois(g.label(e)) for e in g.elements)
     return UnitLattice(model, pset, torsion_order(model), torsion, free, "stark", ())
-
-
-def _free_matrix(lattice):
-    """B, whose column j is the normal-form vector of the j-th free
-    generator, and r rows on which B has full rank r; ValueError if the
-    free generators are multiplicatively dependent."""
-    cols = [w.normal_form()[1] for w in lattice.free]
-    nsym = len(lattice.torsion.normal_form()[1])   # also when there are no cols
-    b = [[col[i] for col in cols] for i in range(nsym)]
-    _, rows = hnf_columns(cols)
-    if len(rows) != len(cols):
-        raise ValueError("free generators are multiplicatively dependent "
-                         f"(rank {len(rows)} < {len(cols)})")
-    return b, rows
 
 
 def _verify_rank(lattice):
     need = lattice.pset.x_rank()
     if len(lattice.free) < need:
         raise ValueError(f"provider gives rank {len(lattice.free)} < {need}")
-    _free_matrix(lattice)
+    lattice.solver = _coordinate_solver(lattice)   # also the independence check
 
 
 # ---------------------------------------------------------------------------
@@ -165,45 +155,59 @@ class CoordinateError(ValueError):
 
 
 def _coordinate_solver(lattice):
-    """Everything a word's solve needs, computed once per lattice: the rows
-    where B has full rank, the columns of a scaled inverse inv of B on those
-    rows (B[rows] inv = d I), the rows of B outside them, the free
-    generators' torsion exponents and the lattice's torsion exponent."""
-    b, rows = _free_matrix(lattice)
-    d, inv = solve_fraction_free([b[i] for i in rows], identity_matrix(len(rows)))
-    picked = set(rows)
-    others = [(brow, i) for i, brow in enumerate(b) if i not in picked]
+    """Everything a word's solve needs, computed once per lattice: the column
+    echelon form of the columns (e_j ; b_j), b_j the normal-form vector of
+    free generator j, is r columns (U_k ; H_k) with U unimodular and H = B U
+    (Cohen, GTM 138, 2.4.3), each kept with its pivot row and nonzero
+    entries; then the free generators' and the lattice's torsion exponents.
+    A pivot among the top r rows is a relation: ValueError."""
+    r = len(lattice.free)
+    cols, rows = column_echelon([[int(i == j) for i in range(r)] + list(w.normal_form()[1])
+                                 for j, w in enumerate(lattice.free)])
+    rank = sum(p >= r for p in rows)
+    if rank < r:
+        raise ValueError("free generators are multiplicatively dependent "
+                         f"(rank {rank} < {r})")
+    steps = [(p, col, [(i, x) for i, x in enumerate(col) if x])
+             for p, col in zip(rows, cols)]
     free_t = [w.normal_form()[0] for w in lattice.free]
-    return rows, d, inv, others, free_t, lattice.torsion.normal_form()[0]
+    return r, steps, free_t, lattice.torsion.normal_form()[0]
 
 
 def unit_coordinates(lattice: UnitLattice, word: SUnit, ctx):
     """(t, xs): word = torsion^t * prod free_i^{x_i}, exactly.
 
-    xs solve B xs = v for the word's normal-form vector v, with B factored
-    on the lattice's first solve and kept in `lattice.solver`; t solves
-    the remaining power of -zeta modulo 2f.  CoordinateError names why a
-    word is outside the lattice.
+    xs = U z solve B xs = v for the word's normal-form vector v, where z
+    solves H z = v by back-substitution in integers (Fractions only for a
+    word outside the lattice) against `lattice.solver`, built on the first
+    solve if need be; t solves the remaining power of -zeta modulo 2f.
+    CoordinateError names why a word is outside the lattice.
     """
     if lattice.solver is None:
         lattice.solver = _coordinate_solver(lattice)
-    rows, d, inv, others, free_t, tors_t = lattice.solver
+    r, steps, free_t, tors_t = lattice.solver
     t, v = word.normal_form()
-    # y = inv v[rows] from the few nonzero entries of v; B y = d v holds on
-    # rows by construction, so only the other rows are checked
-    y = [0] * len(rows)
-    for col, i in zip(inv, rows):
-        if v[i]:
-            y = [a + v[i] * c for a, c in zip(y, col)]
-    if any(sum(c * x for c, x in zip(brow, y)) != d * v[i] for brow, i in others):
+    # subtracting z_k (U_k ; H_k) from (0 ; v) leaves (-U z ; v - H z)
+    w = [0] * r + list(v)
+    for p, col, nonzero in reversed(steps):
+        if w[p]:
+            q, rem = divmod(w[p], col[p])
+            if rem:
+                q = Fraction(w[p], col[p])
+            for i, x in nonzero:
+                w[i] -= q * x
+    if any(w[r:]):
         raise CoordinateError("the word is outside the rational span of the "
                               "free generators: no power of it is in the lattice")
-    for x in y:
-        if x % d:
+    xs = [-x for x in w[:r]]
+    for x in xs:
+        if x.denominator != 1:
+            # y/d as the dense solve names it: d = det B[rows] = det H[rows] det U
+            d = (prod(col[p] for p, col, _ in steps)
+                 * solve_fraction_free([col[:r] for _, col, _ in steps], [])[0])
             raise CoordinateError(
-                f"unit coordinate {x}/{d} is not integral: a power of the word "
+                f"unit coordinate {x * d}/{d} is not integral: a power of the word "
                 "is in the lattice, the word itself is not")
-    xs = [x // d for x in y]
     two_f = 2 * word.f
     rest = (t - sum(x * s for x, s in zip(xs, free_t))) % two_f
     g = gcd(tors_t, two_f)

@@ -6,8 +6,8 @@ from L-values character by character, a character's primitive table with
 its B_{1,chi} and L_S(0, chi), the relative L-data of Q(zeta_{p^n}) /
 Q(sqrt(-p)) one character of H at a time, equality of S-unit values, the
 log of an S-unit at the place above a totally ramified p, the annihilator of
-the roots of unity by a cyclic G-module, a dense
-column echelon form with its HNF and kernel, a numeric character value read
+the roots of unity by a cyclic G-module, unit coordinates by a dense
+scaled inverse, a dense column echelon form with its HNF and kernel, a numeric character value read
 per call, log Gamma with a floored Horner multiplier, the primitive
 L-derivative by Hurwitz zeta, the partial-zeta derivatives of whole classes
 by the Stirling kernel alone, the partial-zeta derivatives and their relative
@@ -29,6 +29,7 @@ from fracgalois.gring import (Character, FiniteGModule, GroupRingElement, IdealL
                               _clear_denominators, _convolve, characters)
 from fracgalois.lfun import (_lift_modulus, _lifts, _proj_g_to_h, character_conductor,
                              half_stickelberger, l_value_at_0, partial_zeta_all)
+from fracgalois.units import CoordinateError
 
 
 class FractionCyclotomic:
@@ -338,6 +339,51 @@ def mu_ell_annihilator_module(model, ell):
         return IdealLattice.unit_ideal(g)
     mats = [((g.label(gen) % lv,),) for gen in g.generator_elements()]
     return FiniteGModule(g, 1, [(lv,)], mats).annihilator()
+
+
+def dense_coordinate_solver(lattice):
+    """`units.unit_coordinates` on the lattice as a function of the word, by
+    the scaled inverse of the free-generator matrix B on r rows where it has
+    full rank (Bareiss), with the same CoordinateError messages: the solve
+    that the echelon form with its transform replaced."""
+    cols = [w.normal_form()[1] for w in lattice.free]
+    nsym = len(lattice.torsion.normal_form()[1])   # also when there are no cols
+    b = [[col[i] for col in cols] for i in range(nsym)]
+    _, rows = intmat.hnf_columns(cols)
+    if len(rows) != len(cols):
+        raise ValueError("free generators are multiplicatively dependent "
+                         f"(rank {len(rows)} < {len(cols)})")
+    d, inv = intmat.solve_fraction_free([b[i] for i in rows],
+                                        intmat.identity_matrix(len(rows)))
+    others = [(brow, i) for i, brow in enumerate(b) if i not in rows]
+    free_t = [w.normal_form()[0] for w in lattice.free]
+    tors_t = lattice.torsion.normal_form()[0]
+
+    def solve(word):
+        t, v = word.normal_form()
+        y = [0] * len(rows)
+        for col, i in zip(inv, rows):
+            if v[i]:
+                y = [a + v[i] * c for a, c in zip(y, col)]
+        if any(sum(c * x for c, x in zip(brow, y)) != d * v[i] for brow, i in others):
+            raise CoordinateError("the word is outside the rational span of the "
+                                  "free generators: no power of it is in the lattice")
+        for x in y:
+            if x % d:
+                raise CoordinateError(
+                    f"unit coordinate {x}/{d} is not integral: a power of the word "
+                    "is in the lattice, the word itself is not")
+        xs = [x // d for x in y]
+        two_f = 2 * word.f
+        rest = (t - sum(x * s for x, s in zip(xs, free_t))) % two_f
+        g = gcd(tors_t, two_f)
+        if rest % g:
+            raise CoordinateError(f"residual root of unity (-zeta)^{rest} is not a "
+                                  "power of the lattice's torsion generator")
+        order = two_f // g
+        return (rest // g) * pow(tors_t // g, -1, order) % order, xs
+
+    return solve
 
 
 def dense_column_echelon(a_cols):

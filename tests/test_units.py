@@ -14,6 +14,7 @@ import pytest
 from fracgalois.cyclo import PrecisionContext, factorize
 from fracgalois.fields import (SUnit, full_cyclotomic, place_set, plus_field,
                                relative_model, relative_place_set)
+from fracgalois import intmat
 from fracgalois.gring import GroupRingElement, IdealLattice
 from fracgalois.intmat import (identity_matrix, mat_mul, mat_transpose,
                                solve_fraction_free)
@@ -22,7 +23,7 @@ from fracgalois.units import (KNOWN_HPLUS_ONE, CoordinateError, UnitLattice,
                               load_units, quotient_module, stark_module,
                               stark_residuals, stark_unit, sunit_group,
                               unit_coordinates)
-from oracles import finite_logs, same_value
+from oracles import dense_coordinate_solver, finite_logs, same_value
 from test_intmat import naive_det
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
@@ -129,8 +130,9 @@ def test_coordinate_errors_name_the_cause():
 
 
 def test_scaled_inverse_against_determinant():
-    """The scaled inverse that the coordinate solve uses: a r = d I with
-    d = det(a), on sparse matrices like the rows of a free-generator matrix."""
+    """The scaled inverse of the dense coordinate solve in the oracles:
+    a r = d I with d = det(a), on sparse matrices like the rows of a
+    free-generator matrix."""
     rng = random.Random(7)
     done = 0
     while done < 30:
@@ -206,6 +208,100 @@ def test_exact_coordinates_match_numeric_oracle(make, f):
     u = sunit_group(model, ps, CTX)
     for word in _quotient_words(u, stark_module(model, ps, CTX)):
         assert unit_coordinates(u, word, CTX) == _numeric_coordinates(u, word, CTX)
+
+
+# ---------------------------------------------------------------------------
+# the echelon solve against the dense scaled inverse it replaced
+
+# every field of the built-in provider: plus and full at each certified
+# conductor, and the relative field at each certified p^n with p = 3 mod 4
+BUILTIN_FIELDS = ([(kind, f) for f in sorted(KNOWN_HPLUS_ONE) for kind in ("plus", "full")]
+                  + [("relative", f) for f in sorted(KNOWN_HPLUS_ONE)
+                     if factorize(f)[0][0] % 4 == 3 and f != 3])
+
+
+def _builtin_lattices(kind, f):
+    """(U, E) of the built-in provider on the field `kind` of conductor f."""
+    [(p, n)] = factorize(f)
+    if kind == "relative":
+        model = relative_model(p, n)
+        ps = relative_place_set(model)
+    else:
+        model = (plus_field if kind == "plus" else full_cyclotomic)(f)
+        ps = place_set(model, (p,))
+    return sunit_group(model, ps, CTX), stark_module(model, ps, CTX)
+
+
+@pytest.mark.parametrize("kind, f", BUILTIN_FIELDS)
+def test_coordinates_equal_the_dense_solve(kind, f):
+    """Every word quotient_module solves, and torsion times random products
+    of the free generators, which must also come back as their exponents."""
+    u, e = _builtin_lattices(kind, f)
+    dense = dense_coordinate_solver(u)
+    rng = random.Random(f)
+    words = _quotient_words(u, e)
+    for _ in range(3):
+        t = rng.randrange(u.torsion_order)
+        xs = [rng.randint(-3, 3) for _ in u.free]
+        word = u.torsion ** t
+        for w, x in zip(u.free, xs):
+            word = word * w ** x
+        assert unit_coordinates(u, word, CTX) == (t, xs)
+        words.append(word)
+    for word in words:
+        assert unit_coordinates(u, word, CTX) == dense(word)
+
+
+def _coordinate_error(solve, word):
+    with pytest.raises(CoordinateError) as info:
+        solve(word)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("f", sorted(KNOWN_HPLUS_ONE))
+def test_coordinate_errors_equal_the_dense_solve(f):
+    """1 - zeta against the plus lattice (its epsilon coordinate is 1/2),
+    zeta (not a power of -1), and a dropped free generator against the
+    lattice without it, down to no free generator at all."""
+    k = plus_field(f)
+    ps = place_set(k, (factorize(f)[0][0],))
+    u = sunit_group(k, ps, CTX)
+    cases = [(u, lambda_unit(f)), (u, SUnit.zeta(f))]
+    for i in {0, u.rank - 1}:
+        rest = u.free[:i] + u.free[i + 1:]
+        cases.append((UnitLattice(k, ps, u.torsion_order, u.torsion, rest, "test", ()),
+                      u.free[i]))
+    messages = []
+    for lattice, word in cases:
+        msg = _coordinate_error(lambda w: unit_coordinates(lattice, w, CTX), word)
+        assert msg == _coordinate_error(dense_coordinate_solver(lattice), word)
+        messages.append(msg.split(":")[0])
+    assert messages[0] in ("unit coordinate 1/2 is not integral",
+                           "unit coordinate -1/-2 is not integral")
+    assert messages[1].startswith("residual root of unity")
+    assert set(messages[2:]) == {"the word is outside the rational span of the "
+                                 "free generators"}
+
+
+@pytest.mark.parametrize("kind, f", [("plus", 43), ("full", 25), ("relative", 49)])
+def test_a_lattice_and_its_solves_make_one_echelon(kind, f, monkeypatch):
+    """Building U and E and solving every word of U/E: one column_echelon
+    call (the rank check's, shared by every solve), no HNF, no Bareiss."""
+    calls = {}
+    for name in ("column_echelon", "hnf_columns", "solve_fraction_free"):
+        fn = getattr(intmat, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("fracgalois") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    u, e = _builtin_lattices(kind, f)
+    for word in _quotient_words(u, e):
+        unit_coordinates(u, word, CTX)
+    assert calls == {"column_echelon": 1}
 
 
 def test_annihilator_path_makes_no_mpmath_call(monkeypatch):

@@ -39,9 +39,9 @@ COMPUTE_OBJECTS = ("theta", "half_theta", "lvalues", "rvec", "jideal", "annihila
 LOG2_10 = math.log2(10)
 
 
-# RunConfig fields and their defaults
+# RunConfig fields and their defaults; no --subfield is None: full, plus for STARKC
 _DEFAULTS = {"command": None, "object": None, "suite": (), "conductor": None,
-             "prime": None, "level": 1, "subfield": "full", "places": None, "bits": 192,
+             "prime": None, "level": 1, "subfield": None, "places": None, "bits": 192,
              "tol_exp": -30,       # decimal exponent: tolerance is 10**tol_exp
              "input_path": None, "output_path": None, "seed": 0}
 
@@ -94,7 +94,7 @@ def _prime_level(cfg):
 
 def resolve_field(cfg):
     """(model, place set) from the CLI selectors."""
-    return select_field(_conductor(cfg), cfg.subfield, cfg.places)
+    return select_field(_conductor(cfg), cfg.subfield or "full", cfg.places)
 
 
 def _units_for(cfg, model, pset, ctx):
@@ -189,9 +189,8 @@ def _check_params(cfg, check_id):
         return [{"field": "Q"}, {"field": "Qsqrt5"}]
     p, n = _prime_level(cfg)
     params = {"p": p, "n": n}
-    if check_id in CHECK_OPTIONS["subfield"]:   # STARKC reads the default full as plus
-        params["subfield"] = ("plus" if check_id == "STARKC" and cfg.subfield == "full"
-                              else cfg.subfield)
+    if check_id in CHECK_OPTIONS["subfield"]:
+        params["subfield"] = cfg.subfield or ("plus" if check_id == "STARKC" else "full")
     if check_id in CHECK_OPTIONS["seed"]:
         params["seed"] = cfg.seed
     if check_id not in CHECK_OPTIONS["input_path"]:
@@ -289,14 +288,14 @@ READERS = (*_FIELD, "ingest", "export --in")
 
 # flags, RunConfig field, converter, readers, help.  Every option takes
 # exactly one value; a repeated option keeps the last.  A run exits 2 on an
-# option its reader does not read, and verify on one that no check of its
-# suite reads (jideal.CHECK_OPTIONS).
+# option its reader does not read, and verify on one that a check of its
+# suite does not read (jideal.CHECK_OPTIONS).
 OPTIONS = (
     (("--conductor", "-f"), "conductor", int, _FIELD, "conductor of the cyclotomic field"),
     (("--prime", "-p"), "prime", int, _FIELD, "prime p for prime-power conductors"),
     (("--level", "-n"), "level", int, _FIELD, "level n: conductor p**n (default 1); needs -p"),
     (("--subfield",), "subfield", str, _FIELD,
-     "full | plus | relative | custom:<residues> (default full)"),
+     "full | plus | relative | custom:<residues> (default full; STARKC: plus)"),
     (("--places",), "places", lambda text: tuple(int(q) for q in text.split(",")),
      (*COMPUTE_OBJECTS, "export"),
      "comma-separated finite S-primes (default: primes dividing the conductor)"),
@@ -378,9 +377,11 @@ def parse_args(argv):
     for name, flag in given.items():    # each option the user gave, in order
         if reader not in readers[name]:
             raise ValueError(f"{'compute ' if command == 'compute' else ''}{reader} takes no {flag}")
-        if (command == "verify" and name in CHECK_OPTIONS
-                and not set(suite) & set(CHECK_OPTIONS[name])):
-            raise ValueError(f"verify --suite {','.join(suite)} takes no {flag}")
+        # the checks that do not read it; every check reads what CHECK_OPTIONS omits
+        idle = [check for check in suite if check not in CHECK_OPTIONS.get(name, CHECK_IDS)]
+        if command == "verify" and idle:
+            raise ValueError(f"verify --suite {','.join(suite)} takes no {flag}: "
+                             f"{idle[0]} does not read it")
     if "level" in given and "prime" not in given:
         raise ValueError(f"{given['level']} needs --prime/-p: the conductor is p**n")
     if reader == "half_theta" and fields.get("subfield", "relative") != "relative":

@@ -22,7 +22,7 @@ from .fields import (RelativeModel, SUnit, log_norms, make_field,
                      odd_prime_power, place_set, relative_model,
                      relative_place_set, torsion_order)
 from .gring import FiniteGModule
-from .intmat import column_echelon, solve_fraction_free
+from .intmat import column_echelon
 from .lfun import half_stickelberger, partial_zeta_all
 
 # prime powers with totally-real cyclotomic class number one (small range;
@@ -202,11 +202,8 @@ def unit_coordinates(lattice: UnitLattice, word: SUnit, ctx):
     xs = [-x for x in w[:r]]
     for x in xs:
         if x.denominator != 1:
-            # y/d as the dense solve names it: d = det B[rows] = det H[rows] det U
-            d = (prod(col[p] for p, col, _ in steps)
-                 * solve_fraction_free([col[:r] for _, col, _ in steps], [])[0])
             raise CoordinateError(
-                f"unit coordinate {x * d}/{d} is not integral: a power of the word "
+                f"unit coordinate {x} is not integral: a power of the word "
                 "is in the lattice, the word itself is not")
     two_f = 2 * word.f
     rest = (t - sum(x * s for x, s in zip(xs, free_t))) % two_f

@@ -371,7 +371,7 @@ def dense_coordinate_solver(lattice):
         for x in y:
             if x % d:
                 raise CoordinateError(
-                    f"unit coordinate {x}/{d} is not integral: a power of the word "
+                    f"unit coordinate {Fraction(x, d)} is not integral: a power of the word "
                     "is in the lattice, the word itself is not")
         xs = [x // d for x in y]
         two_f = 2 * word.f

@@ -185,7 +185,9 @@ def _check_params(cfg, check_id):
     """Parameter dicts (one per run) for a check id under this config."""
     if check_id == "STICK_IDENT":
         return [{"f": _conductor(cfg)}]
-    if check_id == "ACNF":
+    if check_id == "ACNF":  # its fields are fixed, but a field selector given is checked
+        if cfg.prime is not None or cfg.conductor is not None:
+            _prime_level(cfg)
         return [{"field": "Q"}, {"field": "Qsqrt5"}]
     p, n = _prime_level(cfg)
     params = {"p": p, "n": n}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
 from math import comb, gcd, lcm, prod
 
 from .cyclo import (CyclotomicNumber, crt, euler_phi, factorize, poly_divexact,
@@ -590,7 +590,7 @@ class IdealLattice:
         """The lattice spanned by the integer vectors `vecs` over `den`, in
         canonical form: the column HNF, with its content divided out of den.
         The content c of `vecs` leaves first: the HNF of c V is c times that
-        of V, entry for entry. Every lattice is built here."""
+        of V, entry for entry. Every lattice but an annihilator is built here."""
         n = group.order
         c = intmat.content(x for col in vecs for x in col)
         h_cols, _ = intmat.hnf_columns([[x // c for x in col] for col in vecs] if c > 1 else vecs)
@@ -885,12 +885,14 @@ class FiniteGModule:
         if self.k == 0:
             return ()
         cols = self._hnf[0]
-        if all(x == 0 for j, col in enumerate(cols) for i, x in enumerate(col) if i != j):
-            d = [col[j] for j, col in enumerate(cols)]
-            for i in range(self.k):  # Z/a + Z/b = Z/gcd + Z/lcm: d_i | d_j after row i
-                for j in range(i + 1, self.k):
-                    d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
-            return tuple(x for x in d if x > 1)
+        if not any(any(col[:j]) for j, col in enumerate(cols)):
+            # prime by prime: the i-th largest invariant factor takes the i-th largest powers
+            powers = {}
+            for j, col in enumerate(cols):
+                for q, v in factorize(col[j]):
+                    powers.setdefault(q, []).append(q ** v)
+            return tuple(prod(xs) for xs in zip_longest(
+                *(sorted(qs, reverse=True) for qs in powers.values()), fillvalue=1))[::-1]
         # the SNF of the HNF: an SNF of the raw relations can blow its entries up
         _, d, _ = intmat.smith_normal_form(intmat.mat_transpose(cols))
         return tuple(abs(d[i][i]) for i in range(self.k) if abs(d[i][i]) > 1)
@@ -919,7 +921,8 @@ class FiniteGModule:
             orbits.append(orbit)
             fresh.extend(set(orbit.values()))
             if len(orbits) & (len(orbits) - 1) == 0:  # 1, 2, 4, ... generators
-                n_cols, n_rows = intmat.hnf_columns(n_cols + fresh)
+                # L, hence N, contains e Z^k for the exponent e of M
+                n_cols = intmat.hnf_mod(n_cols + fresh, self.structure()[-1], k)
                 fresh = []
         return orbits
 
@@ -928,34 +931,33 @@ class FiniteGModule:
 
         With e the exponent of M and H the HNF of the relations, B = e H^-1 is
         integral and v is a relation iff B v = 0 mod e. For Z[G]-generators m
-        of M, alpha kills M iff B (sum_x alpha_x A_x m) = 0 mod e for each m.
-        Read as vectors indexed by x, the entries of the B A_x m mod e have an
-        HNF basis w_1, ..., w_r (r <= n = |G|), and ann(M) is the alpha-part of
-        the kernel of (alpha, z) -> (w_s . alpha - e z_s)_s, whose columns are
-        the x-th entries of the w_s, then -e e_s. B meets the distinct orbit
-        vectors in one product, which skips their zero entries; zero and
-        repeated entry vectors are dropped before the HNF.
+        of M, alpha kills M iff B (sum_x alpha_x A_x m) = 0 mod e for each m,
+        that is iff w . alpha = 0 mod e for every entry vector w, indexed by
+        x, of the B A_x m mod e. So ann(M) = e Lambda^*, the dual of
+        Lambda = span(w) + e Z^n (n = |G|, `hnf_mod`): the rows of e Lambda^-1,
+        integral as e Z^n lies in Lambda. They span a lattice that contains
+        e Z^n too, so a second `hnf_mod` gives its canonical basis. B meets
+        the distinct orbit vectors in one product, which skips their zero
+        entries.
         """
         g = self.group
         structure = self.structure()
         if not structure:
             return IdealLattice.unit_ideal(g)
-        e = structure[-1]
-        k = self.k
-        h_cols, pivot_rows = self._hnf
-        b = intmat.mat_transpose([
-            intmat.solve_upper_triangular(
-                h_cols, pivot_rows, [e if i == j else 0 for i in range(k)])
-            for j in range(k)])
+        e, n = structure[-1], g.order
+
+        def e_inverse(cols):  # the columns of e X^-1 for a square HNF X
+            m = range(len(cols))
+            return [intmat.solve_upper_triangular(cols, m, [e * (i == j) for i in m]) for j in m]
+
+        b = intmat.mat_transpose(e_inverse(self._hnf[0]))
         orbits = self._generator_orbits
         us = list({u for orbit in orbits for u in orbit.values()})
         image = dict(zip(us, zip(*([x % e for x in row] for row in
                                    intmat.mat_mul(b, intmat.mat_transpose(us))))))
         entries = {v for orbit in orbits for v in zip(*(image[orbit[x]] for x in g.elements))}
-        w, _ = intmat.hnf_columns([v for v in entries if any(v)])
-        minus_e = [[-e if s == t else 0 for s in range(len(w))] for t in range(len(w))]
-        return IdealLattice._from_columns(
-            g, 1, [col[:g.order] for col in intmat.kernel_basis([*zip(*w), *minus_e])])
+        dual = zip(*e_inverse(intmat.hnf_mod(entries, e, n)))  # the rows of e Lambda^-1
+        return IdealLattice(g, 1, tuple(map(tuple, intmat.hnf_mod(dual, e, n))))
 
     def fitting_ideal(self):
         """Fitt^0_{Z[G]}(M) from the induced Z[G]-presentation, shrunk first.
@@ -1021,9 +1023,7 @@ class FiniteGModule:
         order, extra = self.order(), 1
         while order % (extra * ell) == 0:
             extra *= ell
-        h_cols, pivot_rows = intmat.hnf_columns(
-            self._hnf[0] + [[extra if i == j else 0 for i in range(self.k)]
-                            for j in range(self.k)])
+        h_cols, pivot_rows = intmat.hnf_mod(self._hnf[0], extra, self.k), range(self.k)
         # generators killed outright (unit-vector relation columns) are
         # dropped, keeping later Fitting-ideal minors tractable; every other
         # HNF column is 0 on their rows, so the rest is the part's HNF

@@ -2,12 +2,12 @@
 
 Everything here is over Z or Q (``fractions.Fraction``), no floats. A
 lattice is given by a list of generator columns (lists or tuples of equal
-length): `column_echelon`, `hnf_columns`, `kernel_basis`, `span_contains` and
-`span_equal` take that list, never a matrix. Matrix algebra (`mat_mul`,
-`smith_normal_form`, the matrix of `solve_fraction_free`) works on row-major
-lists of lists. The column Hermite normal form is the canonicalizer for
-lattices: upper triangular, positive pivots, entries to the right of a pivot
-reduced into [0, pivot).
+length): `column_echelon`, `hnf_columns`, `hnf_mod`, `kernel_basis`,
+`span_contains` and `span_equal` take that list, never a matrix. Matrix
+algebra (`mat_mul`, `smith_normal_form`, the matrix of `solve_fraction_free`)
+works on row-major lists of lists. The column Hermite normal form is the
+canonicalizer for lattices: upper triangular, positive pivots, entries to
+the right of a pivot reduced into [0, pivot).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def mat_transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def column_echelon(a_cols):
+def column_echelon(a_cols, d=0, n=None):
     """Bring a copy of the integer columns ``a_cols`` to echelon form.
 
     Returns (pivot_cols, pivot_rows) where pivot_cols are the nonzero echelon
@@ -48,15 +48,31 @@ def column_echelon(a_cols):
     rows. Works bottom-up: a column waits in the bucket of its last nonzero
     row, so row i reduces only bucket i (in index order, walking the nonzero
     entries of the pivot) and moves a column it zeroes at row i to the bucket
-    of its next nonzero row, dropping it if there is none."""
+    of its next nonzero row, dropping it if there is none.
+
+    A modulus d > 0 echelons span(a_cols) + d Z^n instead (n rows; a_cols
+    may be empty), every column reduced mod d when it is filed. Row i then
+    also holds d e_i: with c the column its Euclid leaves, a = c_i and
+    g = gcd(a, d), the pivot is p = u c mod d with u a = g mod d, and
+    c - (a/g) p and (d/g) p, zero at row i mod d, are filed again; an empty
+    row takes d e_i. Every row gets a pivot, and it divides d. This is
+    Cohen's Alg. 2.4.8 without its step R <- R/g, which needs d to be the
+    determinant."""
     cols = [list(col) for col in a_cols]
-    n = len(cols[0]) if cols else 0
+    n = len(cols[0]) if cols else n or 0
     buckets = [[] for _ in range(n)]
-    for j, cj in enumerate(cols):  # file each column at its last nonzero row
-        for r in range(n - 1, -1, -1):
+
+    def file(j, top):  # at the last nonzero row of column j above row `top`
+        cj = cols[j]
+        if d:
+            cols[j] = cj = [x % d for x in cj]
+        for r in range(top - 1, -1, -1):
             if cj[r]:
                 buckets[r].append(j)
-                break
+                return
+
+    for j in range(len(cols)):
+        file(j, n)
     pivot_cols, pivot_rows = [], []
     for i in range(n - 1, -1, -1):
         live = sorted(buckets[i])
@@ -73,16 +89,30 @@ def column_echelon(a_cols):
                     cj[r] -= q * x
                 if cj[i]:
                     kept.append(j)
-                    continue
-                for r in range(i - 1, -1, -1):  # refile at the next nonzero row
-                    if cj[r]:
-                        buckets[r].append(j)
-                        break
+                else:
+                    file(j, i)
             live = kept
-        if live:
+        if d and live:
+            c0 = [x % d for x in cols[live[0]]]
+            a = c0[i]
+            g = gcd(a, d)
+            p = c0
+            if a > g:
+                p = [pow(a // g, -1, d // g) * x % d for x in c0]
+                cols.append([x - a // g * y for x, y in zip(c0, p)])
+                file(len(cols) - 1, i)
+            if g > 1:
+                cols.append([d // g * y for y in p])
+                file(len(cols) - 1, i)
+        elif d:
+            p = [d if r == i else 0 for r in range(n)]
+        elif live:
             c0 = cols[live[0]]
-            pivot_cols.append([-x for x in c0] if c0[i] < 0 else c0)
-            pivot_rows.append(i)
+            p = [-x for x in c0] if c0[i] < 0 else c0
+        else:
+            continue
+        pivot_cols.append(p)
+        pivot_rows.append(i)
     return pivot_cols[::-1], pivot_rows[::-1]
 
 
@@ -94,7 +124,17 @@ def hnf_columns(a_cols):
     columns reduced into [0, pivot). This is a unique representative of the
     span, so equal spans give bitwise-equal output.
     """
-    cols, pivot_rows = column_echelon(a_cols)
+    return _reduce_right_of_pivots(*column_echelon(a_cols))
+
+
+def hnf_mod(cols, d, n):
+    """The n columns of the canonical column HNF of span(cols) + d Z^n, for
+    d > 0: `hnf_columns(cols + d I)[0]`, from an elimination whose entries
+    stay below d (`column_echelon` with the modulus d)."""
+    return _reduce_right_of_pivots(*column_echelon(cols, d, n))[0]
+
+
+def _reduce_right_of_pivots(cols, pivot_rows):
     for t in range(len(cols) - 1, -1, -1):  # descending pivot rows keep earlier work intact
         p, ct = pivot_rows[t], cols[t]
         piv = ct[p]
@@ -250,11 +290,13 @@ def solve_upper_triangular(cols, pivot_rows, v):
     for t in range(len(cols) - 1, -1, -1):
         p, col = pivot_rows[t], cols[t]
         if w[p]:
-            q = Fraction(w[p], col[p])
-            y[t] = q = q.numerator if q.denominator == 1 else q
-            for rr in range(p + 1):
-                if col[rr]:
-                    w[rr] -= q * col[rr]
+            q, rem = divmod(w[p], col[p])
+            if rem:
+                q = Fraction(w[p], col[p])
+            y[t] = q
+            for rr, x in zip(range(p + 1), col):
+                if x:
+                    w[rr] -= q * x
     if any(w):
         return None
     return y

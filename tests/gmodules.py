@@ -1,14 +1,15 @@
 """Seeded finite Z[G]-modules shared by the group-ring and acceptance tests:
 direct sums of cyclic modules Z[G]/I with the regular action, the same
-modules rewritten in a random unimodular basis, the matrices of group
-elements, and an annihilator oracle by exhaustive search."""
+modules rewritten in a random unimodular basis, the seeded modules of
+acceptance check A8, the matrices of group elements, and an annihilator
+oracle by exhaustive search."""
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from fracgalois import intmat
-from fracgalois.gring import FiniteGModule, GroupRingElement, IdealLattice
+from fracgalois.gring import FiniteGModule, GroupRingElement, IdealLattice, abelian_group
 
 
 def random_ideal(rng, g, m0):
@@ -46,6 +47,29 @@ def draw_ideals(rng, g, m0, count):
         lats = [random_ideal(rng, g, m0) for _ in range(count)]
         if min(x.covolume() for x in lats) >= 2:
             return lats
+
+
+def a8_draws(rng, count=100):
+    """(g, lats) of the seeded modules of acceptance check A8, in draw
+    order: the first 60 one ideal over C_n (n <= 6, m0^n <= 1200), then two
+    ideals over C_n (n <= 3) of index >= 2 each, with 2 <= |M| <= 200."""
+    checked = 0
+    while checked < count:
+        if checked < 60:
+            n = rng.randint(1, 6)
+            m0 = rng.choice([m for m in (2, 3, 4, 5, 7, 8, 9, 11, 13) if m ** n <= 1200])
+            g = abelian_group((n,)) if n > 1 else abelian_group(())
+            lats = [random_ideal(rng, g, m0)]
+        else:
+            n = rng.randint(1, 3)
+            g = abelian_group((n,)) if n > 1 else abelian_group(())
+            m0 = rng.choice([m for m in (2, 3, 4, 5, 7) if m ** n <= 1200])
+            lats = [random_ideal(rng, g, m0), random_ideal(rng, g, m0)]
+            if min(x.covolume() for x in lats) < 2:
+                continue
+        if 2 <= prod(x.covolume() for x in lats) <= 200:
+            checked += 1
+            yield g, lats
 
 
 def conjugated(rng, mod):

@@ -6,7 +6,8 @@ from L-values character by character, a character's primitive table with
 its B_{1,chi} and L_S(0, chi), the relative L-data of Q(zeta_{p^n}) /
 Q(sqrt(-p)) one character of H at a time, equality of S-unit values, the
 log of an S-unit at the place above a totally ramified p, the annihilator of
-the roots of unity by a cyclic G-module, unit coordinates by a dense
+the roots of unity by a cyclic G-module, the annihilator of a finite G-module
+by a kernel lattice and its ell-part by a plain HNF, unit coordinates by a dense
 scaled inverse, a dense column echelon form with its HNF and kernel, a numeric character value read
 per call, log Gamma with a floored Horner multiplier, the primitive
 L-derivative by Hurwitz zeta, the partial-zeta derivatives of whole classes
@@ -339,6 +340,53 @@ def mu_ell_annihilator_module(model, ell):
         return IdealLattice.unit_ideal(g)
     mats = [((g.label(gen) % lv,),) for gen in g.generator_elements()]
     return FiniteGModule(g, 1, [(lv,)], mats).annihilator()
+
+
+def kernel_lattice_annihilator(mod):
+    """`FiniteGModule.annihilator` by the kernel lattice it replaced, on the
+    orbits that `mod` keeps, once a plain HNF shows that they generate M:
+    with e the exponent and B = e H^-1 for the plain HNF H of the relations,
+    the entry vectors (B A_x m mod e)_x have an HNF basis w_1, ..., w_r,
+    and ann(M) is the alpha-part of the kernel of
+    (alpha, z) -> (w_s . alpha - e z_s)_s."""
+    g, k = mod.group, mod.k
+    structure = mod.structure()
+    if not structure:
+        return IdealLattice.unit_ideal(g)
+    e = structure[-1]
+    orbits = mod._generator_orbits
+    spanned, _ = intmat.hnf_columns(
+        list(mod.relations) + [u for orbit in orbits for u in orbit.values()])
+    assert spanned == intmat.identity_matrix(k), "the orbits do not generate M"
+    h_cols, pivot_rows = intmat.hnf_columns(mod.relations)
+    b = intmat.mat_transpose([
+        intmat.solve_upper_triangular(h_cols, pivot_rows, [e * (i == j) for i in range(k)])
+        for j in range(k)])
+
+    def image(u):   # B u mod e
+        return [sum(x * y for x, y in zip(row, u)) % e for row in b]
+
+    entries = {v for orbit in orbits for v in zip(*(image(orbit[x]) for x in g.elements))}
+    w, _ = intmat.hnf_columns([v for v in entries if any(v)])
+    minus_e = [[-e if s == t else 0 for s in range(len(w))] for t in range(len(w))]
+    return IdealLattice._from_columns(
+        g, 1, [col[:g.order] for col in intmat.kernel_basis([*zip(*w), *minus_e])])
+
+
+def plain_hnf_ell_part(mod, ell):
+    """`FiniteGModule.ell_part` with the relations plus ell^v Z^k brought to
+    a plain HNF, the columns ell^v e_j among its generators."""
+    order, extra = mod.order(), 1
+    while order % (extra * ell) == 0:
+        extra *= ell
+    h_cols, pivot_rows = intmat.hnf_columns(
+        list(mod.relations) + [[extra * (i == j) for i in range(mod.k)] for j in range(mod.k)])
+    dead = {r for col, r in zip(h_cols, pivot_rows)
+            if col[r] == 1 and sum(map(abs, col)) == 1}
+    keep = [i for i in range(mod.k) if i not in dead]
+    rels = [[col[i] for i in keep] for col, r in zip(h_cols, pivot_rows) if r not in dead]
+    return FiniteGModule(mod.group, len(keep), rels, [
+        [[m[i][j] for j in keep] for i in keep] for m in mod.action], validate=False)
 
 
 def dense_coordinate_solver(lattice):

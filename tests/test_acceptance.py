@@ -19,6 +19,7 @@ isomorphism H -> G+; the two sides agree after localising at any odd prime.
 import random
 import time
 from fractions import Fraction
+from math import prod
 
 import mpmath as mp
 
@@ -34,8 +35,8 @@ from fracgalois.lfun import (half_stickelberger, l_value_at_0,
                              partial_zeta_all, vanishing_order)
 from fracgalois.units import (quotient_module, stark_module, stark_residuals,
                               sunit_group)
-from gmodules import (_oracle_annihilator, conjugated, draw_ideals,
-                      module_from_ideals, random_ideal)
+from gmodules import (_oracle_annihilator, a8_draws, conjugated, draw_ideals,
+                      module_from_ideals)
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)      # tol 2^-100 < 1e-30
 
@@ -305,43 +306,23 @@ def test_a7_relative_case():
 
 def test_a8_annihilator_engine_vs_exhaustive_search():
     start = time.monotonic()
-    rng = random.Random(82001)
     checked = 0
-    while checked < 100:
-        cyclic = checked < 60
-        if cyclic:
-            n = rng.randint(1, 6)
-            m0 = rng.choice([m for m in (2, 3, 4, 5, 7, 8, 9, 11, 13)
-                             if m ** n <= 1200])
-            g = abelian_group((n,)) if n > 1 else abelian_group(())
-            lats = [random_ideal(rng, g, m0)]
-            size = lats[0].covolume()
-            if not 2 <= size <= 200:
-                continue
-        else:
-            n = rng.randint(1, 3)
-            g = abelian_group((n,)) if n > 1 else abelian_group(())
-            m0 = rng.choice([m for m in (2, 3, 4, 5, 7) if m ** n <= 1200])
-            lats = [random_ideal(rng, g, m0), random_ideal(rng, g, m0)]
-            size = lats[0].covolume() * lats[1].covolume()
-            if not (2 <= size <= 200
-                    and min(x.covolume() for x in lats) >= 2):
-                continue
+    for g, lats in a8_draws(random.Random(82001)):
         mod = module_from_ideals(g, lats)
-        assert mod.order() == size
+        assert mod.order() == prod(x.covolume() for x in lats)
 
         ann = mod.annihilator()
         oracle = _oracle_annihilator(mod)
-        assert ann == oracle, (checked, n, m0)
+        assert ann == oracle, (checked, g)
 
         fitt = mod.fitting_ideal()
-        assert ann.contains_lattice(fitt), (checked, n, m0)
-        if cyclic:
-            assert fitt == ann, (checked, n, m0)
-            assert ann == lats[0], (checked, n, m0)
+        assert ann.contains_lattice(fitt), (checked, g)
+        if len(lats) == 1:
+            assert fitt == ann, (checked, g)
+            assert ann == lats[0], (checked, g)
         else:
-            assert ann == lats[0].intersect(lats[1]), (checked, n, m0)
-            assert fitt == lats[0].multiply(lats[1]), (checked, n, m0)
+            assert ann == lats[0].intersect(lats[1]), (checked, g)
+            assert fitt == lats[0].multiply(lats[1]), (checked, g)
         checked += 1
     elapsed = time.monotonic() - start
     ok = checked == 100 and elapsed < 60.0

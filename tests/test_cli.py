@@ -809,6 +809,28 @@ def test_verify_reads_an_option_only_for_a_check_that_does(capsys, argv, error):
     assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
+@pytest.mark.parametrize("selector, error", [
+    (["-f", "1000"], "conductor 1000 is not an odd prime power"),
+    (["-p", "1000"], "--prime 1000 is not a prime"),
+    (["-p", "5", "-n", "0"], "conductor 1 is not an odd prime power"),
+    (["-f", "7", "-p", "5"], "--conductor 7 contradicts --prime 5 --level 1")])
+def test_acnf_checks_a_field_selector_it_does_not_read(capsys, selector, error):
+    """ACNF runs on Q and Q(sqrt 5) whatever the selector, but a selector
+    that names no field exits 2 as it would for any other check."""
+    code, out, err = run(capsys, ["verify", "--suite", "ACNF", *selector])
+    assert (code, out) == (2, "") and err.startswith(f"error: {error}")
+
+
+def test_acnf_with_a_valid_field_selector_reports_what_it_reports_without(capsys, tmp_path):
+    exact = []
+    for selector in ([], ["-p", "5"], ["-f", "25"]):
+        out = tmp_path / f"acnf{len(exact)}.json"
+        code, _, err = run(capsys, ["verify", "--suite", "ACNF", *selector, "--out", str(out)])
+        assert (code, err) == (0, "")
+        exact.append(json.loads(out.read_text())["exact"])
+    assert exact[0] == exact[1] == exact[2]
+
+
 @pytest.mark.parametrize("argv, error", [
     (["compute", "jideal", "-f", "25", "-n", "3"], "-n needs --prime/-p"),
     (["compute", "lvalues", "--level=2", "--conductor", "49"], "--level needs --prime/-p"),

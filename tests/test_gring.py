@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracgalois.cyclo import CyclotomicNumber
+from fracgalois.cyclo import CyclotomicNumber, factorize, is_prime
 from fracgalois.gring import (Character, FinAbGroup, FiniteGModule, GroupHom,
                               GroupRingElement, IdealLattice, _perm_table,
                               abelian_group, characters, det_qg,
@@ -24,9 +24,10 @@ from fracgalois.gring import (Character, FinAbGroup, FiniteGModule, GroupHom,
                               subgroup_closure)
 from fracgalois import intmat
 from fracgalois.intmat import hnf_columns, span_contains
-from gmodules import (_oracle_annihilator, action_of, conjugated, draw_ideals,
+from gmodules import (_oracle_annihilator, a8_draws, action_of, conjugated, draw_ideals,
                       module_from_ideals, validation_oracle)
-from oracles import assemble, span_membership, transport_character
+from oracles import (assemble, kernel_lattice_annihilator, plain_hnf_ell_part,
+                     span_membership, transport_character)
 
 
 class CycGroupRingElement:
@@ -942,6 +943,23 @@ def test_captured_unit_quotient_at_121_is_cyclic():
     assert len(mod._generator_orbits) == 1
 
 
+def test_structure_of_a_diagonal_hnf_matches_the_gcd_lcm_sweep():
+    """Prime by prime, the invariant factors of Z/d_1 + ... + Z/d_k are
+    those that the pairwise (gcd, lcm) sweep leaves, whatever the order."""
+    rng = random.Random(2000)
+    g = abelian_group((2,))
+    for _ in range(300):
+        k = rng.randint(1, 8)
+        diag = [rng.choice((1, 2, 3, 4, 6, 8, 9, 12, 25, 30, 36, 49, 64, 97, 360)) for _ in range(k)]
+        d = list(diag)
+        for i in range(k):
+            for j in range(i + 1, k):
+                d[i], d[j] = gcd(d[i], d[j]), d[i] * d[j] // gcd(d[i], d[j])
+        mod = FiniteGModule(g, k, [[x * (i == j) for i in range(k)] for j, x in enumerate(diag)],
+                            [intmat.identity_matrix(k)])
+        assert mod.structure() == tuple(x for x in d if x > 1), diag
+
+
 def test_ell_part_is_built_on_its_own_hnf():
     rng = random.Random(3131)
     g = abelian_group((6,))
@@ -951,6 +969,45 @@ def test_ell_part_is_built_on_its_own_hnf():
         assert part._hnf == hnf_columns(part.relations)
         FiniteGModule(g, part.k, part.relations, part.action)  # passes every check
     assert parts[0].order() * parts[1].order() == mod.order()
+
+
+def assert_dual_route_matches_the_oracles(mod):
+    """The annihilator equals the kernel lattice it replaced, and each
+    ell-part the one built on a plain HNF."""
+    assert mod.annihilator() == kernel_lattice_annihilator(mod)
+    for ell, _ in factorize(mod.order()):
+        part, plain = mod.ell_part(ell), plain_hnf_ell_part(mod, ell)
+        assert (part.k, part.relations, part.action) == (plain.k, plain.relations, plain.action)
+
+
+def test_annihilator_and_ell_parts_of_the_a8_modules_equal_the_oracles():
+    """The dual of one modular HNF against the kernel lattice it replaced,
+    and the ell-parts against a plain HNF, on the seeded modules of A8 and
+    the same modules in a scrambled basis."""
+    rng = random.Random(3232)
+    for g, lats in a8_draws(random.Random(82001)):
+        mod = module_from_ideals(g, lats)
+        assert_dual_route_matches_the_oracles(mod)
+        if mod.k > 1:   # a basis change needs two coordinates
+            assert_dual_route_matches_the_oracles(conjugated(rng, mod))
+
+
+@pytest.mark.parametrize("factors, m0s", [
+    ((3,), (4, 2)), ((5,), (4, 2)), ((2, 2), (4, 2)), ((4,), (12,)), ((3,), (36,)),
+    ((2,), (64, 4)), ((6,), (12, 4))])
+def test_annihilator_and_ell_parts_with_a_composite_exponent_equal_the_oracles(factors, m0s):
+    """Sums of Z[G]/I with I of index a power of 2 or 2^a 3^b, such as
+    Z/4 + Z/2 pieces, so that the exponent e is composite and the pivots of
+    the modular HNFs are proper divisors of e."""
+    rng = random.Random(f"{factors}{m0s}")
+    g = abelian_group(factors)
+    checked = 0
+    while checked < 3:
+        mod = module_from_ideals(g, [draw_ideals(rng, g, m0, 1)[0] for m0 in m0s])
+        if not is_prime(mod.structure()[-1]):
+            assert_dual_route_matches_the_oracles(mod)
+            assert_dual_route_matches_the_oracles(conjugated(rng, mod))
+            checked += 1
 
 
 def test_coefficients_become_fractions_whatever_their_type():
@@ -991,7 +1048,7 @@ def test_wrong_coefficient_count_is_an_error_under_python_O():
     # a ValueError, not an assert: python -O keeps the check; likewise for
     # a map of groups that is not a homomorphism
     code = """if True:
-        from fracgalois.cyclo import CyclotomicNumber
+        from fracgalois.cyclo import CyclotomicNumber, factorize, is_prime
         from fracgalois.gring import GroupHom, GroupRingElement, abelian_group
         c2 = abelian_group((2,))
         for make in (lambda: GroupRingElement(abelian_group((3,)), (1, 2)),

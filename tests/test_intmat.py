@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fracgalois.intmat import (column_echelon, content, hnf_columns,
+from fracgalois.intmat import (column_echelon, content, hnf_columns, hnf_mod,
                                identity_matrix, kernel_basis, mat_mul, mat_transpose,
                                smith_normal_form, solve_fraction_free,
                                solve_upper_triangular, span_contains,
@@ -348,6 +348,36 @@ def test_column_api_takes_tuples_and_leaves_its_argument_alone():
     assert kernel_basis([()] * 2) == identity_matrix(2)
     assert span_equal([], []) and span_equal([], [(0, 0)])
     assert span_contains([], [0, 0]) and not span_contains([], [0, 1])
+
+
+def test_hnf_mod_is_the_hnf_with_d_times_the_identity():
+    """hnf_mod(cols, d, n) is the HNF of span(cols) + d Z^n, entry for entry,
+    for composite and prime d, d = 1, no columns, zero columns, negative
+    entries and entries of any size against d; it leaves its argument alone."""
+    rng = random.Random(32)
+    seen = set()
+    for _ in range(600):
+        d = rng.choice((1, 2, 3, 4, 12, 36, 64, 97))
+        n = rng.randint(0, 6)
+        kind = rng.choice(("none", "zero", "small", "wide", "multiples"))
+        cols = []
+        if kind == "zero":
+            cols = [[0] * n for _ in range(rng.randint(1, 3))]
+        elif kind != "none":
+            bound = 3 * d if kind == "wide" else 3
+            cols = [[rng.choice((0, rng.randint(-bound, bound))) for _ in range(n)]
+                    for _ in range(rng.randint(1, 2 * n + 2))]
+            if kind == "multiples":   # multiples of d, and a column shifted by one
+                cols = [[d * x for x in col] for col in cols] + [
+                    [x + d * y for x, y in zip(cols[0], cols[-1])]]
+        seen.add((kind, d))
+        before = [col[:] for col in cols]
+        want = hnf_columns(cols + [[d * (i == j) for i in range(n)] for j in range(n)])[0]
+        assert hnf_mod(cols, d, n) == want, (cols, d, n)
+        assert hnf_mod([tuple(col) for col in cols], d, n) == want and cols == before
+    assert {(kind, d) for kind in ("none", "zero", "small", "wide", "multiples")
+            for d in (1, 4, 12, 36, 64)} <= seen
+    assert hnf_mod([], 6, 2) == [[6, 0], [0, 6]] and hnf_mod([[9, -3]], 1, 2) == identity_matrix(2)
 
 
 def test_span_predicates_and_content():

@@ -24,6 +24,7 @@ from fracgalois.units import (KNOWN_HPLUS_ONE, CoordinateError, UnitLattice,
                               stark_residuals, stark_unit, sunit_group,
                               unit_coordinates)
 from oracles import dense_coordinate_solver, finite_logs, same_value
+from test_gring import assert_dual_route_matches_the_oracles
 from test_intmat import naive_det
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
@@ -250,6 +251,14 @@ def test_coordinates_equal_the_dense_solve(kind, f):
         words.append(word)
     for word in words:
         assert unit_coordinates(u, word, CTX) == dense(word)
+
+
+@pytest.mark.parametrize("kind, f", BUILTIN_FIELDS)
+def test_unit_quotient_annihilator_and_ell_parts_equal_the_oracles(kind, f):
+    """On U/E of every built-in field, the annihilator (the dual of one
+    modular HNF) equals the kernel lattice it replaced, and each ell-part
+    equals the one built on a plain HNF."""
+    assert_dual_route_matches_the_oracles(quotient_module(*_builtin_lattices(kind, f), CTX))
 
 
 def _coordinate_error(solve, word):

@@ -18,6 +18,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -98,6 +100,48 @@ def entry(command, where):
 
 GOLDEN = json.loads(CORPUS.read_text()) if CORPUS.exists() else {}
 
+# whole reports, not only `exact`: the sha256 of a report's bytes (stdout for
+# compute, the --out file for verify, run in an empty directory) without its
+# `meta` block, which holds the time stamp
+REPORT_PINS = {
+    "compute lvalues -f 121":
+        "bbb18884cb3d69d8c6ca4329872a23bbce442a137fa911584be58657a065622c",
+    "compute lvalues -f 121 --subfield plus":
+        "865173746f61f5d5bdb51b8171a2457ac327b29697998d4574ccf0dadc0b4df8",
+    "compute lvalues -f 125":
+        "a2f0041f4fdc9c60c59db1252729adbee5240130fc056fdd44ee0cc48491dbef",
+    "compute lvalues -f 125 --subfield plus":
+        "39ad681a9c010631b51286e24b54cd00081514d571c4ca61b0b9f7d21e70ddf0",
+    "compute lvalues -f 169":
+        "e70a5f4a89a4a7c5462593e6f9e0dc4ec606e8f3edbb04222038d4a8655762b9",
+    "compute lvalues -f 169 --subfield plus":
+        "c722510acf708c0e1a41e0db88747f376cb71b40ef77803e07e8963e789aca94",
+    "verify --suite STICK_IDENT,RZERO,STARK_RAT,BCH -p 7 --out report.json":
+        "a74f37c565d522baf2d095345312f4e2886cc4db4aed799872b428e4afc45ab4",
+    "verify --suite STICK_IDENT,RZERO,STARK_RAT,BCH -p 11 --out report.json":
+        "b66b720133d693935abe8c52811ee2a8f10b2602152b1723efb2dec53a2859bc",
+    "verify --suite STICK_IDENT,RZERO,STARK_RAT,BCH -p 19 --out report.json":
+        "15304aaf8315c144946771417d486a80e562ef901229ba022d87d9e555f6947d",
+}
+META = re.compile(r'\n  "meta": \{\n    "generated_at": "[^"\n]*",\n    "tool": "fracgalois"\n  \},')
+
+
+def report_sha256(command, where):
+    """The sha256 of the report of `command` run in `where`, `meta` cut out."""
+    argv, out = command.split(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(where)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        text = Path(argv[-1]).read_text() if "--out" in argv else out.getvalue()
+    finally:
+        os.chdir(cwd)
+    body, cuts = META.subn("", text)
+    if code != 0 or cuts != 1:
+        pytest.fail(f"{command}: exit {code}, {cuts} meta blocks")
+    return hashlib.sha256(body.encode()).hexdigest()
+
 
 @pytest.fixture(scope="module")
 def where(tmp_path_factory):
@@ -110,6 +154,13 @@ def test_exact(command, where):
     got = entry(command, where)
     if got != GOLDEN.get(command):
         pytest.fail(f"{command}: {got}; the corpus has {GOLDEN.get(command)}")
+
+
+@pytest.mark.parametrize("command", REPORT_PINS)
+def test_whole_report(command, tmp_path):
+    got = report_sha256(command, tmp_path)
+    if got != REPORT_PINS[command]:
+        pytest.fail(f"{command}: report sha256 {got}, pinned {REPORT_PINS[command]}")
 
 
 def test_the_corpus_holds_each_command_once():

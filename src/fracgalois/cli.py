@@ -21,6 +21,7 @@ import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import mpmath as mp
 
@@ -28,7 +29,7 @@ from .cyclo import PrecisionContext, factorize, is_prime
 from .fields import RelativeModel, bounded, odd_prime_power, select_field
 from .gring import characters
 from .jideal import (CHECK_IDS, CHECK_OPTIONS, _gre_jsonable, j_ideal,
-                     load_classgroup, run_check)
+                     load_classgroup, run_checks)
 from .lfun import (half_stickelberger, l_values_at_0, stickelberger,
                    vanishing_order)
 from .units import (export_units, load_units, quotient_module, stark_module,
@@ -206,10 +207,8 @@ def _check_params(cfg, check_id):
 
 def cmd_verify(cfg):
     ctx = cfg.context()
-    reports = []
-    for check_id in cfg.suite:
-        for params in _check_params(cfg, check_id):
-            reports.append(run_check(check_id, params, ctx))
+    reports = run_checks([(check_id, params) for check_id in cfg.suite
+                          for params in _check_params(cfg, check_id)], ctx)
     lines = [f"{r.check}: {r.status.upper()}"
              + (f" -- {r.witnesses.get('message', '')}" if r.status == "error" else "")
              for r in reports]
@@ -392,12 +391,30 @@ def parse_args(argv):
     return RunConfig(command, **fields)
 
 
+_SCALAR = {str: encode_basestring_ascii, int: int.__repr__}  # as json.dumps writes them
+
+
+def _json(x, pad="\n"):
+    """json.dumps(x, indent=2, sort_keys=True) byte for byte, for str keys: one
+    join per container, over C-level encoders where its items are all str or all int."""
+    if not x or type(x) not in (dict, list, tuple):  # a scalar or an empty container
+        return _SCALAR.get(type(x), json.dumps)(x)
+    inner = pad + "  "
+    if type(x) is dict:
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(x.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    kinds = set(map(type, x))
+    text = _SCALAR.get(kinds.pop()) if len(kinds) == 1 else None
+    items = map(text, x) if text else [_json(v, inner) for v in x]
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
 def _emit(doc, cfg, stream):
     seconds, micros = divmod(time.time_ns() // 1000, 1_000_000)
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
     stamp += f".{micros:06d}+00:00"
     doc = {"meta": {"generated_at": stamp, "tool": "fracgalois"}, "config": cfg.as_dict(), **doc}
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = _json(doc)
     if cfg.output_path is not None and cfg.command != "export":
         with open(cfg.output_path, "w") as fh:
             fh.write(text + "\n")

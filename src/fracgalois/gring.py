@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, product, zip_longest
+from itertools import combinations, product
 from math import comb, gcd, lcm, prod
 
 from .cyclo import (CyclotomicNumber, crt, euler_phi, factorize, poly_divexact,
@@ -756,15 +756,6 @@ def _step_back(elem):
     return last, elem[:last] + (elem[last] - 1,) + elem[last + 1:]
 
 
-def gmodule_span_equal(gens_a, gens_b, group):
-    """Equality of Z[G]-spans (possibly rank-deficient) of two generator
-    lists, where the Z-span of gens_a must already be G-stable (as e J is,
-    for a lattice J and central e): only gens_b is closed under G."""
-    _, vecs = _clear_denominators(list(gens_a) + list(gens_b))
-    return intmat.span_equal(vecs[:len(gens_a)],
-                             _orbit_vectors(group, vecs[len(gens_a):]))
-
-
 # ---------------------------------------------------------------------------
 # finite G-modules
 
@@ -886,13 +877,21 @@ class FiniteGModule:
             return ()
         cols = self._hnf[0]
         if not any(any(col[:j]) for j, col in enumerate(cols)):
-            # prime by prime: the i-th largest invariant factor takes the i-th largest powers
-            powers = {}
-            for j, col in enumerate(cols):
-                for q, v in factorize(col[j]):
-                    powers.setdefault(q, []).append(q ** v)
-            return tuple(prod(xs) for xs in zip_longest(
-                *(sorted(qs, reverse=True) for qs in powers.values()), fillvalue=1))[::-1]
+            diag = [col[j] for j, col in enumerate(cols)]
+            base, todo = [], list({x for x in diag if x > 1})
+            while todo:  # a coprime base of the diagonal, by gcds
+                a = todo.pop()
+                b = next((b for b in base if gcd(a, b) > 1), None)
+                if b is None:
+                    base.append(a)
+                else:
+                    base.remove(b)
+                    todo += [x for x in (a // gcd(a, b), b // gcd(a, b), gcd(a, b)) if x > 1]
+            # x is the product of its b-parts gcd(x, b^n) over the base; the i-th
+            # largest invariant factor takes the i-th largest b-part of each b
+            n = max(diag).bit_length()
+            parts = [sorted((gcd(x, b ** n) for x in diag), reverse=True) for b in base]
+            return tuple(x for x in map(prod, zip(*parts)) if x > 1)[::-1]
         # the SNF of the HNF: an SNF of the raw relations can blow its entries up
         _, d, _ = intmat.smith_normal_form(intmat.mat_transpose(cols))
         return tuple(abs(d[i][i]) for i in range(self.k) if abs(d[i][i]) > 1)

@@ -18,9 +18,9 @@ import mpmath as mp
 from .fields import (FieldModel, bounded, log_norms, make_field, place_set,
                      plus_field, select_field, torsion_order)
 from .gring import (FiniteGModule, GroupHom, GroupRingElement, IdealLattice,
-                    _clear_denominators, _orbit_vectors, _perm_table,
-                    characters, gmodule_span_equal, gre_inverse,
-                    hom_by_residues, norm_element)
+                    _clear_denominators, _convolve, _orbit_vectors, _perm_table,
+                    characters, gre_inverse, hom_by_residues, norm_element)
+from .intmat import span_equal
 from .lfun import (_proj_g_to_h, character_sums, half_stickelberger, l_deriv_at_0,
                    l_derivs_at_0, stickelberger, stickelberger_classical,
                    vanishing_order)
@@ -147,7 +147,11 @@ def j_ideal(model, pset, ctx, units=None):
     field, the theorem route on any other. Both routes are looked up at
     call time, so a rebinding of either module name takes effect."""
     full = isinstance(model, FieldModel) and model.is_full_cyclotomic
-    return (j_full_cyclotomic if full else j_via_theorem)(model, pset, ctx, units)
+    memo = _SHARED[-1] if _SHARED and units is None else {}
+    key = (model, tuple(pset.finite_primes()), ctx)
+    if key not in memo:
+        memo[key] = (j_full_cyclotomic if full else j_via_theorem)(model, pset, ctx, units)
+    return memo[key]
 
 
 def j_base_case(which, ctx):
@@ -257,13 +261,13 @@ def rzero_idempotent(group, pset):
 def check_rzero(params, ctx):
     p, n = _level(params)
     model, pset = _field(p, n, _subfield("RZERO", params))
-    res = j_ideal(model, pset, ctx)
-    g = model.group
-    theta = stickelberger(model, pset)
-    e0 = rzero_idempotent(g, pset)
-    theta_in = res.ideal.contains_element(theta)
-    lhs = [e0 * b for b in res.ideal.basis_elements()]
-    spans_ok = gmodule_span_equal(lhs, [theta], g)
+    lat, g = j_ideal(model, pset, ctx).ideal, model.group
+    theta, e0 = stickelberger(model, pset), rzero_idempotent(g, pset)
+    theta_in = lat.contains_element(theta)
+    # over d J.den: e0 J (G-stable) by integer products with J's columns; theta's orbit
+    _, (e0_n, theta_n) = _clear_denominators([e0, theta])
+    spans_ok = span_equal([_convolve(g, e0_n, col) for col in lat.cols],
+                          _orbit_vectors(g, [[lat.den * x for x in theta_n]]))
     ok = theta_in and spans_ok
     wit = {}
     if not ok:
@@ -569,6 +573,17 @@ _CHECKS = {
 }
 
 CHECK_IDS = tuple(sorted(_CHECKS))
+_SHARED = []  # the J memo of the run_checks call in progress, read by j_ideal
+
+
+def run_checks(runs, ctx):
+    """[run_check(check_id, params, ctx) for (check_id, params) in runs]: on
+    the builtin units, j_ideal builds the J of each (model, S, ctx) once."""
+    _SHARED.append({})
+    try:
+        return [run_check(check_id, params, ctx) for check_id, params in runs]
+    finally:
+        _SHARED.pop()
 
 
 def run_check(check_id, params, ctx):

@@ -65,13 +65,15 @@ def l_value_at_0(model: FieldModel, pset: PlaceSet, chi: Character):
 
 
 def l_values_at_0(model: FieldModel, pset: PlaceSet, chars):
-    """[L_S(0, chi) for chi in chars], exact. The lifts b of a conductor f0
-    give their generator exponents and weights 2b - f0 once; per chi the
-    weights land at k_b in w over Z/e, each Euler factor 1 - chi_0(q) maps
-    w[k] to w[k] - w[k - k_q], and one reduction divides by -2 f0."""
+    """[L_S(0, chi) for chi in chars], exact, one sum per Galois orbit:
+    chi^u has chi's conductor, so L_S(0, chi^u) = sigma_u(L_S(0, chi)). The
+    lifts b of a conductor f0 give their generator exponents and weights
+    2b - f0 once; per orbit the weights land at k_b in w over Z/e, each Euler
+    factor 1 - chi_0(q) maps w[k] to w[k] - w[k - k_q], and one reduction
+    divides by -2 f0."""
     g, e = model.group, model.group.exponent
-    by_conductor, out = {}, []
-    for chi in chars:
+    by_conductor, orbit = {}, {}  # orbit: chi^u -> (L_S(0, chi), u)
+    for chi in (chi for chi in chars if chi.exps not in orbit):  # lazily: one per orbit
         f0 = character_conductor(model, chi)
         if f0 not in by_conductor:
             lifts = _lifts(g, model.f, f0) if f0 > 1 else ((1, g.identity),)
@@ -88,8 +90,11 @@ def l_values_at_0(model: FieldModel, pset: PlaceSet, chars):
             w[k % e] += wt
         for kq in (ks[i] % e for i in euler):
             w = [w[k] - w[k - kq] for k in range(e)]
-        out.append(CyclotomicNumber.from_powers(e, w, -2 * f0))
-    return out
+        value = CyclotomicNumber.from_powers(e, w, -2 * f0)
+        for u in (u for u in range(1, e + 1) if gcd(u, e) == 1):
+            orbit.setdefault(tuple(u * t % d for t, d in zip(chi.exps, g.invariant_factors)),
+                             (value, u))
+    return [value.galois(u) for value, u in (orbit[chi.exps] for chi in chars)]
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +172,9 @@ def stickelberger(model: FieldModel, pset: PlaceSet):
 
 def stickelberger_classical(f):
     """sum_{a mod f} (a/f) sigma_a^{-1} on the full cyclotomic group."""
-    model = make_field(f)
-    g = model.group
-    d = {}
-    for a in range(1, f):
-        if gcd(a, f) != 1:
-            continue
-        e = g.inv(g.element_of_residue(a))
-        d[e] = d.get(e, Fraction(0)) + Fraction(a, f)
-    return GroupRingElement.from_dict(g, d)
+    g = make_field(f).group  # (Z/f)^x: one element per residue
+    return GroupRingElement.from_dict(g, {g.inv(g.element_of_residue(a)): Fraction(a, f)
+                                          for a in range(1, f) if gcd(a, f) == 1})
 
 
 def half_stickelberger(model: RelativeModel):

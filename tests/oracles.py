@@ -1,7 +1,7 @@
 """Helpers that only tests call: Q(zeta_m) on Fraction coefficients and its
 embedding over the lcm of their denominators, a character moved through a group
-isomorphism, membership in a rank-deficient Z-span of group-ring elements,
-the inverse character transform and the Stickelberger element assembled
+isomorphism, membership in a rank-deficient Z-span of group-ring elements
+and equality of two Z[G]-spans of them, the inverse character transform and the Stickelberger element assembled
 from L-values character by character, a character's primitive table with
 its B_{1,chi} and L_S(0, chi), the relative L-data of Q(zeta_{p^n}) /
 Q(sqrt(-p)) one character of H at a time, equality of S-unit values, the
@@ -27,7 +27,8 @@ from fracgalois.cyclo import (GUARD_BITS, CyclotomicNumber, _fixed_root_table,
                               log_scaled, stirling_shifted)
 from fracgalois.fields import FieldModel, make_field, place_set, torsion_order
 from fracgalois.gring import (Character, FiniteGModule, GroupRingElement, IdealLattice,
-                              _clear_denominators, _convolve, characters)
+                              _clear_denominators, _convolve, _orbit_vectors,
+                              characters)
 from fracgalois.lfun import (_lift_modulus, _lifts, _proj_g_to_h, character_conductor,
                              half_stickelberger, l_value_at_0, partial_zeta_all)
 from fracgalois.units import CoordinateError
@@ -128,6 +129,16 @@ def span_membership(gens, x):
     assumption; used for rank-deficient spans like Z[G] * theta.)"""
     _, vecs = _clear_denominators(list(gens) + [x])
     return intmat.span_contains(vecs[:-1], vecs[-1])
+
+
+def gmodule_span_equal(gens_a, gens_b, group):
+    """Equality of Z[G]-spans (possibly rank-deficient) of two generator
+    lists, where the Z-span of gens_a must already be G-stable (as e J is,
+    for a lattice J and central e): only gens_b is closed under G. RZERO's
+    test of e0 J = Z[G] theta before it convolved J's columns in integers."""
+    _, vecs = _clear_denominators(list(gens_a) + list(gens_b))
+    return intmat.span_equal(vecs[:len(gens_a)],
+                             _orbit_vectors(group, vecs[len(gens_a):]))
 
 
 def _times_root(v, k):

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
@@ -193,6 +194,60 @@ def test_reports_identical_outside_meta(capsys):
     assert d1 == d2
 
 
+# the report writer: json.dumps(doc, indent=2, sort_keys=True), byte for byte;
+# explicit failures, not asserts, since CI runs these tests under python -O too
+JSON_SCALARS = (st.none() | st.booleans()
+                | st.integers() | st.integers(min_value=-2 ** 200, max_value=2 ** 200)
+                | st.floats() | st.sampled_from([-0.0, 0.0, 1e300, -1e-300, 5e-324])
+                | st.text() | st.text(st.characters(max_codepoint=0x20)))
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=5) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(), inner, max_size=5)
+                   | st.lists(st.sampled_from(["", "a", "\u00e9", "\n"]), max_size=4)
+                   | st.lists(st.integers(), max_size=4)),
+    max_leaves=40)
+
+
+def _writer_matches(doc):
+    want = json.dumps(doc, indent=2, sort_keys=True)
+    got = cli._json(doc)
+    if got != want:
+        pytest.fail(f"writer gave {got!r}, json.dumps {want!r} for {doc!r}")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(JSON_DOCS)
+def test_writer_equals_json_dumps_on_generated_documents(doc):
+    _writer_matches(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], (), "", 0, None, True, False, -0.0, 1e300, float("nan"), float("-inf"),
+    {"a": {}, "b": [], "c": [[]], "d": [{}], "e": ({},)},
+    [1, True, None, "x", 2.5], [True, False], [None, None], [0.1, -0.0],
+    {"\u00e9\u4e2d\U0001f600": "\x00\x1f\x7f\u2028\"\\", "": -(10 ** 40)},
+    {"b": 1, "a": 2, "B": 3, "_": 4, "10": 5, "9": 6}])
+def test_writer_equals_json_dumps_on_edge_documents(doc):
+    _writer_matches(doc)
+
+
+@pytest.mark.parametrize("doc", [{1: "a"}, {None: 1}, {"a": 1, 2: 3}, {"a": {(1,): 2}},
+                                 [Fraction(1, 2)], {"a": {1, 2}}, {"a": b"x"}])
+def test_writer_refuses_what_is_not_a_json_report(doc):
+    try:
+        cli._json(doc)
+    except TypeError:
+        return
+    pytest.fail(f"the writer accepted {doc!r}")
+
+
+def test_reports_are_written_as_json_dumps_writes_them(capsys):
+    code, out, _ = run(capsys, ["compute", "lvalues", "-f", "125"])
+    if code != 0 or out != json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n":
+        pytest.fail("compute lvalues -f 125 is not json.dumps(indent=2, sort_keys=True)")
+
+
 # numeric unit coordinates lost precision on these fields and exited 2, or
 # reported a false STARKC failure; at (11, 2) the SNF of the raw 56 x 57
 # relation matrix never finished
@@ -327,6 +382,47 @@ def test_jideal_calls_the_route_bound_on_the_module(capsys, monkeypatch, argv, r
     monkeypatch.setattr(fracgalois.jideal, route, spy)
     run_json(capsys, ["compute", "jideal", *argv])
     assert len(calls) == 1
+
+
+def _spy_on_the_full_route(monkeypatch):
+    calls, real = [], fracgalois.jideal.j_full_cyclotomic
+
+    def spy(model, pset, ctx, units=None):
+        calls.append(model)
+        return real(model, pset, ctx, units)
+
+    monkeypatch.setattr(fracgalois.jideal, "j_full_cyclotomic", spy)
+    return calls
+
+
+def test_one_verify_run_builds_the_full_fields_j_once(capsys, monkeypatch):
+    """RZERO and BCH both read J(Q(zeta_19)); the run builds it once, and a
+    second run, or a compute run, builds its own."""
+    calls = _spy_on_the_full_route(monkeypatch)
+    argv = ["verify", "--suite", "STICK_IDENT,RZERO,STARK_RAT,BCH", "-p", "19"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.endswith("4/4 checks passed\n")
+    assert len(calls) == 1
+    assert run(capsys, argv)[0] == 0 and len(calls) == 2
+    run_json(capsys, ["compute", "jideal", "-p", "19"])
+    run_json(capsys, ["compute", "jideal", "-p", "19"])
+    assert len(calls) == 4
+
+
+def test_run_checks_shares_j_only_while_it_runs(monkeypatch):
+    """Two RZERO runs in one call build J once; the sharing ends with the
+    call, also when a check raises out of it."""
+    calls = _spy_on_the_full_route(monkeypatch)
+    jideal, ctx = fracgalois.jideal, cli.RunConfig("verify").context()
+    rzero = ("RZERO", {"p": 7, "subfield": "full"})
+    reports = jideal.run_checks([rzero, rzero], ctx)
+    assert [r.status for r in reports] == ["pass", "pass"] and len(calls) == 1
+    with pytest.raises(KeyError):
+        jideal.run_checks([rzero, ("RZERO", {})], ctx)
+    assert len(calls) == 2 and jideal._SHARED == []
+    jideal.j_ideal(*fracgalois.fields.select_field(7), ctx)
+    jideal.j_ideal(*fracgalois.fields.select_field(7), ctx)
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("argv, named", [

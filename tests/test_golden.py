@@ -154,6 +154,11 @@ def test_exact(command, where):
     got = entry(command, where)
     if got != GOLDEN.get(command):
         pytest.fail(f"{command}: {got}; the corpus has {GOLDEN.get(command)}")
+    # the report writer writes what json.dumps(indent=2, sort_keys=True) does
+    report = Path(where) / "report.json"
+    text = report.read_text() if report.exists() else None
+    if text is not None and text != json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n":
+        pytest.fail(f"{command}: the report is not json.dumps(doc, indent=2, sort_keys=True)")
 
 
 @pytest.mark.parametrize("command", REPORT_PINS)

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from ast import literal_eval
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -19,15 +20,15 @@ from fracgalois.cyclo import CyclotomicNumber, factorize, is_prime
 from fracgalois.gring import (Character, FinAbGroup, FiniteGModule, GroupHom,
                               GroupRingElement, IdealLattice, _perm_table,
                               abelian_group, characters, det_qg,
-                              galois_group, gmodule_span_equal, gre_inverse,
+                              galois_group, gre_inverse,
                               hom_by_residues, norm_element,
                               subgroup_closure)
 from fracgalois import intmat
 from fracgalois.intmat import hnf_columns, span_contains
 from gmodules import (_oracle_annihilator, a8_draws, action_of, conjugated, draw_ideals,
                       module_from_ideals, validation_oracle)
-from oracles import (assemble, kernel_lattice_annihilator, plain_hnf_ell_part,
-                     span_membership, transport_character)
+from oracles import (assemble, gmodule_span_equal, kernel_lattice_annihilator,
+                     plain_hnf_ell_part, span_membership, transport_character)
 
 
 class CycGroupRingElement:
@@ -958,6 +959,37 @@ def test_structure_of_a_diagonal_hnf_matches_the_gcd_lcm_sweep():
         mod = FiniteGModule(g, k, [[x * (i == j) for i in range(k)] for j, x in enumerate(diag)],
                             [intmat.identity_matrix(k)])
         assert mod.structure() == tuple(x for x in d if x > 1), diag
+
+
+def _diagonal_module(diag):
+    k = len(diag)
+    return FiniteGModule(abelian_group((2,)), k,
+                         [[x * (i == j) for i in range(k)] for j, x in enumerate(diag)],
+                         [intmat.identity_matrix(k)])
+
+
+def test_structure_of_a_diagonal_hnf_equals_the_smith_form():
+    """The coprime base of the diagonal gives the Smith form's invariant
+    factors, also with shared composite factors, repeated entries and
+    primes near 10^14 that trial division cannot reach quickly."""
+    rng = random.Random(3303)
+    big = (100000000000031, 999999999989, 2 ** 61 - 1)
+    pieces = (1, 2, 3, 4, 6, 9, 10, 12, 15, 25, 36, 49, 64, 97, 360, *big)
+    for _ in range(300):
+        diag = [rng.choice(pieces) * rng.choice(pieces) for _ in range(rng.randint(1, 7))]
+        _, d, _ = intmat.smith_normal_form([[x * (i == j) for i in range(len(diag))]
+                                            for j, x in enumerate(diag)])
+        snf = tuple(abs(d[i][i]) for i in range(len(diag)) if abs(d[i][i]) > 1)
+        assert _diagonal_module(diag).structure() == snf, diag
+
+
+def test_structure_of_a_diagonal_hnf_with_a_large_prime_is_fast():
+    """Trial division took about a second on a prime near 10^14."""
+    p = 100000000000031
+    start = time.perf_counter()
+    mod = FiniteGModule(abelian_group((2,)), 2, [[p, 0], [0, 2]], [[[1, 0], [0, 1]]])
+    assert mod.structure() == (2 * p,)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_ell_part_is_built_on_its_own_hnf():

@@ -29,7 +29,7 @@ from fracgalois.units import (lambda_unit, quotient_module, stark_module,
                               sunit_group)
 from gmodules import action_of
 from oracles import (assemble, bch_projection_dense, char_value_numeric,
-                     mu_ell_annihilator_module)
+                     gmodule_span_equal, mu_ell_annihilator_module)
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
 
@@ -298,6 +298,35 @@ def test_rzero_idempotent_matches_the_character_sum():
         e0 = assemble(g, {chi: Fraction(int(vanishing_order(model, pset, chi) == 0))
                           for chi in characters(g)})
         assert rzero_idempotent(g, pset) == e0
+
+
+@pytest.mark.parametrize("p, n, sub", [(5, 1, "full"), (7, 1, "plus"), (7, 1, "relative"),
+                                       (13, 1, "full"), (19, 1, "full"), (3, 3, "full")])
+def test_rzero_spans_equal_the_fraction_route(p, n, sub):
+    """e0 J from integer products with J's HNF columns spans what the
+    products e0 b over J's basis elements span."""
+    model, pset = _field(p, n, sub)
+    lat = jideal.j_ideal(model, pset, CTX).ideal
+    theta = stickelberger(model, pset)
+    e0 = rzero_idempotent(model.group, pset)
+    assert gmodule_span_equal([e0 * b for b in lat.basis_elements()], [theta], model.group)
+    assert run_check("RZERO", {"p": p, "n": n, "subfield": sub}, CTX).status == "pass"
+
+
+@pytest.mark.parametrize("p", [7, 11, 19])
+def test_rzero_with_two_theta_for_theta_fails(monkeypatch, p):
+    """J stays the real one, and RZERO compares e0 J with Z[G] 2 theta, a
+    proper sublattice of it. (On the plus and relative fields every L_S(0,
+    chi) vanishes, theta = 0 and the mutation shows nothing.)"""
+    model, pset = _field(p, 1, "full")
+    res, theta = jideal.j_ideal(model, pset, CTX), stickelberger(model, pset)
+    monkeypatch.setattr(jideal, "j_ideal", lambda model, pset, ctx: res)
+    monkeypatch.setattr(jideal, "stickelberger", lambda model, pset: theta * 2)
+    rep = run_check("RZERO", {"p": p, "subfield": "full"}, CTX)
+    assert rep.status == "fail"
+    assert rep.witnesses["theta_in_j"] is True
+    assert rep.witnesses["e0_j_equals_ztheta"] is False
+    assert rep.witnesses["theta"] == jideal._gre_jsonable(theta * 2)
 
 
 def test_passing_checks():

@@ -163,6 +163,39 @@ def test_l_values_batch_matches_the_per_character_oracle(f, subfield, primes):
     assert (one.m, one.c) == (oracle.m, oracle.c)
 
 
+# every built-in plus and full field on its own S, then two non-cyclic groups:
+# (Z/63)^x = C6 x C6 with S = {inf, 2, 3} and (Z/21)^x / <4> = C2 x C2
+ORBIT_FIELDS = ([(f, sub, None) for f in sorted(KNOWN_HPLUS_ONE) for sub in ("plus", "full")]
+                + [(63, "full", (2, 3)), (21, "custom:1,4,16", None)])
+
+
+# explicit failures, not asserts: CI runs this test under python -O too
+@pytest.mark.parametrize("f, subfield, places", ORBIT_FIELDS)
+def test_l_values_by_galois_orbit_equal_the_per_character_oracle(f, subfield, places):
+    model, pset = fields.select_field(f, subfield, places)
+    if places is not None and len(model.group.invariant_factors) < 2:
+        pytest.fail(f"{f} {subfield}: the group is cyclic")
+    chars = characters(model.group)
+    for chi, v in zip(chars, l_values_at_0(model, pset, chars), strict=True):
+        oracle = l_value_at_0_per_character(model, pset, chi)
+        if (v.m, v.c) != (oracle.m, oracle.c):
+            pytest.fail(f"{f} {subfield} {chi}: {v!r}, the oracle gives {oracle.c}")
+
+
+def test_l_values_take_one_conductor_per_galois_orbit(monkeypatch):
+    """(Z/121)^x is cyclic of order 110: its characters fall into one orbit
+    per divisor of 110, and only the orbit's first character is summed."""
+    seen = []
+    real = lfun.character_conductor
+    monkeypatch.setattr(lfun, "character_conductor",
+                        lambda model, chi: seen.append(chi) or real(model, chi))
+    model = full_cyclotomic(121)
+    chars = characters(model.group)
+    l_values_at_0(model, place_set(model, (11,)), chars)
+    assert len(seen) == 8 and len(chars) == 110
+    assert [chi.order() for chi in seen] == [1, 110, 55, 22, 11, 10, 5, 2]
+
+
 def test_l_value_euler_factor_vanishes_at_split_prime():
     # 7 = 1 mod 3: the extra Euler factor (1 - chi(7)) = 0 kills L_S
     k3 = full_cyclotomic(3)

@@ -242,12 +242,6 @@ def test_writer_refuses_what_is_not_a_json_report(doc):
     pytest.fail(f"the writer accepted {doc!r}")
 
 
-def test_reports_are_written_as_json_dumps_writes_them(capsys):
-    code, out, _ = run(capsys, ["compute", "lvalues", "-f", "125"])
-    if code != 0 or out != json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n":
-        pytest.fail("compute lvalues -f 125 is not json.dumps(indent=2, sort_keys=True)")
-
-
 # numeric unit coordinates lost precision on these fields and exited 2, or
 # reported a false STARKC failure; at (11, 2) the SNF of the raw 56 x 57
 # relation matrix never finished

@@ -249,7 +249,11 @@ def select_field(f, subfield="full", places=None):
     elif subfield == "plus":
         model = plus_field(f)
     elif subfield.startswith("custom:"):
-        model = make_field(f, frozenset(int(a) for a in subfield[7:].split(",")))
+        try:
+            residues = frozenset(int(a) for a in subfield[7:].split(","))
+        except ValueError:
+            raise ValueError(f"subfield {subfield!r} needs integers separated by commas") from None
+        model = make_field(f, residues)
     else:
         raise ValueError(f"unknown subfield selector {subfield!r}; "
                          "use full, plus, relative or custom:<residues>")

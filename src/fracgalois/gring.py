@@ -900,9 +900,10 @@ class FiniteGModule:
     def _generator_orbits(self):
         """Orbits {x: A_x m mod L} of Z[G]-generators m of M, L the relations,
         taken greedily among e_1, ..., e_k: e_j is skipped when it lies in
-        N = L + sum Z[G] m, whose HNF is retaken after 1, 2, 4, ... new m, until
-        N = Z^k. Orbits are walked along G by sparse steps A_last (A_prev m),
-        memoised on (last, A_prev m): a trivial action costs one step per m."""
+        N = L + sum Z[G] m. The first m alone generates M iff its `_lambda`
+        (kept) has index e^n / |M|; else N, which contains e Z^k, is put in HNF
+        after 1, 2, 4, ... new m, until N = Z^k. Orbits are walked by memoised
+        sparse steps A_last (A_prev m): a trivial action costs one step per m."""
         g, k = self.group, self.k
         walk = [(elem, *_step_back(elem)) for elem in g.elements[1:]]  # steps back first
         orbits, fresh = [], []
@@ -919,44 +920,55 @@ class FiniteGModule:
                 orbit[elem] = self._act(last, orbit[prev])
             orbits.append(orbit)
             fresh.extend(set(orbit.values()))
+            e = self.structure()[-1]
+            if len(orbits) == 1:
+                self._first_lambda = lam = self._lambda(orbits, e)
+                if prod(col[t] for t, col in enumerate(lam)) * self.order() == e ** g.order:
+                    return orbits
             if len(orbits) & (len(orbits) - 1) == 0:  # 1, 2, 4, ... generators
-                # L, hence N, contains e Z^k for the exponent e of M
-                n_cols = intmat.hnf_mod(n_cols + fresh, self.structure()[-1], k)
-                fresh = []
+                n_cols, fresh = intmat.hnf_mod(n_cols + fresh, e, k), []
+        if fresh:
+            n_cols = intmat.hnf_mod(n_cols + fresh, e, k)
+        if any(col[p] != 1 for col, p in zip(n_cols, n_rows)):
+            raise ArithmeticError("the generator orbits and the relations do not span Z^k")
         return orbits
+
+    def _lambda(self, orbits, e):
+        """The HNF of Lambda = span(w) + e Z^n, n = |G|, w the rows of the k x n
+        matrix W of columns phi(A_x m) over the orbits, phi(u) = e H^-1 u mod e
+        by back-substitution in the relation HNF H. phi vanishes exactly on L,
+        so it embeds M in (Z/e)^k: for one orbit W's column space is Z[G] m, and
+        its row space has the same order (Smith form over Z/e), so [Z^n : Lambda]
+        |Z[G] m| = e^n. Stacked orbits measure Z[G] (m_1, ..., m_r) in M^r."""
+        g, image = self.group, {}
+        for u in {u for orbit in orbits for u in orbit.values()}:
+            w, image[u] = [e * x for x in u], [0] * self.k
+            for p, piv, col in self._reducers:  # e Z^k lies in L: exact quotients
+                if w[p]:
+                    q = image[u][p] = w[p] // piv
+                    for i, x in col:
+                        w[i] -= q * x
+        entries = {v for orbit in orbits for v in zip(*(image[orbit[x]] for x in g.elements))}
+        return intmat.hnf_mod(entries, e, g.order)
 
     def annihilator(self):
         """ann_{Z[G]}(M) as a full-rank IdealLattice (den = 1 sublattice).
 
-        With e the exponent of M and H the HNF of the relations, B = e H^-1 is
-        integral and v is a relation iff B v = 0 mod e. For Z[G]-generators m
-        of M, alpha kills M iff B (sum_x alpha_x A_x m) = 0 mod e for each m,
-        that is iff w . alpha = 0 mod e for every entry vector w, indexed by
-        x, of the B A_x m mod e. So ann(M) = e Lambda^*, the dual of
-        Lambda = span(w) + e Z^n (n = |G|, `hnf_mod`): the rows of e Lambda^-1,
-        integral as e Z^n lies in Lambda. They span a lattice that contains
-        e Z^n too, so a second `hnf_mod` gives its canonical basis. B meets
-        the distinct orbit vectors in one product, which skips their zero
-        entries.
+        For Z[G]-generators m of M and phi as in `_lambda`, alpha kills M iff
+        phi(sum_x alpha_x A_x m) = 0 for each m, that is iff w . alpha = 0 mod e
+        for every w. So ann(M) = e Lambda^*, the rows of e Lambda^-1 (integral
+        as e Z^n lies in Lambda); it contains e Z^n too, so `hnf_mod` makes it
+        canonical.
         """
         g = self.group
         structure = self.structure()
         if not structure:
             return IdealLattice.unit_ideal(g)
-        e, n = structure[-1], g.order
-
-        def e_inverse(cols):  # the columns of e X^-1 for a square HNF X
-            m = range(len(cols))
-            return [intmat.solve_upper_triangular(cols, m, [e * (i == j) for i in m]) for j in m]
-
-        b = intmat.mat_transpose(e_inverse(self._hnf[0]))
+        e, n = structure[-1], range(g.order)
         orbits = self._generator_orbits
-        us = list({u for orbit in orbits for u in orbit.values()})
-        image = dict(zip(us, zip(*([x % e for x in row] for row in
-                                   intmat.mat_mul(b, intmat.mat_transpose(us))))))
-        entries = {v for orbit in orbits for v in zip(*(image[orbit[x]] for x in g.elements))}
-        dual = zip(*e_inverse(intmat.hnf_mod(entries, e, n)))  # the rows of e Lambda^-1
-        return IdealLattice(g, 1, tuple(map(tuple, intmat.hnf_mod(dual, e, n))))
+        lam = self._first_lambda if len(orbits) == 1 else self._lambda(orbits, e)
+        dual = zip(*(intmat.solve_upper_triangular(lam, n, [e * (i == j) for i in n]) for j in n))
+        return IdealLattice(g, 1, tuple(map(tuple, intmat.hnf_mod(dual, e, g.order))))
 
     def fitting_ideal(self):
         """Fitt^0_{Z[G]}(M) from the induced Z[G]-presentation, shrunk first.

@@ -4,10 +4,10 @@ Everything here is over Z or Q (``fractions.Fraction``), no floats. A
 lattice is given by a list of generator columns (lists or tuples of equal
 length): `column_echelon`, `hnf_columns`, `hnf_mod`, `kernel_basis`,
 `span_contains` and `span_equal` take that list, never a matrix. Matrix
-algebra (`mat_mul`, `smith_normal_form`, the matrix of `solve_fraction_free`)
-works on row-major lists of lists. The column Hermite normal form is the
-canonicalizer for lattices: upper triangular, positive pivots, entries to
-the right of a pivot reduced into [0, pivot).
+algebra (`mat_transpose`, `smith_normal_form`, the matrix of
+`solve_fraction_free`) works on row-major lists of lists. The column
+Hermite normal form is the canonicalizer for lattices: upper triangular,
+positive pivots, entries to the right of a pivot reduced into [0, pivot).
 """
 
 from __future__ import annotations
@@ -18,22 +18,6 @@ from math import gcd
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    """The product a b, skipping the zero entries of both factors."""
-    n, k = len(a), len(b)
-    if k and len(a[0]) != k:
-        raise ValueError(f"mat_mul: a has {len(a[0])} columns but b has {k} rows")
-    m = len(b[0]) if k else 0
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = [[0] * m for _ in range(n)]
-    for ai, oi in zip(a, out):
-        for x, bt in zip(ai, b_rows):
-            if x:
-                for j, y in bt:
-                    oi[j] += x * y
-    return out
 
 
 def mat_transpose(a):

@@ -10,6 +10,7 @@ from math import lcm, prod
 
 from fracgalois import intmat
 from fracgalois.gring import FiniteGModule, GroupRingElement, IdealLattice, abelian_group
+from oracles import mat_mul
 
 
 def random_ideal(rng, g, m0):
@@ -84,13 +85,13 @@ def conjugated(rng, mod):
         for t in range(k):
             u[i][t] += q * u[j][t]          # u <- (1 + q e_ij) u
             u_inv[t][j] -= q * u_inv[t][i]  # u_inv <- u_inv (1 - q e_ij)
-    rel = intmat.mat_mul(u, intmat.mat_transpose(mod.relations))
+    rel = mat_mul(u, intmat.mat_transpose(mod.relations))
     action = []
     for mat in mod.action:
         shift = [[rng.randint(-1, 1) for _ in range(k)] for _ in rel[0]]
-        moved = intmat.mat_mul(intmat.mat_mul(u, [list(r) for r in mat]), u_inv)
+        moved = mat_mul(mat_mul(u, [list(r) for r in mat]), u_inv)
         action.append([[x + y for x, y in zip(r, s)]
-                       for r, s in zip(moved, intmat.mat_mul(rel, shift))])
+                       for r, s in zip(moved, mat_mul(rel, shift))])
     return FiniteGModule(mod.group, k, intmat.mat_transpose(rel), action)
 
 
@@ -100,7 +101,7 @@ def action_of(mod, elem):
     mat = intmat.identity_matrix(mod.k)
     for a, x in zip(mod.action, elem):
         for _ in range(x):
-            mat = intmat.mat_mul([list(r) for r in a], mat)
+            mat = mat_mul([list(r) for r in a], mat)
     return mat
 
 
@@ -153,18 +154,18 @@ def validation_oracle(group, k, relations, action):
     h = intmat.mat_transpose(mod._hnf[0])
     one = reduced(intmat.identity_matrix(k))
     for d, mat in zip(group.invariant_factors, mats):
-        if any(map(any, reduced(intmat.mat_mul(mat, h)))):
+        if any(map(any, reduced(mat_mul(mat, h)))):
             return "action does not preserve relations"
         p, sq = one, mat
         while d:
             if d & 1:
-                p = reduced(intmat.mat_mul(sq, p))
+                p = reduced(mat_mul(sq, p))
             d >>= 1
             if d:
-                sq = reduced(intmat.mat_mul(sq, sq))
+                sq = reduced(mat_mul(sq, sq))
         if p != one:
             return "action generator order does not divide group order"
     for a, b in itertools.combinations(mats, 2):
-        if reduced(intmat.mat_mul(a, b)) != reduced(intmat.mat_mul(b, a)):
+        if reduced(mat_mul(a, b)) != reduced(mat_mul(b, a)):
             return "action matrices do not commute mod relations"
     return None

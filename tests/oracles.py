@@ -12,8 +12,8 @@ scaled inverse, a dense column echelon form with its HNF and kernel, a numeric c
 per call, log Gamma with a floored Horner multiplier, the primitive
 L-derivative by Hurwitz zeta, the partial-zeta derivatives of whole classes
 by the Stirling kernel alone, the partial-zeta derivatives and their relative
-fold one residue at a time, and BCH's projection of beta0 J by dense products
-over G."""
+fold one residue at a time, BCH's projection of beta0 J by dense products
+over G, and the product of two integer matrices."""
 
 from fractions import Fraction
 from math import ceil, gcd, lcm, prod
@@ -621,3 +621,19 @@ def bch_projection_dense(rel, full_res):
     pi_h = _proj_g_to_h(g, rel.group, rel.f)
     gens = [(beta0 * b).project(pi_h) for b in full_res.ideal.basis_elements()]
     return IdealLattice.from_generators(rel.group, gens, close_under_group=False)
+
+
+def mat_mul(a, b):
+    """The product a b, skipping the zero entries of both factors."""
+    n, k = len(a), len(b)
+    if k and len(a[0]) != k:
+        raise ValueError(f"mat_mul: a has {len(a[0])} columns but b has {k} rows")
+    m = len(b[0]) if k else 0
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = [[0] * m for _ in range(n)]
+    for ai, oi in zip(a, out):
+        for x, bt in zip(ai, b_rows):
+            if x:
+                for j, y in bt:
+                    oi[j] += x * y
+    return out

@@ -10,7 +10,7 @@ import time
 from ast import literal_eval
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, gcd
+from math import comb, gcd, prod
 from pathlib import Path
 
 import pytest
@@ -933,6 +933,97 @@ def test_annihilator_from_two_generators_matches_exhaustive_search():
     for m in (mod, conjugated(rng, mod)):
         assert len(m._generator_orbits) >= 2
         assert m.annihilator() == _oracle_annihilator(m)
+
+
+def _index_times_order(mod, lam):
+    """[Z^n : Lambda] |M| for the HNF columns of a Lambda of mod."""
+    return prod(col[t] for t, col in enumerate(lam)) * mod.order()
+
+
+def test_each_generation_check_of_the_orbit_walk_agrees_with_a_plain_hnf():
+    """On the A8 draws and the same modules in a scrambled basis: the first
+    orbit's index test [Z^n : Lambda] |M| = e^n says what a plain HNF of the
+    relations and that orbit says, and the walk stops at a check (after 1,
+    2, 4, ... orbits and after its last) exactly when the plain HNF of the
+    relations and the orbits so far is the identity."""
+    rng = random.Random(3434)
+    needs_more = 0
+    for g, lats in a8_draws(random.Random(82001)):
+        mod = module_from_ideals(g, lats)
+        for m in (mod, conjugated(rng, mod)) if mod.k > 1 else (mod,):
+            orbits, e = m._generator_orbits, m.structure()[-1]
+
+            def spans(r):
+                vecs = [u for orbit in orbits[:r] for u in orbit.values()]
+                return hnf_columns(list(m.relations) + vecs)[0] == intmat.identity_matrix(m.k)
+
+            lam = m._lambda(orbits[:1], e)
+            assert (_index_times_order(m, lam) == e ** g.order) == spans(1)
+            assert m._first_lambda == lam
+            checks = {1 << i for i in range(len(orbits).bit_length())} | {len(orbits)}
+            for r in sorted(checks):
+                assert spans(r) == (r == len(orbits)), (r, len(orbits))
+            needs_more += len(orbits) > 1
+    assert needs_more >= 10
+
+
+def test_a_module_with_two_generators_still_checks_the_span_of_its_orbits(monkeypatch):
+    """F_2[C_2 x C_4] is local, so a sum of two of its cyclic quotients needs
+    two generators: after the first orbit's index test fails, the HNF of the
+    relations plus the orbits over k rows is taken after one and two orbits."""
+    rng = random.Random(4242)
+    g = abelian_group((2, 4))
+    mod = module_from_ideals(g, draw_ideals(rng, g, 2, 2))
+    rows, hnf_mod = [], intmat.hnf_mod
+
+    def counting(cols, d, n):
+        rows.append(n)
+        return hnf_mod(cols, d, n)
+
+    monkeypatch.setattr(intmat, "hnf_mod", counting)
+    built = FiniteGModule(g, mod.k, mod.relations, mod.action)
+    monkeypatch.undo()
+    assert len(built._generator_orbits) == 2
+    assert _index_times_order(built, built._first_lambda) > 2 ** g.order
+    assert rows == [g.order, mod.k, mod.k] and mod.k != g.order
+    assert built.annihilator() == _oracle_annihilator(built)
+
+
+@pytest.mark.parametrize("k", [5, 7])
+def test_orbits_of_two_generators_are_not_read_off_a_stacked_lambda(k):
+    """M0 = F_2^5 over C_2^6 with g_i acting as 1 + y_i, the y_i a basis of
+    Hom(<e_1, e_2>, <e_3, e_4, e_5>), needs the two generators e_1, e_2, and
+    Z[G] / ann(M0) = F_2 + F_2 y_1 + ... + F_2 y_6 has order 2^7. The stacked
+    Lambda of their orbits measures Z[G] (e_1, e_2) in M^2, of order 2^7: on
+    M0 (k = 5) it fails the index test although the orbits generate, and on
+    M = M0 + (Z/2)^2 with G acting trivially (k = 7, |M| = 2^7) it passes
+    although M needs two more generators."""
+    g = abelian_group((2,) * 6)
+    ys = [(a, c) for a in (0, 1) for c in (2, 3, 4)]
+    action = [[[int(i == j) + int((i, j) == (c, a)) for j in range(k)] for i in range(k)]
+              for a, c in ys]
+    mod = FiniteGModule(g, k, [[2 * (i == j) for i in range(k)] for j in range(k)], action)
+    orbits = mod._generator_orbits
+    starts = [next(i for i, x in enumerate(orbit[g.identity]) if x) for orbit in orbits]
+    assert starts == [0, 1, 5, 6][:k - 3]
+    ann = mod.annihilator()
+    assert ann == kernel_lattice_annihilator(mod) and ann.covolume() == 2 ** 7
+    stacked = _index_times_order(mod, mod._lambda(orbits[:2], 2))
+    assert (stacked == 2 ** 64) == (k == 7)
+
+
+def test_orbits_that_do_not_span_m_raise_an_arithmetic_error(monkeypatch):
+    """The walk ends on an explicit error, also under python -O, when the
+    e_j run out and the relations plus the orbits still miss part of Z^k:
+    here an HNF over k rows that drops the orbits' columns."""
+    rng = random.Random(4242)
+    g = abelian_group((2, 4))
+    mod = module_from_ideals(g, draw_ideals(rng, g, 2, 2))
+    hnf_mod = intmat.hnf_mod
+    monkeypatch.setattr(intmat, "hnf_mod", lambda cols, d, n: hnf_mod(
+        list(cols)[:n] if n == mod.k else cols, d, n))
+    with pytest.raises(ArithmeticError, match="orbits and the relations do not span Z"):
+        FiniteGModule(g, mod.k, mod.relations, mod.action)
 
 
 def test_captured_unit_quotient_at_121_is_cyclic():

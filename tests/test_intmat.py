@@ -9,13 +9,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fracgalois.intmat import (column_echelon, content, hnf_columns, hnf_mod,
-                               identity_matrix, kernel_basis, mat_mul, mat_transpose,
+                               identity_matrix, kernel_basis, mat_transpose,
                                smith_normal_form, solve_fraction_free,
                                solve_upper_triangular, span_contains,
                                span_equal)
 from fracgalois.gring import (FiniteGModule, GroupRingElement, IdealLattice,
                               abelian_group)
-from oracles import dense_column_echelon, dense_hnf_columns, dense_kernel_basis
+from oracles import dense_column_echelon, dense_hnf_columns, dense_kernel_basis, mat_mul
 
 
 def random_unimodular(rng, n):

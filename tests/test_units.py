@@ -15,15 +15,14 @@ from fracgalois.cyclo import PrecisionContext, factorize
 from fracgalois.fields import (SUnit, full_cyclotomic, place_set, plus_field,
                                relative_model, relative_place_set)
 from fracgalois import intmat
-from fracgalois.gring import GroupRingElement, IdealLattice
-from fracgalois.intmat import (identity_matrix, mat_mul, mat_transpose,
-                               solve_fraction_free)
+from fracgalois.gring import FiniteGModule, GroupRingElement, IdealLattice
+from fracgalois.intmat import identity_matrix, mat_transpose, solve_fraction_free
 from fracgalois.units import (KNOWN_HPLUS_ONE, CoordinateError, UnitLattice,
                               cyclotomic_unit, export_units, lambda_unit,
                               load_units, quotient_module, stark_module,
                               stark_residuals, stark_unit, sunit_group,
                               unit_coordinates)
-from oracles import dense_coordinate_solver, finite_logs, same_value
+from oracles import dense_coordinate_solver, finite_logs, mat_mul, same_value
 from test_gring import assert_dual_route_matches_the_oracles
 from test_intmat import naive_det
 
@@ -259,6 +258,32 @@ def test_unit_quotient_annihilator_and_ell_parts_equal_the_oracles(kind, f):
     modular HNF) equals the kernel lattice it replaced, and each ell-part
     equals the one built on a plain HNF."""
     assert_dual_route_matches_the_oracles(quotient_module(*_builtin_lattices(kind, f), CTX))
+
+
+def test_unit_quotient_at_121_takes_two_modular_hnfs_over_the_group(monkeypatch):
+    """On the plus U/E at f = 121 (k = 56, |G| = 55, one generator), building
+    the module and its annihilator take two `hnf_mod`s, Lambda and its dual,
+    each over |G| rows: the generation test reads Lambda's index instead of
+    an HNF over k rows. No module of the program binds a matrix product."""
+    mod = quotient_module(*_builtin_lattices("plus", 121), CTX)
+    rows, hnf_mod = [], intmat.hnf_mod
+
+    def counting(cols, d, n):
+        rows.append(n)
+        return hnf_mod(cols, d, n)
+
+    ours = [m for name, m in sys.modules.items() if name.split(".")[0] == "fracgalois"]
+    for m in ours:
+        for name, value in vars(m).items():
+            if value is hnf_mod:
+                monkeypatch.setattr(m, name, counting)
+    assert not [m for m in ours if hasattr(m, "mat_mul")]
+    built = FiniteGModule(mod.group, mod.k, mod.relations, mod.action)
+    ann = built.annihilator()
+    monkeypatch.undo()
+    assert (mod.k, mod.group.order, len(built._generator_orbits)) == (56, 55, 1)
+    assert rows == [55, 55]
+    assert ann == mod.annihilator()
 
 
 def _coordinate_error(solve, word):

@@ -900,10 +900,10 @@ class FiniteGModule:
     def _generator_orbits(self):
         """Orbits {x: A_x m mod L} of Z[G]-generators m of M, L the relations,
         taken greedily among e_1, ..., e_k: e_j is skipped when it lies in
-        N = L + sum Z[G] m. The first m alone generates M iff its `_lambda`
-        (kept) has index e^n / |M|; else N, which contains e Z^k, is put in HNF
-        after 1, 2, 4, ... new m, until N = Z^k. Orbits are walked by memoised
-        sparse steps A_last (A_prev m): a trivial action costs one step per m."""
+        N = L + sum Z[G] m. The first m alone generates M iff its `_lambda`,
+        kept as `_first_lambda`, has index e^n / |M|; else N (which contains
+        e Z^k) is put in HNF after 1, 2, 4, ... new m, until N = Z^k. Orbits
+        are walked by memoised sparse steps A_last (A_prev m)."""
         g, k = self.group, self.k
         walk = [(elem, *_step_back(elem)) for elem in g.elements[1:]]  # steps back first
         orbits, fresh = [], []

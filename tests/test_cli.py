@@ -765,10 +765,6 @@ BAD_ARGV = [
     (["compute", "jideal", "-p", "7", "--bits", "x"], "--bits: invalid value 'x'"),
     (["compute", "rvec", "-f", "21", "--places", "3,x"], "--places"),
     (["compute", "jideal", "-p", "7", "--subfield", "web"], "'web'"),
-    (["compute", "jideal", "-f", "21", "--subfield", "custom:x"],
-     "subfield 'custom:x' needs integers separated by commas"),
-    (["compute", "jideal", "-f", "21", "--subfield", "custom:1,,4"],
-     "subfield 'custom:1,,4' needs integers separated by commas"),
     (["compute", "jideal", "-p", "7", "--suite", "RZERO"], "--suite"),
     (["verify", "-p", "7"], "--suite"),
     (["compute", "jideal", "extra", "-p", "7"], "'extra'"),  # stray positional
@@ -777,6 +773,10 @@ BAD_ARGV = [
     (["compute", "jideal", "-p", "7", "--provider", "file"], "unknown option '--provider'"),
     (["verify", "--suite", ",", "-p", "7"], "verify needs --suite"),
     (["verify", "--suite", "RZERO,BOGUS", "-p", "7", "--seed", "1"], "unknown check 'BOGUS'"),
+    (["compute", "jideal", "-f", "21", "--subfield", "custom:x"],
+     "subfield 'custom:x' needs integers separated by commas"),
+    (["compute", "jideal", "-f", "21", "--subfield", "custom:1,,4"],
+     "subfield 'custom:1,,4' needs integers separated by commas"),
 ]
 
 

@@ -1,6 +1,6 @@
 """Abelian number fields inside cyclotomic fields: Galois groups with residue
 labels, sets of places with their decomposition groups and cosets, S-units
-represented as exact words in roots of unity and (1 - zeta^a) symbols, and
+as exact normal forms in -zeta and independent (1 - zeta^c) symbols, and
 `log_norms`, the one map from a word to its logarithms at the archimedean
 places.
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add
 
 import mpmath as mp
 
@@ -34,8 +35,11 @@ MAX_CONDUCTOR = 10 ** 5
 
 
 def bounded(value, name, level=1):
-    """value^level, or ValueError naming it when that exceeds MAX_CONDUCTOR;
-    a large level is refused before the power is computed."""
+    """value^level, or ValueError naming it when that exceeds MAX_CONDUCTOR
+    or the level is below 1; a large level is refused before the power is
+    computed."""
+    if level < 1:
+        raise ValueError(f"level {level} of the {name} {value}^{level} is below 1")
     if (abs(value) > 1 and level > MAX_CONDUCTOR.bit_length()
             or value ** level > MAX_CONDUCTOR):
         shown = value if level == 1 else f"{value}^{level}"
@@ -274,10 +278,60 @@ def odd_prime_power(f):
     return fact[0]
 
 
+def json_int(value, name):
+    """The document field `name`, an int or an integer string; ValueError
+    naming it for a float, a bool or anything else."""
+    try:
+        if type(value) in (int, str):
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"\"{name}\" must be an integer, not {value!r}")
+
+
 @lru_cache(maxsize=None)
-def _symbol_positions(f, p):
-    """{c: i} for the residues 1 <= c < f/2 prime to p, in increasing order."""
-    return {c: i for i, c in enumerate(c for c in range(1, (f + 1) // 2) if c % p)}
+def _symbols(f):
+    """(cs, rewrite), built once per f = p^n, p odd: cs the residues
+    1 <= c < f/2 prime to p in increasing order, and for 0 < a < f
+    rewrite[a] = (t, js) with 1 - zeta^a = (-zeta)^t prod_{j in js} (1 - zeta^{cs[j]}).
+
+    The symbols 1 - zeta^c, c in cs, are multiplicatively independent modulo
+    <-zeta>; the only relations are distribution and parity (Washington,
+    Introduction to Cyclotomic Fields, Ch. 8; Kubert 1979), applied in this
+    order: 1 - zeta^{b p^j} = prod_{i < p^j} (1 - zeta^{b + i p^{n-j}}), then
+    1 - zeta^c = -zeta^c (1 - zeta^{-c}) for c > f/2, with -1 = (-zeta)^f
+    and zeta = (-zeta)^{f+1}.
+    """
+    p, _ = odd_prime_power(f)
+    cs = tuple(c for c in range(1, (f + 1) // 2) if c % p)
+    pos = {c: j for j, c in enumerate(cs)}
+    rewrite = [None]
+    for a in range(1, f):
+        b, q, t, js = a, 1, 0, []
+        while b % p == 0:
+            b //= p
+            q *= p
+        for i in range(q):                # distribution
+            c = b + i * (f // q)
+            if 2 * c > f:                 # parity, -zeta^c = (-zeta)^(f+(f+1)c)
+                t += f + (f + 1) * c
+                c = f - c
+            js.append(pos[c])
+        rewrite.append((t % (2 * f), tuple(js)))
+    return cs, tuple(rewrite)
+
+
+def _rewritten(f, t, terms):
+    """The SUnit (-zeta)^t prod (1 - zeta^a)^e over the pairs (a, e) of
+    `terms`, 0 < a < f, each symbol through the rewrite of `_symbols`."""
+    cs, rewrite = _symbols(f)
+    v = [0] * len(cs)
+    for a, e in terms:
+        dt, js = rewrite[a]
+        t += e * dt
+        for j in js:
+            v[j] += e
+    return SUnit(f, t, v)
 
 
 @lru_cache(maxsize=None)
@@ -295,191 +349,128 @@ def _log_2_sin(c, f, prec):
 
 
 class SUnit:
-    """Formal word (-1)^a * zeta_f^b * prod (1 - zeta_f^{a_i})^{e_i}, exact.
+    """An S-unit of Q(zeta_f), f = p^n with p odd, as its normal form
+    (-zeta)^t * prod_j (1 - zeta^{c_j})^{v[j]}: t mod 2f and the exponent
+    vector v on the symbols c_j of `_symbols`, exact.
 
-    Words multiply/divide symbolically and Galois acts on symbols.
-    `normal_form()` decides equality of values and gives exponent vectors;
-    `log_abs()` gives archimedean logarithms symbol by symbol; `expansion()`
-    is the exact cyclotomic value, kept as an independent oracle.
+    Equal values have equal normal forms, so `==` compares values. Products
+    and powers add and scale (t, v); Galois images and words send each
+    1 - zeta^a through the rewrite of `_symbols`. `log_abs()` gives
+    archimedean logarithms symbol by symbol; `expansion()` is the exact
+    cyclotomic value.
     """
 
-    __slots__ = ("f", "e", "_exp", "_nf")
+    __slots__ = ("f", "t", "v", "_exp")
 
-    def __init__(self, f, exps=None):
-        self.f = f
-        e = {}
-        for k, v in (exps or {}).items():
-            if k == "m1":
-                v %= 2
-            elif k == "z":
-                v %= f
-            if v:
-                e[k] = v
-        self.e = e
-        self._exp = None
-        self._nf = None
+    def __init__(self, f, t, v):
+        self.f, self.t, self.v, self._exp = f, t % (2 * f), tuple(v), None
 
     # -- constructors
     @classmethod
     def one(cls, f):
-        return cls(f)
+        return _rewritten(f, 0, ())
 
     @classmethod
     def minus_one(cls, f):
-        return cls(f, {"m1": 1})
+        return _rewritten(f, f, ())
 
     @classmethod
     def zeta(cls, f, k=1):
-        return cls(f, {"z": k})
+        return _rewritten(f, (f + 1) * k, ())
 
     @classmethod
     def one_minus_zeta(cls, f, a):
-        a %= f
-        if a == 0:
-            raise ValueError("1 - zeta^0 vanishes")
-        return cls(f, {("om", a): 1})
+        return cls.from_word(f, [["om", a, 1]])
 
     # -- group ops
     def __mul__(self, other):
         if self.f != other.f:
             raise ValueError(f"product of words of conductors {self.f} and {other.f}")
-        e = dict(self.e)
-        for k, v in other.e.items():
-            e[k] = e.get(k, 0) + v
-        return SUnit(self.f, e)
+        return SUnit(self.f, self.t + other.t, map(add, self.v, other.v))
 
     def __pow__(self, n):
-        return SUnit(self.f, {k: v * n for k, v in self.e.items()})
-
-    def inv(self):
-        return self ** -1
+        return SUnit(self.f, self.t * n, [x * n for x in self.v])
 
     def __truediv__(self, other):
-        return self * other.inv()
+        return self * other ** -1
 
     def __eq__(self, other):
-        """Word-level equality (sufficient, not necessary, for equal values)."""
-        return isinstance(other, SUnit) and self.f == other.f and self.e == other.e
+        return (isinstance(other, SUnit)
+                and (self.f, self.t, self.v) == (other.f, other.t, other.v))
 
-    __hash__ = None
-
-    def galois(self, t):
-        t %= self.f
-        if gcd(t, self.f) != 1:
-            raise ValueError(f"{t} not invertible mod {self.f}")
-        e = {}
-        for k, v in self.e.items():
-            if k == "m1":
-                e["m1"] = e.get("m1", 0) + v
-            elif k == "z":
-                e["z"] = e.get("z", 0) + v * t
-            else:
-                kk = ("om", (k[1] * t) % self.f)
-                e[kk] = e.get(kk, 0) + v
-        return SUnit(self.f, e)
+    def galois(self, s):
+        """sigma_s: -zeta goes to -zeta^s = (-zeta)^{f + (f+1) s} and each
+        symbol 1 - zeta^c to the rewrite of 1 - zeta^{c s}."""
+        f = self.f
+        s %= f
+        if gcd(s, f) != 1:
+            raise ValueError(f"{s} not invertible mod {f}")
+        return _rewritten(f, self.t * (f + (f + 1) * s),
+                          [(c * s % f, e) for c, e in zip(_symbols(f)[0], self.v) if e])
 
     # -- value
-    def normal_form(self):
-        """(t, v): the value is (-zeta)^t * prod_i (1 - zeta^{c_i})^{v[i]},
-        t mod 2f, c_i the residues 1 <= c < f/2 prime to p in increasing order.
-
-        For odd f = p^n these symbols are multiplicatively independent modulo
-        <-zeta>; the only relations are parity and distribution (Washington,
-        Introduction to Cyclotomic Fields, Ch. 8; Kubert 1979), so equal
-        values give equal normal forms.  The rewriting uses -1 = (-zeta)^f,
-        zeta = (-zeta)^{f+1}, 1 - zeta^{-c} = -zeta^{-c} (1 - zeta^c) and
-        1 - zeta^{b p^j} = prod_{i < p^j} (1 - zeta^{b + i p^{n-j}}).
-        """
-        if self._nf is None:
-            f = self.f
-            p, _ = odd_prime_power(f)
-            pos = _symbol_positions(f, p)
-            t = 0
-            v = [0] * len(pos)
-            for k, e in self.e.items():
-                if k == "m1":
-                    t += f * e
-                elif k == "z":
-                    t += (f + 1) * e
-                else:
-                    b, q = k[1], 1
-                    while b % p == 0:
-                        b //= p
-                        q *= p
-                    for i in range(q):            # distribution
-                        c = b + i * (f // q)
-                        if 2 * c > f:             # parity, -zeta^c = (-zeta)^(f+(f+1)c)
-                            t += e * (f + (f + 1) * c)
-                            c = f - c
-                        v[pos[c]] += e
-            self._nf = (t % (2 * f), tuple(v))
-        return self._nf
-
-    def log_abs(self, t=1):
-        """log|sigma_t(w)| at zeta = exp(2 pi i / f), at the current mpmath
-        precision: sum_a e_a log|2 sin(pi a t / f)| over the symbols
-        1 - zeta^a, since roots of unity have absolute value 1; a t and
-        -a t share one memo entry."""
-        total = mp.mpf(0)
-        for k, e in self.e.items():
-            if isinstance(k, tuple):
-                c = k[1] * t % self.f
-                total += e * _log_2_sin(min(c, self.f - c), self.f, mp.mp.prec)
+    def log_abs(self, s=1):
+        """log|sigma_s(w)| at zeta = exp(2 pi i / f), at the current mpmath
+        precision: sum_c v_c log|2 sin(pi c s / f)| over the symbols
+        1 - zeta^c, since roots of unity have absolute value 1; c s and
+        -c s share one memo entry."""
+        f, total = self.f, mp.mpf(0)
+        for c, e in zip(_symbols(f)[0], self.v):
+            if e:
+                c = c * s % f
+                total += e * _log_2_sin(min(c, f - c), f, mp.mp.prec)
         return total
 
     def expansion(self):
+        """The exact value, expanded from (t, v)."""
         if self._exp is None:
-            val = CyclotomicNumber.rational(1)
-            for k, v in sorted(self.e.items(), key=str):
-                if k == "m1":
-                    base = CyclotomicNumber.rational(-1)
-                elif k == "z":
-                    base = CyclotomicNumber.root_of_unity(self.f, 1)
-                elif v > 0:
-                    base = 1 - CyclotomicNumber.root_of_unity(self.f, k[1])
-                else:
-                    # 1 / (1 - x) = -(1/q) sum_{j<q} j x^j for x^q = 1 != x
-                    q = self.f // gcd(k[1], self.f)
-                    base = sum((CyclotomicNumber.root_of_unity(self.f, k[1] * j)
-                                * Fraction(-j, q) for j in range(1, q)),
-                               CyclotomicNumber.zero(self.f))
-                val = val * (base ** abs(v))
-            self._exp = val.lift(self.f) if self.f > 2 else val
+            f, root = self.f, CyclotomicNumber.root_of_unity
+            val = root(f, self.t) * (-1) ** self.t
+            for c, e in zip(_symbols(f)[0], self.v):
+                if e:  # 1 / (1 - x) = -(1/f) sum_{j<f} j x^j for x = zeta^c, c prime to f
+                    base = 1 - root(f, c) if e > 0 else sum(
+                        (root(f, c * j) * Fraction(-j, f) for j in range(1, f)),
+                        CyclotomicNumber.zero(f))
+                    val = val * base ** abs(e)
+            self._exp = val
         return self._exp
 
     def fixed_by(self, residues):
-        nf = self.normal_form()
-        return all(self.galois(t).normal_form() == nf for t in residues)
+        return all(self.galois(s) == self for s in residues)
 
     # -- serialization
     def to_word(self):
-        out = []
-        if self.e.get("m1"):
-            out.append(["m1", self.e["m1"]])
-        if self.e.get("z"):
-            out.append(["z", self.e["z"]])
-        for k in sorted(k for k in self.e if isinstance(k, tuple)):
-            out.append(["om", k[1], self.e[k]])
-        return out
+        """[["m1", 1]] if t is odd, ["z", t mod f] if nonzero, then
+        ["om", c, v_c] for each symbol with v_c != 0."""
+        out = [["m1", 1]] if self.t % 2 else []
+        if self.t % self.f:
+            out.append(["z", self.t % self.f])
+        return out + [["om", c, e] for c, e in zip(_symbols(self.f)[0], self.v) if e]
 
     @classmethod
     def from_word(cls, f, word):
-        """The word of `to_word`; ValueError if it is malformed."""
-        e = {}
+        """The unit of a word of `to_word`'s entries, in any order and
+        repeated, each read by `json_int` (["om", a, e] for any a != 0 mod f);
+        ValueError naming the word if it is malformed."""
+        t, terms = 0, []
         try:
             for item in word:
-                if item[0] in ("m1", "z"):
-                    k, v = item[0], int(item[1])
+                if item[0] == "m1":
+                    t += f * json_int(item[1], "m1")
+                elif item[0] == "z":
+                    t += (f + 1) * json_int(item[1], "z")
                 elif item[0] == "om":
-                    k, v = ("om", int(item[1]) % f), int(item[2])
-                    if k[1] == 0:
-                        raise ValueError(f"bad 1-zeta exponent {item[1]} mod {f}: vanishes")
+                    a = json_int(item[1], "om") % f
+                    if a == 0:
+                        raise ValueError(f"1 - zeta^{item[1]} vanishes mod {f}")
+                    terms.append((a, json_int(item[2], "om")))
                 else:
                     raise ValueError(f"unknown word symbol {item[0]!r}")
-                e[k] = e.get(k, 0) + v
-        except (TypeError, IndexError, KeyError, OverflowError):
+        except (TypeError, IndexError, KeyError):
             raise ValueError(f"malformed S-unit word {word!r}") from None
-        return cls(f, e)
+        except ValueError as exc:
+            raise ValueError(f"malformed S-unit word {word!r}: {exc}") from None
+        return _rewritten(f, t, terms)
 
     def __repr__(self):
         return f"SUnit(f={self.f}, {self.to_word()})"

@@ -656,16 +656,18 @@ class IdealLattice:
     def divide(self, u, u_inv):
         """u^-1 L for u in Q[G] with inverse u_inv. With a = d u_inv, d_u u
         integral and p0 e_1 the first basis column of den L, a den L contains
-        a p0 d_u u Z[G] = D Z^n: the basis columns a b mod D and D e_i span it."""
+        a p0 d_u u Z[G] = D Z^n: `hnf_mod` of the columns a b modulo D, with
+        the content divided out of den as in `_from_columns`."""
         g = self.group
         d, (a,) = _clear_denominators([u_inv])
         d_u, (b,) = _clear_denominators([u])
         if _convolve(g, a, b) != [d * d_u] + [0] * (g.order - 1):
             raise ValueError("divide: u_inv is not the inverse of u")
-        big_d = self.cols[0][0] * d * d_u
-        return IdealLattice._from_columns(g, self.den * d, [
-            [x % big_d for x in _convolve(g, a, col)] for col in self.cols] + [
-            [big_d if i == j else 0 for i in range(g.order)] for j in range(g.order)])
+        h_cols = intmat.hnf_mod([_convolve(g, a, col) for col in self.cols],
+                                self.cols[0][0] * d * d_u, g.order)
+        c = gcd(self.den * d, intmat.content(x for col in h_cols for x in col))
+        return IdealLattice(g, self.den * d // c,
+                            tuple(tuple(x // c for x in col) for col in h_cols))
 
     def _same_group(self, other):
         if other.group != self.group:

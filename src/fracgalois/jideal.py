@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .fields import (FieldModel, bounded, log_norms, make_field, place_set,
+from .fields import (FieldModel, bounded, json_int, log_norms, make_field, place_set,
                      plus_field, select_field, torsion_order)
 from .gring import (FiniteGModule, GroupHom, GroupRingElement, IdealLattice,
                     _clear_denominators, _convolve, _orbit_vectors, _perm_table,
@@ -24,7 +24,7 @@ from .intmat import span_equal
 from .lfun import (_proj_g_to_h, character_sums, half_stickelberger, l_deriv_at_0,
                    l_derivs_at_0, stickelberger, stickelberger_classical,
                    vanishing_order)
-from .units import (json_int, json_ints, json_object, quotient_module,
+from .units import (json_ints, json_object, quotient_module,
                     stark_module, stark_residuals, sunit_group)
 
 

@@ -3,11 +3,11 @@ submodules, and the finite quotient U/E as a Galois module.
 
 Providers are exact generator lists (words); completeness of the built-in
 provider is exactly the class-number-one input recorded in `assumptions`.
-Coordinates of one unit against a generator list are exact: every word is
-put in the normal form of `SUnit.normal_form` (a power of -zeta times an
-exponent vector on independent symbols 1 - zeta^c).  One column echelon
-form of the generators' vectors with its unimodular transform is both the
-exact rank check and the coordinate solver, by integer back-substitution.
+Coordinates of one unit against a generator list are exact: an `SUnit` is
+its normal form (t, v), a power of -zeta times an exponent vector on
+independent symbols 1 - zeta^c.  One column echelon form of the
+generators' vectors with its unimodular transform is both the exact rank
+check and the coordinate solver, by integer back-substitution.
 Floating point enters only through the Stark residuals, which are
 transcendental.
 """
@@ -18,7 +18,7 @@ import json
 from fractions import Fraction
 from math import gcd, prod
 
-from .fields import (RelativeModel, SUnit, log_norms, make_field,
+from .fields import (RelativeModel, SUnit, json_int, log_norms, make_field,
                      odd_prime_power, place_set, relative_model,
                      relative_place_set, torsion_order)
 from .gring import FiniteGModule
@@ -162,7 +162,7 @@ def _coordinate_solver(lattice):
     entries; then the free generators' and the lattice's torsion exponents.
     A pivot among the top r rows is a relation: ValueError."""
     r = len(lattice.free)
-    cols, rows = column_echelon([[int(i == j) for i in range(r)] + list(w.normal_form()[1])
+    cols, rows = column_echelon([[int(i == j) for i in range(r)] + list(w.v)
                                  for j, w in enumerate(lattice.free)])
     rank = sum(p >= r for p in rows)
     if rank < r:
@@ -170,8 +170,7 @@ def _coordinate_solver(lattice):
                          f"(rank {rank} < {r})")
     steps = [(p, col, [(i, x) for i, x in enumerate(col) if x])
              for p, col in zip(rows, cols)]
-    free_t = [w.normal_form()[0] for w in lattice.free]
-    return r, steps, free_t, lattice.torsion.normal_form()[0]
+    return r, steps, [w.t for w in lattice.free], lattice.torsion.t
 
 
 def unit_coordinates(lattice: UnitLattice, word: SUnit, ctx):
@@ -186,7 +185,7 @@ def unit_coordinates(lattice: UnitLattice, word: SUnit, ctx):
     if lattice.solver is None:
         lattice.solver = _coordinate_solver(lattice)
     r, steps, free_t, tors_t = lattice.solver
-    t, v = word.normal_form()
+    t, v = word.t, word.v
     # subtracting z_k (U_k ; H_k) from (0 ; v) leaves (-U z ; v - H z)
     w = [0] * r + list(v)
     for p, col, nonzero in reversed(steps):
@@ -297,14 +296,6 @@ def json_object(doc, key):
     return value
 
 
-def json_int(value, name):
-    """int(value) for the document field `name`; ValueError naming it otherwise."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"\"{name}\" must be an integer, not {value!r}") from None
-
-
 def json_list(value, name):
     """The document field `name`, which must be a JSON list."""
     if not isinstance(value, list):
@@ -336,8 +327,8 @@ def load_units(path, ctx):
     tors = json_object(doc, "torsion")
     torsion = SUnit.from_word(f, tors["word"])
     order = json_int(tors["order"], "order")
-    t, v = torsion.normal_form()
-    if any(v):
+    t = torsion.t
+    if any(torsion.v):
         raise ValueError("torsion word is not a root of unity")
     if order < 1 or order * t % (2 * f):
         raise ValueError("torsion word does not have the declared order")

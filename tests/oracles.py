@@ -25,7 +25,8 @@ from fracgalois.cyclo import (GUARD_BITS, CyclotomicNumber, _fixed_root_table,
                               _half_log_2pi, _power_table, _root_table, _sparse_rows,
                               _stirling_coeffs, euler_phi, hurwitz_zeta_at0,
                               log_scaled, stirling_shifted)
-from fracgalois.fields import FieldModel, make_field, place_set, torsion_order
+from fracgalois.fields import (FieldModel, SUnit, _symbols, make_field, place_set,
+                               torsion_order)
 from fracgalois.gring import (Character, FiniteGModule, GroupRingElement, IdealLattice,
                               _clear_denominators, _convolve, _orbit_vectors,
                               characters)
@@ -318,9 +319,32 @@ def relative_partial_zeta_deriv_by_characters(model, ctx):
     return {s: ctx.final(v) for s, v in out.items()}
 
 
+def word_value(f, word):
+    """The exact value of a raw word, a list of entries ["m1", a], ["z", b]
+    and ["om", c, e] for (-1)^a, zeta_f^b and (1 - zeta_f^c)^e as unit
+    documents hold them, expanded entry by entry: no parity or distribution
+    relation is applied, so it checks the rewrite inside `SUnit`."""
+    val = CyclotomicNumber.root_of_unity(f, 0)
+    for item in word:
+        if item[0] == "m1":
+            val = val * (-1) ** (item[1] % 2)
+        elif item[0] == "z":
+            val = val * CyclotomicNumber.root_of_unity(f, item[1])
+        elif item[2] > 0:
+            val = val * (1 - CyclotomicNumber.root_of_unity(f, item[1])) ** item[2]
+        else:
+            # 1 / (1 - x) = -(1/q) sum_{j<q} j x^j for x^q = 1 != x
+            q = f // gcd(item[1], f)
+            inverse = sum((CyclotomicNumber.root_of_unity(f, item[1] * j) * Fraction(-j, q)
+                           for j in range(1, q)), CyclotomicNumber.zero(f))
+            val = val * inverse ** -item[2]
+    return val
+
+
 def same_value(u, w):
-    """Do the S-units u and w have the same value (equal expansions)?"""
-    return u.expansion() == w.expansion()
+    """Has the S-unit u the value of w, an S-unit or a raw word of `word_value`
+    over the same conductor (equal exact expansions)?"""
+    return u.expansion() == (w.expansion() if isinstance(w, SUnit) else word_value(u.f, w))
 
 
 def finite_logs(word, model, pset):
@@ -333,8 +357,8 @@ def finite_logs(word, model, pset):
     (p,) = pset.finite_primes()
     assert f % p == 0 and len(pset.places[1].cosets) == 1
     degree = model.degree if isinstance(model, FieldModel) else euler_phi(f)
-    ord_w = sum(Fraction(e * degree, euler_phi(f // gcd(k[1], f)))
-                for k, e in word.e.items() if isinstance(k, tuple))
+    ord_w = sum(Fraction(e * degree, euler_phi(f // gcd(c, f)))
+                for c, e in zip(_symbols(f)[0], word.v))
     assert ord_w.denominator == 1, "the word is not in K"
     return [-int(ord_w) * mp.log(p)]
 
@@ -405,8 +429,8 @@ def dense_coordinate_solver(lattice):
     the scaled inverse of the free-generator matrix B on r rows where it has
     full rank (Bareiss), with the same CoordinateError messages: the solve
     that the echelon form with its transform replaced."""
-    cols = [w.normal_form()[1] for w in lattice.free]
-    nsym = len(lattice.torsion.normal_form()[1])   # also when there are no cols
+    cols = [w.v for w in lattice.free]
+    nsym = len(lattice.torsion.v)   # also when there are no cols
     b = [[col[i] for col in cols] for i in range(nsym)]
     _, rows = intmat.hnf_columns(cols)
     if len(rows) != len(cols):
@@ -415,11 +439,11 @@ def dense_coordinate_solver(lattice):
     d, inv = intmat.solve_fraction_free([b[i] for i in rows],
                                         intmat.identity_matrix(len(rows)))
     others = [(brow, i) for i, brow in enumerate(b) if i not in rows]
-    free_t = [w.normal_form()[0] for w in lattice.free]
-    tors_t = lattice.torsion.normal_form()[0]
+    free_t = [w.t for w in lattice.free]
+    tors_t = lattice.torsion.t
 
     def solve(word):
-        t, v = word.normal_form()
+        t, v = word.t, word.v
         y = [0] * len(rows)
         for col, i in zip(inv, rows):
             if v[i]:

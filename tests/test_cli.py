@@ -606,13 +606,24 @@ def test_ingest_rejects_top_level_list(capsys, tmp_path):
     ("field", 5, '"field"'),
     ("field", {"relative": 7}, '"relative"'),
     ("torsion", 5, '"torsion"'),
+    # a float is not an integer, though it truncates to the exported one
+    (("torsion", "order"), 2.9, '"order" must be an integer, not 2.9'),
+    (("field", "f"), 7.4, '"f" must be an integer, not 7.4'),
+    ("s_primes", [7.9], '"s_primes" must be an integer, not 7.9'),
+    (("free", 0, 1, 2), -1.2, "malformed S-unit word [['z', 3], ['om', 1, -1.2], "
+                              "['om', 2, 1]]: \"om\" must be an integer, not -1.2"),
+    (("free", 0, 2, 2), 1.7, "malformed S-unit word [['z', 3], ['om', 1, -1], "
+                             "['om', 2, 1.7]]: \"om\" must be an integer, not 1.7"),
+    (("free", 0, 0, 1), "x", "malformed S-unit word [['z', 'x'], ['om', 1, -1], "
+                             "['om', 2, 1]]: \"z\" must be an integer, not 'x'"),
 ])
 def test_ingest_rejects_mistyped_unit_document(capsys, tmp_path, key, value,
                                                named):
     path = tmp_path / "u.json"
     run(capsys, ["export", "-p", "7", "--subfield", "plus", "--out", str(path)])
     doc = json.loads(path.read_text())
-    doc[key] = value
+    keys = key if isinstance(key, tuple) else (key,)
+    reduce(operator.getitem, keys[:-1], doc)[keys[-1]] = value
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, ["ingest", "--in", str(path)])
     assert code == 2
@@ -777,6 +788,8 @@ BAD_ARGV = [
      "subfield 'custom:x' needs integers separated by commas"),
     (["compute", "jideal", "-f", "21", "--subfield", "custom:1,,4"],
      "subfield 'custom:1,,4' needs integers separated by commas"),
+    (["verify", "--suite", "RZERO", "-p", "7", "-n", "-1"], "level -1 of the conductor"),
+    (["compute", "theta", "-p", "7", "-n", "0"], "level 0 of the conductor"),
 ]
 
 
@@ -906,7 +919,7 @@ def test_verify_reads_an_option_only_for_a_check_that_does(capsys, argv, error):
 @pytest.mark.parametrize("selector, error", [
     (["-f", "1000"], "conductor 1000 is not an odd prime power"),
     (["-p", "1000"], "--prime 1000 is not a prime"),
-    (["-p", "5", "-n", "0"], "conductor 1 is not an odd prime power"),
+    (["-p", "5", "-n", "0"], "level 0 of the conductor 5^0 is below 1"),
     (["-f", "7", "-p", "5"], "--conductor 7 contradicts --prime 5 --level 1")])
 def test_acnf_checks_a_field_selector_it_does_not_read(capsys, selector, error):
     """ACNF runs on Q and Q(sqrt 5) whatever the selector, but a selector

@@ -17,7 +17,7 @@ from fracgalois.fields import (SUnit, full_cyclotomic, log_norms, make_field,
                                place_set, plus_field, relative_model,
                                relative_place_set, select_field)
 from fracgalois.units import KNOWN_HPLUS_ONE, stark_module
-from oracles import same_value
+from oracles import same_value, word_value
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
 
@@ -134,24 +134,26 @@ def test_relative_place_set():
 # S-unit words
 
 def test_sunit_word_round_trip_and_value():
-    u = SUnit.one_minus_zeta(7, 2) * SUnit.zeta(7, 3) ** 2 * SUnit.one_minus_zeta(7, 1).inv()
-    w = u.to_word()
-    v = SUnit.from_word(7, w)
-    assert same_value(v, u)
+    raw = [["om", 2, 1], ["z", 6], ["om", 1, -1]]
+    u = SUnit.one_minus_zeta(7, 2) * SUnit.zeta(7, 3) ** 2 / SUnit.one_minus_zeta(7, 1)
+    assert same_value(u, raw)
+    assert SUnit.from_word(7, u.to_word()) == SUnit.from_word(7, raw) == u
 
 
 def test_sunit_galois_composition():
-    u = SUnit.one_minus_zeta(7, 1) * SUnit.minus_one(7)
-    assert same_value(u.galois(2).galois(4), u.galois(8 % 7))
-    assert same_value(u.galois(2).galois(4), u)   # 8 = 1 mod 7
+    raw = [["om", 1, 1], ["m1", 1]]
+    u = SUnit.from_word(7, raw)
+    assert same_value(u.galois(2).galois(4), _conjugate(_conjugate(raw, 2), 4))
+    assert same_value(u.galois(3), _conjugate(raw, 3))
+    assert u.galois(2).galois(4) == u.galois(8 % 7) == u   # 8 = 1 mod 7
 
 
 def test_sunit_value_identities():
-    # (1 - zeta^{-1}) = -zeta^{-1} (1 - zeta)
+    # (1 - zeta^{-1}) = -zeta^{-1} (1 - zeta), and == compares values
     f = 5
     lhs = SUnit.one_minus_zeta(f, f - 1)
-    rhs = SUnit.minus_one(f) * SUnit.zeta(f, f - 1) * SUnit.one_minus_zeta(f, 1)
-    assert same_value(lhs, rhs)
+    assert same_value(lhs, [["m1", 1], ["z", f - 1], ["om", 1, 1]])
+    assert lhs == SUnit.minus_one(f) * SUnit.zeta(f, f - 1) * SUnit.one_minus_zeta(f, 1)
 
 
 def test_sunit_fixed_by_kernel():
@@ -238,55 +240,73 @@ def test_log_norms_is_log_abs_per_sigma_in_coset_order(model, pset):
 # ---------------------------------------------------------------------------
 # normal forms and the logarithm helper
 
+# Raw words are lists of document entries (see `oracles.word_value`): their
+# products, powers and Galois images below never pass through the rewrite.
+
 def _random_word(rng, f):
-    e = {"m1": rng.randrange(2), "z": rng.randrange(f)}
+    """-1 and zeta to random powers, then one to three symbols 1 - zeta^a for
+    any a != 0 mod f, repeats allowed."""
+    word = [["m1", rng.randrange(2)], ["z", rng.randrange(f)]]
     for _ in range(rng.randint(1, 3)):
-        a = rng.randrange(1, f)
-        e[("om", a)] = e.get(("om", a), 0) + rng.choice((-2, -1, 1, 2))
-    return SUnit(f, e)
+        word.append(["om", rng.randrange(1, f), rng.choice((-2, -1, 1, 2))])
+    return word
+
+
+def _power(word, k):
+    return [[*item[:-1], item[-1] * k] for item in word]
+
+
+def _conjugate(word, s):
+    """sigma_s of a raw word: -1 stays, zeta^b goes to zeta^{bs} and
+    1 - zeta^c to 1 - zeta^{cs}."""
+    return [item if item[0] == "m1" else [item[0], item[1] * s, *item[2:]]
+            for item in word]
 
 
 def _relation(rng, f, p):
     """A word with value 1: a parity or a distribution relation, conjugated."""
     if rng.randrange(2):
-        c = rng.randrange(1, f)
-        rel = SUnit.one_minus_zeta(f, -c) / (
-            SUnit.minus_one(f) * SUnit.zeta(f, -c) * SUnit.one_minus_zeta(f, c))
+        c = rng.randrange(1, f)   # (1 - zeta^{-c}) / (-zeta^{-c} (1 - zeta^c))
+        rel = [["om", -c, 1], ["m1", -1], ["z", c], ["om", c, -1]]
     else:
         q = p ** rng.randrange(1, 3 if f > p * p else 2)
         b = rng.choice([b for b in range(1, f // q) if b % p])
-        rel = SUnit.one_minus_zeta(f, b * q)
-        for i in range(q):
-            rel = rel / SUnit.one_minus_zeta(f, b + i * (f // q))
-    return rel.galois(rng.choice([t for t in range(1, f) if t % p]))
+        rel = [["om", b * q, 1]] + [["om", b + i * (f // q), -1] for i in range(q)]
+    return _conjugate(rel, rng.choice([t for t in range(1, f) if t % p]))
 
 
 def test_normal_form_frozen_values():
-    assert SUnit.minus_one(5).normal_form() == (5, (0, 0))
-    assert SUnit.zeta(5).normal_form() == (6, (0, 0))
+    assert (SUnit.minus_one(5).t, SUnit.minus_one(5).v) == (5, (0, 0))
+    assert (SUnit.zeta(5).t, SUnit.zeta(5).v) == (6, (0, 0))
     # 1 - zeta^4 = -zeta^4 (1 - zeta) and -zeta^4 = (-zeta)^9
-    assert SUnit.one_minus_zeta(5, 4).normal_form() == (9, (1, 0))
+    w = SUnit.one_minus_zeta(5, 4)
+    assert (w.t, w.v) == (9, (1, 0))
     # 1 - zeta^3 = (1 - zeta)(1 - zeta^4)(1 - zeta^7) in Q(zeta_9), basis 1, 2, 4
-    assert SUnit.one_minus_zeta(9, 3).normal_form() == (7, (1, 1, 1))
+    w = SUnit.one_minus_zeta(9, 3)
+    assert (w.t, w.v) == (7, (1, 1, 1))
+    assert w.to_word() == [["m1", 1], ["z", 7], ["om", 1, 1], ["om", 2, 1], ["om", 4, 1]]
 
 
 @pytest.mark.parametrize("f", [9, 25, 27, 49])
 def test_normal_form_decides_equal_values(f):
+    # the normal forms of raw words, equal exactly when their raw expansions are
     (p, _), = factorize(f)
     rng = random.Random(f)
     for _ in range(12):
         w = _random_word(rng, f)
-        same = w * _relation(rng, f, p) ** rng.choice((-1, 1, 2))
-        assert same.normal_form() == w.normal_form()
-        shifted = w * SUnit.zeta(f, rng.randrange(1, f))
+        same = w + _power(_relation(rng, f, p), rng.choice((-1, 1, 2)))
+        assert SUnit.from_word(f, same) == SUnit.from_word(f, w)
+        shifted = w + [["z", rng.randrange(1, f)]]
         for u in (same, shifted, _random_word(rng, f)):
-            assert (u.normal_form() == w.normal_form()) == same_value(u, w)
+            assert same_value(SUnit.from_word(f, u), u)
+            assert ((SUnit.from_word(f, u) == SUnit.from_word(f, w))
+                    == (word_value(f, u) == word_value(f, w)))
 
 
 @pytest.mark.parametrize("f", [8, 12, 15])
 def test_normal_form_needs_odd_prime_power(f):
     with pytest.raises(ValueError, match="odd prime power"):
-        SUnit.one_minus_zeta(f, 1).normal_form()
+        SUnit.one_minus_zeta(f, 1)
 
 
 def test_log_abs_matches_expansion_embedding():
@@ -296,21 +316,19 @@ def test_log_abs_matches_expansion_embedding():
             for _ in range(4):
                 w = _random_word(rng, f)
                 t = rng.choice([t for t in range(1, f) if gcd(t, f) == 1])
-                ref = mp.log(abs(w.expansion().embed(t)))
-                assert abs(w.log_abs(t) - ref) < mp.mpf(2) ** -740
+                ref = mp.log(abs(word_value(f, w).embed(t)))
+                assert abs(SUnit.from_word(f, w).log_abs(t) - ref) < mp.mpf(2) ** -740
 
 
-def _log_abs_per_call(w, t, reduce=True):
+def _log_abs_per_call(w, t):
     """The per-symbol log(2 sin) sum that log_abs's memo replaced, from the
-    memo-free log-sine at c = a t mod f, or at min(c, f - c) when `reduce`
-    (as log_abs reads it)."""
+    memo-free log-sine at min(c, f - c) for c = a t mod f over the symbols
+    1 - zeta^a of the normal form."""
     total = mp.mpf(0)
-    for k, e in w.e.items():
-        if isinstance(k, tuple):
-            c = (k[1] * t) % w.f
-            if reduce:
-                c = min(c, w.f - c)
-            total += e * fields._log_2_sin.__wrapped__(c, w.f, mp.mp.prec)
+    for a, e in zip(fields._symbols(w.f)[0], w.v):
+        if e:
+            c = (a * t) % w.f
+            total += e * fields._log_2_sin.__wrapped__(min(c, w.f - c), w.f, mp.mp.prec)
     return total
 
 
@@ -321,7 +339,7 @@ def test_log_abs_reads_one_log_sine_per_precision():
     for f in (23, 121, 125):
         for _ in range(6):
             t = rng.choice([t for t in range(1, f) if gcd(t, f) == 1])
-            cases.append((_random_word(rng, f), t))
+            cases.append((SUnit.from_word(f, _random_word(rng, f)), t))
     for order in ((768, 192), (192, 768)):
         fields._log_2_sin.cache_clear()
         for bits in order:
@@ -333,19 +351,22 @@ def test_log_abs_reads_one_log_sine_per_precision():
 def test_log_sine_of_the_reduced_residue_matches_the_unreduced_one():
     # sin(pi (f - c) / f) = sin(pi c / f): log_abs reads c and f - c at
     # c' = min(c, f - c). The reduced and the unreduced residue each read the
-    # root kernel of zeta_2f, and each sum is within 2^-(prec-4) of the truth
+    # root kernel of zeta_2f, and each is within 2^-(prec-4) of the truth;
+    # log_abs of 1 - zeta^c, c prime to p, reads the reduced one
     for bits in (192, 768):
         tol = mp.mpf(2) ** -(bits - 4)
         for f in (23, 121, 125, 169):
+            (p, _), = factorize(f)
             for c in range(1, f):
-                w = SUnit.one_minus_zeta(f, c)
                 with mp.workprec(bits + 32):
                     true = mp.log(2 * mp.sinpi(mp.mpf(min(c, f - c)) / f))
                 with mp.workprec(bits):
-                    reduced = w.log_abs(1)
-                    unreduced = _log_abs_per_call(w, 1, reduce=False)
+                    reduced = +fields._log_2_sin(min(c, f - c), f, bits)
+                    unreduced = +fields._log_2_sin.__wrapped__(c, f, bits)
                     assert abs(reduced - true) < tol, (bits, f, c)
                     assert abs(unreduced - true) < tol, (bits, f, c)
+                    if c % p:
+                        assert SUnit.one_minus_zeta(f, c).log_abs(1) == reduced, (bits, f, c)
 
 
 @pytest.mark.parametrize("prec", [192, 768])

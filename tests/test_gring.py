@@ -457,21 +457,21 @@ def test_lattice_ops_equal_spans_of_basis_products(factors, closed):
 
 @pytest.mark.parametrize("factors", [(5,), (6,), (7,), (2, 4), (3, 3)])
 def test_bounded_division_equals_scaling_by_the_inverse(factors, monkeypatch):
-    """L.divide(u, u^-1) reduces the columns of a (den L), a = d u^-1, mod
-    D = p0 d d_u (p0 the first pivot, d_u the denominator of u) next to the
-    columns D e_i, and gives the lattice that the plain L.scale(u^-1) gives;
-    every entry the HNF is handed lies below D.
+    """L.divide(u, u^-1) hands the columns of a (den L), a = d u^-1, to the
+    HNF modulo D = p0 d d_u (p0 the first pivot, d_u the denominator of u),
+    whose entries stay below D, and gives the lattice that the plain
+    L.scale(u^-1) gives.
     The lattices are ideals spanned by random generators (not diagonal, some
     with denominators); u is integral as INDF's twists are, or rational."""
     rng = random.Random(repr(factors))
     g = abelian_group(factors)
     n = g.order
     handed = []
-    hnf = intmat.hnf_columns
+    hnf_mod = intmat.hnf_mod
 
-    def capturing(cols):
-        handed.append([list(col) for col in cols])
-        return hnf(cols)
+    def capturing(cols, d, n):
+        handed.append(([list(col) for col in cols], d, n))
+        return hnf_mod(cols, d, n)
 
     def element(dens):
         return GroupRingElement(g, [Fraction(rng.randint(-2, 2), rng.choice(dens))
@@ -489,16 +489,13 @@ def test_bounded_division_equals_scaling_by_the_inverse(factors, monkeypatch):
         checked += 1
         diagonal += all(x == 0 for t, col in enumerate(lat.cols) for x in col[:t])
         handed.clear()
-        monkeypatch.setattr(intmat, "hnf_columns", capturing)
+        monkeypatch.setattr(intmat, "hnf_mod", capturing)
         divided = lat.divide(u, u_inv)
-        monkeypatch.setattr(intmat, "hnf_columns", hnf)
+        monkeypatch.setattr(intmat, "hnf_mod", hnf_mod)
         assert divided == lat.scale(u_inv)
         big_d = lat.cols[0][0] * u_inv.denominator() * u.denominator()
-        (cols,) = handed
-        bound = cols[-1][-1]  # D over the content that the constructor divides out
-        assert big_d % bound == 0
-        assert cols[-n:] == [[bound if i == j else 0 for i in range(n)] for j in range(n)]
-        assert all(0 <= x < bound for col in cols[:-n] for x in col)
+        ((cols, d, rows),) = handed
+        assert (d, rows, len(cols)) == (big_d, n, n)
     assert diagonal < checked
     with pytest.raises(ValueError, match="u_inv is not the inverse of u"):
         lat.divide(u, u_inv * 2)

@@ -13,7 +13,7 @@ from .fields import (FieldModel, PlaceSet, RelativeModel, SUnit,
                      relative_model, relative_place_set, select_field)
 from .gring import (Character, FinAbGroup, FiniteGModule, GroupHom,
                     GroupRingElement, IdealLattice, characters,
-                    galois_group, gre_inverse, norm_element)
+                    galois_group, norm_element)
 from .lfun import (half_stickelberger, l_deriv_at_0, l_value_at_0,
                    stickelberger, stickelberger_classical, vanishing_order)
 from .units import (UnitLattice, cyclotomic_unit, export_units, lambda_unit,
@@ -34,7 +34,7 @@ __all__ = [
     "relative_place_set", "select_field",
     "Character", "FinAbGroup", "FiniteGModule", "GroupHom",
     "GroupRingElement", "IdealLattice", "characters",
-    "galois_group", "gre_inverse", "norm_element",
+    "galois_group", "norm_element",
     "half_stickelberger", "l_deriv_at_0", "l_value_at_0", "stickelberger",
     "stickelberger_classical", "vanishing_order",
     "UnitLattice", "cyclotomic_unit", "export_units", "lambda_unit",

@@ -540,23 +540,10 @@ def _det_poly(m, k):
     return [x * -1 for x in d] if sign < 0 else d
 
 
-def gre_inverse(x):
-    """Inverse of x in Q[G] by one integer solve: with d x integral and
-    column j of M the coefficients of (d x) g_j, M y = det e_1 gives
-    x^-1 = d y / det. A singular M is explained by a character vanishing
-    on x, which the error names."""
-    g = x.group
-    d, (a,) = _clear_denominators([x])
-    m = [[0] * g.order for _ in range(g.order)]
-    for i, pi in enumerate(_perm_table(g)):
-        for j, t in enumerate(pi):
-            m[t][j] = a[i]  # (d x) g_j has coefficient a_i at elements[i] g_j
-    # e_1 is the identity, elements[0]
-    det, y = intmat.solve_fraction_free(m, [[1] + [0] * (g.order - 1)])
-    if det == 0:
-        chi = next(chi for chi in characters(g) if x.apply_character(chi).is_zero())
-        raise ZeroDivisionError(f"not invertible: chi={chi.exps} kills it")
-    return GroupRingElement(g, [Fraction(d * c, det) for c in y[0]])
+def _not_invertible(x):
+    """The error for a singular x in Q[G], naming a character that kills it."""
+    chi = next(chi for chi in characters(x.group) if x.apply_character(chi).is_zero())
+    return ZeroDivisionError(f"not invertible: chi={chi.exps} kills it")
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +575,9 @@ class IdealLattice:
     @classmethod
     def _from_columns(cls, group, den, vecs):
         """The lattice spanned by the integer vectors `vecs` over `den`, in
-        canonical form: the column HNF, with its content divided out of den.
-        The content c of `vecs` leaves first: the HNF of c V is c times that
-        of V, entry for entry. Every lattice but an annihilator is built here."""
+        canonical form (`_from_hnf`) from the column HNF. The content c of
+        `vecs` leaves first: the HNF of c V is c times that of V, entry for
+        entry."""
         n = group.order
         c = intmat.content(x for col in vecs for x in col)
         h_cols, _ = intmat.hnf_columns([[x // c for x in col] for col in vecs] if c > 1 else vecs)
@@ -598,8 +585,15 @@ class IdealLattice:
             raise ValueError(
                 f"generators span rank {len(h_cols)} < {n}; not a full lattice "
                 "(use span helpers for degenerate spans)")
-        g = gcd(den, c)
-        return cls(group, den // g, tuple(tuple(x * (c // g) for x in col) for col in h_cols))
+        return cls._from_hnf(group, den, [[x * c for x in col] for col in h_cols])
+
+    @classmethod
+    def _from_hnf(cls, group, den, h_cols):
+        """The lattice with the HNF basis `h_cols` over `den`, in canonical
+        form: a positive multiple of an HNF is one, so only the content
+        shared with den leaves."""
+        c = gcd(den, intmat.content(x for col in h_cols for x in col))
+        return cls(group, den // c, tuple(tuple(x // c for x in col) for col in h_cols))
 
     @classmethod
     def unit_ideal(cls, group):
@@ -632,42 +626,42 @@ class IdealLattice:
 
     __hash__ = None
 
-    def _cols_over(self, d):
-        """The basis columns over the denominator d, a multiple of den."""
-        return [[x * (d // self.den) for x in col] for col in self.cols]
-
     def scale(self, alpha):
         """alpha * L for alpha in Q[G] invertible (or a nonzero rational)."""
         g = self.group
         if isinstance(alpha, (int, Fraction)):
             if alpha == 0:
                 raise ZeroDivisionError("scaling by zero")
-            return IdealLattice._from_columns(
-                g, self.den * alpha.denominator,
-                [[x * alpha.numerator for x in col] for col in self.cols])
+            a = abs(alpha.numerator)
+            return IdealLattice._from_hnf(g, self.den * alpha.denominator,
+                                          [[a * x for x in col] for col in self.cols])
         d, (a,) = _clear_denominators([alpha])
-        cols = [_convolve(g, a, col) for col in self.cols]
+        cols = [_convolve(g, col, a) for col in self.cols]  # the sparser factor outermost
         try:
             return IdealLattice._from_columns(g, self.den * d, cols)
-        except ValueError:
-            gre_inverse(alpha)  # alpha L has lower rank: raises naming a killing chi
-            raise
+        except ValueError:  # alpha L has lower rank
+            raise _not_invertible(alpha) from None
 
-    def divide(self, u, u_inv):
-        """u^-1 L for u in Q[G] with inverse u_inv. With a = d u_inv, d_u u
-        integral and p0 e_1 the first basis column of den L, a den L contains
-        a p0 d_u u Z[G] = D Z^n: `hnf_mod` of the columns a b modulo D, with
-        the content divided out of den as in `_from_columns`."""
+    def dual(self):
+        """L^* = {y : y . x in Z for all x in L}, for the dot product of
+        coefficient vectors; (g y) . x = y . (g^-1 x), so it is Z[G]-stable
+        as L is. h Z[G] lies in den L for the first pivot h of an ideal, and
+        det Z^n, det the product of the pivots, in any full lattice den L."""
+        d = self.cols[0][0]
+        if intmat.hnf_mod(self.cols, d, len(self.cols)) != [list(col) for col in self.cols]:
+            d = prod(col[t] for t, col in enumerate(self.cols))  # not an ideal
+        return IdealLattice._from_hnf(
+            self.group, d, [[self.den * x for x in col] for col in intmat.hnf_dual(self.cols, d)])
+
+    def divide(self, u):
+        """u^-1 L for u in Q[G] invertible, as (u* L^*)^* with u* = sum u_g g^-1:
+        multiplication by u* is adjoint to that by u, so (u^-1 L)^* = u* L^*."""
         g = self.group
-        d, (a,) = _clear_denominators([u_inv])
-        d_u, (b,) = _clear_denominators([u])
-        if _convolve(g, a, b) != [d * d_u] + [0] * (g.order - 1):
-            raise ValueError("divide: u_inv is not the inverse of u")
-        h_cols = intmat.hnf_mod([_convolve(g, a, col) for col in self.cols],
-                                self.cols[0][0] * d * d_u, g.order)
-        c = gcd(self.den * d, intmat.content(x for col in h_cols for x in col))
-        return IdealLattice(g, self.den * d // c,
-                            tuple(tuple(x // c for x in col) for col in h_cols))
+        u_star = GroupRingElement(g, [u.coeff(g.inv(x)) for x in g.elements])
+        try:
+            return self.dual().scale(u_star).dual()
+        except ZeroDivisionError:  # chi kills u* iff its conjugate kills u
+            raise _not_invertible(u) from None
 
     def _same_group(self, other):
         if other.group != self.group:
@@ -676,8 +670,8 @@ class IdealLattice:
     def add(self, other):
         self._same_group(other)
         d = lcm(self.den, other.den)
-        return IdealLattice._from_columns(
-            self.group, d, self._cols_over(d) + other._cols_over(d))
+        return IdealLattice._from_columns(self.group, d, [
+            [x * (d // lat.den) for x in col] for lat in (self, other) for col in lat.cols])
 
     def multiply(self, other):
         self._same_group(other)
@@ -687,16 +681,8 @@ class IdealLattice:
             [_convolve(g, a, b) for a in self.cols for b in other.cols])
 
     def intersect(self, other):
-        """L cap L': the vectors A y with A y = B z, A and B the basis
-        columns of L and L' over one denominator."""
-        self._same_group(other)
-        n = self.group.order
-        d = lcm(self.den, other.den)
-        a_cols = self._cols_over(d)
-        minus_b = [[-x for x in col] for col in other._cols_over(d)]
-        vecs = [[sum(a_cols[j][i] * y[j] for j in range(n)) for i in range(n)]
-                for y in intmat.kernel_basis(a_cols + minus_b)]
-        return IdealLattice._from_columns(self.group, d, vecs)
+        """L cap L' = (L^* + L'^*)^*."""
+        return self.dual().add(other.dual()).dual()
 
     def project(self, hom):
         gens = [b.project(hom) for b in self.basis_elements()]
@@ -704,10 +690,7 @@ class IdealLattice:
 
     def covolume(self):
         """Index-style volume [Z[G] : L] as a positive rational."""
-        num = 1
-        for t in range(len(self.cols)):
-            num *= self.cols[t][t]
-        return Fraction(num, self.den ** len(self.cols))
+        return Fraction(prod(c[t] for t, c in enumerate(self.cols)), self.den ** len(self.cols))
 
     def ell_solve(self, x, ell):
         """Solve for x over self's basis; require denominators prime to ell.
@@ -958,19 +941,17 @@ class FiniteGModule:
 
         For Z[G]-generators m of M and phi as in `_lambda`, alpha kills M iff
         phi(sum_x alpha_x A_x m) = 0 for each m, that is iff w . alpha = 0 mod e
-        for every w. So ann(M) = e Lambda^*, the rows of e Lambda^-1 (integral
-        as e Z^n lies in Lambda); it contains e Z^n too, so `hnf_mod` makes it
-        canonical.
+        for every w. So ann(M) = e Lambda^*, which `intmat.hnf_dual` gives as
+        e Z^n lies in Lambda.
         """
         g = self.group
         structure = self.structure()
         if not structure:
             return IdealLattice.unit_ideal(g)
-        e, n = structure[-1], range(g.order)
+        e = structure[-1]
         orbits = self._generator_orbits
         lam = self._first_lambda if len(orbits) == 1 else self._lambda(orbits, e)
-        dual = zip(*(intmat.solve_upper_triangular(lam, n, [e * (i == j) for i in n]) for j in n))
-        return IdealLattice(g, 1, tuple(map(tuple, intmat.hnf_mod(dual, e, g.order))))
+        return IdealLattice(g, 1, tuple(map(tuple, intmat.hnf_dual(lam, e))))
 
     def fitting_ideal(self):
         """Fitt^0_{Z[G]}(M) from the induced Z[G]-presentation, shrunk first.

@@ -2,12 +2,13 @@
 
 Everything here is over Z or Q (``fractions.Fraction``), no floats. A
 lattice is given by a list of generator columns (lists or tuples of equal
-length): `column_echelon`, `hnf_columns`, `hnf_mod`, `kernel_basis`,
-`span_contains` and `span_equal` take that list, never a matrix. Matrix
-algebra (`mat_transpose`, `smith_normal_form`, the matrix of
-`solve_fraction_free`) works on row-major lists of lists. The column
-Hermite normal form is the canonicalizer for lattices: upper triangular,
-positive pivots, entries to the right of a pivot reduced into [0, pivot).
+length): `column_echelon`, `hnf_columns`, `hnf_mod`, `hnf_dual`,
+`kernel_basis`, `span_contains` and `span_equal` take that list, never a
+matrix. Matrix algebra (`mat_transpose`, `smith_normal_form`) works on
+row-major lists of lists. The column Hermite normal form is the
+canonicalizer for lattices: upper triangular, positive pivots, entries to
+the right of a pivot reduced into [0, pivot). `hnf_dual` takes duals for
+the dot product; the one other solve is a triangular back-substitution.
 """
 
 from __future__ import annotations
@@ -116,6 +117,17 @@ def hnf_mod(cols, d, n):
     d > 0: `hnf_columns(cols + d I)[0]`, from an elimination whose entries
     stay below d (`column_echelon` with the modulus d)."""
     return _reduce_right_of_pivots(*column_echelon(cols, d, n))[0]
+
+
+def hnf_dual(cols, d):
+    """The n columns of the canonical column HNF of d L^*, for the HNF basis
+    `cols` of a full-rank lattice L in Z^n that contains d Z^n, and L^* = {y :
+    y . x in Z for all x in L} its dual: the rows of d H^-1, H the matrix of
+    `cols`, are integral since d Z^n lies in L, and d L^* contains d Z^n, so
+    `hnf_mod` makes them canonical."""
+    n = range(len(cols))
+    rows = zip(*(solve_upper_triangular(cols, n, [d * (i == j) for i in n]) for j in n))
+    return hnf_mod(rows, d, len(cols))
 
 
 def _reduce_right_of_pivots(cols, pivot_rows):
@@ -235,33 +247,6 @@ def smith_normal_form(a):
                 u[t][j] = -u[t][j]
         t += 1
     return u, d, v
-
-
-def solve_fraction_free(a, b_cols):
-    """(det, x_cols) with a x = det b and det the determinant of the square
-    integer matrix a, for the right-hand-side columns b_cols: fraction-free
-    Gauss-Jordan elimination (Bareiss), every entry a minor of [a | b].
-    A singular a gives (0, None)."""
-    n = len(a)
-    m = [list(row) + [col[i] for col in b_cols] for i, row in enumerate(a)]
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return 0, None
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        mk = m[k]
-        pk = mk[k]
-        for i in range(n):
-            if i != k:
-                mi, c = m[i], m[i][k]
-                m[i] = ([(x * pk - c * y) // prev for x, y in zip(mi, mk)] if c
-                        else [x * pk // prev for x in mi])
-        prev = pk
-    # the rows are now (prev e_i | r_i), and P a r = prev P b for the row swaps P
-    return sign * prev, [[sign * row[n + j] for row in m] for j in range(len(b_cols))]
 
 
 def solve_upper_triangular(cols, pivot_rows, v):

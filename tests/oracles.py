@@ -8,7 +8,9 @@ Q(sqrt(-p)) one character of H at a time, equality of S-unit values, the
 log of an S-unit at the place above a totally ramified p, the annihilator of
 the roots of unity by a cyclic G-module, the annihilator of a finite G-module
 by a kernel lattice and its ell-part by a plain HNF, unit coordinates by a dense
-scaled inverse, a dense column echelon form with its HNF and kernel, a numeric character value read
+scaled inverse, the Bareiss solve behind it, the inverse in Q[G] by that solve,
+the intersection of two lattices by a kernel lattice, a dense column echelon
+form with its HNF and kernel, a numeric character value read
 per call, log Gamma with a floored Horner multiplier, the primitive
 L-derivative by Hurwitz zeta, the partial-zeta derivatives of whole classes
 by the Stirling kernel alone, the partial-zeta derivatives and their relative
@@ -29,7 +31,7 @@ from fracgalois.fields import (FieldModel, SUnit, _symbols, make_field, place_se
                                torsion_order)
 from fracgalois.gring import (Character, FiniteGModule, GroupRingElement, IdealLattice,
                               _clear_denominators, _convolve, _orbit_vectors,
-                              characters)
+                              _perm_table, characters)
 from fracgalois.lfun import (_lift_modulus, _lifts, _proj_g_to_h, character_conductor,
                              half_stickelberger, l_value_at_0, partial_zeta_all)
 from fracgalois.units import CoordinateError
@@ -436,8 +438,7 @@ def dense_coordinate_solver(lattice):
     if len(rows) != len(cols):
         raise ValueError("free generators are multiplicatively dependent "
                          f"(rank {len(rows)} < {len(cols)})")
-    d, inv = intmat.solve_fraction_free([b[i] for i in rows],
-                                        intmat.identity_matrix(len(rows)))
+    d, inv = solve_fraction_free([b[i] for i in rows], intmat.identity_matrix(len(rows)))
     others = [(brow, i) for i, brow in enumerate(b) if i not in rows]
     free_t = [w.t for w in lattice.free]
     tors_t = lattice.torsion.t
@@ -467,6 +468,62 @@ def dense_coordinate_solver(lattice):
         return (rest // g) * pow(tors_t // g, -1, order) % order, xs
 
     return solve
+
+
+def solve_fraction_free(a, b_cols):
+    """(det, x_cols) with a x = det b and det the determinant of the square
+    integer matrix a, for the right-hand-side columns b_cols: fraction-free
+    Gauss-Jordan elimination (Bareiss), every entry a minor of [a | b].
+    A singular a gives (0, None)."""
+    n = len(a)
+    m = [list(row) + [col[i] for col in b_cols] for i, row in enumerate(a)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        mk = m[k]
+        pk = mk[k]
+        for i in range(n):
+            if i != k:
+                mi, c = m[i], m[i][k]
+                m[i] = ([(x * pk - c * y) // prev for x, y in zip(mi, mk)] if c
+                        else [x * pk // prev for x in mi])
+        prev = pk
+    # the rows are now (prev e_i | r_i), and P a r = prev P b for the row swaps P
+    return sign * prev, [[sign * row[n + j] for row in m] for j in range(len(b_cols))]
+
+
+def group_ring_inverse(x):
+    """x^-1 in Q[G] by one integer solve: with d x integral and column j of
+    M the coefficients of (d x) g_j, M y = det e_1 gives x^-1 = d y / det.
+    A singular x raises ZeroDivisionError."""
+    g = x.group
+    d, (a,) = _clear_denominators([x])
+    m = [[0] * g.order for _ in range(g.order)]
+    for i, pi in enumerate(_perm_table(g)):
+        for j, t in enumerate(pi):
+            m[t][j] = a[i]  # (d x) g_j has coefficient a_i at elements[i] g_j
+    # e_1 is the identity, elements[0]
+    det, y = solve_fraction_free(m, [[1] + [0] * (g.order - 1)])
+    if det == 0:
+        raise ZeroDivisionError("singular group-ring element")
+    return GroupRingElement(g, [Fraction(d * c, det) for c in y[0]])
+
+
+def kernel_intersect(a, b):
+    """`IdealLattice.intersect` by a kernel lattice: the vectors A y with
+    A y = B z, A and B the basis columns of a and b over one denominator."""
+    n = a.group.order
+    d = lcm(a.den, b.den)
+    a_cols = [[x * (d // a.den) for x in col] for col in a.cols]
+    minus_b = [[-x * (d // b.den) for x in col] for col in b.cols]
+    vecs = [[sum(a_cols[j][i] * y[j] for j in range(n)) for i in range(n)]
+            for y in intmat.kernel_basis(a_cols + minus_b)]
+    return IdealLattice._from_columns(a.group, d, vecs)
 
 
 def dense_column_echelon(a_cols):

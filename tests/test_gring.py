@@ -20,15 +20,15 @@ from fracgalois.cyclo import CyclotomicNumber, factorize, is_prime
 from fracgalois.gring import (Character, FinAbGroup, FiniteGModule, GroupHom,
                               GroupRingElement, IdealLattice, _perm_table,
                               abelian_group, characters, det_qg,
-                              galois_group, gre_inverse,
-                              hom_by_residues, norm_element,
+                              galois_group, hom_by_residues, norm_element,
                               subgroup_closure)
 from fracgalois import intmat
 from fracgalois.intmat import hnf_columns, span_contains
 from gmodules import (_oracle_annihilator, a8_draws, action_of, conjugated, draw_ideals,
                       module_from_ideals, validation_oracle)
-from oracles import (assemble, gmodule_span_equal, kernel_lattice_annihilator,
-                     plain_hnf_ell_part, span_membership, transport_character)
+from oracles import (assemble, gmodule_span_equal, group_ring_inverse, kernel_intersect,
+                     kernel_lattice_annihilator, plain_hnf_ell_part, span_membership,
+                     transport_character)
 
 
 class CycGroupRingElement:
@@ -259,20 +259,20 @@ def test_assemble_rejects_non_equivariant_data():
             assert v.is_rational() and v.as_fraction() == Fraction(1, 3)
 
 
-def test_gre_inverse_and_failure_names_character():
+def test_divide_by_a_unit_and_by_a_zero_divisor():
     g = galois_group(5)
+    unit = IdealLattice.unit_ideal(g)
     u = GroupRingElement.basis(g, g.element_of_residue(2)) + GroupRingElement.one(g) * 2
-    v = gre_inverse(u)
-    assert u * v == GroupRingElement.one(g)
-    n = norm_element(g)
-    with pytest.raises((ValueError, ZeroDivisionError)) as exc:
-        gre_inverse(n - GroupRingElement.one(g) * 4)  # trivial character kills it
-    assert "chi" in str(exc.value)
+    assert unit.divide(u) == unit.scale(group_ring_inverse(u))
+    assert unit.divide(u).scale(u) == unit
+    with pytest.raises(ZeroDivisionError, match=r"not invertible: chi=\(0,\) kills it"):
+        unit.divide(norm_element(g) - GroupRingElement.one(g) * 4)  # trivial character kills it
 
 
-def test_gre_inverse_on_products_of_cyclics_and_its_witness():
-    """x * x^-1 = 1 on cyclic groups, products of cyclics and a Galois group
-    of order 30; a singular x is refused naming a character that kills it."""
+def test_scale_and_divide_on_products_of_cyclics_and_their_witness():
+    """On cyclic groups, products of cyclics and a Galois group of order 30,
+    dividing Z[G] by an invertible x is scaling it by the oracle's x^-1, and
+    scale and divide refuse a singular x naming a character that kills x."""
     from fracgalois.fields import plus_field
     rng = random.Random(14)
     groups = [abelian_group((n,)) for n in range(1, 13)]
@@ -280,14 +280,16 @@ def test_gre_inverse_on_products_of_cyclics_and_its_witness():
     groups.append(plus_field(61).group)
     for g in groups:
         one = GroupRingElement.one(g)
+        unit = IdealLattice.unit_ideal(g)
         for _ in range(3):
             x = GroupRingElement(g, [Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3]))
                                      for _ in range(g.order)])
             try:
-                y = gre_inverse(x)
+                y = group_ring_inverse(x)
             except ZeroDivisionError:
                 continue
             assert x * y == one and y * x == one
+            assert unit.divide(x) == unit.scale(y)
         if g.order == 1:
             continue
         # (1 + s) for s of order 2 is killed by the characters with chi(s) = -1,
@@ -296,10 +298,11 @@ def test_gre_inverse_on_products_of_cyclics_and_its_witness():
         sign = 1 if g.mul(s, s) == g.identity else -1
         x = GroupRingElement(g, [rng.randint(1, 9) for _ in range(g.order)]) * (
             GroupRingElement.basis(g, s) + one * sign)
-        with pytest.raises(ZeroDivisionError, match="not invertible") as exc:
-            gre_inverse(x)
-        exps = literal_eval(str(exc.value).split("chi=")[1].split(" kills")[0])
-        assert x.apply_character(Character(g, exps)).is_zero()
+        for op in (unit.scale, unit.divide):
+            with pytest.raises(ZeroDivisionError, match="not invertible") as exc:
+                op(x)
+            exps = literal_eval(str(exc.value).split("chi=")[1].split(" kills")[0])
+            assert x.apply_character(Character(g, exps)).is_zero()
 
 
 def test_project_along_hom():
@@ -385,7 +388,7 @@ def test_lattice_scale_and_covolume():
     assert doubled.covolume() == 16          # 2^4
     u = GroupRingElement.basis(g, g.element_of_residue(2)) + GroupRingElement.one(g) * 2
     scaled = unit.scale(u)
-    assert scaled.scale(gre_inverse(u)) == unit
+    assert scaled.divide(u) == unit == scaled.scale(group_ring_inverse(u))
 
 
 def test_lattice_scale_by_a_zero_divisor_names_the_character():
@@ -451,18 +454,19 @@ def test_lattice_ops_equal_spans_of_basis_products(factors, closed):
         assert a.multiply(b) == span([x * y for x in ab for y in bb])
         # a cap b: inside both, with [a : a cap b] = [a + b : b]
         inter = a.intersect(b)
+        assert inter == kernel_intersect(a, b)
         assert a.contains_lattice(inter) and b.contains_lattice(inter)
         assert inter.covolume() * a.add(b).covolume() == a.covolume() * b.covolume()
 
 
 @pytest.mark.parametrize("factors", [(5,), (6,), (7,), (2, 4), (3, 3)])
 def test_bounded_division_equals_scaling_by_the_inverse(factors, monkeypatch):
-    """L.divide(u, u^-1) hands the columns of a (den L), a = d u^-1, to the
-    HNF modulo D = p0 d d_u (p0 the first pivot, d_u the denominator of u),
-    whose entries stay below D, and gives the lattice that the plain
-    L.scale(u^-1) gives.
-    The lattices are ideals spanned by random generators (not diagonal, some
-    with denominators); u is integral as INDF's twists are, or rational."""
+    """L.divide(u) = (u* L^*)^* takes two duals, each an `hnf_mod` modulo the
+    first pivot of the lattice it dualizes (L, then u* L^*), whose entries
+    stay below it, and gives the lattice that L.scale(u^-1) gives, u^-1 from
+    the oracle's solve. The lattices are ideals spanned by random generators
+    (not diagonal, some with denominators); u is integral as INDF's twists
+    are, or rational."""
     rng = random.Random(repr(factors))
     g = abelian_group(factors)
     n = g.order
@@ -470,7 +474,8 @@ def test_bounded_division_equals_scaling_by_the_inverse(factors, monkeypatch):
     hnf_mod = intmat.hnf_mod
 
     def capturing(cols, d, n):
-        handed.append(([list(col) for col in cols], d, n))
+        cols = [list(col) for col in cols]
+        handed.append((cols, d, n))
         return hnf_mod(cols, d, n)
 
     def element(dens):
@@ -483,22 +488,68 @@ def test_bounded_division_equals_scaling_by_the_inverse(factors, monkeypatch):
             lat = IdealLattice.from_generators(
                 g, [element((1,) if checked % 2 else (1, 2, 3)) for _ in range(2)])
             u = element((1,) if checked < 6 else (1, 2))
-            u_inv = gre_inverse(u)
+            u_inv = group_ring_inverse(u)
         except (ValueError, ZeroDivisionError):   # rank-deficient or singular draw
             continue
         checked += 1
         diagonal += all(x == 0 for t, col in enumerate(lat.cols) for x in col[:t])
         handed.clear()
         monkeypatch.setattr(intmat, "hnf_mod", capturing)
-        divided = lat.divide(u, u_inv)
+        divided = lat.divide(u)
         monkeypatch.setattr(intmat, "hnf_mod", hnf_mod)
         assert divided == lat.scale(u_inv)
-        big_d = lat.cols[0][0] * u_inv.denominator() * u.denominator()
-        ((cols, d, rows),) = handed
-        assert (d, rows, len(cols)) == (big_d, n, n)
+        u_star = GroupRingElement(g, [u.coeff(g.inv(x)) for x in g.elements])
+        pivots = {lat.cols[0][0], lat.dual().scale(u_star).cols[0][0]}
+        assert {d for _, d, _ in handed} == pivots
+        assert all(rows == n and len(cols) == n for cols, _, rows in handed)
     assert diagonal < checked
-    with pytest.raises(ValueError, match="u_inv is not the inverse of u"):
-        lat.divide(u, u_inv * 2)
+
+
+def _dual_test_groups():
+    from fracgalois.fields import plus_field
+    return ([abelian_group((n,)) for n in (2, 3, 4, 5, 6, 8, 9, 12)]
+            + [abelian_group(d) for d in ((2, 2), (2, 4), (3, 3), (2, 2, 2))]
+            + [plus_field(61).group])
+
+
+@pytest.mark.parametrize("g", _dual_test_groups(), ids=repr)
+def test_dual_divide_and_intersect_equal_their_oracles(g):
+    """On cyclic groups, products of cyclics and the order-30 Galois group of
+    the plus field of conductor 61, for random ideals L and M (mixed
+    denominators) and rational u: L^* pairs integrally with L and has the
+    inverse covolume, L^** = L, u^-1 L is the scaling by the oracle's
+    inverse, u (u^-1 L) = L, and L cap M is the kernel-lattice oracle's."""
+    rng = random.Random(repr(g))
+    n = g.order
+
+    def element():
+        return GroupRingElement(g, [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+                                    for _ in range(n)])
+
+    def ideal():
+        while True:
+            try:
+                return IdealLattice.from_generators(g, [element() for _ in range(2)])
+            except ValueError:   # rank-deficient draw
+                pass
+
+    checked = 0
+    while checked < 3:
+        lat, other, u = ideal(), ideal(), element()
+        try:
+            u_inv = group_ring_inverse(u)
+        except ZeroDivisionError:
+            continue
+        checked += 1
+        dual = lat.dual()
+        assert dual.covolume() * lat.covolume() == 1
+        assert all(sum(x * y for x, y in zip(a.c, b.c)).denominator == 1
+                   for a in lat.basis_elements() for b in dual.basis_elements())
+        assert dual.dual() == lat
+        divided = lat.divide(u)
+        assert divided == lat.scale(u_inv)
+        assert divided.scale(u) == lat
+        assert lat.intersect(other) == kernel_intersect(lat, other)
 
 
 def test_lattice_from_generators_rejects_rank_deficiency():

@@ -10,12 +10,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fracgalois.intmat import (column_echelon, content, hnf_columns, hnf_mod,
                                identity_matrix, kernel_basis, mat_transpose,
-                               smith_normal_form, solve_fraction_free,
+                               hnf_dual, smith_normal_form,
                                solve_upper_triangular, span_contains,
                                span_equal)
 from fracgalois.gring import (FiniteGModule, GroupRingElement, IdealLattice,
                               abelian_group)
-from oracles import dense_column_echelon, dense_hnf_columns, dense_kernel_basis, mat_mul
+from oracles import (dense_column_echelon, dense_hnf_columns, dense_kernel_basis, mat_mul,
+                     solve_fraction_free)
 
 
 def random_unimodular(rng, n):
@@ -378,6 +379,27 @@ def test_hnf_mod_is_the_hnf_with_d_times_the_identity():
     assert {(kind, d) for kind in ("none", "zero", "small", "wide", "multiples")
             for d in (1, 4, 12, 36, 64)} <= seen
     assert hnf_mod([], 6, 2) == [[6, 0], [0, 6]] and hnf_mod([[9, -3]], 1, 2) == identity_matrix(2)
+
+
+def test_hnf_dual_is_the_hnf_of_d_times_the_dual():
+    """hnf_dual(H, d) for the HNF H of a lattice L that contains d Z^n is the
+    HNF of d L^*: its columns y have y . x = 0 mod d for every column x of H,
+    its index in Z^n is d^n / [Z^n : L], and taken again it gives H back."""
+    rng = random.Random(37)
+    for _ in range(200):
+        d = rng.choice((1, 2, 6, 12, 25, 97))
+        n = rng.randint(1, 6)
+        h = hnf_mod([[rng.randint(-9, 9) for _ in range(n)]
+                     for _ in range(rng.randint(0, n + 1))], d, n)
+        dual = hnf_dual(h, d)
+        assert dual == hnf_columns(dual)[0] and len(dual) == n
+        assert all(sum(x * y for x, y in zip(a, b)) % d == 0 for a in h for b in dual)
+        index = 1
+        for t in range(n):
+            index *= h[t][t] * dual[t][t]
+        assert index == d ** n
+        assert hnf_dual(dual, d) == h
+    assert hnf_dual([[4, 0], [2, 2]], 4) == [[2, 0], [1, 1]]
 
 
 def test_span_predicates_and_content():

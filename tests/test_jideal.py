@@ -4,6 +4,7 @@ the verification checks, and class-group data interchange."""
 import hashlib
 import itertools
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from fracgalois.units import (lambda_unit, quotient_module, stark_module,
                               sunit_group)
 from gmodules import action_of
 from oracles import (assemble, bch_projection_dense, char_value_numeric,
-                     gmodule_span_equal, mu_ell_annihilator_module)
+                     gmodule_span_equal, group_ring_inverse, mu_ell_annihilator_module)
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
 
@@ -265,9 +266,33 @@ def test_indf_builds_the_unit_quotient_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_indf_divides_by_the_seeded_draws_and_skips_the_singular_ones(monkeypatch):
+    """INDF tries each seeded draw in turn and checks the first `count` that
+    the oracle's solve can invert; the others are refused by `divide`."""
+    tried = []
+    divide = jideal.IdealLattice.divide
+
+    def recorded(self, u):
+        tried.append(u)
+        return divide(self, u)
+
+    monkeypatch.setattr(jideal.IdealLattice, "divide", recorded)
+    assert run_check("INDF", {"p": 13, "seed": 3}, CTX).status == "pass"
+    g = _field(13, 1, "plus")[0].group
+    rng, draws, invertible = random.Random(3), [], 0
+    while invertible < 5:
+        draws.append(GroupRingElement(g, [Fraction(rng.randint(-2, 2)) for _ in range(g.order)]))
+        try:
+            group_ring_inverse(draws[-1])
+            invertible += 1
+        except ZeroDivisionError:
+            pass
+    assert tried == draws and len(draws) > 5
+
+
 def test_indf_catches_a_broken_division(monkeypatch):
     # with u^-1 L = L the check compares u J with J and must fail at once
-    monkeypatch.setattr(jideal.IdealLattice, "divide", lambda self, u, u_inv: self)
+    monkeypatch.setattr(jideal.IdealLattice, "divide", lambda self, u: self)
     rep = run_check("INDF", {"p": 7, "seed": 0}, CTX)
     assert rep.status == "fail"
     wit = rep.witnesses
@@ -490,6 +515,14 @@ def test_clcont_rejects_mismatched_field():
 def test_clcont_rejects_even_ell():
     rep = run_check("CLCONT", {"p": 7, "ell": 2}, CTX)
     assert rep.status == "error"
+
+
+@pytest.mark.parametrize("check", ["CLCONT", "CG_FIT"])
+@pytest.mark.parametrize("ell", [9, 15])
+def test_a_composite_ell_is_refused_by_name(check, ell):
+    rep = run_check(check, {"p": 7, "ell": ell}, CTX)
+    assert rep.status == "error"
+    assert rep.witnesses["message"] == f"{check} needs an odd prime ell, not {ell}"
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,14 @@ from fracgalois.fields import (SUnit, full_cyclotomic, place_set, plus_field,
                                relative_model, relative_place_set)
 from fracgalois import intmat
 from fracgalois.gring import FiniteGModule, GroupRingElement, IdealLattice
-from fracgalois.intmat import identity_matrix, mat_transpose, solve_fraction_free
+from fracgalois.intmat import identity_matrix, mat_transpose
 from fracgalois.units import (KNOWN_HPLUS_ONE, CoordinateError, UnitLattice,
                               cyclotomic_unit, export_units, lambda_unit,
                               load_units, quotient_module, stark_module,
                               stark_residuals, stark_unit, sunit_group,
                               unit_coordinates)
-from oracles import dense_coordinate_solver, finite_logs, mat_mul, same_value
+from oracles import (dense_coordinate_solver, finite_logs, mat_mul, same_value,
+                     solve_fraction_free)
 from test_gring import assert_dual_route_matches_the_oracles
 from test_intmat import naive_det
 
@@ -319,9 +320,10 @@ def test_coordinate_errors_equal_the_dense_solve(f):
 @pytest.mark.parametrize("kind, f", [("plus", 43), ("full", 25), ("relative", 49)])
 def test_a_lattice_and_its_solves_make_one_echelon(kind, f, monkeypatch):
     """Building U and E and solving every word of U/E: one column_echelon
-    call (the rank check's, shared by every solve), no HNF, no Bareiss."""
+    call (the rank check's, shared by every solve) and no other elimination
+    of `intmat`, whose HNFs, dual and kernel all run through column_echelon."""
     calls = {}
-    for name in ("column_echelon", "hnf_columns", "solve_fraction_free"):
+    for name in ("column_echelon", "hnf_columns", "hnf_mod", "hnf_dual", "kernel_basis"):
         fn = getattr(intmat, name)
 
         def counted(*args, _fn=fn, _name=name):

@@ -6,13 +6,12 @@ denominator: equality is decidable and Galois twists are exact. Numerics are
 integer fixed point under a PrecisionContext (working precision, tolerance,
 guard bits, one rounding at the end): one root-of-unity kernel per modulus
 and precision gives embeddings and log-sines, log_scaled every logarithm of
-a rational, and the Stirling kernel log Gamma at a rational.
+a rational; log Gamma at a rational is mpmath's loggamma.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 
 import mpmath as mp
 
@@ -476,51 +475,6 @@ def bernoulli_number(n):
     return Fraction((-1) ** (k - 1) * n * _tangent[k - 1], q * (q - 1))
 
 
-@lru_cache(maxsize=None)
-def _half_log_2pi(prec):
-    with mp.workprec(prec):
-        return mp.log(2 * mp.pi) / 2
-
-
-@lru_cache(maxsize=None)
-def _stirling_coeffs(prec):
-    """(W, z0, C): C_j = floor(B_2j 2^W / (2j (2j - 1))), W = prec +
-    GUARD_BITS, for j <= J, J fixed at the least shifted argument z0: term
-    J + 1 is the first below 2^-(prec+8) there, and so for every real z >= z0."""
-    W = prec + GUARD_BITS
-    z0 = max(16, int(0.35 * prec) + 8)  # keeps the min term far below target
-    target, zpow, coeffs = 1 << (W - prec - 8), z0, []  # zpow = z0^(2j-1)
-    for j in count(1):
-        b = bernoulli_number(2 * j)
-        c = (b.numerator << W) // (b.denominator * 2 * j * (2 * j - 1))
-        if coeffs and abs(c) >= abs(coeffs[-1]) * z0 * z0:
-            raise ArithmeticError("Stirling series failed to reach target precision")
-        if abs(c) < target * zpow:
-            return W, z0, tuple(coeffs)
-        coeffs.append(c)
-        zpow *= z0 * z0
-
-
-def stirling_shifted(a, F, prec):
-    """(S, P, N) with log Gamma(x) - log(2 pi)/2 = S 2^-W - log P + N log F
-    for x = a/F > 0, W = prec + GUARD_BITS: S is the integer Stirling value
-    (2A - F) log(A/F) / (2F) - A/F + tail at z = A/F = x + N >= z0, and
-    P = prod_{k<N} (a + kF) exact, so a sum over residues takes one
-    logarithm of the product of their P. The tail (1/z) sum_j C_j w^(j-1),
-    w = F^2/A^2, takes exact Horner steps, each adding under two units of
-    2^-W that w <= 2^-8 shrinks: under 2 after the division by z >= 16.
-    log(A/F), off by under one unit, is amplified by z - 1/2: S is off by
-    under z + 3 units."""
-    W, z0, coeffs = _stirling_coeffs(prec)
-    n_shift = max(0, -((a - z0 * F) // F))  # ceil(z0 - x)
-    A = a + n_shift * F
-    F2, A2, acc = F * F, A * A, 0
-    for c in reversed(coeffs):
-        acc = c + acc * F2 // A2
-    s = (2 * A - F) * log_scaled(A, F, W) // (2 * F) - (A << W) // F + acc * F // A
-    return s, prod(range(a, A, F)), n_shift
-
-
 def log_scaled(n, d, W):
     """log(n/d) 2^W for integers n, d > 0, W >= 64, off by under one unit
     when |log2(n/d)| < 2^64, and 0 when n = d. n/d = 2^k x, 1/2 < x < 2; r
@@ -554,11 +508,10 @@ def log_scaled(n, d, W):
 @lru_cache(maxsize=None)
 def _log_gamma_guarded(x, prec):
     """log Gamma(x) for a Fraction x > 0 at prec bits (the caller's guarded
-    precision), memoized on (x, prec): callers meeting one reduced b/f0 share it."""
-    s, shift, n = stirling_shifted(x.numerator, x.denominator, prec)
-    W = prec + GUARD_BITS
+    precision), mpmath's loggamma, memoized on (x, prec): callers meeting one
+    reduced b/f0 share it."""
     with mp.workprec(prec):
-        return mp.ldexp(s - log_scaled(shift, x.denominator ** n, W), -W) + _half_log_2pi(prec)
+        return mp.loggamma(mp.mpf(x.numerator) / x.denominator)
 
 
 def log_gamma(x, ctx):
@@ -583,14 +536,7 @@ def hurwitz_zeta_at0(x, k, ctx):
     if k == 0:
         return Fraction(1, 2) - x
     if k == 1:
-        return _hurwitz_deriv_at0(x, ctx)
+        with ctx.guard():
+            val = _log_gamma_guarded(x, mp.mp.prec) - mp.log(2 * mp.pi) / 2
+        return ctx.final(val)
     raise ValueError("k must be 0 or 1")
-
-
-@lru_cache(maxsize=None)
-def _hurwitz_deriv_at0(x, ctx):
-    """log Gamma(x) - log(2 pi)/2 at ctx.bits, memoized on (x, ctx): every
-    character sum over b/f0 reads one value per argument and precision."""
-    with ctx.guard():
-        val = _log_gamma_guarded(x, mp.mp.prec) - _half_log_2pi(mp.mp.prec)
-    return ctx.final(val)

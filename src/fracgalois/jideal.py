@@ -517,7 +517,7 @@ def load_classgroup(path):
     if json_int(doc.get("format", 0), "format") != 1:
         raise ValueError("unsupported class-group file format")
     fd = json_object(doc, "field")
-    model = make_field(json_int(fd["f"], "f"),
+    model = make_field(json_int(fd.get("f"), "f"),
                        frozenset(json_ints(fd.get("kernel", [1]), "kernel")))
     g = model.group
     factors = json_ints(doc.get("invariant_factors"), "invariant_factors")
@@ -529,7 +529,7 @@ def load_classgroup(path):
     relations = [tuple(factors[i] if j == i else 0 for j in range(k))
                  for i in range(k)]
     gens = g.generator_elements()
-    action = doc["action"]
+    action = doc.get("action")
     if not isinstance(action, list) or len(action) != len(gens):
         raise ValueError(f"\"action\" must list {len(gens)} action matrices "
                          "(one per group generator)")

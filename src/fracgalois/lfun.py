@@ -1,6 +1,6 @@
 """Abelian L-function data at s = 0: exact values via generalized Bernoulli
-numbers, S-truncated partial zetas and their derivatives (log-sine pairs, a
-Stirling kernel), character sums of them, and the Stickelberger-type elements.
+numbers, S-truncated partial zetas and their derivatives (log-sine pairs, log
+Gamma), character sums of them, and the Stickelberger-type elements.
 
 Conventions: for a character chi of Gal(K/Q) = (Z/f)^x / H and a place set S
 containing infinity, L_S(s, chi) carries Euler factors (1 - chi_0(p) p^{-s})
@@ -17,8 +17,8 @@ from math import gcd, lcm
 
 import mpmath as mp
 
-from .cyclo import (GUARD_BITS, CyclotomicNumber, _root_table, crt, divisors,
-                    factorize, log_scaled, stirling_shifted)
+from .cyclo import (GUARD_BITS, CyclotomicNumber, _log_gamma_guarded, _root_table, crt,
+                    divisors, factorize, log_scaled)
 from .fields import (FieldModel, PlaceSet, RelativeModel, _log_2_sin, make_field,
                      place_set)
 from .gring import Character, GroupHom, GroupRingElement, _convolve
@@ -136,27 +136,21 @@ def _class_derivs(F, classes, ctx):
     """(sum_{a in c} d/ds (F^-s zeta_H(s, a/F)) at s = 0 for c in classes) at
     ctx's guarded precision, memoized. By Lerch's and the reflection formula
     a pair a < F - a in one class sums to -log(2 sin(pi a / F)), read from
-    the memo SUnit.log_abs reads. Residues without their partner (those of
-    imaginary fields) take the Stirling kernel: one term is
-    zeta_H'(0, a/F) - log F (1/2 - a/F) = S_a 2^-W - log P_a + (N_a - 1/2 + a/F) log F
-    with (S_a, P_a, N_a) from stirling_shifted, summed in integers with
-    one log_scaled of the class's product of P_a: off by under 2 (z0 + 4) #c
-    + 2 units of 2^-W, however much terms of size z0 log z0 cancel."""
-    out, log_f = [], 0
+    the memo SUnit.log_abs reads. A residue without its partner (those of
+    imaginary fields) adds log Gamma(a/F) - log(2 pi)/2 - log F (1/2 - a/F)."""
+    out = []
     with ctx.guard():
         prec, W = mp.mp.prec, mp.mp.prec + GUARD_BITS
         for residues in classes:
             members = set(residues)
             pairs = [a for a in residues if 2 * a < F and F - a in members]
-            total, shift, n_sum = 0, 1, 0
-            for a in members.difference(pairs, (F - a for a in pairs)):
-                s, p, n = stirling_shifted(a, F, prec)
-                total += s
-                shift *= p
-                n_sum += 2 * (n * F + a) - F
-                log_f = log_f or log_scaled(F, 1, W)
-            out.append(mp.ldexp(total + n_sum * log_f // (2 * F) - log_scaled(shift, 1, W), -W)
-                       - mp.fsum(_log_2_sin(a, F, prec) for a in pairs))
+            lone = members.difference(pairs, (F - a for a in pairs))
+            terms = [-_log_2_sin(a, F, prec) for a in pairs]
+            if lone:
+                terms += [_log_gamma_guarded(Fraction(a, F), prec) for a in lone]
+                terms.append(-len(lone) * mp.log(2 * mp.pi) / 2 - sum(F - 2 * a for a in lone)
+                             * mp.ldexp(log_scaled(F, 1, W), -W) / (2 * F))
+            out.append(mp.fsum(terms))
     return tuple(out)
 
 

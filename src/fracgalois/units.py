@@ -316,17 +316,17 @@ def load_units(path, ctx):
     fd = json_object(doc, "field")
     if "relative" in fd:
         rel = json_object(fd, "relative")
-        model = relative_model(json_int(rel["p"], "p"), json_int(rel["n"], "n"))
+        model = relative_model(json_int(rel.get("p"), "p"), json_int(rel.get("n"), "n"))
         pset = relative_place_set(model)
         f = model.f
     else:
-        f = json_int(fd["f"], "f")
+        f = json_int(fd.get("f"), "f")
         odd_prime_power(f)
-        model = make_field(f, frozenset(json_ints(fd["kernel"], "kernel")))
-        pset = place_set(model, json_ints(doc["s_primes"], "s_primes"))
+        model = make_field(f, frozenset(json_ints(fd.get("kernel"), "kernel")))
+        pset = place_set(model, json_ints(doc.get("s_primes"), "s_primes"))
     tors = json_object(doc, "torsion")
-    torsion = SUnit.from_word(f, tors["word"])
-    order = json_int(tors["order"], "order")
+    torsion = SUnit.from_word(f, json_list(tors.get("word"), "word"))
+    order = json_int(tors.get("order"), "order")
     t = torsion.t
     if any(torsion.v):
         raise ValueError("torsion word is not a root of unity")
@@ -334,7 +334,7 @@ def load_units(path, ctx):
         raise ValueError("torsion word does not have the declared order")
     if order != 2 * f // gcd(t, 2 * f):
         raise ValueError("declared torsion order is not minimal")
-    free = tuple(SUnit.from_word(f, w) for w in json_list(doc["free"], "free"))
+    free = tuple(SUnit.from_word(f, w) for w in json_list(doc.get("free"), "free"))
     if not isinstance(model, RelativeModel):
         for w in free:
             if not w.fixed_by(model.kernel):

@@ -10,23 +10,20 @@ the roots of unity by a cyclic G-module, the annihilator of a finite G-module
 by a kernel lattice and its ell-part by a plain HNF, unit coordinates by a dense
 scaled inverse, the Bareiss solve behind it, the inverse in Q[G] by that solve,
 the intersection of two lattices by a kernel lattice, a dense column echelon
-form with its HNF and kernel, a numeric character value read
-per call, log Gamma with a floored Horner multiplier, the primitive
-L-derivative by Hurwitz zeta, the partial-zeta derivatives of whole classes
-by the Stirling kernel alone, the partial-zeta derivatives and their relative
-fold one residue at a time, BCH's projection of beta0 J by dense products
-over G, and the product of two integer matrices."""
+form with its HNF and kernel, a numeric character value read per call, the
+primitive L-derivative by Hurwitz zeta, the partial-zeta derivatives of whole
+classes by mpmath's loggamma alone, the partial-zeta derivatives and their
+relative fold one residue at a time, BCH's projection of beta0 J by dense
+products over G, and the product of two integer matrices."""
 
 from fractions import Fraction
-from math import ceil, gcd, lcm, prod
+from math import gcd, lcm
 
 import mpmath as mp
 
 from fracgalois import intmat
-from fracgalois.cyclo import (GUARD_BITS, CyclotomicNumber, _fixed_root_table,
-                              _half_log_2pi, _power_table, _root_table, _sparse_rows,
-                              _stirling_coeffs, euler_phi, hurwitz_zeta_at0,
-                              log_scaled, stirling_shifted)
+from fracgalois.cyclo import (CyclotomicNumber, _fixed_root_table, _power_table,
+                              _root_table, _sparse_rows, euler_phi, hurwitz_zeta_at0)
 from fracgalois.fields import (FieldModel, SUnit, _symbols, make_field, place_set,
                                torsion_order)
 from fracgalois.gring import (Character, FiniteGModule, GroupRingElement, IdealLattice,
@@ -587,25 +584,6 @@ def char_value_numeric(chi, elem, ctx):
         return _root_table(chi.group.exponent, mp.mp.prec)[chi.exp_at(elem)]
 
 
-def log_gamma_floored_w(x, prec):
-    """`cyclo._log_gamma_guarded` with the Stirling tail summed by Horner in
-    the W-bit multiplier w = floor(F^2 2^W / A^2), off by at most 2J + 1
-    units of 2^-W."""
-    W, z0, coeffs = _stirling_coeffs(prec)
-    with mp.workprec(prec):
-        n_shift = max(0, ceil(z0 - x))
-        a, F = x.numerator, x.denominator
-        A = a + n_shift * F
-        z = mp.mpf(a) / F + n_shift
-        val = (z - mp.mpf(1) / 2) * mp.log(z) - z + _half_log_2pi(prec)
-        w, acc = (F * F << W) // (A * A), 0
-        for c in reversed(coeffs):
-            acc = c + (acc * w >> W)
-        val += mp.ldexp(acc * F // A, -W)
-        shift = prod(range(a, A, F))
-        return val - mp.log(mp.mpf(shift) / F ** n_shift)
-
-
 def l_deriv_primitive_with_b1(model, chi, ctx):
     """Untruncated L'(0, chi) for nontrivial chi, via the conductor-f0 sum
     L'(0, chi) = log(f0) B_{1,chi_0} + sum_b chi_0(b) zeta_H'(0, b/f0), one
@@ -621,9 +599,8 @@ def l_deriv_primitive_with_b1(model, chi, ctx):
 
 
 def partial_zeta_derivs_per_residue(model, pset, ctx):
-    """`lfun.partial_zeta_all(k=1)` with one Hurwitz derivative (one log Gamma,
-    so one logarithm of its shift product) per residue a of the lifted
-    modulus F: d/ds (F^-s zeta_H(s, a/F)) = -log F (1/2 - a/F) + zeta_H'(0, a/F)."""
+    """`lfun.partial_zeta_all(k=1)` with one Hurwitz derivative (one log Gamma)
+    per residue a of the lifted modulus F: d/ds (F^-s zeta_H(s, a/F)) = -log F (1/2 - a/F) + zeta_H'(0, a/F)."""
     g = model.group
     F = _lift_modulus(model, pset)
     with ctx.guard():
@@ -638,23 +615,17 @@ def partial_zeta_derivs_per_residue(model, pset, ctx):
     return {e: ctx.final(v) for e, v in acc.items()}
 
 
-def class_derivs_stirling(F, classes, ctx):
-    """`lfun._class_derivs` with every residue through the Stirling kernel,
-    a and F - a alike: per class the integer Stirling values, the exact
-    product of the shift products and one logarithm of it, at ctx's guarded
-    precision. It shares no formula with the log-sine route of the pairs."""
+def class_derivs_loggamma(F, classes, ctx):
+    """`lfun._class_derivs` with every residue through mpmath's loggamma, a
+    and F - a alike: per class the sum of log Gamma(a/F) - log(2 pi)/2 -
+    log F (1/2 - a/F) at ctx's guarded precision. It shares no formula with
+    the log-sine route of the pairs."""
     out = []
     with ctx.guard():
-        prec, W = mp.mp.prec, mp.mp.prec + GUARD_BITS
-        log_f = log_scaled(F, 1, W)
+        half_log_2pi, log_f = mp.log(2 * mp.pi) / 2, mp.log(F)
         for residues in classes:
-            total, shift, n_sum = 0, 1, 0
-            for a in residues:
-                s, p, n = stirling_shifted(a, F, prec)
-                total += s
-                shift *= p
-                n_sum += 2 * (n * F + a) - F
-            out.append(mp.ldexp(total + n_sum * log_f // (2 * F) - log_scaled(shift, 1, W), -W))
+            out.append(mp.fsum(mp.loggamma(mp.mpf(a) / F) - half_log_2pi
+                               - log_f * mp.mpf(F - 2 * a) / (2 * F) for a in residues))
     return tuple(out)
 
 

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from functools import reduce
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 import fracgalois
 from fracgalois import cli
 from fracgalois.cli import RunConfig
+from fracgalois.cyclo import PrecisionContext
 from fracgalois.jideal import CHECK_IDS
 
 
@@ -705,6 +707,30 @@ def test_ingest_names_a_mistyped_field(shipped_documents, name, path, value, nam
     assert err.startswith("error:") and named in err and "Traceback" not in err
 
 
+MISSING_KEYS = [("plus", ("field", "f")), ("plus", ("field", "kernel")),
+                ("plus", ("s_primes",)), ("plus", ("torsion", "word")),
+                ("plus", ("torsion", "order")), ("plus", ("free",)),
+                ("relative", ("field", "relative", "p")),
+                ("relative", ("field", "relative", "n")),
+                ("classgroup", ("field", "f")), ("classgroup", ("action",))]
+
+
+@pytest.mark.parametrize("name, path", MISSING_KEYS,
+                         ids=[f"{name}-{'.'.join(path)}" for name, path in MISSING_KEYS])
+def test_ingest_names_a_missing_key(shipped_documents, name, path):
+    where, docs = shipped_documents
+    doc = copy.deepcopy(docs[name])
+    del reduce(operator.getitem, path[:-1], doc)[path[-1]]
+    target = where / "missing.json"
+    target.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["ingest", "--in", str(target)])
+    err = err.getvalue()
+    assert code == 2 and out.getvalue() == ""
+    assert err.startswith("error:") and f'"{path[-1]}"' in err and "Traceback" not in err
+
+
 def _value_paths(x, prefix=()):
     """The key paths to every value below the top of a JSON document."""
     items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
@@ -1035,3 +1061,33 @@ def test_startup_imports_nothing_the_mathematics_does_not_need():
                           timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_the_benchmark_tracer_binds_every_target():
+    # perfbench/spans.py patches functions of fracgalois by name, and the
+    # benchmark worker reads bernoulli_number's cache counters: a target
+    # deleted or renamed here breaks every traced benchmark round. The file
+    # is read and executed, not imported, so nothing is written beside it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spans = types.ModuleType("spans")
+    exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+
+    def binding(modname, qual):
+        home = sys.modules[f"fracgalois.{modname}"]
+        *owner, attr = qual.split(".")
+        return vars(getattr(home, owner[0]) if owner else home)[attr]
+
+    before = {(m, q): binding(m, q) for m, q, _ in spans.TARGETS}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert [key for key in before if binding(*key) is before[key]] == []
+        fracgalois.cyclo.log_gamma(Fraction(1, 3), PrecisionContext(bits=64, tol_exp=-40))
+        assert tracer.stats["cyclo.log_gamma"].calls == 1
+        assert tracer.stats["cyclo._log_gamma_guarded"].calls == 1
+    finally:
+        tracer.uninstall()
+    assert all(binding(*key) is fn for key, fn in before.items())
+    assert spans.combine([tracer.counters()])["cyclo.log_gamma.calls"] == 1
+    info = fracgalois.cyclo.bernoulli_number.cache_info()
+    assert info.hits >= 0 and info.misses >= 0

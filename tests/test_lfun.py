@@ -24,7 +24,7 @@ from fracgalois.lfun import (character_conductor, half_stickelberger,
                              stickelberger_classical, vanishing_order)
 from fracgalois.units import KNOWN_HPLUS_ONE
 from oracles import (_b1_sum, assemble, b1_fraction_loop, bernoulli_b1,
-                     class_derivs_stirling,
+                     class_derivs_loggamma,
                      l_deriv_primitive_with_b1,
                      l_value_at_0_per_character, partial_zeta_derivs_per_residue,
                      primitive_table, relative_fold_per_residue,
@@ -461,6 +461,36 @@ def test_partial_zeta_derivs_match_the_per_residue_loop(kind, f, primes, bits):
             assert abs(v - ref[sigma]) < mp.mpf(2) ** -(bits - 8), model.group.label(sigma)
 
 
+@pytest.mark.parametrize("f, primes", [(25, (5,)), (49, ()), (7, (2, 7))],
+                         ids=["full25", "full49", "full7-S2"])
+def test_unpaired_residues_match_the_euler_maclaurin_zeta(f, primes):
+    # every residue of a full field lacks its partner a -> F - a, so each
+    # class takes log Gamma, which src/ and the per-residue oracle both read
+    # from mp.loggamma; mpmath's zeta(0, x, 1) is an Euler-Maclaurin sum.
+    # f = 7 with 2 in S lifts to F = 14, two residues per class
+    bits = 192
+    ctx = PrecisionContext(bits=bits, tol_exp=-(bits - 20))
+    model = full_cyclotomic(f)
+    pset = place_set(model, primes)
+    F = lfun._lift_modulus(model, pset)
+    ours = partial_zeta_all(model, pset, 1, ctx)
+    chars = characters(model.group)
+    lders = l_derivs_at_0(model, pset, chars, ctx)
+    with ctx.guard():
+        ref = dict.fromkeys(ours, mp.mpf(0))
+        for a in range(1, F):
+            if gcd(a, F) == 1:
+                x = mp.mpf(a) / F
+                ref[model.group.element_of_residue(a % f)] += (
+                    mp.zeta(0, x, 1) - mp.log(F) * (mp.mpf(1) / 2 - x))
+        tol = mp.mpf(2) ** -(bits - 8)
+        for sigma, v in ours.items():
+            assert abs(v - ref[sigma]) < tol, model.group.label(sigma)
+        for chi, lder in zip(chars, lders):
+            assembled = mp.fsum(chi.value(e).embed(1) * ref[e] for e in ref)
+            assert abs(lder - assembled) < tol
+
+
 @pytest.mark.parametrize("bits", [192, 768])
 @pytest.mark.parametrize("p, n", [(7, 1), (23, 1), (59, 1), (3, 2), (11, 2)])
 def test_relative_fold_matches_the_per_residue_loop(p, n, bits):
@@ -475,26 +505,26 @@ def test_relative_fold_matches_the_per_residue_loop(p, n, bits):
             assert abs(ours[sigma] - ref[sigma]) < mp.mpf(2) ** -(bits - 8), m.group.label(sigma)
 
 
-def _count_kernel_calls(monkeypatch):
+def _count_log_gamma_calls(monkeypatch):
     calls = []
-    kernel = lfun.stirling_shifted
+    kernel = lfun._log_gamma_guarded
 
-    def counted(a, F, prec):
-        calls.append((a, F))
-        return kernel(a, F, prec)
+    def counted(x, prec):
+        calls.append(x)
+        return kernel(x, prec)
 
-    monkeypatch.setattr(lfun, "stirling_shifted", counted)
+    monkeypatch.setattr(lfun, "_log_gamma_guarded", counted)
     lfun._class_derivs.cache_clear()
     fields._log_2_sin.cache_clear()
     return calls
 
 
 def test_indf_builds_the_derivative_sums_once_per_field(monkeypatch, tmp_path):
-    # INDF compares lattices and reads no L-data: no kernel call, no
+    # INDF compares lattices and reads no L-data: no log Gamma, no
     # log-sine; STARK_RAT reads one set of L-data, one class sum per field
     # and one log-sine per pair {a, 61 - a}, which the regulator's
-    # logarithms then read from the memo; no residue needs the kernel
-    calls = _count_kernel_calls(monkeypatch)
+    # logarithms then read from the memo; no residue needs log Gamma
+    calls = _count_log_gamma_calls(monkeypatch)
     assert main(["verify", "--suite", "INDF", "-p", "61",
                  "--out", str(tmp_path / "indf.json")]) == 0
     assert calls == []
@@ -513,9 +543,9 @@ def _misses():
 
 def test_partial_zeta_memo_does_no_new_work_and_hands_out_fresh_dicts(monkeypatch):
     # plus and relative fields: one class-sum miss per field, one log-sine
-    # miss per pair and no kernel call; a second read does no new work; a
-    # full field still takes the kernel once per residue
-    calls = _count_kernel_calls(monkeypatch)
+    # miss per pair and no log Gamma; a second read does no new work; a
+    # full field still takes log Gamma once per residue
+    calls = _count_log_gamma_calls(monkeypatch)
     model = plus_field(25)
     pset = place_set(model, (5,))
     first = partial_zeta_all(model, pset, 1, CTX)
@@ -532,7 +562,7 @@ def test_partial_zeta_memo_does_no_new_work_and_hands_out_fresh_dicts(monkeypatc
     assert partial_zeta_all(rel, relative_place_set(rel), 1, CTX) and _misses() == (2, 13)
     full = full_cyclotomic(25)
     partial_zeta_all(full, pset, 1, CTX)
-    assert sorted(calls) == [(a, 25) for a in range(1, 25) if a % 5]
+    assert sorted(calls) == [Fraction(a, 25) for a in range(1, 25) if a % 5]
     assert _misses() == (3, 13)
     partial_zeta_all(full, pset, 1, CTX)
     assert len(calls) == 20 and _misses() == (3, 13)
@@ -547,7 +577,7 @@ def test_partial_zeta_memo_does_no_new_work_and_hands_out_fresh_dicts(monkeypatc
 def test_stark_and_acnf_checks_take_no_stirling_kernel_call(monkeypatch, tmp_path, argv):
     # every class of a plus, relative or Q(sqrt 5) field is closed under
     # a -> F - a, so each of its derivatives is a sum of log-sines
-    calls = _count_kernel_calls(monkeypatch)
+    calls = _count_log_gamma_calls(monkeypatch)
     assert main(["verify", "--suite", *argv, "--out", str(tmp_path / "out.json")]) == 0
     assert calls == [] and lfun._class_derivs.cache_info().misses == 1
 
@@ -577,18 +607,18 @@ def _plus_and_relative_classes():
 
 @pytest.mark.parametrize("bits", [192, 768])
 def test_class_derivs_match_the_stirling_oracle_bit_for_bit(bits):
-    # the log-sine pairs against the Stirling kernel on every residue, with
+    # the log-sine pairs against mpmath's loggamma on every residue, with
     # S = {infinity, p} (F = f) and with the extra prime 2 (F = 2f, four
     # residues per class); a completely split q = +-1 mod f would make every
     # class sum exactly 0. Only at f = 3 is 2 = -1 split: there the class
     # sum log(2 sin(pi/6)) = 0 is exact on the log-sine route and rounding
-    # noise on the Stirling route
+    # noise on the loggamma route
     ctx = PrecisionContext(bits=bits, tol_exp=-(bits - 20))
     for f, key in _plus_and_relative_classes():
         for F in (f, 2 * f):
             classes = _classes_by(F, f, key)
             ours = lfun._class_derivs(F, classes, ctx)
-            ref = class_derivs_stirling(F, classes, ctx)
+            ref = class_derivs_loggamma(F, classes, ctx)
             for a, x, y in zip(classes, ours, ref):
                 if F == 6:
                     assert x == 0 and abs(y) < mp.mpf(2) ** -(bits + 16)

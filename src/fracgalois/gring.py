@@ -141,13 +141,12 @@ def _group_from_lattices(f, s_residues, t_residues, key):
             raise ArithmeticError(f"dlog lattice mod {f} has pivot rows {pivot_rows}")
         return h_cols
 
-    bs_cols = lattice_basis(s_residues)
-    piv = list(range(r))
+    steps = intmat.echelon_steps(lattice_basis(s_residues), range(r))
 
     # X = B_S^{-1} B_T must be integral (L_T inside L_S)
     x_cols = []
     for col in lattice_basis(t_residues):
-        y = intmat.solve_upper_triangular(bs_cols, piv, col)
+        y = intmat.solve_upper_triangular(steps, col)
         if y is None or any(v.denominator != 1 for v in y):
             raise ArithmeticError(f"the T-lattice mod {f} is not inside the S-lattice")
         x_cols.append(y)
@@ -160,7 +159,7 @@ def _group_from_lattices(f, s_residues, t_residues, key):
         raise ArithmeticError(f"invariant factors {inv_factors} do not divide in turn")
 
     def coords_of(a):
-        y = intmat.solve_upper_triangular(bs_cols, piv, dlog[a])
+        y = intmat.solve_upper_triangular(steps, dlog[a])
         if y is None or any(v.denominator != 1 for v in y):
             return None
         uy = [sum(u[i][j] * int(y[j]) for j in range(r)) for i in range(r)]
@@ -608,8 +607,8 @@ class IdealLattice:
     def _coordinates(self, x):
         """y with x = sum_t y_t * cols[t] / den; rational, since full rank."""
         self._same_group(x)
-        return intmat.solve_upper_triangular(
-            self.cols, range(len(self.cols)), [q * self.den for q in x.c])
+        return intmat.solve_upper_triangular(intmat.echelon_steps(
+            self.cols, range(len(self.cols))), [q * self.den for q in x.c])
 
     def contains_element(self, x):
         return all(v.denominator == 1 for v in self._coordinates(x))
@@ -785,9 +784,8 @@ class FiniteGModule:
 
     @cached_property
     def _reducers(self):
-        """(p, pivot, nonzero entries) of each HNF column, bottom up."""
-        return [(p, col[p], [(i, x) for i, x in enumerate(col) if x])
-                for p, col in reversed(list(enumerate(self._hnf[0])))]
+        """The `intmat.echelon_steps` of the relation HNF, bottom up."""
+        return intmat.echelon_steps(*self._hnf)
 
     def _reduce(self, v):
         """v reduced bottom up, entry p to a centered residue of the p-th HNF
@@ -892,13 +890,12 @@ class FiniteGModule:
         g, k = self.group, self.k
         walk = [(elem, *_step_back(elem)) for elem in g.elements[1:]]  # steps back first
         orbits, fresh = [], []
-        n_cols, n_rows = self._hnf
+        n_cols, steps = self._hnf[0], self._reducers
         for j in range(k):
-            if all(col[p] == 1 for col, p in zip(n_cols, n_rows)):
+            if all(piv == 1 for _, piv, _ in steps):
                 break
             unit = [int(i == j) for i in range(k)]
-            if all(isinstance(x, int) for x in
-                   intmat.solve_upper_triangular(n_cols, n_rows, unit)):
+            if all(isinstance(x, int) for x in intmat.solve_upper_triangular(steps, unit)):
                 continue
             orbit = {g.identity: tuple(self._reduce(unit))}
             for elem, last, prev in walk:
@@ -912,9 +909,10 @@ class FiniteGModule:
                     return orbits
             if len(orbits) & (len(orbits) - 1) == 0:  # 1, 2, 4, ... generators
                 n_cols, fresh = intmat.hnf_mod(n_cols + fresh, e, k), []
+                steps = intmat.echelon_steps(n_cols, range(k))
         if fresh:
             n_cols = intmat.hnf_mod(n_cols + fresh, e, k)
-        if any(col[p] != 1 for col, p in zip(n_cols, n_rows)):
+        if any(col[p] != 1 for p, col in enumerate(n_cols)):
             raise ArithmeticError("the generator orbits and the relations do not span Z^k")
         return orbits
 
@@ -925,14 +923,9 @@ class FiniteGModule:
         so it embeds M in (Z/e)^k: for one orbit W's column space is Z[G] m, and
         its row space has the same order (Smith form over Z/e), so [Z^n : Lambda]
         |Z[G] m| = e^n. Stacked orbits measure Z[G] (m_1, ..., m_r) in M^r."""
-        g, image = self.group, {}
-        for u in {u for orbit in orbits for u in orbit.values()}:
-            w, image[u] = [e * x for x in u], [0] * self.k
-            for p, piv, col in self._reducers:  # e Z^k lies in L: exact quotients
-                if w[p]:
-                    q = image[u][p] = w[p] // piv
-                    for i, x in col:
-                        w[i] -= q * x
+        g = self.group
+        image = {u: intmat.solve_upper_triangular(self._reducers, [e * x for x in u])
+                 for u in {u for orbit in orbits for u in orbit.values()}}
         entries = {v for orbit in orbits for v in zip(*(image[orbit[x]] for x in g.elements))}
         return intmat.hnf_mod(entries, e, g.order)
 

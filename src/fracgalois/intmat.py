@@ -8,7 +8,8 @@ matrix. Matrix algebra (`mat_transpose`, `smith_normal_form`) works on
 row-major lists of lists. The column Hermite normal form is the
 canonicalizer for lattices: upper triangular, positive pivots, entries to
 the right of a pivot reduced into [0, pivot). `hnf_dual` takes duals for
-the dot product; the one other solve is a triangular back-substitution.
+the dot product. Every solve against an echelon form is one back-substitution,
+`solve_upper_triangular`, over the nonzero entries of its `echelon_steps`.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ def hnf_dual(cols, d):
     `cols`, are integral since d Z^n lies in L, and d L^* contains d Z^n, so
     `hnf_mod` makes them canonical."""
     n = range(len(cols))
-    rows = zip(*(solve_upper_triangular(cols, n, [d * (i == j) for i in n]) for j in n))
+    steps = echelon_steps(cols, n)
+    rows = zip(*(solve_upper_triangular(steps, [d * (i == j) for i in n]) for j in n))
     return hnf_mod(rows, d, len(cols))
 
 
@@ -160,7 +162,7 @@ def kernel_basis(a_cols):
 
 def span_contains(a_cols, v):
     """Is integer vector v in the Z-span of the integer columns a_cols?"""
-    y = solve_upper_triangular(*hnf_columns(a_cols), v)
+    y = solve_upper_triangular(echelon_steps(*hnf_columns(a_cols)), v)
     return y is not None and all(x.denominator == 1 for x in y)
 
 
@@ -249,26 +251,30 @@ def smith_normal_form(a):
     return u, d, v
 
 
-def solve_upper_triangular(cols, pivot_rows, v):
-    """Solve H y = v for the columns H of any column echelon form (as from
-    `hnf_columns`: square or not, pivot rows may skip rows); v may be
-    rational.  Returns y, whose entries are ints where integral and
-    Fractions otherwise, or None when v is outside the rational span."""
-    w = list(v)
-    y = [0] * len(cols)
-    for t in range(len(cols) - 1, -1, -1):
-        p, col = pivot_rows[t], cols[t]
+def echelon_steps(cols, pivot_rows):
+    """The columns of a column echelon form (as from `column_echelon` or
+    `hnf_columns`: square or not, pivot rows may skip rows), last pivot
+    first, as (pivot row, pivot, nonzero (row, entry) pairs)."""
+    return [(p, col[p], [(i, x) for i, x in enumerate(col) if x])
+            for p, col in zip(reversed(pivot_rows), reversed(cols))]
+
+
+def solve_upper_triangular(steps, v):
+    """Solve H y = v by back-substitution over the nonzero entries of the
+    `echelon_steps` of H; v may be rational. Returns y, whose entries are
+    ints where integral and Fractions otherwise, or None when v is outside
+    the rational span."""
+    w, y = list(v), []
+    for p, piv, nonzero in steps:
+        q = 0
         if w[p]:
-            q, rem = divmod(w[p], col[p])
+            q, rem = divmod(w[p], piv)
             if rem:
-                q = Fraction(w[p], col[p])
-            y[t] = q
-            for rr, x in zip(range(p + 1), col):
-                if x:
-                    w[rr] -= q * x
-    if any(w):
-        return None
-    return y
+                q = Fraction(w[p], piv)
+            for i, x in nonzero:
+                w[i] -= q * x
+        y.append(q)
+    return None if any(w) else y[::-1]
 
 
 def content(values):

@@ -158,10 +158,15 @@ def _class_derivs(F, classes, ctx):
 # Stickelberger-type elements
 
 def stickelberger(model: FieldModel, pset: PlaceSet):
-    """theta_S = sum_sigma zeta_S(0, sigma) sigma^{-1}, exact (zeta route)."""
-    g = model.group
-    return GroupRingElement.from_dict(
-        g, {g.inv(e): v for e, v in partial_zeta_all(model, pset, 0).items()})
+    """theta_S = sum_sigma zeta_S(0, sigma) sigma^{-1}, exact (zeta route).
+    The partial zetas sum residues prime to the conductor, so S must hold
+    every prime dividing it: ValueError names a prime that S omits."""
+    g, zetas = model.group, partial_zeta_all(model, pset, 0)  # checks a relative S
+    q = next((q for q, _ in factorize(model.f) if q not in pset.finite_primes()), None)
+    if q is not None:
+        raise ValueError(f"theta needs every prime dividing the conductor {model.f} "
+                         f"in S, and S omits {q}")
+    return GroupRingElement.from_dict(g, {g.inv(e): v for e, v in zetas.items()})
 
 
 def stickelberger_classical(f):

@@ -15,14 +15,14 @@ transcendental.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from itertools import compress
 from math import gcd, prod
 
 from .fields import (RelativeModel, SUnit, json_int, log_norms, make_field,
                      odd_prime_power, place_set, relative_model,
                      relative_place_set, torsion_order)
 from .gring import FiniteGModule
-from .intmat import column_echelon
+from .intmat import column_echelon, echelon_steps, solve_upper_triangular
 from .lfun import half_stickelberger, partial_zeta_all
 
 # prime powers with totally-real cyclotomic class number one (small range;
@@ -158,9 +158,9 @@ def _coordinate_solver(lattice):
     """Everything a word's solve needs, computed once per lattice: the column
     echelon form of the columns (e_j ; b_j), b_j the normal-form vector of
     free generator j, is r columns (U_k ; H_k) with U unimodular and H = B U
-    (Cohen, GTM 138, 2.4.3), each kept with its pivot row and nonzero
-    entries; then the free generators' and the lattice's torsion exponents.
-    A pivot among the top r rows is a relation: ValueError."""
+    (Cohen, GTM 138, 2.4.3): the `echelon_steps` of H and the nonzero
+    entries of each U_k; then the free generators' and the lattice's torsion
+    exponents. A pivot among the top r rows is a relation: ValueError."""
     r = len(lattice.free)
     cols, rows = column_echelon([[int(i == j) for i in range(r)] + list(w.v)
                                  for j, w in enumerate(lattice.free)])
@@ -168,44 +168,39 @@ def _coordinate_solver(lattice):
     if rank < r:
         raise ValueError("free generators are multiplicatively dependent "
                          f"(rank {rank} < {r})")
-    steps = [(p, col, [(i, x) for i, x in enumerate(col) if x])
-             for p, col in zip(rows, cols)]
-    return r, steps, [w.t for w in lattice.free], lattice.torsion.t
+    return (echelon_steps([col[r:] for col in cols], [p - r for p in rows]),
+            [[(i, x) for i, x in enumerate(col[:r]) if x] for col in cols],
+            [w.t for w in lattice.free], lattice.torsion.t)
 
 
 def unit_coordinates(lattice: UnitLattice, word: SUnit, ctx):
     """(t, xs): word = torsion^t * prod free_i^{x_i}, exactly.
 
     xs = U z solve B xs = v for the word's normal-form vector v, where z
-    solves H z = v by back-substitution in integers (Fractions only for a
-    word outside the lattice) against `lattice.solver`, built on the first
-    solve if need be; t solves the remaining power of -zeta modulo 2f.
+    solves H z = v by `solve_upper_triangular` in integers (Fractions only
+    for a word outside the lattice) against `lattice.solver`, built on the
+    first solve if need be, and U z sums the U_k of the nonzero z_k; t
+    solves the remaining power of -zeta modulo 2f.
     CoordinateError names why a word is outside the lattice.
     """
     if lattice.solver is None:
         lattice.solver = _coordinate_solver(lattice)
-    r, steps, free_t, tors_t = lattice.solver
-    t, v = word.t, word.v
-    # subtracting z_k (U_k ; H_k) from (0 ; v) leaves (-U z ; v - H z)
-    w = [0] * r + list(v)
-    for p, col, nonzero in reversed(steps):
-        if w[p]:
-            q, rem = divmod(w[p], col[p])
-            if rem:
-                q = Fraction(w[p], col[p])
-            for i, x in nonzero:
-                w[i] -= q * x
-    if any(w[r:]):
+    steps, tops, free_t, tors_t = lattice.solver
+    z = solve_upper_triangular(steps, word.v)
+    if z is None:
         raise CoordinateError("the word is outside the rational span of the "
                               "free generators: no power of it is in the lattice")
-    xs = [-x for x in w[:r]]
+    xs = [0] * len(tops)
+    for zk, top in compress(zip(z, tops), z):
+        for i, x in top:
+            xs[i] += zk * x
     for x in xs:
         if x.denominator != 1:
             raise CoordinateError(
                 f"unit coordinate {x} is not integral: a power of the word "
                 "is in the lattice, the word itself is not")
     two_f = 2 * word.f
-    rest = (t - sum(x * s for x, s in zip(xs, free_t))) % two_f
+    rest = (word.t - sum(x * s for x, s in zip(xs, free_t))) % two_f
     g = gcd(tors_t, two_f)
     if rest % g:
         raise CoordinateError(f"residual root of unity (-zeta)^{rest} is not a "

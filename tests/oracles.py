@@ -10,7 +10,7 @@ the roots of unity by a cyclic G-module, the annihilator of a finite G-module
 by a kernel lattice and its ell-part by a plain HNF, unit coordinates by a dense
 scaled inverse, the Bareiss solve behind it, the inverse in Q[G] by that solve,
 the intersection of two lattices by a kernel lattice, a dense column echelon
-form with its HNF and kernel, a numeric character value read per call, the
+form with its HNF, kernel and back-substitution, a numeric character value read per call, the
 primitive L-derivative by Hurwitz zeta, the partial-zeta derivatives of whole
 classes by mpmath's loggamma alone, the partial-zeta derivatives and their
 relative fold one residue at a time, BCH's projection of beta0 J by dense
@@ -394,7 +394,7 @@ def kernel_lattice_annihilator(mod):
     assert spanned == intmat.identity_matrix(k), "the orbits do not generate M"
     h_cols, pivot_rows = intmat.hnf_columns(mod.relations)
     b = intmat.mat_transpose([
-        intmat.solve_upper_triangular(h_cols, pivot_rows, [e * (i == j) for i in range(k)])
+        dense_solve_upper_triangular(h_cols, pivot_rows, [e * (i == j) for i in range(k)])
         for j in range(k)])
 
     def image(u):   # B u mod e
@@ -568,6 +568,27 @@ def dense_hnf_columns(a_cols):
                 for rr in range(p + 1):
                     cj[rr] -= q * ct[rr]
     return cols, pivot_rows
+
+
+def dense_solve_upper_triangular(cols, pivot_rows, v):
+    """`intmat.solve_upper_triangular` on the echelon columns themselves,
+    walking every entry of a column up to its pivot: y with H y = v, ints
+    where integral and Fractions otherwise, or None outside the rational span."""
+    w = list(v)
+    y = [0] * len(cols)
+    for t in range(len(cols) - 1, -1, -1):
+        p, col = pivot_rows[t], cols[t]
+        if w[p]:
+            q, rem = divmod(w[p], col[p])
+            if rem:
+                q = Fraction(w[p], col[p])
+            y[t] = q
+            for rr, x in zip(range(p + 1), col):
+                if x:
+                    w[rr] -= q * x
+    if any(w):
+        return None
+    return y
 
 
 def dense_kernel_basis(a_cols):

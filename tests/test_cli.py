@@ -101,6 +101,19 @@ def test_theta_on_relative_subfield_exits_two(capsys):
     assert "half_theta" in err
 
 
+@pytest.mark.parametrize("argv, prime, conductor", [(["-f", "15", "--places", "3"], 5, 15),
+                                                     (["-p", "7", "--places", "2"], 7, 7)])
+def test_theta_refuses_an_s_that_omits_a_prime_of_the_conductor(capsys, argv, prime, conductor):
+    # the partial zetas sum only residues prime to the conductor, so such an
+    # S was silently widened to every prime dividing it
+    code, out, err = run(capsys, ["compute", "theta", *argv])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == (f"error: theta needs every prime dividing the conductor {conductor} "
+                   f"in S, and S omits {prime}\n")
+    full_s = run_json(capsys, ["compute", "theta", "-f", "15", "--places", "3,5"])
+    assert full_s["exact"] == run_json(capsys, ["compute", "theta", "-f", "15"])["exact"]
+
+
 @pytest.mark.parametrize("subfield", ["plus", "full", "custom:1,6"])
 def test_half_theta_refuses_a_subfield_other_than_relative(capsys, subfield):
     # half_theta is always the relative field's: an explicit other subfield

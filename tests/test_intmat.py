@@ -8,15 +8,15 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fracgalois.intmat import (column_echelon, content, hnf_columns, hnf_mod,
-                               identity_matrix, kernel_basis, mat_transpose,
+from fracgalois.intmat import (column_echelon, content, echelon_steps, hnf_columns,
+                               hnf_mod, identity_matrix, kernel_basis, mat_transpose,
                                hnf_dual, smith_normal_form,
                                solve_upper_triangular, span_contains,
                                span_equal)
 from fracgalois.gring import (FiniteGModule, GroupRingElement, IdealLattice,
                               abelian_group)
-from oracles import (dense_column_echelon, dense_hnf_columns, dense_kernel_basis, mat_mul,
-                     solve_fraction_free)
+from oracles import (dense_column_echelon, dense_hnf_columns, dense_kernel_basis,
+                     dense_solve_upper_triangular, mat_mul, solve_fraction_free)
 
 
 def random_unimodular(rng, n):
@@ -280,12 +280,47 @@ def test_span_contains_matches_cramer_oracle(span, data):
         coords = cramer_coordinates(base, v)
         assert span_contains(cols, v) == (
             coords is not None and all(x.denominator == 1 for x in coords))
-        y = solve_upper_triangular(h, pivots, v)
+        y = solve_upper_triangular(echelon_steps(h, pivots), v)
         assert (y is None) == (coords is None)
     # rational right-hand sides in the rational span are solved exactly
     third = [Fraction(x, 3) for x in member]
-    y = solve_upper_triangular(h, pivots, third)
+    y = solve_upper_triangular(echelon_steps(h, pivots), third)
     assert [sum(yt * col[i] for yt, col in zip(y, h)) for i in range(n)] == third
+
+
+def test_sparse_solve_equals_the_dense_back_substitution():
+    """`solve_upper_triangular` over the `echelon_steps` of the echelon
+    forms of `column_echelon` and `hnf_columns` equals the dense
+    back-substitution, None and the int/Fraction split included: square,
+    wide and rank-deficient integer matrices (rows with no pivot), against
+    integer and rational vectors in the span and vectors outside it."""
+    rng = random.Random(39)
+    seen = set()
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        shape = rng.choice(("square", "wide", "deficient"))
+        m = {"square": n, "wide": n + rng.randint(1, 2 * n), "deficient": rng.randint(1, 6)}
+        cols = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(m[shape])]
+        if shape == "deficient":  # combinations of r < n columns
+            base = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randint(0, n - 1))]
+            cols = [[sum(c * b[i] for c, b in zip(col, base)) for i in range(n)]
+                    for col in cols]
+        for h, pivots in (column_echelon(cols), hnf_columns(cols)):
+            steps = echelon_steps(h, pivots)
+            coeffs = [rng.randint(-4, 4) for _ in h]
+            member = [sum(c * col[i] for c, col in zip(coeffs, h)) for i in range(n)]
+            vs = [member, [Fraction(x, rng.randint(2, 5)) for x in member],
+                  [rng.randint(-9, 9) for _ in range(n)]]
+            vs += [[x + (i == r) for i, x in enumerate(member)]
+                   for r in range(n) if r not in pivots]
+            for v in vs:
+                y = solve_upper_triangular(steps, v)
+                want = dense_solve_upper_triangular(h, pivots, v)
+                assert y == want and (y is None or list(map(type, y)) == list(map(type, want)))
+                seen.add((shape, "none" if y is None else
+                          "fraction" if any(isinstance(x, Fraction) for x in y) else "int"))
+    assert seen == {(shape, kind) for shape in ("square", "wide", "deficient")
+                    for kind in ("none", "fraction", "int")}
 
 
 def _kernel_inputs(rng):

@@ -555,12 +555,13 @@ class IdealLattice:
     lattices are bitwise-equal. Columns are indexed against group.elements.
     """
 
-    __slots__ = ("group", "den", "cols")
+    __slots__ = ("group", "den", "cols", "_steps")
 
     def __init__(self, group, den, cols):
         self.group = group
         self.den = den
         self.cols = cols  # tuple of tuples, canonical
+        self._steps = None  # the echelon steps of cols, on first `_coordinates`
 
     @classmethod
     def from_generators(cls, group, gens, *, close_under_group=True):
@@ -607,8 +608,9 @@ class IdealLattice:
     def _coordinates(self, x):
         """y with x = sum_t y_t * cols[t] / den; rational, since full rank."""
         self._same_group(x)
-        return intmat.solve_upper_triangular(intmat.echelon_steps(
-            self.cols, range(len(self.cols))), [q * self.den for q in x.c])
+        if self._steps is None:
+            self._steps = intmat.echelon_steps(self.cols, range(len(self.cols)))
+        return intmat.solve_upper_triangular(self._steps, [q * self.den for q in x.c])
 
     def contains_element(self, x):
         return all(v.denominator == 1 for v in self._coordinates(x))
@@ -935,8 +937,12 @@ class FiniteGModule:
         For Z[G]-generators m of M and phi as in `_lambda`, alpha kills M iff
         phi(sum_x alpha_x A_x m) = 0 for each m, that is iff w . alpha = 0 mod e
         for every w. So ann(M) = e Lambda^*, which `intmat.hnf_dual` gives as
-        e Z^n lies in Lambda.
+        e Z^n lies in Lambda. Computed once, on first use.
         """
+        return self._annihilator
+
+    @cached_property
+    def _annihilator(self):
         g = self.group
         structure = self.structure()
         if not structure:
@@ -947,6 +953,15 @@ class FiniteGModule:
         return IdealLattice(g, 1, tuple(map(tuple, intmat.hnf_dual(lam, e))))
 
     def fitting_ideal(self):
+        """Fitt^0_{Z[G]}(M). If one orbit generates M (`_generator_orbits`' index
+        test [Z^n : Lambda] |M| = e^n), Z[G]^r -> Z[G] -> M = Z[G]/ann(M) by r
+        generators of ann(M) has them as its 1 x 1 minors: Fitt = ann (Northcott,
+        Finite Free Resolutions, ch. 3). Otherwise `_fitting_minors`."""
+        if len(self._generator_orbits) == 1:
+            return self.annihilator()
+        return self._fitting_minors()
+
+    def _fitting_minors(self):
         """Fitt^0_{Z[G]}(M) from the induced Z[G]-presentation, shrunk first.
 
         The presentation [H | g I - A_g], H the HNF of the relations and A_g

@@ -726,8 +726,11 @@ def test_fitting_ideal_matches_closed_form_and_full_minor_enumeration():
             lats = draw_ideals(rng, g, m0, count)
             want = lats[0] if count == 1 else lats[0].multiply(lats[1])
             mod = module_from_ideals(g, lats)
+            conj = conjugated(rng, mod)
             assert mod.fitting_ideal() == want, (factors, count)
-            assert conjugated(rng, mod).fitting_ideal() == want, (factors, count)
+            assert conj.fitting_ideal() == want, (factors, count)
+            if count == 1:  # Fitt is ann on a cyclic module; so are the minors
+                assert mod._fitting_minors() == conj._fitting_minors() == want, factors
             ncols = len(mod.relations) + mod.k * len(factors)
             if comb(ncols, mod.k) <= ORACLE_MINORS:
                 assert _oracle_fitting_ideal(mod) == want, (factors, count)

@@ -395,17 +395,45 @@ def test_relative_starkc_passes_on_every_relative_field(p, n):
 
 
 def test_fitting_ideal_of_the_unit_quotient_is_its_annihilator():
-    # U+/E+ is cyclic over Z[G] on these plus fields, so Fitt = ann; the
-    # full induced presentation has C(2k + 1, k) minors, 6435 at f = 13
+    # U+/E+ is cyclic over Z[G] on these plus fields, so Fitt = ann, and the
+    # minors route, which never reads ann, gives the same ideal; the full
+    # induced presentation has C(2k + 1, k) minors, 6435 at f = 13
     elapsed = 0.0
     for p, n in ((13, 1), (5, 2), (3, 3), (7, 2)):
         model, pset = _field(p, n, "plus")
         _, m = _unit_quotient(model, pset, CTX)
-        start = time.monotonic()
         fitt = m.fitting_ideal()
-        elapsed += time.monotonic() - start
         assert fitt == m.annihilator(), model.f
+        start = time.monotonic()
+        assert m._fitting_minors() == fitt, model.f
+        elapsed += time.monotonic() - start
     assert elapsed < 5.0, elapsed
+
+
+@pytest.mark.parametrize("p", [17, 31, 43])
+def test_fitting_ideal_of_a_cyclic_unit_quotient_off_its_first_vector(p, monkeypatch):
+    # U+/E+ is cyclic, but e_1 = xi_2 does not generate it: the walk takes
+    # two orbits, so Fitt comes from the minors and must still equal ann
+    minors, calls = jideal.FiniteGModule._fitting_minors, []
+    monkeypatch.setattr(jideal.FiniteGModule, "_fitting_minors",
+                        lambda self: calls.append(self) or minors(self))
+    model, pset = _field(p, 1, "plus")
+    _, m = _unit_quotient(model, pset, CTX)
+    assert len(m._generator_orbits) == 2
+    assert m.fitting_ideal() == m.annihilator()
+    assert calls == [m]
+
+
+def test_fitting_ideal_of_the_unit_quotient_at_121_is_its_annihilator_at_once():
+    # one orbit generates U+/E+ at f = 121, so Fitt is ann without minors;
+    # the minors route takes about 0.6 s there
+    model, pset = _field(11, 2, "plus")
+    _, m = _unit_quotient(model, pset, CTX)
+    start = time.monotonic()
+    fitt = m.fitting_ideal()
+    elapsed = time.monotonic() - start
+    assert fitt == m.annihilator()
+    assert elapsed < 0.1, elapsed
 
 
 def test_qnat_projection_strictly_larger_at_5():

@@ -426,7 +426,7 @@ def test_fitting_ideal_of_a_cyclic_unit_quotient_off_its_first_vector(p, monkeyp
 
 def test_fitting_ideal_of_the_unit_quotient_at_121_is_its_annihilator_at_once():
     # one orbit generates U+/E+ at f = 121, so Fitt is ann without minors;
-    # the minors route takes about 0.6 s there
+    # the minors route takes about half a second there
     model, pset = _field(11, 2, "plus")
     _, m = _unit_quotient(model, pset, CTX)
     start = time.monotonic()

@@ -553,6 +553,8 @@ class IdealLattice:
 
     Stored as integer columns over a minimal positive denominator; two equal
     lattices are bitwise-equal. Columns are indexed against group.elements.
+    Every operation works on them; Fractions are only the generators whose
+    Z[G]-span `from_generators` takes, and what `basis_elements` returns.
     """
 
     __slots__ = ("group", "den", "cols", "_steps")
@@ -561,16 +563,14 @@ class IdealLattice:
         self.group = group
         self.den = den
         self.cols = cols  # tuple of tuples, canonical
-        self._steps = None  # the echelon steps of cols, on first `_coordinates`
+        self._steps = None  # the echelon steps of cols, on first `_first_outside`
 
     @classmethod
-    def from_generators(cls, group, gens, *, close_under_group=True):
+    def from_generators(cls, group, gens):
         if any(x.group != group for x in gens):
             raise ValueError(f"lattice over {group!r} from generators of another group")
         den, vecs = _clear_denominators(gens)
-        if close_under_group:
-            vecs = _orbit_vectors(group, vecs)
-        return cls._from_columns(group, den, vecs)
+        return cls._from_columns(group, den, _orbit_vectors(group, vecs))
 
     @classmethod
     def _from_columns(cls, group, den, vecs):
@@ -605,19 +605,27 @@ class IdealLattice:
                                  [Fraction(x, self.den) for x in col])
                 for col in self.cols]
 
-    def _coordinates(self, x):
-        """y with x = sum_t y_t * cols[t] / den; rational, since full rank."""
-        self._same_group(x)
+    def _first_outside(self, den, cols, ell=None):
+        """(t, y) for the first integer column cols[t] with a coordinate y of
+        cols[t] / den over self's basis that is not integral (given ell: whose
+        denominator ell divides), y the first such; None if there is none."""
         if self._steps is None:
             self._steps = intmat.echelon_steps(self.cols, range(len(self.cols)))
-        return intmat.solve_upper_triangular(self._steps, [q * self.den for q in x.c])
+        for t, col in enumerate(cols):
+            for v in intmat.solve_upper_triangular(self._steps, [x * self.den for x in col]):
+                if v % den:  # v / den is not an integer
+                    y = Fraction(v, den)
+                    if ell is None or y.denominator % ell == 0:
+                        return t, y
+        return None
 
     def contains_element(self, x):
-        return all(v.denominator == 1 for v in self._coordinates(x))
+        self._same_group(x)
+        return self._first_outside(*_clear_denominators([x])) is None
 
     def contains_lattice(self, other):
         self._same_group(other)
-        return all(self.contains_element(b) for b in other.basis_elements())
+        return self._first_outside(other.den, other.cols) is None
 
     def __eq__(self, other):
         if not isinstance(other, IdealLattice):
@@ -646,11 +654,8 @@ class IdealLattice:
     def dual(self):
         """L^* = {y : y . x in Z for all x in L}, for the dot product of
         coefficient vectors; (g y) . x = y . (g^-1 x), so it is Z[G]-stable
-        as L is. h Z[G] lies in den L for the first pivot h of an ideal, and
-        det Z^n, det the product of the pivots, in any full lattice den L."""
+        as L is. The ideal den L contains h Z[G], h 1 its first basis column."""
         d = self.cols[0][0]
-        if intmat.hnf_mod(self.cols, d, len(self.cols)) != [list(col) for col in self.cols]:
-            d = prod(col[t] for t, col in enumerate(self.cols))  # not an ideal
         return IdealLattice._from_hnf(
             self.group, d, [[self.den * x for x in col] for col in intmat.hnf_dual(self.cols, d)])
 
@@ -686,39 +691,32 @@ class IdealLattice:
         return self.dual().add(other.dual()).dual()
 
     def project(self, hom):
-        gens = [b.project(hom) for b in self.basis_elements()]
-        return IdealLattice.from_generators(hom.target, gens, close_under_group=False)
+        """The image under the ring map of a surjective GroupHom, an ideal:
+        each integer column summed over the fibres."""
+        if hom.source != self.group:
+            raise ValueError(f"projecting from {self.group!r} along a map of {hom.source!r}")
+        fibres = [[] for _ in hom.target.elements]
+        for i, e in enumerate(self.group.elements):
+            fibres[hom.target.index(hom(e))].append(i)
+        cols = [[sum(col[i] for i in fibre) for fibre in fibres] for col in self.cols]
+        return IdealLattice._from_columns(hom.target, self.den, cols)
 
     def covolume(self):
         """Index-style volume [Z[G] : L] as a positive rational."""
         return Fraction(prod(c[t] for t, c in enumerate(self.cols)), self.den ** len(self.cols))
 
-    def ell_solve(self, x, ell):
-        """Solve for x over self's basis; require denominators prime to ell.
-
-        Returns the coordinate vector or the offending (index, coordinate).
-        """
-        y = self._coordinates(x)
-        for i, v in enumerate(y):
-            if v.denominator % ell == 0:
-                return None, (i, v)
-        return y, None
-
     def ell_contains(self, other, ell):
         """Z_(ell)-containment other <= self; returns (bool, witness)."""
-        for idx, b in enumerate(other.basis_elements()):
-            _, bad = self.ell_solve(b, ell)
-            if bad is not None:
-                return False, {"basis_index": idx, "coordinate": str(bad[1])}
-        return True, None
+        self._same_group(other)
+        bad = self._first_outside(other.den, other.cols, ell)
+        return bad is None, bad and {"basis_index": bad[0], "coordinate": str(bad[1])}
 
     def ell_equal(self, other, ell):
-        ok1, w1 = self.ell_contains(other, ell)
-        if not ok1:
-            return False, {"direction": "other into self", **w1}
-        ok2, w2 = other.ell_contains(self, ell)
-        if not ok2:
-            return False, {"direction": "self into other", **w2}
+        for big, small, direction in ((self, other, "other into self"),
+                                      (other, self, "self into other")):
+            ok, wit = big.ell_contains(small, ell)
+            if not ok:
+                return False, {"direction": direction, **wit}
         return True, None
 
     def to_jsonable(self):

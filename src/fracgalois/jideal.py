@@ -338,8 +338,9 @@ def check_qnat(params, ctx):
         for lat, other, side in (
                 (projected, plus_res.ideal, "in projection, not in J_plus"),
                 (plus_res.ideal, projected, "in J_plus, not in projection")):
-            b = next((b for b in lat.basis_elements() if not other.contains_element(b)), None)
-            if b is not None:
+            bad = other._first_outside(lat.den, lat.cols)
+            if bad is not None:
+                b = GroupRingElement(lat.group, [Fraction(x, lat.den) for x in lat.cols[bad[0]]])
                 wit.update(witness_element=_gre_jsonable(b), witness_side=side)
                 break
     return CheckReport("QNAT", "pass" if ok else "fail", wit,

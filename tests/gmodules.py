@@ -10,7 +10,7 @@ from math import lcm, prod
 
 from fracgalois import intmat
 from fracgalois.gring import FiniteGModule, GroupRingElement, IdealLattice, abelian_group
-from oracles import mat_mul
+from oracles import mat_mul, z_span
 
 
 def random_ideal(rng, g, m0):
@@ -135,7 +135,7 @@ def _oracle_annihilator(mod):
                  for j in range(k)] for i in range(k)]
         if all(in_relations([amat[i][j] for i in range(k)]) for j in range(k)):
             hits.append(GroupRingElement(g, [Fraction(c) for c in coeffs]))
-    return IdealLattice.from_generators(g, hits, close_under_group=False)
+    return z_span(g, hits)
 
 
 def validation_oracle(group, k, relations, action):

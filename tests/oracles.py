@@ -9,7 +9,9 @@ log of an S-unit at the place above a totally ramified p, the annihilator of
 the roots of unity by a cyclic G-module, the annihilator of a finite G-module
 by a kernel lattice and its ell-part by a plain HNF, unit coordinates by a dense
 scaled inverse, the Bareiss solve behind it, the inverse in Q[G] by that solve,
-the intersection of two lattices by a kernel lattice, a dense column echelon
+the intersection of two lattices by a kernel lattice, the Z-span of
+group-ring elements as a lattice, lattice membership and ell-membership by
+Fraction coordinates of the basis elements, a dense column echelon
 form with its HNF, kernel and back-substitution, a numeric character value read per call, the
 primitive L-derivative by Hurwitz zeta, the partial-zeta derivatives of whole
 classes by mpmath's loggamma alone, the partial-zeta derivatives and their
@@ -523,6 +525,37 @@ def kernel_intersect(a, b):
     return IdealLattice._from_columns(a.group, d, vecs)
 
 
+def z_span(group, gens):
+    """The Z-span of the group-ring elements `gens`, not closed under G: that
+    it equals an ideal says more than that their Z[G]-span does."""
+    return IdealLattice._from_columns(group, *_clear_denominators(gens))
+
+
+def fraction_coordinates(lat, x):
+    """y with x = sum_t y_t lat.cols[t] / lat.den, by a back-substitution of
+    the Fractions lat.den x.c (ints where integral)."""
+    steps = intmat.echelon_steps(lat.cols, range(len(lat.cols)))
+    return intmat.solve_upper_triangular(steps, [q * lat.den for q in x.c])
+
+
+def fraction_contains_lattice(lat, other):
+    """`IdealLattice.contains_lattice` through the Fraction coordinates of
+    each basis element of other."""
+    return all(all(v.denominator == 1 for v in fraction_coordinates(lat, b))
+               for b in other.basis_elements())
+
+
+def fraction_ell_contains(lat, other, ell):
+    """`IdealLattice.ell_contains` through the Fraction coordinates of each
+    basis element of other: the first coordinate whose denominator ell
+    divides, with the index of its basis element."""
+    for idx, b in enumerate(other.basis_elements()):
+        bad = next((v for v in fraction_coordinates(lat, b) if v.denominator % ell == 0), None)
+        if bad is not None:
+            return False, {"basis_index": idx, "coordinate": str(bad)}
+    return True, None
+
+
 def dense_column_echelon(a_cols):
     """`intmat.column_echelon` by a scan of every active column at each row
     and dense row operations: the same pivot choice, tie order and output."""
@@ -692,8 +725,8 @@ def bch_projection_dense(rel, full_res):
     beta0 = inject_gre(half_stickelberger(rel), g) * (
         GroupRingElement.one(g) + GroupRingElement.basis(g, c))
     pi_h = _proj_g_to_h(g, rel.group, rel.f)
-    gens = [(beta0 * b).project(pi_h) for b in full_res.ideal.basis_elements()]
-    return IdealLattice.from_generators(rel.group, gens, close_under_group=False)
+    return z_span(rel.group,
+                  [(beta0 * b).project(pi_h) for b in full_res.ideal.basis_elements()])
 
 
 def mat_mul(a, b):

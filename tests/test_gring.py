@@ -23,12 +23,15 @@ from fracgalois.gring import (Character, FinAbGroup, FiniteGModule, GroupHom,
                               galois_group, hom_by_residues, norm_element,
                               subgroup_closure)
 from fracgalois import intmat
+from fracgalois.fields import select_field
 from fracgalois.intmat import hnf_columns, span_contains
+from fracgalois.lfun import _proj_g_to_h
 from gmodules import (_oracle_annihilator, a8_draws, action_of, conjugated, draw_ideals,
                       module_from_ideals, validation_oracle)
-from oracles import (assemble, gmodule_span_equal, group_ring_inverse, kernel_intersect,
+from oracles import (assemble, fraction_contains_lattice, fraction_ell_contains,
+                     gmodule_span_equal, group_ring_inverse, kernel_intersect,
                      kernel_lattice_annihilator, plain_hnf_ell_part, span_membership,
-                     transport_character)
+                     transport_character, z_span)
 
 
 class CycGroupRingElement:
@@ -314,6 +317,45 @@ def test_project_along_hom():
     assert x.project(pi) == GroupRingElement.basis(g5, g5.element_of_residue(2))
 
 
+def _project_test_maps():
+    """The maps the checks project lattices along, at p = 7, 11 and f = 9:
+    full to plus by residues, G onto H of the relative field (BCH) and the
+    isomorphism from the plus group back to H (JREL); and (2, 4) onto (4,)."""
+    maps = []
+    for f in (7, 11, 9):
+        full, plus, rel = (select_field(f, sub)[0].group for sub in ("full", "plus", "relative"))
+        iso = hom_by_residues(rel, plus)
+        maps += [pytest.param(hom_by_residues(full, plus), id=f"{f}-full-plus"),
+                 pytest.param(_proj_g_to_h(full, rel, f), id=f"{f}-full-relative"),
+                 pytest.param(GroupHom(plus, rel, {iso(e): e for e in rel.elements}),
+                              id=f"{f}-plus-relative")]
+    c24, c4 = abelian_group((2, 4)), abelian_group((4,))
+    hom = GroupHom(c24, c4, {e: ((2 * e[0] + e[1]) % 4,) for e in c24.elements})
+    return maps + [pytest.param(hom, id="C2xC4-C4")]
+
+
+@pytest.mark.parametrize("hom", _project_test_maps())
+def test_lattice_project_equals_the_span_of_projected_basis_elements(hom):
+    """IdealLattice.project, integer columns summed over the fibres, equals
+    the Z[G']-span of the GroupRingElement.project images of the basis, and
+    their Z-span too: the image of an ideal is one."""
+    rng = random.Random(repr(hom.source) + repr(hom.target))
+    g = hom.source
+    checked = 0
+    while checked < 3:
+        gens = [GroupRingElement(g, [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4)))
+                                     for _ in range(g.order)]) for _ in range(2)]
+        try:
+            lat = IdealLattice.from_generators(g, gens)
+        except ValueError:                  # rank-deficient draw
+            continue
+        checked += 1
+        images = [b.project(hom) for b in lat.basis_elements()]
+        projected = lat.project(hom)
+        assert projected == IdealLattice.from_generators(hom.target, images) == z_span(
+            hom.target, images)
+
+
 def test_group_hom_rejects_non_homomorphism():
     g = galois_group(5)
     h = abelian_group((2,))
@@ -345,7 +387,9 @@ def test_lattice_unit_ideal_and_membership():
 def test_contains_element_agrees_with_span_contains(f, seed):
     """Membership through the lattice's coordinates equals membership of
     den * x in the integer span of its HNF columns, on members, near misses
-    and elements with denominators."""
+    and elements with denominators. Between lattices with mixed denominators,
+    contains_lattice and ell_contains at ell = 2, 3 (verdict and witness)
+    equal the oracle's Fraction coordinates of each basis element."""
     rng = random.Random(seed)
     g = galois_group(f)
 
@@ -366,6 +410,16 @@ def test_contains_element_agrees_with_span_contains(f, seed):
         expected = (all(q.denominator == 1 for q in w)
                     and span_contains([list(c) for c in lat.cols], [int(q) for q in w]))
         assert lat.contains_element(x) == expected
+    others = [lat.scale(Fraction(rng.choice([1, 2, 3, 6]), rng.choice([1, 2, 3]))),
+              lat.add(lat.scale(Fraction(1, rng.choice([2, 3]))))]
+    try:
+        others.append(IdealLattice.from_generators(g, [small([1, 2, 4, 6]) for _ in range(2)]))
+    except ValueError:                      # rank-deficient draw
+        pass
+    for a, b in [(lat, o) for o in others] + [(o, lat) for o in others]:
+        assert a.contains_lattice(b) == fraction_contains_lattice(a, b)
+        for ell in (2, 3):
+            assert a.ell_contains(b, ell) == fraction_ell_contains(a, b, ell)
 
 
 def test_lattice_equality_is_span_equality():
@@ -413,14 +467,14 @@ def test_lattice_algebra():
     assert b.contains_lattice(inter)
 
 
-@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("few", [True, False])
 @pytest.mark.parametrize("factors", [(4,), (6,), (2, 2), (2, 4)])
-def test_lattice_ops_equal_spans_of_basis_products(factors, closed):
+def test_lattice_ops_equal_spans_of_basis_products(factors, few):
     """scale, add, multiply and intersect, which work on integer columns,
-    agree with the lattices spanned by the GroupRingElement products of the
-    basis elements; generators have mixed denominators and, without the
-    closure under G, the lattices need not be ideals."""
-    rng = random.Random(repr((factors, closed)))
+    agree with the ideals spanned by the GroupRingElement products of the
+    basis elements; the ideals have 1 or 2 (few) or |G| + 1 generators with
+    mixed denominators."""
+    rng = random.Random(repr((factors, few)))
     g = abelian_group(factors)
     one = GroupRingElement.one(g)
 
@@ -430,15 +484,14 @@ def test_lattice_ops_equal_spans_of_basis_products(factors, closed):
 
     def lattice():
         while True:
-            count = rng.randint(1, 2) if closed else g.order + 1
+            count = rng.randint(1, 2) if few else g.order + 1
             try:
-                return IdealLattice.from_generators(
-                    g, [small() for _ in range(count)], close_under_group=closed)
+                return IdealLattice.from_generators(g, [small() for _ in range(count)])
             except ValueError:              # rank-deficient draw
                 pass
 
     def span(gens):
-        return IdealLattice.from_generators(g, gens, close_under_group=False)
+        return IdealLattice.from_generators(g, gens)
 
     for _ in range(4):
         a, b = lattice(), lattice()
@@ -561,7 +614,7 @@ def test_lattice_from_generators_rejects_rank_deficiency():
         IdealLattice.from_generators(g, [theta_like])
 
 
-def test_ell_solve_and_ell_contains():
+def test_ell_contains_and_its_witness():
     g = galois_group(5, frozenset({1, 4}))
     one = GroupRingElement.one(g)
     s = GroupRingElement.basis(g, g.element_of_residue(2))
@@ -571,13 +624,10 @@ def test_ell_solve_and_ell_contains():
     # at ell = 3 the index-2 discrepancy is invisible
     ok, _ = ann.ell_contains(target.scale(Fraction(2)), 3)
     assert ok
-    # at ell = 2 it is visible: 1 is not in ann 2-adically
-    ok2, wit = ann.ell_contains(IdealLattice.unit_ideal(g), 2)
-    assert not ok2 and wit
-    coords, _ = ann.ell_solve(one, 3)
-    assert coords is not None
-    none_coords, _ = ann.ell_solve(one, 2)
-    assert none_coords is None
+    assert ann.ell_contains(IdealLattice.unit_ideal(g), 3) == (True, None)
+    # at ell = 2 it is visible: 1 = (2 + 0 s) / 2 is not in ann 2-adically
+    assert ann.ell_contains(IdealLattice.unit_ideal(g), 2) == (
+        False, {"basis_index": 0, "coordinate": "1/2"})
 
 
 def test_span_membership_and_gmodule_span_equal():
@@ -708,8 +758,7 @@ def _oracle_fitting_ideal(mod):
                          - one * mat[i][t] for i in range(k)])
     minors = [det_qg([[cols[j][i] for j in sel] for i in range(k)], g)
               for sel in combinations(range(len(cols)), k)]
-    return IdealLattice.from_generators(
-        g, [d for d in minors if not d.is_zero()], close_under_group=False)
+    return z_span(g, [d for d in minors if not d.is_zero()])
 
 
 def test_fitting_ideal_matches_closed_form_and_full_minor_enumeration():

@@ -30,7 +30,8 @@ from fracgalois.units import (lambda_unit, quotient_module, stark_module,
                               sunit_group)
 from gmodules import action_of
 from oracles import (assemble, bch_projection_dense, char_value_numeric,
-                     gmodule_span_equal, group_ring_inverse, mu_ell_annihilator_module)
+                     gmodule_span_equal, group_ring_inverse, mu_ell_annihilator_module,
+                     z_span)
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
 
@@ -128,7 +129,7 @@ def test_j_annihilator_against_exhaustive_box():
             for j in range(m.k))
         if kills:
             hits.append(x)
-    assert IdealLattice.from_generators(g, hits, close_under_group=False) == ann
+    assert z_span(g, hits) == ann
 
 
 def _in_relation_lattice(mod, col):
@@ -185,7 +186,7 @@ def test_mu_ell_annihilator_by_exhaustion():
         total = sum(c * g.label(e) for c, e in zip(coeffs, g.elements))
         if total % 5 == 0 and any(coeffs):
             hits.append(GroupRingElement(g, [Fraction(c) for c in coeffs]))
-    assert IdealLattice.from_generators(g, hits, close_under_group=False) == lat
+    assert z_span(g, hits) == lat
 
 
 def test_mu_ell_annihilator_trivial_when_no_ell_torsion():

@@ -733,6 +733,16 @@ def _orbit_vectors(group, vecs):
     return [[v[j] for j in pi] for v in vecs for pi in _perm_table(group)]
 
 
+def _sparse_mul(cols, u, e):
+    """B u (mod e if e > 0), B square as the nonzero (row, entry) of each column."""
+    v = [0] * len(u)
+    for y, col in zip(u, cols):
+        if y:
+            for r, x in col:
+                v[r] += x * y
+    return tuple([x % e for x in v]) if e else v
+
+
 def _step_back(elem):
     """(i, prev) with elem = prev times generator i, i the last nonzero
     coordinate of elem: a walk of G in sorted order meets prev first."""
@@ -762,7 +772,6 @@ class FiniteGModule:
         self.k = k
         self.relations = tuple(tuple(col) for col in relations)
         self.action = tuple(tuple(tuple(row) for row in mat) for mat in action)
-        self._steps = {}
         if len(self.action) != len(group.invariant_factors):
             raise ValueError(
                 f"need {len(group.invariant_factors)} action matrices (one per "
@@ -798,51 +807,55 @@ class FiniteGModule:
                     v[i] -= q * x
         return v
 
-    def _act(self, i, u):
-        """A_i u reduced by `_reduce`, for a tuple u; memoised on (i, u), so
-        `_validate` reads the steps the orbit walk already took."""
-        if (i, u) not in self._steps:
-            v = [0] * self.k
-            for y, col in zip(u, self._sparse_action[i]):
-                if y:
-                    for j, x in col:
-                        v[j] += x * y
-            self._steps[i, u] = tuple(self._reduce(v))
-        return self._steps[i, u]
+    def _phi(self, j):
+        """phi(e_j) for phi(u) = e H^-1 u mod e, H the relation HNF and e the exponent
+        of M: e Z^k lies in the relations L, so phi embeds M = Z^k / L in (Z/e)^k."""
+        e = self.structure()[-1]
+        y = intmat.solve_upper_triangular(self._reducers, [e * (i == j) for i in range(self.k)])
+        return tuple(x % e for x in y)
 
     @cached_property
-    def _sparse_action(self):  # the nonzero (row, entry) of each column of A_i
-        return [[[(j, x) for j, x in enumerate(c) if x] for c in zip(*mat)]
-                for mat in self.action]
+    def _phi_action(self):
+        """B_i = H^-1 A_i H mod e for each A_i, as the nonzero (row, entry) of
+        each column, or None where B_i is not integral, that is where A_i L is
+        not inside L: one back-substitution of A_i h per HNF column h. Then
+        phi(A_i u) = B_i phi(u) mod e."""
+        e, out = self.structure()[-1], []
+        for mat in self.action:
+            a = [[(j, x) for j, x in enumerate(c) if x] for c in zip(*mat)]
+            b = [[(r, x % e) for r, x in enumerate(intmat.solve_upper_triangular(
+                self._reducers, _sparse_mul(a, h, 0))) if x and x % e] for h in self._hnf[0]]
+            out.append(None if any(type(x) is Fraction for col in b for _, x in col) else b)
+        return out
 
     def _validate(self):
-        """A_i h = 0 mod L for each A_i and HNF column h of the relations L.
-        The generator orbits, kept for `annihilator()`, span Z^k with L, so
-        A_i^{d_i} = 1 and A_a A_b = A_b A_a on M iff A_i orbit[x] =
-        orbit[x + e_i mod d_i] for all x and i, the walk's own steps aside
-        (one check per orbit is left for cyclic G). A failure is named by
-        checking each A_i alone: relations, then A_i^{d_i} e_j = e_j mod L."""
+        """The relations have full rank and each B_i of `_phi_action` is integral.
+        The generator orbits, kept for `annihilator()`, generate phi(M), so
+        A_i^{d_i} = 1 and A_a A_b = A_b A_a on M iff B_i orbit[x] = orbit[x + e_i
+        mod d_i] for all x and i, the walk's own steps aside (one check per orbit
+        is left for cyclic G). A failure is named by checking each A_i alone:
+        relations, then B_i^{d_i} phi(e_j) = phi(e_j)."""
         k = self.k
-        if k == 0:
-            return
         if len(self._hnf[0]) != k:
             raise ValueError("relation lattice is not full rank: module is infinite")
-        g, hnf = self.group, [tuple(h) for h in self._hnf[0]]
+        if not self.structure():
+            return
+        g, e, bs = self.group, self.structure()[-1], self._phi_action
         gens = list(enumerate(g.invariant_factors))
         steps = [(x, i, y) for x in g.elements for i, d in gens
                  for y in [x[:i] + ((x[i] + 1) % d,) + x[i + 1:]]
                  if y == g.identity or _step_back(y) != (i, x)]
-        if not any(any(self._act(i, h)) for i, _ in gens for h in hnf) and all(
-                self._act(i, orbit[x]) == orbit[y]
+        if None not in bs and all(
+                _sparse_mul(bs[i], orbit[x], e) == orbit[y]
                 for orbit in self._generator_orbits for x, i, y in steps):
             return
         for i, d in gens:
-            if any(any(self._act(i, h)) for h in hnf):
+            if bs[i] is None:
                 raise ValueError("action does not preserve relations")
             for j in range(k):
-                u = v = tuple(self._reduce([int(t == j) for t in range(k)]))
+                u = v = self._phi(j)
                 for _ in range(d):
-                    v = self._act(i, v)
+                    v = _sparse_mul(bs[i], v, e)
                 if v != u:
                     raise ValueError("action generator order does not divide group order")
         raise ValueError("action matrices do not commute mod relations")
@@ -881,61 +894,62 @@ class FiniteGModule:
 
     @cached_property
     def _generator_orbits(self):
-        """Orbits {x: A_x m mod L} of Z[G]-generators m of M, L the relations,
-        taken greedily among e_1, ..., e_k: e_j is skipped when it lies in
-        N = L + sum Z[G] m. The first m alone generates M iff its `_lambda`,
-        kept as `_first_lambda`, has index e^n / |M|; else N (which contains
-        e Z^k) is put in HNF after 1, 2, 4, ... new m, until N = Z^k. Orbits
-        are walked by memoised sparse steps A_last (A_prev m)."""
-        g, k = self.group, self.k
+        """phi-orbits {x: phi(A_x m)} of Z[G]-generators m of M, walked by
+        sparse steps B_last (B_prev phi(m)) mod e and taken greedily among
+        e_1, ..., e_k: e_j is skipped when phi(e_j) lies in S = span(phi-orbits)
+        + e Z^k. The first m alone generates M iff its `_lambda`, kept as
+        `_first_lambda`, has index e^n / |M|; else S is put in HNF after 1, 2,
+        4, ... new m, until the order test [Z^k : S] |M| = e^k says S = phi(M)."""
+        g, k, structure = self.group, self.k, self.structure()
+        if not structure:
+            return []
+        e, bs = structure[-1], self._phi_action
         walk = [(elem, *_step_back(elem)) for elem in g.elements[1:]]  # steps back first
-        orbits, fresh = [], []
-        n_cols, steps = self._hnf[0], self._reducers
+        orbits, fresh, s_cols = [], [], [[e * (i == j) for i in range(k)] for j in range(k)]
+        steps = intmat.echelon_steps(s_cols, range(k))
+
+        def spans(cols):
+            return prod(col[t] for t, col in enumerate(cols)) * self.order() == e ** k
+
         for j in range(k):
-            if all(piv == 1 for _, piv, _ in steps):
-                break
-            unit = [int(i == j) for i in range(k)]
-            if all(isinstance(x, int) for x in intmat.solve_upper_triangular(steps, unit)):
+            orbit = {g.identity: self._phi(j)}
+            if all(type(x) is int for x in intmat.solve_upper_triangular(steps, orbit[g.identity])):
                 continue
-            orbit = {g.identity: tuple(self._reduce(unit))}
             for elem, last, prev in walk:
-                orbit[elem] = self._act(last, orbit[prev])
+                orbit[elem] = _sparse_mul(bs[last], orbit[prev], e)
             orbits.append(orbit)
             fresh.extend(set(orbit.values()))
-            e = self.structure()[-1]
             if len(orbits) == 1:
                 self._first_lambda = lam = self._lambda(orbits, e)
                 if prod(col[t] for t, col in enumerate(lam)) * self.order() == e ** g.order:
                     return orbits
             if len(orbits) & (len(orbits) - 1) == 0:  # 1, 2, 4, ... generators
-                n_cols, fresh = intmat.hnf_mod(n_cols + fresh, e, k), []
-                steps = intmat.echelon_steps(n_cols, range(k))
-        if fresh:
-            n_cols = intmat.hnf_mod(n_cols + fresh, e, k)
-        if any(col[p] != 1 for p, col in enumerate(n_cols)):
+                s_cols, fresh = intmat.hnf_mod(s_cols + fresh, e, k), []
+                if spans(s_cols):
+                    return orbits
+                steps = intmat.echelon_steps(s_cols, range(k))
+        if not (fresh and spans(intmat.hnf_mod(s_cols + fresh, e, k))):
             raise ArithmeticError("the generator orbits and the relations do not span Z^k")
         return orbits
 
     def _lambda(self, orbits, e):
         """The HNF of Lambda = span(w) + e Z^n, n = |G|, w the rows of the k x n
-        matrix W of columns phi(A_x m) over the orbits, phi(u) = e H^-1 u mod e
-        by back-substitution in the relation HNF H. phi vanishes exactly on L,
-        so it embeds M in (Z/e)^k: for one orbit W's column space is Z[G] m, and
-        its row space has the same order (Smith form over Z/e), so [Z^n : Lambda]
-        |Z[G] m| = e^n. Stacked orbits measure Z[G] (m_1, ..., m_r) in M^r."""
+        matrix W whose columns are the phi-orbit vectors phi(A_x m). For one
+        orbit W's column space is phi(Z[G] m), and its row space has the same
+        order (Smith form over Z/e), so [Z^n : Lambda] |Z[G] m| = e^n. Stacked
+        orbits measure Z[G] (m_1, ..., m_r) in M^r."""
         g = self.group
-        image = {u: intmat.solve_upper_triangular(self._reducers, [e * x for x in u])
-                 for u in {u for orbit in orbits for u in orbit.values()}}
-        entries = {v for orbit in orbits for v in zip(*(image[orbit[x]] for x in g.elements))}
+        entries = {v for orbit in orbits for v in zip(*(orbit[x] for x in g.elements))}
         return intmat.hnf_mod(entries, e, g.order)
 
     def annihilator(self):
         """ann_{Z[G]}(M) as a full-rank IdealLattice (den = 1 sublattice).
 
-        For Z[G]-generators m of M and phi as in `_lambda`, alpha kills M iff
-        phi(sum_x alpha_x A_x m) = 0 for each m, that is iff w . alpha = 0 mod e
-        for every w. So ann(M) = e Lambda^*, which `intmat.hnf_dual` gives as
-        e Z^n lies in Lambda. Computed once, on first use.
+        For the Z[G]-generators m of `_generator_orbits` and phi as in `_phi`,
+        alpha kills M iff phi(sum_x alpha_x A_x m) = 0 for each m, that is iff
+        w . alpha = 0 mod e for every row w of `_lambda`'s W. So ann(M) = e
+        Lambda^*, which `intmat.hnf_dual` gives as e Z^n lies in Lambda.
+        Computed once, on first use.
         """
         return self._annihilator
 

@@ -37,21 +37,20 @@ def column_echelon(a_cols, d=0, n=None):
     of its next nonzero row, dropping it if there is none.
 
     A modulus d > 0 echelons span(a_cols) + d Z^n instead (n rows; a_cols
-    may be empty), every column reduced mod d when it is filed. Row i then
+    may be empty): the columns are read mod d, and an entry is reduced mod d
+    where the elimination changes it, so every entry stays in [0, d). Row i then
     also holds d e_i: with c the column its Euclid leaves, a = c_i and
     g = gcd(a, d), the pivot is p = u c mod d with u a = g mod d, and
     c - (a/g) p and (d/g) p, zero at row i mod d, are filed again; an empty
     row takes d e_i. Every row gets a pivot, and it divides d. This is
     Cohen's Alg. 2.4.8 without its step R <- R/g, which needs d to be the
     determinant."""
-    cols = [list(col) for col in a_cols]
+    cols = [[x % d for x in col] if d else list(col) for col in a_cols]
     n = len(cols[0]) if cols else n or 0
     buckets = [[] for _ in range(n)]
 
     def file(j, top):  # at the last nonzero row of column j above row `top`
         cj = cols[j]
-        if d:
-            cols[j] = cj = [x % d for x in cj]
         for r in range(top - 1, -1, -1):
             if cj[r]:
                 buckets[r].append(j)
@@ -72,23 +71,23 @@ def column_echelon(a_cols, d=0, n=None):
                 cj = cols[j]
                 q = cj[i] // piv
                 for r, x in nonzero:
-                    cj[r] -= q * x
+                    cj[r] = (cj[r] - q * x) % d if d else cj[r] - q * x
                 if cj[i]:
                     kept.append(j)
                 else:
                     file(j, i)
             live = kept
         if d and live:
-            c0 = [x % d for x in cols[live[0]]]
+            c0 = cols[live[0]]
             a = c0[i]
             g = gcd(a, d)
             p = c0
             if a > g:
                 p = [pow(a // g, -1, d // g) * x % d for x in c0]
-                cols.append([x - a // g * y for x, y in zip(c0, p)])
+                cols.append([(x - a // g * y) % d for x, y in zip(c0, p)])
                 file(len(cols) - 1, i)
             if g > 1:
-                cols.append([d // g * y for y in p])
+                cols.append([d // g * y % d for y in p])
                 file(len(cols) - 1, i)
         elif d:
             p = [d if r == i else 0 for r in range(n)]
@@ -123,13 +122,13 @@ def hnf_mod(cols, d, n):
 def hnf_dual(cols, d):
     """The n columns of the canonical column HNF of d L^*, for the HNF basis
     `cols` of a full-rank lattice L in Z^n that contains d Z^n, and L^* = {y :
-    y . x in Z for all x in L} its dual: the rows of d H^-1, H the matrix of
-    `cols`, are integral since d Z^n lies in L, and d L^* contains d Z^n, so
-    `hnf_mod` makes them canonical."""
-    n = range(len(cols))
-    steps = echelon_steps(cols, n)
-    rows = zip(*(solve_upper_triangular(steps, [d * (i == j) for i in n]) for j in n))
-    return hnf_mod(rows, d, len(cols))
+    y . x in Z for all x in L} its dual: the rows of d H^-1 (H upper triangular,
+    so d e_j is back-substituted from row j) are integral since d Z^n lies in
+    L, and d L^* contains d Z^n, so `hnf_mod` makes them canonical."""
+    n, steps = len(cols), echelon_steps(cols, range(len(cols)))
+    rows = zip(*(solve_upper_triangular(steps[n - 1 - j:], [0] * j + [d]) + [0] * (n - 1 - j)
+                 for j in range(n)))
+    return hnf_mod(rows, d, n)
 
 
 def _reduce_right_of_pivots(cols, pivot_rows):

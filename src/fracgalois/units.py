@@ -213,29 +213,16 @@ def quotient_module(u: UnitLattice, e: UnitLattice, ctx):
     """U/E as a FiniteGModule on generators (torsion, free_1, ..., free_r)."""
     if u.group != e.group:
         raise ValueError(f"quotient of units over {u.group} by units over {e.group}")
-    g = u.group
-    k = 1 + len(u.free)
-    relations = []
-    col = [0] * k
-    col[0] = u.torsion_order
-    relations.append(tuple(col))
+    g, k = u.group, 1 + len(u.free)
 
     def coord_col(word):
         t, xs = unit_coordinates(u, word, ctx)
-        return tuple([t] + xs)
+        return (t, *xs)
 
-    relations.append(coord_col(e.torsion))
-    for w in e.free:
-        relations.append(coord_col(w))
-
-    action = []
-    for gen in g.generator_elements():
-        t_res = g.label(gen)
-        cols = [coord_col(u.torsion.galois(t_res))]
-        for w in u.free:
-            cols.append(coord_col(w.galois(t_res)))
-        # column j = image of generator j
-        action.append(tuple(tuple(cols[j][i] for j in range(k)) for i in range(k)))
+    relations = [(u.torsion_order,) + (0,) * (k - 1), *map(coord_col, (e.torsion, *e.free))]
+    # one matrix per group generator, column j the image of module generator j
+    action = [tuple(zip(*(coord_col(w.galois(g.label(gen))) for w in (u.torsion, *u.free))))
+              for gen in g.generator_elements()]
     return FiniteGModule(g, k, relations, action)
 
 

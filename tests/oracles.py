@@ -7,7 +7,8 @@ its B_{1,chi} and L_S(0, chi), the relative L-data of Q(zeta_{p^n}) /
 Q(sqrt(-p)) one character of H at a time, equality of S-unit values, the
 log of an S-unit at the place above a totally ramified p, the annihilator of
 the roots of unity by a cyclic G-module, the annihilator of a finite G-module
-by a kernel lattice and its ell-part by a plain HNF, unit coordinates by a dense
+by a kernel lattice on orbits of its own and its ell-part by a plain HNF, the
+orbit walk over Z^k that phi-coordinates replaced, unit coordinates by a dense
 scaled inverse, the Bareiss solve behind it, the inverse in Q[G] by that solve,
 the intersection of two lattices by a kernel lattice, the Z-span of
 group-ring elements as a lattice, lattice membership and ell-membership by
@@ -19,7 +20,8 @@ relative fold one residue at a time, BCH's projection of beta0 J by dense
 products over G, and the product of two integer matrices."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cached_property
+from math import gcd, lcm, prod
 
 import mpmath as mp
 
@@ -30,7 +32,7 @@ from fracgalois.fields import (FieldModel, SUnit, _symbols, make_field, place_se
                                torsion_order)
 from fracgalois.gring import (Character, FiniteGModule, GroupRingElement, IdealLattice,
                               _clear_denominators, _convolve, _orbit_vectors,
-                              _perm_table, characters)
+                              _perm_table, _step_back, characters)
 from fracgalois.lfun import (_lift_modulus, _lifts, _proj_g_to_h, character_conductor,
                              half_stickelberger, l_value_at_0, partial_zeta_all)
 from fracgalois.units import CoordinateError
@@ -379,21 +381,34 @@ def mu_ell_annihilator_module(model, ell):
 
 
 def kernel_lattice_annihilator(mod):
-    """`FiniteGModule.annihilator` by the kernel lattice it replaced, on the
-    orbits that `mod` keeps, once a plain HNF shows that they generate M:
-    with e the exponent and B = e H^-1 for the plain HNF H of the relations,
-    the entry vectors (B A_x m mod e)_x have an HNF basis w_1, ..., w_r,
-    and ann(M) is the alpha-part of the kernel of
-    (alpha, z) -> (w_s . alpha - e z_s)_s."""
+    """`FiniteGModule.annihilator` by the kernel lattice it replaced, on
+    orbits walked here from the relations and the dense action: the orbits
+    of e_1, e_2, ... under G, each vector reduced entrywise mod the exponent
+    e (e Z^k lies in the relations), until a plain HNF shows that they
+    generate M. With B = e H^-1 for the plain HNF H of the relations, the
+    entry vectors (B A_x m mod e)_x have an HNF basis w_1, ..., w_r, and
+    ann(M) is the alpha-part of the kernel of (alpha, z) -> (w_s . alpha -
+    e z_s)_s."""
     g, k = mod.group, mod.k
     structure = mod.structure()
     if not structure:
         return IdealLattice.unit_ideal(g)
     e = structure[-1]
-    orbits = mod._generator_orbits
-    spanned, _ = intmat.hnf_columns(
-        list(mod.relations) + [u for orbit in orbits for u in orbit.values()])
-    assert spanned == intmat.identity_matrix(k), "the orbits do not generate M"
+    orbits, vecs = [], []
+    for j in range(k):
+        if intmat.hnf_columns(list(mod.relations) + vecs)[0] == intmat.identity_matrix(k):
+            break
+        orbit = {g.identity: tuple(int(i == j) for i in range(k))}
+        todo = [g.identity]
+        while todo:
+            x = todo.pop()
+            for i, (d, mat) in enumerate(zip(g.invariant_factors, mod.action)):
+                y = x[:i] + ((x[i] + 1) % d,) + x[i + 1:]
+                if y not in orbit:
+                    orbit[y] = tuple(sum(a * u for a, u in zip(row, orbit[x])) % e for row in mat)
+                    todo.append(y)
+        orbits.append(orbit)
+        vecs += orbit.values()
     h_cols, pivot_rows = intmat.hnf_columns(mod.relations)
     b = intmat.mat_transpose([
         dense_solve_upper_triangular(h_cols, pivot_rows, [e * (i == j) for i in range(k)])
@@ -407,6 +422,98 @@ def kernel_lattice_annihilator(mod):
     minus_e = [[-e if s == t else 0 for s in range(len(w))] for t in range(len(w))]
     return IdealLattice._from_columns(
         g, 1, [col[:g.order] for col in intmat.kernel_basis([*zip(*w), *minus_e])])
+
+
+class OrbitWalkReference(FiniteGModule):
+    """`FiniteGModule` with the orbit walk over Z^k that phi-coordinates
+    replaced: each step A_i u is a sparse product reduced by `_reduce` over
+    every HNF column and memoised on (i, u), validation reads those steps,
+    N = L + sum Z[G] m is tracked over Z^k, and `_lambda` maps every orbit
+    vector u to phi(u) = e H^-1 u mod e by its own back-substitution.
+    `annihilator()`, `fitting_ideal()` and `structure()` are inherited."""
+
+    def __init__(self, *args, **kwargs):
+        self._steps = {}
+        super().__init__(*args, **kwargs)
+
+    def _act(self, i, u):
+        if (i, u) not in self._steps:
+            v = [0] * self.k
+            for y, col in zip(u, self._sparse_action[i]):
+                if y:
+                    for j, x in col:
+                        v[j] += x * y
+            self._steps[i, u] = tuple(self._reduce(v))
+        return self._steps[i, u]
+
+    @cached_property
+    def _sparse_action(self):
+        return [[[(j, x) for j, x in enumerate(c) if x] for c in zip(*mat)]
+                for mat in self.action]
+
+    def _validate(self):
+        k = self.k
+        if k == 0:
+            return
+        if len(self._hnf[0]) != k:
+            raise ValueError("relation lattice is not full rank: module is infinite")
+        g, hnf = self.group, [tuple(h) for h in self._hnf[0]]
+        gens = list(enumerate(g.invariant_factors))
+        steps = [(x, i, y) for x in g.elements for i, d in gens
+                 for y in [x[:i] + ((x[i] + 1) % d,) + x[i + 1:]]
+                 if y == g.identity or _step_back(y) != (i, x)]
+        if not any(any(self._act(i, h)) for i, _ in gens for h in hnf) and all(
+                self._act(i, orbit[x]) == orbit[y]
+                for orbit in self._generator_orbits for x, i, y in steps):
+            return
+        for i, d in gens:
+            if any(any(self._act(i, h)) for h in hnf):
+                raise ValueError("action does not preserve relations")
+            for j in range(k):
+                u = v = tuple(self._reduce([int(t == j) for t in range(k)]))
+                for _ in range(d):
+                    v = self._act(i, v)
+                if v != u:
+                    raise ValueError("action generator order does not divide group order")
+        raise ValueError("action matrices do not commute mod relations")
+
+    @cached_property
+    def _generator_orbits(self):
+        g, k = self.group, self.k
+        walk = [(elem, *_step_back(elem)) for elem in g.elements[1:]]
+        orbits, fresh = [], []
+        n_cols, steps = self._hnf[0], self._reducers
+        for j in range(k):
+            if all(piv == 1 for _, piv, _ in steps):
+                break
+            unit = [int(i == j) for i in range(k)]
+            if all(isinstance(x, int) for x in intmat.solve_upper_triangular(steps, unit)):
+                continue
+            orbit = {g.identity: tuple(self._reduce(unit))}
+            for elem, last, prev in walk:
+                orbit[elem] = self._act(last, orbit[prev])
+            orbits.append(orbit)
+            fresh.extend(set(orbit.values()))
+            e = self.structure()[-1]
+            if len(orbits) == 1:
+                self._first_lambda = lam = self._lambda(orbits, e)
+                if prod(col[t] for t, col in enumerate(lam)) * self.order() == e ** g.order:
+                    return orbits
+            if len(orbits) & (len(orbits) - 1) == 0:
+                n_cols, fresh = intmat.hnf_mod(n_cols + fresh, e, k), []
+                steps = intmat.echelon_steps(n_cols, range(k))
+        if fresh:
+            n_cols = intmat.hnf_mod(n_cols + fresh, e, k)
+        if any(col[p] != 1 for p, col in enumerate(n_cols)):
+            raise ArithmeticError("the generator orbits and the relations do not span Z^k")
+        return orbits
+
+    def _lambda(self, orbits, e):
+        g = self.group
+        image = {u: intmat.solve_upper_triangular(self._reducers, [e * x for x in u])
+                 for u in {u for orbit in orbits for u in orbit.values()}}
+        entries = {v for orbit in orbits for v in zip(*(image[orbit[x]] for x in g.elements))}
+        return intmat.hnf_mod(entries, e, g.order)
 
 
 def plain_hnf_ell_part(mod, ell):

@@ -30,7 +30,8 @@ from gmodules import (_oracle_annihilator, a8_draws, action_of, conjugated, draw
                       module_from_ideals, validation_oracle)
 from oracles import (assemble, fraction_contains_lattice, fraction_ell_contains,
                      gmodule_span_equal, group_ring_inverse, kernel_intersect,
-                     kernel_lattice_annihilator, plain_hnf_ell_part, span_membership,
+                     dense_solve_upper_triangular, kernel_lattice_annihilator,
+                     OrbitWalkReference, plain_hnf_ell_part, span_membership,
                      transport_character, z_span)
 
 
@@ -962,23 +963,29 @@ def test_module_validation_on_orbits_matches_dense_matrix_checks():
 
 
 def test_validation_walks_the_orbits_that_annihilator_reads(monkeypatch):
-    """After validate=True, annihilator() reduces no vector: it reads the
-    generator orbits that the constructor walked."""
+    """After validate=True, annihilator() takes no back-substitution against
+    the relation HNF H: it reads the phi-orbits that the constructor walked.
+    An unvalidated module takes them in annihilator(): one per HNF column
+    and action matrix for B_i = H^-1 A_i H, at most one per e_j it tries as
+    a start, and none per orbit vector."""
     rng = random.Random(55)
     for factors in ((6,), (2, 4)):
         g = abelian_group(factors)
         mod = conjugated(rng, module_from_ideals(g, draw_ideals(rng, g, 3, 2)))
         args = (g, mod.k, mod.relations, mod.action)
-        calls = []
-        reduce = FiniteGModule._reduce
-        monkeypatch.setattr(FiniteGModule, "_reduce",
-                            lambda self, v: calls.append(1) or reduce(self, v))
+        solves = []
+        solve = intmat.solve_upper_triangular
+        monkeypatch.setattr(intmat, "solve_upper_triangular",
+                            lambda steps, v: solves.append(steps) or solve(steps, v))
         checked = FiniteGModule(*args)
-        walked = len(calls)
+        walked = sum(steps is checked._reducers for steps in solves)
         ann = checked.annihilator()
-        assert walked > 0 and len(calls) == walked
+        assert walked > 0 and sum(steps is checked._reducers for steps in solves) == walked
+        del solves[:]
         unchecked = FiniteGModule(*args, validate=False)
-        assert unchecked.annihilator() == ann and len(calls) > walked
+        assert unchecked.annihilator() == ann
+        against_h = sum(steps is unchecked._reducers for steps in solves)
+        assert mod.k * len(factors) < against_h <= mod.k * (len(factors) + 1)
         monkeypatch.undo()
 
 
@@ -1041,21 +1048,28 @@ def _index_times_order(mod, lam):
 
 
 def test_each_generation_check_of_the_orbit_walk_agrees_with_a_plain_hnf():
-    """On the A8 draws and the same modules in a scrambled basis: the first
-    orbit's index test [Z^n : Lambda] |M| = e^n says what a plain HNF of the
-    relations and that orbit says, and the walk stops at a check (after 1,
-    2, 4, ... orbits and after its last) exactly when the plain HNF of the
-    relations and the orbits so far is the identity."""
+    """On the A8 draws and the same modules in a scrambled basis: every
+    phi-orbit vector lies in phi(M), spanned with e Z^k by the columns of
+    e H^-1 (H the plain HNF of the relations, by a dense solve); the first
+    orbit's index test [Z^n : Lambda] |M| = e^n says what a plain HNF of
+    e Z^k and that orbit says, and the walk stops at a check (after 1, 2,
+    4, ... orbits and after its last) exactly when the plain HNF of e Z^k
+    and the phi-orbits so far is that of phi(M) + e Z^k."""
     rng = random.Random(3434)
     needs_more = 0
     for g, lats in a8_draws(random.Random(82001)):
         mod = module_from_ideals(g, lats)
         for m in (mod, conjugated(rng, mod)) if mod.k > 1 else (mod,):
-            orbits, e = m._generator_orbits, m.structure()[-1]
+            orbits, e, k = m._generator_orbits, m.structure()[-1], m.k
+            h_cols, pivot_rows = hnf_columns(m.relations)
+            e_id = [[e * (i == j) for i in range(k)] for j in range(k)]
+            phi_m = hnf_columns(e_id + [
+                dense_solve_upper_triangular(h_cols, pivot_rows, col) for col in e_id])
+            assert hnf_columns(phi_m[0] + [u for orbit in orbits for u in orbit.values()]) == phi_m
 
             def spans(r):
                 vecs = [u for orbit in orbits[:r] for u in orbit.values()]
-                return hnf_columns(list(m.relations) + vecs)[0] == intmat.identity_matrix(m.k)
+                return hnf_columns(e_id + vecs) == phi_m
 
             lam = m._lambda(orbits[:1], e)
             assert (_index_times_order(m, lam) == e ** g.order) == spans(1)
@@ -1070,15 +1084,17 @@ def test_each_generation_check_of_the_orbit_walk_agrees_with_a_plain_hnf():
 def test_a_module_with_two_generators_still_checks_the_span_of_its_orbits(monkeypatch):
     """F_2[C_2 x C_4] is local, so a sum of two of its cyclic quotients needs
     two generators: after the first orbit's index test fails, the HNF of the
-    relations plus the orbits over k rows is taken after one and two orbits."""
+    phi-orbits plus e Z^k over k rows is taken after one and two orbits, and
+    only the second passes the order test [Z^k : S] |M| = e^k."""
     rng = random.Random(4242)
     g = abelian_group((2, 4))
     mod = module_from_ideals(g, draw_ideals(rng, g, 2, 2))
-    rows, hnf_mod = [], intmat.hnf_mod
+    rows, hnfs, hnf_mod = [], [], intmat.hnf_mod
 
     def counting(cols, d, n):
         rows.append(n)
-        return hnf_mod(cols, d, n)
+        hnfs.append(hnf_mod(cols, d, n))
+        return hnfs[-1]
 
     monkeypatch.setattr(intmat, "hnf_mod", counting)
     built = FiniteGModule(g, mod.k, mod.relations, mod.action)
@@ -1086,6 +1102,7 @@ def test_a_module_with_two_generators_still_checks_the_span_of_its_orbits(monkey
     assert len(built._generator_orbits) == 2
     assert _index_times_order(built, built._first_lambda) > 2 ** g.order
     assert rows == [g.order, mod.k, mod.k] and mod.k != g.order
+    assert [_index_times_order(built, h) == 2 ** mod.k for h in hnfs[1:]] == [False, True]
     assert built.annihilator() == _oracle_annihilator(built)
 
 
@@ -1097,7 +1114,8 @@ def test_orbits_of_two_generators_are_not_read_off_a_stacked_lambda(k):
     Lambda of their orbits measures Z[G] (e_1, e_2) in M^2, of order 2^7: on
     M0 (k = 5) it fails the index test although the orbits generate, and on
     M = M0 + (Z/2)^2 with G acting trivially (k = 7, |M| = 2^7) it passes
-    although M needs two more generators."""
+    although M needs two more generators. The relations are 2 I and e = 2, so
+    phi(e_j) = e_j and each phi-orbit starts at its generator."""
     g = abelian_group((2,) * 6)
     ys = [(a, c) for a in (0, 1) for c in (2, 3, 4)]
     action = [[[int(i == j) + int((i, j) == (c, a)) for j in range(k)] for i in range(k)]
@@ -1114,8 +1132,9 @@ def test_orbits_of_two_generators_are_not_read_off_a_stacked_lambda(k):
 
 def test_orbits_that_do_not_span_m_raise_an_arithmetic_error(monkeypatch):
     """The walk ends on an explicit error, also under python -O, when the
-    e_j run out and the relations plus the orbits still miss part of Z^k:
-    here an HNF over k rows that drops the orbits' columns."""
+    e_j run out and the phi-orbits plus e Z^k still fail the order test
+    [Z^k : S] |M| = e^k: here an HNF over k rows that drops the orbits'
+    columns, so S stays e Z^k."""
     rng = random.Random(4242)
     g = abelian_group((2, 4))
     mod = module_from_ideals(g, draw_ideals(rng, g, 2, 2))
@@ -1124,6 +1143,48 @@ def test_orbits_that_do_not_span_m_raise_an_arithmetic_error(monkeypatch):
         list(cols)[:n] if n == mod.k else cols, d, n))
     with pytest.raises(ArithmeticError, match="orbits and the relations do not span Z"):
         FiniteGModule(g, mod.k, mod.relations, mod.action)
+
+
+def _reference_walk_cases(kind):
+    """(group, k, relations, action) of the modules on which the phi-orbit
+    walk is checked against the walk over Z^k: the A8 draws and their
+    scrambled bases, C_2 x C_4 and C_3 x C_3 modules, composite and prime
+    power exponents, and the captured U/E modules."""
+    rng = random.Random(f"reference {kind}")
+    if kind == "ue":
+        for f in (61, 81, 121):
+            path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / f"ue_{f}.json"
+            doc = json.loads(path.read_text())
+            yield galois_group(f, frozenset({1, f - 1})), doc["k"], doc["relations"], doc["action"]
+        return
+    if kind == "a8":
+        draws = [(g, [lats]) for g, lats in a8_draws(random.Random(82001))]
+    else:
+        draws = [(abelian_group(factors), [[draw_ideals(rng, abelian_group(factors), m0, 1)[0]
+                                            for m0 in m0s] for _ in range(3)])
+                 for factors, m0s in {
+                     "c2xc4": [((2, 4), (2, 2)), ((2, 4), (3,))],
+                     "c3xc3": [((3, 3), (3,)), ((3, 3), (2, 2))],
+                     "composite": [((6,), (12, 4)), ((2, 2), (4, 2)), ((3,), (36,))],
+                     "prime_power": [((4,), (8,)), ((3,), (9, 3)), ((2,), (64, 4))]}[kind]]
+    for g, lat_lists in draws:
+        for lats in lat_lists:
+            mod = module_from_ideals(g, lats)
+            for m in (mod, conjugated(rng, mod)) if mod.k > 1 else (mod,):
+                yield g, m.k, m.relations, m.action
+
+
+@pytest.mark.parametrize("kind", ["a8", "c2xc4", "c3xc3", "composite", "prime_power", "ue"])
+def test_phi_orbit_walk_agrees_with_the_reference_walk(kind):
+    """The walk in phi-coordinates and the walk over Z^k that it replaced
+    (`oracles.OrbitWalkReference`) give the same annihilator, Fitting ideal,
+    structure and number of orbits."""
+    for args in _reference_walk_cases(kind):
+        mod, ref = FiniteGModule(*args), OrbitWalkReference(*args)
+        assert len(mod._generator_orbits) == len(ref._generator_orbits)
+        assert mod.structure() == ref.structure()
+        assert mod.annihilator() == ref.annihilator()
+        assert mod.fitting_ideal() == ref.fitting_ideal()
 
 
 def test_captured_unit_quotient_at_121_is_cyclic():

@@ -388,31 +388,35 @@ def test_column_api_takes_tuples_and_leaves_its_argument_alone():
 
 def test_hnf_mod_is_the_hnf_with_d_times_the_identity():
     """hnf_mod(cols, d, n) is the HNF of span(cols) + d Z^n, entry for entry,
-    for composite and prime d, d = 1, no columns, zero columns, negative
-    entries and entries of any size against d; it leaves its argument alone."""
+    for composite, prime and prime-power d, d = 1, no columns, zero columns,
+    negative entries (also columns with no positive entry, which the
+    elimination reads mod d) and entries of any size against d; it leaves
+    its argument alone."""
     rng = random.Random(32)
     seen = set()
-    for _ in range(600):
-        d = rng.choice((1, 2, 3, 4, 12, 36, 64, 97))
+    for _ in range(900):
+        d = rng.choice((1, 2, 3, 4, 8, 9, 12, 27, 30, 36, 64, 97, 125, 210))
         n = rng.randint(0, 6)
-        kind = rng.choice(("none", "zero", "small", "wide", "multiples"))
+        kind = rng.choice(("none", "zero", "small", "wide", "multiples", "negative"))
         cols = []
         if kind == "zero":
             cols = [[0] * n for _ in range(rng.randint(1, 3))]
         elif kind != "none":
-            bound = 3 * d if kind == "wide" else 3
+            bound = 3 * d if kind in ("wide", "negative") else 3
             cols = [[rng.choice((0, rng.randint(-bound, bound))) for _ in range(n)]
                     for _ in range(rng.randint(1, 2 * n + 2))]
             if kind == "multiples":   # multiples of d, and a column shifted by one
                 cols = [[d * x for x in col] for col in cols] + [
                     [x + d * y for x, y in zip(cols[0], cols[-1])]]
+            if kind == "negative":
+                cols = [[-abs(x) for x in col] for col in cols]
         seen.add((kind, d))
         before = [col[:] for col in cols]
         want = hnf_columns(cols + [[d * (i == j) for i in range(n)] for j in range(n)])[0]
         assert hnf_mod(cols, d, n) == want, (cols, d, n)
         assert hnf_mod([tuple(col) for col in cols], d, n) == want and cols == before
-    assert {(kind, d) for kind in ("none", "zero", "small", "wide", "multiples")
-            for d in (1, 4, 12, 36, 64)} <= seen
+    assert {(kind, d) for kind in ("none", "zero", "small", "wide", "multiples", "negative")
+            for d in (1, 4, 8, 9, 12, 27, 30, 36, 64, 125, 210)} <= seen
     assert hnf_mod([], 6, 2) == [[6, 0], [0, 6]] and hnf_mod([[9, -3]], 1, 2) == identity_matrix(2)
 
 
@@ -435,6 +439,46 @@ def test_hnf_dual_is_the_hnf_of_d_times_the_dual():
         assert index == d ** n
         assert hnf_dual(dual, d) == h
     assert hnf_dual([[4, 0], [2, 2]], 4) == [[2, 0], [1, 1]]
+
+
+def test_dual_back_substitution_from_row_j_equals_the_dense_solve():
+    """A right-hand side v that is zero below row r needs only the steps of
+    the pivot rows up to r: their back-substitution on v[:r + 1], padded with
+    zeros, equals the dense back-substitution (None and the int/Fraction
+    split included) on square and non-square echelon forms with integer and
+    rational v. `hnf_dual` starts d e_j at row j this way, so it equals
+    `hnf_mod` of the rows of d H^-1 by the dense solve."""
+    rng = random.Random(44)
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        cols = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(n)]
+                for _ in range(n + rng.randint(0, n))]
+        if rng.random() < 0.5:  # combinations of fewer than n columns
+            base = cols[:rng.randint(0, n - 1)]
+            cols = [[sum(rng.randint(-2, 2) * b[i] for b in base) for i in range(n)]
+                    for _ in cols]
+        for h, pivots in (column_echelon(cols), hnf_columns(cols)):
+            steps = echelon_steps(h, pivots)
+            coeffs = [Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in h]
+            r = rng.randrange(n)
+            kept = [t for t, p in enumerate(pivots) if p <= r]
+            member = [sum(coeffs[t] * h[t][i] for t in kept) for i in range(n)]
+            for v in (member, [x + (i == r) for i, x in enumerate(member)]):
+                want = dense_solve_upper_triangular(h, pivots, v)
+                y = solve_upper_triangular(steps[len(h) - len(kept):], v[:r + 1])
+                y = None if y is None else y + [0] * (len(h) - len(kept))
+                assert y == want and (y is None or list(map(type, y)) == list(map(type, want)))
+                seen.add((len(h) == n, "none" if y is None else
+                          "fraction" if any(isinstance(x, Fraction) for x in y) else "int"))
+        d = rng.choice((2, 4, 6, 9, 12, 97))
+        h = hnf_mod(cols, d, n)
+        rows = zip(*(dense_solve_upper_triangular(h, range(n), [d * (i == j) for i in range(n)])
+                     for j in range(n)))
+        assert hnf_dual(h, d) == hnf_mod(rows, d, n)
+    # a square echelon form spans Q^n: only a non-square one meets None
+    assert seen == {(True, "fraction"), (True, "int"),
+                    (False, "none"), (False, "fraction"), (False, "int")}
 
 
 def test_span_predicates_and_content():

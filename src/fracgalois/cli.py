@@ -28,8 +28,8 @@ import mpmath as mp
 from .cyclo import PrecisionContext, factorize, is_prime
 from .fields import RelativeModel, bounded, odd_prime_power, select_field
 from .gring import characters
-from .jideal import (CHECK_IDS, CHECK_OPTIONS, _gre_jsonable, j_ideal,
-                     load_classgroup, run_checks)
+from .jideal import (CHECK_IDS, CHECK_OPTIONS, DEFAULT_SUBFIELD, _gre_jsonable,
+                     j_ideal, load_classgroup, run_checks)
 from .lfun import (half_stickelberger, l_values_at_0, stickelberger,
                    vanishing_order)
 from .units import (export_units, load_units, quotient_module, stark_module,
@@ -40,7 +40,8 @@ COMPUTE_OBJECTS = ("theta", "half_theta", "lvalues", "rvec", "jideal", "annihila
 LOG2_10 = math.log2(10)
 
 
-# RunConfig fields and their defaults; no --subfield is None: full, plus for STARKC
+# RunConfig fields and their defaults; no --subfield is None: full, or a
+# check's DEFAULT_SUBFIELD
 _DEFAULTS = {"command": None, "object": None, "suite": (), "conductor": None,
              "prime": None, "level": 1, "subfield": None, "places": None, "bits": 192,
              "tol_exp": -30,       # decimal exponent: tolerance is 10**tol_exp
@@ -193,7 +194,7 @@ def _check_params(cfg, check_id):
     p, n = _prime_level(cfg)
     params = {"p": p, "n": n}
     if check_id in CHECK_OPTIONS["subfield"]:
-        params["subfield"] = cfg.subfield or ("plus" if check_id == "STARKC" else "full")
+        params["subfield"] = cfg.subfield or DEFAULT_SUBFIELD[check_id]
     if check_id in CHECK_OPTIONS["seed"]:
         params["seed"] = cfg.seed
     if check_id not in CHECK_OPTIONS["input_path"]:

@@ -2,11 +2,14 @@
 
 Numbers in Q(zeta_m) live on the power basis 1, zeta, ..., zeta^(phi(m)-1)
 mod the m-th cyclotomic polynomial, as integer numerators over one
-denominator: equality is decidable and Galois twists are exact. Numerics are
-integer fixed point under a PrecisionContext (working precision, tolerance,
-guard bits, one rounding at the end): one root-of-unity kernel per modulus
-and precision gives embeddings and log-sines, log_scaled every logarithm of
-a rational; log Gamma at a rational is mpmath's loggamma.
+denominator. A CyclotomicNumber does what the reports need and no more: it
+is built from weighted powers of zeta or from rational coefficients,
+multiplied, twisted by Galois, compared across moduli and embedded. Numerics
+are integer fixed point under a PrecisionContext (working precision,
+tolerance, guard bits, one rounding at the end): one root-of-unity kernel
+per modulus and precision gives embeddings and log-sines, log_scaled every
+logarithm of a rational; log Gamma at a rational is mpmath's loggamma, and
+Bernoulli numbers are mpmath's bernfrac.
 """
 
 from fractions import Fraction
@@ -202,7 +205,7 @@ def _sparse_rows(m):
 
 class CyclotomicNumber:
     """Element of Q(zeta_m) on the power basis mod Phi_m (exact): numerators
-    n over d > 0 with gcd(d, *n) = 1, unique per number; c is n/d as Fractions."""
+    n over d > 0 with gcd(d, *n) = 1, unique per number."""
 
     __slots__ = ("m", "n", "d")
     __hash__ = None  # equality lifts across moduli; hashing would not
@@ -229,22 +232,9 @@ class CyclotomicNumber:
         self.m, self.n, self.d = m, tuple(x // g for x in out), d // g
         return self
 
-    @property
-    def c(self):
-        return tuple(Fraction(x, self.d) for x in self.n)
-
-    # -- constructors
     @classmethod
     def rational(cls, q):
         return cls(1, (Fraction(q),))
-
-    @classmethod
-    def zero(cls, m=1):
-        return cls.from_powers(m, ())
-
-    @classmethod
-    def root_of_unity(cls, m, k=1):
-        return cls.from_powers(m, [0] * (k % m) + [1])
 
     # -- modulus lifting
     def lift(self, big_m):
@@ -267,25 +257,6 @@ class CyclotomicNumber:
         m = self.m * other.m // gcd(self.m, other.m)
         return self.lift(m), other.lift(m)
 
-    # -- ring ops
-    def __add__(self, other):
-        a, b = self._common(other)
-        sa, sb = b.d // gcd(a.d, b.d), a.d // gcd(a.d, b.d)
-        return CyclotomicNumber.from_powers(a.m, [x * sa + y * sb for x, y in zip(a.n, b.n)],
-                                            a.d * sa)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CyclotomicNumber.from_powers(self.m, [-x for x in self.n], self.d)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, CyclotomicNumber)
-                       else CyclotomicNumber.rational(other).__neg__())
-
-    def __rsub__(self, other):
-        return CyclotomicNumber.rational(other) - self
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
@@ -302,19 +273,6 @@ class CyclotomicNumber:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("CyclotomicNumber powers need n >= 0")
-        out = CyclotomicNumber.rational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    # -- Galois
     def galois(self, t):
         """Apply zeta_m -> zeta_m^t; requires gcd(t, m) = 1."""
         t %= self.m
@@ -324,20 +282,8 @@ class CyclotomicNumber:
             return self
         return self._mapped(self.m, t)
 
-    def conjugate(self):
-        return self.galois(-1 % self.m) if self.m > 2 else self
-
-    # -- predicates / coercions
     def is_zero(self):
         return not any(self.n)
-
-    def is_rational(self):
-        return not any(self.n[1:])
-
-    def as_fraction(self):
-        if not self.is_rational():
-            raise ValueError(f"not rational: {self!r}")
-        return Fraction(self.n[0], self.d)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -358,10 +304,7 @@ class CyclotomicNumber:
         return mp.mpc(*(mp.fdiv(sum(n * t[k] for n, k in nk), d << prec) for t in (re_t, im_t)))
 
     def __repr__(self):
-        if self.is_rational():
-            return f"Cyc({self.as_fraction()})"
-        terms = [f"{x}*z{self.m}^{i}" for i, x in enumerate(self.c) if x]
-        return "Cyc(" + " + ".join(terms) + ")"
+        return f"Cyc(m={self.m}, n={self.n}, d={self.d})"
 
 
 @lru_cache(maxsize=None)
@@ -445,34 +388,12 @@ class PrecisionContext:
         return {"bits": self.bits, "tol_exp": self.tol_exp}
 
 
-# T_1, T_2, ... and the last column of their triangle, grown in place
-_tangent = [1]
-_tangent_col = [1]
-
-
 @lru_cache(maxsize=None)
 def bernoulli_number(n):
-    """Exact Bernoulli number B_n (B_1 = -1/2), in integers until one final
-    Fraction: B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent
-    number T_k (Brent and Harvey 2013, column j of the triangle from
-    column j - 1: T^(k)_j = (j - k) T^(k)_(j-1) + (j - k + 2) T^(k-1)_j)."""
+    """Exact Bernoulli number B_n (B_1 = -1/2), mpmath's bernfrac."""
     if n < 0:
         raise ValueError("bernoulli_number needs n >= 0")
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2:
-        return Fraction(0)
-    k, col = n // 2, _tangent_col
-    for j in range(len(_tangent) + 1, k + 1):
-        col[0] *= j - 1
-        for i in range(1, j - 1):
-            col[i] = (j - i - 1) * col[i] + (j - i + 1) * col[i - 1]
-        col.append(2 * col[-1])
-        _tangent.append(col[-1])
-    q = 4 ** k
-    return Fraction((-1) ** (k - 1) * n * _tangent[k - 1], q * (q - 1))
+    return Fraction(*mp.bernfrac(n))
 
 
 def log_scaled(n, d, W):

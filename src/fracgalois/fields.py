@@ -12,7 +12,6 @@ keeps the subgroup H of squares as the acting group Gal(K/k).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import add
@@ -422,17 +421,21 @@ class SUnit:
         return total
 
     def expansion(self):
-        """The exact value, expanded from (t, v)."""
+        """The exact value: (-zeta)^t times each (1 - x^c)^(+-1) as one cyclic
+        product in Z[x]/(x^f - 1), with 1/(1 - x^c) = -(1/f) sum_{j<f} j x^(cj)
+        (c prime to f), reduced mod Phi_f once at the end."""
         if self._exp is None:
-            f, root = self.f, CyclotomicNumber.root_of_unity
-            val = root(f, self.t) * (-1) ** self.t
+            f, d = self.f, 1
+            w = [0] * f
+            w[self.t % f] = (-1) ** self.t
             for c, e in zip(_symbols(f)[0], self.v):
-                if e:  # 1 / (1 - x) = -(1/f) sum_{j<f} j x^j for x = zeta^c, c prime to f
-                    base = 1 - root(f, c) if e > 0 else sum(
-                        (root(f, c * j) * Fraction(-j, f) for j in range(1, f)),
-                        CyclotomicNumber.zero(f))
-                    val = val * base ** abs(e)
-            self._exp = val
+                for _ in range(abs(e)):
+                    if e > 0:
+                        w = [x - w[(k - c) % f] for k, x in enumerate(w)]
+                    else:
+                        w = [-sum(j * w[(k - c * j) % f] for j in range(1, f)) for k in range(f)]
+                        d *= f
+            self._exp = CyclotomicNumber.from_powers(f, w, d)
         return self._exp
 
     def fixed_by(self, residues):

@@ -275,7 +275,7 @@ class Character:
     """Character of a FinAbGroup, stored as exponents on the SNF generators.
 
     chi(g_i) = zeta_E ** (t_i * E / d_i) with E the group exponent, so
-    exp_at is pure integer arithmetic; values materialize on demand.
+    exp_at is pure integer arithmetic.
     """
 
     __slots__ = ("group", "exps")
@@ -291,17 +291,11 @@ class Character:
             total += t * x * (e // d)
         return total % e
 
-    def value(self, a):
-        return CyclotomicNumber.root_of_unity(self.group.exponent, self.exp_at(a))
-
     def is_trivial(self):
         return all(t == 0 for t in self.exps)
 
     def is_trivial_on(self, elems):
         return all(self.exp_at(a) == 0 for a in elems)
-
-    def conj(self):
-        return Character(self.group, tuple(-t for t in self.exps))
 
     def order(self):
         return lcm(1, *(d // gcd(d, t) for t, d in zip(self.exps, self.group.invariant_factors)))

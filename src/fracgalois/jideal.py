@@ -74,9 +74,11 @@ def _level(params):
     return int(params["p"]), int(params.get("n", 1))
 
 
-# the subfields a check runs on; the CLI passes --subfield only to these
+# the subfields a check runs on, and the one it runs on without --subfield;
+# the CLI passes --subfield only to these
 SUBFIELDS = {"RZERO": ("full", "plus", "relative"), "STARKC": ("plus", "relative"),
              "CLCONT": ("plus", "full")}
+DEFAULT_SUBFIELD = {"RZERO": "full", "STARKC": "plus", "CLCONT": "full"}
 
 # the verify options (RunConfig fields) that only some checks read; the CLI
 # passes each only to these, and refuses one that no check of the suite reads
@@ -85,8 +87,8 @@ CHECK_OPTIONS = {"subfield": tuple(SUBFIELDS), "seed": ("INDF",),
 
 
 def _subfield(check, params):
-    """The check's subfield selector, one of SUBFIELDS[check] (default "plus")."""
-    sub, subfields = params.get("subfield", "plus"), SUBFIELDS[check]
+    """The check's subfield selector, one of SUBFIELDS[check]."""
+    sub, subfields = params.get("subfield", DEFAULT_SUBFIELD[check]), SUBFIELDS[check]
     if sub not in subfields:
         raise ValueError(f"{check} runs on the {', '.join(subfields[:-1])} or "
                          f"{subfields[-1]} subfield, not {sub!r}")
@@ -261,7 +263,8 @@ def rzero_idempotent(group, pset):
 
 def check_rzero(params, ctx):
     p, n = _level(params)
-    model, pset = _field(p, n, _subfield("RZERO", params))
+    sub = _subfield("RZERO", params)
+    model, pset = _field(p, n, sub)
     lat, g = j_ideal(model, pset, ctx).ideal, model.group
     theta, e0 = stickelberger(model, pset), rzero_idempotent(g, pset)
     theta_in = lat.contains_element(theta)
@@ -275,14 +278,16 @@ def check_rzero(params, ctx):
         wit = {"theta_in_j": theta_in, "e0_j_equals_ztheta": spans_ok,
                "theta": _gre_jsonable(theta), "e0": _gre_jsonable(e0)}
     return CheckReport("RZERO", "pass" if ok else "fail", wit,
-                       _ctx_stamp(ctx, **params))
+                       _ctx_stamp(ctx, p=p, n=n, subfield=sub))
+
+
+INDF_TWISTS = 5  # the invertible twists INDF checks
 
 
 def check_indf(params, ctx):
     """J = (1/e) u u^-1 ann(U/E) for random invertible twists u, exactly."""
     p, n = _level(params)
     seed = int(params.get("seed", 0))
-    count = int(params.get("count", 5))
     model, pset = _field(p, n, "plus")
     base = j_ideal(model, pset, ctx).ideal
     e = torsion_order(model)
@@ -290,7 +295,7 @@ def check_indf(params, ctx):
     g = model.group
     rng = random.Random(seed)
     checked = 0
-    while checked < count:
+    while checked < INDF_TWISTS:
         tw = GroupRingElement(g, [Fraction(rng.randint(-2, 2)) for _ in range(g.order)])
         try:
             j_tw = ann.divide(tw).scale(tw * Fraction(1, e))
@@ -303,7 +308,7 @@ def check_indf(params, ctx):
                  "expected": base.to_jsonable(), "got": j_tw.to_jsonable()},
                 _ctx_stamp(ctx, p=p, n=n, seed=seed))
         checked += 1
-    return CheckReport("INDF", "pass", {"twists": count},
+    return CheckReport("INDF", "pass", {"twists": INDF_TWISTS},
                        _ctx_stamp(ctx, p=p, n=n, seed=seed))
 
 

@@ -1,5 +1,7 @@
-"""Helpers that only tests call: Q(zeta_m) on Fraction coefficients and its
-embedding over the lcm of their denominators, a character moved through a group
+"""Helpers that only tests call: Q(zeta_m) on Fraction coefficients with the
+field arithmetic CyclotomicNumber leaves out, and its embedding over the lcm
+of their denominators, a character's value and conjugate, the Bernoulli
+numbers by their Fraction recursion, a character moved through a group
 isomorphism, membership in a rank-deficient Z-span of group-ring elements
 and equality of two Z[G]-spans of them, the inverse character transform and the Stickelberger element assembled
 from L-values character by character, a character's primitive table with
@@ -21,7 +23,7 @@ products over G, and the product of two integer matrices."""
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 
 import mpmath as mp
 
@@ -40,11 +42,26 @@ from fracgalois.units import CoordinateError
 
 class FractionCyclotomic:
     """Q(zeta_m) on the power basis with one Fraction per coefficient: the
-    representation CyclotomicNumber kept before its integer numerators."""
+    representation CyclotomicNumber kept before its integer numerators, and
+    the field arithmetic tests need beyond the operations the reports use."""
 
     def __init__(self, m, coeffs):
         self.m, self.c = m, tuple(Fraction(x) for x in coeffs)
         assert len(self.c) == euler_phi(m)
+
+    @classmethod
+    def of(cls, x):
+        """x (a CyclotomicNumber, a FractionCyclotomic or a rational) as a
+        FractionCyclotomic."""
+        if isinstance(x, FractionCyclotomic):
+            return x
+        if isinstance(x, CyclotomicNumber):
+            return cls(x.m, (Fraction(n, x.d) for n in x.n))
+        return cls(1, (x,))
+
+    @classmethod
+    def zero(cls, m=1):
+        return cls(m, [0] * euler_phi(m))
 
     @classmethod
     def root_of_unity(cls, m, k=1):
@@ -66,8 +83,7 @@ class FractionCyclotomic:
         return self._mapped(self.m, t % self.m)
 
     def _common(self, other):
-        if not isinstance(other, FractionCyclotomic):
-            other = FractionCyclotomic(1, (other,))
+        other = FractionCyclotomic.of(other)
         m = lcm(self.m, other.m)
         return self.lift(m), other.lift(m)
 
@@ -75,8 +91,13 @@ class FractionCyclotomic:
         a, b = self._common(other)
         return FractionCyclotomic(a.m, (x + y for x, y in zip(a.c, b.c)))
 
+    __radd__ = __add__
+
     def __neg__(self):
         return FractionCyclotomic(self.m, (-x for x in self.c))
+
+    def __sub__(self, other):
+        return self + -FractionCyclotomic.of(other)
 
     def __rsub__(self, other):
         return -self + other
@@ -92,9 +113,42 @@ class FractionCyclotomic:
                         out[k] += x * y * z
         return FractionCyclotomic(a.m, out)
 
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        assert n >= 0
+        out = FractionCyclotomic.of(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
     def __eq__(self, other):
         a, b = self._common(other)
         return a.c == b.c
+
+    def is_zero(self):
+        return not any(self.c)
+
+    def is_rational(self):
+        return not any(self.c[1:])
+
+    def as_fraction(self):
+        if not self.is_rational():
+            raise ValueError("not rational")
+        return self.c[0]
+
+    def embed(self, a=1):
+        return embed_lcm_route(self, a)
+
+
+def chi_value(chi, a):
+    """chi(a) as a FractionCyclotomic in Q(zeta_E), E the group exponent."""
+    return FractionCyclotomic.root_of_unity(chi.group.exponent, chi.exp_at(a))
+
+
+def conj(chi):
+    """The conjugate (inverse) character of chi."""
+    return Character(chi.group, tuple(-t for t in chi.exps))
 
 
 def embed_lcm_route(x, a=1):
@@ -106,6 +160,15 @@ def embed_lcm_route(x, a=1):
     d = lcm(*(q.denominator for q in x.c))
     nk = [(q.numerator * (d // q.denominator), a * i % m) for i, q in enumerate(x.c) if q]
     return mp.mpc(*(mp.fdiv(sum(n * t[k] for n, k in nk), d << prec) for t in (re_t, im_t)))
+
+
+def bernoulli_fractions(n):
+    """[B_0, ..., B_n] (B_1 = -1/2) by the O(n^2) Fraction recursion
+    sum_{j <= k} C(k+1, j) B_j = 0."""
+    out = [Fraction(1)]
+    for k in range(1, n + 1):
+        out.append(-sum(comb(k + 1, j) * out[j] for j in range(k)) / (k + 1))
+    return out
 
 
 def transport_character(chi, iso):
@@ -146,31 +209,28 @@ def gmodule_span_equal(gens_a, gens_b, group):
 
 
 def _times_root(v, k):
-    """The CyclotomicNumber v times zeta_m^k, through the power table."""
+    """The FractionCyclotomic v times zeta_m^k, through the power table."""
     rows = _sparse_rows(v.m)
     out = [Fraction(0)] * len(v.c)
     for i, x in enumerate(v.c):
         if x:
             for j, y in rows[(i + k) % v.m]:
                 out[j] += x * y
-    return CyclotomicNumber(v.m, out)
+    return FractionCyclotomic(v.m, out)
 
 
 def assemble(group, values):
     """Inverse character transform: the unique x in Q[G] with chi(x) =
-    values[chi] (CyclotomicNumbers or rationals) for every character chi;
+    values[chi] (cyclotomic numbers or rationals) for every character chi;
     ValueError if the data is not Galois-equivariant (x would be irrational)."""
-    vals = {}
-    for chi in characters(group):
-        v = values[chi]
-        vals[chi] = v if isinstance(v, CyclotomicNumber) else CyclotomicNumber.rational(v)
+    vals = {chi: FractionCyclotomic.of(values[chi]) for chi in characters(group)}
     m = lcm(group.exponent, *(v.m for v in vals.values()))
     step = m // group.exponent
     lifted = {chi: v.lift(m) for chi, v in vals.items()}
     coeffs = []
     for elem in group.elements:
         inv = group.inv(elem)
-        acc = CyclotomicNumber.zero(m)
+        acc = FractionCyclotomic.zero(m)
         for chi, v in lifted.items():
             acc = acc + _times_root(v, step * chi.exp_at(inv))
         try:
@@ -184,7 +244,7 @@ def stickelberger_via_characters(model, pset):
     """theta_S assembled from exact L-values (slow cross-check route)."""
     vals = {}
     for chi in characters(model.group):
-        vals[chi] = l_value_at_0(model, pset, chi.conj())
+        vals[chi] = l_value_at_0(model, pset, conj(chi))
     return assemble(model.group, vals)
 
 
@@ -327,19 +387,19 @@ def word_value(f, word):
     and ["om", c, e] for (-1)^a, zeta_f^b and (1 - zeta_f^c)^e as unit
     documents hold them, expanded entry by entry: no parity or distribution
     relation is applied, so it checks the rewrite inside `SUnit`."""
-    val = CyclotomicNumber.root_of_unity(f, 0)
+    root, val = FractionCyclotomic.root_of_unity, FractionCyclotomic.of(1)
     for item in word:
         if item[0] == "m1":
             val = val * (-1) ** (item[1] % 2)
         elif item[0] == "z":
-            val = val * CyclotomicNumber.root_of_unity(f, item[1])
+            val = val * root(f, item[1])
         elif item[2] > 0:
-            val = val * (1 - CyclotomicNumber.root_of_unity(f, item[1])) ** item[2]
+            val = val * (1 - root(f, item[1])) ** item[2]
         else:
             # 1 / (1 - x) = -(1/q) sum_{j<q} j x^j for x^q = 1 != x
             q = f // gcd(item[1], f)
-            inverse = sum((CyclotomicNumber.root_of_unity(f, item[1] * j) * Fraction(-j, q)
-                           for j in range(1, q)), CyclotomicNumber.zero(f))
+            inverse = sum((root(f, item[1] * j) * Fraction(-j, q) for j in range(1, q)),
+                          FractionCyclotomic.zero(f))
             val = val * inverse ** -item[2]
     return val
 

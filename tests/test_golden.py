@@ -30,7 +30,8 @@ from fracgalois.fields import odd_prime_power
 from fracgalois.gring import euler_phi
 from fracgalois.units import KNOWN_HPLUS_ONE
 
-CORPUS = Path(__file__).with_name("golden") / "exact.json"
+GOLDEN_DIR = Path(__file__).with_name("golden")  # the test documents, {golden} in a command
+CORPUS = GOLDEN_DIR / "exact.json"
 DATA = Path(cli.__file__).parent / "data"    # the shipped documents, {data} in a command
 
 CONDUCTORS = sorted(KNOWN_HPLUS_ONE)
@@ -72,6 +73,9 @@ COMMANDS = [
       for check, sub in (("JREL", ""), ("BCH", ""), ("STARKC", " --subfield relative"),
                          ("RZERO", " --subfield relative"))],
     "verify --suite CLCONT -p 23 --subfield full --in {data}/cl_q_zeta23.json",
+    # CG_FIT on a trivial group, and on (Z/3)^2, whose Fitting ideal takes the minors
+    "verify --suite CG_FIT -p 29 --in {golden}/cl_trivial_q_zeta29_plus.json",
+    "verify --suite CG_FIT -p 7 --in {golden}/cl_z3_squared_q_zeta7_plus.json",
     "verify --suite ACNF",
     *PINNED,
 ]
@@ -87,7 +91,7 @@ def entry(command, where):
     to a file in `where`. "A | B" runs A --out F, then B --in F."""
     report = Path(where) / "report.json"
     report.unlink(missing_ok=True)
-    argv = command.replace("{data}", str(DATA)).split()
+    argv = command.replace("{data}", str(DATA)).replace("{golden}", str(GOLDEN_DIR)).split()
     if "|" in argv:
         cut, document = argv.index("|"), str(Path(where) / "document.json")
         _main(argv[:cut] + ["--out", document])
@@ -175,10 +179,12 @@ def test_the_corpus_holds_each_command_once():
 
 
 def test_qnat_and_jrel_fail_exactly_where_the_unit_index_exceeds_one():
-    # |U+/E+| = 2^(phi(f)/2 - 1): every conductor but 3, and every relative level
+    # |U+/E+| = 2^(phi(f)/2 - 1): every conductor but 3, and every relative
+    # level; besides them only CG_FIT on the (Z/3)^2 test document fails
     index_above_one = [f for f in CONDUCTORS if euler_phi(f) // 2 - 1 > 0]
     expected = ({f"verify --suite QNAT -f {f}" for f in index_above_one}
-                | {f"verify --suite JREL {_level(f)}" for f in RELATIVE if f in index_above_one})
+                | {f"verify --suite JREL {_level(f)}" for f in RELATIVE if f in index_above_one}
+                | {"verify --suite CG_FIT -p 7 --in {golden}/cl_z3_squared_q_zeta7_plus.json"})
     failed = {command for command, got in GOLDEN.items() if got["exit"] == 1}
     if failed != expected:
         pytest.fail(f"exit 1: {sorted(failed ^ expected)} differ from the rule")

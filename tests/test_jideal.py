@@ -268,7 +268,7 @@ def test_indf_builds_the_unit_quotient_once(monkeypatch):
 
 
 def test_indf_divides_by_the_seeded_draws_and_skips_the_singular_ones(monkeypatch):
-    """INDF tries each seeded draw in turn and checks the first `count` that
+    """INDF tries each seeded draw in turn and checks the first INDF_TWISTS that
     the oracle's solve can invert; the others are refused by `divide`."""
     tried = []
     divide = jideal.IdealLattice.divide
@@ -361,7 +361,7 @@ def test_passing_checks():
         ("RZERO", {"p": 5, "subfield": "full"}),
         ("RZERO", {"p": 7, "subfield": "plus"}),
         ("RZERO", {"p": 7, "subfield": "relative"}),
-        ("INDF", {"p": 5, "seed": 1, "count": 3}),
+        ("INDF", {"p": 5, "seed": 1}),
         ("STARK_RAT", {"p": 5}),
         # non-real characters: chi must pair with the logs unconjugated
         ("STARK_RAT", {"p": 7}),
@@ -372,7 +372,7 @@ def test_passing_checks():
         ("BCH", {"p": 7}),
         ("STARKC", {"p": 7, "subfield": "plus"}),
         ("STARKC", {"p": 7, "subfield": "relative"}),
-        ("CLCONT", {"p": 7, "ell": 3}),
+        ("CLCONT", {"p": 7, "ell": 3, "subfield": "plus"}),
         ("CLCONT", {"p": 5, "ell": 5, "subfield": "full"}),
         ("CG_FIT", {"p": 7, "ell": 3}),
         ("ACNF", {"field": "Q"}),
@@ -531,6 +531,15 @@ def test_clcont_with_shipped_class_group():
     rep = run_check("CLCONT", {"p": 23, "ell": 3, "subfield": "full",
                                "classgroup": mod}, CTX)
     assert rep.status == "pass"
+
+
+def test_a_check_without_subfield_runs_where_the_cli_does():
+    # the library and `verify` share one default subfield per check
+    mod, _ = shipped_classgroup()
+    rep = run_check("CLCONT", {"p": 23, "ell": 3, "classgroup": mod}, CTX)
+    assert rep.status == "pass" and rep.context["subfield"] == "full"
+    assert run_check("RZERO", {"p": 7}, CTX).context["subfield"] == "full"
+    assert run_check("STARKC", {"p": 7}, CTX).context["subfield"] == "plus"
 
 
 def test_clcont_rejects_mismatched_field():

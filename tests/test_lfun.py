@@ -23,8 +23,8 @@ from fracgalois.lfun import (character_conductor, half_stickelberger,
                              l_values_at_0, partial_zeta_all, stickelberger,
                              stickelberger_classical, vanishing_order)
 from fracgalois.units import KNOWN_HPLUS_ONE
-from oracles import (_b1_sum, assemble, b1_fraction_loop, bernoulli_b1,
-                     class_derivs_loggamma,
+from oracles import (FractionCyclotomic, _b1_sum, assemble, b1_fraction_loop, bernoulli_b1,
+                     chi_value, class_derivs_loggamma, conj,
                      l_deriv_primitive_with_b1,
                      l_value_at_0_per_character, partial_zeta_derivs_per_residue,
                      primitive_table, relative_fold_per_residue,
@@ -98,13 +98,13 @@ def test_b1_and_l_values_quadratic_characters():
     assert bernoulli_b1(k3, chi3) == Fraction(-1, 3)
     ps3 = place_set(k3, (3,))
     v3 = l_value_at_0(k3, ps3, chi3)
-    assert v3.is_rational() and v3.as_fraction() == Fraction(1, 3)
+    assert v3 == Fraction(1, 3)
 
     k4 = full_cyclotomic(4)
     chi4 = next(c for c in characters(k4.group) if not c.is_trivial())
     assert bernoulli_b1(k4, chi4) == Fraction(-1, 2)
     v4 = l_value_at_0(k4, place_set(k4, (2,)), chi4)
-    assert v4.is_rational() and v4.as_fraction() == Fraction(1, 2)
+    assert v4 == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("f", [5, 8, 12, 25, 121, 125, 169])
@@ -116,7 +116,7 @@ def test_b1_sum_matches_the_fraction_loop(f):
         conductors.add(f0)
         ours = _b1_sum(f0, table, e)
         oracle = b1_fraction_loop(f0, table, e)
-        assert (ours.m, ours.c) == (oracle.m, oracle.c), (f0, table)
+        assert (ours.m, FractionCyclotomic.of(ours).c) == (oracle.m, oracle.c), (f0, table)
     assert 1 in conductors and f in conductors
 
 
@@ -156,11 +156,11 @@ def test_l_values_batch_matches_the_per_character_oracle(f, subfield, primes):
     assert len(batch) == len(chars)
     for chi, v in zip(chars, batch):
         oracle = l_value_at_0_per_character(model, pset, chi)
-        assert (v.m, v.c) == (oracle.m, oracle.c), chi
+        assert (v.m, FractionCyclotomic.of(v).c) == (oracle.m, oracle.c), chi
     triv = next(c for c in chars if c.is_trivial())
     one = l_value_at_0(model, pset, triv)
     oracle = l_value_at_0_per_character(model, pset, triv)
-    assert (one.m, one.c) == (oracle.m, oracle.c)
+    assert (one.m, FractionCyclotomic.of(one).c) == (oracle.m, oracle.c)
 
 
 # every built-in plus and full field on its own S, then two non-cyclic groups:
@@ -178,7 +178,7 @@ def test_l_values_by_galois_orbit_equal_the_per_character_oracle(f, subfield, pl
     chars = characters(model.group)
     for chi, v in zip(chars, l_values_at_0(model, pset, chars), strict=True):
         oracle = l_value_at_0_per_character(model, pset, chi)
-        if (v.m, v.c) != (oracle.m, oracle.c):
+        if (v.m, FractionCyclotomic.of(v).c) != (oracle.m, oracle.c):
             pytest.fail(f"{f} {subfield} {chi}: {v!r}, the oracle gives {oracle.c}")
 
 
@@ -258,7 +258,7 @@ def test_vanishing_orders_full_field():
         c = k.conjugation()
         for chi in characters(k.group):
             r = vanishing_order(k, ps, chi)
-            even = chi.value(c).is_rational() and chi.value(c).as_fraction() == 1
+            even = chi_value(chi, c) == 1
             assert r == (1 if even else 0)
 
 
@@ -296,7 +296,7 @@ def test_exact_l_matches_character_sum_of_partial_zetas():
             for chi in characters(k.group):
                 num = mp.mpc(0)
                 for e, q in z0.items():
-                    num += chi.value(e).embed(1) * CTX.mpf(q)
+                    num += chi_value(chi, e).embed(1) * CTX.mpf(q)
                 exact = l_value_at_0(k, ps, chi).embed(1)
                 assert abs(num - exact) < mp.mpf(2) ** -150
 
@@ -322,7 +322,7 @@ def test_l_deriv_with_extra_split_prime_product_rule():
             lhs = l_deriv_at_0(k, ps, chi, CTX)
             lp = l_deriv_at_0(k, ps5, chi, CTX)
             l0 = l_value_at_0(k, ps5, chi).embed(1)
-            chi_q = chi.value(k.group.element_of_residue(q % 5)).embed(1)
+            chi_q = chi_value(chi, k.group.element_of_residue(q % 5)).embed(1)
             rhs = lp * (1 - chi_q) + l0 * chi_q * mp.log(q)
             assert abs(lhs - rhs) < mp.mpf(2) ** -140
 
@@ -389,7 +389,7 @@ def test_relative_derivative_routes_agree():
         for chi in characters(m.group):
             assembled = mp.mpc(0)
             for e in m.group.elements:
-                assembled += chi.value(e).embed(1) * zder[e]
+                assembled += chi_value(chi, e).embed(1) * zder[e]
             factored = relative_l_deriv(m, chi, CTX)
             assert abs(assembled - factored) < mp.mpf(2) ** -140
 
@@ -423,7 +423,7 @@ def test_relative_theta_matches_the_character_route(p, n):
     # the fold of the full field's partial zetas against the inverse
     # character transform of the factored L_{k,S}(0, chi)
     m = relative_model(p, n)
-    vals = {chi: relative_l_value_at_0(m, chi.conj()) for chi in characters(m.group)}
+    vals = {chi: relative_l_value_at_0(m, conj(chi)) for chi in characters(m.group)}
     assert stickelberger(m, relative_place_set(m)) == assemble(m.group, vals)
 
 
@@ -487,7 +487,7 @@ def test_unpaired_residues_match_the_euler_maclaurin_zeta(f, primes):
         for sigma, v in ours.items():
             assert abs(v - ref[sigma]) < tol, model.group.label(sigma)
         for chi, lder in zip(chars, lders):
-            assembled = mp.fsum(chi.value(e).embed(1) * ref[e] for e in ref)
+            assembled = mp.fsum(chi_value(chi, e).embed(1) * ref[e] for e in ref)
             assert abs(lder - assembled) < tol
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import comb, gcd, lcm, prod
 
 from .cyclo import (CyclotomicNumber, crt, euler_phi, factorize, poly_divexact,
@@ -728,13 +728,18 @@ def _orbit_vectors(group, vecs):
 
 
 def _sparse_mul(cols, u, e):
-    """B u (mod e if e > 0), B square as the nonzero (row, entry) of each column."""
-    v = [0] * len(u)
-    for y, col in zip(u, cols):
-        if y:
-            for r, x in col:
-                v[r] += x * y
-    return tuple([x % e for x in v]) if e else v
+    """B u for B square, as the nonzero (row, entry) of each column, and u as
+    (row, entry) pairs: mod e as sorted nonzero pairs if e > 0, else dense."""
+    v = [0] * len(cols)
+    for s, y in u:
+        for r, x in cols[s]:
+            v[r] += x * y
+    return tuple((r, v[r] % e) for r in compress(range(len(v)), v) if v[r] % e) if e else v
+
+
+def _dense(u, k):
+    """The k entries of the vector with nonzero (row, entry) pairs u."""
+    return list(map(dict(u).get, range(k), [0] * k))
 
 
 def _step_back(elem):
@@ -806,7 +811,7 @@ class FiniteGModule:
         of M: e Z^k lies in the relations L, so phi embeds M = Z^k / L in (Z/e)^k."""
         e = self.structure()[-1]
         y = intmat.solve_upper_triangular(self._reducers, [e * (i == j) for i in range(self.k)])
-        return tuple(x % e for x in y)
+        return tuple((r, x % e) for r, x in enumerate(y) if x % e)
 
     @cached_property
     def _phi_action(self):
@@ -814,11 +819,12 @@ class FiniteGModule:
         each column, or None where B_i is not integral, that is where A_i L is
         not inside L: one back-substitution of A_i h per HNF column h. Then
         phi(A_i u) = B_i phi(u) mod e."""
-        e, out = self.structure()[-1], []
+        e, out, k, steps = self.structure()[-1], [], self.k, self._reducers
         for mat in self.action:
-            a = [[(j, x) for j, x in enumerate(c) if x] for c in zip(*mat)]
-            b = [[(r, x % e) for r, x in enumerate(intmat.solve_upper_triangular(
-                self._reducers, _sparse_mul(a, h, 0))) if x and x % e] for h in self._hnf[0]]
+            a = [[(j, c[j]) for j in compress(range(k), c)] for c in zip(*mat)]
+            ys = [intmat.solve_upper_triangular(steps, _sparse_mul(a, h, 0))
+                  for *_, h in steps[::-1]]
+            b = [[(r, y[r] % e) for r in compress(range(k), y) if y[r] % e] for y in ys]
             out.append(None if any(type(x) is Fraction for col in b for _, x in col) else b)
         return out
 
@@ -888,35 +894,35 @@ class FiniteGModule:
 
     @cached_property
     def _generator_orbits(self):
-        """phi-orbits {x: phi(A_x m)} of Z[G]-generators m of M, walked by
-        sparse steps B_last (B_prev phi(m)) mod e and taken greedily among
-        e_1, ..., e_k: e_j is skipped when phi(e_j) lies in S = span(phi-orbits)
-        + e Z^k. The first m alone generates M iff its `_lambda`, kept as
-        `_first_lambda`, has index e^n / |M|; else S is put in HNF after 1, 2,
-        4, ... new m, until the order test [Z^k : S] |M| = e^k says S = phi(M)."""
+        """phi-orbits {x: phi(A_x m)} of Z[G]-generators m of M, vectors as sorted
+        nonzero (row, entry) pairs, walked by sparse steps B_last (B_prev phi(m))
+        mod e and taken greedily among e_1, ..., e_k: e_j is skipped when phi(e_j)
+        lies in S = span(phi-orbits) + e Z^k. m alone generates M iff [Z[G] : ann(m)]
+        = |Z[G] m| is |M|, ann(m) its `_kernel`, kept as `_first_kernel`; else S is
+        put in HNF after 1, 2, 4, ... new m until [Z^k : S] |M| = e^k: S = phi(M)."""
         g, k, structure = self.group, self.k, self.structure()
         if not structure:
             return []
         e, bs = structure[-1], self._phi_action
         walk = [(elem, *_step_back(elem)) for elem in g.elements[1:]]  # steps back first
-        orbits, fresh, s_cols = [], [], [[e * (i == j) for i in range(k)] for j in range(k)]
-        steps = intmat.echelon_steps(s_cols, range(k))
+        orbits, fresh, s_cols = [], [], []  # S = span(s_cols) + e Z^k
+        steps = [(j, e, [(j, e)]) for j in reversed(range(k))]  # the echelon steps of e I
 
         def spans(cols):
             return prod(col[t] for t, col in enumerate(cols)) * self.order() == e ** k
 
         for j in range(k):
-            orbit = {g.identity: self._phi(j)}
-            if all(type(x) is int for x in intmat.solve_upper_triangular(steps, orbit[g.identity])):
+            orbit = {g.identity: (u := self._phi(j))}
+            if all(type(x) is int for x in intmat.solve_upper_triangular(steps, _dense(u, k))):
                 continue
             for elem, last, prev in walk:
                 orbit[elem] = _sparse_mul(bs[last], orbit[prev], e)
             orbits.append(orbit)
-            fresh.extend(set(orbit.values()))
             if len(orbits) == 1:
-                self._first_lambda = lam = self._lambda(orbits, e)
-                if prod(col[t] for t, col in enumerate(lam)) * self.order() == e ** g.order:
+                self._first_kernel = ker = self._kernel(orbits)
+                if prod(col[t] for t, col in enumerate(ker)) == self.order():
                     return orbits
+            fresh.extend(_dense(u, k) for u in set(orbit.values()))
             if len(orbits) & (len(orbits) - 1) == 0:  # 1, 2, 4, ... generators
                 s_cols, fresh = intmat.hnf_mod(s_cols + fresh, e, k), []
                 if spans(s_cols):
@@ -926,41 +932,33 @@ class FiniteGModule:
             raise ArithmeticError("the generator orbits and the relations do not span Z^k")
         return orbits
 
-    def _lambda(self, orbits, e):
-        """The HNF of Lambda = span(w) + e Z^n, n = |G|, w the rows of the k x n
-        matrix W whose columns are the phi-orbit vectors phi(A_x m). For one
-        orbit W's column space is phi(Z[G] m), and its row space has the same
-        order (Smith form over Z/e), so [Z^n : Lambda] |Z[G] m| = e^n. Stacked
-        orbits measure Z[G] (m_1, ..., m_r) in M^r."""
-        g = self.group
-        entries = {v for orbit in orbits for v in zip(*(orbit[x] for x in g.elements))}
-        return intmat.hnf_mod(entries, e, g.order)
+    def _kernel(self, orbits):
+        """The HNF of ann(m_1, ..., m_r) = {alpha in Z^n : sum_x alpha_x phi(A_x m_i) = 0
+        mod e for all i}, n = |G|, from one column per x, the orbits' vectors stacked; its
+        index is |Z[G] (m_1, ..., m_r)| in M^r. No orbit (M = 0, e = 1) gives Z[G]."""
+        k, e = self.k, (self.structure() or (1,))[-1]
+        return intmat.hnf_kernel_mod([[(i * k + r, y) for i, orbit in enumerate(orbits)
+                                       for r, y in orbit[x]] for x in self.group.elements], e)
 
     def annihilator(self):
         """ann_{Z[G]}(M) as a full-rank IdealLattice (den = 1 sublattice).
 
         For the Z[G]-generators m of `_generator_orbits` and phi as in `_phi`,
-        alpha kills M iff phi(sum_x alpha_x A_x m) = 0 for each m, that is iff
-        w . alpha = 0 mod e for every row w of `_lambda`'s W. So ann(M) = e
-        Lambda^*, which `intmat.hnf_dual` gives as e Z^n lies in Lambda.
-        Computed once, on first use.
+        alpha kills M iff phi(sum_x alpha_x A_x m) = 0 mod e for each m: ann(M)
+        is the `_kernel` of the stacked orbits, the first orbit's own kernel
+        when it generates M. Computed once, on first use.
         """
         return self._annihilator
 
     @cached_property
     def _annihilator(self):
-        g = self.group
-        structure = self.structure()
-        if not structure:
-            return IdealLattice.unit_ideal(g)
-        e = structure[-1]
         orbits = self._generator_orbits
-        lam = self._first_lambda if len(orbits) == 1 else self._lambda(orbits, e)
-        return IdealLattice(g, 1, tuple(map(tuple, intmat.hnf_dual(lam, e))))
+        ker = self._first_kernel if len(orbits) == 1 else self._kernel(orbits)
+        return IdealLattice(self.group, 1, tuple(map(tuple, ker)))
 
     def fitting_ideal(self):
         """Fitt^0_{Z[G]}(M). If one orbit generates M (`_generator_orbits`' index
-        test [Z^n : Lambda] |M| = e^n), Z[G]^r -> Z[G] -> M = Z[G]/ann(M) by r
+        test [Z[G] : ann(m)] = |M|), Z[G]^r -> Z[G] -> M = Z[G]/ann(M) by r
         generators of ann(M) has them as its 1 x 1 minors: Fitt = ann (Northcott,
         Finite Free Resolutions, ch. 3). Otherwise `_fitting_minors`."""
         if len(self._generator_orbits) == 1:

@@ -8,13 +8,15 @@ matrix. Matrix algebra (`mat_transpose`, `smith_normal_form`) works on
 row-major lists of lists. The column Hermite normal form is the
 canonicalizer for lattices: upper triangular, positive pivots, entries to
 the right of a pivot reduced into [0, pivot). `hnf_dual` takes duals for
-the dot product. Every solve against an echelon form is one back-substitution,
-`solve_upper_triangular`, over the nonzero entries of its `echelon_steps`.
+the dot product, `hnf_kernel_mod` kernels mod d of sparse columns. Every
+solve against an echelon form is one back-substitution, `solve_upper_triangular`,
+over the nonzero entries of its `echelon_steps`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 
 
@@ -65,7 +67,7 @@ def column_echelon(a_cols, d=0, n=None):
             live.sort(key=lambda j: abs(cols[j][i]))
             c0 = cols[live[0]]
             piv = c0[i]
-            nonzero = [(r, x) for r, x in zip(range(i + 1), c0) if x]
+            nonzero = [(r, c0[r]) for r in compress(range(i + 1), c0)]
             kept = live[:1]
             for j in live[1:]:
                 cj = cols[j]
@@ -90,7 +92,7 @@ def column_echelon(a_cols, d=0, n=None):
                 cols.append([d // g * y % d for y in p])
                 file(len(cols) - 1, i)
         elif d:
-            p = [d if r == i else 0 for r in range(n)]
+            p = [0] * i + [d] + [0] * (n - i - 1)
         elif live:
             c0 = cols[live[0]]
             p = [-x for x in c0] if c0[i] < 0 else c0
@@ -116,7 +118,21 @@ def hnf_mod(cols, d, n):
     """The n columns of the canonical column HNF of span(cols) + d Z^n, for
     d > 0: `hnf_columns(cols + d I)[0]`, from an elimination whose entries
     stay below d (`column_echelon` with the modulus d)."""
-    return _reduce_right_of_pivots(*column_echelon(cols, d, n))[0]
+    return _reduce_right_of_pivots(*column_echelon(cols, d, n), d)[0]
+
+
+def hnf_kernel_mod(cols, d):
+    """The canonical column HNF of {x in Z^m : sum_j x_j cols[j] = 0 mod d}, d > 0, for m
+    columns as nonzero (row, entry) pairs: the modular `column_echelon` of (e_j ; cols[j]),
+    over the rows used, has its first m pivots in the top m rows, and they span the kernel."""
+    m = len(cols)
+    rows = {r: m + t for t, r in enumerate(sorted({r for col in cols for r, _ in col}))}
+    aug = [[0] * j + [1] + [0] * (m + len(rows) - j - 1) for j in range(m)]
+    for c, col in zip(aug, cols):
+        for r, x in col:
+            c[rows[r]] = x
+    pivot_cols, _ = column_echelon(aug, d)
+    return _reduce_right_of_pivots([col[:m] for col in pivot_cols[:m]], range(m), d)[0]
 
 
 def hnf_dual(cols, d):
@@ -131,17 +147,22 @@ def hnf_dual(cols, d):
     return hnf_mod(rows, d, n)
 
 
-def _reduce_right_of_pivots(cols, pivot_rows):
+def _reduce_right_of_pivots(cols, pivot_rows, d=0):
+    # at a pivot d, a column no reduction changed has its `column_echelon(..., d)` entries in [0, d)
+    changed = set()
     for t in range(len(cols) - 1, -1, -1):  # descending pivot rows keep earlier work intact
         p, ct = pivot_rows[t], cols[t]
         piv = ct[p]
-        todo = [cj for cj in cols[t + 1:] if not 0 <= cj[p] < piv]
+        todo = [j for j in (changed if piv == d else range(t + 1, len(cols)))
+                if not 0 <= cols[j][p] < piv]
         if todo:
-            nonzero = [(r, x) for r, x in zip(range(p + 1), ct) if x]
-            for cj in todo:
+            nonzero = [(r, ct[r]) for r in compress(range(p + 1), ct)]
+            for j in todo:
+                cj = cols[j]
                 q = cj[p] // piv
                 for r, x in nonzero:
                     cj[r] -= q * x
+            changed.update(todo)
     return cols, pivot_rows
 
 
@@ -254,7 +275,7 @@ def echelon_steps(cols, pivot_rows):
     """The columns of a column echelon form (as from `column_echelon` or
     `hnf_columns`: square or not, pivot rows may skip rows), last pivot
     first, as (pivot row, pivot, nonzero (row, entry) pairs)."""
-    return [(p, col[p], [(i, x) for i, x in enumerate(col) if x])
+    return [(p, col[p], [(i, col[i]) for i in compress(range(len(col)), col)])
             for p, col in zip(reversed(pivot_rows), reversed(cols))]
 
 

@@ -10,7 +10,8 @@ Q(sqrt(-p)) one character of H at a time, equality of S-unit values, the
 log of an S-unit at the place above a totally ramified p, the annihilator of
 the roots of unity by a cyclic G-module, the annihilator of a finite G-module
 by a kernel lattice on orbits of its own and its ell-part by a plain HNF, the
-orbit walk over Z^k that phi-coordinates replaced, unit coordinates by a dense
+annihilator as the dual of the HNF of the orbits' rows that the modular kernel
+replaced, the orbit walk over Z^k that phi-coordinates replaced, unit coordinates by a dense
 scaled inverse, the Bareiss solve behind it, the inverse in Q[G] by that solve,
 the intersection of two lattices by a kernel lattice, the Z-span of
 group-ring elements as a lattice, lattice membership and ell-membership by
@@ -33,8 +34,8 @@ from fracgalois.cyclo import (CyclotomicNumber, _fixed_root_table, _power_table,
 from fracgalois.fields import (FieldModel, SUnit, _symbols, make_field, place_set,
                                torsion_order)
 from fracgalois.gring import (Character, FiniteGModule, GroupRingElement, IdealLattice,
-                              _clear_denominators, _convolve, _orbit_vectors,
-                              _perm_table, _step_back, characters)
+                              _clear_denominators, _convolve, _dense, _orbit_vectors,
+                              _perm_table, _sparse_mul, _step_back, characters)
 from fracgalois.lfun import (_lift_modulus, _lifts, _proj_g_to_h, character_conductor,
                              half_stickelberger, l_value_at_0, partial_zeta_all)
 from fracgalois.units import CoordinateError
@@ -386,22 +387,37 @@ def word_value(f, word):
     """The exact value of a raw word, a list of entries ["m1", a], ["z", b]
     and ["om", c, e] for (-1)^a, zeta_f^b and (1 - zeta_f^c)^e as unit
     documents hold them, expanded entry by entry: no parity or distribution
-    relation is applied, so it checks the rewrite inside `SUnit`."""
-    root, val = FractionCyclotomic.root_of_unity, FractionCyclotomic.of(1)
+    relation is applied, so it checks the rewrite inside `SUnit`. The
+    product runs on integer coefficients over one denominator."""
+    table, rows, phi = _power_table(f), _sparse_rows(f), euler_phi(f)
+
+    def times(num, factor):
+        out = [0] * phi
+        for i, x in enumerate(num):
+            for j, y in enumerate(factor):
+                if x and y:
+                    for k, z in rows[i + j]:
+                        out[k] += x * y * z
+        return out
+
+    num, den = list(table[0]), 1
     for item in word:
         if item[0] == "m1":
-            val = val * (-1) ** (item[1] % 2)
+            num = [(-1) ** (item[1] % 2) * x for x in num]
         elif item[0] == "z":
-            val = val * root(f, item[1])
-        elif item[2] > 0:
-            val = val * (1 - root(f, item[1])) ** item[2]
+            num = times(num, table[item[1] % f])
         else:
-            # 1 / (1 - x) = -(1/q) sum_{j<q} j x^j for x^q = 1 != x
-            q = f // gcd(item[1], f)
-            inverse = sum((root(f, item[1] * j) * Fraction(-j, q) for j in range(1, q)),
-                          FractionCyclotomic.zero(f))
-            val = val * inverse ** -item[2]
-    return val
+            c, e = item[1], item[2]
+            if e > 0:
+                factor = [x - y for x, y in zip(table[0], table[c % f])]
+            else:
+                # 1 / (1 - x) = -(1/q) sum_{j<q} j x^j for x^q = 1 != x
+                q = f // gcd(c, f)
+                factor = [-sum(j * table[c * j % f][t] for j in range(1, q)) for t in range(phi)]
+                den *= q ** -e
+            for _ in range(abs(e)):
+                num = times(num, factor)
+    return FractionCyclotomic(f, [Fraction(x, den) for x in num])
 
 
 def same_value(u, w):
@@ -484,13 +500,75 @@ def kernel_lattice_annihilator(mod):
         g, 1, [col[:g.order] for col in intmat.kernel_basis([*zip(*w), *minus_e])])
 
 
-class OrbitWalkReference(FiniteGModule):
+class LambdaReference(FiniteGModule):
+    """`FiniteGModule` with the annihilator that `intmat.hnf_kernel_mod`
+    replaced. Lambda = span(w) + e Z^n, n = |G|, w the rows of the k x n
+    matrix W whose columns are the phi-orbit vectors phi(A_x m); for one orbit
+    W's column space is phi(Z[G] m) and its row space has the same order
+    (Smith form over Z/e), so the first m generates M iff [Z^n : Lambda] |M|
+    = e^n. alpha kills M iff w . alpha = 0 mod e for every row w, so ann(M) =
+    e Lambda^*, which `intmat.hnf_dual` gives as e Z^n lies in Lambda. The walk,
+    its span test S over k rows and the validation are those of
+    `FiniteGModule`."""
+
+    @cached_property
+    def _generator_orbits(self):
+        g, k, structure = self.group, self.k, self.structure()
+        if not structure:
+            return []
+        e, bs = structure[-1], self._phi_action
+        walk = [(elem, *_step_back(elem)) for elem in g.elements[1:]]
+        orbits, fresh, s_cols = [], [], [[e * (i == j) for i in range(k)] for j in range(k)]
+        steps = intmat.echelon_steps(s_cols, range(k))
+
+        def spans(cols):
+            return prod(col[t] for t, col in enumerate(cols)) * self.order() == e ** k
+
+        for j in range(k):
+            orbit = {g.identity: self._phi(j)}
+            if all(type(x) is int for x in
+                   intmat.solve_upper_triangular(steps, _dense(orbit[g.identity], k))):
+                continue
+            for elem, last, prev in walk:
+                orbit[elem] = _sparse_mul(bs[last], orbit[prev], e)
+            orbits.append(orbit)
+            fresh.extend(_dense(u, k) for u in set(orbit.values()))
+            if len(orbits) == 1:
+                self._first_lambda = lam = self._lambda(orbits, e)
+                if prod(col[t] for t, col in enumerate(lam)) * self.order() == e ** g.order:
+                    return orbits
+            if len(orbits) & (len(orbits) - 1) == 0:
+                s_cols, fresh = intmat.hnf_mod(s_cols + fresh, e, k), []
+                if spans(s_cols):
+                    return orbits
+                steps = intmat.echelon_steps(s_cols, range(k))
+        if not (fresh and spans(intmat.hnf_mod(s_cols + fresh, e, k))):
+            raise ArithmeticError("the generator orbits and the relations do not span Z^k")
+        return orbits
+
+    def _lambda(self, orbits, e):
+        g, k = self.group, self.k
+        entries = {v for orbit in orbits for v in zip(*(_dense(orbit[x], k) for x in g.elements))}
+        return intmat.hnf_mod(entries, e, g.order)
+
+    @cached_property
+    def _annihilator(self):
+        structure = self.structure()
+        if not structure:
+            return IdealLattice.unit_ideal(self.group)
+        e, orbits = structure[-1], self._generator_orbits
+        lam = self._first_lambda if len(orbits) == 1 else self._lambda(orbits, e)
+        return IdealLattice(self.group, 1, tuple(map(tuple, intmat.hnf_dual(lam, e))))
+
+
+class OrbitWalkReference(LambdaReference):
     """`FiniteGModule` with the orbit walk over Z^k that phi-coordinates
     replaced: each step A_i u is a sparse product reduced by `_reduce` over
     every HNF column and memoised on (i, u), validation reads those steps,
     N = L + sum Z[G] m is tracked over Z^k, and `_lambda` maps every orbit
     vector u to phi(u) = e H^-1 u mod e by its own back-substitution.
-    `annihilator()`, `fitting_ideal()` and `structure()` are inherited."""
+    `annihilator()` is `LambdaReference`'s; `fitting_ideal()` and
+    `structure()` are `FiniteGModule`'s."""
 
     def __init__(self, *args, **kwargs):
         self._steps = {}

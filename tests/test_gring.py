@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from fracgalois.cyclo import CyclotomicNumber, factorize, is_prime
 from fracgalois.gring import (Character, FinAbGroup, FiniteGModule, GroupHom,
-                              GroupRingElement, IdealLattice, _perm_table,
+                              GroupRingElement, IdealLattice, _dense, _perm_table,
                               abelian_group, characters, det_qg,
                               galois_group, hom_by_residues, norm_element,
                               subgroup_closure)
@@ -31,7 +31,7 @@ from gmodules import (_oracle_annihilator, a8_draws, action_of, conjugated, draw
 from oracles import (FractionCyclotomic, assemble, chi_value, conj,
                      fraction_contains_lattice, fraction_ell_contains, gmodule_span_equal, group_ring_inverse, kernel_intersect,
                      dense_solve_upper_triangular, kernel_lattice_annihilator,
-                     OrbitWalkReference, plain_hnf_ell_part, span_membership,
+                     LambdaReference, OrbitWalkReference, plain_hnf_ell_part, span_membership,
                      transport_character, z_span)
 
 
@@ -1039,19 +1039,25 @@ def test_annihilator_from_two_generators_matches_exhaustive_search():
         assert m.annihilator() == _oracle_annihilator(m)
 
 
-def _index_times_order(mod, lam):
-    """[Z^n : Lambda] |M| for the HNF columns of a Lambda of mod."""
-    return prod(col[t] for t, col in enumerate(lam)) * mod.order()
+def _index(cols):
+    """The index in Z^n of the lattice with these n HNF columns."""
+    return prod(col[t] for t, col in enumerate(cols))
+
+
+def _orbit_vectors(orbits, k):
+    """The phi-orbit vectors of `_generator_orbits`, as k entries each."""
+    return [_dense(u, k) for orbit in orbits for u in orbit.values()]
 
 
 def test_each_generation_check_of_the_orbit_walk_agrees_with_a_plain_hnf():
     """On the A8 draws and the same modules in a scrambled basis: every
     phi-orbit vector lies in phi(M), spanned with e Z^k by the columns of
-    e H^-1 (H the plain HNF of the relations, by a dense solve); the first
-    orbit's index test [Z^n : Lambda] |M| = e^n says what a plain HNF of
-    e Z^k and that orbit says, and the walk stops at a check (after 1, 2,
-    4, ... orbits and after its last) exactly when the plain HNF of e Z^k
-    and the phi-orbits so far is that of phi(M) + e Z^k."""
+    e H^-1 (H the plain HNF of the relations, by a dense solve); the index
+    of the first orbit's kernel ann(m) is |Z[G] m|, the order of its span
+    in (Z/e)^k by a plain HNF, so the index test [Z^n : ann(m)] = |M| says
+    what a plain HNF of e Z^k and that orbit says; and the walk stops at a
+    check (after 1, 2, 4, ... orbits and after its last) exactly when the
+    plain HNF of e Z^k and the phi-orbits so far is that of phi(M) + e Z^k."""
     rng = random.Random(3434)
     needs_more = 0
     for g, lats in a8_draws(random.Random(82001)):
@@ -1062,15 +1068,16 @@ def test_each_generation_check_of_the_orbit_walk_agrees_with_a_plain_hnf():
             e_id = [[e * (i == j) for i in range(k)] for j in range(k)]
             phi_m = hnf_columns(e_id + [
                 dense_solve_upper_triangular(h_cols, pivot_rows, col) for col in e_id])
-            assert hnf_columns(phi_m[0] + [u for orbit in orbits for u in orbit.values()]) == phi_m
+            assert hnf_columns(phi_m[0] + _orbit_vectors(orbits, k)) == phi_m
 
             def spans(r):
-                vecs = [u for orbit in orbits[:r] for u in orbit.values()]
-                return hnf_columns(e_id + vecs) == phi_m
+                return hnf_columns(e_id + _orbit_vectors(orbits[:r], k)) == phi_m
 
-            lam = m._lambda(orbits[:1], e)
-            assert (_index_times_order(m, lam) == e ** g.order) == spans(1)
-            assert m._first_lambda == lam
+            ker = m._kernel(orbits[:1])
+            first = hnf_columns(e_id + _orbit_vectors(orbits[:1], k))[0]
+            assert _index(ker) * _index(first) == e ** k
+            assert (_index(ker) == m.order()) == spans(1)
+            assert m._first_kernel == ker
             checks = {1 << i for i in range(len(orbits).bit_length())} | {len(orbits)}
             for r in sorted(checks):
                 assert spans(r) == (r == len(orbits)), (r, len(orbits))
@@ -1080,51 +1087,61 @@ def test_each_generation_check_of_the_orbit_walk_agrees_with_a_plain_hnf():
 
 def test_a_module_with_two_generators_still_checks_the_span_of_its_orbits(monkeypatch):
     """F_2[C_2 x C_4] is local, so a sum of two of its cyclic quotients needs
-    two generators: after the first orbit's index test fails, the HNF of the
-    phi-orbits plus e Z^k over k rows is taken after one and two orbits, and
-    only the second passes the order test [Z^k : S] |M| = e^k."""
+    two generators: after the first orbit's kernel, over |G| rows, fails the
+    index test [Z^n : ann(m)] = |M|, the HNF of the phi-orbits plus e Z^k
+    over k rows is taken after one and two orbits, and only the second passes
+    the order test [Z^k : S] |M| = e^k; the annihilator is then the kernel of
+    both orbits."""
     rng = random.Random(4242)
     g = abelian_group((2, 4))
     mod = module_from_ideals(g, draw_ideals(rng, g, 2, 2))
-    rows, hnfs, hnf_mod = [], [], intmat.hnf_mod
+    rows, hnfs, hnf_mod, hnf_kernel_mod = [], [], intmat.hnf_mod, intmat.hnf_kernel_mod
 
     def counting(cols, d, n):
         rows.append(n)
         hnfs.append(hnf_mod(cols, d, n))
         return hnfs[-1]
 
+    def counting_kernels(cols, d):
+        rows.append(("kernel", len(cols)))
+        return hnf_kernel_mod(cols, d)
+
     monkeypatch.setattr(intmat, "hnf_mod", counting)
+    monkeypatch.setattr(intmat, "hnf_kernel_mod", counting_kernels)
     built = FiniteGModule(g, mod.k, mod.relations, mod.action)
+    ann = built.annihilator()
     monkeypatch.undo()
     assert len(built._generator_orbits) == 2
-    assert _index_times_order(built, built._first_lambda) > 2 ** g.order
-    assert rows == [g.order, mod.k, mod.k] and mod.k != g.order
-    assert [_index_times_order(built, h) == 2 ** mod.k for h in hnfs[1:]] == [False, True]
-    assert built.annihilator() == _oracle_annihilator(built)
+    assert _index(built._first_kernel) < built.order()
+    assert rows == [("kernel", g.order), mod.k, mod.k, ("kernel", g.order)] and mod.k != g.order
+    assert [_index(h) * built.order() == 2 ** mod.k for h in hnfs] == [False, True]
+    assert ann == _oracle_annihilator(built)
 
 
 @pytest.mark.parametrize("k", [5, 7])
 def test_orbits_of_two_generators_are_not_read_off_a_stacked_lambda(k):
     """M0 = F_2^5 over C_2^6 with g_i acting as 1 + y_i, the y_i a basis of
     Hom(<e_1, e_2>, <e_3, e_4, e_5>), needs the two generators e_1, e_2, and
-    Z[G] / ann(M0) = F_2 + F_2 y_1 + ... + F_2 y_6 has order 2^7. The stacked
-    Lambda of their orbits measures Z[G] (e_1, e_2) in M^2, of order 2^7: on
-    M0 (k = 5) it fails the index test although the orbits generate, and on
-    M = M0 + (Z/2)^2 with G acting trivially (k = 7, |M| = 2^7) it passes
-    although M needs two more generators. The relations are 2 I and e = 2, so
-    phi(e_j) = e_j and each phi-orbit starts at its generator."""
+    Z[G] / ann(M0) = F_2 + F_2 y_1 + ... + F_2 y_6 has order 2^7. The kernel
+    of their stacked orbits is ann(e_1, e_2), of index |Z[G] (e_1, e_2)| = 2^7
+    taken in M^2: on M0 (k = 5) it fails the index test [Z^n : ann] = |M|
+    although the orbits generate, and on M = M0 + (Z/2)^2 with G acting
+    trivially (k = 7, |M| = 2^7) it passes although M needs two more
+    generators. So only the first orbit's kernel is an index test. The
+    relations are 2 I and e = 2, so phi(e_j) = e_j and each phi-orbit starts
+    at its generator."""
     g = abelian_group((2,) * 6)
     ys = [(a, c) for a in (0, 1) for c in (2, 3, 4)]
     action = [[[int(i == j) + int((i, j) == (c, a)) for j in range(k)] for i in range(k)]
               for a, c in ys]
     mod = FiniteGModule(g, k, [[2 * (i == j) for i in range(k)] for j in range(k)], action)
     orbits = mod._generator_orbits
-    starts = [next(i for i, x in enumerate(orbit[g.identity]) if x) for orbit in orbits]
+    starts = [orbit[g.identity][0][0] for orbit in orbits]
     assert starts == [0, 1, 5, 6][:k - 3]
     ann = mod.annihilator()
     assert ann == kernel_lattice_annihilator(mod) and ann.covolume() == 2 ** 7
-    stacked = _index_times_order(mod, mod._lambda(orbits[:2], 2))
-    assert (stacked == 2 ** 64) == (k == 7)
+    stacked = _index(mod._kernel(orbits[:2]))
+    assert (stacked == mod.order()) == (k == 7)
 
 
 def test_orbits_that_do_not_span_m_raise_an_arithmetic_error(monkeypatch):
@@ -1182,6 +1199,18 @@ def test_phi_orbit_walk_agrees_with_the_reference_walk(kind):
         assert mod.structure() == ref.structure()
         assert mod.annihilator() == ref.annihilator()
         assert mod.fitting_ideal() == ref.fitting_ideal()
+
+
+@pytest.mark.parametrize("kind", ["a8", "c2xc4", "c3xc3", "composite", "prime_power", "ue"])
+def test_kernel_annihilator_agrees_with_the_lambda_route(kind):
+    """The modular kernel of the stacked phi-orbits and the dual of the HNF of
+    their rows that it replaced (`oracles.LambdaReference`, whose one-orbit
+    test reads Lambda's index) give the same annihilator, bitwise, and the
+    same number of orbits."""
+    for args in _reference_walk_cases(kind):
+        mod, ref = FiniteGModule(*args), LambdaReference(*args)
+        assert len(mod._generator_orbits) == len(ref._generator_orbits)
+        assert mod.annihilator() == ref.annihilator()
 
 
 def test_captured_unit_quotient_at_121_is_cyclic():
@@ -1252,7 +1281,7 @@ def test_ell_part_is_built_on_its_own_hnf():
     assert parts[0].order() * parts[1].order() == mod.order()
 
 
-def assert_dual_route_matches_the_oracles(mod):
+def assert_kernel_route_matches_the_oracles(mod):
     """The annihilator equals the kernel lattice it replaced, and each
     ell-part the one built on a plain HNF."""
     assert mod.annihilator() == kernel_lattice_annihilator(mod)
@@ -1262,15 +1291,15 @@ def assert_dual_route_matches_the_oracles(mod):
 
 
 def test_annihilator_and_ell_parts_of_the_a8_modules_equal_the_oracles():
-    """The dual of one modular HNF against the kernel lattice it replaced,
+    """The modular kernel of the orbits against the kernel lattice of a plain HNF,
     and the ell-parts against a plain HNF, on the seeded modules of A8 and
     the same modules in a scrambled basis."""
     rng = random.Random(3232)
     for g, lats in a8_draws(random.Random(82001)):
         mod = module_from_ideals(g, lats)
-        assert_dual_route_matches_the_oracles(mod)
+        assert_kernel_route_matches_the_oracles(mod)
         if mod.k > 1:   # a basis change needs two coordinates
-            assert_dual_route_matches_the_oracles(conjugated(rng, mod))
+            assert_kernel_route_matches_the_oracles(conjugated(rng, mod))
 
 
 @pytest.mark.parametrize("factors, m0s", [
@@ -1286,8 +1315,8 @@ def test_annihilator_and_ell_parts_with_a_composite_exponent_equal_the_oracles(f
     while checked < 3:
         mod = module_from_ideals(g, [draw_ideals(rng, g, m0, 1)[0] for m0 in m0s])
         if not is_prime(mod.structure()[-1]):
-            assert_dual_route_matches_the_oracles(mod)
-            assert_dual_route_matches_the_oracles(conjugated(rng, mod))
+            assert_kernel_route_matches_the_oracles(mod)
+            assert_kernel_route_matches_the_oracles(conjugated(rng, mod))
             checked += 1
 
 

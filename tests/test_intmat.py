@@ -8,8 +8,9 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fracgalois.intmat import (column_echelon, content, echelon_steps, hnf_columns,
-                               hnf_mod, identity_matrix, kernel_basis, mat_transpose,
+from fracgalois.intmat import (_reduce_right_of_pivots, column_echelon, content,
+                               echelon_steps, hnf_columns, hnf_kernel_mod, hnf_mod,
+                               identity_matrix, kernel_basis, mat_transpose,
                                hnf_dual, smith_normal_form,
                                solve_upper_triangular, span_contains,
                                span_equal)
@@ -418,6 +419,72 @@ def test_hnf_mod_is_the_hnf_with_d_times_the_identity():
     assert {(kind, d) for kind in ("none", "zero", "small", "wide", "multiples", "negative")
             for d in (1, 4, 8, 9, 12, 27, 30, 36, 64, 125, 210)} <= seen
     assert hnf_mod([], 6, 2) == [[6, 0], [0, 6]] and hnf_mod([[9, -3]], 1, 2) == identity_matrix(2)
+
+
+def test_hnf_kernel_mod_is_the_kernel_of_the_augmented_matrix_plus_d_times_the_identity():
+    """hnf_kernel_mod(cols, d), for m columns as nonzero (row, entry) pairs,
+    is the HNF of the top m entries of `kernel_basis` of the dense columns
+    and -d e_r over the rows r they use, plus d Z^m, entry for entry: for
+    composite, prime and prime-power d, d = 1, no columns, empty columns,
+    rows far apart and out of order, negative entries and entries of any
+    size against d. It leaves its argument alone."""
+    rng = random.Random(46)
+    seen = set()
+    for _ in range(500):
+        d = rng.choice((1, 2, 3, 4, 8, 9, 12, 27, 30, 36, 64, 97, 125, 210))
+        m = rng.randint(0, 6)
+        rows = rng.sample(range(40), rng.randint(0, 5))
+        kind = rng.choice(("empty", "small", "wide", "negative", "multiples"))
+        bound = 3 if kind == "small" else 3 * d
+        cols = []
+        for _ in range(m):
+            col = [(r, rng.choice((0, rng.randint(-bound, bound)))) for r in rows]
+            if kind == "negative":
+                col = [(r, -abs(x)) for r, x in col]
+            if kind == "multiples":
+                col = [(r, d * x) for r, x in col]
+            cols.append([(r, x) for r, x in col if x] if kind != "empty" else [])
+        seen.add((kind, d))
+        before = [col[:] for col in cols]
+        used = sorted({r for col in cols for r, _ in col})
+        dense = [[dict(col).get(r, 0) for r in used] for col in cols]
+        ker = kernel_basis(dense + [[-d * (r == t) for r in used] for t in used])
+        want = hnf_columns([col[:m] for col in ker] +
+                           [[d * (i == j) for i in range(m)] for j in range(m)])[0]
+        assert hnf_kernel_mod(cols, d) == want, (cols, d)
+        assert cols == before
+    assert {(kind, d) for kind in ("empty", "small", "wide", "negative", "multiples")
+            for d in (1, 4, 12, 27, 97, 210)} <= seen
+    assert hnf_kernel_mod([], 6) == [] and hnf_kernel_mod([[], []], 6) == identity_matrix(2)
+    # x_0 + x_1 = 0 mod 4 on Z^2: (4, 0) and (3, 1)
+    assert hnf_kernel_mod([[(9, 1)], [(9, 5)]], 4) == [[4, 0], [3, 1]]
+
+
+def test_modular_reduction_right_of_pivots_equals_the_full_scan():
+    """At a pivot equal to the modulus d, `_reduce_right_of_pivots` reads only
+    the columns that an earlier reduction changed, since `column_echelon(...,
+    d)` leaves every other entry in [0, d). On modular echelon forms over
+    prime, prime-power and composite d, and on the top rows of the kernel's
+    augmented columns, its output is that of the full scan, bit for bit."""
+    rng = random.Random(4646)
+    seen = set()
+    for _ in range(600):
+        d = rng.choice((2, 3, 97, 4, 8, 27, 125, 6, 12, 210))
+        n = rng.randint(1, 7)
+        cols = [[rng.choice((0, 0, rng.randint(-2 * d, 2 * d))) for _ in range(n)]
+                for _ in range(rng.randint(0, n + 2))]
+        m = rng.randint(1, n)
+        cols_top, _ = column_echelon([[int(i == j) for i in range(m)] + col
+                                      for j, col in enumerate(cols[:m])], d)
+        for pivot_cols, pivot_rows in (column_echelon(cols, d, n),
+                                       ([col[:m] for col in cols_top[:m]], list(range(m)))):
+            full = _reduce_right_of_pivots([col[:] for col in pivot_cols], pivot_rows)
+            fast = _reduce_right_of_pivots([col[:] for col in pivot_cols], pivot_rows, d)
+            assert fast == full
+            pivots = {col[p] for col, p in zip(pivot_cols, pivot_rows)}
+            seen.add(("prime" if d in (2, 3, 97) else "prime power" if d in (4, 8, 27, 125)
+                      else "composite", d in pivots, bool(pivots - {d}), full[0] != pivot_cols))
+    assert {(kind, True, True, True) for kind in ("prime", "prime power", "composite")} <= seen
 
 
 def test_hnf_dual_is_the_hnf_of_d_times_the_dual():

@@ -24,7 +24,7 @@ from fracgalois.units import (KNOWN_HPLUS_ONE, CoordinateError, UnitLattice,
                               unit_coordinates)
 from oracles import (dense_coordinate_solver, finite_logs, mat_mul, same_value,
                      solve_fraction_free)
-from test_gring import assert_dual_route_matches_the_oracles
+from test_gring import assert_kernel_route_matches_the_oracles
 from test_intmat import naive_det
 
 CTX = PrecisionContext(bits=192, tol_exp=-100)
@@ -255,35 +255,38 @@ def test_coordinates_equal_the_dense_solve(kind, f):
 
 @pytest.mark.parametrize("kind, f", BUILTIN_FIELDS)
 def test_unit_quotient_annihilator_and_ell_parts_equal_the_oracles(kind, f):
-    """On U/E of every built-in field, the annihilator (the dual of one
-    modular HNF) equals the kernel lattice it replaced, and each ell-part
+    """On U/E of every built-in field, the annihilator (one modular kernel)
+    equals the kernel lattice it replaced, and each ell-part
     equals the one built on a plain HNF."""
-    assert_dual_route_matches_the_oracles(quotient_module(*_builtin_lattices(kind, f), CTX))
+    assert_kernel_route_matches_the_oracles(quotient_module(*_builtin_lattices(kind, f), CTX))
 
 
-def test_unit_quotient_at_121_takes_two_modular_hnfs_over_the_group(monkeypatch):
+def test_unit_quotient_at_121_takes_one_modular_kernel_over_the_group(monkeypatch):
     """On the plus U/E at f = 121 (k = 56, |G| = 55, one generator), building
-    the module and its annihilator take two `hnf_mod`s, Lambda and its dual,
-    each over |G| rows: the generation test reads Lambda's index instead of
-    an HNF over k rows. No module of the program binds a matrix product."""
+    the module and its annihilator take one `hnf_kernel_mod` of |G| columns
+    and no `hnf_mod` or `hnf_dual`: the generation test reads the first
+    orbit's kernel index instead of an HNF over k rows, and that kernel is
+    the annihilator. No module of the program binds a matrix product."""
     mod = quotient_module(*_builtin_lattices("plus", 121), CTX)
-    rows, hnf_mod = [], intmat.hnf_mod
-
-    def counting(cols, d, n):
-        rows.append(n)
-        return hnf_mod(cols, d, n)
-
+    calls = []
     ours = [m for name, m in sys.modules.items() if name.split(".")[0] == "fracgalois"]
-    for m in ours:
-        for name, value in vars(m).items():
-            if value is hnf_mod:
-                monkeypatch.setattr(m, name, counting)
+    for fn_name in ("hnf_mod", "hnf_dual", "hnf_kernel_mod"):
+        fn = getattr(intmat, fn_name)
+
+        def counting(cols, *args, _fn=fn, _name=fn_name):
+            calls.append((_name, len(cols)))
+            return _fn(cols, *args)
+
+        for m in ours:
+            for name, value in vars(m).items():
+                if value is fn:
+                    monkeypatch.setattr(m, name, counting)
     assert not [m for m in ours if hasattr(m, "mat_mul")]
     built = FiniteGModule(mod.group, mod.k, mod.relations, mod.action)
     ann = built.annihilator()
     monkeypatch.undo()
     assert (mod.k, mod.group.order, len(built._generator_orbits)) == (56, 55, 1)
-    assert rows == [55, 55]
+    assert calls == [("hnf_kernel_mod", 55)]
     assert ann == mod.annihilator()
 
 
@@ -321,9 +324,10 @@ def test_coordinate_errors_equal_the_dense_solve(f):
 def test_a_lattice_and_its_solves_make_one_echelon(kind, f, monkeypatch):
     """Building U and E and solving every word of U/E: one column_echelon
     call (the rank check's, shared by every solve) and no other elimination
-    of `intmat`, whose HNFs, dual and kernel all run through column_echelon."""
+    of `intmat`, whose HNFs, dual and kernels all run through column_echelon."""
     calls = {}
-    for name in ("column_echelon", "hnf_columns", "hnf_mod", "hnf_dual", "kernel_basis"):
+    for name in ("column_echelon", "hnf_columns", "hnf_mod", "hnf_dual", "hnf_kernel_mod",
+                 "kernel_basis"):
         fn = getattr(intmat, name)
 
         def counted(*args, _fn=fn, _name=name):

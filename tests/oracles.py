@@ -10,9 +10,9 @@ Q(sqrt(-p)) one character of H at a time, equality of S-unit values, the
 log of an S-unit at the place above a totally ramified p, the annihilator of
 the roots of unity by a cyclic G-module, the annihilator of a finite G-module
 by a kernel lattice on orbits of its own and its ell-part by a plain HNF, the
-annihilator as the dual of the HNF of the orbits' rows that the modular kernel
-replaced, the orbit walk over Z^k that phi-coordinates replaced, unit coordinates by a dense
-scaled inverse, the Bareiss solve behind it, the inverse in Q[G] by that solve,
+annihilator as the dual of the HNF of the orbits' rows that the modular
+kernel replaced, the orbit walk over Z^k that phi-coordinates replaced, unit
+coordinates by a dense scaled inverse, the Bareiss solve behind it, the inverse in Q[G] by that solve,
 the intersection of two lattices by a kernel lattice, the Z-span of
 group-ring elements as a lattice, lattice membership and ell-membership by
 Fraction coordinates of the basis elements, a dense column echelon
@@ -507,9 +507,9 @@ class LambdaReference(FiniteGModule):
     W's column space is phi(Z[G] m) and its row space has the same order
     (Smith form over Z/e), so the first m generates M iff [Z^n : Lambda] |M|
     = e^n. alpha kills M iff w . alpha = 0 mod e for every row w, so ann(M) =
-    e Lambda^*, which `intmat.hnf_dual` gives as e Z^n lies in Lambda. The walk,
-    its span test S over k rows and the validation are those of
-    `FiniteGModule`."""
+    e Lambda^*, which `intmat.hnf_dual` gives as e Z^n lies in Lambda. The
+    walk and its span test S over k rows are `FiniteGModule`'s, with this
+    first-orbit test; the validation is inherited."""
 
     @cached_property
     def _generator_orbits(self):

@@ -1044,7 +1044,7 @@ def _index(cols):
     return prod(col[t] for t, col in enumerate(cols))
 
 
-def _orbit_vectors(orbits, k):
+def _dense_orbits(orbits, k):
     """The phi-orbit vectors of `_generator_orbits`, as k entries each."""
     return [_dense(u, k) for orbit in orbits for u in orbit.values()]
 
@@ -1068,13 +1068,13 @@ def test_each_generation_check_of_the_orbit_walk_agrees_with_a_plain_hnf():
             e_id = [[e * (i == j) for i in range(k)] for j in range(k)]
             phi_m = hnf_columns(e_id + [
                 dense_solve_upper_triangular(h_cols, pivot_rows, col) for col in e_id])
-            assert hnf_columns(phi_m[0] + _orbit_vectors(orbits, k)) == phi_m
+            assert hnf_columns(phi_m[0] + _dense_orbits(orbits, k)) == phi_m
 
             def spans(r):
-                return hnf_columns(e_id + _orbit_vectors(orbits[:r], k)) == phi_m
+                return hnf_columns(e_id + _dense_orbits(orbits[:r], k)) == phi_m
 
             ker = m._kernel(orbits[:1])
-            first = hnf_columns(e_id + _orbit_vectors(orbits[:1], k))[0]
+            first = hnf_columns(e_id + _dense_orbits(orbits[:1], k))[0]
             assert _index(ker) * _index(first) == e ** k
             assert (_index(ker) == m.order()) == spans(1)
             assert m._first_kernel == ker
@@ -1141,7 +1141,7 @@ def test_orbits_of_two_generators_are_not_read_off_a_stacked_lambda(k):
     ann = mod.annihilator()
     assert ann == kernel_lattice_annihilator(mod) and ann.covolume() == 2 ** 7
     stacked = _index(mod._kernel(orbits[:2]))
-    assert (stacked == mod.order()) == (k == 7)
+    assert stacked == 2 ** 7 and (stacked == mod.order()) == (k == 7)
 
 
 def test_orbits_that_do_not_span_m_raise_an_arithmetic_error(monkeypatch):
